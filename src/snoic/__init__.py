@@ -9,7 +9,7 @@ workflow (split / pretrain / train / eval / report).
 
 __version__ = "0.1.0"
 
-from .augment import MixOutcome, MixupConfig, inject_noise, mixup, noisy_mixup_batch, sample_lambda, select_mix_layer
+from .augment import MixupConfig, inject_noise, mixup, sample_lambda, select_mix_layer
 from .corpus import (
     Batch,
     Dataset,
@@ -33,10 +33,7 @@ from .corpus import (
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    HiddenState,
     forward,
-    forward_from_layer,
-    forward_to_layer,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -61,11 +58,9 @@ from .trainer import (
 
 __all__ = [
     "__version__",
-    "MixOutcome",
     "MixupConfig",
     "inject_noise",
     "mixup",
-    "noisy_mixup_batch",
     "sample_lambda",
     "select_mix_layer",
     "Batch",
@@ -88,10 +83,7 @@ __all__ = [
     "tokenize",
     "EncoderConfig",
     "EncoderParams",
-    "HiddenState",
     "forward",
-    "forward_from_layer",
-    "forward_to_layer",
     "init_params",
     "load_checkpoint",
     "save_checkpoint",

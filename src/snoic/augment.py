@@ -3,18 +3,21 @@
 Each training step draws one mix layer rl (uniform over the encoder
 blocks) and one mixing weight lambda (Beta(alpha, alpha), realized as
 g1 / (g1 + g2) from two Gamma(alpha, 1) draws), shared by the whole
-batch. The two paired sequences are encoded up to block rl, their
-token-level hidden states are combined as lam * h1 + (1 - lam) * h2
-under the union of the padding masks, and element-wise noise is
-injected:
+batch. The paired sequences' token-level hidden states at block rl are
+combined as lam * h1 + (1 - lam) * h2 under the union of the padding
+masks, and element-wise noise is injected:
 
     noisy = (1 + delta_mul * xi_mul) * mixed + delta_add * xi_add
 
 with xi_mul and xi_add i.i.d. standard normal, drawn in that order and
 always drawn even when a delta is zero, so RNG consumption does not
 depend on the noise settings. Padded positions are re-zeroed afterward.
-The result resumes the encoder from block rl; noise draws act as
-constants for gradient purposes.
+Noise draws act as constants for gradient purposes.
+
+:class:`NoisyMixupPass` records a whole open-training step as one pass:
+the soft-target rows and both pair halves share the encoder up to block
+rl as one stacked batch, and the soft rows and the noisy mixed rows share
+the rest of it (the manifold mixup cut of Verma et al., ICML 2019).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PairedBatch
+from .corpus import Batch, PairedBatch
 from .encoder import (
     EncoderParams,
     Grads,
@@ -109,27 +112,25 @@ def inject_noise(
     return noisy * mask[:, :, None].astype(mixed.dtype), scale
 
 
-@dataclass
-class MixOutcome:
-    """What one mixing step produced, for logging and tests."""
-
-    hidden: np.ndarray  # noisy mixed state at the mix layer
-    lam: float
-    layer: int
-    mask: np.ndarray
-
-
 class NoisyMixupPass:
-    """One recorded pseudo-data pass over a paired batch.
+    """The one recorded pass of an open-training step.
+
+    The soft-target batch and both halves of the pair run through the
+    embeddings and blocks 1..layer as one stacked batch. The pair halves
+    are then mixed and noised, and the soft rows and the noisy rows resume
+    together through the remaining blocks, pooling, dense layer and head.
+    ``soft_logits`` and ``logits`` are the two halves of that head output.
 
     Draw order per step: mix layer, lambda (two gammas), xi_mul, xi_add.
-    backward(dlogits) routes gradients through the resumed segment and
-    both encoder branches, scaling by the noise factor and lam / (1-lam).
+    backward(dsoft, dmix) runs one reverse pass; at the cut it scales the
+    mixed rows' gradient by the noise factor and splits it between the
+    pair halves by lam / (1 - lam).
     """
 
     def __init__(
         self,
         p: EncoderParams,
+        batch: Batch,
         pair: PairedBatch,
         mix_cfg: MixupConfig,
         rng: np.random.Generator,
@@ -142,41 +143,31 @@ class NoisyMixupPass:
             )
         self.layer = select_mix_layer(rng, low, high)
         self.lam = sample_lambda(rng, mix_cfg.alpha)
-        dtype = p["token_embedding"].dtype
-        mask1 = pair.first.mask.astype(dtype)
-        mask2 = pair.second.mask.astype(dtype)
-        self.c1: dict = {}
-        self.c2: dict = {}
-        h1 = run_to_layer(p, pair.first.tokens, mask1, self.layer, cache=self.c1)
-        h2 = run_to_layer(p, pair.second.tokens, mask2, self.layer, cache=self.c2)
-        mixed, self.union = mixup(h1, mask1, h2, mask2, self.lam)
-        self.noisy, self.scale = inject_noise(
-            mixed, self.union, rng, mix_cfg.delta_add, mix_cfg.delta_mul
+        parts = (batch, pair.first, pair.second)
+        tokens = np.concatenate([part.tokens for part in parts])
+        mask = np.concatenate([part.mask for part in parts]).astype(p["token_embedding"].dtype)
+        self.to_cache: dict = {}
+        h = run_to_layer(p, tokens, mask, self.layer, cache=self.to_cache)
+        b = self.soft_rows = len(batch)
+        n = len(pair.first)
+        mixed, self.union = mixup(h[b : b + n], mask[b : b + n], h[b + n :], mask[b + n :], self.lam)
+        noisy, self.scale = inject_noise(mixed, self.union, rng, mix_cfg.delta_add, mix_cfg.delta_mul)
+        self.from_cache: dict = {}
+        self.e = run_from_layer(
+            p,
+            np.concatenate([h[:b], noisy]),
+            np.concatenate([mask[:b], self.union]),
+            self.layer,
+            cache=self.from_cache,
         )
-        self.cres: dict = {}
-        self.e = run_from_layer(p, self.noisy, self.union, self.layer, cache=self.cres)
-        self.logits = head_logits(p, self.e)
+        logits = head_logits(p, self.e)
+        self.soft_logits, self.logits = logits[:b], logits[b:]
 
-    @property
-    def outcome(self) -> MixOutcome:
-        return MixOutcome(hidden=self.noisy, lam=self.lam, layer=self.layer, mask=self.union)
-
-    def backward(self, dlogits: np.ndarray, grads: Grads | None = None) -> Grads:
-        grads = Grads() if grads is None else grads
-        de = head_backward(self.p, self.e, dlogits, grads)
-        dh = backward_from_layer(self.p, self.cres, de, grads)
-        dmixed = dh * self.union[:, :, None] * self.scale
-        backward_to_layer(self.p, self.c1, self.lam * dmixed, grads)
-        backward_to_layer(self.p, self.c2, (1.0 - self.lam) * dmixed, grads)
+    def backward(self, dsoft: np.ndarray, dmix: np.ndarray) -> Grads:
+        grads = Grads()
+        de = head_backward(self.p, self.e, np.concatenate([dsoft, dmix]), grads)
+        dh = backward_from_layer(self.p, self.from_cache, de, grads)
+        dmixed = dh[self.soft_rows :] * self.union[:, :, None] * self.scale
+        dh = np.concatenate([dh[: self.soft_rows], self.lam * dmixed, (1.0 - self.lam) * dmixed])
+        backward_to_layer(self.p, self.to_cache, dh, grads)
         return grads
-
-
-def noisy_mixup_batch(
-    p: EncoderParams,
-    pair: PairedBatch,
-    mix_cfg: MixupConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, MixOutcome]:
-    """Pseudo intent representations (B x dim) for a paired batch."""
-    out = NoisyMixupPass(p, pair, mix_cfg, rng)
-    return out.e, out.outcome

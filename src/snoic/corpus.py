@@ -75,6 +75,15 @@ def load_dataset(path: str) -> Dataset:
     return Dataset(examples=examples)
 
 
+def _load_json(path: str, kind: str):
+    """One JSON document from a file; malformed content is a DataError."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: malformed {kind} file: {exc}") from exc
+
+
 def tokenize_text(text: str) -> list[str]:
     """Lowercase and split on whitespace and punctuation."""
     return _TOKEN_RE.findall(text.lower())
@@ -106,9 +115,8 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-        tokens = obj.get("tokens")
+        obj = _load_json(path, "vocabulary")
+        tokens = obj.get("tokens") if isinstance(obj, dict) else None
         if not isinstance(tokens, list) or tokens[:3] != list(RESERVED_TOKENS):
             raise DataError(f"{path}: not a vocabulary file")
         return cls(id_to_token=tokens)
@@ -186,8 +194,7 @@ class SplitSpec:
 
     @classmethod
     def load(cls, path: str) -> "SplitSpec":
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
+        obj = _load_json(path, "split")
         try:
             return cls(
                 seed=obj["seed"],
@@ -362,48 +369,51 @@ def ordered_batches(enc: EncodedDataset, batch_size: int) -> list[Batch]:
     return _slice_batches(enc, np.arange(len(enc)), batch_size)
 
 
-def _repair_pair(first: Batch, second: Batch) -> None:
-    """Swap rows of `second` so no position shares a label with `first`.
+def _repair_pair(first: np.ndarray, second: np.ndarray, order: np.ndarray) -> None:
+    """Swap entries of `second` so no position shares a label with `first`.
 
-    A colliding position takes the nearest later row of `second` whose
-    label differs, wrapping to earlier rows only when the swap cannot
-    break an already repaired position.  A dead end is proof that no
-    pairing exists at all: every rejected row carries the colliding
-    intent on one side or the other, so that intent fills more than
-    half of the combined batch.
+    `first` and `second` are the labels of two row orders over a whole
+    epoch, and every swap in `second` is mirrored in `order`, its row
+    indices. A colliding position takes the nearest later entry of
+    `second` whose label differs, wrapping to earlier entries only when
+    the swap cannot break an already repaired position.  A dead end is
+    proof that no pairing exists at all: every rejected entry carries the
+    colliding intent on one side or the other, so that intent fills more
+    than half of the epoch's rows on both sides together.
     """
-    b = len(first)
-    for i in range(b):
-        if first.labels[i] != second.labels[i]:
+    n = len(first)
+    for i in range(n):
+        if first[i] != second[i]:
             continue
         target = None
-        for off in range(1, b):
-            j = (i + off) % b
-            if second.labels[j] == first.labels[i]:
+        for off in range(1, n):
+            j = (i + off) % n
+            if second[j] == first[i]:
                 continue
-            if j < i and first.labels[j] == second.labels[i]:
+            if j < i and first[j] == second[i]:
                 continue  # wrap swap would re-collide position j
             target = j
             break
         if target is None:
             raise PairingError(
-                f"cannot pair position {i}: no differing intent available in the batch"
+                f"cannot pair position {i}: no differing intent available in the epoch"
             )
-        for arr in (second.tokens, second.mask, second.labels):
+        for arr in (second, order):
             arr[[i, target]] = arr[[target, i]]
 
 
 def pair_batches(enc: EncodedDataset, batch_size: int, seed: int, epoch: int = 0) -> list[PairedBatch]:
-    """Two independent seeded shuffles, repaired into different-intent pairs."""
+    """Two independent seeded shuffles, repaired into different-intent pairs.
+
+    The repair runs over the whole epoch before it is cut into batches, so
+    a short tail batch can borrow rows from the rest of the epoch.
+    """
     if len(np.unique(enc.class_ids)) < 2:
         raise PairingError("pairing requires at least 2 distinct intent classes")
     effective = seed ^ epoch
     order_a = np.random.default_rng([effective, 0]).permutation(len(enc))
     order_b = np.random.default_rng([effective, 1]).permutation(len(enc))
+    _repair_pair(enc.class_ids[order_a], enc.class_ids[order_b], order_b)
     firsts = _slice_batches(enc, order_a, batch_size)
     seconds = _slice_batches(enc, order_b, batch_size)
-    pairs = []
-    for first, second in zip(firsts, seconds):
-        _repair_pair(first, second)
-        pairs.append(PairedBatch(first=first, second=second))
-    return pairs
+    return [PairedBatch(first=first, second=second) for first, second in zip(firsts, seconds)]

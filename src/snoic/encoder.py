@@ -7,13 +7,14 @@ a pure token-wise variant), mean-pools the real-token vectors, and maps
 the pooled vector through a ReLU dense layer to the intent representation.
 A linear head produces M+1 logits.
 
-The pass can be cut at any block boundary: :func:`forward_to_layer` runs
-to block ``rl``, the hidden state may be modified externally (this is the
-mixup injection point), and :func:`forward_from_layer` resumes to the
-intent representation. Training gradients come from a recorded reverse
-pass: every forward helper optionally fills a cache dict, and the matching
-``backward_*`` helper consumes it. All math is dtype-generic; training
-runs in float32 while gradient checks can rerun the same code in float64.
+The pass is built from two segment runners that meet at a block boundary:
+:func:`run_to_layer` runs the embeddings and blocks 1..rl, and
+:func:`run_from_layer` resumes from block rl+1 to the intent
+representation. Between them the hidden state may be modified externally,
+which is the mixup injection point. Each runner optionally fills a cache
+dict that its ``backward_*`` counterpart consumes, so one recorded pass
+yields every parameter gradient. All math is dtype-generic; training runs
+in float32 while gradient checks rerun the same code in float64.
 
 Parameters live in a name-keyed dict with a canonical order, which is also
 the checkpoint serialization order.
@@ -29,6 +30,7 @@ import numpy as np
 
 from .corpus import Batch
 from .errors import CheckpointError, DataError
+from .losses import softmax
 
 LN_EPS = 1e-5
 ATTN_MASK_VALUE = -1e9
@@ -145,15 +147,6 @@ def init_params(cfg: EncoderConfig, M: int, seed: int) -> EncoderParams:
     return EncoderParams(cfg=cfg, M=M, tensors=tensors)
 
 
-@dataclass
-class HiddenState:
-    """Per-token hidden vectors after running up to block ``layer``."""
-
-    h: np.ndarray  # (B, T, H)
-    mask: np.ndarray  # (B, T)
-    layer: int
-
-
 class Grads(dict):
     """Accumulating parameter-gradient container."""
 
@@ -207,12 +200,6 @@ def _layernorm_backward(dy: np.ndarray, cache: dict, gain: np.ndarray) -> tuple[
     return dx, dgain, dbias
 
 
-def _softmax_lastaxis(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _attention_forward(p: EncoderParams, i: int, h: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, dict]:
     pre = f"layers.{i}."
     q = h @ p[pre + "attn_q"]
@@ -221,7 +208,7 @@ def _attention_forward(p: EncoderParams, i: int, h: np.ndarray, mask: np.ndarray
     scale = 1.0 / math.sqrt(p.cfg.hidden)
     scores = np.matmul(q, k.swapaxes(1, 2)) * scale
     scores = scores + (1.0 - mask)[:, None, :] * ATTN_MASK_VALUE
-    att = _softmax_lastaxis(scores)
+    att = softmax(scores)
     ctx = np.matmul(att, v)
     out = ctx @ p[pre + "attn_out"]
     return out, {"h": h, "q": q, "k": k, "v": v, "att": att, "ctx": ctx, "scale": scale}
@@ -397,16 +384,6 @@ def backward_from_layer(p: EncoderParams, cache: dict, de: np.ndarray, grads: Gr
 # public pass API
 
 
-def forward_to_layer(p: EncoderParams, batch: Batch, rl: int) -> HiddenState:
-    mask = batch.mask.astype(p["token_embedding"].dtype)
-    h = run_to_layer(p, batch.tokens, mask, rl)
-    return HiddenState(h=h, mask=mask, layer=rl)
-
-
-def forward_from_layer(p: EncoderParams, hidden: HiddenState) -> np.ndarray:
-    return run_from_layer(p, hidden.h, hidden.mask, hidden.layer)
-
-
 def forward(p: EncoderParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Full pass: intent representations e and (M+1)-way logits."""
     mask = batch.mask.astype(p["token_embedding"].dtype)
@@ -427,8 +404,8 @@ class TapedForward:
         self.e = run_from_layer(p, h, mask, 0, cache=self.from_cache)
         self.logits = head_logits(p, self.e)
 
-    def backward(self, dlogits: np.ndarray, grads: Grads | None = None) -> Grads:
-        grads = Grads() if grads is None else grads
+    def backward(self, dlogits: np.ndarray) -> Grads:
+        grads = Grads()
         de = head_backward(self.p, self.e, dlogits, grads)
         dh = backward_from_layer(self.p, self.from_cache, de, grads)
         backward_to_layer(self.p, self.to_cache, dh, grads)

@@ -59,19 +59,20 @@ def pretrain_loss(logits: np.ndarray, labels: np.ndarray, M: int) -> tuple[float
 
 def soft_target(label: int, M: int, rho: float) -> np.ndarray:
     """Relocated target: 1 - rho on the gold class, rho on the open class."""
-    if not 0.0 <= rho < 1.0:
-        raise DataError(f"relocation mass must be in [0, 1), got {rho}")
-    if not 1 <= label <= M:
-        raise DataError(f"label {label} outside 1..{M}")
-    t = np.zeros(M + 1)
-    t[label - 1] = 1.0 - rho
-    t[M] = rho
-    return t
+    return soft_targets(np.array([label]), M, rho)[0]
 
 
 def soft_targets(labels: np.ndarray, M: int, rho: float) -> np.ndarray:
+    """One soft_target row per 1-based label."""
+    if not 0.0 <= rho < 1.0:
+        raise DataError(f"relocation mass must be in [0, 1), got {rho}")
     labels = np.asarray(labels)
-    return np.stack([soft_target(int(y), M, rho) for y in labels])
+    if labels.size and (labels.min() < 1 or labels.max() > M):
+        raise DataError(f"labels must be in 1..{M}")
+    t = np.zeros((labels.shape[0], M + 1))
+    t[np.arange(labels.shape[0]), labels - 1] = 1.0 - rho
+    t[:, M] = rho
+    return t
 
 
 def kl_loss(targets: np.ndarray, logits: np.ndarray) -> tuple[float, np.ndarray]:
@@ -79,11 +80,13 @@ def kl_loss(targets: np.ndarray, logits: np.ndarray) -> tuple[float, np.ndarray]
 
     Model probabilities are clamped below at 1e-12 before the log; the
     gradient is exact for the clamped objective, and reduces to
-    (softmax - targets) / batch wherever the clamp is inactive.
+    (softmax - targets) / batch wherever the clamp is inactive. Targets
+    are cast to the logits' dtype, so the gradient comes back in it.
     """
     _check_logits(logits)
     if targets.shape != logits.shape:
         raise DataError(f"target shape {targets.shape} does not match logits {logits.shape}")
+    targets = targets.astype(logits.dtype, copy=False)
     b = logits.shape[0]
     q = softmax(logits)
     qf = np.maximum(q, LOG_FLOOR)

@@ -274,10 +274,10 @@ def train_open(
 ) -> tuple[EncoderParams, TrainLog]:
     """Stage two: soft-target KL blended with mixed pseudo open data.
 
-    The optimizer restarts with fresh moments. Each step consumes one
-    soft-target batch and one different-intent pair batch; the blend
-    weight is cfg.gamma, or the step's own mixing weight when
-    gamma_mode is 'lambda'.
+    The optimizer restarts with fresh moments. Each step records one
+    NoisyMixupPass over a soft-target batch and a different-intent pair
+    batch; the blend weight is cfg.gamma, or the step's own mixing weight
+    when gamma_mode is 'lambda'.
     """
     _check_training_inputs(params, train_enc, val_enc)
     if len(np.unique(train_enc.class_ids)) < 2:
@@ -291,27 +291,25 @@ def train_open(
     mix_cfg = cfg.mixup_config()
     rho = cfg.effective_rho()
 
+    def step(batch, pair, epoch: int) -> float:
+        # The pass is local, so it is freed before the next step records one.
+        mix_pass = NoisyMixupPass(params, batch, pair, mix_cfg, mix_rng)
+        targets = soft_targets(batch.labels, params.M, rho)
+        kl_value, dkl = kl_loss(targets, mix_pass.soft_logits)
+        open_value, dopen = mixup_loss(mix_pass.logits)
+        gamma = cfg.gamma if cfg.gamma_mode == "fixed" else mix_pass.lam
+        value = total_loss(kl_value, open_value, gamma)
+        if not math.isfinite(value):
+            raise TrainingError(f"non-finite open-training loss at epoch {epoch}")
+        grads = mix_pass.backward(gamma * dkl, (1.0 - gamma) * dopen)
+        optimizer_step(params, grads, opt, cfg.lr, cfg.weight_decay)
+        return value
+
     def epoch_fn(epoch: int) -> float:
-        total = 0.0
-        count = 0
         soft = make_batches(train_enc, cfg.batch_size, shuffle_seed, epoch)
         pairs = pair_batches(train_enc, cfg.batch_size, pair_seed, epoch)
-        for batch, pair in zip(soft, pairs):
-            tape = TapedForward(params, batch)
-            targets = soft_targets(batch.labels, params.M, rho)
-            kl_value, dkl = kl_loss(targets, tape.logits)
-            mix_pass = NoisyMixupPass(params, pair, mix_cfg, mix_rng)
-            open_value, dopen = mixup_loss(mix_pass.logits)
-            gamma = cfg.gamma if cfg.gamma_mode == "fixed" else mix_pass.lam
-            value = total_loss(kl_value, open_value, gamma)
-            if not math.isfinite(value):
-                raise TrainingError(f"non-finite open-training loss at epoch {epoch}")
-            grads = tape.backward(gamma * dkl)
-            mix_pass.backward((1.0 - gamma) * dopen, grads)
-            optimizer_step(params, grads, opt, cfg.lr, cfg.weight_decay)
-            total += value
-            count += 1
-        return total / count
+        values = [step(batch, pair, epoch) for batch, pair in zip(soft, pairs)]
+        return sum(values) / len(values)
 
     def val_fn() -> float:
         return known_accuracy(params, val_enc, cfg.batch_size, known_only=False)

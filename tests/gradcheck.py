@@ -91,9 +91,15 @@ def max_rel_err(p, value_fn, grads, n_coords, seed, eps=1e-5):
 
 
 def build_cases(p, batch, pair, mix_seed=777, rho=0.3, gamma=0.6):
-    """(name, value_fn, analytic grads) triples for every training loss."""
+    """(name, value_fn, analytic grads) triples for every training loss.
+
+    The stage-two cases go through NoisyMixupPass: soft_kl with a zero
+    open-row gradient, open_ce with a zero soft-row gradient, and blended
+    (on another mixing draw) with both.
+    """
     m = p.M
     mix_cfg = MixupConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
+    targets = soft_targets(batch.labels, m, rho)
 
     def pretrain_value(q):
         return pretrain_loss(TapedForward(q, batch).logits, batch.labels, m)[0]
@@ -102,34 +108,25 @@ def build_cases(p, batch, pair, mix_seed=777, rho=0.3, gamma=0.6):
     _, dpre = pretrain_loss(tape.logits, batch.labels, m)
     pretrain_grads = tape.backward(dpre)
 
-    targets = soft_targets(batch.labels, m, rho)
+    def stage_two(q, seed=mix_seed):
+        mp = NoisyMixupPass(q, batch, pair, mix_cfg, np.random.default_rng(seed))
+        return mp, kl_loss(targets, mp.soft_logits), mixup_loss(mp.logits)
 
     def kl_value(q):
-        return kl_loss(targets, TapedForward(q, batch).logits)[0]
-
-    tape = TapedForward(p, batch)
-    _, dkl = kl_loss(targets, tape.logits)
-    kl_grads = tape.backward(dkl)
+        return stage_two(q)[1][0]
 
     def open_value(q):
-        mp = NoisyMixupPass(q, pair, mix_cfg, np.random.default_rng(mix_seed))
-        return mixup_loss(mp.logits)[0]
-
-    mix_pass = NoisyMixupPass(p, pair, mix_cfg, np.random.default_rng(mix_seed))
-    _, dopen = mixup_loss(mix_pass.logits)
-    open_grads = mix_pass.backward(dopen)
+        return stage_two(q)[2][0]
 
     def blended_value(q):
-        kl = kl_loss(targets, TapedForward(q, batch).logits)[0]
-        mp = NoisyMixupPass(q, pair, mix_cfg, np.random.default_rng(mix_seed + 1))
-        return gamma * kl + (1.0 - gamma) * mixup_loss(mp.logits)[0]
+        _, (kl, _), (ce, _) = stage_two(q, mix_seed + 1)
+        return gamma * kl + (1.0 - gamma) * ce
 
-    tape = TapedForward(p, batch)
-    _, dkl = kl_loss(targets, tape.logits)
-    blended_grads = tape.backward(gamma * dkl)
-    mp = NoisyMixupPass(p, pair, mix_cfg, np.random.default_rng(mix_seed + 1))
-    _, dopen = mixup_loss(mp.logits)
-    mp.backward((1.0 - gamma) * dopen, blended_grads)
+    mp, (_, dkl), (_, dopen) = stage_two(p)
+    kl_grads = mp.backward(dkl, np.zeros_like(dopen))
+    open_grads = mp.backward(np.zeros_like(dkl), dopen)
+    mp, (_, dkl), (_, dopen) = stage_two(p, mix_seed + 1)
+    blended_grads = mp.backward(gamma * dkl, (1.0 - gamma) * dopen)
 
     return [
         ("pretrain_ce", pretrain_value, pretrain_grads),

@@ -14,7 +14,7 @@ from gradcheck import run_gradient_suite
 from snoic.augment import inject_noise, mixup, sample_lambda
 from snoic.cli import main
 from snoic.corpus import Batch, Dataset, LabeledExample, apply_split, make_split
-from snoic.encoder import EncoderConfig, HiddenState, forward, forward_from_layer, forward_to_layer, init_params
+from snoic.encoder import EncoderConfig, forward, init_params, run_from_layer, run_to_layer
 from snoic.losses import soft_target
 from snoic.metrics import evaluate
 from snoic.synth import write_corpus
@@ -99,17 +99,17 @@ def test_acceptance_3_mixing_identities(capsys):
 
     worst = 0.0
     for rl in range(1, cfg.num_layers + 1):
-        h1 = forward_to_layer(p, b1, rl)
-        h2 = forward_to_layer(p, b2, rl)
+        h1 = run_to_layer(p, b1.tokens, b1.mask, rl)
+        h2 = run_to_layer(p, b2.tokens, b2.mask, rl)
         for lam, direct in ((1.0, e1_direct), (0.0, e2_direct)):
-            mixed, union = mixup(h1.h, h1.mask, h2.h, h2.mask, lam)
-            resumed = forward_from_layer(p, HiddenState(h=mixed, mask=union, layer=rl))
+            mixed, union = mixup(h1, b1.mask, h2, b2.mask, lam)
+            resumed = run_from_layer(p, mixed, union, rl)
             worst = max(worst, float(np.max(np.abs(resumed - direct))))
     endpoints_ok = worst < 1e-6
 
-    h1 = forward_to_layer(p, b1, 1)
-    h2 = forward_to_layer(p, b2, 1)
-    mixed, union = mixup(h1.h, h1.mask, h2.h, h2.mask, 0.35)
+    h1 = run_to_layer(p, b1.tokens, b1.mask, 1)
+    h2 = run_to_layer(p, b2.tokens, b2.mask, 1)
+    mixed, union = mixup(h1, b1.mask, h2, b2.mask, 0.35)
     silent, scale = inject_noise(mixed, union, np.random.default_rng(0), 0.0, 0.0)
     zero_noise_ok = np.array_equal(silent, mixed) and np.all(scale == 1.0)
 

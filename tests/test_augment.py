@@ -8,13 +8,21 @@ from snoic.augment import (
     NoisyMixupPass,
     inject_noise,
     mixup,
-    noisy_mixup_batch,
     sample_lambda,
     select_mix_layer,
 )
-from snoic.encoder import run_to_layer
+from snoic.encoder import (
+    Grads,
+    backward_from_layer,
+    backward_to_layer,
+    head_backward,
+    head_logits,
+    run_from_layer,
+    run_to_layer,
+)
 from snoic.errors import DataError
-from gradcheck import TINY, tiny_pair, tiny_params
+from snoic.losses import kl_loss, mixup_loss, soft_targets
+from gradcheck import TINY, tiny_batch, tiny_pair, tiny_params
 
 
 class FixedNormals:
@@ -215,13 +223,51 @@ class TestMixupConfig:
             MixupConfig(layer_range=(3, 2))
 
 
+def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
+    """The stacked pass rebuilt from one encoder pass per row group.
+
+    Returns (soft logits, mixed logits, grads); each parameter's gradient
+    is accumulated over the soft, first-half and second-half segments.
+    """
+    rng = np.random.default_rng(seed)
+    rl = select_mix_layer(rng, 1, p.cfg.num_layers)
+    lam = sample_lambda(rng, cfg.alpha)
+    dtype = p["token_embedding"].dtype
+    grads = Grads()
+
+    def to_layer(b):
+        mask = b.mask.astype(dtype)
+        cache = {}
+        return run_to_layer(p, b.tokens, mask, rl, cache=cache), mask, cache
+
+    def from_layer(h, mask, dlogits):
+        cache = {}
+        e = run_from_layer(p, h, mask, rl, cache=cache)
+        de = head_backward(p, e, dlogits, grads)
+        return head_logits(p, e), backward_from_layer(p, cache, de, grads)
+
+    hs, ms, cs = to_layer(batch)
+    h1, m1, c1 = to_layer(pair.first)
+    h2, m2, c2 = to_layer(pair.second)
+    soft_logits, dhs = from_layer(hs, ms, dsoft)
+    backward_to_layer(p, cs, dhs, grads)
+    mixed, union = mixup(h1, m1, h2, m2, lam)
+    noisy, scale = inject_noise(mixed, union, rng, cfg.delta_add, cfg.delta_mul)
+    mix_logits, dh = from_layer(noisy, union, dmix)
+    dmixed = dh * union[:, :, None] * scale
+    backward_to_layer(p, c1, lam * dmixed, grads)
+    backward_to_layer(p, c2, (1.0 - lam) * dmixed, grads)
+    return soft_logits, mix_logits, grads
+
+
 class TestNoisyMixupPass:
     def test_documented_draw_order(self):
         """One stream feeds layer, lambda, then the two noise fields."""
         p = tiny_params(attention=True, seed=3)
+        batch = tiny_batch(11)
         pair = tiny_pair(12)
         cfg = MixupConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
-        mix = NoisyMixupPass(p, pair, cfg, np.random.default_rng(21))
+        mix = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(21))
 
         probe = np.random.default_rng(21)
         layer = int(probe.integers(1, p.cfg.num_layers + 1))
@@ -233,22 +279,22 @@ class TestNoisyMixupPass:
 
         mask1 = pair.first.mask.astype(np.float64)
         mask2 = pair.second.mask.astype(np.float64)
+        union = np.maximum(mask1, mask2)
         h1 = run_to_layer(p, pair.first.tokens, mask1, layer)
         h2 = run_to_layer(p, pair.second.tokens, mask2, layer)
-        mixed = (lam * h1 + (1 - lam) * h2) * np.maximum(mask1, mask2)[:, :, None]
+        mixed = (lam * h1 + (1 - lam) * h2) * union[:, :, None]
         xi_mul = probe.standard_normal(mixed.shape)
         xi_add = probe.standard_normal(mixed.shape)
-        expected = ((1 + 0.2 * xi_mul) * mixed + 0.4 * xi_add) * np.maximum(mask1, mask2)[
-            :, :, None
-        ]
-        assert np.allclose(mix.noisy, expected, atol=1e-9)
+        expected = ((1 + 0.2 * xi_mul) * mixed + 0.4 * xi_add) * union[:, :, None]
+        e = run_from_layer(p, expected, union, layer)
+        assert np.allclose(mix.logits, head_logits(p, e), atol=1e-9)
 
     def test_layer_range_is_respected(self):
         p = tiny_params(attention=False, seed=4)
         pair = tiny_pair(15)
         cfg = MixupConfig(layer_range=(2, 2))
         for seed in range(5):
-            mix = NoisyMixupPass(p, pair, cfg, np.random.default_rng(seed))
+            mix = NoisyMixupPass(p, pair.first, pair, cfg, np.random.default_rng(seed))
             assert mix.layer == 2
 
     def test_layer_range_beyond_depth_rejected(self):
@@ -256,32 +302,62 @@ class TestNoisyMixupPass:
         pair = tiny_pair(12)
         cfg = MixupConfig(layer_range=(1, TINY["num_layers"] + 1))
         with pytest.raises(DataError, match="encoder depth"):
-            NoisyMixupPass(p, pair, cfg, np.random.default_rng(0))
+            NoisyMixupPass(p, pair.first, pair, cfg, np.random.default_rng(0))
 
     def test_outputs_are_finite_and_shaped(self):
         p = tiny_params(attention=True, seed=3)
+        batch = tiny_batch(11, size=5)
         pair = tiny_pair(12)
-        e, outcome = noisy_mixup_batch(p, pair, MixupConfig(), np.random.default_rng(2))
-        assert e.shape == (len(pair.first), TINY["dim"])
-        assert np.isfinite(e).all()
-        assert 0.0 <= outcome.lam <= 1.0
-        assert 1 <= outcome.layer <= TINY["num_layers"]
-        assert outcome.hidden.shape == (len(pair.first), TINY["max_len"], TINY["hidden"])
+        mix = NoisyMixupPass(p, batch, pair, MixupConfig(), np.random.default_rng(2))
+        assert mix.soft_logits.shape == (len(batch), p.M + 1)
+        assert mix.logits.shape == (len(pair.first), p.M + 1)
+        assert np.isfinite(mix.soft_logits).all() and np.isfinite(mix.logits).all()
+        assert 0.0 <= mix.lam <= 1.0
+        assert 1 <= mix.layer <= TINY["num_layers"]
         assert np.array_equal(
-            outcome.mask, np.maximum(pair.first.mask, pair.second.mask).astype(np.float64)
+            mix.union, np.maximum(pair.first.mask, pair.second.mask).astype(np.float64)
         )
 
     def test_deterministic_per_seed(self):
         p = tiny_params(attention=True, seed=3)
+        batch = tiny_batch(11)
         pair = tiny_pair(12)
-        e1, _ = noisy_mixup_batch(p, pair, MixupConfig(), np.random.default_rng(33))
-        e2, _ = noisy_mixup_batch(p, pair, MixupConfig(), np.random.default_rng(33))
-        assert np.array_equal(e1, e2)
+        a = NoisyMixupPass(p, batch, pair, MixupConfig(), np.random.default_rng(33))
+        b = NoisyMixupPass(p, batch, pair, MixupConfig(), np.random.default_rng(33))
+        assert np.array_equal(a.soft_logits, b.soft_logits)
+        assert np.array_equal(a.logits, b.logits)
 
     def test_backward_touches_every_parameter(self):
         p = tiny_params(attention=True, seed=3)
+        batch = tiny_batch(11)
         pair = tiny_pair(12)
-        mix = NoisyMixupPass(p, pair, MixupConfig(), np.random.default_rng(5))
-        grads = mix.backward(np.ones_like(mix.logits))
+        mix = NoisyMixupPass(p, batch, pair, MixupConfig(), np.random.default_rng(5))
+        grads = mix.backward(np.ones_like(mix.soft_logits), np.ones_like(mix.logits))
         assert set(grads) == set(p.names())
         assert all(np.isfinite(grads[n]).all() for n in grads)
+
+    @pytest.mark.parametrize("dtype, rel_tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_stacked_pass_matches_separate_segments(self, dtype, rel_tol, attention, seed):
+        p = tiny_params(attention, seed=3 if attention else 4, dtype=dtype)
+        batch = tiny_batch(11)
+        pair = tiny_pair(12)
+        cfg = MixupConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
+        mix = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(seed))
+        _, dsoft = kl_loss(soft_targets(batch.labels, p.M, 0.3), mix.soft_logits)
+        _, dmix = mixup_loss(mix.logits)
+        grads = mix.backward(0.6 * dsoft, 0.4 * dmix)
+        soft_ref, mix_ref, grads_ref = separate_segments_reference(
+            p, batch, pair, cfg, seed, 0.6 * dsoft, 0.4 * dmix
+        )
+
+        def rel_err(got, want):
+            assert got.dtype == dtype
+            return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+        assert rel_err(mix.soft_logits, soft_ref) <= rel_tol
+        assert rel_err(mix.logits, mix_ref) <= rel_tol
+        assert set(grads) == set(grads_ref) == set(p.names())
+        for name in p.names():
+            assert rel_err(grads[name], grads_ref[name]) <= rel_tol, name

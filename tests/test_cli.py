@@ -78,6 +78,11 @@ class TestSplitCommand:
         out = str(tmp_path / "s.json")
         assert main(["split", "--data", str(tmp_path / "nope.jsonl"), "--r", "0.5", "--out", out]) == 1
 
+    def test_data_directory_exits_1(self, tmp_path, capsys):
+        out = str(tmp_path / "s.json")
+        assert main(["split", "--data", str(tmp_path), "--r", "0.5", "--out", out]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -309,6 +314,29 @@ class TestEvalCommand:
         ]
         assert main(args) == 1
         assert "vocabulary" in capsys.readouterr().err
+
+
+    def test_malformed_split_file_exits_1(self, cli_env, pipeline, tmp_path, capsys):
+        bad = tmp_path / "split.json"
+        bad.write_text('{"seed": 3, "r": 0.5,')
+        args = [
+            "eval", "--model", pipeline.open, "--split", str(bad),
+            "--test", cli_env.paths["test"], "--out", str(tmp_path / "x.json"),
+        ]
+        assert main(args) == 1
+        assert "malformed split file" in capsys.readouterr().err
+
+    def test_malformed_vocabulary_exits_1(self, cli_env, pipeline, tmp_path, capsys):
+        broken = str(tmp_path / "broken_model")
+        shutil.copytree(pipeline.open, broken)
+        with open(os.path.join(broken, "vocab.json"), "w", encoding="utf-8") as f:
+            f.write('{"tokens": ["<pad>",')
+        args = [
+            "eval", "--model", broken, "--split", pipeline.split,
+            "--test", cli_env.paths["test"], "--out", str(tmp_path / "x.json"),
+        ]
+        assert main(args) == 1
+        assert "malformed vocabulary file" in capsys.readouterr().err
 
 
 def fake_report(dataset, variant, thr, sn, base, r=0.5):

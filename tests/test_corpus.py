@@ -420,6 +420,25 @@ class TestPairing:
         with pytest.raises(PairingError, match="cannot pair position"):
             pair_batches(enc, 8, seed=0)
 
+    def test_balanced_tail_batch_borrows_from_the_epoch(self):
+        # four intents of five rows leave a tail batch of four; for these
+        # seeds a repair confined to that tail batch had no valid swap
+        n = 20
+        tokens = np.zeros((n, 3), dtype=np.int32)
+        tokens[:, 0] = CLS_ID
+        enc = EncodedDataset(
+            tokens=tokens,
+            lengths=np.ones(n, dtype=np.int32),
+            class_ids=np.repeat(np.arange(1, 5), 5).astype(np.int32),
+        )
+        for seed in (1, 29, 61):
+            pairs = pair_batches(enc, 8, seed)
+            assert [len(p.first) for p in pairs] == [8, 8, 4]
+            for pair in pairs:
+                assert np.all(pair.first.labels != pair.second.labels)
+            labels = np.concatenate([p.second.labels for p in pairs])
+            assert sorted(labels.tolist()) == sorted(enc.class_ids.tolist())
+
     def test_pairs_are_deterministic(self):
         enc = encoded_toy(num_classes=4, per_class=12)
         a = pair_batches(enc, 8, seed=2)

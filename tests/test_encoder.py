@@ -14,12 +14,11 @@ from snoic.encoder import (
     Grads,
     TapedForward,
     forward,
-    forward_from_layer,
-    forward_to_layer,
     head_logits,
     init_params,
     load_checkpoint,
     param_spec,
+    run_from_layer,
     run_to_layer,
     save_checkpoint,
 )
@@ -150,9 +149,8 @@ class TestForward:
         batch = random_batch(cfg, 4)
         e_full, logits_full = forward(p, batch)
         for rl in range(0, cfg.num_layers + 1):
-            hidden = forward_to_layer(p, batch, rl)
-            assert hidden.layer == rl
-            e = forward_from_layer(p, hidden)
+            h = run_to_layer(p, batch.tokens, batch.mask, rl)
+            e = run_from_layer(p, h, batch.mask, rl)
             assert np.allclose(e, e_full, atol=1e-6)
             assert np.allclose(head_logits(p, e), logits_full, atol=1e-6)
 
@@ -160,7 +158,7 @@ class TestForward:
         cfg = small_config()
         p = init_params(cfg, 4, seed=5)
         batch = random_batch(cfg, 6)
-        h = forward_to_layer(p, batch, 0).h
+        h = run_to_layer(p, batch.tokens, batch.mask, 0)
         t = batch.tokens.shape[1]
         expected = (
             p["token_embedding"][batch.tokens] + p["position_embedding"][None, :t, :]
@@ -173,7 +171,7 @@ class TestForward:
         p = init_params(cfg, 4, seed=7)
         batch = random_batch(cfg, 8, min_len=2)
         for rl in range(0, cfg.num_layers + 1):
-            h = forward_to_layer(p, batch, rl).h
+            h = run_to_layer(p, batch.tokens, batch.mask, rl)
             assert np.all(h[batch.mask == 0.0] == 0.0)
 
     @pytest.mark.parametrize("attention", [True, False])
@@ -213,9 +211,9 @@ class TestForward:
         # Row 0 keeps only its CLS token.
         batch.mask[0, 1:] = 0.0
         batch.tokens[0, 1:] = 0
-        hidden = forward_to_layer(p, batch, cfg.num_layers)
-        pooled_row = hidden.h[0, 0]
-        e = forward_from_layer(p, hidden)
+        h = run_to_layer(p, batch.tokens, batch.mask, cfg.num_layers)
+        pooled_row = h[0, 0]
+        e = run_from_layer(p, h, batch.mask, cfg.num_layers)
         expected = np.maximum(pooled_row @ p["dense_w"] + p["dense_b"], 0.0)
         assert np.allclose(e[0], expected, atol=1e-6)
 
@@ -232,7 +230,7 @@ class TestForward:
         p = init_params(cfg, 4, seed=17)
         batch = random_batch(cfg, 18)
         with pytest.raises(DataError, match="out of range"):
-            forward_to_layer(p, batch, cfg.num_layers + 1)
+            run_to_layer(p, batch.tokens, batch.mask, cfg.num_layers + 1)
         with pytest.raises(DataError, match="out of range"):
             run_to_layer(p, batch.tokens, batch.mask, -1)
 

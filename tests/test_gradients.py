@@ -114,18 +114,3 @@ def test_cut_point_gradients_split_by_mixing_weight(attention):
             else:
                 worst = max(worst, abs(fd - an) / denom)
     assert worst < REL_TOL
-
-
-def test_grad_accumulation_equals_sum_of_separate_backwards():
-    """Passing a shared container accumulates exactly."""
-    p = tiny_params(attention=True, seed=3)
-    batch = tiny_batch(11)
-    tape = TapedForward(p, batch)
-    _, dlogits = pretrain_loss(tape.logits, batch.labels, p.M)
-    alone = tape.backward(dlogits)
-    tape2 = TapedForward(p, batch)
-    shared = tape2.backward(dlogits)
-    tape2b = TapedForward(p, batch)
-    tape2b.backward(dlogits, shared)
-    for name in alone:
-        assert np.allclose(shared[name], 2.0 * alone[name], atol=1e-12)

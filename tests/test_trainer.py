@@ -356,6 +356,24 @@ class TestTrainOpen:
         train_open(params, train_enc, val_enc, self.short_cfg())
         assert seen and all(r == 0.3 for r in seen)
 
+    def test_gradients_keep_the_parameter_dtype(self, monkeypatch):
+        """Every stage-two gradient of a float32 model is float32."""
+        import snoic.trainer as trainer_mod
+
+        mismatched = []
+        real = trainer_mod.optimizer_step
+
+        def spy(params, grads, state, lr, weight_decay):
+            mismatched.extend(n for n, g in grads.items() if g.dtype != params[n].dtype)
+            return real(params, grads, state, lr, weight_decay)
+
+        monkeypatch.setattr(trainer_mod, "optimizer_step", spy)
+        vocab, train_enc, val_enc = separable_sets()
+        params = init_params(separable_encoder(vocab), 3, seed=0)
+        assert all(params[n].dtype == np.float32 for n in params.names())
+        train_open(params, train_enc, val_enc, self.short_cfg())
+        assert mismatched == []
+
     def test_lambda_gamma_mode_runs(self):
         vocab, train_enc, val_enc = separable_sets()
         params = init_params(separable_encoder(vocab), 3, seed=0)
