@@ -36,11 +36,12 @@ from .metrics import evaluate
 from .trainer import (
     Model,
     TrainConfig,
+    baseline_predictions,
+    batched_logits,
     load_model,
-    predict,
+    open_predictions,
     pretrain,
     save_model,
-    threshold_baseline_predict,
     train_open,
 )
 
@@ -382,8 +383,9 @@ def cmd_eval(args) -> int:
     enc_test = encode_dataset(cds_test, model.vocab, model.params.cfg.max_len)
     golds = enc_test.class_ids.tolist()
     num_classes = split.num_known + 1
-    preds = predict(model.params, enc_test).tolist()
-    base = threshold_baseline_predict(model.params, enc_test, args.threshold).tolist()
+    logits = batched_logits(model.params, enc_test)
+    preds = open_predictions(logits).tolist()
+    base = baseline_predictions(logits, model.params.M, args.threshold).tolist()
     report = {
         "dataset": meta.get("dataset", Path(args.test).stem),
         "variant": meta.get("variant", "SNOiC"),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -97,6 +98,8 @@ class Vocab:
     token_to_id: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(isinstance(t, str) for t in self.id_to_token):
+            raise DataError("vocabulary tokens must be strings")
         if not self.token_to_id:
             self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
@@ -119,7 +122,10 @@ class Vocab:
         tokens = obj.get("tokens") if isinstance(obj, dict) else None
         if not isinstance(tokens, list) or tokens[:3] != list(RESERVED_TOKENS):
             raise DataError(f"{path}: not a vocabulary file")
-        return cls(id_to_token=tokens)
+        try:
+            return cls(id_to_token=tokens)
+        except DataError as exc:
+            raise DataError(f"{path}: not a vocabulary file: {exc}") from exc
 
 
 def build_vocab(ds: Dataset, min_freq: int = 1, max_size: int = 50000) -> Vocab:
@@ -170,6 +176,20 @@ class SplitSpec:
     known_classes: list[str]
     open_classes: list[str]
 
+    def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise DataError(f"split seed must be a non-negative integer, got {self.seed!r}")
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real) or not 0.0 < self.r < 1.0:
+            raise DataError(f"known-class ratio must be a number in (0, 1), got {self.r!r}")
+        names = []
+        for role in ("known_classes", "open_classes"):
+            classes = getattr(self, role)
+            if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+                raise DataError(f"{role} must be a list of class-name strings")
+            names += classes
+        if len(set(names)) != len(names):
+            raise DataError("a class is listed twice across known and open")
+
     @property
     def num_known(self) -> int:
         return len(self.known_classes)
@@ -196,13 +216,8 @@ class SplitSpec:
     def load(cls, path: str) -> "SplitSpec":
         obj = _load_json(path, "split")
         try:
-            return cls(
-                seed=obj["seed"],
-                r=obj["r"],
-                known_classes=list(obj["known"]),
-                open_classes=list(obj["open"]),
-            )
-        except (KeyError, TypeError) as exc:
+            return cls(seed=obj["seed"], r=obj["r"], known_classes=obj["known"], open_classes=obj["open"])
+        except (KeyError, TypeError, DataError) as exc:
             raise DataError(f"{path}: not a split file: {exc}") from exc
 
 

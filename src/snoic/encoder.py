@@ -11,10 +11,19 @@ The pass is built from two segment runners that meet at a block boundary:
 :func:`run_to_layer` runs the embeddings and blocks 1..rl, and
 :func:`run_from_layer` resumes from block rl+1 to the intent
 representation. Between them the hidden state may be modified externally,
-which is the mixup injection point. Each runner optionally fills a cache
-dict that its ``backward_*`` counterpart consumes, so one recorded pass
-yields every parameter gradient. All math is dtype-generic; training runs
-in float32 while gradient checks rerun the same code in float64.
+which is the mixup injection point.
+
+The optional ``cache`` argument of the runners decides what a pass keeps.
+With a cache dict (a tape), each sublayer stores in it exactly what its
+backward reads, and the ``backward_*`` counterpart consumes it, so one
+recorded pass yields every parameter gradient. Without one, as in
+:func:`forward`, the sublayers store nothing and drop each intermediate as
+soon as it is consumed. Both passes run the same blocks: bias adds, ReLU,
+softmax, residual adds and layer-norm arithmetic work in place on arrays
+the pass itself allocated, in one operation order, so taped and untaped
+logits are bit-identical. The runners never write into arrays passed to
+them. All math is dtype-generic; training runs in float32 while gradient
+checks rerun the same code in float64.
 
 Parameters live in a name-keyed dict with a canonical order, which is also
 the checkpoint serialization order.
@@ -165,8 +174,10 @@ def _embed_forward(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray) -> np
     t = tokens.shape[1]
     if t > p.cfg.max_len:
         raise DataError(f"sequence length {t} exceeds configured max_len {p.cfg.max_len}")
-    h = p["token_embedding"][tokens] + p["position_embedding"][None, :t, :]
-    return h * mask[:, :, None]
+    h = p["token_embedding"][tokens]
+    h += p["position_embedding"][None, :t, :]
+    h *= mask[:, :, None]
+    return h
 
 
 def _embed_backward(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, dh: np.ndarray, grads: Grads) -> None:
@@ -180,13 +191,26 @@ def _embed_backward(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, dh: 
     grads.add("position_embedding", dpos)
 
 
-def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, dict]:
+def _subcache(cache: dict | None, key: str | int) -> dict | None:
+    """The tape entry ``key`` of ``cache``, or None on an untaped pass."""
+    return None if cache is None else cache.setdefault(key, {})
+
+
+def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None) -> np.ndarray:
+    """Normalize the last axis. ``x`` is a sum the caller no longer needs:
+    it is overwritten."""
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
+    xc = np.subtract(x, mu, out=x)
     var = np.mean(xc * xc, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, {"xhat": xhat, "inv": inv}
+    xhat = np.multiply(xc, inv, out=xc)
+    if cache is None:
+        y = np.multiply(xhat, gain, out=xhat)
+    else:
+        cache["xhat"], cache["inv"] = xhat, inv
+        y = xhat * gain
+    y += bias
+    return y
 
 
 def _layernorm_backward(dy: np.ndarray, cache: dict, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,18 +224,24 @@ def _layernorm_backward(dy: np.ndarray, cache: dict, gain: np.ndarray) -> tuple[
     return dx, dgain, dbias
 
 
-def _attention_forward(p: EncoderParams, i: int, h: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, dict]:
+def _attention_forward(p: EncoderParams, i: int, h: np.ndarray, mask: np.ndarray, cache: dict | None) -> np.ndarray:
     pre = f"layers.{i}."
     q = h @ p[pre + "attn_q"]
     k = h @ p[pre + "attn_k"]
-    v = h @ p[pre + "attn_v"]
     scale = 1.0 / math.sqrt(p.cfg.hidden)
-    scores = np.matmul(q, k.swapaxes(1, 2)) * scale
-    scores = scores + (1.0 - mask)[:, None, :] * ATTN_MASK_VALUE
-    att = softmax(scores)
+    scores = np.matmul(q, k.swapaxes(1, 2))
+    if cache is not None:
+        cache.update(h=h, q=q, k=k, scale=scale)
+    del q, k
+    scores *= scale
+    scores += (1.0 - mask)[:, None, :] * ATTN_MASK_VALUE
+    att = softmax(scores, out=scores)
+    v = h @ p[pre + "attn_v"]
     ctx = np.matmul(att, v)
-    out = ctx @ p[pre + "attn_out"]
-    return out, {"h": h, "q": q, "k": k, "v": v, "att": att, "ctx": ctx, "scale": scale}
+    if cache is not None:
+        cache.update(v=v, att=att, ctx=ctx)
+    del v, att
+    return ctx @ p[pre + "attn_out"]
 
 
 def _attention_backward(p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: Grads) -> np.ndarray:
@@ -234,42 +264,51 @@ def _attention_backward(p: EncoderParams, i: int, cache: dict, dout: np.ndarray,
     return dq @ p[pre + "attn_q"].T + dk @ p[pre + "attn_k"].T + dv @ p[pre + "attn_v"].T
 
 
-def _ffn_forward(p: EncoderParams, i: int, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def _ffn_forward(p: EncoderParams, i: int, x: np.ndarray, cache: dict | None) -> np.ndarray:
     pre = f"layers.{i}."
-    u = x @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]
-    r = np.maximum(u, 0.0)
-    out = r @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
-    return out, {"x": x, "active": u > 0, "r": r}
+    u = x @ p[pre + "ffn_w1"]
+    u += p[pre + "ffn_b1"]
+    r = np.maximum(u, 0.0, out=u)
+    if cache is not None:
+        cache.update(x=x, r=r)
+    out = r @ p[pre + "ffn_w2"]
+    out += p[pre + "ffn_b2"]
+    return out
 
 
 def _ffn_backward(p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: Grads) -> np.ndarray:
     pre = f"layers.{i}."
-    x, active, r = cache["x"], cache["active"], cache["r"]
+    x, r = cache["x"], cache["r"]
     fd = r.shape[-1]
     hd = x.shape[-1]
     grads.add(pre + "ffn_w2", r.reshape(-1, fd).T @ dout.reshape(-1, hd))
     grads.add(pre + "ffn_b2", dout.sum(axis=(0, 1)))
-    du = (dout @ p[pre + "ffn_w2"].T) * active
+    du = (dout @ p[pre + "ffn_w2"].T) * (r > 0)
     grads.add(pre + "ffn_w1", x.reshape(-1, hd).T @ du.reshape(-1, fd))
     grads.add(pre + "ffn_b1", du.sum(axis=(0, 1)))
     return du @ p[pre + "ffn_w1"].T
 
 
-def _block_forward(p: EncoderParams, block: int, h: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Apply block ``block`` (1-based); padded positions are re-zeroed."""
+def _block_forward(p: EncoderParams, block: int, h: np.ndarray, mask: np.ndarray, cache: dict | None) -> np.ndarray:
+    """Apply block ``block`` (1-based); padded positions are re-zeroed.
+
+    ``h`` is only read. Residual sums are formed in the sublayer outputs,
+    which the layer norms then overwrite.
+    """
     i = block - 1
-    cache: dict = {}
     if p.cfg.attention:
-        attn_out, cache["attn"] = _attention_forward(p, i, h, mask)
-        s1 = h + attn_out
-        n1, cache["ln1"] = _layernorm_forward(s1, p[f"layers.{i}.norm1_gain"], p[f"layers.{i}.norm1_bias"])
+        s1 = _attention_forward(p, i, h, mask, _subcache(cache, "attn"))
+        s1 += h
+        n1 = _layernorm_forward(s1, p[f"layers.{i}.norm1_gain"], p[f"layers.{i}.norm1_bias"], _subcache(cache, "ln1"))
     else:
         n1 = h
-    f_out, cache["ffn"] = _ffn_forward(p, i, n1)
-    s2 = n1 + f_out
-    n2, cache["ln2"] = _layernorm_forward(s2, p[f"layers.{i}.norm2_gain"], p[f"layers.{i}.norm2_bias"])
-    cache["mask"] = mask
-    return n2 * mask[:, :, None], cache
+    s2 = _ffn_forward(p, i, n1, _subcache(cache, "ffn"))
+    s2 += n1
+    n2 = _layernorm_forward(s2, p[f"layers.{i}.norm2_gain"], p[f"layers.{i}.norm2_bias"], _subcache(cache, "ln2"))
+    if cache is not None:
+        cache["mask"] = mask
+    n2 *= mask[:, :, None]
+    return n2
 
 
 def _block_backward(p: EncoderParams, block: int, cache: dict, dh_out: np.ndarray, grads: Grads) -> np.ndarray:
@@ -288,12 +327,15 @@ def _block_backward(p: EncoderParams, block: int, cache: dict, dh_out: np.ndarra
     return ds1 + _attention_backward(p, i, cache["attn"], ds1, grads)
 
 
-def _pool_forward(h: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, dict]:
+def _pool_forward(h: np.ndarray, mask: np.ndarray, cache: dict | None) -> np.ndarray:
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise DataError("cannot pool a sequence with zero real tokens")
-    x = (h * mask[:, :, None]).sum(axis=1) / counts[:, None]
-    return x, {"mask": mask, "counts": counts}
+    x = (h * mask[:, :, None]).sum(axis=1)
+    x /= counts[:, None]
+    if cache is not None:
+        cache.update(mask=mask, counts=counts)
+    return x
 
 
 def _pool_backward(cache: dict, dx: np.ndarray) -> np.ndarray:
@@ -301,14 +343,17 @@ def _pool_backward(cache: dict, dx: np.ndarray) -> np.ndarray:
     return dx[:, None, :] * mask[:, :, None] / counts[:, None, None]
 
 
-def _dense_forward(p: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    u = x @ p["dense_w"] + p["dense_b"]
-    e = np.maximum(u, 0.0)
-    return e, {"x": x, "active": u > 0}
+def _dense_forward(p: EncoderParams, x: np.ndarray, cache: dict | None) -> np.ndarray:
+    u = x @ p["dense_w"]
+    u += p["dense_b"]
+    e = np.maximum(u, 0.0, out=u)
+    if cache is not None:
+        cache.update(x=x, e=e)
+    return e
 
 
 def _dense_backward(p: EncoderParams, cache: dict, de: np.ndarray, grads: Grads) -> np.ndarray:
-    du = de * cache["active"]
+    du = de * (cache["e"] > 0)
     grads.add("dense_w", cache["x"].T @ du)
     grads.add("dense_b", du.sum(axis=0))
     return du @ p["dense_w"].T
@@ -336,13 +381,10 @@ def run_to_layer(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, rl: int
     mask = mask.astype(p["token_embedding"].dtype)
     h = _embed_forward(p, tokens, mask)
     if cache is not None:
-        cache["tokens"] = tokens
-        cache["mask"] = mask
-        cache["blocks"] = {}
+        cache.update(tokens=tokens, mask=mask)
+    blocks = _subcache(cache, "blocks")
     for b in range(1, rl + 1):
-        h, bc = _block_forward(p, b, h, mask)
-        if cache is not None:
-            cache["blocks"][b] = bc
+        h = _block_forward(p, b, h, mask, _subcache(blocks, b))
     return h
 
 
@@ -357,18 +399,11 @@ def run_from_layer(p: EncoderParams, h: np.ndarray, mask: np.ndarray, start: int
     if not 0 <= start <= p.cfg.num_layers:
         raise DataError(f"resume layer {start} out of range 0..{p.cfg.num_layers}")
     mask = mask.astype(h.dtype)
-    if cache is not None:
-        cache["blocks"] = {}
+    blocks = _subcache(cache, "blocks")
     for b in range(start + 1, p.cfg.num_layers + 1):
-        h, bc = _block_forward(p, b, h, mask)
-        if cache is not None:
-            cache["blocks"][b] = bc
-    x, pool_cache = _pool_forward(h, mask)
-    e, dense_cache = _dense_forward(p, x)
-    if cache is not None:
-        cache["pool"] = pool_cache
-        cache["dense"] = dense_cache
-    return e
+        h = _block_forward(p, b, h, mask, _subcache(blocks, b))
+    x = _pool_forward(h, mask, _subcache(cache, "pool"))
+    return _dense_forward(p, x, _subcache(cache, "dense"))
 
 
 def backward_from_layer(p: EncoderParams, cache: dict, de: np.ndarray, grads: Grads) -> np.ndarray:

@@ -18,11 +18,13 @@ from .errors import DataError
 LOG_FLOOR = 1e-12
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax over the last axis, written to ``out``
+    when given (``out=x`` overwrites the input)."""
+    z = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _check_logits(logits: np.ndarray) -> None:

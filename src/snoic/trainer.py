@@ -184,6 +184,11 @@ class TrainLog:
         return len(self.records)
 
 
+def batched_logits(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -> np.ndarray:
+    """(N, M+1) logits of an untaped pass over the dataset, in its order."""
+    return np.concatenate([forward(params, batch)[1] for batch in ordered_batches(enc, batch_size)])
+
+
 def known_accuracy(params: EncoderParams, enc: EncodedDataset, batch_size: int, known_only: bool) -> float:
     """Fraction of examples whose argmax matches the gold known class.
 
@@ -191,13 +196,10 @@ def known_accuracy(params: EncoderParams, enc: EncodedDataset, batch_size: int, 
     view); otherwise all M+1 logits compete and an open prediction counts
     as a miss.
     """
-    correct = 0
-    for batch in ordered_batches(enc, batch_size):
-        _, logits = forward(params, batch)
-        scores = logits[:, : params.M] if known_only else logits
-        preds = np.argmax(scores, axis=1) + 1
-        correct += int((preds == batch.labels).sum())
-    return correct / len(enc)
+    logits = batched_logits(params, enc, batch_size)
+    scores = logits[:, : params.M] if known_only else logits
+    preds = np.argmax(scores, axis=1) + 1
+    return int((preds == enc.class_ids).sum()) / len(enc)
 
 
 def _early_stopped_loop(params, cfg: TrainConfig, stage, epoch_fn, val_fn, log: TrainLog) -> EncoderParams:
@@ -245,18 +247,18 @@ def pretrain(
     opt = OptimizerState.for_params(params)
     shuffle_seed = _stream_seed(cfg.seed, _STREAM_PRETRAIN_SHUFFLE)
 
+    def step(batch, epoch: int) -> float:
+        # The tape is local, so it is freed before the next step records one.
+        tape = TapedForward(params, batch)
+        value, dlogits = pretrain_loss(tape.logits, batch.labels, params.M)
+        if not math.isfinite(value):
+            raise TrainingError(f"non-finite pretraining loss at epoch {epoch}")
+        optimizer_step(params, tape.backward(dlogits), opt, cfg.lr, cfg.weight_decay)
+        return value
+
     def epoch_fn(epoch: int) -> float:
-        total = 0.0
-        count = 0
-        for batch in make_batches(train_enc, cfg.batch_size, shuffle_seed, epoch):
-            tape = TapedForward(params, batch)
-            value, dlogits = pretrain_loss(tape.logits, batch.labels, params.M)
-            if not math.isfinite(value):
-                raise TrainingError(f"non-finite pretraining loss at epoch {epoch}")
-            optimizer_step(params, tape.backward(dlogits), opt, cfg.lr, cfg.weight_decay)
-            total += value
-            count += 1
-        return total / count
+        values = [step(batch, epoch) for batch in make_batches(train_enc, cfg.batch_size, shuffle_seed, epoch)]
+        return sum(values) / len(values)
 
     def val_fn() -> float:
         return known_accuracy(params, val_enc, cfg.batch_size, known_only=True)
@@ -329,33 +331,35 @@ def train_two_stage(
     return best2, log
 
 
-def predict(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -> np.ndarray:
+def open_predictions(logits: np.ndarray) -> np.ndarray:
     """Argmax class ids over all M+1 logits; ties go to the smaller id."""
-    preds = []
-    for batch in ordered_batches(enc, batch_size):
-        _, logits = forward(params, batch)
-        preds.append((np.argmax(logits, axis=1) + 1).astype(np.int32))
-    return np.concatenate(preds)
+    return (np.argmax(logits, axis=1) + 1).astype(np.int32)
 
 
-def threshold_baseline_predict(
-    params: EncoderParams, enc: EncodedDataset, threshold: float, batch_size: int = 128
-) -> np.ndarray:
+def baseline_predictions(logits: np.ndarray, M: int, threshold: float) -> np.ndarray:
     """Known-class softmax with a confidence floor for rejecting to open.
 
     Rows whose maximum known-class probability falls below the threshold
     are assigned the open id M+1.
     """
+    probs = softmax(logits[:, :M])
+    top = (np.argmax(probs, axis=1) + 1).astype(np.int32)
+    conf = probs.max(axis=1)
+    return np.where(conf < threshold, M + 1, top).astype(np.int32)
+
+
+def predict(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -> np.ndarray:
+    """open_predictions over the dataset's logits."""
+    return open_predictions(batched_logits(params, enc, batch_size))
+
+
+def threshold_baseline_predict(
+    params: EncoderParams, enc: EncodedDataset, threshold: float, batch_size: int = 128
+) -> np.ndarray:
+    """baseline_predictions over the dataset's logits."""
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
-    preds = []
-    for batch in ordered_batches(enc, batch_size):
-        _, logits = forward(params, batch)
-        probs = softmax(logits[:, : params.M])
-        top = (np.argmax(probs, axis=1) + 1).astype(np.int32)
-        conf = probs.max(axis=1)
-        preds.append(np.where(conf < threshold, params.M + 1, top).astype(np.int32))
-    return np.concatenate(preds)
+    return baseline_predictions(batched_logits(params, enc, batch_size), params.M, threshold)
 
 
 @dataclass

@@ -18,12 +18,11 @@ from snoic.corpus import (
     encode_dataset,
     load_dataset,
     make_split,
-    ordered_batches,
 )
-from snoic.encoder import EncoderConfig, forward, init_params
+from snoic.encoder import EncoderConfig, init_params
 from snoic.metrics import evaluate
 from snoic.synth import write_corpus
-from snoic.trainer import TrainConfig, predict, train_two_stage
+from snoic.trainer import TrainConfig, batched_logits, open_predictions, train_two_stage
 
 BENCH_SEEDS = (0, 1, 2)
 BENCH_R = 0.5
@@ -125,7 +124,8 @@ def _run_one(corpus_sets, variant, seed, toggles):
     params = init_params(enc_cfg, split.num_known, seed)
     params, log = train_two_stage(params, train_enc, val_enc, cfg)
 
-    preds = predict(params, test_enc, cfg.batch_size)
+    logits = batched_logits(params, test_enc, cfg.batch_size)
+    preds = open_predictions(logits)
     golds = test_enc.class_ids
     report = evaluate(preds.tolist(), golds.tolist(), split.num_known + 1)
 
@@ -134,11 +134,7 @@ def _run_one(corpus_sets, variant, seed, toggles):
 
     # Closed-set predictions from the same model: argmax over known logits
     # only, so the rejection column can never fire.
-    closed = []
-    for batch in ordered_batches(test_enc, cfg.batch_size):
-        _, logits = forward(params, batch)
-        closed.append(np.argmax(logits[:, : split.num_known], axis=1) + 1)
-    closed_preds = np.concatenate(closed).astype(np.int32)
+    closed_preds = (np.argmax(logits[:, : split.num_known], axis=1) + 1).astype(np.int32)
 
     return BenchRun(
         variant=variant,

@@ -326,6 +326,18 @@ class TestEvalCommand:
         assert main(args) == 1
         assert "malformed split file" in capsys.readouterr().err
 
+    def test_overlapping_split_file_exits_1(self, cli_env, pipeline, tmp_path, capsys):
+        spec = read_json(pipeline.split)
+        spec["open"].append(spec["known"][0])
+        bad = tmp_path / "split.json"
+        bad.write_text(json.dumps(spec))
+        args = [
+            "eval", "--model", pipeline.open, "--split", str(bad),
+            "--test", cli_env.paths["test"], "--out", str(tmp_path / "x.json"),
+        ]
+        assert main(args) == 1
+        assert "listed twice" in capsys.readouterr().err
+
     def test_malformed_vocabulary_exits_1(self, cli_env, pipeline, tmp_path, capsys):
         broken = str(tmp_path / "broken_model")
         shutil.copytree(pipeline.open, broken)

@@ -150,6 +150,12 @@ class TestVocab:
         with pytest.raises(DataError, match="duplicate"):
             Vocab(id_to_token=list(RESERVED_TOKENS) + ["a", "a"])
 
+    def test_load_rejects_non_string_tokens(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"tokens": list(RESERVED_TOKENS) + [5, None]}))
+        with pytest.raises(DataError, match="tokens must be strings"):
+            Vocab.load(str(path))
+
     def test_bad_bounds_rejected(self):
         ds = Dataset(examples=[LabeledExample("a", "x")])
         with pytest.raises(DataError):
@@ -235,6 +241,32 @@ class TestSplit:
         path.write_text('{"seed": 0}')
         with pytest.raises(DataError, match="not a split file"):
             SplitSpec.load(str(path))
+
+    @staticmethod
+    def _load(tmp_path, **fields):
+        obj = {"seed": 3, "r": 0.5, "known": ["a", "b"], "open": ["c"], **fields}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(obj))
+        return SplitSpec.load(str(path))
+
+    def test_load_rejects_overlapping_known_and_open(self, tmp_path):
+        with pytest.raises(DataError, match="listed twice"):
+            self._load(tmp_path, open=["b", "c"])
+
+    def test_load_rejects_non_string_class_names(self, tmp_path):
+        for fields in ({"known": ["a", 2]}, {"open": [None]}, {"known": "ab"}):
+            with pytest.raises(DataError, match="list of class-name strings"):
+                self._load(tmp_path, **fields)
+
+    def test_load_rejects_ratio_outside_unit_interval(self, tmp_path):
+        for r in (0, 1, 1.5, -0.2, "0.5", True, None):
+            with pytest.raises(DataError, match="known-class ratio"):
+                self._load(tmp_path, r=r)
+
+    def test_load_rejects_seed_that_is_not_a_non_negative_int(self, tmp_path):
+        for seed in (-1, 2.0, "3", True, None):
+            with pytest.raises(DataError, match="split seed"):
+                self._load(tmp_path, seed=seed)
 
     def test_known_index_is_one_based(self):
         spec = SplitSpec(seed=0, r=0.5, known_classes=["b", "a"], open_classes=["c"])

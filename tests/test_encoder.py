@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,54 @@ class TestStraightLineReference:
 
         e, _ = forward(p, batch)
         assert np.allclose(e[0], expected, atol=1e-6)
+
+
+BENCH_SHAPE = dict(hidden=32, num_layers=2, ffn=64, dim=32, max_len=16)
+DEFAULT_SHAPE = dict(hidden=64, num_layers=4, ffn=128, dim=64, max_len=32)
+
+
+class TestUntapedPass:
+    """forward keeps no tape and works in place, through the same blocks."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("attention", [True, False])
+    @pytest.mark.parametrize("shape", [BENCH_SHAPE, DEFAULT_SHAPE], ids=["H32", "H64"])
+    def test_logits_equal_taped_logits(self, shape, attention, dtype):
+        cfg = EncoderConfig(vocab_size=40, attention=attention, **shape)
+        p = init_params(cfg, 4, seed=31).astype(dtype)
+        batch = random_batch(cfg, 32, size=24)
+        _, logits = forward(p, batch)
+        assert logits.dtype == dtype
+        assert np.array_equal(logits, TapedForward(p, batch).logits)
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_runners_leave_their_inputs_unchanged(self, attention):
+        cfg = small_config(attention=attention)
+        p = init_params(cfg, 4, seed=33)
+        batch = random_batch(cfg, 34)
+        tokens, mask = batch.tokens.copy(), batch.mask.copy()
+        h = run_to_layer(p, batch.tokens, batch.mask, 1)
+        assert np.array_equal(batch.tokens, tokens) and batch.mask.tobytes() == mask.tobytes()
+        for start in (1, cfg.num_layers):
+            h_before = h.tobytes()
+            run_from_layer(p, h, batch.mask, start)
+            assert h.tobytes() == h_before
+            assert batch.mask.tobytes() == mask.tobytes()
+
+    def test_default_shape_peak_memory(self):
+        """One 128-row default-shape pass allocates at most 8 MB at a time;
+        with every block cache built and dropped it took over 30 MB."""
+        cfg = EncoderConfig(vocab_size=500, **DEFAULT_SHAPE)
+        p = init_params(cfg, 4, seed=35)
+        batch = random_batch(cfg, 36, size=128)
+        forward(p, batch)
+        tracemalloc.start()
+        try:
+            forward(p, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 class TestGradsContainer:
