@@ -28,8 +28,10 @@ import numpy as np
 
 from .corpus import Batch, PairedBatch
 from .encoder import (
+    FRESH,
     EncoderParams,
     Grads,
+    Workspace,
     backward_to_layer,
     backward_from_layer,
     head_backward,
@@ -78,7 +80,7 @@ def select_mix_layer(rng: np.random.Generator, low: int, high: int) -> int:
 
 
 def mixup(
-    h1: np.ndarray, mask1: np.ndarray, h2: np.ndarray, mask2: np.ndarray, lam: float
+    h1: np.ndarray, mask1: np.ndarray, h2: np.ndarray, mask2: np.ndarray, lam: float, ws: Workspace = FRESH
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convex combination of hidden states under the union padding mask."""
     if h1.shape != h2.shape:
@@ -87,9 +89,11 @@ def mixup(
         raise DataError("mask shapes do not match hidden states")
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"mixing weight must be in [0, 1], got {lam}")
-    mixed = lam * h1 + (1.0 - lam) * h2
+    mixed = np.multiply(h1, lam, out=ws.take("mix.mixed", h1.shape, h1.dtype))
+    mixed += np.multiply(h2, 1.0 - lam, out=ws.take("tmp", h2.shape, h2.dtype))
     union = np.maximum(mask1, mask2)
-    return mixed * union[:, :, None], union
+    mixed *= union[:, :, None]
+    return mixed, union
 
 
 def inject_noise(
@@ -98,18 +102,28 @@ def inject_noise(
     rng: np.random.Generator,
     delta_add: float,
     delta_mul: float,
+    ws: Workspace = FRESH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiplicative-then-additive Gaussian noise, re-zeroed off-mask.
 
     Returns the noisy state and the multiplicative factor (1 + delta_mul
     * xi_mul), which is the local derivative of the output with respect
-    to the mixed input.
+    to the mixed input. Both draws are float64, made in one buffer, and
+    are rounded to the state's dtype before they are scaled.
     """
-    xi_mul = rng.standard_normal(mixed.shape)
-    xi_add = rng.standard_normal(mixed.shape)
-    scale = 1.0 + delta_mul * xi_mul.astype(mixed.dtype)
-    noisy = scale * mixed + delta_add * xi_add.astype(mixed.dtype)
-    return noisy * mask[:, :, None].astype(mixed.dtype), scale
+    shape, dt = mixed.shape, mixed.dtype
+    xi = ws.take("mix.xi", shape, np.float64)
+    scale = ws.take("mix.scale", shape, dt)
+    scale[...] = rng.standard_normal(out=xi)  # xi_mul
+    scale *= delta_mul
+    scale += 1.0
+    add = ws.take("tmp", shape, dt)
+    add[...] = rng.standard_normal(out=xi)  # xi_add
+    add *= delta_add
+    noisy = np.multiply(scale, mixed, out=ws.take("mix.noisy", shape, dt))
+    noisy += add
+    noisy *= mask[:, :, None].astype(dt)
+    return noisy, scale
 
 
 class NoisyMixupPass:
@@ -120,6 +134,8 @@ class NoisyMixupPass:
     are then mixed and noised, and the soft rows and the noisy rows resume
     together through the remaining blocks, pooling, dense layer and head.
     ``soft_logits`` and ``logits`` are the two halves of that head output.
+    The pass's arrays live in ``ws``: pass the stage's workspace so that
+    every step reuses one set of buffers.
 
     Draw order per step: mix layer, lambda (two gammas), xi_mul, xi_add.
     backward(dsoft, dmix) runs one reverse pass; at the cut it scales the
@@ -134,8 +150,10 @@ class NoisyMixupPass:
         pair: PairedBatch,
         mix_cfg: MixupConfig,
         rng: np.random.Generator,
+        ws: Workspace = FRESH,
     ):
         self.p = p
+        self.ws = ws
         low, high = mix_cfg.layer_range or (1, p.cfg.num_layers)
         if high > p.cfg.num_layers:
             raise DataError(
@@ -144,21 +162,25 @@ class NoisyMixupPass:
         self.layer = select_mix_layer(rng, low, high)
         self.lam = sample_lambda(rng, mix_cfg.alpha)
         parts = (batch, pair.first, pair.second)
-        tokens = np.concatenate([part.tokens for part in parts])
-        mask = np.concatenate([part.mask for part in parts]).astype(p["token_embedding"].dtype)
-        self.to_cache: dict = {}
-        h = run_to_layer(p, tokens, mask, self.layer, cache=self.to_cache)
         b = self.soft_rows = len(batch)
         n = len(pair.first)
-        mixed, self.union = mixup(h[b : b + n], mask[b : b + n], h[b + n :], mask[b + n :], self.lam)
-        noisy, self.scale = inject_noise(mixed, self.union, rng, mix_cfg.delta_add, mix_cfg.delta_mul)
+        t = batch.tokens.shape[1]
+        tokens = np.concatenate(
+            [part.tokens for part in parts], out=ws.take("mix.tokens", (b + 2 * n, t), batch.tokens.dtype)
+        )
+        mask = np.concatenate([part.mask for part in parts]).astype(p["token_embedding"].dtype)
+        self.to_cache: dict = {}
+        h = run_to_layer(p, tokens, mask, self.layer, cache=self.to_cache, ws=ws)
+        mixed, self.union = mixup(h[b : b + n], mask[b : b + n], h[b + n :], mask[b + n :], self.lam, ws)
+        noisy, self.scale = inject_noise(mixed, self.union, rng, mix_cfg.delta_add, mix_cfg.delta_mul, ws)
         self.from_cache: dict = {}
         self.e = run_from_layer(
             p,
-            np.concatenate([h[:b], noisy]),
+            np.concatenate([h[:b], noisy], out=ws.take("mix.h", (b + n,) + h.shape[1:], h.dtype)),
             np.concatenate([mask[:b], self.union]),
             self.layer,
             cache=self.from_cache,
+            ws=ws,
         )
         logits = head_logits(p, self.e)
         self.soft_logits, self.logits = logits[:b], logits[b:]
@@ -166,8 +188,15 @@ class NoisyMixupPass:
     def backward(self, dsoft: np.ndarray, dmix: np.ndarray) -> Grads:
         grads = Grads()
         de = head_backward(self.p, self.e, np.concatenate([dsoft, dmix]), grads)
-        dh = backward_from_layer(self.p, self.from_cache, de, grads)
-        dmixed = dh[self.soft_rows :] * self.union[:, :, None] * self.scale
-        dh = np.concatenate([dh[: self.soft_rows], self.lam * dmixed, (1.0 - self.lam) * dmixed])
-        backward_to_layer(self.p, self.to_cache, dh, grads)
+        dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
+        b = self.soft_rows
+        n = len(dh) - b
+        dmixed = np.multiply(dh[b:], self.union[:, :, None], out=self.ws.take("tmp", dh[b:].shape, dh.dtype))
+        dmixed *= self.scale
+        # [dh_soft, lam * dmixed, (1 - lam) * dmixed], the gradient of the stacked batch at the cut
+        dstack = self.ws.take("mix.dh", (b + 2 * n,) + dh.shape[1:], dh.dtype)
+        dstack[:b] = dh[:b]
+        np.multiply(dmixed, self.lam, out=dstack[b : b + n])
+        np.multiply(dmixed, 1.0 - self.lam, out=dstack[b + n :])
+        backward_to_layer(self.p, self.to_cache, dstack, grads, self.ws)
         return grads

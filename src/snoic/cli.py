@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -45,30 +46,21 @@ from .trainer import (
     train_open,
 )
 
-ABLATION_TOGGLES = (
-    "disable_soft_labeling",
-    "disable_additive_noise",
-    "disable_multiplicative_noise",
-)
+# config.train ablation toggle -> the TrainConfig flag it clears
+_ABLATION_FLAGS = {
+    "disable_soft_labeling": "use_soft_labels",
+    "disable_additive_noise": "use_additive_noise",
+    "disable_multiplicative_noise": "use_multiplicative_noise",
+}
+ABLATION_TOGGLES = tuple(_ABLATION_FLAGS)
 
 _TOP_KEYS = {"name", "data", "seed", "r", "labeled_data_ratio", "vocab", "encoder", "train", "out_dir"}
 _DATA_KEYS = {"train", "val", "test"}
 _VOCAB_KEYS = {"min_freq", "max_size"}
 _ENCODER_KEYS = {"hidden", "num_layers", "ffn", "dim", "max_len", "attention"}
-_TRAIN_KEYS = {
-    "lr",
-    "weight_decay",
-    "batch_size",
-    "max_epochs",
-    "patience",
-    "rho",
-    "alpha",
-    "gamma_mode",
-    "gamma",
-    "delta_add",
-    "delta_mul",
-    *ABLATION_TOGGLES,
-}
+# TrainConfig fields set from config.train; the seed and the ablation flags come from elsewhere
+_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name not in {"seed", *_ABLATION_FLAGS.values()}]
+_TRAIN_KEYS = {f.name for f in _TRAIN_FIELDS} | set(ABLATION_TOGGLES)
 
 
 def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
@@ -124,6 +116,9 @@ def _expect_bool(obj: dict, key: str, path: str, default):
     return obj[key]
 
 
+_EXPECT_BY_TYPE = {int: _expect_int, float: _expect_num, str: _expect_str}
+
+
 def normalize_experiment_config(raw: dict) -> dict:
     """Validate a raw config document and fill in every default.
 
@@ -157,7 +152,6 @@ def normalize_experiment_config(raw: dict) -> dict:
         name = Path(data_norm["train"]).stem
 
     enc_defaults = EncoderConfig(vocab_size=3)
-    tc_defaults = TrainConfig()
     norm = {
         "name": name,
         "data": data_norm,
@@ -178,20 +172,11 @@ def normalize_experiment_config(raw: dict) -> dict:
             "attention": _expect_bool(encoder, "attention", "config.encoder", enc_defaults.attention),
         },
         "train": {
-            "lr": _expect_num(train, "lr", "config.train", tc_defaults.lr),
-            "weight_decay": _expect_num(train, "weight_decay", "config.train", tc_defaults.weight_decay),
-            "batch_size": _expect_int(train, "batch_size", "config.train", tc_defaults.batch_size),
-            "max_epochs": _expect_int(train, "max_epochs", "config.train", tc_defaults.max_epochs),
-            "patience": _expect_int(train, "patience", "config.train", tc_defaults.patience),
-            "rho": _expect_num(train, "rho", "config.train", tc_defaults.rho),
-            "alpha": _expect_num(train, "alpha", "config.train", tc_defaults.alpha),
-            "gamma_mode": _expect_str(train, "gamma_mode", "config.train", tc_defaults.gamma_mode),
-            "gamma": _expect_num(train, "gamma", "config.train", tc_defaults.gamma),
-            "delta_add": _expect_num(train, "delta_add", "config.train", tc_defaults.delta_add),
-            "delta_mul": _expect_num(train, "delta_mul", "config.train", tc_defaults.delta_mul),
-            "disable_soft_labeling": _expect_bool(train, "disable_soft_labeling", "config.train", False),
-            "disable_additive_noise": _expect_bool(train, "disable_additive_noise", "config.train", False),
-            "disable_multiplicative_noise": _expect_bool(train, "disable_multiplicative_noise", "config.train", False),
+            **{
+                f.name: _EXPECT_BY_TYPE[type(f.default)](train, f.name, "config.train", f.default)
+                for f in _TRAIN_FIELDS
+            },
+            **{toggle: _expect_bool(train, toggle, "config.train", False) for toggle in ABLATION_TOGGLES},
         },
     }
     if norm["r"] is not None and not 0.0 < norm["r"] < 1.0:
@@ -222,21 +207,9 @@ def train_config_from(norm: dict, ablations: list[str] | None = None) -> TrainCo
         t[name] = True
     try:
         return TrainConfig(
-            lr=t["lr"],
-            weight_decay=t["weight_decay"],
-            batch_size=t["batch_size"],
-            max_epochs=t["max_epochs"],
-            patience=t["patience"],
-            rho=t["rho"],
-            alpha=t["alpha"],
-            gamma_mode=t["gamma_mode"],
-            gamma=t["gamma"],
-            delta_add=t["delta_add"],
-            delta_mul=t["delta_mul"],
+            **{f.name: t[f.name] for f in _TRAIN_FIELDS},
             seed=norm["seed"],
-            use_soft_labels=not t["disable_soft_labeling"],
-            use_additive_noise=not t["disable_additive_noise"],
-            use_multiplicative_noise=not t["disable_multiplicative_noise"],
+            **{flag: not t[toggle] for toggle, flag in _ABLATION_FLAGS.items()},
         )
     except KeyError as exc:
         raise ConfigError(f"config.train: missing {exc}") from None
@@ -296,6 +269,21 @@ def _prepare_stage_data(norm: dict, split: SplitSpec):
     return ds_train, cds_train, cds_val
 
 
+def _stage_meta(stage: str, norm: dict, tc: TrainConfig, split: SplitSpec, train_enc, val_enc) -> dict:
+    """The meta.json document of a model written by a training stage."""
+    return {
+        "stage": stage,
+        "dataset": norm["name"],
+        "variant": variant_name(tc),
+        "seed": norm["seed"],
+        "M": split.num_known,
+        "r": split.r,
+        "train_examples": len(train_enc),
+        "val_examples": len(val_enc),
+        "config": norm,
+    }
+
+
 def cmd_pretrain(args) -> int:
     norm = load_experiment_config(args.config)
     split = SplitSpec.load(args.split)
@@ -313,17 +301,7 @@ def cmd_pretrain(args) -> int:
     train_enc = encode_dataset(cds_train, vocab, enc_cfg.max_len)
     val_enc = encode_dataset(cds_val, vocab, enc_cfg.max_len)
     best, log = pretrain(params, train_enc, val_enc, tc)
-    meta = {
-        "stage": "pretrain",
-        "dataset": norm["name"],
-        "variant": variant_name(tc),
-        "seed": norm["seed"],
-        "M": split.num_known,
-        "r": split.r,
-        "train_examples": len(train_enc),
-        "val_examples": len(val_enc),
-        "config": norm,
-    }
+    meta = _stage_meta("pretrain", norm, tc, split, train_enc, val_enc)
     save_model(Model(params=best, vocab=vocab), out, meta=meta, log=log)
     print(f"pretrain: {len(log)} epochs, model -> {out}")
     return 0
@@ -346,17 +324,7 @@ def cmd_train(args) -> int:
     train_enc = encode_dataset(cds_train, model.vocab, max_len)
     val_enc = encode_dataset(cds_val, model.vocab, max_len)
     best, log = train_open(model.params, train_enc, val_enc, tc)
-    meta = {
-        "stage": "train",
-        "dataset": norm["name"],
-        "variant": variant_name(tc),
-        "seed": norm["seed"],
-        "M": split.num_known,
-        "r": split.r,
-        "train_examples": len(train_enc),
-        "val_examples": len(val_enc),
-        "config": norm,
-    }
+    meta = _stage_meta("train", norm, tc, split, train_enc, val_enc)
     save_model(Model(params=best, vocab=model.vocab), out, meta=meta, log=log)
     print(f"train: variant {meta['variant']}, {len(log)} epochs, model -> {out}")
     return 0

@@ -15,15 +15,25 @@ which is the mixup injection point.
 
 The optional ``cache`` argument of the runners decides what a pass keeps.
 With a cache dict (a tape), each sublayer stores in it exactly what its
-backward reads, and the ``backward_*`` counterpart consumes it, so one
-recorded pass yields every parameter gradient. Without one, as in
-:func:`forward`, the sublayers store nothing and drop each intermediate as
-soon as it is consumed. Both passes run the same blocks: bias adds, ReLU,
-softmax, residual adds and layer-norm arithmetic work in place on arrays
-the pass itself allocated, in one operation order, so taped and untaped
-logits are bit-identical. The runners never write into arrays passed to
-them. All math is dtype-generic; training runs in float32 while gradient
-checks rerun the same code in float64.
+backward reads (the inputs of its matmuls, the attention weights, the ReLU
+outputs, the normalized activations and their inverse deviations), and
+the ``backward_*`` counterpart consumes it, so one recorded pass yields
+every parameter gradient. Without one, as in :func:`forward`, the
+sublayers store nothing and drop each intermediate as soon as it is
+consumed. Both passes run the same blocks: bias adds, ReLU, softmax,
+residual adds and layer-norm arithmetic work in place on arrays the pass
+itself allocated, in one operation order, so taped and untaped logits are
+bit-identical. The runners never write into arrays passed to them. All
+math is dtype-generic; training runs in float32 while gradient checks
+rerun the same code in float64.
+
+Every per-token array a pass writes comes from its :class:`Workspace`
+through ``out=``; per-row vectors and parameter gradients are allocated
+per pass. A training stage creates one workspace and records each step's
+tape into it, so the tape, the backward gradients and the scratch arrays
+reuse the same buffers step after step instead of being allocated, freed
+and faulted back in. The default, :data:`FRESH`, hands out new arrays,
+which is what untaped passes use.
 
 Parameters live in a name-keyed dict with a canonical order, which is also
 the checkpoint serialization order.
@@ -166,23 +176,72 @@ class Grads(dict):
             self[name] = value
 
 
+class Workspace:
+    """Grow-only storage for the arrays of taped passes, kept for a stage.
+
+    ``take(key, shape, dtype)`` returns a C-contiguous ``shape`` view of
+    the flat buffer kept under ``key``. A buffer is replaced only when a
+    request outgrows it or changes its dtype, so a stage that records one
+    pass per step allocates its working set in its first steps and then
+    reuses it. A pass overwrites whatever an earlier pass wrote under the
+    keys it takes: a workspace serves one pass at a time, and a tape
+    recorded into it is valid only until the next pass is recorded.
+
+    Keys name what an array holds. Arrays a tape keeps are keyed by block
+    and name (``(i, "q")``), so no two of them share storage. Backward
+    gradients are keyed by name alone and shared by every block. ``"tmp"``
+    is scratch of any shape that no function keeps past its return.
+    """
+
+    def __init__(self):
+        self._views: dict = {}
+        self._flat: dict = {}
+
+    def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        view = self._views.get(key)
+        if view is None or view.shape != shape or view.dtype != dtype:
+            n = math.prod(shape)
+            flat = self._flat.get(key)
+            if flat is None or flat.size < n or flat.dtype != dtype:
+                flat = self._flat[key] = np.empty(n, dtype)
+            view = self._views[key] = flat[:n].reshape(shape)
+        return view
+
+
+class _FreshArrays(Workspace):
+    """The workspace of a pass that keeps nothing between passes."""
+
+    def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+FRESH = _FreshArrays()
+"""Default workspace: every array a pass asks for is a new one."""
+
+
 # ---------------------------------------------------------------------------
 # forward / backward building blocks
 
 
-def _embed_forward(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    t = tokens.shape[1]
+def _embed_forward(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, ws: Workspace) -> np.ndarray:
+    n, t = tokens.shape
     if t > p.cfg.max_len:
         raise DataError(f"sequence length {t} exceeds configured max_len {p.cfg.max_len}")
-    h = p["token_embedding"][tokens]
+    table = p["token_embedding"]
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= len(table)):
+        raise DataError(f"token ids must lie in 0..{len(table) - 1}")
+    # mode="raise" would gather through a temporary; the ids are checked above
+    h = np.take(table, tokens, axis=0, out=ws.take("embed", (n, t, table.shape[1]), table.dtype), mode="clip")
     h += p["position_embedding"][None, :t, :]
     h *= mask[:, :, None]
     return h
 
 
-def _embed_backward(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, dh: np.ndarray, grads: Grads) -> None:
+def _embed_backward(
+    p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, dh: np.ndarray, grads: Grads, ws: Workspace
+) -> None:
     t = tokens.shape[1]
-    dh = dh * mask[:, :, None]
+    dh = np.multiply(dh, mask[:, :, None], out=ws.take("dh", dh.shape, dh.dtype))
     dtok = np.zeros_like(p["token_embedding"])
     np.add.at(dtok, tokens.reshape(-1), dh.reshape(-1, dh.shape[-1]))
     grads.add("token_embedding", dtok)
@@ -196,151 +255,192 @@ def _subcache(cache: dict | None, key: str | int) -> dict | None:
     return None if cache is None else cache.setdefault(key, {})
 
 
-def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None) -> np.ndarray:
+def _layernorm_forward(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None, ws: Workspace, key
+) -> np.ndarray:
     """Normalize the last axis. ``x`` is a sum the caller no longer needs:
-    it is overwritten."""
+    it is overwritten. A taped pass writes the output under ``key``."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = np.subtract(x, mu, out=x)
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var = np.mean(np.multiply(xc, xc, out=ws.take("tmp", x.shape, x.dtype)), axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = np.multiply(xc, inv, out=xc)
     if cache is None:
         y = np.multiply(xhat, gain, out=xhat)
     else:
         cache["xhat"], cache["inv"] = xhat, inv
-        y = xhat * gain
+        y = np.multiply(xhat, gain, out=ws.take(key, x.shape, x.dtype))
     y += bias
     return y
 
 
-def _layernorm_backward(dy: np.ndarray, cache: dict, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layernorm_backward(
+    dy: np.ndarray, cache: dict, gain: np.ndarray, ws: Workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overwrites ``dy`` with the input gradient it returns."""
     xhat, inv = cache["xhat"], cache["inv"]
-    dgain = (dy * xhat).sum(axis=(0, 1))
+    tmp = np.multiply(dy, xhat, out=ws.take("tmp", dy.shape, dy.dtype))
+    dgain = tmp.sum(axis=(0, 1))
     dbias = dy.sum(axis=(0, 1))
-    dxhat = dy * gain
+    dxhat = np.multiply(dy, gain, out=dy)
     m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dgain, dbias
+    m2 = np.multiply(dxhat, xhat, out=tmp).mean(axis=-1, keepdims=True)
+    # inv * (dxhat - m1 - xhat * m2), in that order
+    dx = np.subtract(dxhat, m1, out=dxhat)
+    dx -= np.multiply(xhat, m2, out=tmp)
+    return np.multiply(inv, dx, out=dx), dgain, dbias
 
 
-def _attention_forward(p: EncoderParams, i: int, h: np.ndarray, mask: np.ndarray, cache: dict | None) -> np.ndarray:
+def _attention_forward(
+    p: EncoderParams, i: int, h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace
+) -> np.ndarray:
     pre = f"layers.{i}."
-    q = h @ p[pre + "attn_q"]
-    k = h @ p[pre + "attn_k"]
+    n, t, _ = shape = h.shape
+    dt = h.dtype
+    q = np.matmul(h, p[pre + "attn_q"], out=ws.take((i, "q"), shape, dt))
+    k = np.matmul(h, p[pre + "attn_k"], out=ws.take((i, "k"), shape, dt))
     scale = 1.0 / math.sqrt(p.cfg.hidden)
-    scores = np.matmul(q, k.swapaxes(1, 2))
+    scores = np.matmul(q, k.swapaxes(1, 2), out=ws.take((i, "att"), (n, t, t), dt))
     if cache is not None:
         cache.update(h=h, q=q, k=k, scale=scale)
     del q, k
     scores *= scale
     scores += (1.0 - mask)[:, None, :] * ATTN_MASK_VALUE
     att = softmax(scores, out=scores)
-    v = h @ p[pre + "attn_v"]
-    ctx = np.matmul(att, v)
+    v = np.matmul(h, p[pre + "attn_v"], out=ws.take((i, "v"), shape, dt))
+    ctx = np.matmul(att, v, out=ws.take((i, "ctx"), shape, dt))
     if cache is not None:
         cache.update(v=v, att=att, ctx=ctx)
     del v, att
-    return ctx @ p[pre + "attn_out"]
+    return np.matmul(ctx, p[pre + "attn_out"], out=ws.take((i, "s1"), shape, dt))
 
 
-def _attention_backward(p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: Grads) -> np.ndarray:
+def _attention_backward(
+    p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: Grads, ws: Workspace
+) -> np.ndarray:
     pre = f"layers.{i}."
     h, q, k, v, att, ctx, scale = (
         cache["h"], cache["q"], cache["k"], cache["v"], cache["att"], cache["ctx"], cache["scale"],
     )
-    hd = h.shape[-1]
+    shape, dt = h.shape, h.dtype
+    hd = shape[-1]
     grads.add(pre + "attn_out", ctx.reshape(-1, hd).T @ dout.reshape(-1, hd))
-    dctx = dout @ p[pre + "attn_out"].T
-    datt = np.matmul(dctx, v.swapaxes(1, 2))
-    dv = np.matmul(att.swapaxes(1, 2), dctx)
-    dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-    dq = np.matmul(dscores, k) * scale
-    dk = np.matmul(dscores.swapaxes(1, 2), q) * scale
+    dctx = np.matmul(dout, p[pre + "attn_out"].T, out=ws.take("attn.dctx", shape, dt))
+    datt = np.matmul(dctx, v.swapaxes(1, 2), out=ws.take("attn.datt", att.shape, dt))
+    dv = np.matmul(att.swapaxes(1, 2), dctx, out=ws.take("attn.dv", shape, dt))
+    # dscores = att * (datt - rowsum(datt * att)), written over datt
+    datt -= np.multiply(datt, att, out=ws.take("tmp", att.shape, dt)).sum(axis=-1, keepdims=True)
+    dscores = np.multiply(att, datt, out=datt)
+    dq = np.matmul(dscores, k, out=dctx)  # dctx is spent
+    dq *= scale
+    dk = np.matmul(dscores.swapaxes(1, 2), q, out=ws.take("tmp", shape, dt))
+    dk *= scale
     h2 = h.reshape(-1, hd)
     grads.add(pre + "attn_q", h2.T @ dq.reshape(-1, hd))
     grads.add(pre + "attn_k", h2.T @ dk.reshape(-1, hd))
     grads.add(pre + "attn_v", h2.T @ dv.reshape(-1, hd))
-    return dq @ p[pre + "attn_q"].T + dk @ p[pre + "attn_k"].T + dv @ p[pre + "attn_v"].T
+    # dq @ Wq.T + dk @ Wk.T + dv @ Wv.T, the last two products going through dq's storage
+    dx = np.matmul(dq, p[pre + "attn_q"].T, out=ws.take("dx", shape, dt))
+    dx += np.matmul(dk, p[pre + "attn_k"].T, out=dq)
+    dx += np.matmul(dv, p[pre + "attn_v"].T, out=dq)
+    return dx
 
 
-def _ffn_forward(p: EncoderParams, i: int, x: np.ndarray, cache: dict | None) -> np.ndarray:
+def _ffn_forward(p: EncoderParams, i: int, x: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:
     pre = f"layers.{i}."
-    u = x @ p[pre + "ffn_w1"]
+    w1 = p[pre + "ffn_w1"]
+    u = np.matmul(x, w1, out=ws.take((i, "r"), x.shape[:2] + w1.shape[1:], x.dtype))
     u += p[pre + "ffn_b1"]
     r = np.maximum(u, 0.0, out=u)
     if cache is not None:
         cache.update(x=x, r=r)
-    out = r @ p[pre + "ffn_w2"]
+    out = np.matmul(r, p[pre + "ffn_w2"], out=ws.take((i, "s2"), x.shape, x.dtype))
     out += p[pre + "ffn_b2"]
     return out
 
 
-def _ffn_backward(p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: Grads) -> np.ndarray:
+def _ffn_backward(
+    p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: Grads, ws: Workspace
+) -> np.ndarray:
     pre = f"layers.{i}."
     x, r = cache["x"], cache["r"]
     fd = r.shape[-1]
     hd = x.shape[-1]
     grads.add(pre + "ffn_w2", r.reshape(-1, fd).T @ dout.reshape(-1, hd))
     grads.add(pre + "ffn_b2", dout.sum(axis=(0, 1)))
-    du = (dout @ p[pre + "ffn_w2"].T) * (r > 0)
+    du = np.matmul(dout, p[pre + "ffn_w2"].T, out=ws.take("ffn.du", r.shape, r.dtype))
+    du *= np.greater(r, 0, out=ws.take("ffn.on", r.shape, bool))
     grads.add(pre + "ffn_w1", x.reshape(-1, hd).T @ du.reshape(-1, fd))
     grads.add(pre + "ffn_b1", du.sum(axis=(0, 1)))
-    return du @ p[pre + "ffn_w1"].T
+    return np.matmul(du, p[pre + "ffn_w1"].T, out=ws.take("dx", x.shape, x.dtype))
 
 
-def _block_forward(p: EncoderParams, block: int, h: np.ndarray, mask: np.ndarray, cache: dict | None) -> np.ndarray:
+def _block_forward(
+    p: EncoderParams, block: int, h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace
+) -> np.ndarray:
     """Apply block ``block`` (1-based); padded positions are re-zeroed.
 
     ``h`` is only read. Residual sums are formed in the sublayer outputs,
     which the layer norms then overwrite.
     """
     i = block - 1
+    pre = f"layers.{i}."
     if p.cfg.attention:
-        s1 = _attention_forward(p, i, h, mask, _subcache(cache, "attn"))
+        s1 = _attention_forward(p, i, h, mask, _subcache(cache, "attn"), ws)
         s1 += h
-        n1 = _layernorm_forward(s1, p[f"layers.{i}.norm1_gain"], p[f"layers.{i}.norm1_bias"], _subcache(cache, "ln1"))
+        n1 = _layernorm_forward(
+            s1, p[pre + "norm1_gain"], p[pre + "norm1_bias"], _subcache(cache, "ln1"), ws, (i, "n1")
+        )
     else:
         n1 = h
-    s2 = _ffn_forward(p, i, n1, _subcache(cache, "ffn"))
+    s2 = _ffn_forward(p, i, n1, _subcache(cache, "ffn"), ws)
     s2 += n1
-    n2 = _layernorm_forward(s2, p[f"layers.{i}.norm2_gain"], p[f"layers.{i}.norm2_bias"], _subcache(cache, "ln2"))
+    n2 = _layernorm_forward(
+        s2, p[pre + "norm2_gain"], p[pre + "norm2_bias"], _subcache(cache, "ln2"), ws, (i, "n2")
+    )
     if cache is not None:
         cache["mask"] = mask
     n2 *= mask[:, :, None]
     return n2
 
 
-def _block_backward(p: EncoderParams, block: int, cache: dict, dh_out: np.ndarray, grads: Grads) -> np.ndarray:
+def _block_backward(
+    p: EncoderParams, block: int, cache: dict, dh_out: np.ndarray, grads: Grads, ws: Workspace
+) -> np.ndarray:
+    """Reverse of one block. ``dh_out`` is only read before the gradient
+    that flows on is written; the result lives in the workspace's "dh"."""
     i = block - 1
     mask = cache["mask"]
-    dn2 = dh_out * mask[:, :, None]
-    ds2, dg2, db2 = _layernorm_backward(dn2, cache["ln2"], p[f"layers.{i}.norm2_gain"])
+    dn2 = np.multiply(dh_out, mask[:, :, None], out=ws.take("dh", dh_out.shape, dh_out.dtype))
+    ds2, dg2, db2 = _layernorm_backward(dn2, cache["ln2"], p[f"layers.{i}.norm2_gain"], ws)
     grads.add(f"layers.{i}.norm2_gain", dg2)
     grads.add(f"layers.{i}.norm2_bias", db2)
-    dn1 = ds2 + _ffn_backward(p, i, cache["ffn"], ds2, grads)
+    dn1 = np.add(ds2, _ffn_backward(p, i, cache["ffn"], ds2, grads, ws), out=ds2)
     if not p.cfg.attention:
         return dn1
-    ds1, dg1, db1 = _layernorm_backward(dn1, cache["ln1"], p[f"layers.{i}.norm1_gain"])
+    ds1, dg1, db1 = _layernorm_backward(dn1, cache["ln1"], p[f"layers.{i}.norm1_gain"], ws)
     grads.add(f"layers.{i}.norm1_gain", dg1)
     grads.add(f"layers.{i}.norm1_bias", db1)
-    return ds1 + _attention_backward(p, i, cache["attn"], ds1, grads)
+    return np.add(ds1, _attention_backward(p, i, cache["attn"], ds1, grads, ws), out=ds1)
 
 
-def _pool_forward(h: np.ndarray, mask: np.ndarray, cache: dict | None) -> np.ndarray:
+def _pool_forward(h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise DataError("cannot pool a sequence with zero real tokens")
-    x = (h * mask[:, :, None]).sum(axis=1)
+    x = np.multiply(h, mask[:, :, None], out=ws.take("pool", h.shape, h.dtype)).sum(axis=1)
     x /= counts[:, None]
     if cache is not None:
         cache.update(mask=mask, counts=counts)
     return x
 
 
-def _pool_backward(cache: dict, dx: np.ndarray) -> np.ndarray:
+def _pool_backward(cache: dict, dx: np.ndarray, ws: Workspace) -> np.ndarray:
     mask, counts = cache["mask"], cache["counts"]
-    return dx[:, None, :] * mask[:, :, None] / counts[:, None, None]
+    shape = mask.shape + dx.shape[1:]
+    dh = np.multiply(dx[:, None, :], mask[:, :, None], out=ws.take("pool", shape, dx.dtype))
+    dh /= counts[:, None, None]
+    return dh
 
 
 def _dense_forward(p: EncoderParams, x: np.ndarray, cache: dict | None) -> np.ndarray:
@@ -374,44 +474,64 @@ def head_backward(p: EncoderParams, e: np.ndarray, dlogits: np.ndarray, grads: G
 # segment runners (optionally taped)
 
 
-def run_to_layer(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, rl: int, cache: dict | None = None) -> np.ndarray:
+def run_to_layer(
+    p: EncoderParams,
+    tokens: np.ndarray,
+    mask: np.ndarray,
+    rl: int,
+    cache: dict | None = None,
+    ws: Workspace = FRESH,
+) -> np.ndarray:
     """Embeddings plus blocks 1..rl; rl=0 is the embedding stage alone."""
     if not 0 <= rl <= p.cfg.num_layers:
         raise DataError(f"resume layer {rl} out of range 0..{p.cfg.num_layers}")
     mask = mask.astype(p["token_embedding"].dtype)
-    h = _embed_forward(p, tokens, mask)
+    h = _embed_forward(p, tokens, mask, ws)
     if cache is not None:
-        cache.update(tokens=tokens, mask=mask)
+        cache.update(tokens=tokens, mask=mask, stop=rl)
     blocks = _subcache(cache, "blocks")
     for b in range(1, rl + 1):
-        h = _block_forward(p, b, h, mask, _subcache(blocks, b))
+        h = _block_forward(p, b, h, mask, _subcache(blocks, b), ws)
     return h
 
 
-def backward_to_layer(p: EncoderParams, cache: dict, dh: np.ndarray, grads: Grads) -> None:
-    for b in sorted(cache["blocks"], reverse=True):
-        dh = _block_backward(p, b, cache["blocks"][b], dh, grads)
-    _embed_backward(p, cache["tokens"], cache["mask"], dh, grads)
+def backward_to_layer(
+    p: EncoderParams, cache: dict, dh: np.ndarray, grads: Grads, ws: Workspace = FRESH
+) -> None:
+    for b in range(cache["stop"], 0, -1):
+        dh = _block_backward(p, b, cache["blocks"][b], dh, grads, ws)
+    _embed_backward(p, cache["tokens"], cache["mask"], dh, grads, ws)
 
 
-def run_from_layer(p: EncoderParams, h: np.ndarray, mask: np.ndarray, start: int, cache: dict | None = None) -> np.ndarray:
+def run_from_layer(
+    p: EncoderParams,
+    h: np.ndarray,
+    mask: np.ndarray,
+    start: int,
+    cache: dict | None = None,
+    ws: Workspace = FRESH,
+) -> np.ndarray:
     """Blocks start+1..L, masked mean pooling, then the ReLU dense layer."""
     if not 0 <= start <= p.cfg.num_layers:
         raise DataError(f"resume layer {start} out of range 0..{p.cfg.num_layers}")
     mask = mask.astype(h.dtype)
+    if cache is not None:
+        cache["start"] = start
     blocks = _subcache(cache, "blocks")
     for b in range(start + 1, p.cfg.num_layers + 1):
-        h = _block_forward(p, b, h, mask, _subcache(blocks, b))
-    x = _pool_forward(h, mask, _subcache(cache, "pool"))
+        h = _block_forward(p, b, h, mask, _subcache(blocks, b), ws)
+    x = _pool_forward(h, mask, _subcache(cache, "pool"), ws)
     return _dense_forward(p, x, _subcache(cache, "dense"))
 
 
-def backward_from_layer(p: EncoderParams, cache: dict, de: np.ndarray, grads: Grads) -> np.ndarray:
+def backward_from_layer(
+    p: EncoderParams, cache: dict, de: np.ndarray, grads: Grads, ws: Workspace = FRESH
+) -> np.ndarray:
     """Reverse of run_from_layer; returns the gradient at the cut point."""
     dx = _dense_backward(p, cache["dense"], de, grads)
-    dh = _pool_backward(cache["pool"], dx)
-    for b in sorted(cache["blocks"], reverse=True):
-        dh = _block_backward(p, b, cache["blocks"][b], dh, grads)
+    dh = _pool_backward(cache["pool"], dx, ws)
+    for b in range(p.cfg.num_layers, cache["start"], -1):
+        dh = _block_backward(p, b, cache["blocks"][b], dh, grads, ws)
     return dh
 
 
@@ -428,22 +548,27 @@ def forward(p: EncoderParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TapedForward:
-    """One recorded full pass; backward(dlogits) yields all parameter grads."""
+    """One recorded full pass; backward(dlogits) yields all parameter grads.
 
-    def __init__(self, p: EncoderParams, batch: Batch):
+    The tape's arrays live in ``ws``: pass the stage's workspace so that
+    every step reuses one set of buffers.
+    """
+
+    def __init__(self, p: EncoderParams, batch: Batch, ws: Workspace = FRESH):
         self.p = p
+        self.ws = ws
         self.to_cache: dict = {}
         self.from_cache: dict = {}
         mask = batch.mask.astype(p["token_embedding"].dtype)
-        h = run_to_layer(p, batch.tokens, mask, 0, cache=self.to_cache)
-        self.e = run_from_layer(p, h, mask, 0, cache=self.from_cache)
+        h = run_to_layer(p, batch.tokens, mask, 0, cache=self.to_cache, ws=ws)
+        self.e = run_from_layer(p, h, mask, 0, cache=self.from_cache, ws=ws)
         self.logits = head_logits(p, self.e)
 
     def backward(self, dlogits: np.ndarray) -> Grads:
         grads = Grads()
         de = head_backward(self.p, self.e, dlogits, grads)
-        dh = backward_from_layer(self.p, self.from_cache, de, grads)
-        backward_to_layer(self.p, self.to_cache, dh, grads)
+        dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
+        backward_to_layer(self.p, self.to_cache, dh, grads, self.ws)
         return grads
 
 

@@ -13,6 +13,11 @@ the open class. Both stages validate with known-class accuracy and keep
 the best parameters under early stopping (a non-improving epoch bumps a
 counter; any strict improvement resets it).
 
+Each step records one taped pass, runs its backward and takes one Adam
+step. A stage keeps one encoder ``Workspace`` for all its steps: the
+tape of a step is written over the previous step's, so after the first
+steps a step allocates only its parameter gradients and per-row vectors.
+
 All randomness flows from one master seed through fixed purpose streams,
 so a rerun of the same configuration reproduces every shuffle, pairing,
 and noise draw exactly.
@@ -29,7 +34,7 @@ import numpy as np
 
 from .augment import MixupConfig, NoisyMixupPass
 from .corpus import EncodedDataset, Vocab, make_batches, ordered_batches, pair_batches
-from .encoder import EncoderParams, TapedForward, forward, load_checkpoint, save_checkpoint
+from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, PairingError, TrainingError
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
 
@@ -246,10 +251,10 @@ def pretrain(
     log = TrainLog() if log is None else log
     opt = OptimizerState.for_params(params)
     shuffle_seed = _stream_seed(cfg.seed, _STREAM_PRETRAIN_SHUFFLE)
+    ws = Workspace()
 
     def step(batch, epoch: int) -> float:
-        # The tape is local, so it is freed before the next step records one.
-        tape = TapedForward(params, batch)
+        tape = TapedForward(params, batch, ws)
         value, dlogits = pretrain_loss(tape.logits, batch.labels, params.M)
         if not math.isfinite(value):
             raise TrainingError(f"non-finite pretraining loss at epoch {epoch}")
@@ -292,10 +297,10 @@ def train_open(
     mix_rng = np.random.default_rng([cfg.seed, _STREAM_MIXING])
     mix_cfg = cfg.mixup_config()
     rho = cfg.effective_rho()
+    ws = Workspace()
 
     def step(batch, pair, epoch: int) -> float:
-        # The pass is local, so it is freed before the next step records one.
-        mix_pass = NoisyMixupPass(params, batch, pair, mix_cfg, mix_rng)
+        mix_pass = NoisyMixupPass(params, batch, pair, mix_cfg, mix_rng, ws)
         targets = soft_targets(batch.labels, params.M, rho)
         kl_value, dkl = kl_loss(targets, mix_pass.soft_logits)
         open_value, dopen = mixup_loss(mix_pass.logits)

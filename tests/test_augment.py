@@ -13,6 +13,7 @@ from snoic.augment import (
 )
 from snoic.encoder import (
     Grads,
+    Workspace,
     backward_from_layer,
     backward_to_layer,
     head_backward,
@@ -31,8 +32,11 @@ class FixedNormals:
     def __init__(self, value):
         self.value = value
 
-    def standard_normal(self, shape):
-        return np.full(shape, self.value)
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.value)
+        out[...] = self.value
+        return out
 
 
 class ZeroGammas:
@@ -361,3 +365,31 @@ class TestNoisyMixupPass:
         assert set(grads) == set(grads_ref) == set(p.names())
         for name in p.names():
             assert rel_err(grads[name], grads_ref[name]) <= rel_tol, name
+
+
+class TestWorkspaceReuse:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
+    def test_reused_workspace_matches_fresh_pass(self, attention, dtype):
+        """Steps change the row count (full, then tail batch) and the mix
+        layer (rl = L, then rl = 1): passes recorded into one workspace
+        give the logits and gradients of fresh passes."""
+        p = tiny_params(attention, seed=5, dtype=dtype)
+        depth = TINY["num_layers"]
+        ws = Workspace()
+        steps = [(6, depth), (3, 1), (6, 1), (3, depth)]
+        for k, (size, layer) in enumerate(steps):
+            batch, pair = tiny_batch(40 + k, size=size), tiny_pair(50 + k, size=size)
+            cfg = MixupConfig(layer_range=(layer, layer))
+            fresh = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(k))
+            reused = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(k), ws)
+            assert reused.layer == layer
+            assert np.array_equal(reused.soft_logits, fresh.soft_logits)
+            assert np.array_equal(reused.logits, fresh.logits)
+            rng = np.random.default_rng(60 + k)
+            dsoft = rng.standard_normal(fresh.soft_logits.shape).astype(dtype)
+            dmix = rng.standard_normal(fresh.logits.shape).astype(dtype)
+            want, got = fresh.backward(dsoft, dmix), reused.backward(dsoft, dmix)
+            assert set(got) == set(want) == set(p.names())
+            for name in p.names():
+                assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name

@@ -14,6 +14,7 @@ from snoic.encoder import (
     EncoderParams,
     Grads,
     TapedForward,
+    Workspace,
     forward,
     head_logits,
     init_params,
@@ -332,6 +333,44 @@ class TestUntapedPass:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_reused_workspace_matches_fresh_tape(self, attention, dtype):
+        """Full, tail and full batches again: each pass recorded into one
+        workspace gives the logits and gradients of a fresh pass."""
+        cfg = small_config(attention=attention)
+        p = init_params(cfg, 4, seed=37).astype(dtype)
+        ws = Workspace()
+        for size, seed in ((8, 38), (3, 39), (8, 40)):
+            batch = random_batch(cfg, seed, size=size)
+            fresh = TapedForward(p, batch)
+            reused = TapedForward(p, batch, ws)
+            assert np.array_equal(reused.logits, fresh.logits)
+            dlogits = np.random.default_rng(seed).standard_normal(fresh.logits.shape).astype(dtype)
+            want, got = fresh.backward(dlogits), reused.backward(dlogits)
+            assert set(got) == set(want) == set(p.names())
+            for name in p.names():
+                assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name
+
+    def test_take_reuses_and_grows(self):
+        ws = Workspace()
+        a = ws.take("x", (4, 3), np.dtype(np.float32))
+        b = ws.take("x", (2, 3), np.dtype(np.float32))
+        assert b.base is a.base and b.flags.c_contiguous
+        c = ws.take("x", (5, 3), np.dtype(np.float32))
+        assert c.base is not a.base and c.shape == (5, 3)
+        assert ws.take("x", (5, 3), np.dtype(np.float64)).dtype == np.float64
+
+    def test_out_of_vocabulary_token_rejected(self):
+        cfg = small_config()
+        p = init_params(cfg, 4, seed=41)
+        batch = random_batch(cfg, 42)
+        batch.tokens[0, 0] = cfg.vocab_size
+        with pytest.raises(DataError, match="token ids"):
+            forward(p, batch)
 
 
 class TestGradsContainer:

@@ -2,20 +2,25 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from snoic.augment import MixupConfig, NoisyMixupPass
 from snoic.corpus import (
+    Batch,
     ClassDataset,
     Dataset,
     EncodedDataset,
     LabeledExample,
+    PairedBatch,
     build_vocab,
     encode_dataset,
 )
-from snoic.encoder import EncoderConfig, EncoderParams, init_params
+from snoic.encoder import EncoderConfig, EncoderParams, TapedForward, Workspace, init_params
 from snoic.errors import ConfigError, DataError, PairingError, TrainingError
+from snoic.losses import kl_loss, mixup_loss, pretrain_loss, soft_targets
 from snoic.trainer import (
     Model,
     OptimizerState,
@@ -442,3 +447,74 @@ class TestLogAndModelIo:
         for name in params.names():
             assert np.array_equal(loaded.params[name], params[name])
         assert (tmp_path / "m" / "train_log.jsonl").exists()
+
+
+class TestStepMemory:
+    """At the README default shape a warmed-up step takes its tape and
+    scratch arrays from the stage's workspace: what it allocates anew is
+    its gradients and per-row vectors (about 1.2 MB). Without a workspace
+    one pretrain step allocates about 13 MB and one open step 32-41 MB."""
+
+    SHAPE = dict(hidden=64, num_layers=4, ffn=128, dim=64, max_len=32)
+    M = 4
+
+    def batch(self, seed, size=32):
+        rng = np.random.default_rng(seed)
+        t = self.SHAPE["max_len"]
+        lengths = rng.integers(2, t + 1, size=size)
+        tokens = rng.integers(3, 500, size=(size, t)).astype(np.int32)
+        mask = (np.arange(t)[None, :] < lengths[:, None]).astype(np.float32)
+        tokens *= mask.astype(np.int32)
+        labels = rng.integers(1, self.M + 1, size=size).astype(np.int32)
+        return Batch(tokens=tokens, mask=mask, labels=labels)
+
+    def pair(self, seed, size=32):
+        first, second = self.batch(seed, size), self.batch(seed + 1, size)
+        second.labels = (first.labels % self.M + 1).astype(np.int32)
+        return PairedBatch(first=first, second=second)
+
+    def params(self):
+        return init_params(EncoderConfig(vocab_size=500, **self.SHAPE), self.M, seed=43)
+
+    @staticmethod
+    def peak_bytes(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_pretrain_step(self):
+        params = self.params()
+        opt = OptimizerState.for_params(params)
+        ws = Workspace()
+
+        def step(batch):
+            tape = TapedForward(params, batch, ws)
+            _, dlogits = pretrain_loss(tape.logits, batch.labels, self.M)
+            optimizer_step(params, tape.backward(dlogits), opt, 1e-3, 0.01)
+
+        for seed, size in ((1, 32), (2, 16), (3, 32)):
+            step(self.batch(seed, size))
+        batch = self.batch(4)
+        assert self.peak_bytes(lambda: step(batch)) <= 1.5e6
+
+    def test_open_step(self):
+        params = self.params()
+        opt = OptimizerState.for_params(params)
+        ws = Workspace()
+        rng = np.random.default_rng(5)
+
+        def step(batch, pair, mix_cfg):
+            mix_pass = NoisyMixupPass(params, batch, pair, mix_cfg, rng, ws)
+            _, dkl = kl_loss(soft_targets(batch.labels, self.M, 0.3), mix_pass.soft_logits)
+            _, dopen = mixup_loss(mix_pass.logits)
+            optimizer_step(params, mix_pass.backward(0.5 * dkl, 0.5 * dopen), opt, 1e-3, 0.01)
+
+        # mixing at the last block first runs every block on all stacked rows
+        depth = self.SHAPE["num_layers"]
+        for seed, size, layers in ((1, 32, (depth, depth)), (3, 16, (1, 1)), (5, 32, None)):
+            step(self.batch(seed, size), self.pair(seed + 10, size), MixupConfig(layer_range=layers))
+        batch, pair = self.batch(7), self.pair(17)
+        assert self.peak_bytes(lambda: step(batch, pair, MixupConfig())) <= 3e6
