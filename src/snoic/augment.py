@@ -186,7 +186,7 @@ class NoisyMixupPass:
         self.soft_logits, self.logits = logits[:b], logits[b:]
 
     def backward(self, dsoft: np.ndarray, dmix: np.ndarray) -> Grads:
-        grads = Grads()
+        grads = Grads(self.p, self.ws)
         de = head_backward(self.p, self.e, np.concatenate([dsoft, dmix]), grads)
         dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
         b = self.soft_rows

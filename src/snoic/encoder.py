@@ -28,15 +28,21 @@ math is dtype-generic; training runs in float32 while gradient checks
 rerun the same code in float64.
 
 Every per-token array a pass writes comes from its :class:`Workspace`
-through ``out=``; per-row vectors and parameter gradients are allocated
-per pass. A training stage creates one workspace and records each step's
-tape into it, so the tape, the backward gradients and the scratch arrays
-reuse the same buffers step after step instead of being allocated, freed
-and faulted back in. The default, :data:`FRESH`, hands out new arrays,
+through ``out=``, and so does the gradient buffer; per-row vectors and
+each parameter gradient's product are allocated per pass. A training
+stage creates one workspace and records each step's tape into it, so the
+tape, the backward gradients and the scratch arrays reuse the same
+buffers step after step instead of being allocated, freed and faulted
+back in. The default, :data:`FRESH`, hands out new arrays,
 which is what untaped passes use.
 
-Parameters live in a name-keyed dict with a canonical order, which is also
-the checkpoint serialization order.
+Parameters live in one flat, C-contiguous buffer: :class:`EncoderParams`
+keys reshaped views into it by name, back to back in canonical
+:func:`param_spec` order, which is also the checkpoint layout, so a
+checkpoint is that buffer written out. A backward pass accumulates into a
+:class:`Grads` buffer laid out the same way, taken from the pass's
+workspace, so the optimizer updates every parameter with a handful of
+whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -130,13 +136,40 @@ def param_spec(cfg: EncoderConfig, M: int) -> list[tuple[str, tuple[int, ...], s
     return spec
 
 
-@dataclass
-class EncoderParams:
-    """All trainable tensors, keyed by canonical name."""
+def _layout(shapes: dict[str, tuple[int, ...]]) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+    """name -> (start, stop, shape) of tensors stored back to back."""
+    layout, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        layout[name] = (start, stop, tuple(shape))
+        start = stop
+    return layout
 
-    cfg: EncoderConfig
-    M: int
-    tensors: dict[str, np.ndarray]
+
+def _views(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
+    return {name: flat[start:stop].reshape(shape) for name, (start, stop, shape) in layout.items()}
+
+
+class EncoderParams:
+    """All trainable tensors, keyed by canonical name, as reshaped views
+    into one flat buffer.
+
+    ``flat`` is C-contiguous and holds the tensors back to back in the
+    order of ``tensors`` (param_spec order for every model built here);
+    ``layout`` maps each name to its (start, stop, shape) in it. The
+    constructor packs the arrays it is given into a new buffer of their
+    common dtype. Write tensors in place: rebinding an entry of
+    ``tensors`` would detach it from ``flat``.
+    """
+
+    def __init__(self, cfg: EncoderConfig, M: int, tensors: dict[str, np.ndarray]):
+        flat = np.concatenate([np.ravel(t) for t in tensors.values()])
+        self._bind(cfg, M, flat, _layout({name: np.shape(t) for name, t in tensors.items()}))
+
+    def _bind(self, cfg: EncoderConfig, M: int, flat: np.ndarray, layout: dict) -> "EncoderParams":
+        self.cfg, self.M, self.flat, self.layout = cfg, M, flat, layout
+        self.tensors = _views(flat, layout)
+        return self
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -144,11 +177,18 @@ class EncoderParams:
     def names(self) -> list[str]:
         return list(self.tensors)
 
+    def owner(self, index: int) -> str:
+        """Name of the tensor that holds entry ``index`` of ``flat``."""
+        return next(name for name, (start, stop, _) in self.layout.items() if start <= index < stop)
+
+    def _with_flat(self, flat: np.ndarray) -> "EncoderParams":
+        return EncoderParams.__new__(EncoderParams)._bind(self.cfg, self.M, flat, self.layout)
+
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.cfg, self.M, {k: v.copy() for k, v in self.tensors.items()})
+        return self._with_flat(self.flat.copy())
 
     def astype(self, dtype) -> "EncoderParams":
-        return EncoderParams(self.cfg, self.M, {k: v.astype(dtype) for k, v in self.tensors.items()})
+        return self._with_flat(self.flat.astype(dtype))
 
 
 def init_params(cfg: EncoderConfig, M: int, seed: int) -> EncoderParams:
@@ -164,16 +204,6 @@ def init_params(cfg: EncoderConfig, M: int, seed: int) -> EncoderParams:
         else:
             tensors[name] = np.zeros(shape, dtype=np.float32)
     return EncoderParams(cfg=cfg, M=M, tensors=tensors)
-
-
-class Grads(dict):
-    """Accumulating parameter-gradient container."""
-
-    def add(self, name: str, value: np.ndarray) -> None:
-        if name in self:
-            self[name] = self[name] + value
-        else:
-            self[name] = value
 
 
 class Workspace:
@@ -219,6 +249,29 @@ FRESH = _FreshArrays()
 """Default workspace: every array a pass asks for is a new one."""
 
 
+class Grads(dict):
+    """Parameter gradients in one zeroed buffer laid out like ``p.flat``.
+
+    ``flat`` is taken from ``ws`` under "grads". ``add`` sums a
+    contribution into the named view of it in place; the mapping holds the
+    views of the names that received one, and every other parameter's
+    range stays exactly zero.
+    """
+
+    def __init__(self, p: EncoderParams, ws: Workspace = FRESH):
+        super().__init__()
+        self.layout = p.layout
+        self.flat = ws.take("grads", p.flat.shape, p.flat.dtype)
+        self.flat.fill(0)
+
+    def add(self, name: str, value: np.ndarray) -> None:
+        view = self.get(name)
+        if view is None:
+            start, stop, shape = self.layout[name]
+            view = self[name] = self.flat[start:stop].reshape(shape)
+        view += value
+
+
 # ---------------------------------------------------------------------------
 # forward / backward building blocks
 
@@ -260,9 +313,12 @@ def _layernorm_forward(
 ) -> np.ndarray:
     """Normalize the last axis. ``x`` is a sum the caller no longer needs:
     it is overwritten. A taped pass writes the output under ``key``."""
-    mu = x.mean(axis=-1, keepdims=True)
+    h = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= h
     xc = np.subtract(x, mu, out=x)
-    var = np.mean(np.multiply(xc, xc, out=ws.take("tmp", x.shape, x.dtype)), axis=-1, keepdims=True)
+    var = np.add.reduce(np.multiply(xc, xc, out=ws.take("tmp", x.shape, x.dtype)), axis=-1, keepdims=True)
+    var /= h
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = np.multiply(xc, inv, out=xc)
     if cache is None:
@@ -282,9 +338,12 @@ def _layernorm_backward(
     tmp = np.multiply(dy, xhat, out=ws.take("tmp", dy.shape, dy.dtype))
     dgain = tmp.sum(axis=(0, 1))
     dbias = dy.sum(axis=(0, 1))
+    h = dy.shape[-1]
     dxhat = np.multiply(dy, gain, out=dy)
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = np.multiply(dxhat, xhat, out=tmp).mean(axis=-1, keepdims=True)
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    m1 /= h
+    m2 = np.add.reduce(np.multiply(dxhat, xhat, out=tmp), axis=-1, keepdims=True)
+    m2 /= h
     # inv * (dxhat - m1 - xhat * m2), in that order
     dx = np.subtract(dxhat, m1, out=dxhat)
     dx -= np.multiply(xhat, m2, out=tmp)
@@ -565,7 +624,7 @@ class TapedForward:
         self.logits = head_logits(p, self.e)
 
     def backward(self, dlogits: np.ndarray) -> Grads:
-        grads = Grads()
+        grads = Grads(self.p, self.ws)
         de = head_backward(self.p, self.e, dlogits, grads)
         dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
         backward_to_layer(self.p, self.to_cache, dh, grads, self.ws)
@@ -577,7 +636,7 @@ class TapedForward:
 
 
 def save_checkpoint(p: EncoderParams, path: str) -> None:
-    """JSON header line, then all tensors as raw little-endian float32."""
+    """JSON header line, then the flat buffer as raw little-endian float32."""
     header = {
         "names": p.names(),
         "shapes": [list(p[n].shape) for n in p.names()],
@@ -588,8 +647,7 @@ def save_checkpoint(p: EncoderParams, path: str) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        for name in p.names():
-            f.write(np.ascontiguousarray(p[name], dtype=CHECKPOINT_DTYPE).tobytes())
+        f.write(np.ascontiguousarray(p.flat, dtype=CHECKPOINT_DTYPE).data)
 
 
 def load_checkpoint(path: str) -> EncoderParams:
@@ -616,21 +674,17 @@ def load_checkpoint(path: str) -> EncoderParams:
             f"{path}: header names/shapes do not match config (M={header['M']}, "
             f"head width {header['M'] + 1})"
         )
-    payload = blob[newline + 1 :]
-    expected_bytes = sum(int(np.prod(s)) for s in shapes) * CHECKPOINT_DTYPE.itemsize
-    if len(payload) != expected_bytes:
+    layout = _layout({n: s for n, s, _ in expected})
+    payload_bytes = len(blob) - newline - 1
+    expected_bytes = sum(stop - start for start, stop, _ in layout.values()) * CHECKPOINT_DTYPE.itemsize
+    if payload_bytes != expected_bytes:
         raise CheckpointError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected_bytes}"
+            f"{path}: payload is {payload_bytes} bytes, expected {expected_bytes}"
         )
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in zip(names, shapes):
-        nbytes = int(np.prod(shape)) * CHECKPOINT_DTYPE.itemsize
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=CHECKPOINT_DTYPE)
-        tensors[name] = arr.reshape(shape).astype(np.float32)
-        offset += nbytes
-    params = EncoderParams(cfg=cfg, M=header["M"], tensors=tensors)
-    for name in params.names():
-        if not np.all(np.isfinite(params[name])):
-            raise CheckpointError(f"{path}: non-finite values in tensor {name!r}")
+    payload = np.frombuffer(blob, CHECKPOINT_DTYPE, offset=newline + 1)
+    params = EncoderParams(cfg, header["M"], _views(payload, layout))
+    finite = np.isfinite(params.flat)
+    if not finite.all():
+        bad = params.owner(int(np.argmin(finite)))
+        raise CheckpointError(f"{path}: non-finite values in tensor {bad!r}")
     return params

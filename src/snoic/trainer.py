@@ -15,8 +15,13 @@ counter; any strict improvement resets it).
 
 Each step records one taped pass, runs its backward and takes one Adam
 step. A stage keeps one encoder ``Workspace`` for all its steps: the
-tape of a step is written over the previous step's, so after the first
-steps a step allocates only its parameter gradients and per-row vectors.
+tape of a step is written over the previous step's, and so is its
+gradient buffer, so after the first steps a step allocates only per-row
+vectors and each parameter gradient's product before it is summed into
+that buffer. Parameters, gradients and the Adam moments share one flat
+layout (``EncoderParams.flat``), so the optimizer step is a handful of
+whole-buffer operations written through preallocated scratch, plus one
+weight-decay update per run of adjacent matrices.
 
 All randomness flows from one master seed through fixed purpose streams,
 so a rerun of the same configuration reproduces every shuffle, pairing,
@@ -34,7 +39,7 @@ import numpy as np
 
 from .augment import MixupConfig, NoisyMixupPass
 from .corpus import EncodedDataset, Vocab, make_batches, ordered_batches, pair_batches
-from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
+from .encoder import EncoderParams, Grads, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, PairingError, TrainingError
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
 
@@ -111,24 +116,44 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Decoupled-weight-decay Adam moments, one slot per parameter."""
+    """Decoupled-weight-decay Adam state, laid out like ``params.flat``.
+
+    ``m`` and ``v`` are the moments; ``decay`` lists the ranges that hold
+    matrices, the only tensors that take weight decay, with adjacent
+    matrices merged into one range. ``scratch`` and ``finite`` are written
+    through ``out=`` by every step.
+    """
 
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    decay: list[slice]
+    scratch: np.ndarray
+    finite: np.ndarray
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "OptimizerState":
+        flat = params.flat
+        decay: list[slice] = []
+        for start, stop, shape in params.layout.values():
+            if len(shape) < 2:
+                continue
+            if decay and decay[-1].stop == start:
+                start = decay.pop().start
+            decay.append(slice(start, stop))
         return cls(
             step=0,
-            m={n: np.zeros_like(params[n]) for n in params.names()},
-            v={n: np.zeros_like(params[n]) for n in params.names()},
+            m=np.zeros_like(flat),
+            v=np.zeros_like(flat),
+            decay=decay,
+            scratch=np.empty((2,) + flat.shape, flat.dtype),
+            finite=np.empty(flat.shape, dtype=bool),
         )
 
 
 def optimizer_step(
     params: EncoderParams,
-    grads: dict,
+    grads: Grads,
     state: OptimizerState,
     lr: float,
     weight_decay: float,
@@ -136,31 +161,35 @@ def optimizer_step(
     """One bias-corrected Adam step with decoupled decay on matrices.
 
     Every parameter advances its moments each step; a parameter without a
-    gradient entry contributes zero. Biases and normalization parameters
-    are exempt from weight decay.
+    gradient contributes zero. Biases and normalization parameters are
+    exempt from weight decay. A non-finite gradient raises before anything
+    is updated.
     """
+    g = grads.flat
+    finite = np.isfinite(g, out=state.finite)
+    if not finite.all():
+        raise TrainingError(f"non-finite gradient in tensor {params.owner(int(np.argmin(finite)))!r}")
     state.step += 1
     t = state.step
     c1 = 1.0 - BETA1**t
     c2 = 1.0 - BETA2**t
-    for name in params.names():
-        p = params.tensors[name]
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        else:
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient in tensor {name!r}")
-            g = g.astype(p.dtype, copy=False)
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        if weight_decay and p.ndim >= 2:
-            p -= lr * weight_decay * p
+    p, m, v = params.flat, state.m, state.v
+    update, tmp = state.scratch
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), then p -= lr * wd * p on
+    # matrices: the per-tensor arithmetic, in its order, over one buffer
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=tmp)
+    v *= BETA2
+    v += np.multiply(np.multiply(g, 1.0 - BETA2, out=tmp), g, out=tmp)
+    denom = np.sqrt(np.divide(v, c2, out=tmp), out=tmp)
+    denom += ADAM_EPS
+    np.divide(m, c1, out=update)
+    update *= lr
+    update /= denom
+    p -= update
+    if weight_decay:
+        for r in state.decay:
+            np.subtract(p[r], np.multiply(p[r], lr * weight_decay, out=tmp[r]), out=p[r])
 
 
 @dataclass

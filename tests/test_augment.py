@@ -237,7 +237,7 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     rl = select_mix_layer(rng, 1, p.cfg.num_layers)
     lam = sample_lambda(rng, cfg.alpha)
     dtype = p["token_embedding"].dtype
-    grads = Grads()
+    grads = Grads(p)
 
     def to_layer(b):
         mask = b.mask.astype(dtype)

@@ -373,12 +373,76 @@ class TestWorkspace:
             forward(p, batch)
 
 
+class TestParamLayout:
+    """EncoderParams: named views into one flat buffer, in param_spec order."""
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_tensors_view_one_buffer_in_spec_order(self, attention):
+        cfg = small_config(attention=attention)
+        p = init_params(cfg, 4, seed=51)
+        assert p.flat.flags.c_contiguous and p.flat.ndim == 1
+        spec = param_spec(cfg, 4)
+        assert p.names() == [name for name, _, _ in spec]
+        base = p.flat.ctypes.data
+        offset = 0
+        for name, shape, _ in spec:
+            t = p[name]
+            assert t.shape == shape and t.base is p.flat, name
+            assert t.ctypes.data == base + offset * p.flat.itemsize, name
+            offset += t.size
+        assert offset == p.flat.size
+
+    def test_constructor_packs_a_dict(self):
+        w, b = np.arange(4.0).reshape(2, 2), np.ones(3)
+        p = EncoderParams(small_config(), 1, {"w": w, "b": b})
+        assert np.array_equal(p.flat, [0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0])
+        assert p.layout == {"w": (0, 4, (2, 2)), "b": (4, 7, (3,))}
+        assert not np.shares_memory(p["w"], w)
+        p["w"][1, 1] = 9.0
+        assert p.flat[3] == 9.0 and w[1, 1] == 3.0
+
+    def test_copy_is_independent(self):
+        p = init_params(small_config(), 4, seed=52)
+        before = p.flat.copy()
+        q = p.copy()
+        assert q.layout == p.layout and all(q[n].base is q.flat for n in q.names())
+        q.flat += 1.0
+        q.tensors["dense_w"][0, 0] = 7.0
+        assert np.array_equal(p.flat, before)
+        assert q.flat[q.layout["dense_w"][0]] == 7.0
+
+    def test_astype_keeps_layout(self):
+        """Perturbing a float64 copy's tensor in place moves its flat buffer,
+        which is what the gradient check's probes rely on."""
+        p = init_params(small_config(), 4, seed=53)
+        q = p.astype(np.float64)
+        assert q.flat.dtype == np.float64 and q.flat.flags.c_contiguous
+        assert q.layout == p.layout and q.names() == p.names()
+        assert np.array_equal(q.flat, p.flat)
+        start = q.layout["layers.1.ffn_w2"][0]
+        q.tensors["layers.1.ffn_w2"][0, 1] += 0.5
+        shift = q.flat - p.flat
+        assert shift[start + 1] == 0.5 and np.count_nonzero(shift) == 1
+
+
 class TestGradsContainer:
     def test_add_accumulates(self):
-        g = Grads()
+        p = EncoderParams(small_config(), 1, {"w": np.ones(2), "b": np.ones(3)})
+        g = Grads(p)
         g.add("w", np.array([1.0, 2.0]))
         g.add("w", np.array([0.5, 0.5]))
         assert np.array_equal(g["w"], [1.5, 2.5])
+        assert set(g) == {"w"}
+        assert np.shares_memory(g["w"], g.flat)
+        assert np.array_equal(g.flat, [1.5, 2.5, 0.0, 0.0, 0.0])
+
+    def test_workspace_buffer_is_zeroed_for_each_pass(self):
+        p = EncoderParams(small_config(), 1, {"w": np.ones(2), "b": np.ones(3)})
+        ws = Workspace()
+        first = Grads(p, ws)
+        first.add("b", np.ones(3))
+        second = Grads(p, ws)
+        assert second.flat is first.flat and not second.flat.any()
 
     def test_taped_backward_covers_every_parameter(self):
         cfg = small_config()
@@ -479,8 +543,17 @@ class TestCheckpoint:
         p.tensors["dense_w"][0, 0] = np.nan
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(p, path)
-        with pytest.raises(CheckpointError, match="non-finite"):
+        with pytest.raises(CheckpointError, match="non-finite values in tensor 'dense_w'"):
             load_checkpoint(path)
+
+    def test_round_trip_is_byte_equal(self, tmp_path):
+        p = self.make()
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(p, path)
+        loaded = load_checkpoint(path)
+        assert loaded.flat.dtype == np.float32 and loaded.flat.flags.writeable
+        assert loaded.flat.tobytes() == p.flat.tobytes()
+        assert loaded.layout == p.layout
 
     def test_loading_preserves_forward_behavior(self, tmp_path):
         cfg = small_config()

@@ -87,7 +87,7 @@ def test_cut_point_gradients_split_by_mixing_weight(attention):
     cache = {}
     e = run_from_layer(p, noisy, union, rl, cache=cache)
     _, dlogits = mixup_loss(head_logits(p, e))
-    grads = Grads()
+    grads = Grads(p)
     de = head_backward(p, e, dlogits, grads)
     dh = backward_from_layer(p, cache, de, grads)
     dmixed = dh * union[:, :, None] * scale
