@@ -17,7 +17,6 @@ from .corpus import (
     LabeledExample,
     PairedBatch,
     SplitSpec,
-    TokenSeq,
     Vocab,
     apply_split,
     build_vocab,
@@ -69,7 +68,6 @@ __all__ = [
     "LabeledExample",
     "PairedBatch",
     "SplitSpec",
-    "TokenSeq",
     "Vocab",
     "apply_split",
     "build_vocab",

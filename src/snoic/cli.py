@@ -57,7 +57,8 @@ ABLATION_TOGGLES = tuple(_ABLATION_FLAGS)
 _TOP_KEYS = {"name", "data", "seed", "r", "labeled_data_ratio", "vocab", "encoder", "train", "out_dir"}
 _DATA_KEYS = {"train", "val", "test"}
 _VOCAB_KEYS = {"min_freq", "max_size"}
-_ENCODER_KEYS = {"hidden", "num_layers", "ffn", "dim", "max_len", "attention"}
+# EncoderConfig fields set from config.encoder; the vocabulary size comes from the data
+_ENCODER_FIELDS = [f for f in fields(EncoderConfig) if f.name != "vocab_size"]
 # TrainConfig fields set from config.train; the seed and the ablation flags come from elsewhere
 _TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name not in {"seed", *_ABLATION_FLAGS.values()}]
 _TRAIN_KEYS = {f.name for f in _TRAIN_FIELDS} | set(ABLATION_TOGGLES)
@@ -116,7 +117,12 @@ def _expect_bool(obj: dict, key: str, path: str, default):
     return obj[key]
 
 
-_EXPECT_BY_TYPE = {int: _expect_int, float: _expect_num, str: _expect_str}
+_EXPECT_BY_TYPE = {int: _expect_int, float: _expect_num, str: _expect_str, bool: _expect_bool}
+
+
+def _section(obj: dict, dataclass_fields: list, path: str) -> dict:
+    """One config section read field by field, each with its dataclass default."""
+    return {f.name: _EXPECT_BY_TYPE[type(f.default)](obj, f.name, path, f.default) for f in dataclass_fields}
 
 
 def normalize_experiment_config(raw: dict) -> dict:
@@ -135,7 +141,7 @@ def normalize_experiment_config(raw: dict) -> dict:
     vocab = _expect_map(raw.get("vocab", {}), "config.vocab")
     _reject_unknown(vocab, _VOCAB_KEYS, "config.vocab")
     encoder = _expect_map(raw.get("encoder", {}), "config.encoder")
-    _reject_unknown(encoder, _ENCODER_KEYS, "config.encoder")
+    _reject_unknown(encoder, {f.name for f in _ENCODER_FIELDS}, "config.encoder")
     train = _expect_map(raw.get("train", {}), "config.train")
     _reject_unknown(train, _TRAIN_KEYS, "config.train")
 
@@ -151,7 +157,6 @@ def normalize_experiment_config(raw: dict) -> dict:
     if name is None:
         name = Path(data_norm["train"]).stem
 
-    enc_defaults = EncoderConfig(vocab_size=3)
     norm = {
         "name": name,
         "data": data_norm,
@@ -163,19 +168,9 @@ def normalize_experiment_config(raw: dict) -> dict:
             "min_freq": _expect_int(vocab, "min_freq", "config.vocab", 1),
             "max_size": _expect_int(vocab, "max_size", "config.vocab", 50000),
         },
-        "encoder": {
-            "hidden": _expect_int(encoder, "hidden", "config.encoder", enc_defaults.hidden),
-            "num_layers": _expect_int(encoder, "num_layers", "config.encoder", enc_defaults.num_layers),
-            "ffn": _expect_int(encoder, "ffn", "config.encoder", enc_defaults.ffn),
-            "dim": _expect_int(encoder, "dim", "config.encoder", enc_defaults.dim),
-            "max_len": _expect_int(encoder, "max_len", "config.encoder", enc_defaults.max_len),
-            "attention": _expect_bool(encoder, "attention", "config.encoder", enc_defaults.attention),
-        },
+        "encoder": _section(encoder, _ENCODER_FIELDS, "config.encoder"),
         "train": {
-            **{
-                f.name: _EXPECT_BY_TYPE[type(f.default)](train, f.name, "config.train", f.default)
-                for f in _TRAIN_FIELDS
-            },
+            **_section(train, _TRAIN_FIELDS, "config.train"),
             **{toggle: _expect_bool(train, toggle, "config.train", False) for toggle in ABLATION_TOGGLES},
         },
     }
@@ -234,6 +229,13 @@ def _check_split_consistency(norm: dict, split: SplitSpec) -> None:
 def _known_only(ds: Dataset, split: SplitSpec) -> Dataset:
     known = set(split.known_classes)
     return Dataset(examples=[ex for ex in ds.examples if ex.label in known])
+
+
+def _check_head_width(model: Model, split: SplitSpec, what: str) -> None:
+    if model.params.M != split.num_known:
+        raise CheckpointError(
+            f"{what} head width {model.params.M + 1} does not match split head width {split.num_known + 1}"
+        )
 
 
 def _resolve_out(args, norm: dict | None = None) -> str:
@@ -314,11 +316,7 @@ def cmd_train(args) -> int:
     out = _resolve_out(args, norm)
     tc = train_config_from(norm, args.ablation)
     model, _ = load_model(args.init)
-    if model.params.M != split.num_known:
-        raise CheckpointError(
-            f"init checkpoint head width {model.params.M + 1} does not match "
-            f"split head width {split.num_known + 1}"
-        )
+    _check_head_width(model, split, "init checkpoint")
     ds_train, cds_train, cds_val = _prepare_stage_data(norm, split)
     max_len = model.params.cfg.max_len
     train_enc = encode_dataset(cds_train, model.vocab, max_len)
@@ -336,11 +334,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
     model, meta = load_model(args.model)
     split = SplitSpec.load(args.split)
-    if model.params.M != split.num_known:
-        raise CheckpointError(
-            f"model head width {model.params.M + 1} does not match "
-            f"split head width {split.num_known + 1}"
-        )
+    _check_head_width(model, split, "model")
     if model.params.cfg.vocab_size != len(model.vocab):
         raise CheckpointError(
             f"model expects vocabulary of {model.params.cfg.vocab_size} ids, "
@@ -487,10 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SnoicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SnoicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -149,22 +149,11 @@ def build_vocab(ds: Dataset, min_freq: int = 1, max_size: int = 50000) -> Vocab:
     return Vocab(id_to_token=list(RESERVED_TOKENS) + kept)
 
 
-@dataclass
-class TokenSeq:
-    """Padded id sequence with a leading CLS marker."""
-
-    ids: np.ndarray
-    length: int
-
-
-def tokenize(text: str, vocab: Vocab, max_len: int) -> TokenSeq:
-    """Encode text as [CLS, t1, ..], truncated and padded to max_len."""
+def tokenize(text: str, vocab: Vocab, max_len: int) -> list[int]:
+    """Unpadded ids [CLS, t1, ..], truncated to max_len; no PAD is appended."""
     if max_len < 2:
         raise DataError(f"max_len must be >= 2, got {max_len}")
-    ids = [CLS_ID] + [vocab.lookup(t) for t in tokenize_text(text)][: max_len - 1]
-    length = len(ids)
-    ids = ids + [PAD_ID] * (max_len - length)
-    return TokenSeq(ids=np.asarray(ids, dtype=np.int32), length=length)
+    return [CLS_ID] + [vocab.lookup(t) for t in tokenize_text(text)][: max_len - 1]
 
 
 @dataclass
@@ -313,13 +302,14 @@ class EncodedDataset:
 
 
 def encode_dataset(cds: ClassDataset, vocab: Vocab, max_len: int) -> EncodedDataset:
+    """Tokenize every text into a PAD_ID-filled (N, max_len) token matrix."""
     n = len(cds)
-    tokens = np.zeros((n, max_len), dtype=np.int32)
+    tokens = np.full((n, max_len), PAD_ID, dtype=np.int32)
     lengths = np.zeros(n, dtype=np.int32)
     for i, text in enumerate(cds.texts):
-        seq = tokenize(text, vocab, max_len)
-        tokens[i] = seq.ids
-        lengths[i] = seq.length
+        ids = tokenize(text, vocab, max_len)
+        tokens[i, : len(ids)] = ids
+        lengths[i] = len(ids)
     return EncodedDataset(tokens=tokens, lengths=lengths, class_ids=np.asarray(cds.class_ids, dtype=np.int32))
 
 
@@ -352,6 +342,10 @@ def _lengths_to_mask(lengths: np.ndarray, max_len: int) -> np.ndarray:
 
 
 def _slice_batches(enc: EncodedDataset, order: np.ndarray, batch_size: int) -> list[Batch]:
+    if len(enc) == 0:
+        raise DataError("cannot batch an empty dataset")
+    if batch_size < 1:
+        raise DataError(f"batch_size must be >= 1, got {batch_size}")
     batches = []
     for start in range(0, len(enc), batch_size):
         idx = order[start : start + batch_size]
@@ -367,20 +361,12 @@ def _slice_batches(enc: EncodedDataset, order: np.ndarray, batch_size: int) -> l
 
 def make_batches(enc: EncodedDataset, batch_size: int, seed: int, epoch: int = 0) -> list[Batch]:
     """Seeded shuffle into contiguous batches; epoch k reshuffles with seed xor k."""
-    if len(enc) == 0:
-        raise DataError("cannot batch an empty dataset")
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng(seed ^ epoch).permutation(len(enc))
     return _slice_batches(enc, order, batch_size)
 
 
 def ordered_batches(enc: EncodedDataset, batch_size: int) -> list[Batch]:
     """Contiguous batches in dataset order, for evaluation and prediction."""
-    if len(enc) == 0:
-        raise DataError("cannot batch an empty dataset")
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
     return _slice_batches(enc, np.arange(len(enc)), batch_size)
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -158,8 +159,8 @@ class EncoderParams:
     order of ``tensors`` (param_spec order for every model built here);
     ``layout`` maps each name to its (start, stop, shape) in it. The
     constructor packs the arrays it is given into a new buffer of their
-    common dtype. Write tensors in place: rebinding an entry of
-    ``tensors`` would detach it from ``flat``.
+    common dtype. ``tensors`` is a read-only mapping, so a tensor can
+    only be written in place and never detached from ``flat``.
     """
 
     def __init__(self, cfg: EncoderConfig, M: int, tensors: dict[str, np.ndarray]):
@@ -168,7 +169,7 @@ class EncoderParams:
 
     def _bind(self, cfg: EncoderConfig, M: int, flat: np.ndarray, layout: dict) -> "EncoderParams":
         self.cfg, self.M, self.flat, self.layout = cfg, M, flat, layout
-        self.tensors = _views(flat, layout)
+        self.tensors = MappingProxyType(_views(flat, layout))
         return self
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -600,9 +601,8 @@ def backward_from_layer(
 
 def forward(p: EncoderParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Full pass: intent representations e and (M+1)-way logits."""
-    mask = batch.mask.astype(p["token_embedding"].dtype)
-    h = run_to_layer(p, batch.tokens, mask, 0)
-    e = run_from_layer(p, h, mask, 0)
+    h = run_to_layer(p, batch.tokens, batch.mask, 0)
+    e = run_from_layer(p, h, batch.mask, 0)
     return e, head_logits(p, e)
 
 
@@ -618,9 +618,8 @@ class TapedForward:
         self.ws = ws
         self.to_cache: dict = {}
         self.from_cache: dict = {}
-        mask = batch.mask.astype(p["token_embedding"].dtype)
-        h = run_to_layer(p, batch.tokens, mask, 0, cache=self.to_cache, ws=ws)
-        self.e = run_from_layer(p, h, mask, 0, cache=self.from_cache, ws=ws)
+        h = run_to_layer(p, batch.tokens, batch.mask, 0, cache=self.to_cache, ws=ws)
+        self.e = run_from_layer(p, h, batch.mask, 0, cache=self.from_cache, ws=ws)
         self.logits = head_logits(p, self.e)
 
     def backward(self, dlogits: np.ndarray) -> Grads:

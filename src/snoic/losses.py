@@ -32,6 +32,20 @@ def _check_logits(logits: np.ndarray) -> None:
         raise DataError(f"logits must be (batch, M+1) with M >= 1, got {logits.shape}")
 
 
+def _cross_entropy(logits: np.ndarray, cols) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of row i against hard target column ``cols[i]``
+    (or ``cols`` for every row) and its gradient, (softmax - onehot) / batch."""
+    rows = np.arange(logits.shape[0])
+    z = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(z)
+    norm = probs.sum(axis=1, keepdims=True)
+    value = float(np.mean(np.log(norm[:, 0]) - z[rows, cols]))
+    probs /= norm
+    probs[rows, cols] -= 1.0
+    probs /= logits.shape[0]
+    return value, probs
+
+
 def pretrain_loss(logits: np.ndarray, labels: np.ndarray, M: int) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the first M columns; open column inert.
 
@@ -46,16 +60,8 @@ def pretrain_loss(logits: np.ndarray, labels: np.ndarray, M: int) -> tuple[float
         raise DataError(f"labels shape {labels.shape} does not match batch {logits.shape[0]}")
     if labels.size and (labels.min() < 1 or labels.max() > M):
         raise DataError(f"labels must be in 1..{M}")
-    b = logits.shape[0]
-    known = logits[:, :M]
-    z = known - known.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    idx = labels - 1
-    value = float(np.mean(log_norm - z[np.arange(b), idx]))
     dlogits = np.zeros_like(logits)
-    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-    probs[np.arange(b), idx] -= 1.0
-    dlogits[:, :M] = probs / b
+    value, dlogits[:, :M] = _cross_entropy(logits[:, :M], labels - 1)
     return value, dlogits
 
 
@@ -102,13 +108,7 @@ def kl_loss(targets: np.ndarray, logits: np.ndarray) -> tuple[float, np.ndarray]
 def mixup_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy pushing every row toward the open class."""
     _check_logits(logits)
-    b = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    value = float(np.mean(log_norm - z[:, -1]))
-    dlogits = softmax(logits)
-    dlogits[:, -1] -= 1.0
-    return value, dlogits / b
+    return _cross_entropy(logits, logits.shape[1] - 1)
 
 
 def total_loss(kl_value: float, open_value: float, gamma: float) -> float:

@@ -9,8 +9,10 @@ classes, so (M * f1_known + f1_open) / (M + 1) == f1_all by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass
@@ -40,37 +42,31 @@ class MetricsReport:
     count: int
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "f1_all": self.f1_all,
-            "f1_known": self.f1_known,
-            "f1_open": self.f1_open,
-            "per_class": self.per_class,
-            "M": self.M,
-            "count": self.count,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def _class_ids(ids: Sequence[int], role: str, num_classes: int) -> np.ndarray:
+    """0-based indices of 1-based integer class ids; a float id is rejected, never truncated."""
+    ids = np.asarray(ids)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"{role} ids must be integers, got dtype {ids.dtype}")
+    bad = (ids < 1) | (ids > num_classes)
+    if bad.any():
+        raise ValueError(f"{role} id {ids[bad][0]} out of range 1..{num_classes}")
+    return ids.astype(np.intp) - 1
 
 
 def confusion(preds: Sequence[int], golds: Sequence[int], num_classes: int) -> ConfusionCounts:
     """Count per-class TP/FP/FN for 1-based class ids."""
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(golds)} golds")
-    tp = [0] * num_classes
-    fp = [0] * num_classes
-    fn = [0] * num_classes
-    for p, g in zip(preds, golds):
-        if not 1 <= p <= num_classes:
-            raise ValueError(f"predicted id {p} out of range 1..{num_classes}")
-        if not 1 <= g <= num_classes:
-            raise ValueError(f"gold id {g} out of range 1..{num_classes}")
-        if p == g:
-            tp[p - 1] += 1
-        else:
-            fp[p - 1] += 1
-            fn[g - 1] += 1
+    p = _class_ids(preds, "predicted", num_classes)
+    g = _class_ids(golds, "gold", num_classes)
+    hit = p == g
+    tp, fp, fn = (np.bincount(ids, minlength=num_classes).tolist() for ids in (p[hit], p[~hit], g[~hit]))
     return ConfusionCounts(num_classes=num_classes, tp=tp, fp=fp, fn=fn, total=len(preds))
 
 

@@ -54,31 +54,8 @@ RARE_TOKEN_RATE = 0.08
 _ROLE_INDEX = {"train": 0, "val": 1, "test": 2}
 
 
-def class_pool(label: str) -> list[str]:
-    pool = list(CORE_WORDS[label])
-    for pair, words in sorted(SHARED_WORDS.items()):
-        if label in pair:
-            pool += words
-    return pool
-
-
 def class_names() -> list[str]:
     return sorted(CORE_WORDS)
-
-
-def content_pools_are_disjoint() -> bool:
-    """Core pools never collide with each other, shared words, or fillers."""
-    seen: set[str] = set()
-    for words in CORE_WORDS.values():
-        if seen & set(words):
-            return False
-        seen.update(words)
-    shared: set[str] = set()
-    for words in SHARED_WORDS.values():
-        if shared & set(words):
-            return False
-        shared.update(words)
-    return not (seen & shared) and not ((seen | shared) & set(FILLER_WORDS))
 
 
 def _make_sentence(rng: np.random.Generator, core: list[str], shared: list[str], rare: str | None) -> str:

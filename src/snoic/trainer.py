@@ -231,8 +231,7 @@ def known_accuracy(params: EncoderParams, enc: EncodedDataset, batch_size: int, 
     as a miss.
     """
     logits = batched_logits(params, enc, batch_size)
-    scores = logits[:, : params.M] if known_only else logits
-    preds = np.argmax(scores, axis=1) + 1
+    preds = open_predictions(logits[:, : params.M] if known_only else logits)
     return int((preds == enc.class_ids).sum()) / len(enc)
 
 
@@ -257,11 +256,9 @@ def _early_stopped_loop(params, cfg: TrainConfig, stage, epoch_fn, val_fn, log: 
 
 
 def _check_training_inputs(params: EncoderParams, train_enc: EncodedDataset, val_enc: EncodedDataset) -> None:
-    if len(train_enc) == 0:
-        raise DataError("empty training set")
-    if len(val_enc) == 0:
-        raise DataError("empty validation set")
     for name, enc in (("training", train_enc), ("validation", val_enc)):
+        if len(enc) == 0:
+            raise DataError(f"empty {name} set")
         ids = enc.class_ids
         if ids.min() < 1 or ids.max() > params.M:
             raise DataError(f"{name} set contains class ids outside 1..{params.M}")
@@ -377,7 +374,7 @@ def baseline_predictions(logits: np.ndarray, M: int, threshold: float) -> np.nda
     are assigned the open id M+1.
     """
     probs = softmax(logits[:, :M])
-    top = (np.argmax(probs, axis=1) + 1).astype(np.int32)
+    top = open_predictions(probs)
     conf = probs.max(axis=1)
     return np.where(conf < threshold, M + 1, top).astype(np.int32)
 

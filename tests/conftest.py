@@ -22,7 +22,7 @@ from snoic.corpus import (
 from snoic.encoder import EncoderConfig, init_params
 from snoic.metrics import evaluate
 from snoic.synth import write_corpus
-from snoic.trainer import TrainConfig, batched_logits, open_predictions, train_two_stage
+from snoic.trainer import TrainConfig, TrainLog, batched_logits, open_predictions, pretrain, train_open
 
 BENCH_SEEDS = (0, 1, 2)
 BENCH_R = 0.5
@@ -104,7 +104,13 @@ def corpus_sets(corpus_paths):
     )
 
 
-def _run_one(corpus_sets, variant, seed, toggles):
+def _run_seed(corpus_sets, seed):
+    """Every variant at one seed, sharing one pretraining run.
+
+    Pretraining reads none of the variant flags, so one stage-one run
+    serves all four open stages, as with one `snoic pretrain` followed by
+    one `snoic train --ablation ...` per variant.
+    """
     ds_train, ds_val, ds_test = corpus_sets
     split = make_split(ds_train, BENCH_R, seed)
     cds_train = apply_split(ds_train, split, "train")
@@ -116,15 +122,23 @@ def _run_one(corpus_sets, variant, seed, toggles):
     vocab = build_vocab(vocab_ds, min_freq=2, max_size=5000)
 
     enc_cfg = bench_encoder_config(len(vocab))
-    cfg = bench_train_config(seed, **toggles)
     train_enc = encode_dataset(cds_train, vocab, enc_cfg.max_len)
     val_enc = encode_dataset(cds_val, vocab, enc_cfg.max_len)
     test_enc = encode_dataset(cds_test, vocab, enc_cfg.max_len)
 
     params = init_params(enc_cfg, split.num_known, seed)
-    params, log = train_two_stage(params, train_enc, val_enc, cfg)
+    pretrained, pretrain_log = pretrain(params, train_enc, val_enc, bench_train_config(seed))
+    runs = {}
+    for variant, toggles in BENCH_VARIANTS.items():
+        cfg = bench_train_config(seed, **toggles)
+        log = TrainLog(records=list(pretrain_log.records))
+        trained, log = train_open(pretrained, train_enc, val_enc, cfg, log=log)
+        runs[variant] = _score(variant, seed, split, trained, log, test_enc, cfg.batch_size)
+    return runs
 
-    logits = batched_logits(params, test_enc, cfg.batch_size)
+
+def _score(variant, seed, split, params, log, test_enc, batch_size):
+    logits = batched_logits(params, test_enc, batch_size)
     preds = open_predictions(logits)
     golds = test_enc.class_ids
     report = evaluate(preds.tolist(), golds.tolist(), split.num_known + 1)
@@ -155,8 +169,8 @@ def bench_grid(corpus_sets):
     """Train every variant at every benchmark seed once for the session."""
     grid = BenchGrid()
     start = time.monotonic()
-    for variant, toggles in BENCH_VARIANTS.items():
-        for seed in BENCH_SEEDS:
-            grid.runs[(variant, seed)] = _run_one(corpus_sets, variant, seed, toggles)
+    for seed in BENCH_SEEDS:
+        for variant, run in _run_seed(corpus_sets, seed).items():
+            grid.runs[(variant, seed)] = run
     grid.elapsed_sec = time.monotonic() - start
     return grid

@@ -4,12 +4,14 @@ import csv
 import json
 import os
 import shutil
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
 
 from snoic.cli import main, normalize_experiment_config
 from snoic.corpus import SplitSpec, load_dataset, make_split
+from snoic.encoder import EncoderConfig
 from snoic.errors import ConfigError
 from snoic.synth import write_corpus
 
@@ -144,6 +146,14 @@ class TestConfigValidation:
         assert norm["vocab"] == {"min_freq": 1, "max_size": 50000}
         assert norm["train"]["rho"] == 0.3
         assert norm["name"] == "train"  # stem of the train file
+
+    def test_encoder_section_comes_from_the_config_dataclass(self, cli_env):
+        norm = normalize_experiment_config(self.minimal(cli_env))
+        assert norm["encoder"] == {f.name: f.default for f in fields(EncoderConfig) if f.name != "vocab_size"}
+        raw = self.minimal(cli_env)
+        raw["encoder"] = {"hidden": True}
+        with pytest.raises(ConfigError, match="config.encoder.hidden: expected an integer"):
+            normalize_experiment_config(raw)
 
     def test_seed_env_override(self, cli_env, monkeypatch):
         monkeypatch.setenv("SNOIC_SEED", "9")

@@ -170,19 +170,18 @@ class TestTokenize:
         return build_vocab(Dataset(examples=[LabeledExample("alpha beta gamma", "x")]))
 
     def test_cls_prefix_and_padding(self, vocab):
-        seq = tokenize("alpha beta", vocab, max_len=6)
-        assert seq.ids[0] == CLS_ID
-        assert seq.length == 3
-        assert list(seq.ids[3:]) == [PAD_ID] * 3
+        # the list is unpadded: its length is the sequence length
+        ids = tokenize("alpha beta", vocab, max_len=6)
+        assert ids == [CLS_ID, vocab.lookup("alpha"), vocab.lookup("beta")]
+        assert PAD_ID not in ids
 
     def test_unknown_words_become_unk(self, vocab):
-        seq = tokenize("alpha zzz", vocab, max_len=6)
-        assert seq.ids[2] == UNK_ID
+        ids = tokenize("alpha zzz", vocab, max_len=6)
+        assert ids[2] == UNK_ID
 
     def test_truncation_keeps_prefix(self, vocab):
-        seq = tokenize("alpha beta gamma alpha beta", vocab, max_len=3)
-        assert seq.length == 3
-        assert len(seq.ids) == 3
+        ids = tokenize("alpha beta gamma alpha beta", vocab, max_len=3)
+        assert ids == [CLS_ID, vocab.lookup("alpha"), vocab.lookup("beta")]
 
     def test_max_len_lower_bound(self, vocab):
         with pytest.raises(DataError):
@@ -375,6 +374,15 @@ class TestBatching:
         assert enc.tokens.dtype == np.int32
         assert enc.lengths.min() >= 1
 
+    def test_encode_dataset_pads_after_each_sequence(self):
+        ds = Dataset(examples=[LabeledExample("alpha beta", "x"), LabeledExample("gamma " * 9, "y")])
+        vocab = build_vocab(ds)
+        cds = apply_split(ds, SplitSpec(seed=0, r=0.5, known_classes=["x", "y"], open_classes=[]), "train")
+        enc = encode_dataset(cds, vocab, 5)
+        assert enc.lengths.tolist() == [3, 5]
+        assert enc.tokens[0].tolist() == tokenize("alpha beta", vocab, 5) + [PAD_ID] * 2
+        assert enc.tokens[1].tolist() == [CLS_ID] + [vocab.lookup("gamma")] * 4
+
     def test_batch_sizes_cover_dataset(self):
         # 3 classes at r=0.9 keep M=2 known classes, 5 examples each.
         enc = encoded_toy(num_classes=3, per_class=5)
@@ -428,6 +436,15 @@ class TestBatching:
         enc = encoded_toy()
         with pytest.raises(DataError):
             make_batches(enc, 0, seed=0)
+
+    def test_every_batcher_checks_its_arguments(self):
+        enc = encoded_toy()
+        for batch_size in (0, -3):
+            for batcher in (make_batches, pair_batches):
+                with pytest.raises(DataError, match="batch_size must be >= 1"):
+                    batcher(enc, batch_size, 0)
+            with pytest.raises(DataError, match="batch_size must be >= 1"):
+                ordered_batches(enc, batch_size)
 
 
 class TestPairing:

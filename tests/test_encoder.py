@@ -411,6 +411,17 @@ class TestParamLayout:
         assert np.array_equal(p.flat, before)
         assert q.flat[q.layout["dense_w"][0]] == 7.0
 
+    def test_tensors_cannot_be_rebound(self):
+        """Rebinding a name would detach it from ``flat``; only in-place writes are allowed."""
+        p = init_params(small_config(), 4, seed=53)
+        with pytest.raises(TypeError):
+            p.tensors["dense_w"] = np.zeros_like(p["dense_w"])
+        with pytest.raises(TypeError):
+            del p.tensors["dense_w"]
+        p.tensors["dense_w"][:] = 2.0
+        start, stop, _ = p.layout["dense_w"]
+        assert np.all(p.flat[start:stop] == 2.0)
+
     def test_astype_keeps_layout(self):
         """Perturbing a float64 copy's tensor in place moves its flat buffer,
         which is what the gradient check's probes rely on."""

@@ -52,6 +52,18 @@ class TestConfusion:
         with pytest.raises(ValueError, match="length mismatch"):
             confusion([1], [1, 2], 2)
 
+    def test_float_ids_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="predicted ids must be integers"):
+            confusion([1.5], [1], 2)
+        with pytest.raises(ValueError, match="gold ids must be integers"):
+            confusion(np.array([1, 2]), np.array([1.0, 2.0]), 2)
+
+    def test_numpy_int_arrays_accepted(self):
+        for dtype in (np.int32, np.int64, np.uint8):
+            counts = confusion(np.array([1, 2, 2, 3], dtype), np.array([1, 1, 2, 3], dtype), 3)
+            assert counts.tp == [1, 1, 1] and counts.fp == [0, 1, 0] and counts.fn == [1, 0, 0]
+            assert all(type(c) is int for c in counts.tp + counts.fp + counts.fn)
+
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             confusion([3], [1], 2)

@@ -417,6 +417,24 @@ class TestPretrain:
         with pytest.raises(DataError, match="outside 1"):
             pretrain(params, train_enc, val_enc, TrainConfig(max_epochs=1))
 
+    def test_variant_flags_do_not_change_pretraining(self):
+        """The acceptance grid shares one pretraining run across variants."""
+        vocab, train_enc, val_enc = separable_sets()
+        params = init_params(separable_encoder(vocab), 3, seed=4)
+        runs = [
+            pretrain(params, train_enc, val_enc, TrainConfig(batch_size=8, max_epochs=2, seed=4, **flags))
+            for flags in (
+                {},
+                {"use_soft_labels": False},
+                {"use_additive_noise": False},
+                {"use_multiplicative_noise": False},
+            )
+        ]
+        (ref, ref_log), others = runs[0], runs[1:]
+        for best, log in others:
+            assert np.array_equal(best.flat, ref.flat)
+            assert log.records == ref_log.records
+
 
 class TestTrainOpen:
     def short_cfg(self, seed=0, **kw):
