@@ -10,14 +10,18 @@ masks, and element-wise noise is injected:
     noisy = (1 + delta_mul * xi_mul) * mixed + delta_add * xi_add
 
 with xi_mul and xi_add i.i.d. standard normal, drawn in that order and
-always drawn even when a delta is zero, so RNG consumption does not
-depend on the noise settings. Padded positions are re-zeroed afterward.
-Noise draws act as constants for gradient purposes.
+always drawn even when a delta is zero. Each field is drawn at
+(B, max_len, H) and its first T positions are used, T being the width of
+the batch, so RNG consumption depends neither on the noise settings nor
+on the batch width, and token position t always gets the same draw.
+Padded positions are re-zeroed afterward. Noise draws act as constants
+for gradient purposes.
 
 :class:`NoisyMixupPass` records a whole open-training step as one pass:
 the soft-target rows and both pair halves share the encoder up to block
 rl as one stacked batch, and the soft rows and the noisy mixed rows share
-the rest of it (the manifold mixup cut of Verma et al., ICML 2019).
+the rest of it (the manifold mixup cut of Verma et al., ICML 2019). The
+stacked batch is as wide as the widest of its three parts.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Batch, PairedBatch
+from .corpus import PAD_ID, Batch, PairedBatch
 from .encoder import (
     FRESH,
     EncoderParams,
@@ -103,26 +107,30 @@ def inject_noise(
     delta_add: float,
     delta_mul: float,
     ws: Workspace = FRESH,
+    max_len: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiplicative-then-additive Gaussian noise, re-zeroed off-mask.
 
     Returns the noisy state and the multiplicative factor (1 + delta_mul
     * xi_mul), which is the local derivative of the output with respect
-    to the mixed input. Both draws are float64, made in one buffer, and
-    are rounded to the state's dtype before they are scaled.
+    to the mixed input. Both draws are float64, made in one buffer of
+    shape (B, max_len, H) whose first T positions are used (max_len
+    defaults to the state's width T), and are rounded to the state's
+    dtype before they are scaled.
     """
     shape, dt = mixed.shape, mixed.dtype
-    xi = ws.take("mix.xi", shape, np.float64)
+    n, t, hd = shape
+    xi = ws.take("mix.xi", (n, t if max_len is None else max_len, hd), np.float64)
     scale = ws.take("mix.scale", shape, dt)
-    scale[...] = rng.standard_normal(out=xi)  # xi_mul
+    scale[...] = rng.standard_normal(out=xi)[:, :t]  # xi_mul
     scale *= delta_mul
     scale += 1.0
     add = ws.take("tmp", shape, dt)
-    add[...] = rng.standard_normal(out=xi)  # xi_add
+    add[...] = rng.standard_normal(out=xi)[:, :t]  # xi_add
     add *= delta_add
     noisy = np.multiply(scale, mixed, out=ws.take("mix.noisy", shape, dt))
     noisy += add
-    noisy *= mask[:, :, None].astype(dt)
+    noisy *= mask[:, :, None].astype(dt, copy=False)
     return noisy, scale
 
 
@@ -130,9 +138,10 @@ class NoisyMixupPass:
     """The one recorded pass of an open-training step.
 
     The soft-target batch and both halves of the pair run through the
-    embeddings and blocks 1..layer as one stacked batch. The pair halves
-    are then mixed and noised, and the soft rows and the noisy rows resume
-    together through the remaining blocks, pooling, dense layer and head.
+    embeddings and blocks 1..layer as one stacked batch, PAD-filled to the
+    width of the widest of the three. The pair halves are then mixed and
+    noised, and the soft rows and the noisy rows resume together through
+    the remaining blocks, pooling, dense layer and head.
     ``soft_logits`` and ``logits`` are the two halves of that head output.
     The pass's arrays live in ``ws``: pass the stage's workspace so that
     every step reuses one set of buffers.
@@ -164,20 +173,27 @@ class NoisyMixupPass:
         parts = (batch, pair.first, pair.second)
         b = self.soft_rows = len(batch)
         n = len(pair.first)
-        t = batch.tokens.shape[1]
-        tokens = np.concatenate(
-            [part.tokens for part in parts], out=ws.take("mix.tokens", (b + 2 * n, t), batch.tokens.dtype)
-        )
-        mask = np.concatenate([part.mask for part in parts]).astype(p["token_embedding"].dtype)
+        rows = b + 2 * n
+        t = max(part.tokens.shape[1] for part in parts)
+        tokens = ws.take("mix.tokens", (rows, t), batch.tokens.dtype)
+        tokens.fill(PAD_ID)
+        mask = ws.take("mix.mask", (rows, t), p["token_embedding"].dtype)
+        mask.fill(0)
+        for start, part in zip((0, b, b + n), parts):
+            width = part.tokens.shape[1]
+            tokens[start : start + len(part), :width] = part.tokens
+            mask[start : start + len(part), :width] = part.mask
         self.to_cache: dict = {}
         h = run_to_layer(p, tokens, mask, self.layer, cache=self.to_cache, ws=ws)
         mixed, self.union = mixup(h[b : b + n], mask[b : b + n], h[b + n :], mask[b + n :], self.lam, ws)
-        noisy, self.scale = inject_noise(mixed, self.union, rng, mix_cfg.delta_add, mix_cfg.delta_mul, ws)
+        noisy, self.scale = inject_noise(
+            mixed, self.union, rng, mix_cfg.delta_add, mix_cfg.delta_mul, ws, max_len=p.cfg.max_len
+        )
         self.from_cache: dict = {}
         self.e = run_from_layer(
             p,
             np.concatenate([h[:b], noisy], out=ws.take("mix.h", (b + n,) + h.shape[1:], h.dtype)),
-            np.concatenate([mask[:b], self.union]),
+            np.concatenate([mask[:b], self.union], out=ws.take("mix.from_mask", (b + n, t), mask.dtype)),
             self.layer,
             cache=self.from_cache,
             ws=ws,

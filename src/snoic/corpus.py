@@ -289,8 +289,8 @@ def subsample_labeled(ds: Dataset, ratio: float, seed: int) -> Dataset:
 class EncodedDataset:
     """Token matrix form of a ClassDataset, ready for batching."""
 
-    tokens: np.ndarray  # (N, max_len) int32
-    lengths: np.ndarray  # (N,) int32
+    tokens: np.ndarray  # (N, max_len) int32, PAD_ID after each row's length
+    lengths: np.ndarray  # (N,) int32, real tokens per row (CLS included)
     class_ids: np.ndarray  # (N,) int32
 
     def __len__(self) -> int:
@@ -315,8 +315,14 @@ def encode_dataset(cds: ClassDataset, vocab: Vocab, max_len: int) -> EncodedData
 
 @dataclass
 class Batch:
-    tokens: np.ndarray  # (B, max_len) int32
-    mask: np.ndarray  # (B, max_len) float32 in {0, 1}
+    """Rows of an encoded dataset, T columns wide.
+
+    Batches cut by this module are exactly as wide as their longest row
+    (T <= max_len), so no column is padding in every row.
+    """
+
+    tokens: np.ndarray  # (B, T) int32
+    mask: np.ndarray  # (B, T) float32 in {0, 1}
     labels: np.ndarray  # (B,) int32, class ids 1..M+1
 
     def __len__(self) -> int:
@@ -337,11 +343,12 @@ class PairedBatch:
             raise PairingError("paired batches collide on at least one position")
 
 
-def _lengths_to_mask(lengths: np.ndarray, max_len: int) -> np.ndarray:
-    return (np.arange(max_len)[None, :] < lengths[:, None]).astype(np.float32)
+def _lengths_to_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    return (np.arange(width)[None, :] < lengths[:, None]).astype(np.float32)
 
 
 def _slice_batches(enc: EncodedDataset, order: np.ndarray, batch_size: int) -> list[Batch]:
+    """Cut the rows of ``order`` into batches, each trimmed to its longest row."""
     if len(enc) == 0:
         raise DataError("cannot batch an empty dataset")
     if batch_size < 1:
@@ -349,11 +356,13 @@ def _slice_batches(enc: EncodedDataset, order: np.ndarray, batch_size: int) -> l
     batches = []
     for start in range(0, len(enc), batch_size):
         idx = order[start : start + batch_size]
+        lengths = enc.lengths[idx]
+        width = int(lengths.max())
         batches.append(
             Batch(
-                tokens=enc.tokens[idx].copy(),
-                mask=_lengths_to_mask(enc.lengths[idx], enc.max_len),
-                labels=enc.class_ids[idx].copy(),
+                tokens=enc.tokens[idx, :width],
+                mask=_lengths_to_mask(lengths, width),
+                labels=enc.class_ids[idx],
             )
         )
     return batches

@@ -265,11 +265,17 @@ class Grads(dict):
         self.flat = ws.take("grads", p.flat.shape, p.flat.dtype)
         self.flat.fill(0)
 
-    def add(self, name: str, value: np.ndarray) -> None:
+    def view(self, name: str) -> np.ndarray:
+        """The named view of ``flat``, for a backward that writes into it
+        in place; from then on the mapping holds it."""
         view = self.get(name)
         if view is None:
             start, stop, shape = self.layout[name]
             view = self[name] = self.flat[start:stop].reshape(shape)
+        return view
+
+    def add(self, name: str, value: np.ndarray) -> None:
+        view = self.view(name)
         view += value
 
 
@@ -296,12 +302,9 @@ def _embed_backward(
 ) -> None:
     t = tokens.shape[1]
     dh = np.multiply(dh, mask[:, :, None], out=ws.take("dh", dh.shape, dh.dtype))
-    dtok = np.zeros_like(p["token_embedding"])
-    np.add.at(dtok, tokens.reshape(-1), dh.reshape(-1, dh.shape[-1]))
-    grads.add("token_embedding", dtok)
-    dpos = np.zeros_like(p["position_embedding"])
-    dpos[:t] = dh.sum(axis=0)
-    grads.add("position_embedding", dpos)
+    np.add.at(grads.view("token_embedding"), tokens.reshape(-1), dh.reshape(-1, dh.shape[-1]))
+    dpos = grads.view("position_embedding")[:t]
+    dpos += dh.sum(axis=0)
 
 
 def _subcache(cache: dict | None, key: str | int) -> dict | None:
@@ -545,7 +548,7 @@ def run_to_layer(
     """Embeddings plus blocks 1..rl; rl=0 is the embedding stage alone."""
     if not 0 <= rl <= p.cfg.num_layers:
         raise DataError(f"resume layer {rl} out of range 0..{p.cfg.num_layers}")
-    mask = mask.astype(p["token_embedding"].dtype)
+    mask = mask.astype(p["token_embedding"].dtype, copy=False)
     h = _embed_forward(p, tokens, mask, ws)
     if cache is not None:
         cache.update(tokens=tokens, mask=mask, stop=rl)
@@ -574,7 +577,7 @@ def run_from_layer(
     """Blocks start+1..L, masked mean pooling, then the ReLU dense layer."""
     if not 0 <= start <= p.cfg.num_layers:
         raise DataError(f"resume layer {start} out of range 0..{p.cfg.num_layers}")
-    mask = mask.astype(h.dtype)
+    mask = mask.astype(h.dtype, copy=False)
     if cache is not None:
         cache["start"] = start
     blocks = _subcache(cache, "blocks")

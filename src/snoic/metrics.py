@@ -78,13 +78,23 @@ def precision_recall(counts: ConfusionCounts, class_id: int) -> tuple[float, flo
     return precision, recall
 
 
+def _f1(precision: float, recall: float) -> float:
+    return 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+
+
 def f1_score(counts: ConfusionCounts, class_id: int) -> float:
-    p, r = precision_recall(counts, class_id)
-    return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
+    return _f1(*precision_recall(counts, class_id))
 
 
 def accuracy(counts: ConfusionCounts) -> float:
     return sum(counts.tp) / counts.total if counts.total > 0 else 0.0
+
+
+def _known_count(counts: ConfusionCounts) -> int:
+    m = counts.num_classes - 1
+    if m < 1:
+        raise ValueError("need at least one known class")
+    return m
 
 
 def f1_all(counts: ConfusionCounts) -> float:
@@ -95,9 +105,7 @@ def f1_all(counts: ConfusionCounts) -> float:
 
 def f1_known(counts: ConfusionCounts) -> float:
     """Unweighted mean F1 over the M known classes (1..M)."""
-    m = counts.num_classes - 1
-    if m < 1:
-        raise ValueError("need at least one known class")
+    m = _known_count(counts)
     return sum(f1_score(counts, c) for c in range(1, m + 1)) / m
 
 
@@ -107,18 +115,21 @@ def f1_open(counts: ConfusionCounts) -> float:
 
 
 def evaluate(preds: Sequence[int], golds: Sequence[int], num_classes: int) -> MetricsReport:
-    """Full metrics report over predictions against golds."""
+    """Full metrics report; each class's F1 is computed once and the macro
+    figures are the sums ``f1_all``, ``f1_known`` and ``f1_open`` take."""
     counts = confusion(preds, golds, num_classes)
+    m = _known_count(counts)
     per_class = []
     for c in range(1, num_classes + 1):
         p, r = precision_recall(counts, c)
-        per_class.append({"class": c, "precision": p, "recall": r, "f1": f1_score(counts, c)})
+        per_class.append({"class": c, "precision": p, "recall": r, "f1": _f1(p, r)})
+    f1s = [row["f1"] for row in per_class]
     return MetricsReport(
         accuracy=accuracy(counts),
-        f1_all=f1_all(counts),
-        f1_known=f1_known(counts),
-        f1_open=f1_open(counts),
+        f1_all=sum(f1s) / num_classes,
+        f1_known=sum(f1s[:m]) / m,
+        f1_open=f1s[m],
         per_class=per_class,
-        M=num_classes - 1,
+        M=m,
         count=counts.total,
     )

@@ -11,6 +11,7 @@ from snoic.augment import (
     sample_lambda,
     select_mix_layer,
 )
+from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import (
     Grads,
     Workspace,
@@ -393,3 +394,55 @@ class TestWorkspaceReuse:
             assert set(got) == set(want) == set(p.names())
             for name in p.names():
                 assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name
+
+
+def cut(batch, width):
+    """The batch with its columns from ``width`` on dropped."""
+    return Batch(tokens=batch.tokens[:, :width], mask=batch.mask[:, :width], labels=batch.labels)
+
+
+def ragged_batch(seed, longest, size=4):
+    """A max_len-wide tiny batch whose longest row has ``longest`` tokens."""
+    batch = tiny_batch(seed, size=size)
+    batch.mask[:, longest:] = 0.0
+    batch.mask[0, :longest] = 1.0
+    batch.tokens[:, 0] = 2
+    batch.tokens[batch.mask == 0] = 0
+    batch.tokens[0, 1:longest] = 3
+    return batch
+
+
+class TestRaggedWidths:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
+    @pytest.mark.parametrize("widths", [(3, 5, 4), (5, 2, 3), (2, 4, 6)])
+    def test_parts_of_different_widths_match_max_len(self, widths, attention, dtype):
+        """Soft batch and pair halves cut to three widths give the logits,
+        gradients and RNG state of the same rows padded to max_len."""
+        p = tiny_params(attention, seed=6, dtype=dtype)
+        soft, first, second = (ragged_batch(70 + k, w) for k, w in enumerate(widths))
+        second.labels = (first.labels % p.M + 1).astype(np.int32)
+        ragged = (cut(soft, widths[0]), PairedBatch(cut(first, widths[1]), cut(second, widths[2])))
+        full = (soft, PairedBatch(first=first, second=second))
+        cfg = MixupConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
+        rng = np.random.default_rng(9)
+        dsoft = rng.standard_normal((len(soft), p.M + 1)).astype(dtype)
+        dmix = rng.standard_normal((len(first), p.M + 1)).astype(dtype)
+        runs = []
+        for batch, pair in (ragged, full):
+            rng = np.random.default_rng(71)
+            mix = NoisyMixupPass(p, batch, pair, cfg, rng, Workspace())
+            grads = mix.backward(dsoft, dmix)
+            runs.append((mix, {n: grads[n].copy() for n in grads}, rng.bit_generator.state))
+        (got, got_grads, got_state), (want, want_grads, want_state) = runs
+        assert got_state == want_state
+        assert (got.layer, got.lam) == (want.layer, want.lam)
+
+        def rel_err(a, b):
+            return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+        assert rel_err(got.soft_logits, want.soft_logits) <= 1e-5
+        assert rel_err(got.logits, want.logits) <= 1e-5
+        assert set(got_grads) == set(want_grads) == set(p.names())
+        for name in p.names():
+            assert rel_err(got_grads[name], want_grads[name]) <= 1e-5, name

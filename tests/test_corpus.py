@@ -367,6 +367,19 @@ def encoded_toy(num_classes=5, per_class=8, max_len=8):
     return encode_dataset(cds, vocab, max_len)
 
 
+def ragged_encoded(max_len=8):
+    """Three intents whose texts run from 1 to 9 words, the longest
+    truncated to max_len."""
+    examples = [
+        LabeledExample(text=" ".join(f"w{c}{k}" for k in range((3 * j + c) % 9 + 1)), label=f"class{c}")
+        for j in range(7)
+        for c in range(3)
+    ]
+    ds = Dataset(examples=examples)
+    spec = SplitSpec(seed=0, r=0.5, known_classes=ds.label_set, open_classes=[])
+    return encode_dataset(apply_split(ds, spec, "train"), build_vocab(ds), max_len)
+
+
 class TestBatching:
     def test_encode_dataset_shapes(self):
         enc = encoded_toy()
@@ -417,10 +430,32 @@ class TestBatching:
         assert sorted(labels.tolist()) == sorted(enc.class_ids.tolist())
 
     def test_ordered_batches_preserve_order(self):
-        enc = encoded_toy()
-        batches = ordered_batches(enc, 6)
-        tokens = np.concatenate([b.tokens for b in batches])
-        assert np.array_equal(tokens, enc.tokens)
+        """Batches hold the rows in dataset order, cut to their own width;
+        every column a batch drops is PAD in all of its rows."""
+        enc = ragged_encoded()
+        start = 0
+        for batch in ordered_batches(enc, 6):
+            rows = slice(start, start + len(batch))
+            width = batch.tokens.shape[1]
+            assert np.array_equal(batch.tokens, enc.tokens[rows, :width])
+            assert np.all(enc.tokens[rows, width:] == PAD_ID)
+            start += len(batch)
+        assert start == len(enc)
+
+    def test_every_batch_is_as_wide_as_its_longest_row(self):
+        enc = ragged_encoded()
+        assert len(np.unique(enc.lengths)) > 3 and enc.lengths.max() == enc.max_len
+        batches = ordered_batches(enc, 5) + make_batches(enc, 5, seed=1, epoch=2)
+        for pair in pair_batches(enc, 5, seed=3, epoch=1):
+            batches += [pair.first, pair.second]
+        widths = set()
+        for batch in batches:
+            lengths = batch.mask.sum(axis=1).astype(int)
+            assert batch.tokens.shape == batch.mask.shape == (len(batch), lengths.max())
+            assert batch.mask.dtype == np.float32
+            assert np.all((batch.tokens != PAD_ID).sum(axis=1) == lengths)
+            widths.add(batch.tokens.shape[1])
+        assert len(widths) > 1
 
     def test_empty_dataset_rejected(self):
         enc = encoded_toy()

@@ -319,6 +319,25 @@ class TestUntapedPass:
             assert h.tobytes() == h_before
             assert batch.mask.tobytes() == mask.tobytes()
 
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_trimmed_batch_matches_full_width(self, attention):
+        """A batch cut to its longest row, as the corpus batches are, gives
+        the representations and logits of the same rows at max_len."""
+        cfg = EncoderConfig(vocab_size=40, attention=attention, **DEFAULT_SHAPE)
+        p = init_params(cfg, 4, seed=37)
+        rng = np.random.default_rng(38)
+        lengths = rng.integers(2, 11, size=32)
+        full = Batch(
+            tokens=rng.integers(3, cfg.vocab_size, size=(32, cfg.max_len)).astype(np.int32),
+            mask=(np.arange(cfg.max_len)[None, :] < lengths[:, None]).astype(np.float32),
+            labels=np.ones(32, dtype=np.int32),
+        )
+        full.tokens[full.mask == 0] = 0
+        width = lengths.max()
+        trimmed = Batch(tokens=full.tokens[:, :width], mask=full.mask[:, :width], labels=full.labels)
+        for got, want in zip(forward(p, trimmed), forward(p, full)):
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
     def test_default_shape_peak_memory(self):
         """One 128-row default-shape pass allocates at most 8 MB at a time;
         with every block cache built and dropped it took over 30 MB."""
@@ -446,6 +465,15 @@ class TestGradsContainer:
         assert set(g) == {"w"}
         assert np.shares_memory(g["w"], g.flat)
         assert np.array_equal(g.flat, [1.5, 2.5, 0.0, 0.0, 0.0])
+
+    def test_view_is_the_named_range_of_the_buffer(self):
+        p = EncoderParams(small_config(), 1, {"w": np.ones(2), "b": np.ones((3, 1))})
+        g = Grads(p)
+        view = g.view("b")
+        view[1, 0] = 4.0
+        g.add("b", np.ones((3, 1)))
+        assert g.view("b") is view and set(g) == {"b"}
+        assert np.array_equal(g.flat, [0.0, 0.0, 1.0, 5.0, 1.0])
 
     def test_workspace_buffer_is_zeroed_for_each_pass(self):
         p = EncoderParams(small_config(), 1, {"w": np.ones(2), "b": np.ones(3)})
