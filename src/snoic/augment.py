@@ -34,7 +34,6 @@ from .corpus import PAD_ID, Batch, PairedBatch
 from .encoder import (
     FRESH,
     EncoderParams,
-    Grads,
     Workspace,
     backward_to_layer,
     backward_from_layer,
@@ -144,7 +143,8 @@ class NoisyMixupPass:
     the remaining blocks, pooling, dense layer and head.
     ``soft_logits`` and ``logits`` are the two halves of that head output.
     The pass's arrays live in ``ws``: pass the stage's workspace so that
-    every step reuses one set of buffers.
+    every step reuses one set of buffers; as a ``TapedForward``'s, its
+    backward raises TrainingError once another pass is recorded there.
 
     Draw order per step: mix layer, lambda (two gammas), xi_mul, xi_add.
     backward(dsoft, dmix) runs one reverse pass; at the cut it scales the
@@ -163,6 +163,7 @@ class NoisyMixupPass:
     ):
         self.p = p
         self.ws = ws
+        self.generation = ws.record()
         low, high = mix_cfg.layer_range or (1, p.cfg.num_layers)
         if high > p.cfg.num_layers:
             raise DataError(
@@ -201,8 +202,8 @@ class NoisyMixupPass:
         logits = head_logits(p, self.e)
         self.soft_logits, self.logits = logits[:b], logits[b:]
 
-    def backward(self, dsoft: np.ndarray, dmix: np.ndarray) -> Grads:
-        grads = Grads(self.p, self.ws)
+    def backward(self, dsoft: np.ndarray, dmix: np.ndarray) -> EncoderParams:
+        grads = self.ws.grads(self.p, self.generation)
         de = head_backward(self.p, self.e, np.concatenate([dsoft, dmix]), grads)
         dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
         b = self.soft_rows

@@ -28,40 +28,41 @@ math is dtype-generic; training runs in float32 while gradient checks
 rerun the same code in float64.
 
 Every per-token array a pass writes comes from its :class:`Workspace`
-through ``out=``, and so does the gradient buffer; per-row vectors and
-each parameter gradient's product are allocated per pass. A training
-stage creates one workspace and records each step's tape into it, so the
-tape, the backward gradients and the scratch arrays reuse the same
-buffers step after step instead of being allocated, freed and faulted
-back in. The default, :data:`FRESH`, hands out new arrays,
-which is what untaped passes use.
+through ``out=``, and so does the gradient buffer; per-row vectors are
+allocated per pass. A training stage creates one workspace and records
+each step's tape into it, so the tape, the backward gradients and the
+scratch arrays reuse the same buffers step after step instead of being
+allocated, freed and faulted back in. The default, :data:`FRESH`, hands
+out new arrays, which is what untaped passes use.
 
 Parameters live in one flat, C-contiguous buffer: :class:`EncoderParams`
 keys reshaped views into it by name, back to back in canonical
 :func:`param_spec` order, which is also the checkpoint layout, so a
-checkpoint is that buffer written out. A backward pass accumulates into a
-:class:`Grads` buffer laid out the same way, taken from the pass's
-workspace, so the optimizer updates every parameter with a handful of
-whole-buffer operations.
+checkpoint is that buffer written out. Gradients are an
+:class:`EncoderParams` of the same layout over the workspace's gradient
+buffer. A pass gives every parameter exactly one contribution, which its
+backward block writes straight into the parameter's gradient view.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
 
 import numpy as np
 
 from .corpus import Batch
-from .errors import CheckpointError, DataError
+from .errors import CheckpointError, DataError, TrainingError
 from .losses import softmax
 
 LN_EPS = 1e-5
 ATTN_MASK_VALUE = -1e9
 
 CHECKPOINT_DTYPE = np.dtype("<f4")
+_CONFIG_MINIMUM = {"vocab_size": 3, "max_len": 2}  # least EncoderConfig values; 1 for other integers
 
 
 @dataclass
@@ -75,21 +76,20 @@ class EncoderConfig:
     attention: bool = True
 
     def __post_init__(self):
-        if self.vocab_size < 3:
-            raise DataError(f"vocab_size must be >= 3, got {self.vocab_size}")
-        if self.num_layers < 1:
-            raise DataError(f"num_layers must be >= 1, got {self.num_layers}")
-        for name in ("hidden", "ffn", "dim"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_len < 2:
-            raise DataError(f"max_len must be >= 2, got {self.max_len}")
+        for f in fields(self):
+            value, is_flag, low = getattr(self, f.name), f.type == "bool", _CONFIG_MINIMUM.get(f.name, 1)
+            if isinstance(value, bool) != is_flag or not isinstance(value, numbers.Integral):
+                raise DataError(f"{f.name} must be {'true or false' if is_flag else 'an integer'}, got {value!r}")
+            if not is_flag and value < low:
+                raise DataError(f"{f.name} must be >= {low}, got {value}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EncoderConfig":
+        if not isinstance(obj, dict):
+            raise DataError(f"encoder config must be an object, got {obj!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
         if extra:
@@ -102,8 +102,8 @@ class EncoderConfig:
 
 def param_spec(cfg: EncoderConfig, M: int) -> list[tuple[str, tuple[int, ...], str]]:
     """Canonical (name, shape, kind) listing; kind is weight, bias, or gain."""
-    if M < 1:
-        raise DataError(f"M must be >= 1, got {M}")
+    if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
+        raise DataError(f"M must be an integer >= 1, got {M!r}")
     h, f, d = cfg.hidden, cfg.ffn, cfg.dim
     spec: list[tuple[str, tuple[int, ...], str]] = [
         ("token_embedding", (cfg.vocab_size, h), "weight"),
@@ -159,7 +159,8 @@ class EncoderParams:
     order of ``tensors`` (param_spec order for every model built here);
     ``layout`` maps each name to its (start, stop, shape) in it. The
     constructor packs the arrays it is given into a new buffer of their
-    common dtype. ``tensors`` is a read-only mapping, so a tensor can
+    common dtype; :meth:`with_flat` lays them over another buffer, as
+    gradients are. ``tensors`` is a read-only mapping, so a tensor can
     only be written in place and never detached from ``flat``.
     """
 
@@ -182,14 +183,15 @@ class EncoderParams:
         """Name of the tensor that holds entry ``index`` of ``flat``."""
         return next(name for name, (start, stop, _) in self.layout.items() if start <= index < stop)
 
-    def _with_flat(self, flat: np.ndarray) -> "EncoderParams":
+    def with_flat(self, flat: np.ndarray) -> "EncoderParams":
+        """The same layout over ``flat``, which is used as is, not copied."""
         return EncoderParams.__new__(EncoderParams)._bind(self.cfg, self.M, flat, self.layout)
 
     def copy(self) -> "EncoderParams":
-        return self._with_flat(self.flat.copy())
+        return self.with_flat(self.flat.copy())
 
     def astype(self, dtype) -> "EncoderParams":
-        return self._with_flat(self.flat.astype(dtype))
+        return self.with_flat(self.flat.astype(dtype))
 
 
 def init_params(cfg: EncoderConfig, M: int, seed: int) -> EncoderParams:
@@ -227,6 +229,23 @@ class Workspace:
     def __init__(self):
         self._views: dict = {}
         self._flat: dict = {}
+        self._grads: EncoderParams | None = None
+        self.generation = 0
+
+    def record(self) -> int:
+        """Start recording a pass; returns its generation, the count of passes so far."""
+        self.generation += 1
+        return self.generation
+
+    def grads(self, p: EncoderParams, generation: int) -> EncoderParams:
+        """``p``'s layout over the "grads" buffer, its views built once, for
+        the backward of pass ``generation``; raises if a later pass was recorded."""
+        if generation != self.generation:
+            raise TrainingError(f"stale tape: pass {generation} of its workspace was followed by {self.generation}")
+        flat = self.take("grads", p.flat.shape, p.flat.dtype)
+        if self._grads is None or self._grads.flat is not flat or self._grads.layout is not p.layout:
+            self._grads = p.with_flat(flat)
+        return self._grads
 
     def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
         view = self._views.get(key)
@@ -240,43 +259,17 @@ class Workspace:
 
 
 class _FreshArrays(Workspace):
-    """The workspace of a pass that keeps nothing between passes."""
+    """The workspace of passes that share no array, so no tape goes stale."""
 
     def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
         return np.empty(shape, dtype)
 
+    def grads(self, p: EncoderParams, generation: int) -> EncoderParams:
+        return p.with_flat(np.empty_like(p.flat))
+
 
 FRESH = _FreshArrays()
 """Default workspace: every array a pass asks for is a new one."""
-
-
-class Grads(dict):
-    """Parameter gradients in one zeroed buffer laid out like ``p.flat``.
-
-    ``flat`` is taken from ``ws`` under "grads". ``add`` sums a
-    contribution into the named view of it in place; the mapping holds the
-    views of the names that received one, and every other parameter's
-    range stays exactly zero.
-    """
-
-    def __init__(self, p: EncoderParams, ws: Workspace = FRESH):
-        super().__init__()
-        self.layout = p.layout
-        self.flat = ws.take("grads", p.flat.shape, p.flat.dtype)
-        self.flat.fill(0)
-
-    def view(self, name: str) -> np.ndarray:
-        """The named view of ``flat``, for a backward that writes into it
-        in place; from then on the mapping holds it."""
-        view = self.get(name)
-        if view is None:
-            start, stop, shape = self.layout[name]
-            view = self[name] = self.flat[start:stop].reshape(shape)
-        return view
-
-    def add(self, name: str, value: np.ndarray) -> None:
-        view = self.view(name)
-        view += value
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +291,15 @@ def _embed_forward(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, ws: W
 
 
 def _embed_backward(
-    p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, dh: np.ndarray, grads: Grads, ws: Workspace
+    p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, dh: np.ndarray, grads: EncoderParams, ws: Workspace
 ) -> None:
     t = tokens.shape[1]
     dh = np.multiply(dh, mask[:, :, None], out=ws.take("dh", dh.shape, dh.dtype))
-    np.add.at(grads.view("token_embedding"), tokens.reshape(-1), dh.reshape(-1, dh.shape[-1]))
-    dpos = grads.view("position_embedding")[:t]
-    dpos += dh.sum(axis=0)
+    dtok, dpos = grads["token_embedding"], grads["position_embedding"]
+    dtok.fill(0)  # with the position rows past t, the only ranges a backward zeroes
+    np.add.at(dtok, tokens.reshape(-1), dh.reshape(-1, dh.shape[-1]))
+    np.sum(dh, axis=0, out=dpos[:t])
+    dpos[t:] = 0
 
 
 def _subcache(cache: dict | None, key: str | int) -> dict | None:
@@ -335,13 +330,14 @@ def _layernorm_forward(
 
 
 def _layernorm_backward(
-    dy: np.ndarray, cache: dict, gain: np.ndarray, ws: Workspace
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Overwrites ``dy`` with the input gradient it returns."""
+    dy: np.ndarray, cache: dict, gain: np.ndarray, dgain: np.ndarray, dbias: np.ndarray, ws: Workspace
+) -> np.ndarray:
+    """Writes the gain and bias gradients into ``dgain`` and ``dbias`` and
+    overwrites ``dy`` with the input gradient it returns."""
     xhat, inv = cache["xhat"], cache["inv"]
     tmp = np.multiply(dy, xhat, out=ws.take("tmp", dy.shape, dy.dtype))
-    dgain = tmp.sum(axis=(0, 1))
-    dbias = dy.sum(axis=(0, 1))
+    np.sum(tmp, axis=(0, 1), out=dgain)
+    np.sum(dy, axis=(0, 1), out=dbias)
     h = dy.shape[-1]
     dxhat = np.multiply(dy, gain, out=dy)
     m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
@@ -351,7 +347,7 @@ def _layernorm_backward(
     # inv * (dxhat - m1 - xhat * m2), in that order
     dx = np.subtract(dxhat, m1, out=dxhat)
     dx -= np.multiply(xhat, m2, out=tmp)
-    return np.multiply(inv, dx, out=dx), dgain, dbias
+    return np.multiply(inv, dx, out=dx)
 
 
 def _attention_forward(
@@ -379,7 +375,7 @@ def _attention_forward(
 
 
 def _attention_backward(
-    p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: Grads, ws: Workspace
+    p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: EncoderParams, ws: Workspace
 ) -> np.ndarray:
     pre = f"layers.{i}."
     h, q, k, v, att, ctx, scale = (
@@ -387,7 +383,7 @@ def _attention_backward(
     )
     shape, dt = h.shape, h.dtype
     hd = shape[-1]
-    grads.add(pre + "attn_out", ctx.reshape(-1, hd).T @ dout.reshape(-1, hd))
+    np.matmul(ctx.reshape(-1, hd).T, dout.reshape(-1, hd), out=grads[pre + "attn_out"])
     dctx = np.matmul(dout, p[pre + "attn_out"].T, out=ws.take("attn.dctx", shape, dt))
     datt = np.matmul(dctx, v.swapaxes(1, 2), out=ws.take("attn.datt", att.shape, dt))
     dv = np.matmul(att.swapaxes(1, 2), dctx, out=ws.take("attn.dv", shape, dt))
@@ -398,10 +394,8 @@ def _attention_backward(
     dq *= scale
     dk = np.matmul(dscores.swapaxes(1, 2), q, out=ws.take("tmp", shape, dt))
     dk *= scale
-    h2 = h.reshape(-1, hd)
-    grads.add(pre + "attn_q", h2.T @ dq.reshape(-1, hd))
-    grads.add(pre + "attn_k", h2.T @ dk.reshape(-1, hd))
-    grads.add(pre + "attn_v", h2.T @ dv.reshape(-1, hd))
+    for name, d in (("attn_q", dq), ("attn_k", dk), ("attn_v", dv)):
+        np.matmul(h.reshape(-1, hd).T, d.reshape(-1, hd), out=grads[pre + name])
     # dq @ Wq.T + dk @ Wk.T + dv @ Wv.T, the last two products going through dq's storage
     dx = np.matmul(dq, p[pre + "attn_q"].T, out=ws.take("dx", shape, dt))
     dx += np.matmul(dk, p[pre + "attn_k"].T, out=dq)
@@ -423,18 +417,18 @@ def _ffn_forward(p: EncoderParams, i: int, x: np.ndarray, cache: dict | None, ws
 
 
 def _ffn_backward(
-    p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: Grads, ws: Workspace
+    p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: EncoderParams, ws: Workspace
 ) -> np.ndarray:
     pre = f"layers.{i}."
     x, r = cache["x"], cache["r"]
     fd = r.shape[-1]
     hd = x.shape[-1]
-    grads.add(pre + "ffn_w2", r.reshape(-1, fd).T @ dout.reshape(-1, hd))
-    grads.add(pre + "ffn_b2", dout.sum(axis=(0, 1)))
+    np.matmul(r.reshape(-1, fd).T, dout.reshape(-1, hd), out=grads[pre + "ffn_w2"])
+    np.sum(dout, axis=(0, 1), out=grads[pre + "ffn_b2"])
     du = np.matmul(dout, p[pre + "ffn_w2"].T, out=ws.take("ffn.du", r.shape, r.dtype))
     du *= np.greater(r, 0, out=ws.take("ffn.on", r.shape, bool))
-    grads.add(pre + "ffn_w1", x.reshape(-1, hd).T @ du.reshape(-1, fd))
-    grads.add(pre + "ffn_b1", du.sum(axis=(0, 1)))
+    np.matmul(x.reshape(-1, hd).T, du.reshape(-1, fd), out=grads[pre + "ffn_w1"])
+    np.sum(du, axis=(0, 1), out=grads[pre + "ffn_b1"])
     return np.matmul(du, p[pre + "ffn_w1"].T, out=ws.take("dx", x.shape, x.dtype))
 
 
@@ -468,22 +462,23 @@ def _block_forward(
 
 
 def _block_backward(
-    p: EncoderParams, block: int, cache: dict, dh_out: np.ndarray, grads: Grads, ws: Workspace
+    p: EncoderParams, block: int, cache: dict, dh_out: np.ndarray, grads: EncoderParams, ws: Workspace
 ) -> np.ndarray:
     """Reverse of one block. ``dh_out`` is only read before the gradient
     that flows on is written; the result lives in the workspace's "dh"."""
     i = block - 1
+    pre = f"layers.{i}."
     mask = cache["mask"]
     dn2 = np.multiply(dh_out, mask[:, :, None], out=ws.take("dh", dh_out.shape, dh_out.dtype))
-    ds2, dg2, db2 = _layernorm_backward(dn2, cache["ln2"], p[f"layers.{i}.norm2_gain"], ws)
-    grads.add(f"layers.{i}.norm2_gain", dg2)
-    grads.add(f"layers.{i}.norm2_bias", db2)
+    ds2 = _layernorm_backward(
+        dn2, cache["ln2"], p[pre + "norm2_gain"], grads[pre + "norm2_gain"], grads[pre + "norm2_bias"], ws
+    )
     dn1 = np.add(ds2, _ffn_backward(p, i, cache["ffn"], ds2, grads, ws), out=ds2)
     if not p.cfg.attention:
         return dn1
-    ds1, dg1, db1 = _layernorm_backward(dn1, cache["ln1"], p[f"layers.{i}.norm1_gain"], ws)
-    grads.add(f"layers.{i}.norm1_gain", dg1)
-    grads.add(f"layers.{i}.norm1_bias", db1)
+    ds1 = _layernorm_backward(
+        dn1, cache["ln1"], p[pre + "norm1_gain"], grads[pre + "norm1_gain"], grads[pre + "norm1_bias"], ws
+    )
     return np.add(ds1, _attention_backward(p, i, cache["attn"], ds1, grads, ws), out=ds1)
 
 
@@ -515,10 +510,10 @@ def _dense_forward(p: EncoderParams, x: np.ndarray, cache: dict | None) -> np.nd
     return e
 
 
-def _dense_backward(p: EncoderParams, cache: dict, de: np.ndarray, grads: Grads) -> np.ndarray:
+def _dense_backward(p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams) -> np.ndarray:
     du = de * (cache["e"] > 0)
-    grads.add("dense_w", cache["x"].T @ du)
-    grads.add("dense_b", du.sum(axis=0))
+    np.matmul(cache["x"].T, du, out=grads["dense_w"])
+    np.sum(du, axis=0, out=grads["dense_b"])
     return du @ p["dense_w"].T
 
 
@@ -527,9 +522,9 @@ def head_logits(p: EncoderParams, e: np.ndarray) -> np.ndarray:
     return e @ p["head_w"] + p["head_b"]
 
 
-def head_backward(p: EncoderParams, e: np.ndarray, dlogits: np.ndarray, grads: Grads) -> np.ndarray:
-    grads.add("head_w", e.T @ dlogits)
-    grads.add("head_b", dlogits.sum(axis=0))
+def head_backward(p: EncoderParams, e: np.ndarray, dlogits: np.ndarray, grads: EncoderParams) -> np.ndarray:
+    np.matmul(e.T, dlogits, out=grads["head_w"])
+    np.sum(dlogits, axis=0, out=grads["head_b"])
     return dlogits @ p["head_w"].T
 
 
@@ -559,7 +554,7 @@ def run_to_layer(
 
 
 def backward_to_layer(
-    p: EncoderParams, cache: dict, dh: np.ndarray, grads: Grads, ws: Workspace = FRESH
+    p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
 ) -> None:
     for b in range(cache["stop"], 0, -1):
         dh = _block_backward(p, b, cache["blocks"][b], dh, grads, ws)
@@ -588,7 +583,7 @@ def run_from_layer(
 
 
 def backward_from_layer(
-    p: EncoderParams, cache: dict, de: np.ndarray, grads: Grads, ws: Workspace = FRESH
+    p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
 ) -> np.ndarray:
     """Reverse of run_from_layer; returns the gradient at the cut point."""
     dx = _dense_backward(p, cache["dense"], de, grads)
@@ -613,20 +608,22 @@ class TapedForward:
     """One recorded full pass; backward(dlogits) yields all parameter grads.
 
     The tape's arrays live in ``ws``: pass the stage's workspace so that
-    every step reuses one set of buffers.
+    every step reuses one set of buffers. backward raises TrainingError
+    once another pass is recorded there; until then it may run again.
     """
 
     def __init__(self, p: EncoderParams, batch: Batch, ws: Workspace = FRESH):
         self.p = p
         self.ws = ws
+        self.generation = ws.record()
         self.to_cache: dict = {}
         self.from_cache: dict = {}
         h = run_to_layer(p, batch.tokens, batch.mask, 0, cache=self.to_cache, ws=ws)
         self.e = run_from_layer(p, h, batch.mask, 0, cache=self.from_cache, ws=ws)
         self.logits = head_logits(p, self.e)
 
-    def backward(self, dlogits: np.ndarray) -> Grads:
-        grads = Grads(self.p, self.ws)
+    def backward(self, dlogits: np.ndarray) -> EncoderParams:
+        grads = self.ws.grads(self.p, self.generation)
         de = head_backward(self.p, self.e, dlogits, grads)
         dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
         backward_to_layer(self.p, self.to_cache, dh, grads, self.ws)
@@ -667,8 +664,11 @@ def load_checkpoint(path: str) -> EncoderParams:
             raise CheckpointError(f"{path}: header missing {key!r}")
     if header["dtype"] != "f32":
         raise CheckpointError(f"{path}: unsupported dtype {header['dtype']!r}")
-    cfg = EncoderConfig.from_dict(header["config"])
-    expected = param_spec(cfg, header["M"])
+    try:
+        cfg = EncoderConfig.from_dict(header["config"])
+        expected = param_spec(cfg, header["M"])
+    except DataError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     names = [n for n, _, _ in expected]
     shapes = [list(s) for _, s, _ in expected]
     if header["names"] != names or header["shapes"] != shapes:

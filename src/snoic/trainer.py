@@ -14,13 +14,11 @@ the best parameters under early stopping (a non-improving epoch bumps a
 counter; any strict improvement resets it).
 
 Each step records one taped pass, runs its backward and takes one Adam
-step. A stage keeps one encoder ``Workspace`` for all its steps: the
-tape of a step is written over the previous step's, and so is its
-gradient buffer, so after the first steps a step allocates only per-row
-vectors and each parameter gradient's product before it is summed into
-that buffer. Parameters, gradients and the Adam moments share one flat
-layout (``EncoderParams.flat``), so the optimizer step is a handful of
-whole-buffer operations written through preallocated scratch, plus one
+step. A stage keeps one encoder ``Workspace``, so a step writes its tape
+and gradients over the last step's and, once warmed up, allocates only
+per-row vectors. Parameters, gradients and the Adam moments share one
+flat layout (``EncoderParams.flat``), so the optimizer step is a handful
+of whole-buffer operations through preallocated scratch, plus one
 weight-decay update per run of adjacent matrices.
 
 All randomness flows from one master seed through fixed purpose streams,
@@ -39,7 +37,7 @@ import numpy as np
 
 from .augment import MixupConfig, NoisyMixupPass
 from .corpus import EncodedDataset, Vocab, make_batches, ordered_batches, pair_batches
-from .encoder import EncoderParams, Grads, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
+from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, PairingError, TrainingError
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
 
@@ -153,17 +151,17 @@ class OptimizerState:
 
 def optimizer_step(
     params: EncoderParams,
-    grads: Grads,
+    grads: EncoderParams,
     state: OptimizerState,
     lr: float,
     weight_decay: float,
 ) -> None:
     """One bias-corrected Adam step with decoupled decay on matrices.
 
-    Every parameter advances its moments each step; a parameter without a
-    gradient contributes zero. Biases and normalization parameters are
-    exempt from weight decay. A non-finite gradient raises before anything
-    is updated.
+    ``grads`` has the layout of ``params``. Every parameter advances its
+    moments each step, even on a zero gradient. Biases and normalization
+    parameters are exempt from weight decay. A non-finite gradient raises
+    before anything is updated.
     """
     g = grads.flat
     finite = np.isfinite(g, out=state.finite)

@@ -78,8 +78,7 @@ def max_rel_err(p, value_fn, grads, n_coords, seed, eps=1e-5):
         f_minus = value_fn(p)
         t[idx] = orig
         fd = (f_plus - f_minus) / (2.0 * eps)
-        g = grads.get(name)
-        an = 0.0 if g is None else float(g[idx])
+        an = float(grads[name][idx])
         denom = max(abs(fd), abs(an))
         if denom < SMALL_GRAD:
             err = 0.0 if abs(fd - an) <= SMALL_ABS_TOL else abs(fd - an) / SMALL_GRAD

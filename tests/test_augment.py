@@ -13,7 +13,6 @@ from snoic.augment import (
 )
 from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import (
-    Grads,
     Workspace,
     backward_from_layer,
     backward_to_layer,
@@ -232,13 +231,19 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     """The stacked pass rebuilt from one encoder pass per row group.
 
     Returns (soft logits, mixed logits, grads); each parameter's gradient
-    is accumulated over the soft, first-half and second-half segments.
+    is summed over the soft, first-half and second-half segments. A
+    backward overwrites the ranges it reaches, so each segment writes into
+    a zeroed buffer of its own and the buffers are added up at the end.
     """
     rng = np.random.default_rng(seed)
     rl = select_mix_layer(rng, 1, p.cfg.num_layers)
     lam = sample_lambda(rng, cfg.alpha)
     dtype = p["token_embedding"].dtype
-    grads = Grads(p)
+    segments = []
+
+    def segment_grads():
+        segments.append(p.with_flat(np.zeros_like(p.flat)))
+        return segments[-1]
 
     def to_layer(b):
         mask = b.mask.astype(dtype)
@@ -248,6 +253,7 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     def from_layer(h, mask, dlogits):
         cache = {}
         e = run_from_layer(p, h, mask, rl, cache=cache)
+        grads = segment_grads()
         de = head_backward(p, e, dlogits, grads)
         return head_logits(p, e), backward_from_layer(p, cache, de, grads)
 
@@ -255,14 +261,14 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     h1, m1, c1 = to_layer(pair.first)
     h2, m2, c2 = to_layer(pair.second)
     soft_logits, dhs = from_layer(hs, ms, dsoft)
-    backward_to_layer(p, cs, dhs, grads)
+    backward_to_layer(p, cs, dhs, segment_grads())
     mixed, union = mixup(h1, m1, h2, m2, lam)
     noisy, scale = inject_noise(mixed, union, rng, cfg.delta_add, cfg.delta_mul)
     mix_logits, dh = from_layer(noisy, union, dmix)
     dmixed = dh * union[:, :, None] * scale
-    backward_to_layer(p, c1, lam * dmixed, grads)
-    backward_to_layer(p, c2, (1.0 - lam) * dmixed, grads)
-    return soft_logits, mix_logits, grads
+    backward_to_layer(p, c1, lam * dmixed, segment_grads())
+    backward_to_layer(p, c2, (1.0 - lam) * dmixed, segment_grads())
+    return soft_logits, mix_logits, p.with_flat(sum(g.flat for g in segments))
 
 
 class TestNoisyMixupPass:
@@ -338,8 +344,8 @@ class TestNoisyMixupPass:
         pair = tiny_pair(12)
         mix = NoisyMixupPass(p, batch, pair, MixupConfig(), np.random.default_rng(5))
         grads = mix.backward(np.ones_like(mix.soft_logits), np.ones_like(mix.logits))
-        assert set(grads) == set(p.names())
-        assert all(np.isfinite(grads[n]).all() for n in grads)
+        assert grads.layout == p.layout
+        assert np.isfinite(grads.flat).all()
 
     @pytest.mark.parametrize("dtype, rel_tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
     @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
@@ -363,7 +369,7 @@ class TestNoisyMixupPass:
 
         assert rel_err(mix.soft_logits, soft_ref) <= rel_tol
         assert rel_err(mix.logits, mix_ref) <= rel_tol
-        assert set(grads) == set(grads_ref) == set(p.names())
+        assert grads.layout == grads_ref.layout == p.layout
         for name in p.names():
             assert rel_err(grads[name], grads_ref[name]) <= rel_tol, name
 
@@ -391,7 +397,7 @@ class TestWorkspaceReuse:
             dsoft = rng.standard_normal(fresh.soft_logits.shape).astype(dtype)
             dmix = rng.standard_normal(fresh.logits.shape).astype(dtype)
             want, got = fresh.backward(dsoft, dmix), reused.backward(dsoft, dmix)
-            assert set(got) == set(want) == set(p.names())
+            assert got.layout == want.layout == p.layout
             for name in p.names():
                 assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name
 
@@ -433,7 +439,7 @@ class TestRaggedWidths:
             rng = np.random.default_rng(71)
             mix = NoisyMixupPass(p, batch, pair, cfg, rng, Workspace())
             grads = mix.backward(dsoft, dmix)
-            runs.append((mix, {n: grads[n].copy() for n in grads}, rng.bit_generator.state))
+            runs.append((mix, grads.copy(), rng.bit_generator.state))
         (got, got_grads, got_state), (want, want_grads, want_state) = runs
         assert got_state == want_state
         assert (got.layer, got.lam) == (want.layer, want.lam)
@@ -443,6 +449,5 @@ class TestRaggedWidths:
 
         assert rel_err(got.soft_logits, want.soft_logits) <= 1e-5
         assert rel_err(got.logits, want.logits) <= 1e-5
-        assert set(got_grads) == set(want_grads) == set(p.names())
         for name in p.names():
             assert rel_err(got_grads[name], want_grads[name]) <= 1e-5, name

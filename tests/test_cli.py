@@ -325,6 +325,23 @@ class TestEvalCommand:
         assert main(args) == 1
         assert "vocabulary" in capsys.readouterr().err
 
+    def test_wrongly_typed_checkpoint_header_exits_1(self, cli_env, pipeline, tmp_path, capsys):
+        broken = str(tmp_path / "broken_model")
+        shutil.copytree(pipeline.open, broken)
+        ckpt = os.path.join(broken, "model.ckpt")
+        with open(ckpt, "rb") as f:
+            header, payload = f.read().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["config"]["hidden"] = str(doc["config"]["hidden"])
+        with open(ckpt, "wb") as f:
+            f.write(json.dumps(doc).encode() + b"\n" + payload)
+        args = [
+            "eval", "--model", broken, "--split", pipeline.split,
+            "--test", cli_env.paths["test"], "--out", str(tmp_path / "x.json"),
+        ]
+        assert main(args) == 1
+        assert f"error: {ckpt}: hidden must be an integer" in capsys.readouterr().err
+
 
     def test_malformed_split_file_exits_1(self, cli_env, pipeline, tmp_path, capsys):
         bad = tmp_path / "split.json"

@@ -2,17 +2,19 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from snoic.corpus import Batch
+from snoic.augment import MixupConfig, NoisyMixupPass
+from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import (
+    FRESH,
     LN_EPS,
     EncoderConfig,
     EncoderParams,
-    Grads,
     TapedForward,
     Workspace,
     forward,
@@ -24,7 +26,8 @@ from snoic.encoder import (
     run_to_layer,
     save_checkpoint,
 )
-from snoic.errors import CheckpointError, DataError
+from snoic.errors import CheckpointError, DataError, TrainingError
+from gradcheck import tiny_batch, tiny_pair, tiny_params
 
 
 def small_config(attention=True, **overrides):
@@ -115,6 +118,11 @@ class TestInit:
             EncoderConfig(vocab_size=10, num_layers=0)
         with pytest.raises(DataError):
             EncoderConfig(vocab_size=10, max_len=1)
+
+    @pytest.mark.parametrize("key, value", [("hidden", "4"), ("hidden", 4.0), ("ffn", True), ("attention", 1)])
+    def test_config_rejects_wrong_types(self, key, value):
+        with pytest.raises(DataError, match=key):
+            EncoderConfig(vocab_size=10, **{key: value})
 
     def test_config_dict_round_trip(self):
         cfg = small_config(attention=False)
@@ -370,7 +378,7 @@ class TestWorkspace:
             assert np.array_equal(reused.logits, fresh.logits)
             dlogits = np.random.default_rng(seed).standard_normal(fresh.logits.shape).astype(dtype)
             want, got = fresh.backward(dlogits), reused.backward(dlogits)
-            assert set(got) == set(want) == set(p.names())
+            assert got.layout == want.layout == p.layout
             for name in p.names():
                 assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name
 
@@ -455,41 +463,76 @@ class TestParamLayout:
         assert shift[start + 1] == 0.5 and np.count_nonzero(shift) == 1
 
 
-class TestGradsContainer:
-    def test_add_accumulates(self):
-        p = EncoderParams(small_config(), 1, {"w": np.ones(2), "b": np.ones(3)})
-        g = Grads(p)
-        g.add("w", np.array([1.0, 2.0]))
-        g.add("w", np.array([0.5, 0.5]))
-        assert np.array_equal(g["w"], [1.5, 2.5])
-        assert set(g) == {"w"}
-        assert np.shares_memory(g["w"], g.flat)
-        assert np.array_equal(g.flat, [1.5, 2.5, 0.0, 0.0, 0.0])
+def narrow(batch, width=4):
+    """The batch's first ``width`` columns, fewer than the tiny max_len."""
+    return Batch(tokens=batch.tokens[:, :width], mask=batch.mask[:, :width], labels=batch.labels)
 
-    def test_view_is_the_named_range_of_the_buffer(self):
-        p = EncoderParams(small_config(), 1, {"w": np.ones(2), "b": np.ones((3, 1))})
-        g = Grads(p)
-        view = g.view("b")
-        view[1, 0] = 4.0
-        g.add("b", np.ones((3, 1)))
-        assert g.view("b") is view and set(g) == {"b"}
-        assert np.array_equal(g.flat, [0.0, 0.0, 1.0, 5.0, 1.0])
 
-    def test_workspace_buffer_is_zeroed_for_each_pass(self):
-        p = EncoderParams(small_config(), 1, {"w": np.ones(2), "b": np.ones(3)})
+def record_pass(kind, p, seed, ws=FRESH):
+    """Record one narrow pass into ``ws``; returns a function that runs its
+    backward with unit output gradients."""
+    batch = narrow(tiny_batch(seed))
+    if kind == "taped":
+        tape = TapedForward(p, batch, ws)
+        return lambda: tape.backward(np.ones_like(tape.logits))
+    layer = 1 if kind == "mix-first" else p.cfg.num_layers
+    pair = tiny_pair(seed + 1)
+    pair = PairedBatch(first=narrow(pair.first), second=narrow(pair.second))
+    cfg = MixupConfig(layer_range=(layer, layer))
+    mix = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(seed), ws)
+    return lambda: mix.backward(np.ones_like(mix.soft_logits), np.ones_like(mix.logits))
+
+
+PASS_KINDS = ["taped", "mix-first", "mix-last"]
+
+
+class TestGradientBuffer:
+    """A backward's gradients: ``p``'s layout over the workspace's gradient
+    buffer, every range of which the backward writes."""
+
+    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
+    @pytest.mark.parametrize("kind", PASS_KINDS)
+    def test_every_range_is_written(self, kind, attention):
+        """A NaN-filled buffer comes back finite and equal to the first run,
+        down to the position rows past the batch width."""
+        p = tiny_params(attention, seed=7)
+        backward = record_pass(kind, p, 80, Workspace())
+        first = backward().copy()
+        backward().flat.fill(np.nan)
+        grads = backward()
+        assert grads.layout == p.layout
+        assert np.isfinite(grads.flat).all()
+        assert np.array_equal(grads.flat, first.flat)
+        assert np.all(grads["position_embedding"][4:] == 0.0)
+
+    def test_views_are_built_once_per_workspace(self):
+        p = tiny_params(True, seed=7)
         ws = Workspace()
-        first = Grads(p, ws)
-        first.add("b", np.ones(3))
-        second = Grads(p, ws)
-        assert second.flat is first.flat and not second.flat.any()
+        got = [record_pass(kind, p, 81 + k, ws)() for k, kind in enumerate(PASS_KINDS)]
+        assert got[0] is got[1] is got[2]
+        assert all(np.shares_memory(got[0][n], got[0].flat) for n in p.names())
 
-    def test_taped_backward_covers_every_parameter(self):
-        cfg = small_config()
-        p = init_params(cfg, 4, seed=23)
-        batch = random_batch(cfg, 24)
-        tape = TapedForward(p, batch)
-        grads = tape.backward(np.ones_like(tape.logits))
-        assert set(grads) == set(p.names())
+    @pytest.mark.parametrize("kind", PASS_KINDS)
+    @pytest.mark.parametrize("stale_kind", PASS_KINDS)
+    def test_stale_tape_raises(self, stale_kind, kind):
+        """Recording a pass overwrites the tape of the one before it in the
+        same workspace; its backward raises instead of returning wrong
+        gradients, and the newest tape's backward may run again."""
+        p = tiny_params(True, seed=7)
+        ws = Workspace()
+        stale = record_pass(stale_kind, p, 84, ws)
+        newest = record_pass(kind, p, 85, ws)
+        with pytest.raises(TrainingError, match="stale tape"):
+            stale()
+        want = newest().copy()
+        assert np.array_equal(newest().flat, want.flat)
+
+    def test_fresh_tapes_never_go_stale(self):
+        p = tiny_params(True, seed=7)
+        first = record_pass("taped", p, 86)
+        want = first().copy()
+        record_pass("mix-last", p, 87)()
+        assert np.array_equal(first().flat, want.flat)
 
 
 class TestCheckpoint:
@@ -584,6 +627,24 @@ class TestCheckpoint:
         save_checkpoint(p, path)
         with pytest.raises(CheckpointError, match="non-finite values in tensor 'dense_w'"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, retype",
+        [("hidden", str), ("hidden", float), ("num_layers", bool), ("attention", int),
+         ("M", str), ("M", float), ("M", bool), ("config", list)],
+    )
+    def test_wrongly_typed_header_value_names_the_file(self, tmp_path, key, retype):
+        """Each value is rewritten as an equal one of another type (True for
+        the values 1), which fits the saved shapes."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(small_config(num_layers=1), 1, seed=0), str(path))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        section = doc if key in doc else doc["config"]
+        section[key] = retype(section[key])
+        path.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(str(path))
 
     def test_round_trip_is_byte_equal(self, tmp_path):
         p = self.make()

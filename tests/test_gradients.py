@@ -5,7 +5,6 @@ import pytest
 
 from snoic.augment import inject_noise, mixup
 from snoic.encoder import (
-    Grads,
     TapedForward,
     backward_from_layer,
     head_backward,
@@ -87,7 +86,7 @@ def test_cut_point_gradients_split_by_mixing_weight(attention):
     cache = {}
     e = run_from_layer(p, noisy, union, rl, cache=cache)
     _, dlogits = mixup_loss(head_logits(p, e))
-    grads = Grads(p)
+    grads = p.with_flat(np.empty_like(p.flat))
     de = head_backward(p, e, dlogits, grads)
     dh = backward_from_layer(p, cache, de, grads)
     dmixed = dh * union[:, :, None] * scale

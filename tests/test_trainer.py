@@ -20,7 +20,7 @@ from snoic.corpus import (
     build_vocab,
     encode_dataset,
 )
-from snoic.encoder import EncoderConfig, EncoderParams, Grads, TapedForward, Workspace, init_params
+from snoic.encoder import EncoderConfig, EncoderParams, TapedForward, Workspace, init_params
 from snoic.errors import ConfigError, DataError, PairingError, TrainingError
 from snoic.losses import kl_loss, mixup_loss, pretrain_loss, soft_targets
 from snoic.trainer import (
@@ -162,9 +162,10 @@ DEFAULT_SHAPE = dict(hidden=64, num_layers=4, ffn=128, dim=64, max_len=32)
 
 
 def grads_of(p, **values):
-    grads = Grads(p)
+    """Gradients laid out like ``p``: the given tensors, zero elsewhere."""
+    grads = p.with_flat(np.zeros_like(p.flat))
     for name, value in values.items():
-        grads.add(name, value)
+        grads.tensors[name][...] = value
     return grads
 
 
@@ -215,7 +216,7 @@ class TestOptimizerStep:
         p.tensors["layers.0.norm2_gain"][:] = 1.3
         before_w = p["layers.0.ffn_w1"].copy()
         state = OptimizerState.for_params(p)
-        optimizer_step(p, Grads(p), state, lr=0.1, weight_decay=0.01)
+        optimizer_step(p, grads_of(p), state, lr=0.1, weight_decay=0.01)
         assert np.allclose(p["layers.0.ffn_w1"], before_w * (1.0 - 0.1 * 0.01), atol=1e-9)
         assert np.all(p.tensors["layers.0.ffn_b2"] == 0.7)
         assert np.all(p.tensors["layers.0.norm2_gain"] == 1.3)
@@ -223,7 +224,7 @@ class TestOptimizerStep:
     def test_missing_gradients_leave_params_still(self):
         p = self.single_param(2.0)
         state = OptimizerState.for_params(p)
-        optimizer_step(p, Grads(p), state, lr=0.5, weight_decay=0.0)
+        optimizer_step(p, grads_of(p), state, lr=0.5, weight_decay=0.0)
         assert p["w"][0, 0] == 2.0
         assert state.step == 1
 
@@ -237,8 +238,8 @@ class TestOptimizerStep:
         p = init_params(EncoderConfig(vocab_size=6, **BENCH_SHAPE), 3, seed=1)
         state = OptimizerState.for_params(p)
         grads = grads_of(p, dense_b=np.ones(p["dense_b"].shape))
-        grads.add("layers.1.ffn_w2", np.full(p["layers.1.ffn_w2"].shape, np.nan))
-        grads.add("head_w", np.full(p["head_w"].shape, np.inf))
+        grads.tensors["layers.1.ffn_w2"][...] = np.nan
+        grads.tensors["head_w"][...] = np.inf
         before = p.flat.copy()
         with pytest.raises(TrainingError, match="'layers.1.ffn_w2'"):
             optimizer_step(p, grads, state, lr=0.1, weight_decay=0.01)
@@ -491,7 +492,7 @@ class TestTrainOpen:
         real = trainer_mod.optimizer_step
 
         def spy(params, grads, state, lr, weight_decay):
-            mismatched.extend(n for n, g in grads.items() if g.dtype != params[n].dtype)
+            mismatched.extend(n for n, g in grads.tensors.items() if g.dtype != params[n].dtype)
             return real(params, grads, state, lr, weight_decay)
 
         monkeypatch.setattr(trainer_mod, "optimizer_step", spy)
@@ -571,32 +572,38 @@ class TestLogAndModelIo:
         assert (tmp_path / "m" / "train_log.jsonl").exists()
 
 
+FULL_WIDTHS = (32, 32, 32, 32)
+RAGGED_WIDTHS = (8, 9, 10, 7)
+
+
 class TestStepMemory:
     """At the README default shape a warmed-up step takes its tape, scratch
-    arrays and gradient buffer from the stage's workspace and updates the
-    optimizer state in place: what it allocates anew is its per-row vectors
-    and each parameter gradient's product before it is summed into the
-    buffer (about 0.14 MB pretraining, 0.24 MB open; 0.23 and 0.35 MB when
-    the embedding backward filled zeroed tables of its own, 1.15 and
-    1.24 MB with a fresh gradient dict and the per-tensor Adam loop).
-    Without a workspace one pretrain step allocates about 13 MB and one
-    open step 32-41 MB."""
+    arrays and gradient buffer from the stage's workspace, writes every
+    parameter gradient straight into that buffer and updates the optimizer
+    state in place: what it allocates anew is its per-row vectors and the
+    tape's dicts. It does so whether its batches are max_len wide or, as
+    real batches are, 7 to 10 columns wide and of another width each step
+    (of each widths tuple the last is the measured step's, the others warm
+    the workspace up). Without a workspace one pretrain step allocates about
+    13 MB and one open step 32-41 MB."""
 
     SHAPE = dict(hidden=64, num_layers=4, ffn=128, dim=64, max_len=32)
     M = 4
 
-    def batch(self, seed, size=32):
+    def batch(self, seed, size=32, width=32):
+        """A batch as the corpus cuts it: ``width`` columns, the longest row
+        ``width`` tokens long."""
         rng = np.random.default_rng(seed)
-        t = self.SHAPE["max_len"]
-        lengths = rng.integers(2, t + 1, size=size)
-        tokens = rng.integers(3, 500, size=(size, t)).astype(np.int32)
-        mask = (np.arange(t)[None, :] < lengths[:, None]).astype(np.float32)
+        lengths = rng.integers(2, width + 1, size=size)
+        lengths[0] = width
+        tokens = rng.integers(3, 500, size=(size, width)).astype(np.int32)
+        mask = (np.arange(width)[None, :] < lengths[:, None]).astype(np.float32)
         tokens *= mask.astype(np.int32)
         labels = rng.integers(1, self.M + 1, size=size).astype(np.int32)
         return Batch(tokens=tokens, mask=mask, labels=labels)
 
-    def pair(self, seed, size=32):
-        first, second = self.batch(seed, size), self.batch(seed + 1, size)
+    def pair(self, seed, size=32, width=32):
+        first, second = self.batch(seed, size, width), self.batch(seed + 1, size, width)
         second.labels = (first.labels % self.M + 1).astype(np.int32)
         return PairedBatch(first=first, second=second)
 
@@ -612,7 +619,7 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
 
-    def test_pretrain_step(self):
+    def pretrain_peak(self, widths) -> int:
         params = self.params()
         opt = OptimizerState.for_params(params)
         ws = Workspace()
@@ -622,12 +629,12 @@ class TestStepMemory:
             _, dlogits = pretrain_loss(tape.logits, batch.labels, self.M)
             optimizer_step(params, tape.backward(dlogits), opt, 1e-3, 0.01)
 
-        for seed, size in ((1, 32), (2, 16), (3, 32)):
-            step(self.batch(seed, size))
-        batch = self.batch(4)
-        assert self.peak_bytes(lambda: step(batch)) <= 0.15e6
+        for seed, size, width in zip((1, 2, 3), (32, 16, 32), widths):
+            step(self.batch(seed, size, width))
+        batch = self.batch(4, width=widths[-1])
+        return self.peak_bytes(lambda: step(batch))
 
-    def test_open_step(self):
+    def open_peak(self, widths) -> int:
         params = self.params()
         opt = OptimizerState.for_params(params)
         ws = Workspace()
@@ -641,7 +648,19 @@ class TestStepMemory:
 
         # mixing at the last block first runs every block on all stacked rows
         depth = self.SHAPE["num_layers"]
-        for seed, size, layers in ((1, 32, (depth, depth)), (3, 16, (1, 1)), (5, 32, None)):
-            step(self.batch(seed, size), self.pair(seed + 10, size), MixupConfig(layer_range=layers))
-        batch, pair = self.batch(7), self.pair(17)
-        assert self.peak_bytes(lambda: step(batch, pair, MixupConfig())) <= 0.25e6
+        for seed, size, layers, width in zip((1, 3, 5), (32, 16, 32), ((depth, depth), (1, 1), None), widths):
+            step(self.batch(seed, size, width), self.pair(seed + 10, size, width), MixupConfig(layer_range=layers))
+        batch, pair = self.batch(7, width=widths[-1]), self.pair(17, width=widths[-1])
+        return self.peak_bytes(lambda: step(batch, pair, MixupConfig()))
+
+    def test_pretrain_step(self):
+        assert self.pretrain_peak(FULL_WIDTHS) <= 0.15e6
+
+    def test_pretrain_step_at_ragged_widths(self):
+        assert self.pretrain_peak(RAGGED_WIDTHS) <= 0.15e6
+
+    def test_open_step(self):
+        assert self.open_peak(FULL_WIDTHS) <= 0.25e6
+
+    def test_open_step_at_ragged_widths(self):
+        assert self.open_peak(RAGGED_WIDTHS) <= 0.25e6
