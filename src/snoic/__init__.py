@@ -9,7 +9,7 @@ workflow (split / pretrain / train / eval / report).
 
 __version__ = "0.1.0"
 
-from .augment import MixupConfig, inject_noise, mixup, sample_lambda, select_mix_layer
+from .augment import inject_noise, mixup, sample_lambda
 from .corpus import (
     Batch,
     Dataset,
@@ -57,11 +57,9 @@ from .trainer import (
 
 __all__ = [
     "__version__",
-    "MixupConfig",
     "inject_noise",
     "mixup",
     "sample_lambda",
-    "select_mix_layer",
     "Batch",
     "Dataset",
     "EncodedDataset",

@@ -15,7 +15,9 @@ always drawn even when a delta is zero. Each field is drawn at
 the batch, so RNG consumption depends neither on the noise settings nor
 on the batch width, and token position t always gets the same draw.
 Padded positions are re-zeroed afterward. Noise draws act as constants
-for gradient purposes.
+for gradient purposes. The paper's SNOiC-AN and SNOiC-MN ablations are
+delta_add = 0 and delta_mul = 0: the noise is still drawn, so an ablated
+run consumes the same stream as the full method.
 
 :class:`NoisyMixupPass` records a whole open-training step as one pass:
 the soft-target rows and both pair halves share the encoder up to block
@@ -26,7 +28,7 @@ stacked batch is as wide as the widest of its three parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,23 +46,8 @@ from .encoder import (
 )
 from .errors import DataError
 
-
-@dataclass
-class MixupConfig:
-    alpha: float = 2.0
-    delta_add: float = 0.4
-    delta_mul: float = 0.2
-    layer_range: tuple[int, int] | None = None  # defaults to all blocks 1..L
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise DataError(f"alpha must be positive, got {self.alpha}")
-        if self.delta_add < 0 or self.delta_mul < 0:
-            raise DataError("noise magnitudes must be non-negative")
-        if self.layer_range is not None:
-            low, high = self.layer_range
-            if not 1 <= low <= high:
-                raise DataError(f"invalid mix layer range {self.layer_range}")
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 
 def sample_lambda(rng: np.random.Generator, alpha: float) -> float:
@@ -73,13 +60,6 @@ def sample_lambda(rng: np.random.Generator, alpha: float) -> float:
     if total == 0.0:
         return 0.5
     return float(g1 / total)
-
-
-def select_mix_layer(rng: np.random.Generator, low: int, high: int) -> int:
-    """Uniform draw from blocks low..high inclusive."""
-    if not 1 <= low <= high:
-        raise DataError(f"invalid mix layer range ({low}, {high})")
-    return int(rng.integers(low, high + 1))
 
 
 def mixup(
@@ -146,7 +126,9 @@ class NoisyMixupPass:
     every step reuses one set of buffers; as a ``TapedForward``'s, its
     backward raises TrainingError once another pass is recorded there.
 
-    Draw order per step: mix layer, lambda (two gammas), xi_mul, xi_add.
+    ``cfg`` is the stage's TrainConfig, read for alpha, delta_add and
+    delta_mul. Draw order per step: mix layer (uniform over blocks 1..L),
+    lambda (two gammas), xi_mul, xi_add.
     backward(dsoft, dmix) runs one reverse pass; at the cut it scales the
     mixed rows' gradient by the noise factor and splits it between the
     pair halves by lam / (1 - lam).
@@ -157,20 +139,15 @@ class NoisyMixupPass:
         p: EncoderParams,
         batch: Batch,
         pair: PairedBatch,
-        mix_cfg: MixupConfig,
+        cfg: TrainConfig,
         rng: np.random.Generator,
         ws: Workspace = FRESH,
     ):
         self.p = p
         self.ws = ws
         self.generation = ws.record()
-        low, high = mix_cfg.layer_range or (1, p.cfg.num_layers)
-        if high > p.cfg.num_layers:
-            raise DataError(
-                f"mix layer range ({low}, {high}) exceeds encoder depth {p.cfg.num_layers}"
-            )
-        self.layer = select_mix_layer(rng, low, high)
-        self.lam = sample_lambda(rng, mix_cfg.alpha)
+        self.layer = int(rng.integers(1, p.cfg.num_layers + 1))
+        self.lam = sample_lambda(rng, cfg.alpha)
         parts = (batch, pair.first, pair.second)
         b = self.soft_rows = len(batch)
         n = len(pair.first)
@@ -188,7 +165,7 @@ class NoisyMixupPass:
         h = run_to_layer(p, tokens, mask, self.layer, cache=self.to_cache, ws=ws)
         mixed, self.union = mixup(h[b : b + n], mask[b : b + n], h[b + n :], mask[b + n :], self.lam, ws)
         noisy, self.scale = inject_noise(
-            mixed, self.union, rng, mix_cfg.delta_add, mix_cfg.delta_mul, ws, max_len=p.cfg.max_len
+            mixed, self.union, rng, cfg.delta_add, cfg.delta_mul, ws, max_len=p.cfg.max_len
         )
         self.from_cache: dict = {}
         self.e = run_from_layer(

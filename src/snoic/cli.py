@@ -5,6 +5,11 @@ vocabulary settings, encoder shape, training hyperparameters); unknown
 keys are rejected anywhere in the document so sweep typos fail loudly.
 The SNOIC_SEED environment variable overrides the configured seed.
 
+The paper's ablations are magnitudes at zero: each ``disable_*`` key of
+config.train, or ``--ablation`` toggle, sets rho (soft labeling),
+delta_add or delta_mul to 0, and a run's variant name (SNOiC, SNOiC-SL,
+SNOiC-AN, SNOiC-MN) follows which of the three is 0.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
 
@@ -24,6 +29,7 @@ from . import __version__
 from .corpus import (
     Dataset,
     SplitSpec,
+    _load_json,
     apply_split,
     build_vocab,
     encode_dataset,
@@ -32,7 +38,7 @@ from .corpus import (
     subsample_labeled,
 )
 from .encoder import EncoderConfig, init_params
-from .errors import CheckpointError, ConfigError, SnoicError
+from .errors import CheckpointError, ConfigError, DataError, SnoicError
 from .metrics import evaluate
 from .trainer import (
     Model,
@@ -46,11 +52,11 @@ from .trainer import (
     train_open,
 )
 
-# config.train ablation toggle -> the TrainConfig flag it clears
+# config.train ablation toggle -> the TrainConfig magnitude it sets to 0
 _ABLATION_FLAGS = {
-    "disable_soft_labeling": "use_soft_labels",
-    "disable_additive_noise": "use_additive_noise",
-    "disable_multiplicative_noise": "use_multiplicative_noise",
+    "disable_soft_labeling": "rho",
+    "disable_additive_noise": "delta_add",
+    "disable_multiplicative_noise": "delta_mul",
 }
 ABLATION_TOGGLES = tuple(_ABLATION_FLAGS)
 
@@ -59,8 +65,8 @@ _DATA_KEYS = {"train", "val", "test"}
 _VOCAB_KEYS = {"min_freq", "max_size"}
 # EncoderConfig fields set from config.encoder; the vocabulary size comes from the data
 _ENCODER_FIELDS = [f for f in fields(EncoderConfig) if f.name != "vocab_size"]
-# TrainConfig fields set from config.train; the seed and the ablation flags come from elsewhere
-_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name not in {"seed", *_ABLATION_FLAGS.values()}]
+# TrainConfig fields set from config.train; the seed comes from config.seed
+_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
 _TRAIN_KEYS = {f.name for f in _TRAIN_FIELDS} | set(ABLATION_TOGGLES)
 
 
@@ -180,6 +186,16 @@ def normalize_experiment_config(raw: dict) -> dict:
         raise ConfigError(
             f"config.labeled_data_ratio: must be in (0, 1], got {norm['labeled_data_ratio']}"
         )
+    # the bounds build_vocab and EncoderConfig hold, checked now so that a bad value is a
+    # configuration error; max_size, once build_vocab accepts it, is a valid vocab_size
+    try:
+        build_vocab(Dataset(examples=[]), **norm["vocab"])
+    except DataError as exc:
+        raise ConfigError(f"config.vocab.{exc}") from None
+    try:
+        EncoderConfig(vocab_size=norm["vocab"]["max_size"], **norm["encoder"])
+    except DataError as exc:
+        raise ConfigError(f"config.encoder.{exc}") from None
     return norm
 
 
@@ -201,24 +217,17 @@ def train_config_from(norm: dict, ablations: list[str] | None = None) -> TrainCo
             raise ConfigError(f"unknown ablation toggle {name!r}; choose from {list(ABLATION_TOGGLES)}")
         t[name] = True
     try:
-        return TrainConfig(
-            **{f.name: t[f.name] for f in _TRAIN_FIELDS},
-            seed=norm["seed"],
-            **{flag: not t[toggle] for toggle, flag in _ABLATION_FLAGS.items()},
-        )
+        values = {f.name: t[f.name] for f in _TRAIN_FIELDS}
+        values.update({magnitude: 0.0 for toggle, magnitude in _ABLATION_FLAGS.items() if t[toggle]})
+        return TrainConfig(**values, seed=norm["seed"])
     except KeyError as exc:
         raise ConfigError(f"config.train: missing {exc}") from None
 
 
 def variant_name(tc: TrainConfig) -> str:
-    parts = []
-    if not tc.use_soft_labels:
-        parts.append("SL")
-    if not tc.use_additive_noise:
-        parts.append("AN")
-    if not tc.use_multiplicative_noise:
-        parts.append("MN")
-    return "SNOiC" + "".join(f"-{p}" for p in parts)
+    """SNOiC, with -SL, -AN and -MN for each of rho, delta_add and delta_mul that is 0."""
+    suffixes = {"rho": "SL", "delta_add": "AN", "delta_mul": "MN"}
+    return "SNOiC" + "".join(f"-{suffix}" for name, suffix in suffixes.items() if getattr(tc, name) == 0.0)
 
 
 def _check_split_consistency(norm: dict, split: SplitSpec) -> None:
@@ -377,26 +386,28 @@ def cmd_eval(args) -> int:
     return 0
 
 
+_REPORT_METRICS = ("accuracy", "f1_all", "f1_known", "f1_open")
+
+
 def _report_rows(paths: list[str]) -> list[dict]:
     groups: dict[tuple, list[dict]] = {}
     for path in paths:
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                rep = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise SnoicError(f"{path}: not a run report: {exc}") from None
-        if "snoic" not in rep or "split" not in rep:
-            raise SnoicError(f"{path}: not a run report")
-        dataset = rep.get("dataset", "?")
-        r = rep["split"]["r"]
-        groups.setdefault((dataset, r, rep.get("variant", "SNOiC")), []).append(rep["snoic"])
-        groups.setdefault((dataset, r, f"threshold@{rep.get('threshold', 0.5)}"), []).append(
-            rep["baseline"]
-        )
+        rep = _load_json(path, "run report")
+        try:
+            r = float(rep["split"]["r"])
+            snoic, base = ({m: float(rep[side][m]) for m in _REPORT_METRICS} for side in ("snoic", "baseline"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: not a run report: {exc}") from None
+        # both are sort keys, so a value of another type would fail the sort
+        dataset, variant = rep.get("dataset", "?"), rep.get("variant", "SNOiC")
+        if not isinstance(dataset, str) or not isinstance(variant, str):
+            raise DataError(f"{path}: not a run report: dataset and variant must be strings")
+        groups.setdefault((dataset, r, variant), []).append(snoic)
+        groups.setdefault((dataset, r, f"threshold@{rep.get('threshold', 0.5)}"), []).append(base)
     rows = []
     for (dataset, r, variant), reps in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
         row = {"dataset": dataset, "r": r, "variant": variant, "runs": len(reps)}
-        for metric in ("accuracy", "f1_all", "f1_known", "f1_open"):
+        for metric in _REPORT_METRICS:
             mean = sum(rep[metric] for rep in reps) / len(reps)
             row[metric] = round(100.0 * mean, 2)
         rows.append(row)
@@ -408,7 +419,7 @@ def cmd_report(args) -> int:
     if not paths:
         raise SnoicError(f"no run reports match {args.inputs!r}")
     rows = _report_rows(paths)
-    fields = ["dataset", "r", "variant", "runs", "accuracy", "f1_all", "f1_known", "f1_open"]
+    fields = ["dataset", "r", "variant", "runs", *_REPORT_METRICS]
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     with open(csv_path, "w", encoding="utf-8", newline="") as f:

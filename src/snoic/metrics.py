@@ -82,10 +82,6 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
 
 
-def f1_score(counts: ConfusionCounts, class_id: int) -> float:
-    return _f1(*precision_recall(counts, class_id))
-
-
 def accuracy(counts: ConfusionCounts) -> float:
     return sum(counts.tp) / counts.total if counts.total > 0 else 0.0
 
@@ -97,26 +93,9 @@ def _known_count(counts: ConfusionCounts) -> int:
     return m
 
 
-def f1_all(counts: ConfusionCounts) -> float:
-    """Unweighted mean F1 over all M+1 classes."""
-    n = counts.num_classes
-    return sum(f1_score(counts, c) for c in range(1, n + 1)) / n
-
-
-def f1_known(counts: ConfusionCounts) -> float:
-    """Unweighted mean F1 over the M known classes (1..M)."""
-    m = _known_count(counts)
-    return sum(f1_score(counts, c) for c in range(1, m + 1)) / m
-
-
-def f1_open(counts: ConfusionCounts) -> float:
-    """F1 of the open class (id M+1) alone."""
-    return f1_score(counts, counts.num_classes)
-
-
 def evaluate(preds: Sequence[int], golds: Sequence[int], num_classes: int) -> MetricsReport:
-    """Full metrics report; each class's F1 is computed once and the macro
-    figures are the sums ``f1_all``, ``f1_known`` and ``f1_open`` take."""
+    """Full metrics report; each class's F1 is computed once, and the macro
+    figures ``f1_all``, ``f1_known`` and ``f1_open`` are taken from those."""
     counts = confusion(preds, golds, num_classes)
     m = _known_count(counts)
     per_class = []

@@ -9,9 +9,10 @@ the optimizer and minimizes
     + (1 - gamma) * open-class cross-entropy on noisy mixed pairs
 
 where the soft targets relocate probability rho from the gold class to
-the open class. Both stages validate with known-class accuracy and keep
-the best parameters under early stopping (a non-improving epoch bumps a
-counter; any strict improvement resets it).
+the open class; rho = 0 (one-hot targets) is the SNOiC-SL ablation.
+Both stages validate with known-class accuracy and keep the best
+parameters under early stopping (a non-improving epoch bumps a counter;
+any strict improvement resets it).
 
 Each step records one taped pass, runs its backward and takes one Adam
 step. A stage keeps one encoder ``Workspace``, so a step writes its tape
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .augment import MixupConfig, NoisyMixupPass
+from .augment import NoisyMixupPass
 from .corpus import EncodedDataset, Vocab, make_batches, ordered_batches, pair_batches
 from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, PairingError, TrainingError
@@ -76,9 +77,6 @@ class TrainConfig:
     delta_add: float = 0.4
     delta_mul: float = 0.2
     seed: int = 0
-    use_soft_labels: bool = True
-    use_additive_noise: bool = True
-    use_multiplicative_noise: bool = True
 
     def __post_init__(self):
         if self.lr < 0:
@@ -100,16 +98,6 @@ class TrainConfig:
             raise ConfigError("noise magnitudes must be non-negative")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    def mixup_config(self) -> MixupConfig:
-        return MixupConfig(
-            alpha=self.alpha,
-            delta_add=self.delta_add if self.use_additive_noise else 0.0,
-            delta_mul=self.delta_mul if self.use_multiplicative_noise else 0.0,
-        )
-
-    def effective_rho(self) -> float:
-        return self.rho if self.use_soft_labels else 0.0
 
 
 @dataclass
@@ -319,13 +307,11 @@ def train_open(
     shuffle_seed = _stream_seed(cfg.seed, _STREAM_OPEN_SHUFFLE)
     pair_seed = _stream_seed(cfg.seed, _STREAM_PAIRING)
     mix_rng = np.random.default_rng([cfg.seed, _STREAM_MIXING])
-    mix_cfg = cfg.mixup_config()
-    rho = cfg.effective_rho()
     ws = Workspace()
 
     def step(batch, pair, epoch: int) -> float:
-        mix_pass = NoisyMixupPass(params, batch, pair, mix_cfg, mix_rng, ws)
-        targets = soft_targets(batch.labels, params.M, rho)
+        mix_pass = NoisyMixupPass(params, batch, pair, cfg, mix_rng, ws)
+        targets = soft_targets(batch.labels, params.M, cfg.rho)
         kl_value, dkl = kl_loss(targets, mix_pass.soft_logits)
         open_value, dopen = mixup_loss(mix_pass.logits)
         gamma = cfg.gamma if cfg.gamma_mode == "fixed" else mix_pass.lam

@@ -27,12 +27,12 @@ from snoic.trainer import TrainConfig, TrainLog, batched_logits, open_prediction
 BENCH_SEEDS = (0, 1, 2)
 BENCH_R = 0.5
 
-# Variant name -> which mechanisms stay enabled.
+# Variant name -> the stage-two magnitude its ablation sets to 0.
 BENCH_VARIANTS = {
     "full": dict(),
-    "no_soft_labels": dict(use_soft_labels=False),
-    "no_additive_noise": dict(use_additive_noise=False),
-    "no_multiplicative_noise": dict(use_multiplicative_noise=False),
+    "no_soft_labels": dict(rho=0.0),
+    "no_additive_noise": dict(delta_add=0.0),
+    "no_multiplicative_noise": dict(delta_mul=0.0),
 }
 
 
@@ -47,14 +47,14 @@ def bench_encoder_config(vocab_size):
     )
 
 
-def bench_train_config(seed, **toggles):
+def bench_train_config(seed, **zeroed):
     return TrainConfig(
         lr=1e-3,
         batch_size=32,
         max_epochs=10,
         patience=10,
         seed=seed,
-        **toggles,
+        **zeroed,
     )
 
 
@@ -107,7 +107,7 @@ def corpus_sets(corpus_paths):
 def _run_seed(corpus_sets, seed):
     """Every variant at one seed, sharing one pretraining run.
 
-    Pretraining reads none of the variant flags, so one stage-one run
+    Pretraining reads none of the zeroed magnitudes, so one stage-one run
     serves all four open stages, as with one `snoic pretrain` followed by
     one `snoic train --ablation ...` per variant.
     """
@@ -129,8 +129,8 @@ def _run_seed(corpus_sets, seed):
     params = init_params(enc_cfg, split.num_known, seed)
     pretrained, pretrain_log = pretrain(params, train_enc, val_enc, bench_train_config(seed))
     runs = {}
-    for variant, toggles in BENCH_VARIANTS.items():
-        cfg = bench_train_config(seed, **toggles)
+    for variant, zeroed in BENCH_VARIANTS.items():
+        cfg = bench_train_config(seed, **zeroed)
         log = TrainLog(records=list(pretrain_log.records))
         trained, log = train_open(pretrained, train_enc, val_enc, cfg, log=log)
         runs[variant] = _score(variant, seed, split, trained, log, test_enc, cfg.batch_size)

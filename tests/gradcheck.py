@@ -6,14 +6,16 @@ sampled parameter coordinates. All checks run in float64 so the probe
 noise floor sits far below the tolerance.
 """
 
+import itertools
 import time
 
 import numpy as np
 
-from snoic.augment import MixupConfig, NoisyMixupPass
+from snoic.augment import NoisyMixupPass
 from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import EncoderConfig, TapedForward, init_params
 from snoic.losses import kl_loss, mixup_loss, pretrain_loss, soft_targets
+from snoic.trainer import TrainConfig
 
 TINY = dict(vocab_size=24, hidden=8, num_layers=2, ffn=16, dim=8, max_len=6)
 TINY_M = 3
@@ -47,6 +49,12 @@ def tiny_batch(seed, size=4, m=TINY_M):
     mask = (np.arange(max_len)[None, :] < lengths[:, None]).astype(np.float32)
     labels = rng.integers(1, m + 1, size=size).astype(np.int32)
     return Batch(tokens=tokens, mask=mask, labels=labels)
+
+
+def seed_for_layer(layer, depth=TINY["num_layers"], start=0):
+    """The first RNG seed from ``start`` on whose first draw, the mix layer
+    of a NoisyMixupPass over ``depth`` blocks, is ``layer``."""
+    return next(s for s in itertools.count(start) if np.random.default_rng(s).integers(1, depth + 1) == layer)
 
 
 def tiny_pair(seed, size=4, m=TINY_M):
@@ -97,7 +105,7 @@ def build_cases(p, batch, pair, mix_seed=777, rho=0.3, gamma=0.6):
     (on another mixing draw) with both.
     """
     m = p.M
-    mix_cfg = MixupConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
+    mix_cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
     targets = soft_targets(batch.labels, m, rho)
 
     def pretrain_value(q):

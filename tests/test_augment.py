@@ -1,16 +1,9 @@
-"""Mixing weight sampling, layer selection, mixup, and noise injection."""
+"""Mixing weight sampling, mixup, noise injection and the stacked mixup pass."""
 
 import numpy as np
 import pytest
 
-from snoic.augment import (
-    MixupConfig,
-    NoisyMixupPass,
-    inject_noise,
-    mixup,
-    sample_lambda,
-    select_mix_layer,
-)
+from snoic.augment import NoisyMixupPass, inject_noise, mixup, sample_lambda
 from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import (
     Workspace,
@@ -23,7 +16,8 @@ from snoic.encoder import (
 )
 from snoic.errors import DataError
 from snoic.losses import kl_loss, mixup_loss, soft_targets
-from gradcheck import TINY, tiny_batch, tiny_pair, tiny_params
+from snoic.trainer import TrainConfig
+from gradcheck import TINY, seed_for_layer, tiny_batch, tiny_pair, tiny_params
 
 
 class FixedNormals:
@@ -65,26 +59,6 @@ class TestSampleLambda:
             sample_lambda(rng, 0.0)
         with pytest.raises(DataError):
             sample_lambda(rng, -1.0)
-
-
-class TestSelectMixLayer:
-    def test_single_layer_range_is_constant(self):
-        rng = np.random.default_rng(1)
-        assert all(select_mix_layer(rng, 2, 2) == 2 for _ in range(20))
-
-    def test_draws_cover_range_uniformly(self):
-        rng = np.random.default_rng(2)
-        draws = np.array([select_mix_layer(rng, 1, 4) for _ in range(10_000)])
-        assert set(draws.tolist()) == {1, 2, 3, 4}
-        for layer in range(1, 5):
-            assert abs(np.mean(draws == layer) - 0.25) < 0.02
-
-    def test_invalid_ranges_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(DataError):
-            select_mix_layer(rng, 0, 2)
-        with pytest.raises(DataError):
-            select_mix_layer(rng, 3, 2)
 
 
 class TestMixup:
@@ -208,25 +182,6 @@ class TestInjectNoise:
         assert np.all(np.abs(total / n - mixed) <= 5.0 * se)
 
 
-class TestMixupConfig:
-    def test_defaults(self):
-        cfg = MixupConfig()
-        assert cfg.alpha == 2.0
-        assert cfg.delta_add == 0.4
-        assert cfg.delta_mul == 0.2
-        assert cfg.layer_range is None
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            MixupConfig(alpha=0.0)
-        with pytest.raises(DataError):
-            MixupConfig(delta_add=-0.1)
-        with pytest.raises(DataError):
-            MixupConfig(layer_range=(0, 2))
-        with pytest.raises(DataError):
-            MixupConfig(layer_range=(3, 2))
-
-
 def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     """The stacked pass rebuilt from one encoder pass per row group.
 
@@ -236,7 +191,7 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     a zeroed buffer of its own and the buffers are added up at the end.
     """
     rng = np.random.default_rng(seed)
-    rl = select_mix_layer(rng, 1, p.cfg.num_layers)
+    rl = int(rng.integers(1, p.cfg.num_layers + 1))
     lam = sample_lambda(rng, cfg.alpha)
     dtype = p["token_embedding"].dtype
     segments = []
@@ -277,7 +232,7 @@ class TestNoisyMixupPass:
         p = tiny_params(attention=True, seed=3)
         batch = tiny_batch(11)
         pair = tiny_pair(12)
-        cfg = MixupConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
+        cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
         mix = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(21))
 
         probe = np.random.default_rng(21)
@@ -300,26 +255,11 @@ class TestNoisyMixupPass:
         e = run_from_layer(p, expected, union, layer)
         assert np.allclose(mix.logits, head_logits(p, e), atol=1e-9)
 
-    def test_layer_range_is_respected(self):
-        p = tiny_params(attention=False, seed=4)
-        pair = tiny_pair(15)
-        cfg = MixupConfig(layer_range=(2, 2))
-        for seed in range(5):
-            mix = NoisyMixupPass(p, pair.first, pair, cfg, np.random.default_rng(seed))
-            assert mix.layer == 2
-
-    def test_layer_range_beyond_depth_rejected(self):
-        p = tiny_params(attention=True, seed=3)
-        pair = tiny_pair(12)
-        cfg = MixupConfig(layer_range=(1, TINY["num_layers"] + 1))
-        with pytest.raises(DataError, match="encoder depth"):
-            NoisyMixupPass(p, pair.first, pair, cfg, np.random.default_rng(0))
-
     def test_outputs_are_finite_and_shaped(self):
         p = tiny_params(attention=True, seed=3)
         batch = tiny_batch(11, size=5)
         pair = tiny_pair(12)
-        mix = NoisyMixupPass(p, batch, pair, MixupConfig(), np.random.default_rng(2))
+        mix = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(2))
         assert mix.soft_logits.shape == (len(batch), p.M + 1)
         assert mix.logits.shape == (len(pair.first), p.M + 1)
         assert np.isfinite(mix.soft_logits).all() and np.isfinite(mix.logits).all()
@@ -333,8 +273,8 @@ class TestNoisyMixupPass:
         p = tiny_params(attention=True, seed=3)
         batch = tiny_batch(11)
         pair = tiny_pair(12)
-        a = NoisyMixupPass(p, batch, pair, MixupConfig(), np.random.default_rng(33))
-        b = NoisyMixupPass(p, batch, pair, MixupConfig(), np.random.default_rng(33))
+        a = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(33))
+        b = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(33))
         assert np.array_equal(a.soft_logits, b.soft_logits)
         assert np.array_equal(a.logits, b.logits)
 
@@ -342,7 +282,7 @@ class TestNoisyMixupPass:
         p = tiny_params(attention=True, seed=3)
         batch = tiny_batch(11)
         pair = tiny_pair(12)
-        mix = NoisyMixupPass(p, batch, pair, MixupConfig(), np.random.default_rng(5))
+        mix = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(5))
         grads = mix.backward(np.ones_like(mix.soft_logits), np.ones_like(mix.logits))
         assert grads.layout == p.layout
         assert np.isfinite(grads.flat).all()
@@ -354,7 +294,7 @@ class TestNoisyMixupPass:
         p = tiny_params(attention, seed=3 if attention else 4, dtype=dtype)
         batch = tiny_batch(11)
         pair = tiny_pair(12)
-        cfg = MixupConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
+        cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
         mix = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(seed))
         _, dsoft = kl_loss(soft_targets(batch.labels, p.M, 0.3), mix.soft_logits)
         _, dmix = mixup_loss(mix.logits)
@@ -387,9 +327,9 @@ class TestWorkspaceReuse:
         steps = [(6, depth), (3, 1), (6, 1), (3, depth)]
         for k, (size, layer) in enumerate(steps):
             batch, pair = tiny_batch(40 + k, size=size), tiny_pair(50 + k, size=size)
-            cfg = MixupConfig(layer_range=(layer, layer))
-            fresh = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(k))
-            reused = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(k), ws)
+            seed = seed_for_layer(layer, start=10 * k)
+            fresh = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(seed))
+            reused = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(seed), ws)
             assert reused.layer == layer
             assert np.array_equal(reused.soft_logits, fresh.soft_logits)
             assert np.array_equal(reused.logits, fresh.logits)
@@ -430,7 +370,7 @@ class TestRaggedWidths:
         second.labels = (first.labels % p.M + 1).astype(np.int32)
         ragged = (cut(soft, widths[0]), PairedBatch(cut(first, widths[1]), cut(second, widths[2])))
         full = (soft, PairedBatch(first=first, second=second))
-        cfg = MixupConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
+        cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
         rng = np.random.default_rng(9)
         dsoft = rng.standard_normal((len(soft), p.M + 1)).astype(dtype)
         dmix = rng.standard_normal((len(first), p.M + 1)).astype(dtype)

@@ -3,17 +3,20 @@
 import csv
 import json
 import os
+import re
 import shutil
-from dataclasses import fields
+from dataclasses import asdict, fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from snoic.cli import main, normalize_experiment_config
+from snoic.cli import main, normalize_experiment_config, train_config_from
 from snoic.corpus import SplitSpec, load_dataset, make_split
 from snoic.encoder import EncoderConfig
 from snoic.errors import ConfigError
 from snoic.synth import write_corpus
+from snoic.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,7 @@ class TestConfigValidation:
         assert norm["labeled_data_ratio"] == 1.0
         assert norm["vocab"] == {"min_freq": 1, "max_size": 50000}
         assert norm["train"]["rho"] == 0.3
+        assert (norm["train"]["alpha"], norm["train"]["delta_add"], norm["train"]["delta_mul"]) == (2.0, 0.4, 0.2)
         assert norm["name"] == "train"  # stem of the train file
 
     def test_encoder_section_comes_from_the_config_dataclass(self, cli_env):
@@ -161,6 +165,40 @@ class TestConfigValidation:
         monkeypatch.setenv("SNOIC_SEED", "abc")
         with pytest.raises(ConfigError, match="SNOIC_SEED"):
             normalize_experiment_config(self.minimal(cli_env))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("encoder", "hidden", 0), ("encoder", "max_len", 1), ("vocab", "min_freq", 0), ("vocab", "max_size", 2)],
+    )
+    def test_out_of_range_value_exits_2(self, cli_env, pipeline, tmp_path, capsys, section, key, value):
+        cfg = json.loads(json.dumps(cli_env.config))
+        cfg[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pretrain", "--config", str(path), "--split", pipeline.split, "--out", str(tmp_path / "m")]) == 2
+        assert f"error: config.{section}.{key} must be >= " in capsys.readouterr().err
+
+    def test_readme_example_matches_the_dataclasses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        raw = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        normalize_experiment_config(raw)
+        assert set(raw["encoder"]) == {f.name for f in fields(EncoderConfig)} - {"vocab_size"}
+        assert set(raw["train"]) == {f.name for f in fields(TrainConfig)} - {"seed"}
+
+    @pytest.mark.parametrize(
+        "magnitude, toggle",
+        [
+            ("rho", "disable_soft_labeling"),
+            ("delta_add", "disable_additive_noise"),
+            ("delta_mul", "disable_multiplicative_noise"),
+        ],
+        ids=["rho", "delta_add", "delta_mul"],
+    )
+    def test_ablation_zeroes_exactly_its_magnitude(self, cli_env, magnitude, toggle):
+        norm = normalize_experiment_config(cli_env.config)
+        base, ablated = asdict(train_config_from(norm)), asdict(train_config_from(norm, [toggle]))
+        assert base[magnitude] > 0.0 and ablated[magnitude] == 0.0
+        assert {k: v for k, v in ablated.items() if k != magnitude} == {k: v for k, v in base.items() if k != magnitude}
 
     def test_malformed_config_file_exits_2(self, cli_env, pipeline, tmp_path):
         bad = tmp_path / "bad.json"
@@ -232,6 +270,16 @@ class TestTrainCommand:
             "train", "--config", cli_env.config_path, "--split", pipeline.split,
             "--init", pipeline.pre, "--out", out, "--ablation", "disable_soft_labeling",
         ]
+        assert main(args) == 0
+        assert read_json(os.path.join(out, "meta.json"))["variant"] == "SNOiC-SL"
+
+    def test_zero_rho_is_the_soft_label_ablation(self, cli_env, pipeline, tmp_path):
+        cfg = json.loads(json.dumps(cli_env.config))
+        cfg["train"]["rho"] = 0
+        path = tmp_path / "rho0.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "mrho0")
+        args = ["train", "--config", str(path), "--split", pipeline.split, "--init", pipeline.pre, "--out", out]
         assert main(args) == 0
         assert read_json(os.path.join(out, "meta.json"))["variant"] == "SNOiC-SL"
 
@@ -389,6 +437,16 @@ def fake_report(dataset, variant, thr, sn, base, r=0.5):
     }
 
 
+GOOD_REPORT = fake_report("toy", "SNOiC", 0.5, (0.5,) * 4, (0.5,) * 4)
+MALFORMED_REPORTS = {
+    "no-split-r": json.dumps({**GOOD_REPORT, "split": {}}).encode(),
+    "no-baseline": json.dumps({k: v for k, v in GOOD_REPORT.items() if k != "baseline"}).encode(),
+    "split-not-object": json.dumps({**GOOD_REPORT, "split": 3}).encode(),
+    "dataset-not-string": json.dumps({**GOOD_REPORT, "dataset": None}).encode(),
+    "not-utf8": b'{"dataset": "\xff\xfe"}',
+}
+
+
 class TestReportCommand:
     def write_reports(self, tmp_path):
         reports = [
@@ -430,6 +488,14 @@ class TestReportCommand:
 
     def test_no_matches_exits_1(self, tmp_path):
         assert main(["report", "--inputs", str(tmp_path / "zzz*.json"), "--out", str(tmp_path / "t")]) == 1
+
+    @pytest.mark.parametrize("content", list(MALFORMED_REPORTS.values()), ids=list(MALFORMED_REPORTS))
+    def test_malformed_report_exits_1(self, tmp_path, capsys, content):
+        path = tmp_path / "run0.json"
+        path.write_bytes(content)
+        assert main(["report", "--inputs", str(tmp_path / "run*.json"), "--out", str(tmp_path / "t")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_non_report_file_exits_1(self, tmp_path, capsys):
         (tmp_path / "run0.json").write_text(json.dumps({"hello": 1}))

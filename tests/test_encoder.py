@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snoic.augment import MixupConfig, NoisyMixupPass
+from snoic.augment import NoisyMixupPass
 from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import (
     FRESH,
@@ -27,7 +27,8 @@ from snoic.encoder import (
     save_checkpoint,
 )
 from snoic.errors import CheckpointError, DataError, TrainingError
-from gradcheck import tiny_batch, tiny_pair, tiny_params
+from snoic.trainer import TrainConfig
+from gradcheck import seed_for_layer, tiny_batch, tiny_pair, tiny_params
 
 
 def small_config(attention=True, **overrides):
@@ -478,8 +479,8 @@ def record_pass(kind, p, seed, ws=FRESH):
     layer = 1 if kind == "mix-first" else p.cfg.num_layers
     pair = tiny_pair(seed + 1)
     pair = PairedBatch(first=narrow(pair.first), second=narrow(pair.second))
-    cfg = MixupConfig(layer_range=(layer, layer))
-    mix = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(seed), ws)
+    rng = np.random.default_rng(seed_for_layer(layer, p.cfg.num_layers, start=seed))
+    mix = NoisyMixupPass(p, batch, pair, TrainConfig(), rng, ws)
     return lambda: mix.backward(np.ones_like(mix.soft_logits), np.ones_like(mix.logits))
 
 

@@ -6,17 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from snoic.metrics import (
-    ConfusionCounts,
-    accuracy,
-    confusion,
-    evaluate,
-    f1_all,
-    f1_known,
-    f1_open,
-    f1_score,
-    precision_recall,
-)
+from snoic.metrics import ConfusionCounts, accuracy, confusion, evaluate, precision_recall
 
 
 def oracle_f1(preds, golds, class_id):
@@ -80,19 +70,19 @@ class TestPerClassScores:
     def test_perfect_class(self):
         counts = confusion([1, 1], [1, 1], 2)
         assert precision_recall(counts, 1) == (1.0, 1.0)
-        assert f1_score(counts, 1) == 1.0
+        assert evaluate([1, 1], [1, 1], 2).per_class[0]["f1"] == 1.0
 
     def test_absent_class_scores_zero(self):
         counts = confusion([1, 1], [1, 1], 3)
         assert precision_recall(counts, 3) == (0.0, 0.0)
-        assert f1_score(counts, 3) == 0.0
+        assert evaluate([1, 1], [1, 1], 3).per_class[2]["f1"] == 0.0
 
     def test_balanced_errors(self):
         # Class 1: one hit, one false alarm, one miss.
         counts = confusion([1, 1, 2], [1, 2, 1], 2)
         p, r = precision_recall(counts, 1)
         assert p == 0.5 and r == 0.5
-        assert f1_score(counts, 1) == 0.5
+        assert evaluate([1, 1, 2], [1, 2, 1], 2).per_class[0]["f1"] == 0.5
 
 
 class TestAggregates:
@@ -114,15 +104,12 @@ class TestAggregates:
         assert rep.accuracy == rep.f1_all == rep.f1_known == rep.f1_open == 1.0
 
     def test_single_known_class_decomposition(self):
-        counts = confusion([1, 2, 1], [1, 2, 2], 2)
-        assert f1_all(counts) == pytest.approx(
-            (1 * f1_known(counts) + f1_open(counts)) / 2, abs=1e-12
-        )
+        rep = evaluate([1, 2, 1], [1, 2, 2], 2)
+        assert rep.f1_all == pytest.approx((1 * rep.f1_known + rep.f1_open) / 2, abs=1e-12)
 
     def test_f1_known_requires_a_known_class(self):
-        counts = confusion([1], [1], 1)
-        with pytest.raises(ValueError):
-            f1_known(counts)
+        with pytest.raises(ValueError, match="at least one known class"):
+            evaluate([1], [1], 1)
 
     def test_scores_stay_in_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -167,10 +154,10 @@ class TestExhaustiveAgainstOracle:
             n = int(rng.integers(1, 60))
             preds = rng.integers(1, c + 1, size=n).tolist()
             golds = rng.integers(1, c + 1, size=n).tolist()
-            counts = confusion(preds, golds, c)
+            rep = evaluate(preds, golds, c)
             m = c - 1
-            lhs = (m * f1_known(counts) + f1_open(counts)) / (m + 1)
-            assert abs(lhs - f1_all(counts)) <= 1e-9
+            lhs = (m * rep.f1_known + rep.f1_open) / (m + 1)
+            assert abs(lhs - rep.f1_all) <= 1e-9
 
 
 class TestReportStructure:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import golden
+from gradcheck import seed_for_layer
 
-from snoic.augment import MixupConfig, NoisyMixupPass
+from snoic.augment import NoisyMixupPass
 from snoic.corpus import (
     Batch,
     ClassDataset,
@@ -131,18 +132,8 @@ class TestTrainConfig:
             TrainConfig(alpha=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(seed=-1)
-
-    def test_noise_toggles_zero_the_magnitudes(self):
-        cfg = TrainConfig(use_additive_noise=False)
-        mc = cfg.mixup_config()
-        assert mc.delta_add == 0.0 and mc.delta_mul == 0.2
-        cfg = TrainConfig(use_multiplicative_noise=False)
-        mc = cfg.mixup_config()
-        assert mc.delta_add == 0.4 and mc.delta_mul == 0.0
-
-    def test_soft_label_toggle_zeroes_rho(self):
-        assert TrainConfig(use_soft_labels=False).effective_rho() == 0.0
-        assert TrainConfig().effective_rho() == 0.3
+        with pytest.raises(ConfigError):
+            TrainConfig(delta_add=-0.1)
 
 
 class TestStreamSeeds:
@@ -419,17 +410,13 @@ class TestPretrain:
             pretrain(params, train_enc, val_enc, TrainConfig(max_epochs=1))
 
     def test_variant_flags_do_not_change_pretraining(self):
-        """The acceptance grid shares one pretraining run across variants."""
+        """The acceptance grid shares one pretraining run across variants,
+        each of which sets one stage-two magnitude to 0."""
         vocab, train_enc, val_enc = separable_sets()
         params = init_params(separable_encoder(vocab), 3, seed=4)
         runs = [
-            pretrain(params, train_enc, val_enc, TrainConfig(batch_size=8, max_epochs=2, seed=4, **flags))
-            for flags in (
-                {},
-                {"use_soft_labels": False},
-                {"use_additive_noise": False},
-                {"use_multiplicative_noise": False},
-            )
+            pretrain(params, train_enc, val_enc, TrainConfig(batch_size=8, max_epochs=2, seed=4, **zeroed))
+            for zeroed in ({}, {"rho": 0.0}, {"delta_add": 0.0}, {"delta_mul": 0.0})
         ]
         (ref, ref_log), others = runs[0], runs[1:]
         for best, log in others:
@@ -462,7 +449,7 @@ class TestTrainOpen:
             assert np.array_equal(outs[0][name], outs[1][name])
 
     def test_soft_label_toggle_feeds_zero_rho(self, monkeypatch):
-        """Disabling soft labels must hand the target builder rho=0."""
+        """The SNOiC-SL variant, rho = 0, must hand the target builder rho=0."""
         import snoic.trainer as trainer_mod
 
         seen = []
@@ -475,9 +462,7 @@ class TestTrainOpen:
         monkeypatch.setattr(trainer_mod, "soft_targets", spy)
         vocab, train_enc, val_enc = separable_sets()
         params = init_params(separable_encoder(vocab), 3, seed=0)
-        cfg = TrainConfig(
-            lr=1e-2, batch_size=12, max_epochs=1, patience=1, seed=0, use_soft_labels=False
-        )
+        cfg = TrainConfig(lr=1e-2, batch_size=12, max_epochs=1, patience=1, seed=0, rho=0.0)
         train_open(params, train_enc, val_enc, cfg)
         assert seen and all(r == 0.0 for r in seen)
         seen.clear()
@@ -638,20 +623,23 @@ class TestStepMemory:
         params = self.params()
         opt = OptimizerState.for_params(params)
         ws = Workspace()
-        rng = np.random.default_rng(5)
 
-        def step(batch, pair, mix_cfg):
-            mix_pass = NoisyMixupPass(params, batch, pair, mix_cfg, rng, ws)
+        def step(batch, pair, rng):
+            mix_pass = NoisyMixupPass(params, batch, pair, TrainConfig(), rng, ws)
             _, dkl = kl_loss(soft_targets(batch.labels, self.M, 0.3), mix_pass.soft_logits)
             _, dopen = mixup_loss(mix_pass.logits)
             optimizer_step(params, mix_pass.backward(0.5 * dkl, 0.5 * dopen), opt, 1e-3, 0.01)
 
-        # mixing at the last block first runs every block on all stacked rows
         depth = self.SHAPE["num_layers"]
-        for seed, size, layers, width in zip((1, 3, 5), (32, 16, 32), ((depth, depth), (1, 1), None), widths):
-            step(self.batch(seed, size, width), self.pair(seed + 10, size, width), MixupConfig(layer_range=layers))
-        batch, pair = self.batch(7, width=widths[-1]), self.pair(17, width=widths[-1])
-        return self.peak_bytes(lambda: step(batch, pair, MixupConfig()))
+
+        def mixing_at(layer):
+            return np.random.default_rng(seed_for_layer(layer, depth))
+
+        # mixing at the last block first runs every block on all stacked rows
+        for seed, size, layer, width in zip((1, 3, 5), (32, 16, 32), (depth, 1, 1), widths):
+            step(self.batch(seed, size, width), self.pair(seed + 10, size, width), mixing_at(layer))
+        batch, pair, rng = self.batch(7, width=widths[-1]), self.pair(17, width=widths[-1]), mixing_at(3)
+        return self.peak_bytes(lambda: step(batch, pair, rng))
 
     def test_pretrain_step(self):
         assert self.pretrain_peak(FULL_WIDTHS) <= 0.15e6
