@@ -14,7 +14,7 @@ from snoic.encoder import (
     run_from_layer,
     run_to_layer,
 )
-from snoic.errors import DataError
+from snoic.errors import ConfigError, DataError
 from snoic.losses import kl_loss, mixup_loss, soft_targets
 from snoic.trainer import TrainConfig
 from gradcheck import TINY, seed_for_layer, tiny_batch, tiny_pair, tiny_params
@@ -224,6 +224,24 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     backward_to_layer(p, c1, lam * dmixed, segment_grads())
     backward_to_layer(p, c2, (1.0 - lam) * dmixed, segment_grads())
     return soft_logits, mix_logits, p.with_flat(sum(g.flat for g in segments))
+
+
+class TestMixupConfig:
+    """The mixup settings NoisyMixupPass reads from the stage's TrainConfig."""
+
+    def test_defaults(self):
+        cfg = TrainConfig()
+        assert cfg.alpha == 2.0
+        assert cfg.delta_add == 0.4
+        assert cfg.delta_mul == 0.2
+
+    def test_validation(self):
+        with pytest.raises(ConfigError):
+            TrainConfig(alpha=0.0)
+        with pytest.raises(ConfigError):
+            TrainConfig(delta_add=-0.1)
+        with pytest.raises(ConfigError):
+            TrainConfig(delta_mul=-0.1)
 
 
 class TestNoisyMixupPass:
