@@ -38,10 +38,12 @@ out new arrays, which is what untaped passes use.
 Parameters live in one flat, C-contiguous buffer: :class:`EncoderParams`
 keys reshaped views into it by name, back to back in canonical
 :func:`param_spec` order, which is also the checkpoint layout, so a
-checkpoint is that buffer written out. Gradients are an
-:class:`EncoderParams` of the same layout over the workspace's gradient
-buffer. A pass gives every parameter exactly one contribution, which its
-backward block writes straight into the parameter's gradient view.
+checkpoint is that buffer written out; its ``blocks`` hold one
+:class:`Block` of views per encoder block, which is what the block
+functions read. Gradients are an :class:`EncoderParams` of the same
+layout over the workspace's gradient buffer. A pass gives every
+parameter exactly one contribution, which its backward block writes
+straight into the parameter's view in the gradients' ``blocks``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
 
@@ -100,41 +103,46 @@ class EncoderConfig:
         return cls(**obj)
 
 
+# one block's tensors (name, shape as EncoderConfig fields, kind), the attention
+# sublayer's six first; their parameter names are "layers.<i>.<name>". A Block
+# holds one block's views, with None for attention's when attention is off.
+_BLOCK_TENSORS = (
+    ("attn_q", ("hidden", "hidden"), "weight"),
+    ("attn_k", ("hidden", "hidden"), "weight"),
+    ("attn_v", ("hidden", "hidden"), "weight"),
+    ("attn_out", ("hidden", "hidden"), "weight"),
+    ("norm1_gain", ("hidden",), "gain"),
+    ("norm1_bias", ("hidden",), "bias"),
+    ("ffn_w1", ("hidden", "ffn"), "weight"),
+    ("ffn_b1", ("ffn",), "bias"),
+    ("ffn_w2", ("ffn", "hidden"), "weight"),
+    ("ffn_b2", ("hidden",), "bias"),
+    ("norm2_gain", ("hidden",), "gain"),
+    ("norm2_bias", ("hidden",), "bias"),
+)
+
+Block = namedtuple("Block", [name for name, _, _ in _BLOCK_TENSORS])
+
+
 def param_spec(cfg: EncoderConfig, M: int) -> list[tuple[str, tuple[int, ...], str]]:
     """Canonical (name, shape, kind) listing; kind is weight, bias, or gain."""
     if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
         raise DataError(f"M must be an integer >= 1, got {M!r}")
-    h, f, d = cfg.hidden, cfg.ffn, cfg.dim
-    spec: list[tuple[str, tuple[int, ...], str]] = [
+    h, d = cfg.hidden, cfg.dim
+    block = _BLOCK_TENSORS if cfg.attention else _BLOCK_TENSORS[6:]
+    return [
         ("token_embedding", (cfg.vocab_size, h), "weight"),
         ("position_embedding", (cfg.max_len, h), "weight"),
-    ]
-    for i in range(cfg.num_layers):
-        pre = f"layers.{i}."
-        if cfg.attention:
-            spec += [
-                (pre + "attn_q", (h, h), "weight"),
-                (pre + "attn_k", (h, h), "weight"),
-                (pre + "attn_v", (h, h), "weight"),
-                (pre + "attn_out", (h, h), "weight"),
-                (pre + "norm1_gain", (h,), "gain"),
-                (pre + "norm1_bias", (h,), "bias"),
-            ]
-        spec += [
-            (pre + "ffn_w1", (h, f), "weight"),
-            (pre + "ffn_b1", (f,), "bias"),
-            (pre + "ffn_w2", (f, h), "weight"),
-            (pre + "ffn_b2", (h,), "bias"),
-            (pre + "norm2_gain", (h,), "gain"),
-            (pre + "norm2_bias", (h,), "bias"),
-        ]
-    spec += [
+        *(
+            (f"layers.{i}.{name}", tuple(getattr(cfg, dim) for dim in dims), kind)
+            for i in range(cfg.num_layers)
+            for name, dims, kind in block
+        ),
         ("dense_w", (h, d), "weight"),
         ("dense_b", (d,), "bias"),
         ("head_w", (d, M + 1), "weight"),
         ("head_b", (M + 1,), "bias"),
     ]
-    return spec
 
 
 def _layout(shapes: dict[str, tuple[int, ...]]) -> dict[str, tuple[int, int, tuple[int, ...]]]:
@@ -161,7 +169,9 @@ class EncoderParams:
     constructor packs the arrays it is given into a new buffer of their
     common dtype; :meth:`with_flat` lays them over another buffer, as
     gradients are. ``tensors`` is a read-only mapping, so a tensor can
-    only be written in place and never detached from ``flat``.
+    only be written in place and never detached from ``flat``; ``blocks``
+    holds the same views once more, one read-only :class:`Block` per
+    encoder block.
     """
 
     def __init__(self, cfg: EncoderConfig, M: int, tensors: dict[str, np.ndarray]):
@@ -171,6 +181,9 @@ class EncoderParams:
     def _bind(self, cfg: EncoderConfig, M: int, flat: np.ndarray, layout: dict) -> "EncoderParams":
         self.cfg, self.M, self.flat, self.layout = cfg, M, flat, layout
         self.tensors = MappingProxyType(_views(flat, layout))
+        self.blocks = tuple(
+            Block(*(self.tensors.get(f"layers.{i}.{name}") for name in Block._fields)) for i in range(cfg.num_layers)
+        )
         return self
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -351,14 +364,13 @@ def _layernorm_backward(
 
 
 def _attention_forward(
-    p: EncoderParams, i: int, h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace
+    w: Block, i: int, h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace
 ) -> np.ndarray:
-    pre = f"layers.{i}."
-    n, t, _ = shape = h.shape
+    n, t, hd = shape = h.shape
     dt = h.dtype
-    q = np.matmul(h, p[pre + "attn_q"], out=ws.take((i, "q"), shape, dt))
-    k = np.matmul(h, p[pre + "attn_k"], out=ws.take((i, "k"), shape, dt))
-    scale = 1.0 / math.sqrt(p.cfg.hidden)
+    q = np.matmul(h, w.attn_q, out=ws.take((i, "q"), shape, dt))
+    k = np.matmul(h, w.attn_k, out=ws.take((i, "k"), shape, dt))
+    scale = 1.0 / math.sqrt(hd)
     scores = np.matmul(q, k.swapaxes(1, 2), out=ws.take((i, "att"), (n, t, t), dt))
     if cache is not None:
         cache.update(h=h, q=q, k=k, scale=scale)
@@ -366,25 +378,22 @@ def _attention_forward(
     scores *= scale
     scores += (1.0 - mask)[:, None, :] * ATTN_MASK_VALUE
     att = softmax(scores, out=scores)
-    v = np.matmul(h, p[pre + "attn_v"], out=ws.take((i, "v"), shape, dt))
+    v = np.matmul(h, w.attn_v, out=ws.take((i, "v"), shape, dt))
     ctx = np.matmul(att, v, out=ws.take((i, "ctx"), shape, dt))
     if cache is not None:
         cache.update(v=v, att=att, ctx=ctx)
     del v, att
-    return np.matmul(ctx, p[pre + "attn_out"], out=ws.take((i, "s1"), shape, dt))
+    return np.matmul(ctx, w.attn_out, out=ws.take((i, "s1"), shape, dt))
 
 
-def _attention_backward(
-    p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: EncoderParams, ws: Workspace
-) -> np.ndarray:
-    pre = f"layers.{i}."
+def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: Workspace) -> np.ndarray:
     h, q, k, v, att, ctx, scale = (
         cache["h"], cache["q"], cache["k"], cache["v"], cache["att"], cache["ctx"], cache["scale"],
     )
     shape, dt = h.shape, h.dtype
     hd = shape[-1]
-    np.matmul(ctx.reshape(-1, hd).T, dout.reshape(-1, hd), out=grads[pre + "attn_out"])
-    dctx = np.matmul(dout, p[pre + "attn_out"].T, out=ws.take("attn.dctx", shape, dt))
+    np.matmul(ctx.reshape(-1, hd).T, dout.reshape(-1, hd), out=g.attn_out)
+    dctx = np.matmul(dout, w.attn_out.T, out=ws.take("attn.dctx", shape, dt))
     datt = np.matmul(dctx, v.swapaxes(1, 2), out=ws.take("attn.datt", att.shape, dt))
     dv = np.matmul(att.swapaxes(1, 2), dctx, out=ws.take("attn.dv", shape, dt))
     # dscores = att * (datt - rowsum(datt * att)), written over datt
@@ -394,92 +403,73 @@ def _attention_backward(
     dq *= scale
     dk = np.matmul(dscores.swapaxes(1, 2), q, out=ws.take("tmp", shape, dt))
     dk *= scale
-    for name, d in (("attn_q", dq), ("attn_k", dk), ("attn_v", dv)):
-        np.matmul(h.reshape(-1, hd).T, d.reshape(-1, hd), out=grads[pre + name])
+    for grad, d in ((g.attn_q, dq), (g.attn_k, dk), (g.attn_v, dv)):
+        np.matmul(h.reshape(-1, hd).T, d.reshape(-1, hd), out=grad)
     # dq @ Wq.T + dk @ Wk.T + dv @ Wv.T, the last two products going through dq's storage
-    dx = np.matmul(dq, p[pre + "attn_q"].T, out=ws.take("dx", shape, dt))
-    dx += np.matmul(dk, p[pre + "attn_k"].T, out=dq)
-    dx += np.matmul(dv, p[pre + "attn_v"].T, out=dq)
+    dx = np.matmul(dq, w.attn_q.T, out=ws.take("dx", shape, dt))
+    dx += np.matmul(dk, w.attn_k.T, out=dq)
+    dx += np.matmul(dv, w.attn_v.T, out=dq)
     return dx
 
 
-def _ffn_forward(p: EncoderParams, i: int, x: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:
-    pre = f"layers.{i}."
-    w1 = p[pre + "ffn_w1"]
-    u = np.matmul(x, w1, out=ws.take((i, "r"), x.shape[:2] + w1.shape[1:], x.dtype))
-    u += p[pre + "ffn_b1"]
+def _ffn_forward(w: Block, i: int, x: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:
+    u = np.matmul(x, w.ffn_w1, out=ws.take((i, "r"), x.shape[:2] + w.ffn_w1.shape[1:], x.dtype))
+    u += w.ffn_b1
     r = np.maximum(u, 0.0, out=u)
     if cache is not None:
         cache.update(x=x, r=r)
-    out = np.matmul(r, p[pre + "ffn_w2"], out=ws.take((i, "s2"), x.shape, x.dtype))
-    out += p[pre + "ffn_b2"]
+    out = np.matmul(r, w.ffn_w2, out=ws.take((i, "s2"), x.shape, x.dtype))
+    out += w.ffn_b2
     return out
 
 
-def _ffn_backward(
-    p: EncoderParams, i: int, cache: dict, dout: np.ndarray, grads: EncoderParams, ws: Workspace
-) -> np.ndarray:
-    pre = f"layers.{i}."
+def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: Workspace) -> np.ndarray:
     x, r = cache["x"], cache["r"]
     fd = r.shape[-1]
     hd = x.shape[-1]
-    np.matmul(r.reshape(-1, fd).T, dout.reshape(-1, hd), out=grads[pre + "ffn_w2"])
-    np.sum(dout, axis=(0, 1), out=grads[pre + "ffn_b2"])
-    du = np.matmul(dout, p[pre + "ffn_w2"].T, out=ws.take("ffn.du", r.shape, r.dtype))
+    np.matmul(r.reshape(-1, fd).T, dout.reshape(-1, hd), out=g.ffn_w2)
+    np.sum(dout, axis=(0, 1), out=g.ffn_b2)
+    du = np.matmul(dout, w.ffn_w2.T, out=ws.take("ffn.du", r.shape, r.dtype))
     du *= np.greater(r, 0, out=ws.take("ffn.on", r.shape, bool))
-    np.matmul(x.reshape(-1, hd).T, du.reshape(-1, fd), out=grads[pre + "ffn_w1"])
-    np.sum(du, axis=(0, 1), out=grads[pre + "ffn_b1"])
-    return np.matmul(du, p[pre + "ffn_w1"].T, out=ws.take("dx", x.shape, x.dtype))
+    np.matmul(x.reshape(-1, hd).T, du.reshape(-1, fd), out=g.ffn_w1)
+    np.sum(du, axis=(0, 1), out=g.ffn_b1)
+    return np.matmul(du, w.ffn_w1.T, out=ws.take("dx", x.shape, x.dtype))
 
 
-def _block_forward(
-    p: EncoderParams, block: int, h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace
-) -> np.ndarray:
-    """Apply block ``block`` (1-based); padded positions are re-zeroed.
+def _block_forward(w: Block, i: int, h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:
+    """Apply the block with tensors ``w``; ``i`` (0-based) keys its tape
+    arrays. Padded positions are re-zeroed.
 
     ``h`` is only read. Residual sums are formed in the sublayer outputs,
     which the layer norms then overwrite.
     """
-    i = block - 1
-    pre = f"layers.{i}."
-    if p.cfg.attention:
-        s1 = _attention_forward(p, i, h, mask, _subcache(cache, "attn"), ws)
-        s1 += h
-        n1 = _layernorm_forward(
-            s1, p[pre + "norm1_gain"], p[pre + "norm1_bias"], _subcache(cache, "ln1"), ws, (i, "n1")
-        )
-    else:
+    if w.attn_q is None:
         n1 = h
-    s2 = _ffn_forward(p, i, n1, _subcache(cache, "ffn"), ws)
+    else:
+        s1 = _attention_forward(w, i, h, mask, _subcache(cache, "attn"), ws)
+        s1 += h
+        n1 = _layernorm_forward(s1, w.norm1_gain, w.norm1_bias, _subcache(cache, "ln1"), ws, (i, "n1"))
+    s2 = _ffn_forward(w, i, n1, _subcache(cache, "ffn"), ws)
     s2 += n1
-    n2 = _layernorm_forward(
-        s2, p[pre + "norm2_gain"], p[pre + "norm2_bias"], _subcache(cache, "ln2"), ws, (i, "n2")
-    )
+    n2 = _layernorm_forward(s2, w.norm2_gain, w.norm2_bias, _subcache(cache, "ln2"), ws, (i, "n2"))
     if cache is not None:
         cache["mask"] = mask
     n2 *= mask[:, :, None]
     return n2
 
 
-def _block_backward(
-    p: EncoderParams, block: int, cache: dict, dh_out: np.ndarray, grads: EncoderParams, ws: Workspace
-) -> np.ndarray:
-    """Reverse of one block. ``dh_out`` is only read before the gradient
-    that flows on is written; the result lives in the workspace's "dh"."""
-    i = block - 1
-    pre = f"layers.{i}."
+def _block_backward(w: Block, g: Block, cache: dict, dh_out: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Reverse of one block, writing its gradients into ``g``. ``dh_out`` is
+    only read before the gradient that flows on is written; the result
+    lives in the workspace's "dh"."""
     mask = cache["mask"]
     dn2 = np.multiply(dh_out, mask[:, :, None], out=ws.take("dh", dh_out.shape, dh_out.dtype))
-    ds2 = _layernorm_backward(
-        dn2, cache["ln2"], p[pre + "norm2_gain"], grads[pre + "norm2_gain"], grads[pre + "norm2_bias"], ws
-    )
-    dn1 = np.add(ds2, _ffn_backward(p, i, cache["ffn"], ds2, grads, ws), out=ds2)
-    if not p.cfg.attention:
+    ds2 = _layernorm_backward(dn2, cache["ln2"], w.norm2_gain, g.norm2_gain, g.norm2_bias, ws)
+    dn1 = np.add(ds2, _ffn_backward(w, g, cache["ffn"], ds2, ws), out=ds2)
+    if w.attn_q is None:
         return dn1
-    ds1 = _layernorm_backward(
-        dn1, cache["ln1"], p[pre + "norm1_gain"], grads[pre + "norm1_gain"], grads[pre + "norm1_bias"], ws
-    )
-    return np.add(ds1, _attention_backward(p, i, cache["attn"], ds1, grads, ws), out=ds1)
+    ds1 = _layernorm_backward(dn1, cache["ln1"], w.norm1_gain, g.norm1_gain, g.norm1_bias, ws)
+    return np.add(ds1, _attention_backward(w, g, cache["attn"], ds1, ws), out=ds1)
 
 
 def _pool_forward(h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:
@@ -548,16 +538,16 @@ def run_to_layer(
     if cache is not None:
         cache.update(tokens=tokens, mask=mask, stop=rl)
     blocks = _subcache(cache, "blocks")
-    for b in range(1, rl + 1):
-        h = _block_forward(p, b, h, mask, _subcache(blocks, b), ws)
+    for i in range(rl):
+        h = _block_forward(p.blocks[i], i, h, mask, _subcache(blocks, i), ws)
     return h
 
 
 def backward_to_layer(
     p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
 ) -> None:
-    for b in range(cache["stop"], 0, -1):
-        dh = _block_backward(p, b, cache["blocks"][b], dh, grads, ws)
+    for i in reversed(range(cache["stop"])):
+        dh = _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh, ws)
     _embed_backward(p, cache["tokens"], cache["mask"], dh, grads, ws)
 
 
@@ -576,8 +566,8 @@ def run_from_layer(
     if cache is not None:
         cache["start"] = start
     blocks = _subcache(cache, "blocks")
-    for b in range(start + 1, p.cfg.num_layers + 1):
-        h = _block_forward(p, b, h, mask, _subcache(blocks, b), ws)
+    for i in range(start, p.cfg.num_layers):
+        h = _block_forward(p.blocks[i], i, h, mask, _subcache(blocks, i), ws)
     x = _pool_forward(h, mask, _subcache(cache, "pool"), ws)
     return _dense_forward(p, x, _subcache(cache, "dense"))
 
@@ -588,8 +578,8 @@ def backward_from_layer(
     """Reverse of run_from_layer; returns the gradient at the cut point."""
     dx = _dense_backward(p, cache["dense"], de, grads)
     dh = _pool_backward(cache["pool"], dx, ws)
-    for b in range(p.cfg.num_layers, cache["start"], -1):
-        dh = _block_backward(p, b, cache["blocks"][b], dh, grads, ws)
+    for i in reversed(range(cache["start"], p.cfg.num_layers)):
+        dh = _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh, ws)
     return dh
 
 

@@ -32,12 +32,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .augment import NoisyMixupPass
-from .corpus import EncodedDataset, Vocab, make_batches, ordered_batches, pair_batches
+from .corpus import EncodedDataset, Vocab, _load_json, make_batches, ordered_batches, pair_batches
 from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, PairingError, TrainingError
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
@@ -79,6 +79,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.weight_decay < 0:
@@ -402,6 +405,7 @@ def load_model(dirpath: str) -> tuple[Model, dict]:
     meta_path = os.path.join(dirpath, META_FILE)
     meta = {}
     if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as f:
-            meta = json.load(f)
+        meta = _load_json(meta_path, "meta")
+        if not isinstance(meta, dict):
+            raise DataError(f"{meta_path}: not a meta file: expected a JSON object")
     return Model(params=params, vocab=vocab), meta

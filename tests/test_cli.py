@@ -178,6 +178,23 @@ class TestConfigValidation:
         assert main(["pretrain", "--config", str(path), "--split", pipeline.split, "--out", str(tmp_path / "m")]) == 2
         assert f"error: config.{section}.{key} must be >= " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lr", "NaN"), ("weight_decay", "Infinity"), ("alpha", "Infinity"), ("delta_add", "NaN"), ("delta_mul", "-Infinity")],
+    )
+    def test_non_finite_train_value_exits_2(self, cli_env, pipeline, tmp_path, capsys, command, key, value):
+        cfg = json.loads(json.dumps(cli_env.config))
+        cfg["train"][key] = float(value.lower())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert value in path.read_text()
+        args = [command, "--config", str(path), "--split", pipeline.split, "--out", str(tmp_path / "m")]
+        if command == "train":
+            args += ["--init", pipeline.pre]
+        assert main(args) == 2
+        assert f"error: {key} must be finite" in capsys.readouterr().err
+
     def test_readme_example_matches_the_dataclasses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         raw = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
@@ -372,6 +389,20 @@ class TestEvalCommand:
         ]
         assert main(args) == 1
         assert "vocabulary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["malformed", "not_an_object"])
+    def test_malformed_meta_exits_1(self, cli_env, pipeline, tmp_path, capsys, content):
+        broken = str(tmp_path / "broken_model")
+        shutil.copytree(pipeline.open, broken)
+        meta = os.path.join(broken, "meta.json")
+        with open(meta, "w", encoding="utf-8") as f:
+            f.write(content)
+        args = [
+            "eval", "--model", broken, "--split", pipeline.split,
+            "--test", cli_env.paths["test"], "--out", str(tmp_path / "x.json"),
+        ]
+        assert main(args) == 1
+        assert f"error: {meta}: " in capsys.readouterr().err
 
     def test_wrongly_typed_checkpoint_header_exits_1(self, cli_env, pipeline, tmp_path, capsys):
         broken = str(tmp_path / "broken_model")

@@ -13,6 +13,7 @@ from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import (
     FRESH,
     LN_EPS,
+    Block,
     EncoderConfig,
     EncoderParams,
     TapedForward,
@@ -462,6 +463,63 @@ class TestParamLayout:
         q.tensors["layers.1.ffn_w2"][0, 1] += 0.5
         shift = q.flat - p.flat
         assert shift[start + 1] == 0.5 and np.count_nonzero(shift) == 1
+
+
+def _reloaded(p, tmp_path):
+    save_checkpoint(p, str(tmp_path / "m.ckpt"))
+    return load_checkpoint(str(tmp_path / "m.ckpt"))
+
+
+def _workspace_grads(p, tmp_path):
+    ws = Workspace()
+    grads = ws.grads(p, ws.record())
+    grads.flat.fill(0.0)  # np.empty storage, which may hold NaNs
+    return grads
+
+
+# every way an EncoderParams is made, from init_params' p and a scratch directory
+PARAM_SOURCES = {
+    "init_params": lambda p, tmp_path: p,
+    "copy": lambda p, tmp_path: p.copy(),
+    "astype": lambda p, tmp_path: p.astype(np.float64),
+    "with_flat": lambda p, tmp_path: p.with_flat(np.zeros_like(p.flat)),
+    "load_checkpoint": _reloaded,
+    "workspace_grads": _workspace_grads,
+}
+
+
+class TestBlockViews:
+    """``blocks``: one read-only record per block whose fields are the
+    block's tensors, the same views into ``flat`` as the named ones."""
+
+    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
+    @pytest.mark.parametrize("source", list(PARAM_SOURCES))
+    def test_fields_are_the_named_views(self, source, attention, tmp_path):
+        q = PARAM_SOURCES[source](init_params(small_config(attention=attention), 4, seed=54), tmp_path)
+        assert isinstance(q.blocks, tuple) and len(q.blocks) == q.cfg.num_layers == 3
+        for i, block in enumerate(q.blocks):
+            assert type(block) is Block
+            for field, view in block._asdict().items():
+                name = f"layers.{i}.{field}"
+                if not attention and field.startswith(("attn_", "norm1_")):
+                    assert view is None and name not in q.layout
+                    continue
+                start, stop, shape = q.layout[name]
+                assert view.shape == shape and np.shares_memory(view, q[name]) and np.shares_memory(view, q.flat)
+                want = q.flat.copy()
+                want[start:stop] = i + 0.5
+                view[...] = i + 0.5
+                assert np.array_equal(q.flat, want), name
+
+    @pytest.mark.parametrize("source", list(PARAM_SOURCES))
+    def test_fields_cannot_be_reassigned(self, source, tmp_path):
+        q = PARAM_SOURCES[source](init_params(small_config(), 4, seed=55), tmp_path)
+        block = q.blocks[1]
+        with pytest.raises(AttributeError):
+            block.ffn_w1 = np.zeros_like(block.ffn_w1)
+        with pytest.raises(TypeError):
+            block[0] = np.zeros_like(block.attn_q)
+        assert block.ffn_w1 is q.blocks[1].ffn_w1 and np.shares_memory(block.ffn_w1, q.flat)
 
 
 def narrow(batch, width=4):
