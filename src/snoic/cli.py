@@ -158,6 +158,8 @@ def normalize_experiment_config(raw: dict) -> dict:
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"SNOIC_SEED must be an integer, got {env_seed!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{'config.seed' if env_seed is None else 'SNOIC_SEED'} must be non-negative, got {seed}")
 
     name = _expect_str(raw, "name", "config", default=None)
     if name is None:
@@ -219,9 +221,12 @@ def train_config_from(norm: dict, ablations: list[str] | None = None) -> TrainCo
     try:
         values = {f.name: t[f.name] for f in _TRAIN_FIELDS}
         values.update({magnitude: 0.0 for toggle, magnitude in _ABLATION_FLAGS.items() if t[toggle]})
-        return TrainConfig(**values, seed=norm["seed"])
     except KeyError as exc:
         raise ConfigError(f"config.train: missing {exc}") from None
+    try:
+        return TrainConfig(**values, seed=norm["seed"])
+    except ConfigError as exc:
+        raise ConfigError(f"config.train.{exc}") from None
 
 
 def variant_name(tc: TrainConfig) -> str:

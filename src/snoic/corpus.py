@@ -347,25 +347,24 @@ def _lengths_to_mask(lengths: np.ndarray, width: int) -> np.ndarray:
     return (np.arange(width)[None, :] < lengths[:, None]).astype(np.float32)
 
 
-def _slice_batches(enc: EncodedDataset, order: np.ndarray, batch_size: int) -> list[Batch]:
-    """Cut the rows of ``order`` into batches, each trimmed to its longest row."""
+def _batch(enc: EncodedDataset, idx: np.ndarray) -> Batch:
+    """The rows ``idx`` of ``enc``, trimmed to the longest of them."""
+    lengths = enc.lengths[idx]
+    width = int(lengths.max())
+    return Batch(tokens=enc.tokens[idx, :width], mask=_lengths_to_mask(lengths, width), labels=enc.class_ids[idx])
+
+
+def _check_batching(enc: EncodedDataset, batch_size: int) -> None:
     if len(enc) == 0:
         raise DataError("cannot batch an empty dataset")
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    batches = []
-    for start in range(0, len(enc), batch_size):
-        idx = order[start : start + batch_size]
-        lengths = enc.lengths[idx]
-        width = int(lengths.max())
-        batches.append(
-            Batch(
-                tokens=enc.tokens[idx, :width],
-                mask=_lengths_to_mask(lengths, width),
-                labels=enc.class_ids[idx],
-            )
-        )
-    return batches
+
+
+def _slice_batches(enc: EncodedDataset, order: np.ndarray, batch_size: int) -> list[Batch]:
+    """Cut the rows of ``order`` into batches, each trimmed to its longest row."""
+    _check_batching(enc, batch_size)
+    return [_batch(enc, order[start : start + batch_size]) for start in range(0, len(order), batch_size)]
 
 
 def make_batches(enc: EncodedDataset, batch_size: int, seed: int, epoch: int = 0) -> list[Batch]:
@@ -375,8 +374,26 @@ def make_batches(enc: EncodedDataset, batch_size: int, seed: int, epoch: int = 0
 
 
 def ordered_batches(enc: EncodedDataset, batch_size: int) -> list[Batch]:
-    """Contiguous batches in dataset order, for evaluation and prediction."""
+    """Contiguous batches in dataset order."""
     return _slice_batches(enc, np.arange(len(enc)), batch_size)
+
+
+def length_sorted_batches(enc: EncodedDataset, window: int, rows: int) -> list[tuple[np.ndarray, Batch]]:
+    """(dataset row indices, batch) pairs for untaped passes.
+
+    The dataset is read ``window`` rows at a time, in its order. Each
+    window is stably sorted by length and cut into near-equal batches of
+    at most ``rows`` rows, each trimmed to its own longest row, so short
+    rows are not padded to the width of a few long ones. A batch holds
+    rows of one window only, and how a window is cut depends on nothing
+    but its own rows.
+    """
+    _check_batching(enc, window)
+    out = []
+    for start in range(0, len(enc), window):
+        order = start + np.argsort(enc.lengths[start : start + window], kind="stable")
+        out.extend((idx, _batch(enc, idx)) for idx in np.array_split(order, -(-len(order) // rows)))
+    return out
 
 
 def _repair_pair(first: np.ndarray, second: np.ndarray, order: np.ndarray) -> None:

@@ -59,7 +59,7 @@ import numpy as np
 
 from .corpus import Batch
 from .errors import CheckpointError, DataError, TrainingError
-from .losses import softmax
+from .losses import colsum, rowsum, softmax
 
 LN_EPS = 1e-5
 ATTN_MASK_VALUE = -1e9
@@ -326,10 +326,10 @@ def _layernorm_forward(
     """Normalize the last axis. ``x`` is a sum the caller no longer needs:
     it is overwritten. A taped pass writes the output under ``key``."""
     h = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu = rowsum(x)
     mu /= h
     xc = np.subtract(x, mu, out=x)
-    var = np.add.reduce(np.multiply(xc, xc, out=ws.take("tmp", x.shape, x.dtype)), axis=-1, keepdims=True)
+    var = rowsum(np.multiply(xc, xc, out=ws.take("tmp", x.shape, x.dtype)))
     var /= h
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = np.multiply(xc, inv, out=xc)
@@ -349,13 +349,13 @@ def _layernorm_backward(
     overwrites ``dy`` with the input gradient it returns."""
     xhat, inv = cache["xhat"], cache["inv"]
     tmp = np.multiply(dy, xhat, out=ws.take("tmp", dy.shape, dy.dtype))
-    np.sum(tmp, axis=(0, 1), out=dgain)
-    np.sum(dy, axis=(0, 1), out=dbias)
+    colsum(tmp, out=dgain)
+    colsum(dy, out=dbias)
     h = dy.shape[-1]
     dxhat = np.multiply(dy, gain, out=dy)
-    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    m1 = rowsum(dxhat)
     m1 /= h
-    m2 = np.add.reduce(np.multiply(dxhat, xhat, out=tmp), axis=-1, keepdims=True)
+    m2 = rowsum(np.multiply(dxhat, xhat, out=tmp))
     m2 /= h
     # inv * (dxhat - m1 - xhat * m2), in that order
     dx = np.subtract(dxhat, m1, out=dxhat)
@@ -397,7 +397,7 @@ def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: W
     datt = np.matmul(dctx, v.swapaxes(1, 2), out=ws.take("attn.datt", att.shape, dt))
     dv = np.matmul(att.swapaxes(1, 2), dctx, out=ws.take("attn.dv", shape, dt))
     # dscores = att * (datt - rowsum(datt * att)), written over datt
-    datt -= np.multiply(datt, att, out=ws.take("tmp", att.shape, dt)).sum(axis=-1, keepdims=True)
+    datt -= rowsum(np.multiply(datt, att, out=ws.take("tmp", att.shape, dt)))
     dscores = np.multiply(att, datt, out=datt)
     dq = np.matmul(dscores, k, out=dctx)  # dctx is spent
     dq *= scale
@@ -428,11 +428,11 @@ def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: Workspa
     fd = r.shape[-1]
     hd = x.shape[-1]
     np.matmul(r.reshape(-1, fd).T, dout.reshape(-1, hd), out=g.ffn_w2)
-    np.sum(dout, axis=(0, 1), out=g.ffn_b2)
+    colsum(dout, out=g.ffn_b2)
     du = np.matmul(dout, w.ffn_w2.T, out=ws.take("ffn.du", r.shape, r.dtype))
     du *= np.greater(r, 0, out=ws.take("ffn.on", r.shape, bool))
     np.matmul(x.reshape(-1, hd).T, du.reshape(-1, fd), out=g.ffn_w1)
-    np.sum(du, axis=(0, 1), out=g.ffn_b1)
+    colsum(du, out=g.ffn_b1)
     return np.matmul(du, w.ffn_w1.T, out=ws.take("dx", x.shape, x.dtype))
 
 

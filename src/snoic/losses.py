@@ -18,12 +18,44 @@ from .errors import DataError
 LOG_FLOOR = 1e-12
 
 
+def rowmax(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, NaN included. With more than 8
+    rows per column, as in attention scores, it is a loop of
+    ``np.maximum`` over the columns: numpy reduces a short contiguous axis
+    row by row, which costs several times more. Max is order-free, so both
+    ways give the same values."""
+    w = x.shape[-1]
+    if x.size <= 8 * w * w:
+        return x.max(axis=-1, keepdims=True)
+    m = x[..., :1].copy()
+    for j in range(1, w):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    return m
+
+
+def rowsum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, kept as a length-1 axis: one matrix-vector
+    product with a ones vector, which BLAS runs faster than numpy's
+    reduction over a short axis."""
+    w = x.shape[-1]
+    return np.matmul(x.reshape(-1, w), np.ones(w, x.dtype)).reshape(x.shape[:-1] + (1,))
+
+
+def colsum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last, written to ``out``: one
+    vector-matrix product with a ones vector. A C-contiguous ``x`` is read
+    in place, so nothing of its size is allocated."""
+    w = x.shape[-1]
+    return np.matmul(np.ones(x.size // w, x.dtype), x.reshape(-1, w), out=out)
+
+
 def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable softmax over the last axis, written to ``out``
-    when given (``out=x`` overwrites the input)."""
-    z = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    when given (``out=x`` overwrites the input). The row maximum is exact
+    (:func:`rowmax`); the normalizer is a :func:`rowsum`."""
+    z = np.subtract(x, rowmax(x), out=out)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= rowsum(z)
     return z
 
 

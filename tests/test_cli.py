@@ -193,7 +193,41 @@ class TestConfigValidation:
         if command == "train":
             args += ["--init", pipeline.pre]
         assert main(args) == 2
-        assert f"error: {key} must be finite" in capsys.readouterr().err
+        assert f"error: config.train.{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("lr", -1, "lr must be >= 0, got -1.0"),
+            ("delta_mul", -0.5, "delta_mul must be >= 0, got -0.5"),
+            ("rho", 1.0, "rho must be in [0, 1)"),
+            ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ],
+    )
+    def test_out_of_range_train_value_exits_2(self, cli_env, pipeline, tmp_path, capsys, command, key, value, message):
+        cfg = json.loads(json.dumps(cli_env.config))
+        cfg["train"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        args = [command, "--config", str(path), "--split", pipeline.split, "--out", str(tmp_path / "m")]
+        if command == "train":
+            args += ["--init", pipeline.pre]
+        assert main(args) == 2
+        assert f"error: config.train.{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_train_range_errors_name_their_path(self, cli_env, value):
+        norm = normalize_experiment_config({**cli_env.config, "train": {**cli_env.config["train"], "lr": value}})
+        with pytest.raises(ConfigError, match=r"^config\.train\.lr must be "):
+            train_config_from(norm)
+
+    def test_negative_seed_names_its_source(self, cli_env, monkeypatch):
+        with pytest.raises(ConfigError, match=r"^config\.seed must be non-negative, got -1$"):
+            normalize_experiment_config({**cli_env.config, "seed": -1})
+        monkeypatch.setenv("SNOIC_SEED", "-2")
+        with pytest.raises(ConfigError, match=r"^SNOIC_SEED must be non-negative, got -2$"):
+            normalize_experiment_config(cli_env.config)
 
     def test_readme_example_matches_the_dataclasses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

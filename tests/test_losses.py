@@ -1,15 +1,20 @@
 """Loss values against closed-form hand computations, plus gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from snoic.encoder import ATTN_MASK_VALUE
 from snoic.errors import DataError
 from snoic.losses import (
+    colsum,
     kl_loss,
     mixup_loss,
     pretrain_loss,
+    rowmax,
+    rowsum,
     soft_target,
     soft_targets,
     softmax,
@@ -55,6 +60,92 @@ class TestSoftmax:
         rng = np.random.default_rng(1)
         x = rng.uniform(-1e4, 1e4, size=(8, 5))
         assert np.allclose(softmax(x).sum(axis=-1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(128, 10, 10), (64, 32, 32), (32, 113), (3, 4)])
+    def test_rows_sum_to_one_at_pass_shapes(self, dtype, shape):
+        x = np.random.default_rng(2).standard_normal(shape).astype(dtype) * 4
+        x[..., -2:] = ATTN_MASK_VALUE
+        total = softmax(x).sum(axis=-1, dtype=np.float64)
+        assert np.max(np.abs(total - 1.0)) <= 1e-6
+
+    def test_masked_columns_get_no_mass(self):
+        x = np.random.default_rng(3).standard_normal((64, 9, 9)).astype(np.float32)
+        x[:, :, 5:] += ATTN_MASK_VALUE
+        probs = softmax(x)
+        assert np.all(probs[:, :, 5:] == 0.0)
+        want = np.exp(x[:, :, :5] - x[:, :, :5].max(-1, keepdims=True))
+        np.testing.assert_allclose(probs[:, :, :5], want / want.sum(-1, keepdims=True), rtol=1e-6)
+
+
+class TestReductions:
+    """rowmax is exactly ``x.max(-1)``; rowsum and colsum are ``np.sum``
+    to rounding, the latter written into its ``out`` view."""
+
+    # the first three shapes take rowmax's column loop, the others numpy's reduction
+    SHAPES = [(128, 10, 10), (64, 32, 32), (64, 1), (5, 1), (32, 113), (3, 4)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rowmax_is_max_bit_for_bit(self, dtype, shape):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(shape).astype(dtype)
+        x[..., -1] += ATTN_MASK_VALUE  # the masked key of attention scores
+        x.reshape(-1, shape[-1])[::7] = ATTN_MASK_VALUE  # rows with every key masked
+        got = rowmax(x)
+        assert got.shape == shape[:-1] + (1,) and got.dtype == x.dtype
+        assert np.array_equal(got, x.max(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rowmax_propagates_nan(self, shape):
+        x = np.random.default_rng(5).standard_normal(shape).astype(np.float32)
+        rows = x.reshape(-1, shape[-1])
+        rows[0, -1] = np.nan
+        rows[2, 0] = np.nan
+        got, want = rowmax(x), x.max(axis=-1, keepdims=True)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got.reshape(-1)[[0, 2]]).all() and np.isnan(got).sum() == 2
+
+    def test_softmax_subtracts_the_exact_maximum(self):
+        x = np.random.default_rng(6).standard_normal((128, 10, 10)).astype(np.float32)
+        z = np.exp(x - x.max(axis=-1, keepdims=True))
+        got = softmax(x)
+        assert np.array_equal(got.argmax(-1), x.argmax(-1))
+        assert np.array_equal(np.exp(x - rowmax(x)), z)
+        np.testing.assert_allclose(got, z / z.sum(-1, keepdims=True), rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("shape", [(128, 10, 64), (32, 7, 128), (16, 9), (4, 1)])
+    def test_rowsum_and_colsum_are_sums(self, dtype, rtol, shape):
+        x = np.random.default_rng(7).uniform(0.5, 1.5, size=shape).astype(dtype)
+        want_rows = np.sum(x.astype(np.float64), axis=-1, keepdims=True)
+        want_cols = np.sum(x.astype(np.float64).reshape(-1, shape[-1]), axis=0)
+        got_rows = rowsum(x)
+        assert got_rows.shape == want_rows.shape and got_rows.dtype == x.dtype
+        np.testing.assert_allclose(got_rows, want_rows, rtol=rtol)
+        out = np.empty(shape[-1], dtype)
+        assert colsum(x, out=out) is out
+        np.testing.assert_allclose(out, want_cols, rtol=rtol)
+
+    def test_colsum_writes_a_gradient_view_in_place(self):
+        x = np.random.default_rng(8).standard_normal((128, 10, 64)).astype(np.float32)
+        flat = np.full(200, 7.0, np.float32)
+        view = flat[50:114]
+        colsum(x, out=view)
+        np.testing.assert_allclose(view, x.sum(axis=(0, 1)), rtol=1e-5, atol=1e-4)
+        assert np.all(flat[:50] == 7.0) and np.all(flat[114:] == 7.0)
+
+    def test_colsum_allocates_no_copy_of_its_input(self):
+        x = np.random.default_rng(9).standard_normal((128, 10, 64)).astype(np.float32)
+        out = np.empty(64, np.float32)
+        colsum(x, out=out)  # warm up
+        tracemalloc.start()
+        try:
+            colsum(x, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 8  # the ones vector is x.nbytes / 64
 
 
 class TestPretrainLoss:

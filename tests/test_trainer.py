@@ -21,18 +21,20 @@ from snoic.corpus import (
     build_vocab,
     encode_dataset,
 )
-from snoic.encoder import EncoderConfig, EncoderParams, TapedForward, Workspace, init_params
+from snoic.encoder import EncoderConfig, EncoderParams, TapedForward, Workspace, forward, init_params
 from snoic.errors import ConfigError, DataError, PairingError, TrainingError
 from snoic.losses import kl_loss, mixup_loss, pretrain_loss, soft_targets
 from snoic.trainer import (
     ADAM_EPS,
     BETA1,
     BETA2,
+    EVAL_ROWS,
     Model,
     OptimizerState,
     TrainConfig,
     TrainLog,
     _stream_seed,
+    batched_logits,
     known_accuracy,
     load_model,
     optimizer_step,
@@ -342,6 +344,74 @@ class TestPredict:
             tokens[i, 1:ln] = rng.integers(3, 20, size=ln - 1)
         enc = EncodedDataset(tokens=tokens, lengths=lengths, class_ids=np.ones(n, dtype=np.int32))
         assert np.array_equal(predict(p, enc, 1), predict(p, enc, 64))
+
+
+class TestEvalWindows:
+    """An untaped pass over a dataset is its batch_size windows, each run on
+    its own: predicting the whole set equals predicting each aligned slice,
+    element for element, which is what a per-request server relies on."""
+
+    WINDOW = 128
+    N = 2 * WINDOW + 77  # a ragged last window
+    SHAPES = {
+        "bench": dict(hidden=32, num_layers=2, ffn=64, dim=32, max_len=16),
+        "default": dict(hidden=64, num_layers=4, ffn=128, dim=64, max_len=32),
+    }
+
+    @pytest.fixture(params=[(shape, attention) for shape in SHAPES for attention in (True, False)],
+                    ids=lambda v: f"{v[0]}-{'attn' if v[1] else 'ffn'}")
+    def model(self, request):
+        shape, attention = request.param
+        cfg = EncoderConfig(vocab_size=60, attention=attention, **self.SHAPES[shape])
+        p = init_params(cfg, 4, seed=21)
+        rng = np.random.default_rng(22)
+        # mostly short rows; a few max_len rows set the width of their window
+        lengths = np.minimum(rng.geometric(0.2, size=self.N) + 1, cfg.max_len).astype(np.int32)
+        lengths[rng.choice(self.N, size=6, replace=False)] = cfg.max_len
+        tokens = rng.integers(3, cfg.vocab_size, size=(self.N, cfg.max_len)).astype(np.int32)
+        tokens[:, 0] = 2
+        tokens[np.arange(cfg.max_len)[None, :] >= lengths[:, None]] = 0
+        enc = EncodedDataset(tokens=tokens, lengths=lengths, class_ids=rng.integers(1, 6, self.N).astype(np.int32))
+        return p, enc
+
+    def slices(self, enc):
+        for start in range(0, len(enc), self.WINDOW):
+            rows = slice(start, start + self.WINDOW)
+            yield EncodedDataset(tokens=enc.tokens[rows], lengths=enc.lengths[rows], class_ids=enc.class_ids[rows])
+
+    def test_whole_set_equals_its_slices(self, model):
+        p, enc = model
+        assert len(enc) % self.WINDOW and len(set(enc.lengths.tolist())) > 4
+        assert np.array_equal(predict(p, enc, self.WINDOW), np.concatenate([predict(p, s) for s in self.slices(enc)]))
+        whole = threshold_baseline_predict(p, enc, 0.4, self.WINDOW)
+        parts = np.concatenate([threshold_baseline_predict(p, s, 0.4) for s in self.slices(enc)])
+        assert np.array_equal(whole, parts)
+        assert np.array_equal(
+            batched_logits(p, enc, self.WINDOW), np.concatenate([batched_logits(p, s) for s in self.slices(enc)])
+        )
+
+    def test_logits_match_one_full_width_forward_per_row(self, model):
+        p, enc = model
+        got = batched_logits(p, enc, self.WINDOW)
+        assert got.shape == (self.N, p.M + 1) and got.dtype == np.float32
+        for i in range(self.N):
+            row = Batch(
+                tokens=enc.tokens[i : i + 1],
+                mask=(np.arange(enc.max_len) < enc.lengths[i])[None, :].astype(np.float32),
+                labels=enc.class_ids[i : i + 1],
+            )
+            want = forward(p, row)[1][0]
+            assert np.max(np.abs(got[i] - want)) <= 1e-5 * np.max(np.abs(want)), f"row {i}"
+
+    def test_a_window_runs_as_length_sorted_forwards(self, model, monkeypatch):
+        p, enc = model
+        seen = []
+        monkeypatch.setattr("snoic.trainer.forward", lambda params, batch: seen.append(batch) or forward(params, batch))
+        batched_logits(p, enc, self.WINDOW)
+        assert EVAL_ROWS == 64 and [len(b) for b in seen] == [64, 64, 64, 64, 39, 38]
+        widths = [b.tokens.shape[1] for b in seen]
+        assert widths[0] < widths[1] and widths[2] < widths[3] and widths[4] <= widths[5]
+        assert all(b.mask[:, -1].any() and np.all(np.diff(b.mask.sum(1)) >= 0) for b in seen)
 
 
 class TestThresholdBaseline:
