@@ -5,10 +5,12 @@ vocabulary settings, encoder shape, training hyperparameters); unknown
 keys are rejected anywhere in the document so sweep typos fail loudly.
 The SNOIC_SEED environment variable overrides the configured seed.
 
-The paper's ablations are magnitudes at zero: each ``disable_*`` key of
-config.train, or ``--ablation`` toggle, sets rho (soft labeling),
-delta_add or delta_mul to 0, and a run's variant name (SNOiC, SNOiC-SL,
-SNOiC-AN, SNOiC-MN) follows which of the three is 0.
+The paper's ablations are magnitudes at zero: rho (soft labeling),
+delta_add or delta_mul set to 0 in config.train, or by an ``--ablation``
+of ``snoic train``, which writes the 0 into the config that the model
+directory echoes. A run's variant name (SNOiC, SNOiC-SL, SNOiC-AN,
+SNOiC-MN) follows which of the three is 0. ``snoic train`` refuses a
+config.encoder that differs from its ``--init`` checkpoint's.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
@@ -52,13 +54,12 @@ from .trainer import (
     train_open,
 )
 
-# config.train ablation toggle -> the TrainConfig magnitude it sets to 0
-_ABLATION_FLAGS = {
+# --ablation name -> the TrainConfig magnitude it sets to 0
+ABLATIONS = {
     "disable_soft_labeling": "rho",
     "disable_additive_noise": "delta_add",
     "disable_multiplicative_noise": "delta_mul",
 }
-ABLATION_TOGGLES = tuple(_ABLATION_FLAGS)
 
 _TOP_KEYS = {"name", "data", "seed", "r", "labeled_data_ratio", "vocab", "encoder", "train", "out_dir"}
 _DATA_KEYS = {"train", "val", "test"}
@@ -67,7 +68,6 @@ _VOCAB_KEYS = {"min_freq", "max_size"}
 _ENCODER_FIELDS = [f for f in fields(EncoderConfig) if f.name != "vocab_size"]
 # TrainConfig fields set from config.train; the seed comes from config.seed
 _TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
-_TRAIN_KEYS = {f.name for f in _TRAIN_FIELDS} | set(ABLATION_TOGGLES)
 
 
 def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
@@ -115,15 +115,7 @@ def _expect_num(obj: dict, key: str, path: str, default):
     return float(v)
 
 
-def _expect_bool(obj: dict, key: str, path: str, default):
-    if key not in obj:
-        return default
-    if not isinstance(obj[key], bool):
-        raise ConfigError(f"{path}.{key}: expected true or false")
-    return obj[key]
-
-
-_EXPECT_BY_TYPE = {int: _expect_int, float: _expect_num, str: _expect_str, bool: _expect_bool}
+_EXPECT_BY_TYPE = {int: _expect_int, float: _expect_num, str: _expect_str}
 
 
 def _section(obj: dict, dataclass_fields: list, path: str) -> dict:
@@ -149,7 +141,7 @@ def normalize_experiment_config(raw: dict) -> dict:
     encoder = _expect_map(raw.get("encoder", {}), "config.encoder")
     _reject_unknown(encoder, {f.name for f in _ENCODER_FIELDS}, "config.encoder")
     train = _expect_map(raw.get("train", {}), "config.train")
-    _reject_unknown(train, _TRAIN_KEYS, "config.train")
+    _reject_unknown(train, {f.name for f in _TRAIN_FIELDS}, "config.train")
 
     seed = _expect_int(raw, "seed", "config", 0)
     env_seed = os.environ.get("SNOIC_SEED")
@@ -177,10 +169,7 @@ def normalize_experiment_config(raw: dict) -> dict:
             "max_size": _expect_int(vocab, "max_size", "config.vocab", 50000),
         },
         "encoder": _section(encoder, _ENCODER_FIELDS, "config.encoder"),
-        "train": {
-            **_section(train, _TRAIN_FIELDS, "config.train"),
-            **{toggle: _expect_bool(train, toggle, "config.train", False) for toggle in ABLATION_TOGGLES},
-        },
+        "train": _section(train, _TRAIN_FIELDS, "config.train"),
     }
     if norm["r"] is not None and not 0.0 < norm["r"] < 1.0:
         raise ConfigError(f"config.r: must be in (0, 1), got {norm['r']}")
@@ -212,15 +201,19 @@ def load_experiment_config(path: str) -> dict:
     return normalize_experiment_config(raw)
 
 
-def train_config_from(norm: dict, ablations: list[str] | None = None) -> TrainConfig:
-    t = dict(norm["train"])
+def with_ablations(norm: dict, ablations: list[str] | None) -> dict:
+    """``norm`` with the magnitude of each named ablation set to 0."""
+    zeroed = {}
     for name in ablations or []:
-        if name not in ABLATION_TOGGLES:
-            raise ConfigError(f"unknown ablation toggle {name!r}; choose from {list(ABLATION_TOGGLES)}")
-        t[name] = True
+        if name not in ABLATIONS:
+            raise ConfigError(f"unknown ablation {name!r}; choose from {list(ABLATIONS)}")
+        zeroed[ABLATIONS[name]] = 0.0
+    return {**norm, "train": {**norm["train"], **zeroed}}
+
+
+def train_config_from(norm: dict) -> TrainConfig:
     try:
-        values = {f.name: t[f.name] for f in _TRAIN_FIELDS}
-        values.update({magnitude: 0.0 for toggle, magnitude in _ABLATION_FLAGS.items() if t[toggle]})
+        values = {f.name: norm["train"][f.name] for f in _TRAIN_FIELDS}
     except KeyError as exc:
         raise ConfigError(f"config.train: missing {exc}") from None
     try:
@@ -324,17 +317,20 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    norm = load_experiment_config(args.config)
+    norm = with_ablations(load_experiment_config(args.config), args.ablation)
     split = SplitSpec.load(args.split)
     _check_split_consistency(norm, split)
     out = _resolve_out(args, norm)
-    tc = train_config_from(norm, args.ablation)
+    tc = train_config_from(norm)
     model, _ = load_model(args.init)
     _check_head_width(model, split, "init checkpoint")
+    init_cfg = model.params.cfg
+    for key, value in norm["encoder"].items():
+        if getattr(init_cfg, key) != value:
+            raise ConfigError(f"config.encoder.{key} is {value}, the init checkpoint's is {getattr(init_cfg, key)}")
     ds_train, cds_train, cds_val = _prepare_stage_data(norm, split)
-    max_len = model.params.cfg.max_len
-    train_enc = encode_dataset(cds_train, model.vocab, max_len)
-    val_enc = encode_dataset(cds_val, model.vocab, max_len)
+    train_enc = encode_dataset(cds_train, model.vocab, init_cfg.max_len)
+    val_enc = encode_dataset(cds_val, model.vocab, init_cfg.max_len)
     best, log = train_open(model.params, train_enc, val_enc, tc)
     meta = _stage_meta("train", norm, tc, split, train_enc, val_enc)
     save_model(Model(params=best, vocab=model.vocab), out, meta=meta, log=log)
@@ -349,11 +345,6 @@ def cmd_eval(args) -> int:
     model, meta = load_model(args.model)
     split = SplitSpec.load(args.split)
     _check_head_width(model, split, "model")
-    if model.params.cfg.vocab_size != len(model.vocab):
-        raise CheckpointError(
-            f"model expects vocabulary of {model.params.cfg.vocab_size} ids, "
-            f"stored vocabulary has {len(model.vocab)}"
-        )
     ds_test = load_dataset(args.test)
     cds_test = apply_split(ds_test, split, "test")
     enc_test = encode_dataset(cds_test, model.vocab, model.params.cfg.max_len)
@@ -470,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ablation",
         action="append",
         default=None,
-        help=f"repeatable; one of {', '.join(ABLATION_TOGGLES)}",
+        help=f"repeatable; sets a magnitude to 0: {', '.join(f'{k} ({v})' for k, v in ABLATIONS.items())}",
     )
     p.set_defaults(func=cmd_train)
 

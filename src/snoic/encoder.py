@@ -2,10 +2,9 @@
 
 The encoder embeds token ids, applies ``num_layers`` blocks (single-head
 scaled dot-product attention plus a feed-forward sublayer, each with a
-residual connection and layer normalization; attention can be disabled for
-a pure token-wise variant), mean-pools the real-token vectors, and maps
-the pooled vector through a ReLU dense layer to the intent representation.
-A linear head produces M+1 logits.
+residual connection and layer normalization), mean-pools the real-token
+vectors, and maps the pooled vector through a ReLU dense layer to the
+intent representation. A linear head produces M+1 logits.
 
 The pass is built from two segment runners that meet at a block boundary:
 :func:`run_to_layer` runs the embeddings and blocks 1..rl, and
@@ -76,14 +75,13 @@ class EncoderConfig:
     ffn: int = 128
     dim: int = 64
     max_len: int = 32
-    attention: bool = True
 
     def __post_init__(self):
         for f in fields(self):
-            value, is_flag, low = getattr(self, f.name), f.type == "bool", _CONFIG_MINIMUM.get(f.name, 1)
-            if isinstance(value, bool) != is_flag or not isinstance(value, numbers.Integral):
-                raise DataError(f"{f.name} must be {'true or false' if is_flag else 'an integer'}, got {value!r}")
-            if not is_flag and value < low:
+            value, low = getattr(self, f.name), _CONFIG_MINIMUM.get(f.name, 1)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(f"{f.name} must be an integer, got {value!r}")
+            if value < low:
                 raise DataError(f"{f.name} must be >= {low}, got {value}")
 
     def to_dict(self) -> dict:
@@ -103,9 +101,8 @@ class EncoderConfig:
         return cls(**obj)
 
 
-# one block's tensors (name, shape as EncoderConfig fields, kind), the attention
-# sublayer's six first; their parameter names are "layers.<i>.<name>". A Block
-# holds one block's views, with None for attention's when attention is off.
+# one block's tensors (name, shape as EncoderConfig fields, kind); their parameter
+# names are "layers.<i>.<name>", and a Block holds one block's views.
 _BLOCK_TENSORS = (
     ("attn_q", ("hidden", "hidden"), "weight"),
     ("attn_k", ("hidden", "hidden"), "weight"),
@@ -129,14 +126,13 @@ def param_spec(cfg: EncoderConfig, M: int) -> list[tuple[str, tuple[int, ...], s
     if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
         raise DataError(f"M must be an integer >= 1, got {M!r}")
     h, d = cfg.hidden, cfg.dim
-    block = _BLOCK_TENSORS if cfg.attention else _BLOCK_TENSORS[6:]
     return [
         ("token_embedding", (cfg.vocab_size, h), "weight"),
         ("position_embedding", (cfg.max_len, h), "weight"),
         *(
             (f"layers.{i}.{name}", tuple(getattr(cfg, dim) for dim in dims), kind)
             for i in range(cfg.num_layers)
-            for name, dims, kind in block
+            for name, dims, kind in _BLOCK_TENSORS
         ),
         ("dense_w", (h, d), "weight"),
         ("dense_b", (d,), "bias"),
@@ -163,15 +159,15 @@ class EncoderParams:
     """All trainable tensors, keyed by canonical name, as reshaped views
     into one flat buffer.
 
-    ``flat`` is C-contiguous and holds the tensors back to back in the
-    order of ``tensors`` (param_spec order for every model built here);
-    ``layout`` maps each name to its (start, stop, shape) in it. The
-    constructor packs the arrays it is given into a new buffer of their
-    common dtype; :meth:`with_flat` lays them over another buffer, as
-    gradients are. ``tensors`` is a read-only mapping, so a tensor can
-    only be written in place and never detached from ``flat``; ``blocks``
-    holds the same views once more, one read-only :class:`Block` per
-    encoder block.
+    ``tensors`` holds every tensor that :func:`param_spec` lists. ``flat``
+    is C-contiguous and holds them back to back in the order of
+    ``tensors`` (param_spec order for every model built here); ``layout``
+    maps each name to its (start, stop, shape) in it. The constructor
+    packs the arrays it is given into a new buffer of their common dtype;
+    :meth:`with_flat` lays them over another buffer, as gradients are.
+    ``tensors`` is a read-only mapping, so a tensor can only be written in
+    place and never detached from ``flat``; ``blocks`` holds the same views
+    once more, one read-only :class:`Block` per encoder block.
     """
 
     def __init__(self, cfg: EncoderConfig, M: int, tensors: dict[str, np.ndarray]):
@@ -182,7 +178,7 @@ class EncoderParams:
         self.cfg, self.M, self.flat, self.layout = cfg, M, flat, layout
         self.tensors = MappingProxyType(_views(flat, layout))
         self.blocks = tuple(
-            Block(*(self.tensors.get(f"layers.{i}.{name}") for name in Block._fields)) for i in range(cfg.num_layers)
+            Block(*(self.tensors[f"layers.{i}.{name}"] for name in Block._fields)) for i in range(cfg.num_layers)
         )
         return self
 
@@ -443,12 +439,9 @@ def _block_forward(w: Block, i: int, h: np.ndarray, mask: np.ndarray, cache: dic
     ``h`` is only read. Residual sums are formed in the sublayer outputs,
     which the layer norms then overwrite.
     """
-    if w.attn_q is None:
-        n1 = h
-    else:
-        s1 = _attention_forward(w, i, h, mask, _subcache(cache, "attn"), ws)
-        s1 += h
-        n1 = _layernorm_forward(s1, w.norm1_gain, w.norm1_bias, _subcache(cache, "ln1"), ws, (i, "n1"))
+    s1 = _attention_forward(w, i, h, mask, _subcache(cache, "attn"), ws)
+    s1 += h
+    n1 = _layernorm_forward(s1, w.norm1_gain, w.norm1_bias, _subcache(cache, "ln1"), ws, (i, "n1"))
     s2 = _ffn_forward(w, i, n1, _subcache(cache, "ffn"), ws)
     s2 += n1
     n2 = _layernorm_forward(s2, w.norm2_gain, w.norm2_bias, _subcache(cache, "ln2"), ws, (i, "n2"))
@@ -466,8 +459,6 @@ def _block_backward(w: Block, g: Block, cache: dict, dh_out: np.ndarray, ws: Wor
     dn2 = np.multiply(dh_out, mask[:, :, None], out=ws.take("dh", dh_out.shape, dh_out.dtype))
     ds2 = _layernorm_backward(dn2, cache["ln2"], w.norm2_gain, g.norm2_gain, g.norm2_bias, ws)
     dn1 = np.add(ds2, _ffn_backward(w, g, cache["ffn"], ds2, ws), out=ds2)
-    if w.attn_q is None:
-        return dn1
     ds1 = _layernorm_backward(dn1, cache["ln1"], w.norm1_gain, g.norm1_gain, g.norm1_bias, ws)
     return np.add(ds1, _attention_backward(w, g, cache["attn"], ds1, ws), out=ds1)
 

@@ -39,7 +39,7 @@ import numpy as np
 from .augment import NoisyMixupPass
 from .corpus import EncodedDataset, Vocab, _load_json, length_sorted_batches, make_batches, pair_batches
 from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
-from .errors import ConfigError, DataError, PairingError, TrainingError
+from .errors import CheckpointError, ConfigError, DataError, PairingError, TrainingError
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
 
 BETA1 = 0.9
@@ -414,8 +414,14 @@ def save_model(model: Model, dirpath: str, meta: dict | None = None, log: TrainL
 
 
 def load_model(dirpath: str) -> tuple[Model, dict]:
+    """The model and meta document of a model directory; a vocabulary that
+    does not match the checkpoint's embedding table raises CheckpointError."""
     params = load_checkpoint(os.path.join(dirpath, CHECKPOINT_FILE))
     vocab = Vocab.load(os.path.join(dirpath, VOCAB_FILE))
+    if params.cfg.vocab_size != len(vocab):
+        raise CheckpointError(
+            f"{dirpath}: model expects vocabulary of {params.cfg.vocab_size} ids, stored vocabulary has {len(vocab)}"
+        )
     meta_path = os.path.join(dirpath, META_FILE)
     meta = {}
     if os.path.exists(meta_path):

@@ -27,9 +27,9 @@ SMALL_GRAD = 1e-6
 SMALL_ABS_TOL = 1e-8
 
 
-def tiny_params(attention, seed=0, dtype=np.float64, jitter=0.05):
+def tiny_params(seed=0, dtype=np.float64, jitter=0.05):
     """Small float64 model with jittered tensors so no gradient path is dead."""
-    cfg = EncoderConfig(attention=attention, **TINY)
+    cfg = EncoderConfig(**TINY)
     p = init_params(cfg, TINY_M, seed).astype(dtype)
     rng = np.random.default_rng(seed + 1000)
     for name in p.names():
@@ -144,19 +144,15 @@ def build_cases(p, batch, pair, mix_seed=777, rho=0.3, gamma=0.6):
 
 
 def run_gradient_suite(n_coords=220, coord_seed=5):
-    """FD-check every loss against both encoder variants.
+    """FD-check every loss.
 
     Returns (results, elapsed_sec) where each result row is
     (case_name, max_rel_err, coordinates_checked).
     """
     started = time.monotonic()
+    p = tiny_params(seed=3)
     results = []
-    for attention in (True, False):
-        tag = "attn" if attention else "noattn"
-        p = tiny_params(attention, seed=3 if attention else 4)
-        batch = tiny_batch(11)
-        pair = tiny_pair(12)
-        for name, value_fn, grads in build_cases(p, batch, pair):
-            err, checked = max_rel_err(p, value_fn, grads, n_coords, coord_seed)
-            results.append((f"{name}/{tag}", err, checked))
+    for name, value_fn, grads in build_cases(p, tiny_batch(11), tiny_pair(12)):
+        err, checked = max_rel_err(p, value_fn, grads, n_coords, coord_seed)
+        results.append((name, err, checked))
     return results, time.monotonic() - started

@@ -247,7 +247,7 @@ class TestMixupConfig:
 class TestNoisyMixupPass:
     def test_documented_draw_order(self):
         """One stream feeds layer, lambda, then the two noise fields."""
-        p = tiny_params(attention=True, seed=3)
+        p = tiny_params(seed=3)
         batch = tiny_batch(11)
         pair = tiny_pair(12)
         cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
@@ -274,7 +274,7 @@ class TestNoisyMixupPass:
         assert np.allclose(mix.logits, head_logits(p, e), atol=1e-9)
 
     def test_outputs_are_finite_and_shaped(self):
-        p = tiny_params(attention=True, seed=3)
+        p = tiny_params(seed=3)
         batch = tiny_batch(11, size=5)
         pair = tiny_pair(12)
         mix = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(2))
@@ -288,7 +288,7 @@ class TestNoisyMixupPass:
         )
 
     def test_deterministic_per_seed(self):
-        p = tiny_params(attention=True, seed=3)
+        p = tiny_params(seed=3)
         batch = tiny_batch(11)
         pair = tiny_pair(12)
         a = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(33))
@@ -297,7 +297,7 @@ class TestNoisyMixupPass:
         assert np.array_equal(a.logits, b.logits)
 
     def test_backward_touches_every_parameter(self):
-        p = tiny_params(attention=True, seed=3)
+        p = tiny_params(seed=3)
         batch = tiny_batch(11)
         pair = tiny_pair(12)
         mix = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(5))
@@ -306,10 +306,9 @@ class TestNoisyMixupPass:
         assert np.isfinite(grads.flat).all()
 
     @pytest.mark.parametrize("dtype, rel_tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
-    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
     @pytest.mark.parametrize("seed", [21, 22])
-    def test_stacked_pass_matches_separate_segments(self, dtype, rel_tol, attention, seed):
-        p = tiny_params(attention, seed=3 if attention else 4, dtype=dtype)
+    def test_stacked_pass_matches_separate_segments(self, dtype, rel_tol, seed):
+        p = tiny_params(seed=3, dtype=dtype)
         batch = tiny_batch(11)
         pair = tiny_pair(12)
         cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
@@ -334,12 +333,11 @@ class TestNoisyMixupPass:
 
 class TestWorkspaceReuse:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
-    def test_reused_workspace_matches_fresh_pass(self, attention, dtype):
+    def test_reused_workspace_matches_fresh_pass(self, dtype):
         """Steps change the row count (full, then tail batch) and the mix
         layer (rl = L, then rl = 1): passes recorded into one workspace
         give the logits and gradients of fresh passes."""
-        p = tiny_params(attention, seed=5, dtype=dtype)
+        p = tiny_params(seed=5, dtype=dtype)
         depth = TINY["num_layers"]
         ws = Workspace()
         steps = [(6, depth), (3, 1), (6, 1), (3, depth)]
@@ -378,12 +376,11 @@ def ragged_batch(seed, longest, size=4):
 
 class TestRaggedWidths:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
     @pytest.mark.parametrize("widths", [(3, 5, 4), (5, 2, 3), (2, 4, 6)])
-    def test_parts_of_different_widths_match_max_len(self, widths, attention, dtype):
+    def test_parts_of_different_widths_match_max_len(self, widths, dtype):
         """Soft batch and pair halves cut to three widths give the logits,
         gradients and RNG state of the same rows padded to max_len."""
-        p = tiny_params(attention, seed=6, dtype=dtype)
+        p = tiny_params(seed=6, dtype=dtype)
         soft, first, second = (ragged_batch(70 + k, w) for k, w in enumerate(widths))
         second.labels = (first.labels % p.M + 1).astype(np.int32)
         ragged = (cut(soft, widths[0]), PairedBatch(cut(first, widths[1]), cut(second, widths[2])))

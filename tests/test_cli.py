@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from snoic.cli import main, normalize_experiment_config, train_config_from
+from snoic.cli import ABLATIONS, main, normalize_experiment_config, train_config_from, with_ablations
 from snoic.corpus import SplitSpec, load_dataset, make_split
 from snoic.encoder import EncoderConfig
 from snoic.errors import ConfigError
@@ -105,10 +105,12 @@ class TestConfigValidation:
             normalize_experiment_config(raw)
 
     def test_unknown_nested_keys_report_their_path(self, cli_env):
-        for section, path in (("vocab", "config.vocab"), ("encoder", "config.encoder"), ("train", "config.train")):
+        # no setting is a boolean: attention is always on, and an ablation is its magnitude at 0
+        retired = [("encoder", "attention", True), *(("train", name, True) for name in ABLATIONS)]
+        for section, key, value in [("vocab", "zz", 1), ("encoder", "zz", 1), ("train", "zz", 1), *retired]:
             raw = self.minimal(cli_env)
-            raw[section] = {"zz": 1}
-            with pytest.raises(ConfigError, match=rf"{path}: unknown keys"):
+            raw[section] = {key: value}
+            with pytest.raises(ConfigError, match=re.escape(f"config.{section}: unknown keys ['{key}']")):
                 normalize_experiment_config(raw)
 
     def test_missing_train_path(self, cli_env):
@@ -122,8 +124,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="expected a number"):
             normalize_experiment_config(raw)
         raw = self.minimal(cli_env)
-        raw["encoder"] = {"attention": "yes"}
-        with pytest.raises(ConfigError, match="expected true or false"):
+        raw["encoder"] = {"max_len": "yes"}
+        with pytest.raises(ConfigError, match="config.encoder.max_len: expected an integer"):
             normalize_experiment_config(raw)
 
     def test_ratio_bounds(self, cli_env):
@@ -247,7 +249,7 @@ class TestConfigValidation:
     )
     def test_ablation_zeroes_exactly_its_magnitude(self, cli_env, magnitude, toggle):
         norm = normalize_experiment_config(cli_env.config)
-        base, ablated = asdict(train_config_from(norm)), asdict(train_config_from(norm, [toggle]))
+        base, ablated = asdict(train_config_from(norm)), asdict(train_config_from(with_ablations(norm, [toggle])))
         assert base[magnitude] > 0.0 and ablated[magnitude] == 0.0
         assert {k: v for k, v in ablated.items() if k != magnitude} == {k: v for k, v in base.items() if k != magnitude}
 
@@ -316,13 +318,19 @@ class TestTrainCommand:
         assert all(json.loads(ln)["stage"] == "open" for ln in lines)
 
     def test_ablation_changes_variant_name(self, cli_env, pipeline, tmp_path):
-        out = str(tmp_path / "msl")
-        args = [
-            "train", "--config", cli_env.config_path, "--split", pipeline.split,
-            "--init", pipeline.pre, "--out", out, "--ablation", "disable_soft_labeling",
-        ]
-        assert main(args) == 0
-        assert read_json(os.path.join(out, "meta.json"))["variant"] == "SNOiC-SL"
+        """Each ablation names its variant, and the config the model
+        directory echoes trains the same TrainConfig, ablation included."""
+        for ablation, variant in zip(ABLATIONS, ("SNOiC-SL", "SNOiC-AN", "SNOiC-MN")):
+            out = str(tmp_path / ablation)
+            args = [
+                "train", "--config", cli_env.config_path, "--split", pipeline.split,
+                "--init", pipeline.pre, "--out", out, "--ablation", ablation,
+            ]
+            assert main(args) == 0
+            meta = read_json(os.path.join(out, "meta.json"))
+            trained = train_config_from(with_ablations(normalize_experiment_config(cli_env.config), [ablation]))
+            assert meta["variant"] == variant and getattr(trained, ABLATIONS[ablation]) == 0.0
+            assert train_config_from(normalize_experiment_config(meta["config"])) == trained
 
     def test_zero_rho_is_the_soft_label_ablation(self, cli_env, pipeline, tmp_path):
         cfg = json.loads(json.dumps(cli_env.config))
@@ -340,6 +348,31 @@ class TestTrainCommand:
             "--init", pipeline.pre, "--out", str(tmp_path / "m"), "--ablation", "disable_dropout",
         ]
         assert main(args) == 2
+
+    def test_encoder_section_unlike_the_init_checkpoint_exits_2(self, cli_env, pipeline, tmp_path, capsys):
+        cfg = json.loads(json.dumps(cli_env.config))
+        cfg["encoder"].update(hidden=32, num_layers=3)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "m"
+        args = ["train", "--config", str(path), "--split", pipeline.split, "--init", pipeline.pre, "--out", str(out)]
+        assert main(args) == 2
+        assert "error: config.encoder.hidden is 32, the init checkpoint's is 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_init_vocabulary_unlike_the_checkpoint_exits_1(self, cli_env, pipeline, tmp_path, capsys):
+        broken = str(tmp_path / "broken_model")
+        shutil.copytree(pipeline.pre, broken)
+        vpath = os.path.join(broken, "vocab.json")
+        obj = read_json(vpath)
+        obj["tokens"] = obj["tokens"][:20]
+        with open(vpath, "w", encoding="utf-8") as f:
+            json.dump(obj, f)
+        out = tmp_path / "m"
+        args = ["train", "--config", cli_env.config_path, "--split", pipeline.split, "--init", broken, "--out", str(out)]
+        assert main(args) == 1
+        assert "stored vocabulary has 20" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_head_width_mismatch_exits_1(self, cli_env, pipeline, tmp_path, capsys):
         narrow = str(tmp_path / "narrow.json")

@@ -32,10 +32,10 @@ from snoic.trainer import TrainConfig
 from gradcheck import seed_for_layer, tiny_batch, tiny_pair, tiny_params
 
 
-def small_config(attention=True, **overrides):
+def small_config(**overrides):
     base = dict(vocab_size=30, hidden=16, num_layers=3, ffn=24, dim=12, max_len=8)
     base.update(overrides)
-    return EncoderConfig(attention=attention, **base)
+    return EncoderConfig(**base)
 
 
 def random_batch(cfg, seed, size=5, m=4, min_len=1):
@@ -64,14 +64,9 @@ class TestParamSpec:
         assert spec["head_b"] == (7,)
 
     def test_attention_variant_has_attention_tensors(self):
-        names = [n for n, _, _ in param_spec(small_config(attention=True), 2)]
+        names = [n for n, _, _ in param_spec(small_config(), 2)]
         assert "layers.0.attn_q" in names
         assert "layers.2.norm1_gain" in names
-
-    def test_no_attention_variant_drops_them(self):
-        names = [n for n, _, _ in param_spec(small_config(attention=False), 2)]
-        assert not any("attn" in n or "norm1" in n for n in names)
-        assert "layers.0.ffn_w1" in names
 
     def test_m_lower_bound(self):
         with pytest.raises(DataError):
@@ -121,13 +116,13 @@ class TestInit:
         with pytest.raises(DataError):
             EncoderConfig(vocab_size=10, max_len=1)
 
-    @pytest.mark.parametrize("key, value", [("hidden", "4"), ("hidden", 4.0), ("ffn", True), ("attention", 1)])
+    @pytest.mark.parametrize("key, value", [("hidden", "4"), ("hidden", 4.0), ("ffn", True)])
     def test_config_rejects_wrong_types(self, key, value):
         with pytest.raises(DataError, match=key):
             EncoderConfig(vocab_size=10, **{key: value})
 
     def test_config_dict_round_trip(self):
-        cfg = small_config(attention=False)
+        cfg = small_config()
         assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_config_from_dict_rejects_unknown_keys(self):
@@ -138,9 +133,8 @@ class TestInit:
 
 
 class TestForward:
-    @pytest.mark.parametrize("attention", [True, False])
-    def test_output_shapes(self, attention):
-        cfg = small_config(attention=attention)
+    def test_output_shapes(self):
+        cfg = small_config()
         p = init_params(cfg, 4, seed=0)
         batch = random_batch(cfg, 1)
         e, logits = forward(p, batch)
@@ -153,10 +147,9 @@ class TestForward:
         e, _ = forward(p, random_batch(cfg, 2))
         assert np.all(e >= 0.0)
 
-    @pytest.mark.parametrize("attention", [True, False])
-    def test_cut_and_resume_composes_to_full_pass(self, attention):
+    def test_cut_and_resume_composes_to_full_pass(self):
         """Splitting at any block boundary reproduces the full forward."""
-        cfg = small_config(attention=attention)
+        cfg = small_config()
         p = init_params(cfg, 4, seed=3)
         batch = random_batch(cfg, 4)
         e_full, logits_full = forward(p, batch)
@@ -177,21 +170,19 @@ class TestForward:
         ) * batch.mask[:, :, None]
         assert np.allclose(h, expected, atol=1e-7)
 
-    @pytest.mark.parametrize("attention", [True, False])
-    def test_padded_positions_stay_zero(self, attention):
-        cfg = small_config(attention=attention)
+    def test_padded_positions_stay_zero(self):
+        cfg = small_config()
         p = init_params(cfg, 4, seed=7)
         batch = random_batch(cfg, 8, min_len=2)
         for rl in range(0, cfg.num_layers + 1):
             h = run_to_layer(p, batch.tokens, batch.mask, rl)
             assert np.all(h[batch.mask == 0.0] == 0.0)
 
-    @pytest.mark.parametrize("attention", [True, False])
-    def test_trailing_padding_is_inert(self, attention):
+    def test_trailing_padding_is_inert(self):
         """Extra pad columns beyond every real token change nothing."""
-        cfg = small_config(attention=attention)
+        cfg = small_config()
         p = init_params(cfg, 4, seed=9)
-        narrow = random_batch(small_config(attention=attention, max_len=5), 10)
+        narrow = random_batch(small_config(max_len=5), 10)
         extra = cfg.max_len - 5
         wide = Batch(
             tokens=np.pad(narrow.tokens, ((0, 0), (0, extra))),
@@ -264,34 +255,46 @@ class TestForward:
 
 
 class TestStraightLineReference:
-    def test_no_attention_block_matches_definition(self):
-        """Hand-set weights through an independently coded forward pass."""
-        cfg = EncoderConfig(
-            vocab_size=4, hidden=2, num_layers=1, ffn=2, dim=2, max_len=2, attention=False
-        )
+    def test_attention_block_matches_definition(self):
+        """Hand-set weights through an independently coded forward pass.
+
+        With zero query and key weights every score is 0, so attention is
+        uniform over a row's real tokens; identity value and output weights
+        make each real position's attention output the mean of the row's
+        embeddings. The padded third position must not enter that mean.
+        """
+        cfg = EncoderConfig(vocab_size=4, hidden=3, num_layers=1, ffn=3, dim=3, max_len=3)
         p = init_params(cfg, 1, seed=0)
-        p.tensors["token_embedding"][:] = [[0, 0], [0, 0], [0.5, -0.5], [1.0, 2.0]]
-        p.tensors["position_embedding"][:] = [[0.1, 0.1], [-0.1, 0.2]]
-        p.tensors["layers.0.ffn_w1"][:] = np.eye(2)
+        p.tensors["token_embedding"][:] = [[0, 0, 0], [0, 0, 0], [0.5, -0.5, 0.2], [1.0, 2.0, -1.0]]
+        p.tensors["position_embedding"][:] = [[0.1, 0.1, 0.0], [-0.1, 0.2, 0.3], [5.0, 5.0, 5.0]]
+        p.tensors["layers.0.attn_q"][:] = 0.0
+        p.tensors["layers.0.attn_k"][:] = 0.0
+        p.tensors["layers.0.attn_v"][:] = np.eye(3)
+        p.tensors["layers.0.attn_out"][:] = np.eye(3)
+        p.tensors["layers.0.norm1_gain"][:] = [2.0, 0.5, 1.0]
+        p.tensors["layers.0.norm1_bias"][:] = [0.1, -0.2, 0.0]
+        p.tensors["layers.0.ffn_w1"][:] = np.eye(3)
         p.tensors["layers.0.ffn_b1"][:] = 0.0
-        p.tensors["layers.0.ffn_w2"][:] = 0.5 * np.eye(2)
+        p.tensors["layers.0.ffn_w2"][:] = 0.5 * np.eye(3)
         p.tensors["layers.0.ffn_b2"][:] = 0.1
-        p.tensors["dense_w"][:] = np.eye(2)
-        p.tensors["dense_b"][:] = [0.0, -1.0]
+        p.tensors["dense_w"][:] = np.eye(3)
+        p.tensors["dense_b"][:] = [0.0, -1.0, 0.5]
         batch = Batch(
-            tokens=np.array([[2, 3]], dtype=np.int32),
-            mask=np.ones((1, 2), dtype=np.float32),
+            tokens=np.array([[2, 3, 0]], dtype=np.int32),
+            mask=np.array([[1, 1, 0]], dtype=np.float32),
             labels=np.array([1], dtype=np.int32),
         )
 
-        h = np.array([[0.5 + 0.1, -0.5 + 0.1], [1.0 - 0.1, 2.0 + 0.2]])
-        r = np.maximum(h, 0.0)
-        s = h + r @ (0.5 * np.eye(2)) + 0.1
-        mu = s.mean(axis=-1, keepdims=True)
-        var = ((s - mu) ** 2).mean(axis=-1, keepdims=True)
-        n = (s - mu) / np.sqrt(var + LN_EPS)
-        pooled = n.mean(axis=0)
-        expected = np.maximum(pooled + np.array([0.0, -1.0]), 0.0)
+        def layernorm(x, gain, bias):
+            mu = x.mean(axis=-1, keepdims=True)
+            var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+            return (x - mu) / np.sqrt(var + LN_EPS) * gain + bias
+
+        h = np.array([[0.5 + 0.1, -0.5 + 0.1, 0.2 + 0.0], [1.0 - 0.1, 2.0 + 0.2, -1.0 + 0.3]])
+        n1 = layernorm(h + h.mean(axis=0), np.array([2.0, 0.5, 1.0]), np.array([0.1, -0.2, 0.0]))
+        s2 = n1 + np.maximum(n1, 0.0) @ (0.5 * np.eye(3)) + 0.1
+        pooled = layernorm(s2, 1.0, 0.0).mean(axis=0)
+        expected = np.maximum(pooled + np.array([0.0, -1.0, 0.5]), 0.0)
 
         e, _ = forward(p, batch)
         assert np.allclose(e[0], expected, atol=1e-6)
@@ -305,19 +308,17 @@ class TestUntapedPass:
     """forward keeps no tape and works in place, through the same blocks."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("attention", [True, False])
     @pytest.mark.parametrize("shape", [BENCH_SHAPE, DEFAULT_SHAPE], ids=["H32", "H64"])
-    def test_logits_equal_taped_logits(self, shape, attention, dtype):
-        cfg = EncoderConfig(vocab_size=40, attention=attention, **shape)
+    def test_logits_equal_taped_logits(self, shape, dtype):
+        cfg = EncoderConfig(vocab_size=40, **shape)
         p = init_params(cfg, 4, seed=31).astype(dtype)
         batch = random_batch(cfg, 32, size=24)
         _, logits = forward(p, batch)
         assert logits.dtype == dtype
         assert np.array_equal(logits, TapedForward(p, batch).logits)
 
-    @pytest.mark.parametrize("attention", [True, False])
-    def test_runners_leave_their_inputs_unchanged(self, attention):
-        cfg = small_config(attention=attention)
+    def test_runners_leave_their_inputs_unchanged(self):
+        cfg = small_config()
         p = init_params(cfg, 4, seed=33)
         batch = random_batch(cfg, 34)
         tokens, mask = batch.tokens.copy(), batch.mask.copy()
@@ -329,11 +330,10 @@ class TestUntapedPass:
             assert h.tobytes() == h_before
             assert batch.mask.tobytes() == mask.tobytes()
 
-    @pytest.mark.parametrize("attention", [True, False])
-    def test_trimmed_batch_matches_full_width(self, attention):
+    def test_trimmed_batch_matches_full_width(self):
         """A batch cut to its longest row, as the corpus batches are, gives
         the representations and logits of the same rows at max_len."""
-        cfg = EncoderConfig(vocab_size=40, attention=attention, **DEFAULT_SHAPE)
+        cfg = EncoderConfig(vocab_size=40, **DEFAULT_SHAPE)
         p = init_params(cfg, 4, seed=37)
         rng = np.random.default_rng(38)
         lengths = rng.integers(2, 11, size=32)
@@ -366,11 +366,10 @@ class TestUntapedPass:
 
 class TestWorkspace:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("attention", [True, False])
-    def test_reused_workspace_matches_fresh_tape(self, attention, dtype):
+    def test_reused_workspace_matches_fresh_tape(self, dtype):
         """Full, tail and full batches again: each pass recorded into one
         workspace gives the logits and gradients of a fresh pass."""
-        cfg = small_config(attention=attention)
+        cfg = small_config()
         p = init_params(cfg, 4, seed=37).astype(dtype)
         ws = Workspace()
         for size, seed in ((8, 38), (3, 39), (8, 40)):
@@ -405,9 +404,8 @@ class TestWorkspace:
 class TestParamLayout:
     """EncoderParams: named views into one flat buffer, in param_spec order."""
 
-    @pytest.mark.parametrize("attention", [True, False])
-    def test_tensors_view_one_buffer_in_spec_order(self, attention):
-        cfg = small_config(attention=attention)
+    def test_tensors_view_one_buffer_in_spec_order(self):
+        cfg = small_config()
         p = init_params(cfg, 4, seed=51)
         assert p.flat.flags.c_contiguous and p.flat.ndim == 1
         spec = param_spec(cfg, 4)
@@ -422,13 +420,16 @@ class TestParamLayout:
         assert offset == p.flat.size
 
     def test_constructor_packs_a_dict(self):
-        w, b = np.arange(4.0).reshape(2, 2), np.ones(3)
-        p = EncoderParams(small_config(), 1, {"w": w, "b": b})
-        assert np.array_equal(p.flat, [0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0])
-        assert p.layout == {"w": (0, 4, (2, 2)), "b": (4, 7, (3,))}
-        assert not np.shares_memory(p["w"], w)
-        p["w"][1, 1] = 9.0
-        assert p.flat[3] == 9.0 and w[1, 1] == 3.0
+        cfg = small_config(num_layers=1)
+        tensors = {name: np.full(shape, k, np.float64) for k, (name, shape, _) in enumerate(param_spec(cfg, 1))}
+        p = EncoderParams(cfg, 1, tensors)
+        assert p.flat.dtype == np.float64
+        assert np.array_equal(p.flat, np.concatenate([t.ravel() for t in tensors.values()]))
+        start, stop, shape = p.layout["dense_w"]
+        assert shape == tensors["dense_w"].shape and stop - start == tensors["dense_w"].size
+        assert not np.shares_memory(p["dense_w"], tensors["dense_w"])
+        p["dense_w"][1, 1] = 99.0
+        assert p.flat[start + shape[1] + 1] == 99.0 and tensors["dense_w"][1, 1] != 99.0
 
     def test_copy_is_independent(self):
         p = init_params(small_config(), 4, seed=52)
@@ -492,18 +493,14 @@ class TestBlockViews:
     """``blocks``: one read-only record per block whose fields are the
     block's tensors, the same views into ``flat`` as the named ones."""
 
-    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
     @pytest.mark.parametrize("source", list(PARAM_SOURCES))
-    def test_fields_are_the_named_views(self, source, attention, tmp_path):
-        q = PARAM_SOURCES[source](init_params(small_config(attention=attention), 4, seed=54), tmp_path)
+    def test_fields_are_the_named_views(self, source, tmp_path):
+        q = PARAM_SOURCES[source](init_params(small_config(), 4, seed=54), tmp_path)
         assert isinstance(q.blocks, tuple) and len(q.blocks) == q.cfg.num_layers == 3
         for i, block in enumerate(q.blocks):
             assert type(block) is Block
             for field, view in block._asdict().items():
                 name = f"layers.{i}.{field}"
-                if not attention and field.startswith(("attn_", "norm1_")):
-                    assert view is None and name not in q.layout
-                    continue
                 start, stop, shape = q.layout[name]
                 assert view.shape == shape and np.shares_memory(view, q[name]) and np.shares_memory(view, q.flat)
                 want = q.flat.copy()
@@ -549,12 +546,11 @@ class TestGradientBuffer:
     """A backward's gradients: ``p``'s layout over the workspace's gradient
     buffer, every range of which the backward writes."""
 
-    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
     @pytest.mark.parametrize("kind", PASS_KINDS)
-    def test_every_range_is_written(self, kind, attention):
+    def test_every_range_is_written(self, kind):
         """A NaN-filled buffer comes back finite and equal to the first run,
         down to the position rows past the batch width."""
-        p = tiny_params(attention, seed=7)
+        p = tiny_params(seed=7)
         backward = record_pass(kind, p, 80, Workspace())
         first = backward().copy()
         backward().flat.fill(np.nan)
@@ -565,7 +561,7 @@ class TestGradientBuffer:
         assert np.all(grads["position_embedding"][4:] == 0.0)
 
     def test_views_are_built_once_per_workspace(self):
-        p = tiny_params(True, seed=7)
+        p = tiny_params(seed=7)
         ws = Workspace()
         got = [record_pass(kind, p, 81 + k, ws)() for k, kind in enumerate(PASS_KINDS)]
         assert got[0] is got[1] is got[2]
@@ -577,7 +573,7 @@ class TestGradientBuffer:
         """Recording a pass overwrites the tape of the one before it in the
         same workspace; its backward raises instead of returning wrong
         gradients, and the newest tape's backward may run again."""
-        p = tiny_params(True, seed=7)
+        p = tiny_params(seed=7)
         ws = Workspace()
         stale = record_pass(stale_kind, p, 84, ws)
         newest = record_pass(kind, p, 85, ws)
@@ -587,7 +583,7 @@ class TestGradientBuffer:
         assert np.array_equal(newest().flat, want.flat)
 
     def test_fresh_tapes_never_go_stale(self):
-        p = tiny_params(True, seed=7)
+        p = tiny_params(seed=7)
         first = record_pass("taped", p, 86)
         want = first().copy()
         record_pass("mix-last", p, 87)()
@@ -595,9 +591,8 @@ class TestGradientBuffer:
 
 
 class TestCheckpoint:
-    def make(self, attention=True, m=3, seed=0):
-        cfg = small_config(attention=attention)
-        return init_params(cfg, m, seed=seed)
+    def make(self, m=3, seed=0):
+        return init_params(small_config(), m, seed=seed)
 
     def test_round_trip_preserves_values(self, tmp_path):
         p = self.make()
@@ -610,7 +605,7 @@ class TestCheckpoint:
             assert np.array_equal(loaded[name], p[name])
 
     def test_resave_is_byte_identical(self, tmp_path):
-        p = self.make(attention=False)
+        p = self.make()
         a = tmp_path / "a.ckpt"
         b = tmp_path / "b.ckpt"
         save_checkpoint(p, str(a))
@@ -689,7 +684,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "key, retype",
-        [("hidden", str), ("hidden", float), ("num_layers", bool), ("attention", int),
+        [("hidden", str), ("hidden", float), ("num_layers", bool),
          ("M", str), ("M", float), ("M", bool), ("config", list)],
     )
     def test_wrongly_typed_header_value_names_the_file(self, tmp_path, key, retype):
@@ -703,6 +698,18 @@ class TestCheckpoint:
         section[key] = retype(section[key])
         path.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(str(path))
+
+    def test_attention_key_in_header_is_refused(self, tmp_path):
+        """The encoder has no attention switch: a header config that still
+        names one is an unknown key, like any other."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.make(), str(path))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["config"]["attention"] = True
+        path.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError, match=r"unknown encoder config keys: \['attention'\]"):
             load_checkpoint(str(path))
 
     def test_round_trip_is_byte_equal(self, tmp_path):

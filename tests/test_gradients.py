@@ -23,10 +23,9 @@ from gradcheck import (
 )
 
 
-@pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
 @pytest.mark.parametrize("case", ["pretrain_ce", "soft_kl", "open_ce", "blended"])
-def test_parameter_gradients_match_finite_differences(attention, case):
-    p = tiny_params(attention, seed=3 if attention else 4)
+def test_parameter_gradients_match_finite_differences(case):
+    p = tiny_params(seed=3)
     batch = tiny_batch(11)
     pair = tiny_pair(12)
     cases = {name: (fn, grads) for name, fn, grads in build_cases(p, batch, pair)}
@@ -37,7 +36,7 @@ def test_parameter_gradients_match_finite_differences(attention, case):
 
 
 def test_unused_token_embedding_rows_get_zero_gradient():
-    p = tiny_params(attention=True, seed=3)
+    p = tiny_params(seed=3)
     batch = tiny_batch(11)
     unused = sorted(set(range(p.cfg.vocab_size)) - set(batch.tokens.reshape(-1).tolist()))
     assert unused, "batch unexpectedly covers the whole vocabulary"
@@ -49,7 +48,7 @@ def test_unused_token_embedding_rows_get_zero_gradient():
 
 
 def test_padding_rows_get_zero_position_gradient():
-    p = tiny_params(attention=False, seed=4)
+    p = tiny_params(seed=4)
     batch = tiny_batch(13)
     # Shorten every row so the last position is padding everywhere.
     batch.mask[:, -1] = 0.0
@@ -60,12 +59,11 @@ def test_padding_rows_get_zero_position_gradient():
     assert np.all(grads["position_embedding"][-1] == 0.0)
 
 
-@pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
-def test_cut_point_gradients_split_by_mixing_weight(attention):
+def test_cut_point_gradients_split_by_mixing_weight():
     """d loss / d h1 is lam * scale * union times the resumed gradient,
     and d loss / d h2 carries the (1 - lam) share; both match FD probes
     through the mix, noise, and resume chain."""
-    p = tiny_params(attention, seed=3 if attention else 4)
+    p = tiny_params(seed=3)
     pair = tiny_pair(19)
     rl = 1
     lam = 0.37

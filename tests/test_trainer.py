@@ -21,7 +21,7 @@ from snoic.corpus import (
     build_vocab,
     encode_dataset,
 )
-from snoic.encoder import EncoderConfig, EncoderParams, TapedForward, Workspace, forward, init_params
+from snoic.encoder import EncoderConfig, TapedForward, Workspace, forward, init_params
 from snoic.errors import ConfigError, DataError, PairingError, TrainingError
 from snoic.losses import kl_loss, mixup_loss, pretrain_loss, soft_targets
 from snoic.trainer import (
@@ -94,9 +94,7 @@ def separable_encoder(vocab):
 
 def bias_only_model(head_bias, m=2):
     """All-zero model whose logits are the head bias, row for row."""
-    cfg = EncoderConfig(
-        vocab_size=5, hidden=4, num_layers=1, ffn=4, dim=4, max_len=4, attention=False
-    )
+    cfg = EncoderConfig(vocab_size=5, hidden=4, num_layers=1, ffn=4, dim=4, max_len=4)
     p = init_params(cfg, m, seed=0)
     for name in p.names():
         p.tensors[name][:] = 0.0
@@ -190,26 +188,30 @@ def reference_adam_step(params, grads, m, v, step, lr, weight_decay):
 
 class TestOptimizerStep:
     def single_param(self, value=1.0):
+        """A float64 model of width 1, zero but for its (1, 1) matrix dense_w."""
         cfg = EncoderConfig(vocab_size=3, hidden=1, num_layers=1, ffn=1, dim=1, max_len=2)
-        return EncoderParams(cfg=cfg, M=1, tensors={"w": np.array([[value]])})
+        p = init_params(cfg, 1, seed=0).astype(np.float64)
+        p.flat[:] = 0.0
+        p.tensors["dense_w"][...] = value
+        return p
 
     def test_zero_gradient_zero_decay_is_identity(self):
         p = self.single_param(1.5)
         state = OptimizerState.for_params(p)
-        optimizer_step(p, grads_of(p, w=np.zeros((1, 1))), state, lr=0.1, weight_decay=0.0)
-        assert p["w"][0, 0] == 1.5
+        optimizer_step(p, grads_of(p, dense_w=np.zeros((1, 1))), state, lr=0.1, weight_decay=0.0)
+        assert p["dense_w"][0, 0] == 1.5
 
     def test_first_step_moves_by_learning_rate(self):
         """Bias correction makes the first unit-gradient step lr/(1+eps)."""
         p = self.single_param(1.0)
         state = OptimizerState.for_params(p)
-        optimizer_step(p, grads_of(p, w=np.ones((1, 1))), state, lr=0.1, weight_decay=0.0)
-        assert p["w"][0, 0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-15)
-        assert p["w"][0, 0] == pytest.approx(0.9, abs=1e-6)
+        optimizer_step(p, grads_of(p, dense_w=np.ones((1, 1))), state, lr=0.1, weight_decay=0.0)
+        assert p["dense_w"][0, 0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-15)
+        assert p["dense_w"][0, 0] == pytest.approx(0.9, abs=1e-6)
         assert state.step == 1
 
     def test_decay_applies_to_matrices_only(self):
-        cfg = EncoderConfig(vocab_size=4, hidden=2, num_layers=1, ffn=2, dim=2, max_len=2, attention=False)
+        cfg = EncoderConfig(vocab_size=4, hidden=2, num_layers=1, ffn=2, dim=2, max_len=2)
         p = init_params(cfg, 1, seed=0)
         p.tensors["layers.0.ffn_b2"][:] = 0.7
         p.tensors["layers.0.norm2_gain"][:] = 1.3
@@ -224,14 +226,14 @@ class TestOptimizerStep:
         p = self.single_param(2.0)
         state = OptimizerState.for_params(p)
         optimizer_step(p, grads_of(p), state, lr=0.5, weight_decay=0.0)
-        assert p["w"][0, 0] == 2.0
+        assert p["dense_w"][0, 0] == 2.0
         assert state.step == 1
 
     def test_non_finite_gradient_names_the_tensor(self):
         p = self.single_param()
         state = OptimizerState.for_params(p)
-        with pytest.raises(TrainingError, match="'w'"):
-            optimizer_step(p, grads_of(p, w=np.array([[np.inf]])), state, lr=0.1, weight_decay=0.0)
+        with pytest.raises(TrainingError, match="'dense_w'"):
+            optimizer_step(p, grads_of(p, dense_w=np.array([[np.inf]])), state, lr=0.1, weight_decay=0.0)
 
     def test_non_finite_gradient_names_the_first_bad_tensor_and_changes_nothing(self):
         p = init_params(EncoderConfig(vocab_size=6, **BENCH_SHAPE), 3, seed=1)
@@ -250,8 +252,8 @@ class TestOptimizerStep:
             p = self.single_param(1.0)
             state = OptimizerState.for_params(p)
             for g in (0.5, -0.25):
-                optimizer_step(p, grads_of(p, w=np.full((1, 1), g)), state, lr=0.05, weight_decay=0.01)
-            results.append(p["w"][0, 0])
+                optimizer_step(p, grads_of(p, dense_w=np.full((1, 1), g)), state, lr=0.05, weight_decay=0.01)
+            results.append(p["dense_w"][0, 0])
         assert results[0] == results[1]
 
 
@@ -260,9 +262,8 @@ class TestFlatOptimizer:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("attention", [True, False], ids=["attn", "noattn"])
-    def test_equals_per_tensor_reference(self, attention, dtype, weight_decay):
-        cfg = EncoderConfig(vocab_size=60, attention=attention, **BENCH_SHAPE)
+    def test_equals_per_tensor_reference(self, dtype, weight_decay):
+        cfg = EncoderConfig(vocab_size=60, **BENCH_SHAPE)
         p = init_params(cfg, 4, seed=61).astype(dtype)
         ref = p.copy()
         m = {n: np.zeros_like(ref[n]) for n in ref.names()}
@@ -358,11 +359,9 @@ class TestEvalWindows:
         "default": dict(hidden=64, num_layers=4, ffn=128, dim=64, max_len=32),
     }
 
-    @pytest.fixture(params=[(shape, attention) for shape in SHAPES for attention in (True, False)],
-                    ids=lambda v: f"{v[0]}-{'attn' if v[1] else 'ffn'}")
+    @pytest.fixture(params=list(SHAPES))
     def model(self, request):
-        shape, attention = request.param
-        cfg = EncoderConfig(vocab_size=60, attention=attention, **self.SHAPES[shape])
+        cfg = EncoderConfig(vocab_size=60, **self.SHAPES[request.param])
         p = init_params(cfg, 4, seed=21)
         rng = np.random.default_rng(22)
         # mostly short rows; a few max_len rows set the width of their window
