@@ -10,6 +10,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from snoic.augment import NoisyMixupPass
 from snoic.corpus import Batch, PairedBatch
@@ -25,6 +26,16 @@ REL_TOL = 1e-4
 # compared absolutely; the probe cannot resolve relative error down there.
 SMALL_GRAD = 1e-6
 SMALL_ABS_TOL = 1e-8
+
+
+def attention_on(id=None):
+    """Parametrize a test by ``attention`` at True, its one value.
+
+    The encoder always attends. Tests that once ran with attention on and
+    off keep the parameter so that their ids stay those of the attention
+    runs: ``id`` names the case, and without it pytest writes ``True``.
+    """
+    return pytest.mark.parametrize("attention", [True], ids=None if id is None else [id])
 
 
 def tiny_params(seed=0, dtype=np.float64, jitter=0.05):

@@ -17,7 +17,7 @@ from snoic.encoder import (
 from snoic.errors import ConfigError, DataError
 from snoic.losses import kl_loss, mixup_loss, soft_targets
 from snoic.trainer import TrainConfig
-from gradcheck import TINY, seed_for_layer, tiny_batch, tiny_pair, tiny_params
+from gradcheck import TINY, attention_on, seed_for_layer, tiny_batch, tiny_pair, tiny_params
 
 
 class FixedNormals:
@@ -306,8 +306,9 @@ class TestNoisyMixupPass:
         assert np.isfinite(grads.flat).all()
 
     @pytest.mark.parametrize("dtype, rel_tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    @attention_on("attn")
     @pytest.mark.parametrize("seed", [21, 22])
-    def test_stacked_pass_matches_separate_segments(self, dtype, rel_tol, seed):
+    def test_stacked_pass_matches_separate_segments(self, dtype, rel_tol, attention, seed):
         p = tiny_params(seed=3, dtype=dtype)
         batch = tiny_batch(11)
         pair = tiny_pair(12)
@@ -333,7 +334,8 @@ class TestNoisyMixupPass:
 
 class TestWorkspaceReuse:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_reused_workspace_matches_fresh_pass(self, dtype):
+    @attention_on("attn")
+    def test_reused_workspace_matches_fresh_pass(self, attention, dtype):
         """Steps change the row count (full, then tail batch) and the mix
         layer (rl = L, then rl = 1): passes recorded into one workspace
         give the logits and gradients of fresh passes."""
@@ -376,8 +378,9 @@ def ragged_batch(seed, longest, size=4):
 
 class TestRaggedWidths:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @attention_on("attn")
     @pytest.mark.parametrize("widths", [(3, 5, 4), (5, 2, 3), (2, 4, 6)])
-    def test_parts_of_different_widths_match_max_len(self, widths, dtype):
+    def test_parts_of_different_widths_match_max_len(self, widths, attention, dtype):
         """Soft batch and pair halves cut to three widths give the logits,
         gradients and RNG state of the same rows padded to max_len."""
         p = tiny_params(seed=6, dtype=dtype)

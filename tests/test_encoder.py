@@ -29,7 +29,7 @@ from snoic.encoder import (
 )
 from snoic.errors import CheckpointError, DataError, TrainingError
 from snoic.trainer import TrainConfig
-from gradcheck import seed_for_layer, tiny_batch, tiny_pair, tiny_params
+from gradcheck import attention_on, seed_for_layer, tiny_batch, tiny_pair, tiny_params
 
 
 def small_config(**overrides):
@@ -133,7 +133,8 @@ class TestInit:
 
 
 class TestForward:
-    def test_output_shapes(self):
+    @attention_on()
+    def test_output_shapes(self, attention):
         cfg = small_config()
         p = init_params(cfg, 4, seed=0)
         batch = random_batch(cfg, 1)
@@ -147,7 +148,8 @@ class TestForward:
         e, _ = forward(p, random_batch(cfg, 2))
         assert np.all(e >= 0.0)
 
-    def test_cut_and_resume_composes_to_full_pass(self):
+    @attention_on()
+    def test_cut_and_resume_composes_to_full_pass(self, attention):
         """Splitting at any block boundary reproduces the full forward."""
         cfg = small_config()
         p = init_params(cfg, 4, seed=3)
@@ -170,7 +172,8 @@ class TestForward:
         ) * batch.mask[:, :, None]
         assert np.allclose(h, expected, atol=1e-7)
 
-    def test_padded_positions_stay_zero(self):
+    @attention_on()
+    def test_padded_positions_stay_zero(self, attention):
         cfg = small_config()
         p = init_params(cfg, 4, seed=7)
         batch = random_batch(cfg, 8, min_len=2)
@@ -178,7 +181,8 @@ class TestForward:
             h = run_to_layer(p, batch.tokens, batch.mask, rl)
             assert np.all(h[batch.mask == 0.0] == 0.0)
 
-    def test_trailing_padding_is_inert(self):
+    @attention_on()
+    def test_trailing_padding_is_inert(self, attention):
         """Extra pad columns beyond every real token change nothing."""
         cfg = small_config()
         p = init_params(cfg, 4, seed=9)
@@ -255,6 +259,45 @@ class TestForward:
 
 
 class TestStraightLineReference:
+    def test_no_attention_block_matches_definition(self):
+        """Hand-set weights through an independently coded forward pass.
+
+        A zero output projection silences attention, whatever its other
+        weights, so the block is its first layer norm and then the
+        feed-forward sublayer.
+        """
+        cfg = EncoderConfig(vocab_size=4, hidden=2, num_layers=1, ffn=2, dim=2, max_len=2)
+        p = init_params(cfg, 1, seed=0)
+        p.tensors["token_embedding"][:] = [[0, 0], [0, 0], [0.5, -0.5], [1.0, 2.0]]
+        p.tensors["position_embedding"][:] = [[0.1, 0.1], [-0.1, 0.2]]
+        p.tensors["layers.0.attn_out"][:] = 0.0
+        p.tensors["layers.0.norm1_gain"][:] = 1.0
+        p.tensors["layers.0.norm1_bias"][:] = 0.0
+        p.tensors["layers.0.ffn_w1"][:] = np.eye(2)
+        p.tensors["layers.0.ffn_b1"][:] = 0.0
+        p.tensors["layers.0.ffn_w2"][:] = 0.5 * np.eye(2)
+        p.tensors["layers.0.ffn_b2"][:] = 0.1
+        p.tensors["dense_w"][:] = np.eye(2)
+        p.tensors["dense_b"][:] = [0.0, -1.0]
+        batch = Batch(
+            tokens=np.array([[2, 3]], dtype=np.int32),
+            mask=np.ones((1, 2), dtype=np.float32),
+            labels=np.array([1], dtype=np.int32),
+        )
+
+        def layernorm(x):
+            mu = x.mean(axis=-1, keepdims=True)
+            var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+            return (x - mu) / np.sqrt(var + LN_EPS)
+
+        h = layernorm(np.array([[0.5 + 0.1, -0.5 + 0.1], [1.0 - 0.1, 2.0 + 0.2]]))
+        s = h + np.maximum(h, 0.0) @ (0.5 * np.eye(2)) + 0.1
+        pooled = layernorm(s).mean(axis=0)
+        expected = np.maximum(pooled + np.array([0.0, -1.0]), 0.0)
+
+        e, _ = forward(p, batch)
+        assert np.allclose(e[0], expected, atol=1e-6)
+
     def test_attention_block_matches_definition(self):
         """Hand-set weights through an independently coded forward pass.
 
@@ -308,8 +351,9 @@ class TestUntapedPass:
     """forward keeps no tape and works in place, through the same blocks."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @attention_on()
     @pytest.mark.parametrize("shape", [BENCH_SHAPE, DEFAULT_SHAPE], ids=["H32", "H64"])
-    def test_logits_equal_taped_logits(self, shape, dtype):
+    def test_logits_equal_taped_logits(self, shape, attention, dtype):
         cfg = EncoderConfig(vocab_size=40, **shape)
         p = init_params(cfg, 4, seed=31).astype(dtype)
         batch = random_batch(cfg, 32, size=24)
@@ -317,7 +361,8 @@ class TestUntapedPass:
         assert logits.dtype == dtype
         assert np.array_equal(logits, TapedForward(p, batch).logits)
 
-    def test_runners_leave_their_inputs_unchanged(self):
+    @attention_on()
+    def test_runners_leave_their_inputs_unchanged(self, attention):
         cfg = small_config()
         p = init_params(cfg, 4, seed=33)
         batch = random_batch(cfg, 34)
@@ -330,7 +375,8 @@ class TestUntapedPass:
             assert h.tobytes() == h_before
             assert batch.mask.tobytes() == mask.tobytes()
 
-    def test_trimmed_batch_matches_full_width(self):
+    @attention_on()
+    def test_trimmed_batch_matches_full_width(self, attention):
         """A batch cut to its longest row, as the corpus batches are, gives
         the representations and logits of the same rows at max_len."""
         cfg = EncoderConfig(vocab_size=40, **DEFAULT_SHAPE)
@@ -366,7 +412,8 @@ class TestUntapedPass:
 
 class TestWorkspace:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_reused_workspace_matches_fresh_tape(self, dtype):
+    @attention_on()
+    def test_reused_workspace_matches_fresh_tape(self, attention, dtype):
         """Full, tail and full batches again: each pass recorded into one
         workspace gives the logits and gradients of a fresh pass."""
         cfg = small_config()
@@ -404,7 +451,8 @@ class TestWorkspace:
 class TestParamLayout:
     """EncoderParams: named views into one flat buffer, in param_spec order."""
 
-    def test_tensors_view_one_buffer_in_spec_order(self):
+    @attention_on()
+    def test_tensors_view_one_buffer_in_spec_order(self, attention):
         cfg = small_config()
         p = init_params(cfg, 4, seed=51)
         assert p.flat.flags.c_contiguous and p.flat.ndim == 1
@@ -493,8 +541,9 @@ class TestBlockViews:
     """``blocks``: one read-only record per block whose fields are the
     block's tensors, the same views into ``flat`` as the named ones."""
 
+    @attention_on("attn")
     @pytest.mark.parametrize("source", list(PARAM_SOURCES))
-    def test_fields_are_the_named_views(self, source, tmp_path):
+    def test_fields_are_the_named_views(self, source, attention, tmp_path):
         q = PARAM_SOURCES[source](init_params(small_config(), 4, seed=54), tmp_path)
         assert isinstance(q.blocks, tuple) and len(q.blocks) == q.cfg.num_layers == 3
         for i, block in enumerate(q.blocks):
@@ -546,8 +595,9 @@ class TestGradientBuffer:
     """A backward's gradients: ``p``'s layout over the workspace's gradient
     buffer, every range of which the backward writes."""
 
+    @attention_on("attn")
     @pytest.mark.parametrize("kind", PASS_KINDS)
-    def test_every_range_is_written(self, kind):
+    def test_every_range_is_written(self, kind, attention):
         """A NaN-filled buffer comes back finite and equal to the first run,
         down to the position rows past the batch width."""
         p = tiny_params(seed=7)

@@ -15,6 +15,7 @@ from snoic.encoder import (
 from snoic.losses import mixup_loss, pretrain_loss
 from gradcheck import (
     REL_TOL,
+    attention_on,
     build_cases,
     max_rel_err,
     tiny_batch,
@@ -23,8 +24,9 @@ from gradcheck import (
 )
 
 
+@attention_on("attn")
 @pytest.mark.parametrize("case", ["pretrain_ce", "soft_kl", "open_ce", "blended"])
-def test_parameter_gradients_match_finite_differences(case):
+def test_parameter_gradients_match_finite_differences(attention, case):
     p = tiny_params(seed=3)
     batch = tiny_batch(11)
     pair = tiny_pair(12)
@@ -59,7 +61,8 @@ def test_padding_rows_get_zero_position_gradient():
     assert np.all(grads["position_embedding"][-1] == 0.0)
 
 
-def test_cut_point_gradients_split_by_mixing_weight():
+@attention_on("attn")
+def test_cut_point_gradients_split_by_mixing_weight(attention):
     """d loss / d h1 is lam * scale * union times the resumed gradient,
     and d loss / d h2 carries the (1 - lam) share; both match FD probes
     through the mix, noise, and resume chain."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import golden
-from gradcheck import seed_for_layer
+from gradcheck import attention_on, seed_for_layer
 
 from snoic.augment import NoisyMixupPass
 from snoic.corpus import (
@@ -262,7 +262,8 @@ class TestFlatOptimizer:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_equals_per_tensor_reference(self, dtype, weight_decay):
+    @attention_on("attn")
+    def test_equals_per_tensor_reference(self, attention, dtype, weight_decay):
         cfg = EncoderConfig(vocab_size=60, **BENCH_SHAPE)
         p = init_params(cfg, 4, seed=61).astype(dtype)
         ref = p.copy()
@@ -359,7 +360,8 @@ class TestEvalWindows:
         "default": dict(hidden=64, num_layers=4, ffn=128, dim=64, max_len=32),
     }
 
-    @pytest.fixture(params=list(SHAPES))
+    # The ids name the encoder, "attn", as attention_on does.
+    @pytest.fixture(params=list(SHAPES), ids=lambda shape: f"{shape}-attn")
     def model(self, request):
         cfg = EncoderConfig(vocab_size=60, **self.SHAPES[request.param])
         p = init_params(cfg, 4, seed=21)
