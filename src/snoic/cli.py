@@ -10,7 +10,8 @@ delta_add or delta_mul set to 0 in config.train, or by an ``--ablation``
 of ``snoic train``, which writes the 0 into the config that the model
 directory echoes. A run's variant name (SNOiC, SNOiC-SL, SNOiC-AN,
 SNOiC-MN) follows which of the three is 0. ``snoic train`` refuses a
-config.encoder that differs from its ``--init`` checkpoint's.
+config.encoder that differs from its ``--init`` checkpoint's, and a
+config.vocab that differs from the one its ``--init`` model records.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
@@ -322,12 +323,19 @@ def cmd_train(args) -> int:
     _check_split_consistency(norm, split)
     out = _resolve_out(args, norm)
     tc = train_config_from(norm)
-    model, _ = load_model(args.init)
+    model, init_meta = load_model(args.init)
     _check_head_width(model, split, "init checkpoint")
     init_cfg = model.params.cfg
     for key, value in norm["encoder"].items():
         if getattr(init_cfg, key) != value:
             raise ConfigError(f"config.encoder.{key} is {value}, the init checkpoint's is {getattr(init_cfg, key)}")
+    # the vocabulary comes from --init too; its settings are what its meta.json records, if anything
+    init_config = init_meta.get("config")
+    init_vocab = init_config.get("vocab") if isinstance(init_config, dict) else None
+    if isinstance(init_vocab, dict):
+        for key, value in norm["vocab"].items():
+            if init_vocab.get(key, value) != value:
+                raise ConfigError(f"config.vocab.{key} is {value}, the init model's is {init_vocab[key]}")
     ds_train, cds_train, cds_val = _prepare_stage_data(norm, split)
     train_enc = encode_dataset(cds_train, model.vocab, init_cfg.max_len)
     val_enc = encode_dataset(cds_val, model.vocab, init_cfg.max_len)

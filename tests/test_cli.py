@@ -360,6 +360,19 @@ class TestTrainCommand:
         assert "error: config.encoder.hidden is 32, the init checkpoint's is 16" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_vocab_section_unlike_the_init_model_exits_2(self, cli_env, pipeline, tmp_path, capsys):
+        """The vocabulary comes from --init, so a config.vocab other than the
+        one its meta.json records is refused, not echoed into the new one."""
+        cfg = json.loads(json.dumps(cli_env.config))
+        cfg["vocab"].update(min_freq=7, max_size=30)
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "m"
+        args = ["train", "--config", str(path), "--split", pipeline.split, "--init", pipeline.pre, "--out", str(out)]
+        assert main(args) == 2
+        assert "error: config.vocab.min_freq is 7, the init model's is 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_init_vocabulary_unlike_the_checkpoint_exits_1(self, cli_env, pipeline, tmp_path, capsys):
         broken = str(tmp_path / "broken_model")
         shutil.copytree(pipeline.pre, broken)

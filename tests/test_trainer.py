@@ -1,8 +1,12 @@
 """Optimizer arithmetic, early stopping, two-stage training, prediction."""
 
+import gc
 import json
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from snoic.corpus import (
     PairedBatch,
     build_vocab,
     encode_dataset,
+    length_sorted_batches,
 )
 from snoic.encoder import EncoderConfig, TapedForward, Workspace, forward, init_params
 from snoic.errors import ConfigError, DataError, PairingError, TrainingError
@@ -34,9 +39,11 @@ from snoic.trainer import (
     TrainConfig,
     TrainLog,
     _stream_seed,
+    baseline_predictions,
     batched_logits,
     known_accuracy,
     load_model,
+    open_predictions,
     optimizer_step,
     predict,
     pretrain,
@@ -413,6 +420,127 @@ class TestEvalWindows:
         widths = [b.tokens.shape[1] for b in seen]
         assert widths[0] < widths[1] and widths[2] < widths[3] and widths[4] <= widths[5]
         assert all(b.mask[:, -1].any() and np.all(np.diff(b.mask.sum(1)) >= 0) for b in seen)
+
+
+class TestLastPassMemo:
+    """batched_logits runs the encoder again only when a call's inputs
+    differ from the last pass's: the same params and enc objects, holding
+    the same values, at the same batch_size, reuse that pass."""
+
+    WINDOW = 128
+
+    @staticmethod
+    def make(seed=31):
+        cfg = EncoderConfig(vocab_size=60, hidden=32, num_layers=2, ffn=64, dim=32, max_len=16)
+        p = init_params(cfg, 4, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        n = 200
+        lengths = rng.integers(2, cfg.max_len + 1, size=n).astype(np.int32)
+        tokens = rng.integers(3, cfg.vocab_size, size=(n, cfg.max_len)).astype(np.int32)
+        tokens[:, 0] = 2
+        tokens[np.arange(cfg.max_len)[None, :] >= lengths[:, None]] = 0
+        return p, EncodedDataset(tokens=tokens, lengths=lengths, class_ids=rng.integers(1, 6, n).astype(np.int32))
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        """Rows of every forward that batched_logits runs."""
+        seen = []
+        monkeypatch.setattr("snoic.trainer.forward", lambda params, batch: seen.append(len(batch)) or forward(params, batch))
+        return seen
+
+    @staticmethod
+    def fresh(p, enc, batch_size=WINDOW):
+        """The logits of the pass batched_logits runs, without its memo."""
+        logits = np.empty((len(enc), p.M + 1), p.flat.dtype)
+        for rows, batch in length_sorted_batches(enc, batch_size, EVAL_ROWS):
+            logits[rows] = forward(p, batch)[1]
+        return logits
+
+    def test_baseline_after_predict_runs_no_second_pass(self, forwards):
+        p, enc = self.make()
+        preds = predict(p, enc)
+        base = threshold_baseline_predict(p, enc, 0.4)
+        assert len(forwards) == len(length_sorted_batches(enc, self.WINDOW, EVAL_ROWS)) == 4
+        want = self.fresh(p, enc)
+        assert np.array_equal(preds, open_predictions(want))
+        assert np.array_equal(base, baseline_predictions(want, p.M, 0.4))
+
+    @staticmethod
+    def changed(how, p, enc):
+        """The arguments of a second call, after one change to the first's."""
+        row = int(np.argmax(enc.lengths))
+        if how == "optimizer step":
+            optimizer_step(p, p.with_flat(np.full_like(p.flat, 0.5)), OptimizerState.for_params(p), 1e-2, 0.01)
+        elif how == "token written":
+            enc.tokens[row, 1] = 3 if enc.tokens[row, 1] != 3 else 4
+        elif how == "length written":
+            enc.lengths[row] -= 1
+        elif how == "batch size":
+            return p, enc, 64
+        elif how == "equal params":
+            return p.copy(), enc, TestLastPassMemo.WINDOW
+        elif how == "equal dataset":
+            equal = EncodedDataset(tokens=enc.tokens.copy(), lengths=enc.lengths.copy(), class_ids=enc.class_ids)
+            return p, equal, TestLastPassMemo.WINDOW
+        return p, enc, TestLastPassMemo.WINDOW
+
+    @pytest.mark.parametrize(
+        "how", ["optimizer step", "token written", "length written", "batch size", "equal params", "equal dataset"]
+    )
+    def test_a_changed_input_runs_a_fresh_pass(self, forwards, how):
+        p, enc = self.make()
+        batched_logits(p, enc, self.WINDOW)
+        p, enc, batch_size = self.changed(how, p, enc)
+        before = len(forwards)
+        got = batched_logits(p, enc, batch_size)
+        assert len(forwards) - before == len(length_sorted_batches(enc, batch_size, EVAL_ROWS))
+        assert np.array_equal(got, self.fresh(p, enc, batch_size))
+
+    def test_writing_into_a_result_leaves_the_next_alone(self, forwards):
+        p, enc = self.make()
+        first = batched_logits(p, enc)
+        want = first.copy()
+        first[:] = np.nan
+        second = batched_logits(p, enc)
+        second[:] = 0.0
+        assert np.array_equal(batched_logits(p, enc), want)
+        assert len(forwards) == len(length_sorted_batches(enc, self.WINDOW, EVAL_ROWS))
+
+    def test_concurrent_callers_never_mix_passes(self):
+        """Four threads alternate between two models, so that calls hit and
+        miss in many interleavings: every result is its own model's logits."""
+        models = [self.make(seed) for seed in (31, 41)]
+        wants = [self.fresh(p, enc) for p, enc in models]
+        mismatches = []
+        start = threading.Barrier(4)
+
+        def work(k):
+            start.wait(timeout=60)
+            for i in range(20):
+                j = (k + i // 2) % 2
+                if not np.array_equal(batched_logits(*models[j]), wants[j]):
+                    mismatches.append((k, i))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
+
+    def test_the_memo_keeps_nothing_alive(self):
+        p, enc = self.make()
+        predict(p, enc)
+        refs = weakref.ref(p), weakref.ref(enc)
+        del p, enc
+        gc.collect()
+        assert refs[0]() is None and refs[1]() is None
 
 
 class TestThresholdBaseline:
