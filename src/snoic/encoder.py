@@ -382,6 +382,14 @@ def _attention_forward(
     return np.matmul(ctx, w.attn_out, out=ws.take((i, "s1"), shape, dt))
 
 
+def _times_transposed(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` into ``out`` as one 2-D GEMM over the rows of ``x`` (numpy's
+    stacked matmul with a transposed operand skips BLAS). An ``out`` that would
+    reshape only by copying, and so lose the product, raises."""
+    np.matmul(x.reshape(-1, x.shape[-1]), w.T, out=out.reshape(-1, w.shape[0], copy=False))
+    return out
+
+
 def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: Workspace) -> np.ndarray:
     h, q, k, v, att, ctx, scale = (
         cache["h"], cache["q"], cache["k"], cache["v"], cache["att"], cache["ctx"], cache["scale"],
@@ -389,7 +397,7 @@ def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: W
     shape, dt = h.shape, h.dtype
     hd = shape[-1]
     np.matmul(ctx.reshape(-1, hd).T, dout.reshape(-1, hd), out=g.attn_out)
-    dctx = np.matmul(dout, w.attn_out.T, out=ws.take("attn.dctx", shape, dt))
+    dctx = _times_transposed(dout, w.attn_out, ws.take("attn.dctx", shape, dt))
     datt = np.matmul(dctx, v.swapaxes(1, 2), out=ws.take("attn.datt", att.shape, dt))
     dv = np.matmul(att.swapaxes(1, 2), dctx, out=ws.take("attn.dv", shape, dt))
     # dscores = att * (datt - rowsum(datt * att)), written over datt
@@ -402,9 +410,9 @@ def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: W
     for grad, d in ((g.attn_q, dq), (g.attn_k, dk), (g.attn_v, dv)):
         np.matmul(h.reshape(-1, hd).T, d.reshape(-1, hd), out=grad)
     # dq @ Wq.T + dk @ Wk.T + dv @ Wv.T, the last two products going through dq's storage
-    dx = np.matmul(dq, w.attn_q.T, out=ws.take("dx", shape, dt))
-    dx += np.matmul(dk, w.attn_k.T, out=dq)
-    dx += np.matmul(dv, w.attn_v.T, out=dq)
+    dx = _times_transposed(dq, w.attn_q, ws.take("dx", shape, dt))
+    dx += _times_transposed(dk, w.attn_k, dq)
+    dx += _times_transposed(dv, w.attn_v, dq)
     return dx
 
 
@@ -425,11 +433,11 @@ def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: Workspa
     hd = x.shape[-1]
     np.matmul(r.reshape(-1, fd).T, dout.reshape(-1, hd), out=g.ffn_w2)
     colsum(dout, out=g.ffn_b2)
-    du = np.matmul(dout, w.ffn_w2.T, out=ws.take("ffn.du", r.shape, r.dtype))
+    du = _times_transposed(dout, w.ffn_w2, ws.take("ffn.du", r.shape, r.dtype))
     du *= np.greater(r, 0, out=ws.take("ffn.on", r.shape, bool))
     np.matmul(x.reshape(-1, hd).T, du.reshape(-1, fd), out=g.ffn_w1)
     colsum(du, out=g.ffn_b1)
-    return np.matmul(du, w.ffn_w1.T, out=ws.take("dx", x.shape, x.dtype))
+    return _times_transposed(du, w.ffn_w1, ws.take("dx", x.shape, x.dtype))
 
 
 def _block_forward(w: Block, i: int, h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:

@@ -26,6 +26,7 @@ from snoic.encoder import (
     run_from_layer,
     run_to_layer,
     save_checkpoint,
+    _times_transposed,
 )
 from snoic.errors import CheckpointError, DataError, TrainingError
 from snoic.trainer import TrainConfig
@@ -638,6 +639,105 @@ class TestGradientBuffer:
         want = first().copy()
         record_pass("mix-last", p, 87)()
         assert np.array_equal(first().flat, want.flat)
+
+
+def assert_product_close(got, want, scale, dtype):
+    """``got`` within the rounding of a ``dtype`` product of ``want``'s
+    float64 value: rtol 1e-5 (float32) or 1e-12 (float64) of ``scale``, the
+    same product over absolute values, since cancellation makes a plain
+    relative error of near-zero entries meaningless."""
+    rtol = 1e-5 if dtype == np.float32 else 1e-12
+    assert np.all(np.abs(got - want) <= rtol * scale)
+
+
+class TestTransposedProduct:
+    """``_times_transposed(x, w, out)``: ``x @ w.T`` as one 2-D GEMM, written
+    into ``out`` itself."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(96, 10), (40,)], ids=["3d", "2d"])
+    def test_matches_float64_reference(self, lead, dtype):
+        rng = np.random.default_rng(90)
+        x = rng.standard_normal(lead + (128,)).astype(dtype)
+        w = rng.standard_normal((64, 128)).astype(dtype)
+        out = np.full(lead + (64,), np.nan, dtype)
+        got = _times_transposed(x, w, out)
+        assert got is out and got.dtype == dtype
+        x, w = x.astype(np.float64), w.astype(np.float64)
+        assert_product_close(out, x @ w.T, np.abs(x) @ np.abs(w).T, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sum_through_a_spent_buffer(self, dtype):
+        """The attention backward's pattern: dq @ Wq.T + dk @ Wk.T + dv @ Wv.T,
+        the last two products written over dq, which is no longer read."""
+        rng = np.random.default_rng(91)
+        dq, dk, dv = (rng.standard_normal((12, 7, 16)).astype(dtype) for _ in range(3))
+        wq, wk, wv = (rng.standard_normal((16, 16)).astype(dtype) for _ in range(3))
+        pairs = [(d.astype(np.float64), w.astype(np.float64)) for d, w in ((dq, wq), (dk, wk), (dv, wv))]
+        dx = _times_transposed(dq, wq, np.empty_like(dq))
+        dx += _times_transposed(dk, wk, dq)
+        dx += _times_transposed(dv, wv, dq)
+        want = sum(d @ w.T for d, w in pairs)
+        assert_product_close(dx, want, sum(np.abs(d) @ np.abs(w).T for d, w in pairs), dtype)
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [lambda: np.zeros((6, 8, 5)).swapaxes(0, 1), lambda: np.zeros((5, 6, 8)).transpose(2, 1, 0)],
+        ids=["swapped", "transposed"],
+    )
+    def test_non_contiguous_out_raises(self, make_out):
+        rng = np.random.default_rng(92)
+        x, w = rng.standard_normal((8, 6, 3)), rng.standard_normal((5, 3))
+        out = make_out()
+        with pytest.raises(ValueError):
+            _times_transposed(x, w, out)
+        assert not out.any()
+
+
+def _stacked_transposed(args) -> bool:
+    """Whether a matmul's operands pair a >= 3-D array with a 2-D one that is
+    not C-contiguous, which numpy multiplies in its own loop instead of BLAS."""
+    a, b = (np.asarray(arg) for arg in args[:2])
+    return any(x.ndim >= 3 and y.ndim == 2 and not y.flags.c_contiguous for x, y in ((a, b), (b, a)))
+
+
+class TestBackwardProducts:
+    """No backward product at the default shape runs a stacked matmul with
+    a transposed 2-D operand. The spy sees ``np.matmul`` calls, the form of
+    every backward product with a 3-D operand; ``@`` appears only on 2-D
+    arrays there."""
+
+    def test_guard_sees_the_slow_form(self):
+        x, w = np.ones((4, 3, 5)), np.ones((6, 5))
+        assert _stacked_transposed((x, w.T)) and _stacked_transposed((w.T, x.swapaxes(1, 2)))
+        assert not _stacked_transposed((x, np.ones((5, 6))))
+        assert not _stacked_transposed((x.reshape(-1, 5), w.T))
+
+    @pytest.mark.parametrize("kind", ["taped", "mix"])
+    def test_backward_runs_no_stacked_transposed_product(self, kind, monkeypatch):
+        cfg = EncoderConfig(vocab_size=500, **DEFAULT_SHAPE)
+        p = init_params(cfg, 4, seed=93)
+        batch = random_batch(cfg, 94, size=32)
+        ws = Workspace()
+        if kind == "taped":
+            tape = TapedForward(p, batch, ws)
+            backward = lambda: tape.backward(np.ones_like(tape.logits))
+        else:
+            first, second = random_batch(cfg, 95, size=32), random_batch(cfg, 96, size=32)
+            second.labels = first.labels % 4 + 1
+            pair = PairedBatch(first=first, second=second)
+            mix = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(97), ws)
+            backward = lambda: mix.backward(np.ones_like(mix.soft_logits), np.ones_like(mix.logits))
+        calls, matmul = [], np.matmul
+
+        def recording(*args, **kwargs):
+            calls.append(_stacked_transposed(args))
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        backward()
+        assert len(calls) > 6 * cfg.num_layers
+        assert not any(calls)
 
 
 class TestCheckpoint:
