@@ -9,15 +9,14 @@ masks, and element-wise noise is injected:
 
     noisy = (1 + delta_mul * xi_mul) * mixed + delta_add * xi_add
 
-with xi_mul and xi_add i.i.d. standard normal, drawn in that order and
-always drawn even when a delta is zero. Each field is drawn at
-(B, max_len, H) and its first T positions are used, T being the width of
-the batch, so RNG consumption depends neither on the noise settings nor
-on the batch width, and token position t always gets the same draw.
-Padded positions are re-zeroed afterward. Noise draws act as constants
-for gradient purposes. The paper's SNOiC-AN and SNOiC-MN ablations are
-delta_add = 0 and delta_mul = 0: the noise is still drawn, so an ablated
-run consumes the same stream as the full method.
+with xi_mul and xi_add i.i.d. standard normal in the state's dtype, drawn
+in that order as one (2, B, T, H) field, T being the width of the mixed
+state, which is the width of the stacked batch (see below). How many
+normals a step draws thus depends on that width, never on the noise
+settings: the noise is drawn even when a delta is zero, so the paper's
+SNOiC-AN and SNOiC-MN ablations (delta_add = 0 and delta_mul = 0)
+consume the same stream as the full method. Padded positions are
+re-zeroed afterward. Noise draws act as constants for gradient purposes.
 
 :class:`NoisyMixupPass` records a whole open-training step as one pass:
 the soft-target rows and both pair halves share the encoder up to block
@@ -86,26 +85,19 @@ def inject_noise(
     delta_add: float,
     delta_mul: float,
     ws: Workspace = FRESH,
-    max_len: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiplicative-then-additive Gaussian noise, re-zeroed off-mask.
 
     Returns the noisy state and the multiplicative factor (1 + delta_mul
     * xi_mul), which is the local derivative of the output with respect
-    to the mixed input. Both draws are float64, made in one buffer of
-    shape (B, max_len, H) whose first T positions are used (max_len
-    defaults to the state's width T), and are rounded to the state's
-    dtype before they are scaled.
+    to the mixed input. Both fields come from one standard-normal draw of
+    shape (2,) + mixed.shape in the state's dtype: xi_mul is its first
+    half and xi_add its second. They are drawn even when a delta is zero.
     """
     shape, dt = mixed.shape, mixed.dtype
-    n, t, hd = shape
-    xi = ws.take("mix.xi", (n, t if max_len is None else max_len, hd), np.float64)
-    scale = ws.take("mix.scale", shape, dt)
-    scale[...] = rng.standard_normal(out=xi)[:, :t]  # xi_mul
+    scale, add = rng.standard_normal(out=ws.take("mix.xi", (2,) + shape, dt), dtype=dt)  # xi_mul, xi_add
     scale *= delta_mul
     scale += 1.0
-    add = ws.take("tmp", shape, dt)
-    add[...] = rng.standard_normal(out=xi)[:, :t]  # xi_add
     add *= delta_add
     noisy = np.multiply(scale, mixed, out=ws.take("mix.noisy", shape, dt))
     noisy += add
@@ -164,9 +156,7 @@ class NoisyMixupPass:
         self.to_cache: dict = {}
         h = run_to_layer(p, tokens, mask, self.layer, cache=self.to_cache, ws=ws)
         mixed, self.union = mixup(h[b : b + n], mask[b : b + n], h[b + n :], mask[b + n :], self.lam, ws)
-        noisy, self.scale = inject_noise(
-            mixed, self.union, rng, cfg.delta_add, cfg.delta_mul, ws, max_len=p.cfg.max_len
-        )
+        noisy, self.scale = inject_noise(mixed, self.union, rng, cfg.delta_add, cfg.delta_mul, ws)
         self.from_cache: dict = {}
         self.e = run_from_layer(
             p,

@@ -302,11 +302,17 @@ def _embed_forward(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, ws: W
 def _embed_backward(
     p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, dh: np.ndarray, grads: EncoderParams, ws: Workspace
 ) -> None:
-    t = tokens.shape[1]
+    t, hd = tokens.shape[1], dh.shape[-1]
     dh = np.multiply(dh, mask[:, :, None], out=ws.take("dh", dh.shape, dh.dtype))
     dtok, dpos = grads["token_embedding"], grads["position_embedding"]
     dtok.fill(0)  # with the position rows past t, the only ranges a backward zeroes
-    np.add.at(dtok, tokens.reshape(-1), dh.reshape(-1, dh.shape[-1]))
+    # dtok[ids] += dh row by row, run as one element scatter over the flat table: each
+    # entry takes the same additions in the same order, so the sums are bit-identical
+    flat = ws.take("embed.at", dh.shape, np.intp)
+    flat[...] = tokens[:, :, None]
+    flat *= hd
+    flat += np.arange(hd)
+    np.add.at(dtok.reshape(-1), flat.reshape(-1), dh.reshape(-1))
     np.sum(dh, axis=0, out=dpos[:t])
     dpos[t:] = 0
 
@@ -485,7 +491,8 @@ def _pool_forward(h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Works
 def _pool_backward(cache: dict, dx: np.ndarray, ws: Workspace) -> np.ndarray:
     mask, counts = cache["mask"], cache["counts"]
     shape = mask.shape + dx.shape[1:]
-    dh = np.multiply(dx[:, None, :], mask[:, :, None], out=ws.take("pool", shape, dx.dtype))
+    # einsum broadcasts without the buffered iteration a broadcast multiply takes
+    dh = np.einsum("bh,bt->bth", dx, mask, out=ws.take("pool", shape, dx.dtype))
     dh /= counts[:, None, None]
     return dh
 

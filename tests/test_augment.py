@@ -26,9 +26,9 @@ class FixedNormals:
     def __init__(self, value):
         self.value = value
 
-    def standard_normal(self, size=None, out=None):
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
         if out is None:
-            return np.full(size, self.value)
+            return np.full(size, self.value, dtype)
         out[...] = self.value
         return out
 
@@ -160,6 +160,22 @@ class TestInjectNoise:
         noisy, scale = inject_noise(mixed, mask, np.random.default_rng(11), 0.4, 0.2)
         assert np.allclose(noisy, expected, atol=1e-12)
         assert np.allclose(scale, 1.0 + 0.2 * xi_mul, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_draw_in_the_state_dtype(self, dtype):
+        """Both fields are the two halves of one (2,) + shape standard-normal
+        draw in the state's dtype, and nothing else is drawn."""
+        rng = np.random.default_rng(15)
+        mixed = rng.standard_normal((2, 3, 4)).astype(dtype)
+        mask = np.ones((2, 3), dtype)
+        probe = np.random.default_rng(16)
+        xi_mul, xi_add = probe.standard_normal((2,) + mixed.shape, dtype=dtype)
+        draws = np.random.default_rng(16)
+        noisy, scale = inject_noise(mixed, mask, draws, 0.4, 0.2)
+        assert draws.bit_generator.state == probe.bit_generator.state
+        assert scale.dtype == noisy.dtype == dtype
+        assert np.array_equal(scale, xi_mul * 0.2 + 1.0)
+        assert np.array_equal(noisy, scale * mixed + xi_add * 0.4)
 
     def test_masked_positions_are_rezeroed(self):
         mixed = np.ones((1, 3, 2))
@@ -376,30 +392,43 @@ def ragged_batch(seed, longest, size=4):
     return batch
 
 
+def state_after_pass(seed, p, cfg, noise_shape, dtype):
+    """The state of a generator seeded ``seed`` once a pass has drawn from
+    it: mix layer, lambda, then one noise field of ``(2,) + noise_shape``."""
+    probe = np.random.default_rng(seed)
+    probe.integers(1, p.cfg.num_layers + 1)
+    sample_lambda(probe, cfg.alpha)
+    probe.standard_normal((2,) + noise_shape, dtype=dtype)
+    return probe.bit_generator.state
+
+
 class TestRaggedWidths:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @attention_on("attn")
     @pytest.mark.parametrize("widths", [(3, 5, 4), (5, 2, 3), (2, 4, 6)])
     def test_parts_of_different_widths_match_max_len(self, widths, attention, dtype):
-        """Soft batch and pair halves cut to three widths give the logits,
-        gradients and RNG state of the same rows padded to max_len."""
+        """Soft batch and pair halves cut to three widths give the logits
+        and gradients of the same rows padded to max_len. The noise is
+        drawn at the stacked width, so each run draws for its own width;
+        with both deltas at zero the draws have no effect on the outputs."""
         p = tiny_params(seed=6, dtype=dtype)
         soft, first, second = (ragged_batch(70 + k, w) for k, w in enumerate(widths))
         second.labels = (first.labels % p.M + 1).astype(np.int32)
         ragged = (cut(soft, widths[0]), PairedBatch(cut(first, widths[1]), cut(second, widths[2])))
         full = (soft, PairedBatch(first=first, second=second))
-        cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
+        cfg = TrainConfig(alpha=2.0, delta_add=0.0, delta_mul=0.0)
         rng = np.random.default_rng(9)
         dsoft = rng.standard_normal((len(soft), p.M + 1)).astype(dtype)
         dmix = rng.standard_normal((len(first), p.M + 1)).astype(dtype)
         runs = []
-        for batch, pair in (ragged, full):
+        for (batch, pair), width in ((ragged, max(widths)), (full, TINY["max_len"])):
             rng = np.random.default_rng(71)
             mix = NoisyMixupPass(p, batch, pair, cfg, rng, Workspace())
             grads = mix.backward(dsoft, dmix)
-            runs.append((mix, grads.copy(), rng.bit_generator.state))
-        (got, got_grads, got_state), (want, want_grads, want_state) = runs
-        assert got_state == want_state
+            noise_shape = (len(first), width, TINY["hidden"])
+            assert rng.bit_generator.state == state_after_pass(71, p, cfg, noise_shape, dtype)
+            runs.append((mix, grads.copy()))
+        (got, got_grads), (want, want_grads) = runs
         assert (got.layer, got.lam) == (want.layer, want.lam)
 
         def rel_err(a, b):

@@ -26,6 +26,7 @@ from snoic.encoder import (
     run_from_layer,
     run_to_layer,
     save_checkpoint,
+    _embed_backward,
     _times_transposed,
 )
 from snoic.errors import CheckpointError, DataError, TrainingError
@@ -738,6 +739,33 @@ class TestBackwardProducts:
         backward()
         assert len(calls) > 6 * cfg.num_layers
         assert not any(calls)
+
+
+class TestEmbedBackward:
+    """The token-embedding gradient is the row scatter dtok[ids] += dh * mask,
+    bit for bit, whichever way ``_embed_backward`` runs it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ws", [FRESH, Workspace()], ids=["fresh", "workspace"])
+    def test_token_gradient_equals_a_row_add_at(self, dtype, ws):
+        cfg = small_config(vocab_size=6)
+        p = init_params(cfg, 3, seed=98).astype(dtype)
+        rng = np.random.default_rng(99)
+        width = cfg.max_len - 3
+        lengths = np.array([width, 2, 1, width - 1, 3, width])
+        mask = (np.arange(width)[None, :] < lengths[:, None]).astype(dtype)
+        # six rows over a six-token vocabulary: every id repeats, PAD columns included
+        tokens = rng.integers(1, cfg.vocab_size, size=mask.shape).astype(np.int32) * mask.astype(np.int32)
+        dh = rng.standard_normal(mask.shape + (cfg.hidden,)).astype(dtype)
+        grads = p.with_flat(np.full_like(p.flat, np.nan))
+        want = np.zeros_like(p["token_embedding"])
+        np.add.at(want, tokens.reshape(-1), (dh * mask[:, :, None]).reshape(-1, cfg.hidden))
+        for _ in range(2):  # a second call into a used workspace
+            _embed_backward(p, tokens, mask, dh, grads, ws)
+            assert grads["token_embedding"].dtype == dtype
+            assert np.array_equal(grads["token_embedding"], want)
+        assert np.array_equal(grads["position_embedding"][:width], (dh * mask[:, :, None]).sum(axis=0))
+        assert not grads["position_embedding"][width:].any()
 
 
 class TestCheckpoint:

@@ -852,15 +852,15 @@ class TestStepMemory:
         return {layer: self.open_peak(widths, layer) for layer in range(1, self.SHAPE["num_layers"] + 1)}
 
     def test_pretrain_step(self):
-        assert self.pretrain_peak(FULL_WIDTHS) <= 0.15e6
+        assert self.pretrain_peak(FULL_WIDTHS) <= 0.14e6
 
     def test_pretrain_step_at_ragged_widths(self):
-        assert self.pretrain_peak(RAGGED_WIDTHS) <= 0.15e6
+        assert self.pretrain_peak(RAGGED_WIDTHS) <= 0.14e6
 
     def test_open_step(self):
         peaks = self.open_peaks(FULL_WIDTHS)
-        assert max(peaks.values()) <= 0.25e6, peaks
+        assert max(peaks.values()) <= 0.22e6, peaks
 
     def test_open_step_at_ragged_widths(self):
         peaks = self.open_peaks(RAGGED_WIDTHS)
-        assert max(peaks.values()) <= 0.25e6, peaks
+        assert max(peaks.values()) <= 0.22e6, peaks
