@@ -24,7 +24,6 @@ from .corpus import (
     load_dataset,
     make_batches,
     make_split,
-    ordered_batches,
     pair_batches,
     subsample_labeled,
     tokenize,
@@ -38,8 +37,8 @@ from .encoder import (
     save_checkpoint,
 )
 from .errors import CheckpointError, ConfigError, DataError, PairingError, SnoicError, TrainingError
-from .losses import kl_loss, mixup_loss, pretrain_loss, soft_target, softmax, total_loss
-from .metrics import ConfusionCounts, MetricsReport, confusion, evaluate
+from .losses import kl_loss, mixup_loss, pretrain_loss, softmax, total_loss
+from .metrics import MetricsReport, confusion, evaluate
 from .trainer import (
     Model,
     OptimizerState,
@@ -73,7 +72,6 @@ __all__ = [
     "load_dataset",
     "make_batches",
     "make_split",
-    "ordered_batches",
     "pair_batches",
     "subsample_labeled",
     "tokenize",
@@ -92,10 +90,8 @@ __all__ = [
     "kl_loss",
     "mixup_loss",
     "pretrain_loss",
-    "soft_target",
     "softmax",
     "total_loss",
-    "ConfusionCounts",
     "MetricsReport",
     "confusion",
     "evaluate",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import glob as globmod
+import inspect
 import json
 import os
 import sys
@@ -64,7 +65,10 @@ ABLATIONS = {
 
 _TOP_KEYS = {"name", "data", "seed", "r", "labeled_data_ratio", "vocab", "encoder", "train", "out_dir"}
 _DATA_KEYS = {"train", "val", "test"}
-_VOCAB_KEYS = {"min_freq", "max_size"}
+# config.vocab keys and their defaults, as build_vocab's signature declares them
+_VOCAB_DEFAULTS = {
+    k: p.default for k, p in inspect.signature(build_vocab).parameters.items() if p.default is not p.empty
+}
 # EncoderConfig fields set from config.encoder; the vocabulary size comes from the data
 _ENCODER_FIELDS = [f for f in fields(EncoderConfig) if f.name != "vocab_size"]
 # TrainConfig fields set from config.train; the seed comes from config.seed
@@ -138,7 +142,7 @@ def normalize_experiment_config(raw: dict) -> dict:
         role: _expect_str(data, role, "config.data", required=True) for role in ("train", "val", "test")
     }
     vocab = _expect_map(raw.get("vocab", {}), "config.vocab")
-    _reject_unknown(vocab, _VOCAB_KEYS, "config.vocab")
+    _reject_unknown(vocab, set(_VOCAB_DEFAULTS), "config.vocab")
     encoder = _expect_map(raw.get("encoder", {}), "config.encoder")
     _reject_unknown(encoder, {f.name for f in _ENCODER_FIELDS}, "config.encoder")
     train = _expect_map(raw.get("train", {}), "config.train")
@@ -165,10 +169,7 @@ def normalize_experiment_config(raw: dict) -> dict:
         "r": _expect_num(raw, "r", "config", None),
         "labeled_data_ratio": _expect_num(raw, "labeled_data_ratio", "config", 1.0),
         "out_dir": _expect_str(raw, "out_dir", "config", default=None),
-        "vocab": {
-            "min_freq": _expect_int(vocab, "min_freq", "config.vocab", 1),
-            "max_size": _expect_int(vocab, "max_size", "config.vocab", 50000),
-        },
+        "vocab": {key: _expect_int(vocab, key, "config.vocab", default) for key, default in _VOCAB_DEFAULTS.items()},
         "encoder": _section(encoder, _ENCODER_FIELDS, "config.encoder"),
         "train": _section(train, _TRAIN_FIELDS, "config.train"),
     }

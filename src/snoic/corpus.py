@@ -373,11 +373,6 @@ def make_batches(enc: EncodedDataset, batch_size: int, seed: int, epoch: int = 0
     return _slice_batches(enc, order, batch_size)
 
 
-def ordered_batches(enc: EncodedDataset, batch_size: int) -> list[Batch]:
-    """Contiguous batches in dataset order."""
-    return _slice_batches(enc, np.arange(len(enc)), batch_size)
-
-
 def length_sorted_batches(enc: EncodedDataset, window: int, rows: int) -> list[tuple[np.ndarray, Batch]]:
     """(dataset row indices, batch) pairs for untaped passes.
 

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DataError
 
-LOG_FLOOR = 1e-12
-
 
 def rowmax(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=-1, keepdims=True)``, NaN included. With more than 8
@@ -64,18 +62,24 @@ def _check_logits(logits: np.ndarray) -> None:
         raise DataError(f"logits must be (batch, M+1) with M >= 1, got {logits.shape}")
 
 
+def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log q, q) for q the row-wise softmax of (batch, width) logits."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    q = np.exp(z)
+    norm = q.sum(axis=1, keepdims=True)
+    q /= norm
+    return z - np.log(norm), q
+
+
 def _cross_entropy(logits: np.ndarray, cols) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of row i against hard target column ``cols[i]``
     (or ``cols`` for every row) and its gradient, (softmax - onehot) / batch."""
     rows = np.arange(logits.shape[0])
-    z = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(z)
-    norm = probs.sum(axis=1, keepdims=True)
-    value = float(np.mean(np.log(norm[:, 0]) - z[rows, cols]))
-    probs /= norm
-    probs[rows, cols] -= 1.0
-    probs /= logits.shape[0]
-    return value, probs
+    logq, q = _log_softmax(logits)
+    value = -float(np.mean(logq[rows, cols]))
+    q[rows, cols] -= 1.0
+    q /= logits.shape[0]
+    return value, q
 
 
 def pretrain_loss(logits: np.ndarray, labels: np.ndarray, M: int) -> tuple[float, np.ndarray]:
@@ -97,13 +101,8 @@ def pretrain_loss(logits: np.ndarray, labels: np.ndarray, M: int) -> tuple[float
     return value, dlogits
 
 
-def soft_target(label: int, M: int, rho: float) -> np.ndarray:
-    """Relocated target: 1 - rho on the gold class, rho on the open class."""
-    return soft_targets(np.array([label]), M, rho)[0]
-
-
 def soft_targets(labels: np.ndarray, M: int, rho: float) -> np.ndarray:
-    """One soft_target row per 1-based label."""
+    """Relocated targets per 1-based label: 1 - rho on the gold class, rho on the open class."""
     if not 0.0 <= rho < 1.0:
         raise DataError(f"relocation mass must be in [0, 1), got {rho}")
     labels = np.asarray(labels)
@@ -116,25 +115,19 @@ def soft_targets(labels: np.ndarray, M: int, rho: float) -> np.ndarray:
 
 
 def kl_loss(targets: np.ndarray, logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """Batch-mean KL(targets || softmax(logits)), floored inside the log.
-
-    Model probabilities are clamped below at 1e-12 before the log; the
-    gradient is exact for the clamped objective, and reduces to
-    (softmax - targets) / batch wherever the clamp is inactive. Targets
-    are cast to the logits' dtype, so the gradient comes back in it.
-    """
+    """Batch-mean KL(targets || softmax(logits)), with log q from the
+    log-softmax and no floor, and its gradient (softmax - targets) / batch.
+    Targets are cast to the logits' dtype, so the gradient comes back in it."""
     _check_logits(logits)
     if targets.shape != logits.shape:
         raise DataError(f"target shape {targets.shape} does not match logits {logits.shape}")
     targets = targets.astype(logits.dtype, copy=False)
     b = logits.shape[0]
-    q = softmax(logits)
-    qf = np.maximum(q, LOG_FLOOR)
-    terms = np.where(targets > 0, targets * (np.log(np.maximum(targets, LOG_FLOOR)) - np.log(qf)), 0.0)
-    value = float(terms.sum() / b)
-    g = np.where(q > LOG_FLOOR, -targets / qf, 0.0)
-    dlogits = q * (g - (g * q).sum(axis=1, keepdims=True)) / b
-    return value, dlogits
+    logq, q = _log_softmax(logits)
+    value = float(np.sum(targets * (np.log(np.where(targets > 0, targets, 1)) - logq)) / b)
+    q -= targets
+    q /= b
+    return value, q
 
 
 def mixup_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:

@@ -390,6 +390,8 @@ def train_two_stage(
     val_enc: EncodedDataset,
     cfg: TrainConfig,
 ) -> tuple[EncoderParams, TrainLog]:
+    """:func:`pretrain`, then :func:`train_open` from its best parameters, with one log. Public:
+    it is the one-call entry point that the README's library example and perfbench's docs use."""
     best1, log = pretrain(params, train_enc, val_enc, cfg)
     best2, log = train_open(best1, train_enc, val_enc, cfg, log=log)
     return best2, log

@@ -3,8 +3,9 @@
 A seeded bench-shape run (split and training seed 0, two epochs per
 stage) on the synthetic corpus; the committed fixture
 ``golden_two_stage.json`` holds its epoch losses and the logits of the
-first 8 test rows under the final parameters. Regenerate it only from a
-commit whose training numerics are the reference:
+first 8 test rows under the final parameters, run as one batch as wide
+as the longest of them. Regenerate it only from a commit whose training
+numerics are the reference:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -14,14 +15,16 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from snoic.corpus import (
+    Batch,
     Dataset,
     apply_split,
     build_vocab,
     encode_dataset,
     load_dataset,
     make_split,
-    ordered_batches,
 )
 from snoic.encoder import forward, init_params
 from snoic.synth import write_corpus
@@ -49,7 +52,14 @@ def golden_run(corpus_sets) -> dict:
         for ds, role in ((ds_train, "train"), (ds_val, "val"), (ds_test, "test"))
     )
     params, log = train_two_stage(init_params(enc_cfg, split.num_known, SEED), train_enc, val_enc, cfg)
-    _, logits = forward(params, ordered_batches(test_enc, ROWS)[0])
+    lengths = test_enc.lengths[:ROWS]
+    width = int(lengths.max())
+    first_rows = Batch(
+        tokens=test_enc.tokens[:ROWS, :width],
+        mask=(np.arange(width) < lengths[:, None]).astype(np.float32),
+        labels=test_enc.class_ids[:ROWS],
+    )
+    _, logits = forward(params, first_rows)
     return {
         "epoch_losses": [rec.mean_loss for rec in log.records],
         "logits": logits.astype(float).tolist(),

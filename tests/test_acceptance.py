@@ -15,7 +15,7 @@ from snoic.augment import inject_noise, mixup, sample_lambda
 from snoic.cli import main
 from snoic.corpus import Batch, Dataset, LabeledExample, apply_split, make_split
 from snoic.encoder import EncoderConfig, forward, init_params, run_from_layer, run_to_layer
-from snoic.losses import soft_target
+from snoic.losses import soft_targets
 from snoic.metrics import evaluate
 from snoic.synth import write_corpus
 
@@ -151,7 +151,7 @@ def test_acceptance_4_mixing_weight_distribution(capsys):
 
 
 def test_acceptance_5_soft_target_distribution(capsys):
-    t = soft_target(2, 4, 0.3)
+    t = soft_targets(np.array([2]), 4, 0.3)[0]
     point_ok = (
         t.shape == (5,)
         and t[1] == 1.0 - 0.3
@@ -160,8 +160,7 @@ def test_acceptance_5_soft_target_distribution(capsys):
     )
     sums_ok = True
     for rho in np.linspace(0.0, 0.999, 41):
-        for label in range(1, 5):
-            row = soft_target(label, 4, float(rho))
+        for row in soft_targets(np.arange(1, 5), 4, float(rho)):
             sums_ok = sums_ok and abs(float(row.sum()) - 1.0) <= 1e-6
             sums_ok = sums_ok and row[4] == float(rho) and np.all(row >= 0.0)
     ok = point_ok and sums_ok

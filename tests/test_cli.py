@@ -1,6 +1,7 @@
 """End-to-end command line coverage: exit codes, artifacts, report tables."""
 
 import csv
+import inspect
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from snoic.cli import ABLATIONS, main, normalize_experiment_config, train_config_from, with_ablations
-from snoic.corpus import SplitSpec, load_dataset, make_split
+from snoic.corpus import SplitSpec, build_vocab, load_dataset, make_split
 from snoic.encoder import EncoderConfig
 from snoic.errors import ConfigError
 from snoic.synth import write_corpus
@@ -159,6 +160,19 @@ class TestConfigValidation:
         raw = self.minimal(cli_env)
         raw["encoder"] = {"hidden": True}
         with pytest.raises(ConfigError, match="config.encoder.hidden: expected an integer"):
+            normalize_experiment_config(raw)
+
+    def test_vocab_section_comes_from_build_vocab(self, cli_env):
+        """A config without ``vocab`` gets exactly build_vocab's own defaults."""
+        defaults = {
+            name: par.default
+            for name, par in inspect.signature(build_vocab).parameters.items()
+            if par.default is not inspect.Parameter.empty
+        }
+        assert normalize_experiment_config(self.minimal(cli_env))["vocab"] == defaults
+        raw = self.minimal(cli_env)
+        raw["vocab"] = {"min_freq": True}
+        with pytest.raises(ConfigError, match="config.vocab.min_freq: expected an integer"):
             normalize_experiment_config(raw)
 
     def test_seed_env_override(self, cli_env, monkeypatch):

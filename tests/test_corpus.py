@@ -20,10 +20,10 @@ from snoic.corpus import (
     apply_split,
     build_vocab,
     encode_dataset,
+    length_sorted_batches,
     load_dataset,
     make_batches,
     make_split,
-    ordered_batches,
     pair_batches,
     subsample_labeled,
     tokenize,
@@ -429,23 +429,25 @@ class TestBatching:
         labels = np.concatenate([b.labels for b in batches])
         assert sorted(labels.tolist()) == sorted(enc.class_ids.tolist())
 
-    def test_ordered_batches_preserve_order(self):
-        """Batches hold the rows in dataset order, cut to their own width;
-        every column a batch drops is PAD in all of its rows."""
+    def test_batches_hold_their_rows_cut_to_their_width(self):
+        """Each length-sorted batch holds the rows it names, cut to its own
+        width; every column a batch drops is PAD in all of its rows, and
+        the batches cover the dataset once, window by window."""
         enc = ragged_encoded()
-        start = 0
-        for batch in ordered_batches(enc, 6):
-            rows = slice(start, start + len(batch))
+        seen = []
+        for rows, batch in length_sorted_batches(enc, 6, 4):
             width = batch.tokens.shape[1]
             assert np.array_equal(batch.tokens, enc.tokens[rows, :width])
+            assert np.array_equal(batch.labels, enc.class_ids[rows])
             assert np.all(enc.tokens[rows, width:] == PAD_ID)
-            start += len(batch)
-        assert start == len(enc)
+            assert len(set(rows // 6)) == 1
+            seen.extend(rows.tolist())
+        assert sorted(seen) == list(range(len(enc)))
 
     def test_every_batch_is_as_wide_as_its_longest_row(self):
         enc = ragged_encoded()
         assert len(np.unique(enc.lengths)) > 3 and enc.lengths.max() == enc.max_len
-        batches = ordered_batches(enc, 5) + make_batches(enc, 5, seed=1, epoch=2)
+        batches = [batch for _, batch in length_sorted_batches(enc, 10, 5)] + make_batches(enc, 5, seed=1, epoch=2)
         for pair in pair_batches(enc, 5, seed=3, epoch=1):
             batches += [pair.first, pair.second]
         widths = set()
@@ -465,7 +467,7 @@ class TestBatching:
         with pytest.raises(DataError):
             make_batches(empty, 4, seed=0)
         with pytest.raises(DataError):
-            ordered_batches(empty, 4)
+            length_sorted_batches(empty, 4, 4)
 
     def test_batch_size_lower_bound(self):
         enc = encoded_toy()
@@ -479,7 +481,7 @@ class TestBatching:
                 with pytest.raises(DataError, match="batch_size must be >= 1"):
                     batcher(enc, batch_size, 0)
             with pytest.raises(DataError, match="batch_size must be >= 1"):
-                ordered_batches(enc, batch_size)
+                length_sorted_batches(enc, batch_size, 4)
 
 
 class TestPairing:

@@ -15,7 +15,6 @@ from snoic.losses import (
     pretrain_loss,
     rowmax,
     rowsum,
-    soft_target,
     soft_targets,
     softmax,
     total_loss,
@@ -212,44 +211,49 @@ class TestPretrainLoss:
             pretrain_loss(np.zeros(3), np.array([1]), M=2)
 
 
+def soft_row(label, M, rho):
+    """The soft_targets row of one 1-based label."""
+    return soft_targets(np.array([label]), M, rho)[0]
+
+
 class TestSoftTarget:
     def test_relocation_example(self):
-        t = soft_target(3, M=3, rho=0.3)
+        t = soft_row(3, M=3, rho=0.3)
         assert t[2] == 1.0 - 0.3
         assert t[3] == 0.3
         assert t[0] == 0.0 and t[1] == 0.0
 
     def test_zero_rho_is_one_hot(self):
-        t = soft_target(2, M=4, rho=0.0)
+        t = soft_row(2, M=4, rho=0.0)
         expected = np.zeros(5)
         expected[1] = 1.0
         assert np.array_equal(t, expected)
 
     def test_single_known_class(self):
-        assert np.allclose(soft_target(1, M=1, rho=0.5), [0.5, 0.5])
+        assert np.allclose(soft_row(1, M=1, rho=0.5), [0.5, 0.5])
 
     def test_sums_to_one_across_rho(self):
         for rho in np.linspace(0.0, 0.999, 41):
-            t = soft_target(1, M=5, rho=float(rho))
+            t = soft_row(1, M=5, rho=float(rho))
             assert abs(t.sum() - 1.0) <= 1e-6
 
     def test_batch_version_stacks(self):
         t = soft_targets(np.array([1, 2]), M=2, rho=0.2)
         assert t.shape == (2, 3)
-        assert np.array_equal(t[0], soft_target(1, 2, 0.2))
-        assert np.array_equal(t[1], soft_target(2, 2, 0.2))
+        assert np.array_equal(t[0], soft_row(1, 2, 0.2))
+        assert np.array_equal(t[1], soft_row(2, 2, 0.2))
 
     def test_rho_out_of_range_rejected(self):
         with pytest.raises(DataError):
-            soft_target(1, M=2, rho=1.0)
+            soft_row(1, M=2, rho=1.0)
         with pytest.raises(DataError):
-            soft_target(1, M=2, rho=-0.1)
+            soft_row(1, M=2, rho=-0.1)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DataError):
-            soft_target(3, M=2, rho=0.3)
+            soft_row(3, M=2, rho=0.3)
         with pytest.raises(DataError):
-            soft_target(0, M=2, rho=0.3)
+            soft_row(0, M=2, rho=0.3)
 
 
 class TestKlLoss:
@@ -293,6 +297,20 @@ class TestKlLoss:
         _, dlogits = kl_loss(targets, logits)
         err = fd_logits(lambda lg: kl_loss(targets, lg)[0], logits, dlogits)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_confidently_wrong_row_keeps_value_and_gradient(self, dtype):
+        """softmax([0, 40, 0]) puts e^-40 on both target classes. The KL is
+        taken through the log-softmax, not a floored log of the softmax, so
+        the row scores its whole divergence and gets (softmax - targets)."""
+        logits = np.array([[0.0, 40.0, 0.0]], dtype)
+        value, dlogits = kl_loss(np.array([[0.7, 0.0, 0.3]]), logits)
+        # log q = -40 - log(1 + 2e^-40) on the target classes
+        expected = 0.7 * (math.log(0.7) + 40.0) + 0.3 * (math.log(0.3) + 40.0)
+        assert value == pytest.approx(expected, rel=1e-6)
+        assert value == pytest.approx(39.39, abs=5e-3)
+        assert dlogits.dtype == dtype
+        assert np.allclose(dlogits, [[-0.7, 1.0, -0.3]], atol=1e-6)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError, match="target shape"):

@@ -6,7 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from snoic.metrics import ConfusionCounts, accuracy, confusion, evaluate, precision_recall
+from snoic.metrics import confusion, evaluate
+
+
+def tp_fp_fn(counts):
+    """Per-class hits, false alarms and misses of a confusion matrix."""
+    tp = np.diagonal(counts)
+    return tp.tolist(), (counts.sum(axis=0) - tp).tolist(), (counts.sum(axis=1) - tp).tolist()
 
 
 def oracle_f1(preds, golds, class_id):
@@ -22,21 +28,20 @@ def oracle_f1(preds, golds, class_id):
 class TestConfusion:
     def test_all_correct(self):
         counts = confusion([1, 2, 3], [1, 2, 3], 3)
-        assert counts.tp == [1, 1, 1]
-        assert counts.fp == [0, 0, 0]
-        assert counts.fn == [0, 0, 0]
+        assert np.array_equal(counts, np.eye(3, dtype=int))
+        assert tp_fp_fn(counts) == ([1, 1, 1], [0, 0, 0], [0, 0, 0])
 
     def test_hand_worked_counts(self):
+        # gold rows, predicted columns: one gold-1 example is predicted 2
         counts = confusion([1, 2, 2, 3], [1, 1, 2, 3], 3)
-        assert counts.tp == [1, 1, 1]
-        assert counts.fp == [0, 1, 0]
-        assert counts.fn == [1, 0, 0]
-        assert counts.total == 4
+        assert counts.tolist() == [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+        assert tp_fp_fn(counts) == ([1, 1, 1], [0, 1, 0], [1, 0, 0])
+        assert counts.sum() == 4
 
     def test_empty_inputs(self):
         counts = confusion([], [], 2)
-        assert counts.tp == [0, 0] and counts.total == 0
-        assert accuracy(counts) == 0.0
+        assert counts.shape == (2, 2) and counts.sum() == 0
+        assert evaluate([], [], 2).accuracy == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -51,8 +56,8 @@ class TestConfusion:
     def test_numpy_int_arrays_accepted(self):
         for dtype in (np.int32, np.int64, np.uint8):
             counts = confusion(np.array([1, 2, 2, 3], dtype), np.array([1, 1, 2, 3], dtype), 3)
-            assert counts.tp == [1, 1, 1] and counts.fp == [0, 1, 0] and counts.fn == [1, 0, 0]
-            assert all(type(c) is int for c in counts.tp + counts.fp + counts.fn)
+            assert np.issubdtype(counts.dtype, np.integer)
+            assert tp_fp_fn(counts) == ([1, 1, 1], [0, 1, 0], [1, 0, 0])
 
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -60,29 +65,27 @@ class TestConfusion:
         with pytest.raises(ValueError, match="out of range"):
             confusion([1], [0], 2)
 
-    def test_for_class_bounds(self):
-        counts = confusion([1], [1], 2)
-        with pytest.raises(ValueError):
-            counts.for_class(3)
+    def test_one_row_and_column_per_class(self):
+        assert confusion([1], [1], 2).shape == (2, 2)
+        assert [row["class"] for row in evaluate([1], [1], 2).per_class] == [1, 2]
 
 
 class TestPerClassScores:
     def test_perfect_class(self):
-        counts = confusion([1, 1], [1, 1], 2)
-        assert precision_recall(counts, 1) == (1.0, 1.0)
-        assert evaluate([1, 1], [1, 1], 2).per_class[0]["f1"] == 1.0
+        row = evaluate([1, 1], [1, 1], 2).per_class[0]
+        assert (row["precision"], row["recall"]) == (1.0, 1.0)
+        assert row["f1"] == 1.0
 
     def test_absent_class_scores_zero(self):
-        counts = confusion([1, 1], [1, 1], 3)
-        assert precision_recall(counts, 3) == (0.0, 0.0)
-        assert evaluate([1, 1], [1, 1], 3).per_class[2]["f1"] == 0.0
+        row = evaluate([1, 1], [1, 1], 3).per_class[2]
+        assert (row["precision"], row["recall"]) == (0.0, 0.0)
+        assert row["f1"] == 0.0
 
     def test_balanced_errors(self):
         # Class 1: one hit, one false alarm, one miss.
-        counts = confusion([1, 1, 2], [1, 2, 1], 2)
-        p, r = precision_recall(counts, 1)
-        assert p == 0.5 and r == 0.5
-        assert evaluate([1, 1, 2], [1, 2, 1], 2).per_class[0]["f1"] == 0.5
+        row = evaluate([1, 1, 2], [1, 2, 1], 2).per_class[0]
+        assert row["precision"] == 0.5 and row["recall"] == 0.5
+        assert row["f1"] == 0.5
 
 
 class TestAggregates:
@@ -129,7 +132,7 @@ class TestAggregates:
         rep = evaluate(preds.tolist(), golds.tolist(), 3)
         order = rng.permutation(30)
         rep2 = evaluate(preds[order].tolist(), golds[order].tolist(), 3)
-        assert rep.to_json() == rep2.to_json()
+        assert rep.to_dict() == rep2.to_dict()
 
 
 class TestExhaustiveAgainstOracle:
@@ -175,10 +178,18 @@ class TestReportStructure:
         for row in rep.per_class:
             assert row["precision"] == row["recall"] == row["f1"] == 1.0
 
-    def test_to_json_round_trips(self):
+    def test_to_dict_round_trips_through_json(self):
         rep = evaluate([1, 2, 1], [1, 1, 2], 2)
-        assert json.loads(rep.to_json()) == rep.to_dict()
+        d = rep.to_dict()
+        assert json.loads(json.dumps(d)) == d
+        assert all(type(v) is float for row in d["per_class"] for k, v in row.items() if k != "class")
 
-    def test_counts_dataclass_accessor(self):
-        counts = ConfusionCounts(num_classes=2, tp=[3, 1], fp=[0, 2], fn=[2, 0], total=6)
-        assert counts.for_class(2) == (1, 2, 0)
+    def test_counts_from_the_matrix(self):
+        # class 1: 3 hits, 2 misses; class 2: 1 hit, 2 false alarms
+        preds = [1, 1, 1, 2, 2, 2]
+        golds = [1, 1, 1, 1, 1, 2]
+        counts = confusion(preds, golds, 2)
+        assert counts.tolist() == [[3, 2], [0, 1]]
+        assert tp_fp_fn(counts) == ([3, 1], [0, 2], [2, 0])
+        row = evaluate(preds, golds, 2).per_class[1]
+        assert row["precision"] == 1 / 3 and row["recall"] == 1.0
