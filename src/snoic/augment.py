@@ -175,8 +175,8 @@ class NoisyMixupPass:
         dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
         b = self.soft_rows
         n = len(dh) - b
-        dmixed = np.multiply(dh[b:], self.union[:, :, None], out=self.ws.take("tmp", dh[b:].shape, dh.dtype))
-        dmixed *= self.scale
+        # dh is exactly zero off the union mask, so the noise factor there needs no masking
+        dmixed = np.multiply(dh[b:], self.scale, out=self.ws.take("tmp", dh[b:].shape, dh.dtype))
         # [dh_soft, lam * dmixed, (1 - lam) * dmixed], the gradient of the stacked batch at the cut
         dstack = self.ws.take("mix.dh", (b + 2 * n,) + dh.shape[1:], dh.dtype)
         dstack[:b] = dh[:b]

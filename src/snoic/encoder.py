@@ -12,6 +12,16 @@ The pass is built from two segment runners that meet at a block boundary:
 representation. Between them the hidden state may be modified externally,
 which is the mixup injection point.
 
+Token-wise work runs on the real tokens only. A pass builds one packing
+from its mask, and the embedding gather, the projections, the residual
+adds, the layer norms and the feed-forward sublayer run on packed
+(real tokens, H) arrays, no padded position among them. Only the
+attention core (scores, softmax and ``att @ v``, and their backward) runs
+in the padded (n, t, ·) layout: q, k and v are gathered into it and the
+context is gathered back. Pooling gathers the last block's rows into the
+padded layout once to sum them per sequence. The hidden state at the cut
+is padded, (n, t, H) and zero at padding, as the runners' callers see it.
+
 The optional ``cache`` argument of the runners decides what a pass keeps.
 With a cache dict (a tape), each sublayer stores in it exactly what its
 backward reads (the inputs of its matmuls, the attention weights, the ReLU
@@ -232,7 +242,8 @@ class Workspace:
     Keys name what an array holds. Arrays a tape keeps are keyed by block
     and name (``(i, "q")``), so no two of them share storage. Backward
     gradients are keyed by name alone and shared by every block. ``"tmp"``
-    is scratch of any shape that no function keeps past its return.
+    is scratch of any shape that no function keeps past its return, and
+    ``"rows"`` is such scratch for packed rows below a zero row.
     """
 
     def __init__(self):
@@ -282,38 +293,118 @@ FRESH = _FreshArrays()
 
 
 # ---------------------------------------------------------------------------
-# forward / backward building blocks
+# packed rows
 
 
-def _embed_forward(p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, ws: Workspace) -> np.ndarray:
-    n, t = tokens.shape
+_INDICES = {}  # "arange": one read-only vector, grown as passes need
+
+
+def _arange(n: int) -> np.ndarray:
+    """0, 1, ..., n - 1 as a read-only intp view of one vector that grows to
+    the next power of two."""
+    indices = _INDICES.get("arange")
+    if indices is None or indices.size < n:
+        indices = _INDICES["arange"] = np.arange(1 << (n - 1).bit_length())
+        indices.flags.writeable = False
+    return indices[:n]
+
+
+class _Packing:
+    """Where the real tokens of an (n, t) mask sit, built once per pass.
+
+    Token-wise sublayers run on packed (rows, width) arrays, one row per
+    real token in the mask's row-major order, so no padded position is
+    computed. ``idx`` holds each packed row's position in the flattened
+    (n * t) layout, and ``seq`` and ``col`` its row and column; gathering
+    ``idx`` packs a padded array (:meth:`pack`). ``pos`` holds 1 + the
+    packed row of each padded position, and 0 at padding; gathering it
+    from a zero-topped buffer (:meth:`zero_topped`) unpacks a packed array
+    with zeros at padding (:meth:`unpack`). ``counts`` are the real tokens
+    per row and ``bias`` the attention scores' mask term, both in
+    ``dtype``. The index vectors live in ``ws`` under ``key``.
+    """
+
+    def __init__(self, mask: np.ndarray, dtype, ws: Workspace, key: str):
+        n, t = self.shape = mask.shape
+        real = np.not_equal(mask, 0, out=ws.take((key, "real"), (n, t), bool)).reshape(-1)
+        pos = self.pos = real.cumsum(dtype=np.intp, out=ws.take((key, "pos"), (n * t,), np.intp))
+        self.rows = int(pos[-1]) if n * t else 0
+        # a workspace keeps its buffers, so a packed one is taken at the padded size and
+        # a later pass at this (n, t) with more real tokens finds it big enough; fresh
+        # arrays are used once, and one of the exact size is faster to get
+        self.capacity = self.rows if isinstance(ws, _FreshArrays) else n * t
+        pos *= real
+        idx = self.take(ws, (key, "idx"), None, np.intp, top=1)
+        idx.put(pos, _arange(n * t), mode="clip")  # padded positions all land in the unused slot 0
+        self.idx = idx[1:]
+        seq, col = self.take(ws, (key, "seq"), None, np.intp), self.take(ws, (key, "col"), None, np.intp)
+        self.seq, self.col = np.divmod(self.idx, t, out=(seq, col))
+        self.counts = mask.sum(axis=1, dtype=dtype)
+        bias = np.subtract(1.0, mask, out=ws.take((key, "bias"), (n, 1, t), dtype).reshape(n, t))
+        bias *= ATTN_MASK_VALUE
+        self.bias = bias.reshape(n, 1, t)
+
+    def take(self, ws: Workspace, key, width: int | None, dtype, top: int = 0) -> np.ndarray:
+        """``top`` + rows packed rows of ``width`` (None: a vector) from
+        ``ws``, in a buffer of ``top`` + capacity rows."""
+        rows = self.capacity + top
+        return ws.take(key, (rows,) if width is None else (rows, width), dtype)[: self.rows + top]
+
+    def zero_topped(self, ws: Workspace, key, width: int, dtype) -> np.ndarray:
+        """A (rows + 1, width) buffer whose first row is zero. Its other rows
+        hold a packed array, which :meth:`unpack` reads."""
+        buf = self.take(ws, key, width, dtype, top=1)
+        buf[0] = 0
+        return buf
+
+    def pack(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The real-token rows of the padded (n, t, width) ``x``, into ``out``."""
+        return x.reshape(-1, x.shape[-1]).take(self.idx, axis=0, out=out, mode="clip")
+
+    def unpack(self, topped: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The padded (n, t, width) layout of the zero-topped ``topped``, into ``out``."""
+        topped.take(self.pos, axis=0, out=out.reshape(-1, topped.shape[1]), mode="clip")
+        return out
+
+
+# ---------------------------------------------------------------------------
+# forward / backward building blocks, on packed rows
+
+
+def _embed_forward(p: EncoderParams, tokens: np.ndarray, pk: _Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
+    t = tokens.shape[1]
     if t > p.cfg.max_len:
         raise DataError(f"sequence length {t} exceeds configured max_len {p.cfg.max_len}")
     table = p["token_embedding"]
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= len(table)):
+    hd = table.shape[1]
+    ids = tokens.take(pk.idx, out=pk.take(ws, "embed.ids", None, tokens.dtype), mode="clip")
+    if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
         raise DataError(f"token ids must lie in 0..{len(table) - 1}")
     # mode="raise" would gather through a temporary; the ids are checked above
-    h = np.take(table, tokens, axis=0, out=ws.take("embed", (n, t, table.shape[1]), table.dtype), mode="clip")
-    h += p["position_embedding"][None, :t, :]
-    h *= mask[:, :, None]
+    h = table.take(ids, axis=0, out=pk.take(ws, "embed", hd, table.dtype), mode="clip")
+    h += p["position_embedding"].take(pk.col, axis=0, out=pk.take(ws, "tmp", hd, h.dtype), mode="clip")
+    if cache is not None:
+        # the backward's scatter index, id * H + j per gradient element. numpy allocates
+        # a buffer for the broadcast add; here, before the tape holds anything, it
+        # does not add to the step's peak
+        at = pk.take(ws, "embed.at", hd, np.intp)
+        np.copyto(at, ids[:, None])
+        at *= hd
+        at += _arange(hd)
+        cache.update(pack=pk, at=at)
     return h
 
 
-def _embed_backward(
-    p: EncoderParams, tokens: np.ndarray, mask: np.ndarray, dh: np.ndarray, grads: EncoderParams, ws: Workspace
-) -> None:
-    t, hd = tokens.shape[1], dh.shape[-1]
-    dh = np.multiply(dh, mask[:, :, None], out=ws.take("dh", dh.shape, dh.dtype))
+def _embed_backward(p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace) -> None:
+    """``dh`` is the zero-topped gradient of the embeddings' packed rows."""
+    pk = cache["pack"]
+    (n, t), hd = pk.shape, dh.shape[1]
     dtok, dpos = grads["token_embedding"], grads["position_embedding"]
     dtok.fill(0)  # with the position rows past t, the only ranges a backward zeroes
     # dtok[ids] += dh row by row, run as one element scatter over the flat table: each
     # entry takes the same additions in the same order, so the sums are bit-identical
-    flat = ws.take("embed.at", dh.shape, np.intp)
-    flat[...] = tokens[:, :, None]
-    flat *= hd
-    flat += np.arange(hd)
-    np.add.at(dtok.reshape(-1), flat.reshape(-1), dh.reshape(-1))
-    np.sum(dh, axis=0, out=dpos[:t])
+    np.add.at(dtok.reshape(-1), cache["at"].reshape(-1), dh[1:].reshape(-1))
+    pk.unpack(dh, ws.take("tmp", (n, t, hd), dh.dtype)).sum(axis=0, out=dpos[:t])
     dpos[t:] = 0
 
 
@@ -323,7 +414,7 @@ def _subcache(cache: dict | None, key: str | int) -> dict | None:
 
 
 def _layernorm_forward(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None, ws: Workspace, key
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None, pk: _Packing, ws: Workspace, key
 ) -> np.ndarray:
     """Normalize the last axis. ``x`` is a sum the caller no longer needs:
     it is overwritten. A taped pass writes the output under ``key``."""
@@ -331,7 +422,7 @@ def _layernorm_forward(
     mu = rowsum(x)
     mu /= h
     xc = np.subtract(x, mu, out=x)
-    var = rowsum(np.multiply(xc, xc, out=ws.take("tmp", x.shape, x.dtype)))
+    var = rowsum(np.multiply(xc, xc, out=pk.take(ws, "tmp", h, x.dtype)))
     var /= h
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = np.multiply(xc, inv, out=xc)
@@ -339,21 +430,21 @@ def _layernorm_forward(
         y = np.multiply(xhat, gain, out=xhat)
     else:
         cache["xhat"], cache["inv"] = xhat, inv
-        y = np.multiply(xhat, gain, out=ws.take(key, x.shape, x.dtype))
+        y = np.multiply(xhat, gain, out=pk.take(ws, key, h, x.dtype))
     y += bias
     return y
 
 
 def _layernorm_backward(
-    dy: np.ndarray, cache: dict, gain: np.ndarray, dgain: np.ndarray, dbias: np.ndarray, ws: Workspace
+    dy: np.ndarray, cache: dict, gain: np.ndarray, dgain: np.ndarray, dbias: np.ndarray, pk: _Packing, ws: Workspace
 ) -> np.ndarray:
     """Writes the gain and bias gradients into ``dgain`` and ``dbias`` and
     overwrites ``dy`` with the input gradient it returns."""
     xhat, inv = cache["xhat"], cache["inv"]
-    tmp = np.multiply(dy, xhat, out=ws.take("tmp", dy.shape, dy.dtype))
+    h = dy.shape[-1]
+    tmp = np.multiply(dy, xhat, out=pk.take(ws, "tmp", h, dy.dtype))
     colsum(tmp, out=dgain)
     colsum(dy, out=dbias)
-    h = dy.shape[-1]
     dxhat = np.multiply(dy, gain, out=dy)
     m1 = rowsum(dxhat)
     m1 /= h
@@ -366,26 +457,33 @@ def _layernorm_backward(
 
 
 def _attention_forward(
-    w: Block, i: int, h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace
+    w: Block, i: int, h: np.ndarray, pk: _Packing, cache: dict | None, ws: Workspace
 ) -> np.ndarray:
-    n, t, hd = shape = h.shape
-    dt = h.dtype
-    q = np.matmul(h, w.attn_q, out=ws.take((i, "q"), shape, dt))
-    k = np.matmul(h, w.attn_k, out=ws.take((i, "k"), shape, dt))
+    """The projections run on the packed rows ``h``; the scores, softmax and
+    ``att @ v`` run in the padded (n, t, ·) layout, q, k and v unpacked into
+    it, and the context is packed back for the output projection."""
+    (n, t), hd, dt = pk.shape, h.shape[1], h.dtype
+    rows = pk.zero_topped(ws, "rows", hd, dt)
+
+    def unpacked(weight, key):
+        np.matmul(h, weight, out=rows[1:])
+        return pk.unpack(rows, ws.take((i, key), (n, t, hd), dt))
+
+    q, k = unpacked(w.attn_q, "q"), unpacked(w.attn_k, "k")
     scale = 1.0 / math.sqrt(hd)
     scores = np.matmul(q, k.swapaxes(1, 2), out=ws.take((i, "att"), (n, t, t), dt))
     if cache is not None:
         cache.update(h=h, q=q, k=k, scale=scale)
     del q, k
     scores *= scale
-    scores += (1.0 - mask)[:, None, :] * ATTN_MASK_VALUE
+    scores += pk.bias
     att = softmax(scores, out=scores)
-    v = np.matmul(h, w.attn_v, out=ws.take((i, "v"), shape, dt))
-    ctx = np.matmul(att, v, out=ws.take((i, "ctx"), shape, dt))
+    v = unpacked(w.attn_v, "v")
+    ctx = pk.pack(np.matmul(att, v, out=ws.take("attn.ctx", (n, t, hd), dt)), pk.take(ws, (i, "ctx"), hd, dt))
     if cache is not None:
         cache.update(v=v, att=att, ctx=ctx)
     del v, att
-    return np.matmul(ctx, w.attn_out, out=ws.take((i, "s1"), shape, dt))
+    return np.matmul(ctx, w.attn_out, out=pk.take(ws, (i, "s1"), hd, dt))
 
 
 def _times_transposed(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -396,105 +494,93 @@ def _times_transposed(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: Workspace) -> np.ndarray:
+def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _Packing, ws: Workspace) -> np.ndarray:
     h, q, k, v, att, ctx, scale = (
         cache["h"], cache["q"], cache["k"], cache["v"], cache["att"], cache["ctx"], cache["scale"],
     )
-    shape, dt = h.shape, h.dtype
-    hd = shape[-1]
-    np.matmul(ctx.reshape(-1, hd).T, dout.reshape(-1, hd), out=g.attn_out)
-    dctx = _times_transposed(dout, w.attn_out, ws.take("attn.dctx", shape, dt))
+    shape, hd, dt = q.shape, h.shape[1], h.dtype
+    np.matmul(ctx.T, dout, out=g.attn_out)
+    rows = pk.zero_topped(ws, "rows", hd, dt)
+    _times_transposed(dout, w.attn_out, rows[1:])
+    dctx = pk.unpack(rows, ws.take("attn.ctx", shape, dt))
     datt = np.matmul(dctx, v.swapaxes(1, 2), out=ws.take("attn.datt", att.shape, dt))
     dv = np.matmul(att.swapaxes(1, 2), dctx, out=ws.take("attn.dv", shape, dt))
     # dscores = att * (datt - rowsum(datt * att)), written over datt
     datt -= rowsum(np.multiply(datt, att, out=ws.take("tmp", att.shape, dt)))
     dscores = np.multiply(att, datt, out=datt)
-    dq = np.matmul(dscores, k, out=dctx)  # dctx is spent
-    dq *= scale
     dk = np.matmul(dscores.swapaxes(1, 2), q, out=ws.take("tmp", shape, dt))
+    dq = np.matmul(dscores, k, out=dctx)  # dctx is spent
+    # the packed gradients of q, k and v; dq goes where the packed dctx was
+    dq = pk.pack(dq, rows[1:])
+    dk = pk.pack(dk, pk.take(ws, "attn.dk", hd, dt))
+    dv = pk.pack(dv, pk.take(ws, "attn.dv.packed", hd, dt))
+    dq *= scale
     dk *= scale
     for grad, d in ((g.attn_q, dq), (g.attn_k, dk), (g.attn_v, dv)):
-        np.matmul(h.reshape(-1, hd).T, d.reshape(-1, hd), out=grad)
+        np.matmul(h.T, d, out=grad)
     # dq @ Wq.T + dk @ Wk.T + dv @ Wv.T, the last two products going through dq's storage
-    dx = _times_transposed(dq, w.attn_q, ws.take("dx", shape, dt))
+    dx = _times_transposed(dq, w.attn_q, pk.take(ws, "dx", hd, dt))
     dx += _times_transposed(dk, w.attn_k, dq)
     dx += _times_transposed(dv, w.attn_v, dq)
     return dx
 
 
-def _ffn_forward(w: Block, i: int, x: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:
-    u = np.matmul(x, w.ffn_w1, out=ws.take((i, "r"), x.shape[:2] + w.ffn_w1.shape[1:], x.dtype))
+def _ffn_forward(w: Block, i: int, x: np.ndarray, pk: _Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
+    u = np.matmul(x, w.ffn_w1, out=pk.take(ws, (i, "r"), w.ffn_w1.shape[1], x.dtype))
     u += w.ffn_b1
     r = np.maximum(u, 0.0, out=u)
     if cache is not None:
         cache.update(x=x, r=r)
-    out = np.matmul(r, w.ffn_w2, out=ws.take((i, "s2"), x.shape, x.dtype))
+    out = np.matmul(r, w.ffn_w2, out=pk.take(ws, (i, "s2"), x.shape[1], x.dtype))
     out += w.ffn_b2
     return out
 
 
-def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, ws: Workspace) -> np.ndarray:
+def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _Packing, ws: Workspace) -> np.ndarray:
     x, r = cache["x"], cache["r"]
-    fd = r.shape[-1]
-    hd = x.shape[-1]
-    np.matmul(r.reshape(-1, fd).T, dout.reshape(-1, hd), out=g.ffn_w2)
+    hd, fd = x.shape[1], r.shape[1]
+    np.matmul(r.T, dout, out=g.ffn_w2)
     colsum(dout, out=g.ffn_b2)
-    du = _times_transposed(dout, w.ffn_w2, ws.take("ffn.du", r.shape, r.dtype))
-    du *= np.greater(r, 0, out=ws.take("ffn.on", r.shape, bool))
-    np.matmul(x.reshape(-1, hd).T, du.reshape(-1, fd), out=g.ffn_w1)
+    du = _times_transposed(dout, w.ffn_w2, pk.take(ws, "ffn.du", fd, r.dtype))
+    du *= np.greater(r, 0, out=pk.take(ws, "ffn.on", fd, bool))
+    np.matmul(x.T, du, out=g.ffn_w1)
     colsum(du, out=g.ffn_b1)
-    return _times_transposed(du, w.ffn_w1, ws.take("dx", x.shape, x.dtype))
+    return _times_transposed(du, w.ffn_w1, pk.take(ws, "dx", hd, x.dtype))
 
 
-def _block_forward(w: Block, i: int, h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:
-    """Apply the block with tensors ``w``; ``i`` (0-based) keys its tape
-    arrays. Padded positions are re-zeroed.
+def _block_forward(w: Block, i: int, h: np.ndarray, pk: _Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
+    """Apply the block with tensors ``w`` to the packed rows ``h``; ``i``
+    (0-based) keys its tape arrays.
 
     ``h`` is only read. Residual sums are formed in the sublayer outputs,
     which the layer norms then overwrite.
     """
-    s1 = _attention_forward(w, i, h, mask, _subcache(cache, "attn"), ws)
+    s1 = _attention_forward(w, i, h, pk, _subcache(cache, "attn"), ws)
     s1 += h
-    n1 = _layernorm_forward(s1, w.norm1_gain, w.norm1_bias, _subcache(cache, "ln1"), ws, (i, "n1"))
-    s2 = _ffn_forward(w, i, n1, _subcache(cache, "ffn"), ws)
+    n1 = _layernorm_forward(s1, w.norm1_gain, w.norm1_bias, _subcache(cache, "ln1"), pk, ws, (i, "n1"))
+    s2 = _ffn_forward(w, i, n1, pk, _subcache(cache, "ffn"), ws)
     s2 += n1
-    n2 = _layernorm_forward(s2, w.norm2_gain, w.norm2_bias, _subcache(cache, "ln2"), ws, (i, "n2"))
-    if cache is not None:
-        cache["mask"] = mask
-    n2 *= mask[:, :, None]
-    return n2
+    return _layernorm_forward(s2, w.norm2_gain, w.norm2_bias, _subcache(cache, "ln2"), pk, ws, (i, "n2"))
 
 
-def _block_backward(w: Block, g: Block, cache: dict, dh_out: np.ndarray, ws: Workspace) -> np.ndarray:
-    """Reverse of one block, writing its gradients into ``g``. ``dh_out`` is
-    only read before the gradient that flows on is written; the result
-    lives in the workspace's "dh"."""
-    mask = cache["mask"]
-    dn2 = np.multiply(dh_out, mask[:, :, None], out=ws.take("dh", dh_out.shape, dh_out.dtype))
-    ds2 = _layernorm_backward(dn2, cache["ln2"], w.norm2_gain, g.norm2_gain, g.norm2_bias, ws)
-    dn1 = np.add(ds2, _ffn_backward(w, g, cache["ffn"], ds2, ws), out=ds2)
-    ds1 = _layernorm_backward(dn1, cache["ln1"], w.norm1_gain, g.norm1_gain, g.norm1_bias, ws)
-    return np.add(ds1, _attention_backward(w, g, cache["attn"], ds1, ws), out=ds1)
+def _block_backward(w: Block, g: Block, cache: dict, dh: np.ndarray, pk: _Packing, ws: Workspace) -> None:
+    """Reverse of one block, writing its gradients into ``g`` and the
+    gradient that flows on over ``dh``."""
+    ds2 = _layernorm_backward(dh, cache["ln2"], w.norm2_gain, g.norm2_gain, g.norm2_bias, pk, ws)
+    dn1 = np.add(ds2, _ffn_backward(w, g, cache["ffn"], ds2, pk, ws), out=ds2)
+    ds1 = _layernorm_backward(dn1, cache["ln1"], w.norm1_gain, g.norm1_gain, g.norm1_bias, pk, ws)
+    np.add(ds1, _attention_backward(w, g, cache["attn"], ds1, pk, ws), out=ds1)
 
 
-def _pool_forward(h: np.ndarray, mask: np.ndarray, cache: dict | None, ws: Workspace) -> np.ndarray:
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
+def _pool_forward(h: np.ndarray, pk: _Packing, ws: Workspace) -> np.ndarray:
+    """Mean of each sequence's packed rows, summed in the padded layout."""
+    if (pk.counts == 0).any():
         raise DataError("cannot pool a sequence with zero real tokens")
-    x = np.multiply(h, mask[:, :, None], out=ws.take("pool", h.shape, h.dtype)).sum(axis=1)
-    x /= counts[:, None]
-    if cache is not None:
-        cache.update(mask=mask, counts=counts)
+    rows = pk.zero_topped(ws, "rows", h.shape[1], h.dtype)
+    rows[1:] = h
+    x = pk.unpack(rows, ws.take("pool", pk.shape + h.shape[1:], h.dtype)).sum(axis=1)
+    x /= pk.counts[:, None]
     return x
-
-
-def _pool_backward(cache: dict, dx: np.ndarray, ws: Workspace) -> np.ndarray:
-    mask, counts = cache["mask"], cache["counts"]
-    shape = mask.shape + dx.shape[1:]
-    # einsum broadcasts without the buffered iteration a broadcast multiply takes
-    dh = np.einsum("bh,bt->bth", dx, mask, out=ws.take("pool", shape, dx.dtype))
-    dh /= counts[:, None, None]
-    return dh
 
 
 def _dense_forward(p: EncoderParams, x: np.ndarray, cache: dict | None) -> np.ndarray:
@@ -526,6 +612,53 @@ def head_backward(p: EncoderParams, e: np.ndarray, dlogits: np.ndarray, grads: E
 
 # ---------------------------------------------------------------------------
 # segment runners (optionally taped)
+#
+# The packed runners below take and return packed rows; the public runners
+# wrap them, packing and unpacking the (n, t, H) hidden state at the cut.
+
+
+def _to_layer(
+    p: EncoderParams, tokens: np.ndarray, pk: _Packing, rl: int, cache: dict | None, ws: Workspace
+) -> np.ndarray:
+    h = _embed_forward(p, tokens, pk, cache, ws)
+    if cache is not None:
+        cache["stop"] = rl
+    blocks = _subcache(cache, "blocks")
+    for i in range(rl):
+        h = _block_forward(p.blocks[i], i, h, pk, _subcache(blocks, i), ws)
+    return h
+
+
+def _backward_to(p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace) -> None:
+    """Reverse of _to_layer from the zero-topped gradient ``dh`` of its output."""
+    pk = cache["pack"]
+    for i in reversed(range(cache["stop"])):
+        _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh[1:], pk, ws)
+    _embed_backward(p, cache, dh, grads, ws)
+
+
+def _from_layer(
+    p: EncoderParams, h: np.ndarray, pk: _Packing, start: int, cache: dict | None, ws: Workspace
+) -> np.ndarray:
+    if cache is not None:
+        cache.update(pack=pk, start=start)
+    blocks = _subcache(cache, "blocks")
+    for i in range(start, p.cfg.num_layers):
+        h = _block_forward(p.blocks[i], i, h, pk, _subcache(blocks, i), ws)
+    return _dense_forward(p, _pool_forward(h, pk, ws), _subcache(cache, "dense"))
+
+
+def _backward_from(p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams, ws: Workspace) -> np.ndarray:
+    """Reverse of _from_layer; returns the zero-topped gradient of its packed input."""
+    pk = cache["pack"]
+    dx = _dense_backward(p, cache["dense"], de, grads)
+    dh = pk.zero_topped(ws, "dh", dx.shape[1], dx.dtype)
+    # the pool's backward: each row's gradient over its count, to each of its tokens
+    dx /= pk.counts[:, None]
+    dx.take(pk.seq, axis=0, out=dh[1:], mode="clip")
+    for i in reversed(range(cache["start"], p.cfg.num_layers)):
+        _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh[1:], pk, ws)
+    return dh
 
 
 def run_to_layer(
@@ -536,25 +669,24 @@ def run_to_layer(
     cache: dict | None = None,
     ws: Workspace = FRESH,
 ) -> np.ndarray:
-    """Embeddings plus blocks 1..rl; rl=0 is the embedding stage alone."""
+    """Embeddings plus blocks 1..rl; rl=0 is the embedding stage alone.
+    Returns the (n, t, H) hidden state, zero at padded positions."""
     if not 0 <= rl <= p.cfg.num_layers:
         raise DataError(f"resume layer {rl} out of range 0..{p.cfg.num_layers}")
-    mask = mask.astype(p["token_embedding"].dtype, copy=False)
-    h = _embed_forward(p, tokens, mask, ws)
-    if cache is not None:
-        cache.update(tokens=tokens, mask=mask, stop=rl)
-    blocks = _subcache(cache, "blocks")
-    for i in range(rl):
-        h = _block_forward(p.blocks[i], i, h, mask, _subcache(blocks, i), ws)
-    return h
+    pk = _Packing(mask, p.flat.dtype, ws, "to")
+    h = _to_layer(p, tokens, pk, rl, cache, ws)
+    rows = pk.zero_topped(ws, "rows", h.shape[1], h.dtype)
+    rows[1:] = h
+    return pk.unpack(rows, ws.take("to.h", pk.shape + h.shape[1:], h.dtype))
 
 
 def backward_to_layer(
     p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
 ) -> None:
-    for i in reversed(range(cache["stop"])):
-        dh = _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh, ws)
-    _embed_backward(p, cache["tokens"], cache["mask"], dh, grads, ws)
+    pk = cache["pack"]
+    rows = pk.zero_topped(ws, "dh", dh.shape[-1], dh.dtype)
+    pk.pack(dh, rows[1:])
+    _backward_to(p, cache, rows, grads, ws)
 
 
 def run_from_layer(
@@ -568,25 +700,18 @@ def run_from_layer(
     """Blocks start+1..L, masked mean pooling, then the ReLU dense layer."""
     if not 0 <= start <= p.cfg.num_layers:
         raise DataError(f"resume layer {start} out of range 0..{p.cfg.num_layers}")
-    mask = mask.astype(h.dtype, copy=False)
-    if cache is not None:
-        cache["start"] = start
-    blocks = _subcache(cache, "blocks")
-    for i in range(start, p.cfg.num_layers):
-        h = _block_forward(p.blocks[i], i, h, mask, _subcache(blocks, i), ws)
-    x = _pool_forward(h, mask, _subcache(cache, "pool"), ws)
-    return _dense_forward(p, x, _subcache(cache, "dense"))
+    pk = _Packing(mask, h.dtype, ws, "from")
+    return _from_layer(p, pk.pack(h, pk.take(ws, "from.h", h.shape[-1], h.dtype)), pk, start, cache, ws)
 
 
 def backward_from_layer(
     p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
 ) -> np.ndarray:
-    """Reverse of run_from_layer; returns the gradient at the cut point."""
-    dx = _dense_backward(p, cache["dense"], de, grads)
-    dh = _pool_backward(cache["pool"], dx, ws)
-    for i in reversed(range(cache["start"], p.cfg.num_layers)):
-        dh = _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh, ws)
-    return dh
+    """Reverse of run_from_layer; returns the (n, t, H) gradient at the cut
+    point, zero at padded positions."""
+    pk = cache["pack"]
+    dh = _backward_from(p, cache, de, grads, ws)
+    return pk.unpack(dh, ws.take("from.dh", pk.shape + dh.shape[1:], dh.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +720,8 @@ def backward_from_layer(
 
 def forward(p: EncoderParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Full pass: intent representations e and (M+1)-way logits."""
-    h = run_to_layer(p, batch.tokens, batch.mask, 0)
-    e = run_from_layer(p, h, batch.mask, 0)
+    pk = _Packing(batch.mask, p.flat.dtype, FRESH, "to")
+    e = _from_layer(p, _to_layer(p, batch.tokens, pk, 0, None, FRESH), pk, 0, None, FRESH)
     return e, head_logits(p, e)
 
 
@@ -614,15 +739,16 @@ class TapedForward:
         self.generation = ws.record()
         self.to_cache: dict = {}
         self.from_cache: dict = {}
-        h = run_to_layer(p, batch.tokens, batch.mask, 0, cache=self.to_cache, ws=ws)
-        self.e = run_from_layer(p, h, batch.mask, 0, cache=self.from_cache, ws=ws)
+        pk = _Packing(batch.mask, p.flat.dtype, ws, "to")
+        h = _to_layer(p, batch.tokens, pk, 0, self.to_cache, ws)
+        self.e = _from_layer(p, h, pk, 0, self.from_cache, ws)
         self.logits = head_logits(p, self.e)
 
     def backward(self, dlogits: np.ndarray) -> EncoderParams:
         grads = self.ws.grads(self.p, self.generation)
         de = head_backward(self.p, self.e, dlogits, grads)
-        dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
-        backward_to_layer(self.p, self.to_cache, dh, grads, self.ws)
+        dh = _backward_from(self.p, self.from_cache, de, grads, self.ws)
+        _backward_to(self.p, self.to_cache, dh, grads, self.ws)
         return grads
 
 

@@ -31,12 +31,26 @@ def rowmax(x: np.ndarray) -> np.ndarray:
     return m
 
 
+_ONES: dict = {}  # dtype -> one read-only vector of ones, grown as needed
+
+
+def _ones(n: int, dtype) -> np.ndarray:
+    """n ones of ``dtype``, a read-only view of one vector per dtype that
+    grows to the next power of two: the sums below take their ones without
+    allocating them."""
+    ones = _ONES.get(dtype)
+    if ones is None or ones.size < n:
+        ones = _ONES[dtype] = np.ones(1 << (n - 1).bit_length(), dtype)
+        ones.flags.writeable = False
+    return ones[:n]
+
+
 def rowsum(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis, kept as a length-1 axis: one matrix-vector
     product with a ones vector, which BLAS runs faster than numpy's
     reduction over a short axis."""
     w = x.shape[-1]
-    return np.matmul(x.reshape(-1, w), np.ones(w, x.dtype)).reshape(x.shape[:-1] + (1,))
+    return np.matmul(x.reshape(-1, w), _ones(w, x.dtype)).reshape(x.shape[:-1] + (1,))
 
 
 def colsum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -44,7 +58,7 @@ def colsum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     vector-matrix product with a ones vector. A C-contiguous ``x`` is read
     in place, so nothing of its size is allocated."""
     w = x.shape[-1]
-    return np.matmul(np.ones(x.size // w, x.dtype), x.reshape(-1, w), out=out)
+    return np.matmul(_ones(x.size // w, x.dtype), x.reshape(-1, w), out=out)
 
 
 def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -18,6 +18,7 @@ from snoic.encoder import (
     EncoderParams,
     TapedForward,
     Workspace,
+    backward_to_layer,
     forward,
     head_logits,
     init_params,
@@ -26,7 +27,6 @@ from snoic.encoder import (
     run_from_layer,
     run_to_layer,
     save_checkpoint,
-    _embed_backward,
     _times_transposed,
 )
 from snoic.errors import CheckpointError, DataError, TrainingError
@@ -743,7 +743,9 @@ class TestBackwardProducts:
 
 class TestEmbedBackward:
     """The token-embedding gradient is the row scatter dtok[ids] += dh * mask,
-    bit for bit, whichever way ``_embed_backward`` runs it."""
+    bit for bit, whichever way ``_embed_backward`` runs it. The embedding
+    stage alone (``run_to_layer`` at layer 0) and its backward run it on the
+    packed real-token rows of a padded gradient."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("ws", [FRESH, Workspace()], ids=["fresh", "workspace"])
@@ -761,11 +763,82 @@ class TestEmbedBackward:
         want = np.zeros_like(p["token_embedding"])
         np.add.at(want, tokens.reshape(-1), (dh * mask[:, :, None]).reshape(-1, cfg.hidden))
         for _ in range(2):  # a second call into a used workspace
-            _embed_backward(p, tokens, mask, dh, grads, ws)
+            cache: dict = {}
+            run_to_layer(p, tokens, mask, 0, cache, ws)
+            backward_to_layer(p, cache, dh, grads, ws)
             assert grads["token_embedding"].dtype == dtype
             assert np.array_equal(grads["token_embedding"], want)
         assert np.array_equal(grads["position_embedding"][:width], (dh * mask[:, :, None]).sum(axis=0))
         assert not grads["position_embedding"][width:].any()
+
+
+TOKEN_WISE = ("attn_q", "attn_k", "attn_v", "attn_out", "ffn_w1", "ffn_w2")
+
+
+class TestPackedRows:
+    """Token-wise sublayers run on the real tokens only: each of their GEMMs
+    has one row per real token, and what sits at a padded position is never
+    read."""
+
+    CFG = EncoderConfig(vocab_size=40, **DEFAULT_SHAPE)
+
+    def pair(self):
+        first, second = random_batch(self.CFG, 102, size=12), random_batch(self.CFG, 103, size=12)
+        second.labels = first.labels % 4 + 1
+        return PairedBatch(first=first, second=second)
+
+    def run(self, kind, p, batch, ws):
+        """The logits of a pass of ``kind`` over ``batch``, and the pass (None
+        for ``forward``, which keeps none)."""
+        if kind == "forward":
+            return forward(p, batch)[1], None
+        if kind == "taped":
+            tape = TapedForward(p, batch, ws)
+            return tape.logits, tape
+        mix = NoisyMixupPass(p, batch, self.pair(), TrainConfig(), np.random.default_rng(104), ws)
+        return np.concatenate([mix.soft_logits, mix.logits]), mix
+
+    @pytest.mark.parametrize("kind", ["forward", "taped", "mix"])
+    def test_token_wise_products_see_only_real_tokens(self, kind, monkeypatch):
+        p = init_params(self.CFG, 4, seed=100)
+        batch = random_batch(self.CFG, 101, size=12, min_len=2)
+        calls, matmul = [], np.matmul
+
+        def recording(a, b, out=None):
+            calls.append((a.shape, b.ctypes.data, None if out is None else out.ctypes.data))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        logits, tape = self.run(kind, p, batch, Workspace())
+        if kind == "taped":
+            grads = tape.backward(np.ones_like(logits))
+        elif kind == "mix":
+            grads = tape.backward(np.ones_like(tape.soft_logits), np.ones_like(tape.logits))
+        monkeypatch.undo()
+        real = int(batch.mask.sum())
+        assert real < batch.mask.size
+        for i in range(self.CFG.num_layers):
+            want = real
+            if kind == "mix":  # the stacked batch below the mix layer, the soft and mixed rows from it on
+                pair = self.pair()
+                want += int(tape.union.sum()) if i >= tape.layer else int(pair.first.mask.sum() + pair.second.mask.sum())
+            # x @ W and dy @ W.T have a row per token; x.T @ dy, written into W's gradient, sums over them
+            weights = {getattr(p.blocks[i], name).ctypes.data for name in TOKEN_WISE}
+            rows = [shape[0] for shape, b, _ in calls if b in weights]
+            if kind != "forward":
+                grad = {getattr(grads.blocks[i], name).ctypes.data for name in TOKEN_WISE}
+                rows += [shape[1] for shape, _, out in calls if out in grad]
+            assert rows == [want] * (6 if kind == "forward" else 18), (i, want, rows)
+
+    @pytest.mark.parametrize("kind", ["forward", "taped", "mix"])
+    def test_padded_token_ids_are_never_read(self, kind):
+        """Other valid ids at the padded positions give bit-identical logits."""
+        p = init_params(self.CFG, 4, seed=105)
+        batch = random_batch(self.CFG, 106, size=12, min_len=2)
+        ids = np.random.default_rng(107).integers(1, self.CFG.vocab_size, size=batch.tokens.shape)
+        other = Batch(tokens=np.where(batch.mask > 0, batch.tokens, ids).astype(batch.tokens.dtype), mask=batch.mask, labels=batch.labels)
+        assert not np.array_equal(other.tokens, batch.tokens)
+        assert np.array_equal(self.run(kind, p, batch, Workspace())[0], self.run(kind, p, other, Workspace())[0])
 
 
 class TestCheckpoint:

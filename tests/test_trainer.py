@@ -774,8 +774,10 @@ class TestStepMemory:
     tape's dicts. It does so whether its batches are max_len wide or, as
     real batches are, 7 to 10 columns wide and of another width each step
     (of each widths tuple the last is the measured step's, the others warm
-    the workspace up), and at every mix layer. Without a workspace one
-    pretrain step allocates about 13 MB and one open step 32-41 MB."""
+    the workspace up), and at every mix layer. The measured step may hold
+    more real tokens than any warm-up step: packed buffers are kept at the
+    padded size. Without a workspace one pretrain step allocates about
+    13 MB and one open step 32-41 MB."""
 
     SHAPE = dict(hidden=64, num_layers=4, ffn=128, dim=64, max_len=32)
     M = 4
@@ -852,15 +854,15 @@ class TestStepMemory:
         return {layer: self.open_peak(widths, layer) for layer in range(1, self.SHAPE["num_layers"] + 1)}
 
     def test_pretrain_step(self):
-        assert self.pretrain_peak(FULL_WIDTHS) <= 0.14e6
+        assert self.pretrain_peak(FULL_WIDTHS) <= 0.11e6
 
     def test_pretrain_step_at_ragged_widths(self):
-        assert self.pretrain_peak(RAGGED_WIDTHS) <= 0.14e6
+        assert self.pretrain_peak(RAGGED_WIDTHS) <= 0.11e6
 
     def test_open_step(self):
         peaks = self.open_peaks(FULL_WIDTHS)
-        assert max(peaks.values()) <= 0.22e6, peaks
+        assert max(peaks.values()) <= 0.19e6, peaks
 
     def test_open_step_at_ragged_widths(self):
         peaks = self.open_peaks(RAGGED_WIDTHS)
-        assert max(peaks.values()) <= 0.22e6, peaks
+        assert max(peaks.values()) <= 0.19e6, peaks
