@@ -16,6 +16,7 @@ import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -149,11 +150,17 @@ def build_vocab(ds: Dataset, min_freq: int = 1, max_size: int = 50000) -> Vocab:
     return Vocab(id_to_token=list(RESERVED_TOKENS) + kept)
 
 
-def tokenize(text: str, vocab: Vocab, max_len: int) -> list[int]:
-    """Unpadded ids [CLS, t1, ..], truncated to max_len; no PAD is appended."""
+def _token_ids(texts: list[str], vocab: Vocab, max_len: int) -> list[list[int]]:
+    """Unpadded ids [CLS, t1, ..] of each text, truncated to max_len."""
     if max_len < 2:
         raise DataError(f"max_len must be >= 2, got {max_len}")
-    return [CLS_ID] + [vocab.lookup(t) for t in tokenize_text(text)][: max_len - 1]
+    get, keep = vocab.token_to_id.get, max_len - 1
+    return [[CLS_ID] + [get(t, UNK_ID) for t in tokenize_text(text)[:keep]] for text in texts]
+
+
+def tokenize(text: str, vocab: Vocab, max_len: int) -> list[int]:
+    """Unpadded ids [CLS, t1, ..], truncated to max_len; no PAD is appended."""
+    return _token_ids([text], vocab, max_len)[0]
 
 
 @dataclass
@@ -302,14 +309,12 @@ class EncodedDataset:
 
 
 def encode_dataset(cds: ClassDataset, vocab: Vocab, max_len: int) -> EncodedDataset:
-    """Tokenize every text into a PAD_ID-filled (N, max_len) token matrix."""
-    n = len(cds)
-    tokens = np.full((n, max_len), PAD_ID, dtype=np.int32)
-    lengths = np.zeros(n, dtype=np.int32)
-    for i, text in enumerate(cds.texts):
-        ids = tokenize(text, vocab, max_len)
-        tokens[i, : len(ids)] = ids
-        lengths[i] = len(ids)
+    """Tokenize every text into a PAD_ID-filled (N, max_len) token matrix:
+    row i holds :func:`tokenize` of text i, then PAD_ID."""
+    rows = _token_ids(cds.texts, vocab, max_len)
+    lengths = np.fromiter(map(len, rows), np.int32, len(rows))
+    tokens = np.full((len(rows), max_len), PAD_ID, dtype=np.int32)
+    tokens[np.arange(max_len) < lengths[:, None]] = list(chain.from_iterable(rows))
     return EncodedDataset(tokens=tokens, lengths=lengths, class_ids=np.asarray(cds.class_ids, dtype=np.int32))
 
 
@@ -371,24 +376,6 @@ def make_batches(enc: EncodedDataset, batch_size: int, seed: int, epoch: int = 0
     """Seeded shuffle into contiguous batches; epoch k reshuffles with seed xor k."""
     order = np.random.default_rng(seed ^ epoch).permutation(len(enc))
     return _slice_batches(enc, order, batch_size)
-
-
-def length_sorted_batches(enc: EncodedDataset, window: int, rows: int) -> list[tuple[np.ndarray, Batch]]:
-    """(dataset row indices, batch) pairs for untaped passes.
-
-    The dataset is read ``window`` rows at a time, in its order. Each
-    window is stably sorted by length and cut into near-equal batches of
-    at most ``rows`` rows, each trimmed to its own longest row, so short
-    rows are not padded to the width of a few long ones. A batch holds
-    rows of one window only, and how a window is cut depends on nothing
-    but its own rows.
-    """
-    _check_batching(enc, window)
-    out = []
-    for start in range(0, len(enc), window):
-        order = start + np.argsort(enc.lengths[start : start + window], kind="stable")
-        out.extend((idx, _batch(enc, idx)) for idx in np.array_split(order, -(-len(order) // rows)))
-    return out
 
 
 def _repair_pair(first: np.ndarray, second: np.ndarray, order: np.ndarray) -> None:

@@ -486,14 +486,6 @@ def _attention_forward(
     return np.matmul(ctx, w.attn_out, out=pk.take(ws, (i, "s1"), hd, dt))
 
 
-def _times_transposed(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``x @ w.T`` into ``out`` as one 2-D GEMM over the rows of ``x`` (numpy's
-    stacked matmul with a transposed operand skips BLAS). An ``out`` that would
-    reshape only by copying, and so lose the product, raises."""
-    np.matmul(x.reshape(-1, x.shape[-1]), w.T, out=out.reshape(-1, w.shape[0], copy=False))
-    return out
-
-
 def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _Packing, ws: Workspace) -> np.ndarray:
     h, q, k, v, att, ctx, scale = (
         cache["h"], cache["q"], cache["k"], cache["v"], cache["att"], cache["ctx"], cache["scale"],
@@ -501,7 +493,7 @@ def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _
     shape, hd, dt = q.shape, h.shape[1], h.dtype
     np.matmul(ctx.T, dout, out=g.attn_out)
     rows = pk.zero_topped(ws, "rows", hd, dt)
-    _times_transposed(dout, w.attn_out, rows[1:])
+    np.matmul(dout, w.attn_out.T, out=rows[1:])
     dctx = pk.unpack(rows, ws.take("attn.ctx", shape, dt))
     datt = np.matmul(dctx, v.swapaxes(1, 2), out=ws.take("attn.datt", att.shape, dt))
     dv = np.matmul(att.swapaxes(1, 2), dctx, out=ws.take("attn.dv", shape, dt))
@@ -518,10 +510,10 @@ def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _
     dk *= scale
     for grad, d in ((g.attn_q, dq), (g.attn_k, dk), (g.attn_v, dv)):
         np.matmul(h.T, d, out=grad)
-    # dq @ Wq.T + dk @ Wk.T + dv @ Wv.T, the last two products going through dq's storage
-    dx = _times_transposed(dq, w.attn_q, pk.take(ws, "dx", hd, dt))
-    dx += _times_transposed(dk, w.attn_k, dq)
-    dx += _times_transposed(dv, w.attn_v, dq)
+    # the last two products go through dq's storage, which nothing reads again
+    dx = np.matmul(dq, w.attn_q.T, out=pk.take(ws, "dx", hd, dt))
+    dx += np.matmul(dk, w.attn_k.T, out=dq)
+    dx += np.matmul(dv, w.attn_v.T, out=dq)
     return dx
 
 
@@ -541,11 +533,11 @@ def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _Packin
     hd, fd = x.shape[1], r.shape[1]
     np.matmul(r.T, dout, out=g.ffn_w2)
     colsum(dout, out=g.ffn_b2)
-    du = _times_transposed(dout, w.ffn_w2, pk.take(ws, "ffn.du", fd, r.dtype))
+    du = np.matmul(dout, w.ffn_w2.T, out=pk.take(ws, "ffn.du", fd, r.dtype))
     du *= np.greater(r, 0, out=pk.take(ws, "ffn.on", fd, bool))
     np.matmul(x.T, du, out=g.ffn_w1)
     colsum(du, out=g.ffn_b1)
-    return _times_transposed(du, w.ffn_w1, pk.take(ws, "dx", hd, x.dtype))
+    return np.matmul(du, w.ffn_w1.T, out=pk.take(ws, "dx", hd, x.dtype))
 
 
 def _block_forward(w: Block, i: int, h: np.ndarray, pk: _Packing, cache: dict | None, ws: Workspace) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .augment import NoisyMixupPass
-from .corpus import EncodedDataset, Vocab, _load_json, length_sorted_batches, make_batches, pair_batches
+from .corpus import EncodedDataset, Vocab, _load_json, _slice_batches, make_batches, pair_batches
 from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DataError, PairingError, TrainingError
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
@@ -52,10 +52,6 @@ _STREAM_PRETRAIN_SHUFFLE = 1
 _STREAM_OPEN_SHUFFLE = 2
 _STREAM_PAIRING = 3
 _STREAM_MIXING = 4
-
-# Most rows in one untaped forward of batched_logits: 64 ran faster than 32
-# or 128 at both reference shapes
-EVAL_ROWS = 64
 
 CHECKPOINT_FILE = "model.ckpt"
 VOCAB_FILE = "vocab.json"
@@ -223,12 +219,12 @@ def _same_array(now: np.ndarray, then: np.ndarray) -> bool:
 def batched_logits(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -> np.ndarray:
     """(N, M+1) logits of an untaped pass over the dataset, in its order.
 
-    The rows are read ``batch_size`` at a time in dataset order. Each such
-    window runs as forwards of at most EVAL_ROWS length-sorted rows, each
-    as wide as its own longest row (``corpus.length_sorted_batches``), and
-    its logits are scattered back into place. A row's logits depend only
-    on the rows of its window, so predicting a dataset whole or in
-    ``batch_size``-aligned slices gives the same numbers.
+    The rows are read ``batch_size`` at a time in dataset order, and each
+    such window runs as one forward, as wide as its longest row. Only the
+    attention core sees the padding; the token-wise layers run on real
+    tokens. A row's logits depend only on the rows of its window, so
+    predicting a dataset whole or in ``batch_size``-aligned slices gives
+    the same numbers.
 
     The last pass is memoized. A call on the very same ``params`` and
     ``enc`` objects with the same ``batch_size``, whose ``params.flat``,
@@ -252,8 +248,9 @@ def batched_logits(params: EncoderParams, enc: EncodedDataset, batch_size: int =
         return memo[0].copy()
     read = tuple(a.copy() for a in inputs)
     logits = np.empty((len(enc), params.M + 1), params.flat.dtype)
-    for rows, batch in length_sorted_batches(enc, batch_size, EVAL_ROWS):
-        logits[rows] = forward(params, batch)[1]
+    windows = _slice_batches(enc, np.arange(len(enc)), batch_size)
+    for start, batch in zip(range(0, len(enc), batch_size), windows):
+        logits[start : start + batch_size] = forward(params, batch)[1]
     _last_pass[0] = (logits, weakref.ref(params), weakref.ref(enc), batch_size, *read)
     return logits.copy()
 
@@ -415,9 +412,10 @@ def baseline_predictions(logits: np.ndarray, M: int, threshold: float) -> np.nda
 
 
 def predict(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -> np.ndarray:
-    """open_predictions over the dataset's :func:`batched_logits`; equal,
-    element for element, to predicting each ``batch_size``-aligned slice
-    on its own. Right after a call on the same unchanged objects (say
+    """open_predictions over the dataset's :func:`batched_logits`, one
+    encoder forward per ``batch_size`` window; equal, element for element,
+    to predicting each ``batch_size``-aligned slice on its own. Right after
+    a call on the same unchanged objects (say
     :func:`threshold_baseline_predict`), the logits come from that call's
     memoized pass, and the encoder does not run again."""
     return open_predictions(batched_logits(params, enc, batch_size))
@@ -426,7 +424,8 @@ def predict(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -
 def threshold_baseline_predict(
     params: EncoderParams, enc: EncodedDataset, threshold: float, batch_size: int = 128
 ) -> np.ndarray:
-    """baseline_predictions over the dataset's :func:`batched_logits`.
+    """baseline_predictions over the dataset's :func:`batched_logits`, one
+    encoder forward per ``batch_size`` window.
 
     Called after :func:`predict` on the same unchanged ``params``, ``enc``
     and ``batch_size``, it reuses that call's memoized pass, so a request

@@ -11,6 +11,7 @@ from snoic.corpus import (
     RESERVED_TOKENS,
     UNK_ID,
     Batch,
+    ClassDataset,
     Dataset,
     EncodedDataset,
     LabeledExample,
@@ -19,8 +20,8 @@ from snoic.corpus import (
     Vocab,
     apply_split,
     build_vocab,
+    _slice_batches,
     encode_dataset,
-    length_sorted_batches,
     load_dataset,
     make_batches,
     make_split,
@@ -186,6 +187,60 @@ class TestTokenize:
     def test_max_len_lower_bound(self, vocab):
         with pytest.raises(DataError):
             tokenize("alpha", vocab, max_len=1)
+
+
+class TestEncodeDataset:
+    """encode_dataset's row i is tokenize's ids of text i, then PAD_ID."""
+
+    @pytest.fixture
+    def vocab(self):
+        return build_vocab(Dataset(examples=[LabeledExample("alpha beta", "x")]))
+
+    @pytest.mark.parametrize("max_len", [16, 32])
+    @pytest.mark.parametrize("role", ["train", "val", "test"])
+    def test_rows_equal_per_row_tokenize(self, corpus_sets, role, max_len):
+        ds_train = corpus_sets[0]
+        ds = corpus_sets[("train", "val", "test").index(role)]
+        vocab = build_vocab(ds_train)
+        cds = apply_split(ds, make_split(ds_train, 0.5, 0), role)
+        enc = encode_dataset(cds, vocab, max_len)
+        assert enc.tokens.shape == (len(cds), max_len)
+        assert enc.tokens.dtype == enc.lengths.dtype == enc.class_ids.dtype == np.int32
+        for i, text in enumerate(cds.texts):
+            ids = tokenize(text, vocab, max_len)
+            assert enc.lengths[i] == len(ids)
+            assert enc.tokens[i].tolist() == ids + [PAD_ID] * (max_len - len(ids))
+        assert enc.class_ids.tolist() == cds.class_ids
+        assert role == "train" or (enc.tokens == UNK_ID).any()
+
+    def test_edge_rows(self, vocab):
+        """Empty and punctuation-only text give CLS alone, unknown words
+        UNK_ID, and a long row is cut at max_len."""
+        texts = ["", "?! ...", "alpha zzz", "alpha beta " * 5]
+        enc = encode_dataset(ClassDataset(texts=texts, class_ids=[1] * 4, num_known=1), vocab, 4)
+        alpha, beta = vocab.lookup("alpha"), vocab.lookup("beta")
+        assert enc.lengths.tolist() == [1, 1, 3, 4]
+        assert enc.tokens.tolist() == [
+            [CLS_ID, PAD_ID, PAD_ID, PAD_ID],
+            [CLS_ID, PAD_ID, PAD_ID, PAD_ID],
+            [CLS_ID, alpha, UNK_ID, PAD_ID],
+            [CLS_ID, alpha, beta, alpha],
+        ]
+        assert [tokenize(t, vocab, 4) for t in texts] == [row[:n] for row, n in zip(enc.tokens.tolist(), enc.lengths)]
+
+    def test_zero_rows(self, vocab):
+        enc = encode_dataset(ClassDataset(texts=[], class_ids=[], num_known=1), vocab, 5)
+        assert len(enc) == 0 and enc.max_len == 5
+        assert enc.lengths.shape == enc.class_ids.shape == (0,)
+        assert enc.tokens.dtype == enc.lengths.dtype == enc.class_ids.dtype == np.int32
+
+    @pytest.mark.parametrize("rows", [0, 2])
+    @pytest.mark.parametrize("max_len", [1, 0])
+    def test_max_len_lower_bound(self, vocab, rows, max_len):
+        """Checked before any row is read, so an empty dataset raises too."""
+        cds = ClassDataset(texts=["alpha"] * rows, class_ids=[1] * rows, num_known=1)
+        with pytest.raises(DataError, match="max_len must be >= 2"):
+            encode_dataset(cds, vocab, max_len)
 
 
 class TestSplit:
@@ -367,6 +422,12 @@ def encoded_toy(num_classes=5, per_class=8, max_len=8):
     return encode_dataset(cds, vocab, max_len)
 
 
+def window_batches(enc, batch_size):
+    """The batches of an untaped pass over ``enc``: its rows in dataset
+    order, ``batch_size`` at a time."""
+    return _slice_batches(enc, np.arange(len(enc)), batch_size)
+
+
 def ragged_encoded(max_len=8):
     """Three intents whose texts run from 1 to 9 words, the longest
     truncated to max_len."""
@@ -430,24 +491,24 @@ class TestBatching:
         assert sorted(labels.tolist()) == sorted(enc.class_ids.tolist())
 
     def test_batches_hold_their_rows_cut_to_their_width(self):
-        """Each length-sorted batch holds the rows it names, cut to its own
-        width; every column a batch drops is PAD in all of its rows, and
-        the batches cover the dataset once, window by window."""
+        """Each batch of the dataset-order batcher that untaped passes use
+        holds its window's rows in order, cut to its own width; every column
+        a batch drops is PAD in all of its rows, and the batches cover the
+        dataset once."""
         enc = ragged_encoded()
-        seen = []
-        for rows, batch in length_sorted_batches(enc, 6, 4):
+        batches = window_batches(enc, 6)
+        assert [len(b) for b in batches] == [6, 6, 6, len(enc) - 18]
+        for start, batch in zip(range(0, len(enc), 6), batches):
+            rows = slice(start, start + 6)
             width = batch.tokens.shape[1]
             assert np.array_equal(batch.tokens, enc.tokens[rows, :width])
             assert np.array_equal(batch.labels, enc.class_ids[rows])
             assert np.all(enc.tokens[rows, width:] == PAD_ID)
-            assert len(set(rows // 6)) == 1
-            seen.extend(rows.tolist())
-        assert sorted(seen) == list(range(len(enc)))
 
     def test_every_batch_is_as_wide_as_its_longest_row(self):
         enc = ragged_encoded()
         assert len(np.unique(enc.lengths)) > 3 and enc.lengths.max() == enc.max_len
-        batches = [batch for _, batch in length_sorted_batches(enc, 10, 5)] + make_batches(enc, 5, seed=1, epoch=2)
+        batches = window_batches(enc, 5) + make_batches(enc, 5, seed=1, epoch=2)
         for pair in pair_batches(enc, 5, seed=3, epoch=1):
             batches += [pair.first, pair.second]
         widths = set()
@@ -467,7 +528,7 @@ class TestBatching:
         with pytest.raises(DataError):
             make_batches(empty, 4, seed=0)
         with pytest.raises(DataError):
-            length_sorted_batches(empty, 4, 4)
+            window_batches(empty, 4)
 
     def test_batch_size_lower_bound(self):
         enc = encoded_toy()
@@ -481,7 +542,7 @@ class TestBatching:
                 with pytest.raises(DataError, match="batch_size must be >= 1"):
                     batcher(enc, batch_size, 0)
             with pytest.raises(DataError, match="batch_size must be >= 1"):
-                length_sorted_batches(enc, batch_size, 4)
+                window_batches(enc, batch_size)
 
 
 class TestPairing:

@@ -27,7 +27,6 @@ from snoic.encoder import (
     run_from_layer,
     run_to_layer,
     save_checkpoint,
-    _times_transposed,
 )
 from snoic.errors import CheckpointError, DataError, TrainingError
 from snoic.trainer import TrainConfig
@@ -640,59 +639,6 @@ class TestGradientBuffer:
         want = first().copy()
         record_pass("mix-last", p, 87)()
         assert np.array_equal(first().flat, want.flat)
-
-
-def assert_product_close(got, want, scale, dtype):
-    """``got`` within the rounding of a ``dtype`` product of ``want``'s
-    float64 value: rtol 1e-5 (float32) or 1e-12 (float64) of ``scale``, the
-    same product over absolute values, since cancellation makes a plain
-    relative error of near-zero entries meaningless."""
-    rtol = 1e-5 if dtype == np.float32 else 1e-12
-    assert np.all(np.abs(got - want) <= rtol * scale)
-
-
-class TestTransposedProduct:
-    """``_times_transposed(x, w, out)``: ``x @ w.T`` as one 2-D GEMM, written
-    into ``out`` itself."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("lead", [(96, 10), (40,)], ids=["3d", "2d"])
-    def test_matches_float64_reference(self, lead, dtype):
-        rng = np.random.default_rng(90)
-        x = rng.standard_normal(lead + (128,)).astype(dtype)
-        w = rng.standard_normal((64, 128)).astype(dtype)
-        out = np.full(lead + (64,), np.nan, dtype)
-        got = _times_transposed(x, w, out)
-        assert got is out and got.dtype == dtype
-        x, w = x.astype(np.float64), w.astype(np.float64)
-        assert_product_close(out, x @ w.T, np.abs(x) @ np.abs(w).T, dtype)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sum_through_a_spent_buffer(self, dtype):
-        """The attention backward's pattern: dq @ Wq.T + dk @ Wk.T + dv @ Wv.T,
-        the last two products written over dq, which is no longer read."""
-        rng = np.random.default_rng(91)
-        dq, dk, dv = (rng.standard_normal((12, 7, 16)).astype(dtype) for _ in range(3))
-        wq, wk, wv = (rng.standard_normal((16, 16)).astype(dtype) for _ in range(3))
-        pairs = [(d.astype(np.float64), w.astype(np.float64)) for d, w in ((dq, wq), (dk, wk), (dv, wv))]
-        dx = _times_transposed(dq, wq, np.empty_like(dq))
-        dx += _times_transposed(dk, wk, dq)
-        dx += _times_transposed(dv, wv, dq)
-        want = sum(d @ w.T for d, w in pairs)
-        assert_product_close(dx, want, sum(np.abs(d) @ np.abs(w).T for d, w in pairs), dtype)
-
-    @pytest.mark.parametrize(
-        "make_out",
-        [lambda: np.zeros((6, 8, 5)).swapaxes(0, 1), lambda: np.zeros((5, 6, 8)).transpose(2, 1, 0)],
-        ids=["swapped", "transposed"],
-    )
-    def test_non_contiguous_out_raises(self, make_out):
-        rng = np.random.default_rng(92)
-        x, w = rng.standard_normal((8, 6, 3)), rng.standard_normal((5, 3))
-        out = make_out()
-        with pytest.raises(ValueError):
-            _times_transposed(x, w, out)
-        assert not out.any()
 
 
 def _stacked_transposed(args) -> bool:

@@ -23,8 +23,8 @@ from snoic.corpus import (
     LabeledExample,
     PairedBatch,
     build_vocab,
+    _slice_batches,
     encode_dataset,
-    length_sorted_batches,
 )
 from snoic.encoder import EncoderConfig, TapedForward, Workspace, forward, init_params
 from snoic.errors import ConfigError, DataError, PairingError, TrainingError
@@ -33,7 +33,6 @@ from snoic.trainer import (
     ADAM_EPS,
     BETA1,
     BETA2,
-    EVAL_ROWS,
     Model,
     OptimizerState,
     TrainConfig,
@@ -411,15 +410,20 @@ class TestEvalWindows:
             want = forward(p, row)[1][0]
             assert np.max(np.abs(got[i] - want)) <= 1e-5 * np.max(np.abs(want)), f"row {i}"
 
-    def test_a_window_runs_as_length_sorted_forwards(self, model, monkeypatch):
+    def test_a_window_runs_as_one_forward(self, model, monkeypatch):
+        """Each window is one forward of its rows, in dataset order, as wide
+        as its longest row."""
         p, enc = model
         seen = []
         monkeypatch.setattr("snoic.trainer.forward", lambda params, batch: seen.append(batch) or forward(params, batch))
         batched_logits(p, enc, self.WINDOW)
-        assert EVAL_ROWS == 64 and [len(b) for b in seen] == [64, 64, 64, 64, 39, 38]
-        widths = [b.tokens.shape[1] for b in seen]
-        assert widths[0] < widths[1] and widths[2] < widths[3] and widths[4] <= widths[5]
-        assert all(b.mask[:, -1].any() and np.all(np.diff(b.mask.sum(1)) >= 0) for b in seen)
+        assert [len(b) for b in seen] == [self.WINDOW, self.WINDOW, self.N - 2 * self.WINDOW]
+        for start, batch in zip(range(0, self.N, self.WINDOW), seen):
+            rows = slice(start, start + self.WINDOW)
+            width = int(enc.lengths[rows].max())
+            assert np.array_equal(batch.tokens, enc.tokens[rows, :width])
+            assert np.array_equal(batch.mask.sum(axis=1), enc.lengths[rows])
+            assert np.array_equal(batch.labels, enc.class_ids[rows])
 
 
 class TestLastPassMemo:
@@ -449,18 +453,20 @@ class TestLastPassMemo:
         return seen
 
     @staticmethod
+    def windows(enc, batch_size=WINDOW):
+        """The batches of the pass batched_logits runs: its windows in order."""
+        return _slice_batches(enc, np.arange(len(enc)), batch_size)
+
+    @staticmethod
     def fresh(p, enc, batch_size=WINDOW):
         """The logits of the pass batched_logits runs, without its memo."""
-        logits = np.empty((len(enc), p.M + 1), p.flat.dtype)
-        for rows, batch in length_sorted_batches(enc, batch_size, EVAL_ROWS):
-            logits[rows] = forward(p, batch)[1]
-        return logits
+        return np.concatenate([forward(p, batch)[1] for batch in TestLastPassMemo.windows(enc, batch_size)])
 
     def test_baseline_after_predict_runs_no_second_pass(self, forwards):
         p, enc = self.make()
         preds = predict(p, enc)
         base = threshold_baseline_predict(p, enc, 0.4)
-        assert len(forwards) == len(length_sorted_batches(enc, self.WINDOW, EVAL_ROWS)) == 4
+        assert len(forwards) == len(self.windows(enc)) == 2
         want = self.fresh(p, enc)
         assert np.array_equal(preds, open_predictions(want))
         assert np.array_equal(base, baseline_predictions(want, p.M, 0.4))
@@ -493,7 +499,7 @@ class TestLastPassMemo:
         p, enc, batch_size = self.changed(how, p, enc)
         before = len(forwards)
         got = batched_logits(p, enc, batch_size)
-        assert len(forwards) - before == len(length_sorted_batches(enc, batch_size, EVAL_ROWS))
+        assert len(forwards) - before == len(self.windows(enc, batch_size))
         assert np.array_equal(got, self.fresh(p, enc, batch_size))
 
     def test_writing_into_a_result_leaves_the_next_alone(self, forwards):
@@ -504,7 +510,7 @@ class TestLastPassMemo:
         second = batched_logits(p, enc)
         second[:] = 0.0
         assert np.array_equal(batched_logits(p, enc), want)
-        assert len(forwards) == len(length_sorted_batches(enc, self.WINDOW, EVAL_ROWS))
+        assert len(forwards) == len(self.windows(enc))
 
     def test_concurrent_callers_never_mix_passes(self):
         """Four threads alternate between two models, so that calls hit and
