@@ -194,12 +194,11 @@ def normalize_experiment_config(raw: dict) -> dict:
 
 def load_experiment_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+        raw = _load_json(path, "config")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     return normalize_experiment_config(raw)
 
 
@@ -235,11 +234,6 @@ def _check_split_consistency(norm: dict, split: SplitSpec) -> None:
         raise ConfigError(f"config.r={norm['r']} does not match split file r={split.r}")
 
 
-def _known_only(ds: Dataset, split: SplitSpec) -> Dataset:
-    known = set(split.known_classes)
-    return Dataset(examples=[ex for ex in ds.examples if ex.label in known])
-
-
 def _check_head_width(model: Model, split: SplitSpec, what: str) -> None:
     if model.params.M != split.num_known:
         raise CheckpointError(
@@ -271,18 +265,28 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _prepare_stage_data(norm: dict, split: SplitSpec):
-    ds_train = load_dataset(norm["data"]["train"])
-    ds_val = load_dataset(norm["data"]["val"])
-    ds_train = subsample_labeled(ds_train, norm["labeled_data_ratio"], norm["seed"])
-    cds_train = apply_split(ds_train, split, "train")
-    cds_val = apply_split(ds_val, split, "val")
-    return ds_train, cds_train, cds_val
+def _train_command(args, stage: str, train, model_and_data, ablations=None) -> int:
+    """The flow of ``snoic pretrain`` and ``snoic train`` around the ``train``
+    stage. ``model_and_data(norm, split, load_data)`` gives the model to
+    train and the result of ``load_data()``; whether it loads the data before
+    or after the model decides which of two faults a run reports."""
+    norm = with_ablations(load_experiment_config(args.config), ablations)
+    split = SplitSpec.load(args.split)
+    _check_split_consistency(norm, split)
+    out = _resolve_out(args, norm)
+    tc = train_config_from(norm)
 
+    def load_data():
+        ds_train = load_dataset(norm["data"]["train"])
+        ds_val = load_dataset(norm["data"]["val"])
+        ds_train = subsample_labeled(ds_train, norm["labeled_data_ratio"], norm["seed"])
+        return ds_train, apply_split(ds_train, split, "train"), apply_split(ds_val, split, "val")
 
-def _stage_meta(stage: str, norm: dict, tc: TrainConfig, split: SplitSpec, train_enc, val_enc) -> dict:
-    """The meta.json document of a model written by a training stage."""
-    return {
+    model, (_, cds_train, cds_val) = model_and_data(norm, split, load_data)
+    train_enc = encode_dataset(cds_train, model.vocab, model.params.cfg.max_len)
+    val_enc = encode_dataset(cds_val, model.vocab, model.params.cfg.max_len)
+    best, log = train(model.params, train_enc, val_enc, tc)
+    meta = {
         "stage": stage,
         "dataset": norm["name"],
         "variant": variant_name(tc),
@@ -293,58 +297,45 @@ def _stage_meta(stage: str, norm: dict, tc: TrainConfig, split: SplitSpec, train
         "val_examples": len(val_enc),
         "config": norm,
     }
+    save_model(Model(params=best, vocab=model.vocab), out, meta=meta, log=log)
+    variant = f" variant {meta['variant']}," if stage == "train" else ""
+    print(f"{stage}:{variant} {len(log)} epochs, model -> {out}")
+    return 0
 
 
 def cmd_pretrain(args) -> int:
-    norm = load_experiment_config(args.config)
-    split = SplitSpec.load(args.split)
-    _check_split_consistency(norm, split)
-    out = _resolve_out(args, norm)
-    tc = train_config_from(norm)
-    ds_train, cds_train, cds_val = _prepare_stage_data(norm, split)
-    vocab = build_vocab(
-        _known_only(ds_train, split),
-        min_freq=norm["vocab"]["min_freq"],
-        max_size=norm["vocab"]["max_size"],
-    )
-    enc_cfg = EncoderConfig(vocab_size=len(vocab), **norm["encoder"])
-    params = init_params(enc_cfg, split.num_known, norm["seed"])
-    train_enc = encode_dataset(cds_train, vocab, enc_cfg.max_len)
-    val_enc = encode_dataset(cds_val, vocab, enc_cfg.max_len)
-    best, log = pretrain(params, train_enc, val_enc, tc)
-    meta = _stage_meta("pretrain", norm, tc, split, train_enc, val_enc)
-    save_model(Model(params=best, vocab=vocab), out, meta=meta, log=log)
-    print(f"pretrain: {len(log)} epochs, model -> {out}")
-    return 0
+    def fresh_model(norm, split, load_data):
+        data = load_data()
+        known = set(split.known_classes)
+        vocab = build_vocab(
+            Dataset(examples=[ex for ex in data[0].examples if ex.label in known]),
+            min_freq=norm["vocab"]["min_freq"],
+            max_size=norm["vocab"]["max_size"],
+        )
+        enc_cfg = EncoderConfig(vocab_size=len(vocab), **norm["encoder"])
+        return Model(params=init_params(enc_cfg, split.num_known, norm["seed"]), vocab=vocab), data
+
+    return _train_command(args, "pretrain", pretrain, fresh_model)
 
 
 def cmd_train(args) -> int:
-    norm = with_ablations(load_experiment_config(args.config), args.ablation)
-    split = SplitSpec.load(args.split)
-    _check_split_consistency(norm, split)
-    out = _resolve_out(args, norm)
-    tc = train_config_from(norm)
-    model, init_meta = load_model(args.init)
-    _check_head_width(model, split, "init checkpoint")
-    init_cfg = model.params.cfg
-    for key, value in norm["encoder"].items():
-        if getattr(init_cfg, key) != value:
-            raise ConfigError(f"config.encoder.{key} is {value}, the init checkpoint's is {getattr(init_cfg, key)}")
-    # the vocabulary comes from --init too; its settings are what its meta.json records, if anything
-    init_config = init_meta.get("config")
-    init_vocab = init_config.get("vocab") if isinstance(init_config, dict) else None
-    if isinstance(init_vocab, dict):
-        for key, value in norm["vocab"].items():
-            if init_vocab.get(key, value) != value:
-                raise ConfigError(f"config.vocab.{key} is {value}, the init model's is {init_vocab[key]}")
-    ds_train, cds_train, cds_val = _prepare_stage_data(norm, split)
-    train_enc = encode_dataset(cds_train, model.vocab, init_cfg.max_len)
-    val_enc = encode_dataset(cds_val, model.vocab, init_cfg.max_len)
-    best, log = train_open(model.params, train_enc, val_enc, tc)
-    meta = _stage_meta("train", norm, tc, split, train_enc, val_enc)
-    save_model(Model(params=best, vocab=model.vocab), out, meta=meta, log=log)
-    print(f"train: variant {meta['variant']}, {len(log)} epochs, model -> {out}")
-    return 0
+    def init_model(norm, split, load_data):
+        model, init_meta = load_model(args.init)
+        _check_head_width(model, split, "init checkpoint")
+        init_cfg = model.params.cfg
+        for key, value in norm["encoder"].items():
+            if getattr(init_cfg, key) != value:
+                raise ConfigError(f"config.encoder.{key} is {value}, the init checkpoint's is {getattr(init_cfg, key)}")
+        # the vocabulary comes from --init too; its settings are what its meta.json records, if anything
+        init_config = init_meta.get("config")
+        init_vocab = init_config.get("vocab") if isinstance(init_config, dict) else None
+        if isinstance(init_vocab, dict):
+            for key, value in norm["vocab"].items():
+                if init_vocab.get(key, value) != value:
+                    raise ConfigError(f"config.vocab.{key} is {value}, the init model's is {init_vocab[key]}")
+        return model, load_data()
+
+    return _train_command(args, "train", train_open, init_model, args.ablation)
 
 
 def cmd_eval(args) -> int:

@@ -53,25 +53,28 @@ def load_dataset(path: str) -> Dataset:
     """Load a JSON Lines dataset of {"text", "label"} objects."""
     examples = []
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            for key in ("text", "label"):
-                if key not in obj:
-                    raise DataError(f"{path}:{lineno}: missing field {key!r}")
-                if not isinstance(obj[key], str):
-                    raise DataError(f"{path}:{lineno}: field {key!r} must be a string")
-            if not obj["text"].strip():
-                raise DataError(f"{path}:{lineno}: empty text")
-            if not obj["label"]:
-                raise DataError(f"{path}:{lineno}: empty label")
-            examples.append(LabeledExample(text=obj["text"], label=obj["label"]))
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path}:{lineno}: expected a JSON object")
+                for key in ("text", "label"):
+                    if key not in obj:
+                        raise DataError(f"{path}:{lineno}: missing field {key!r}")
+                    if not isinstance(obj[key], str):
+                        raise DataError(f"{path}:{lineno}: field {key!r} must be a string")
+                if not obj["text"].strip():
+                    raise DataError(f"{path}:{lineno}: empty text")
+                if not obj["label"]:
+                    raise DataError(f"{path}:{lineno}: empty label")
+                examples.append(LabeledExample(text=obj["text"], label=obj["label"]))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not examples:
         raise DataError(f"{path}: empty dataset")
     return Dataset(examples=examples)

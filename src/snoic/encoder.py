@@ -773,6 +773,8 @@ def load_checkpoint(path: str) -> EncoderParams:
         header = json.loads(blob[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: malformed header: expected a JSON object")
     for key in ("names", "shapes", "dtype", "M", "config"):
         if key not in header:
             raise CheckpointError(f"{path}: header missing {key!r}")

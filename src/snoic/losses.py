@@ -17,16 +17,12 @@ from .errors import DataError
 
 
 def rowmax(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1, keepdims=True)``, NaN included. With more than 8
-    rows per column, as in attention scores, it is a loop of
+    """``x.max(axis=-1, keepdims=True)``, NaN included, as a loop of
     ``np.maximum`` over the columns: numpy reduces a short contiguous axis
-    row by row, which costs several times more. Max is order-free, so both
-    ways give the same values."""
-    w = x.shape[-1]
-    if x.size <= 8 * w * w:
-        return x.max(axis=-1, keepdims=True)
+    row by row, which costs several times more. Max is order-free, so the
+    loop gives the same values."""
     m = x[..., :1].copy()
-    for j in range(1, w):
+    for j in range(1, x.shape[-1]):
         np.maximum(m, x[..., j : j + 1], out=m)
     return m
 

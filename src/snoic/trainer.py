@@ -10,9 +10,9 @@ the optimizer and minimizes
 
 where the soft targets relocate probability rho from the gold class to
 the open class; rho = 0 (one-hot targets) is the SNOiC-SL ablation.
-Both stages validate with known-class accuracy and keep the best
-parameters under early stopping (a non-improving epoch bumps a counter;
-any strict improvement resets it).
+One loop runs both stages: it validates with known-class accuracy and
+keeps the best parameters under early stopping (a non-improving epoch
+bumps a counter; any strict improvement resets it).
 
 Each step records one taped pass, runs its backward and takes one Adam
 step. A stage keeps one encoder ``Workspace``, so a step writes its tape
@@ -267,13 +267,33 @@ def known_accuracy(params: EncoderParams, enc: EncodedDataset, batch_size: int, 
     return int((preds == enc.class_ids).sum()) / len(enc)
 
 
-def _early_stopped_loop(params, cfg: TrainConfig, stage, epoch_fn, val_fn, log: TrainLog) -> EncoderParams:
+def _train_stage(stage: str, params, train_enc, val_enc, cfg: TrainConfig, log, epoch_batches, step):
+    """The schedule both stages share, on a copy of ``params``: each batch of
+    ``epoch_batches(epoch)`` takes one Adam step on the loss and gradients
+    that ``step(params, batch, ws, epoch)`` returns."""
+    for name, enc in (("training", train_enc), ("validation", val_enc)):
+        if len(enc) == 0:
+            raise DataError(f"empty {name} set")
+        ids = enc.class_ids
+        if ids.min() < 1 or ids.max() > params.M:
+            raise DataError(f"{name} set contains class ids outside 1..{params.M}")
+    if stage == "open" and len(np.unique(train_enc.class_ids)) < 2:
+        raise PairingError("stage two requires at least 2 distinct known intents")
+    params = params.copy()
+    log = TrainLog() if log is None else log
+    opt = OptimizerState.for_params(params)
+    ws = Workspace()
     best_val = -math.inf
     best = params.copy()
     bad_epochs = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        mean_loss = epoch_fn(epoch)
-        val = val_fn()
+        values = []
+        for batch in epoch_batches(epoch):
+            value, grads = step(params, batch, ws, epoch)
+            optimizer_step(params, grads, opt, cfg.lr, cfg.weight_decay)
+            values.append(value)
+        mean_loss = sum(values) / len(values)
+        val = known_accuracy(params, val_enc, cfg.batch_size, known_only=stage == "pretrain")
         improved = val > best_val
         if improved:
             best_val = val
@@ -284,16 +304,7 @@ def _early_stopped_loop(params, cfg: TrainConfig, stage, epoch_fn, val_fn, log: 
         log.add(epoch, stage, mean_loss, val, improved)
         if bad_epochs >= cfg.patience:
             break
-    return best
-
-
-def _check_training_inputs(params: EncoderParams, train_enc: EncodedDataset, val_enc: EncodedDataset) -> None:
-    for name, enc in (("training", train_enc), ("validation", val_enc)):
-        if len(enc) == 0:
-            raise DataError(f"empty {name} set")
-        ids = enc.class_ids
-        if ids.min() < 1 or ids.max() > params.M:
-            raise DataError(f"{name} set contains class ids outside 1..{params.M}")
+    return best, log
 
 
 def pretrain(
@@ -304,30 +315,19 @@ def pretrain(
     log: TrainLog | None = None,
 ) -> tuple[EncoderParams, TrainLog]:
     """Stage one: known-class cross-entropy over the first M logits."""
-    _check_training_inputs(params, train_enc, val_enc)
-    params = params.copy()
-    log = TrainLog() if log is None else log
-    opt = OptimizerState.for_params(params)
     shuffle_seed = _stream_seed(cfg.seed, _STREAM_PRETRAIN_SHUFFLE)
-    ws = Workspace()
 
-    def step(batch, epoch: int) -> float:
+    def epoch_batches(epoch: int):
+        return make_batches(train_enc, cfg.batch_size, shuffle_seed, epoch)
+
+    def step(params, batch, ws, epoch: int):
         tape = TapedForward(params, batch, ws)
         value, dlogits = pretrain_loss(tape.logits, batch.labels, params.M)
         if not math.isfinite(value):
             raise TrainingError(f"non-finite pretraining loss at epoch {epoch}")
-        optimizer_step(params, tape.backward(dlogits), opt, cfg.lr, cfg.weight_decay)
-        return value
+        return value, tape.backward(dlogits)
 
-    def epoch_fn(epoch: int) -> float:
-        values = [step(batch, epoch) for batch in make_batches(train_enc, cfg.batch_size, shuffle_seed, epoch)]
-        return sum(values) / len(values)
-
-    def val_fn() -> float:
-        return known_accuracy(params, val_enc, cfg.batch_size, known_only=True)
-
-    best = _early_stopped_loop(params, cfg, "pretrain", epoch_fn, val_fn, log)
-    return best, log
+    return _train_stage("pretrain", params, train_enc, val_enc, cfg, log, epoch_batches, step)
 
 
 def train_open(
@@ -344,18 +344,17 @@ def train_open(
     batch; the blend weight is cfg.gamma, or the step's own mixing weight
     when gamma_mode is 'lambda'.
     """
-    _check_training_inputs(params, train_enc, val_enc)
-    if len(np.unique(train_enc.class_ids)) < 2:
-        raise PairingError("stage two requires at least 2 distinct known intents")
-    params = params.copy()
-    log = TrainLog() if log is None else log
-    opt = OptimizerState.for_params(params)
     shuffle_seed = _stream_seed(cfg.seed, _STREAM_OPEN_SHUFFLE)
     pair_seed = _stream_seed(cfg.seed, _STREAM_PAIRING)
     mix_rng = np.random.default_rng([cfg.seed, _STREAM_MIXING])
-    ws = Workspace()
 
-    def step(batch, pair, epoch: int) -> float:
+    def epoch_batches(epoch: int):
+        soft = make_batches(train_enc, cfg.batch_size, shuffle_seed, epoch)
+        pairs = pair_batches(train_enc, cfg.batch_size, pair_seed, epoch)
+        return zip(soft, pairs)
+
+    def step(params, batches, ws, epoch: int):
+        batch, pair = batches
         mix_pass = NoisyMixupPass(params, batch, pair, cfg, mix_rng, ws)
         targets = soft_targets(batch.labels, params.M, cfg.rho)
         kl_value, dkl = kl_loss(targets, mix_pass.soft_logits)
@@ -364,21 +363,9 @@ def train_open(
         value = total_loss(kl_value, open_value, gamma)
         if not math.isfinite(value):
             raise TrainingError(f"non-finite open-training loss at epoch {epoch}")
-        grads = mix_pass.backward(gamma * dkl, (1.0 - gamma) * dopen)
-        optimizer_step(params, grads, opt, cfg.lr, cfg.weight_decay)
-        return value
+        return value, mix_pass.backward(gamma * dkl, (1.0 - gamma) * dopen)
 
-    def epoch_fn(epoch: int) -> float:
-        soft = make_batches(train_enc, cfg.batch_size, shuffle_seed, epoch)
-        pairs = pair_batches(train_enc, cfg.batch_size, pair_seed, epoch)
-        values = [step(batch, pair, epoch) for batch, pair in zip(soft, pairs)]
-        return sum(values) / len(values)
-
-    def val_fn() -> float:
-        return known_accuracy(params, val_enc, cfg.batch_size, known_only=False)
-
-    best = _early_stopped_loop(params, cfg, "open", epoch_fn, val_fn, log)
-    return best, log
+    return _train_stage("open", params, train_enc, val_enc, cfg, log, epoch_batches, step)
 
 
 def train_two_stage(

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_bench_traffic import load_pipeline
+
 ROOT = Path(__file__).resolve().parent.parent
 SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
@@ -46,3 +48,22 @@ def test_short_untraced_run_is_correct():
     )
     assert run.returncode == 0, run.stderr[-2000:]
     assert json.loads(run.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_every_span_is_reached(tmp_path, monkeypatch):
+    """Each patched name is still what the program calls at run time: one
+    set-up, training round, checkpoint round trip and eval request under
+    the tracer record a call of every span. A call through a local alias
+    would leave its span, and the benchmark's metric of it, at zero."""
+    pipeline = load_pipeline(monkeypatch)
+    spans = sys.modules["spans"]  # the module pipeline imported
+    tracer, checks = spans.Tracer(), pipeline.Checks()
+    with spans.patched(spans.trace_patches(tracer)) as state:
+        s = pipeline.set_up(pipeline.WORKLOADS["train-small"], 0, str(tmp_path))
+        params = pipeline.train_round(s, pipeline.Timings(), checks)
+        params = pipeline.checkpoint_round_trip(s, params, str(tmp_path), checks)
+        pipeline.serve(s, params, 0, pipeline.REQUEST_SIZE)
+    names = {name for *_, name in spans.FUNCTION_SPANS} | {name for _, _, *pair in spans.CLASS_SPANS for name in pair}
+    assert sorted(names - set(tracer.totals())) == []
+    assert state["restored"]
+    assert checks.failed == 0, checks.failures

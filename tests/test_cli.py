@@ -84,6 +84,12 @@ class TestSplitCommand:
         out = str(tmp_path / "s.json")
         assert main(["split", "--data", str(tmp_path / "nope.jsonl"), "--r", "0.5", "--out", out]) == 1
 
+    def test_data_file_that_is_not_utf8_exits_1(self, cli_env, tmp_path, capsys):
+        data = tmp_path / "utf16.jsonl"
+        data.write_bytes(b"\xff\xfe" + Path(cli_env.paths["train"]).read_text().encode("utf-16-le"))
+        assert main(["split", "--data", str(data), "--r", "0.5", "--out", str(tmp_path / "s.json")]) == 1
+        assert f"error: {data}: not UTF-8 text" in capsys.readouterr().err
+
     def test_data_directory_exits_1(self, tmp_path, capsys):
         out = str(tmp_path / "s.json")
         assert main(["split", "--data", str(tmp_path), "--r", "0.5", "--out", out]) == 1
@@ -275,6 +281,13 @@ class TestConfigValidation:
     def test_missing_config_file_exits_2(self, pipeline, tmp_path):
         args = ["pretrain", "--config", str(tmp_path / "none.json"), "--split", pipeline.split, "--out", str(tmp_path / "m")]
         assert main(args) == 2
+
+    def test_config_file_that_is_not_utf8_exits_2(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        args = ["pretrain", "--config", str(bad), "--split", pipeline.split, "--out", str(tmp_path / "m")]
+        assert main(args) == 2
+        assert f"error: {bad}: malformed config file" in capsys.readouterr().err
 
 
 class TestPretrainCommand:
@@ -514,6 +527,20 @@ class TestEvalCommand:
         ]
         assert main(args) == 1
         assert f"error: {ckpt}: hidden must be an integer" in capsys.readouterr().err
+
+    def test_checkpoint_header_that_is_not_an_object_exits_1(self, cli_env, pipeline, tmp_path, capsys):
+        broken = str(tmp_path / "broken_model")
+        shutil.copytree(pipeline.pre, broken)
+        ckpt = os.path.join(broken, "model.ckpt")
+        with open(ckpt, "rb") as f:
+            payload = f.read().split(b"\n", 1)[1]
+        with open(ckpt, "wb") as f:
+            f.write(b"null\n" + payload)
+        out = tmp_path / "m"
+        args = ["train", "--config", cli_env.config_path, "--split", pipeline.split, "--init", broken, "--out", str(out)]
+        assert main(args) == 1
+        assert f"error: {ckpt}: malformed header: expected a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
 
     def test_malformed_split_file_exits_1(self, cli_env, pipeline, tmp_path, capsys):

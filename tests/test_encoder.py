@@ -831,6 +831,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("header", [b"42", b"null", b'"names shapes dtype M config"'], ids=["int", "null", "str"])
+    def test_header_that_is_not_an_object_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(header + b"\nrest")
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: malformed header: expected a JSON object")):
+            load_checkpoint(str(path))
+
     def test_missing_header_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b'{"names": []}\n')

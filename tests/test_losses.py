@@ -81,7 +81,7 @@ class TestReductions:
     """rowmax is exactly ``x.max(-1)``; rowsum and colsum are ``np.sum``
     to rounding, the latter written into its ``out`` view."""
 
-    # the first three shapes take rowmax's column loop, the others numpy's reduction
+    # attention-score blocks, single columns, and a few rows over many or few columns
     SHAPES = [(128, 10, 10), (64, 32, 32), (64, 1), (5, 1), (32, 113), (3, 4)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -600,7 +600,8 @@ class TestPretrain:
         best_acc = known_accuracy(best, val_enc, 8, known_only=True)
         assert best_acc == pytest.approx(max(r.val_known_acc for r in log.records), abs=1e-12)
 
-    def test_empty_sets_rejected(self):
+    @pytest.mark.parametrize("stage", [pretrain, train_open], ids=["pretrain", "train_open"])
+    def test_empty_sets_rejected(self, stage):
         vocab, train_enc, val_enc = separable_sets()
         empty = EncodedDataset(
             tokens=train_enc.tokens[:0],
@@ -610,15 +611,16 @@ class TestPretrain:
         params = init_params(separable_encoder(vocab), 3, seed=0)
         cfg = TrainConfig(max_epochs=1)
         with pytest.raises(DataError, match="empty training"):
-            pretrain(params, empty, val_enc, cfg)
+            stage(params, empty, val_enc, cfg)
         with pytest.raises(DataError, match="empty validation"):
-            pretrain(params, train_enc, empty, cfg)
+            stage(params, train_enc, empty, cfg)
 
-    def test_out_of_range_labels_rejected(self):
+    @pytest.mark.parametrize("stage", [pretrain, train_open], ids=["pretrain", "train_open"])
+    def test_out_of_range_labels_rejected(self, stage):
         vocab, train_enc, val_enc = separable_sets()
         params = init_params(separable_encoder(vocab), 1, seed=0)  # M=1 but ids go to 3
         with pytest.raises(DataError, match="outside 1"):
-            pretrain(params, train_enc, val_enc, TrainConfig(max_epochs=1))
+            stage(params, train_enc, val_enc, TrainConfig(max_epochs=1))
 
     def test_variant_flags_do_not_change_pretraining(self):
         """The acceptance grid shares one pretraining run across variants,
@@ -715,6 +717,28 @@ class TestTrainOpen:
         params = init_params(separable_encoder(vocab), 3, seed=0)
         with pytest.raises(PairingError, match="2 distinct"):
             train_open(params, solo, val_enc, self.short_cfg())
+
+    def test_input_checks_come_before_the_pairing_check(self):
+        """A training set with fewer than 2 intents that also fails an input
+        check reports the input check."""
+        vocab, train_enc, val_enc = separable_sets()
+        params = init_params(separable_encoder(vocab), 3, seed=0)
+        empty = EncodedDataset(
+            tokens=train_enc.tokens[:0],
+            lengths=train_enc.lengths[:0],
+            class_ids=train_enc.class_ids[:0],
+        )
+        with pytest.raises(DataError, match="empty training"):
+            train_open(params, empty, val_enc, self.short_cfg())
+        solo_idx = train_enc.class_ids == 3
+        solo = EncodedDataset(
+            tokens=train_enc.tokens[solo_idx],
+            lengths=train_enc.lengths[solo_idx],
+            class_ids=train_enc.class_ids[solo_idx],
+        )
+        narrow = init_params(separable_encoder(vocab), 2, seed=0)  # M=2, the one intent is 3
+        with pytest.raises(DataError, match="training set contains class ids outside 1..2"):
+            train_open(narrow, solo, val_enc, self.short_cfg())
 
 
 class TestTwoStage:
