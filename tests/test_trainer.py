@@ -570,6 +570,28 @@ class TestThresholdBaseline:
             threshold_baseline_predict(self.p, self.enc, 1.5)
 
 
+def assert_empty_sets_rejected(stage):
+    vocab, train_enc, val_enc = separable_sets()
+    empty = EncodedDataset(
+        tokens=train_enc.tokens[:0],
+        lengths=train_enc.lengths[:0],
+        class_ids=train_enc.class_ids[:0],
+    )
+    params = init_params(separable_encoder(vocab), 3, seed=0)
+    cfg = TrainConfig(max_epochs=1)
+    with pytest.raises(DataError, match="empty training"):
+        stage(params, empty, val_enc, cfg)
+    with pytest.raises(DataError, match="empty validation"):
+        stage(params, train_enc, empty, cfg)
+
+
+def assert_out_of_range_labels_rejected(stage):
+    vocab, train_enc, val_enc = separable_sets()
+    params = init_params(separable_encoder(vocab), 1, seed=0)  # M=1 but ids go to 3
+    with pytest.raises(DataError, match="outside 1"):
+        stage(params, train_enc, val_enc, TrainConfig(max_epochs=1))
+
+
 class TestPretrain:
     def test_learns_separable_intents(self):
         """Mean best validation accuracy over three seeds clears 0.95."""
@@ -600,27 +622,11 @@ class TestPretrain:
         best_acc = known_accuracy(best, val_enc, 8, known_only=True)
         assert best_acc == pytest.approx(max(r.val_known_acc for r in log.records), abs=1e-12)
 
-    @pytest.mark.parametrize("stage", [pretrain, train_open], ids=["pretrain", "train_open"])
-    def test_empty_sets_rejected(self, stage):
-        vocab, train_enc, val_enc = separable_sets()
-        empty = EncodedDataset(
-            tokens=train_enc.tokens[:0],
-            lengths=train_enc.lengths[:0],
-            class_ids=train_enc.class_ids[:0],
-        )
-        params = init_params(separable_encoder(vocab), 3, seed=0)
-        cfg = TrainConfig(max_epochs=1)
-        with pytest.raises(DataError, match="empty training"):
-            stage(params, empty, val_enc, cfg)
-        with pytest.raises(DataError, match="empty validation"):
-            stage(params, train_enc, empty, cfg)
+    def test_empty_sets_rejected(self):
+        assert_empty_sets_rejected(pretrain)
 
-    @pytest.mark.parametrize("stage", [pretrain, train_open], ids=["pretrain", "train_open"])
-    def test_out_of_range_labels_rejected(self, stage):
-        vocab, train_enc, val_enc = separable_sets()
-        params = init_params(separable_encoder(vocab), 1, seed=0)  # M=1 but ids go to 3
-        with pytest.raises(DataError, match="outside 1"):
-            stage(params, train_enc, val_enc, TrainConfig(max_epochs=1))
+    def test_out_of_range_labels_rejected(self):
+        assert_out_of_range_labels_rejected(pretrain)
 
     def test_variant_flags_do_not_change_pretraining(self):
         """The acceptance grid shares one pretraining run across variants,
@@ -717,6 +723,12 @@ class TestTrainOpen:
         params = init_params(separable_encoder(vocab), 3, seed=0)
         with pytest.raises(PairingError, match="2 distinct"):
             train_open(params, solo, val_enc, self.short_cfg())
+
+    def test_empty_sets_rejected(self):
+        assert_empty_sets_rejected(train_open)
+
+    def test_out_of_range_labels_rejected(self):
+        assert_out_of_range_labels_rejected(train_open)
 
     def test_input_checks_come_before_the_pairing_check(self):
         """A training set with fewer than 2 intents that also fails an input
