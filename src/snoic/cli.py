@@ -195,8 +195,8 @@ def normalize_experiment_config(raw: dict) -> dict:
 def load_experiment_config(path: str) -> dict:
     try:
         raw = _load_json(path, "config")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
     except DataError as exc:
         raise ConfigError(str(exc)) from None
     return normalize_experiment_config(raw)

@@ -15,8 +15,9 @@ import math
 import numbers
 import re
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -89,9 +90,14 @@ def _load_json(path: str, kind: str):
             raise DataError(f"{path}: malformed {kind} file: {exc}") from exc
 
 
+def _split_words(texts: Iterable[str]) -> Iterator[list[str]]:
+    """Each text's words, in C-level passes with no Python frame per text."""
+    return map(_TOKEN_RE.findall, map(str.lower, texts))
+
+
 def tokenize_text(text: str) -> list[str]:
     """Lowercase and split on whitespace and punctuation."""
-    return _TOKEN_RE.findall(text.lower())
+    return next(_split_words((text,)))
 
 
 @dataclass
@@ -145,25 +151,18 @@ def build_vocab(ds: Dataset, min_freq: int = 1, max_size: int = 50000) -> Vocab:
     if max_size < 3:
         raise DataError(f"max_size must be >= 3, got {max_size}")
     counts: Counter[str] = Counter()
-    for ex in ds.examples:
-        counts.update(tokenize_text(ex.text))
+    for words in _split_words(ex.text for ex in ds.examples):
+        counts.update(words)
     kept = [t for t, c in counts.items() if c >= min_freq]
     kept.sort(key=lambda t: (-counts[t], t))
     kept = kept[: max_size - len(RESERVED_TOKENS)]
     return Vocab(id_to_token=list(RESERVED_TOKENS) + kept)
 
 
-def _token_ids(texts: list[str], vocab: Vocab, max_len: int) -> list[list[int]]:
-    """Unpadded ids [CLS, t1, ..] of each text, truncated to max_len."""
-    if max_len < 2:
-        raise DataError(f"max_len must be >= 2, got {max_len}")
-    get, keep = vocab.token_to_id.get, max_len - 1
-    return [[CLS_ID] + [get(t, UNK_ID) for t in tokenize_text(text)[:keep]] for text in texts]
-
-
 def tokenize(text: str, vocab: Vocab, max_len: int) -> list[int]:
     """Unpadded ids [CLS, t1, ..], truncated to max_len; no PAD is appended."""
-    return _token_ids([text], vocab, max_len)[0]
+    enc = encode_dataset(ClassDataset(texts=[text], class_ids=[0], num_known=0), vocab, max_len)
+    return enc.tokens[0, : enc.lengths[0]].tolist()
 
 
 @dataclass
@@ -311,13 +310,29 @@ class EncodedDataset:
         return self.tokens.shape[1]
 
 
+_ENCODE_CHUNK = 1024  # texts whose word lists encode_dataset keeps alive at once
+
+
 def encode_dataset(cds: ClassDataset, vocab: Vocab, max_len: int) -> EncodedDataset:
     """Tokenize every text into a PAD_ID-filled (N, max_len) token matrix:
-    row i holds :func:`tokenize` of text i, then PAD_ID."""
-    rows = _token_ids(cds.texts, vocab, max_len)
-    lengths = np.fromiter(map(len, rows), np.int32, len(rows))
-    tokens = np.full((len(rows), max_len), PAD_ID, dtype=np.int32)
-    tokens[np.arange(max_len) < lengths[:, None]] = list(chain.from_iterable(rows))
+    row i holds :func:`tokenize` of text i, then PAD_ID. No Python frame
+    runs per text; the texts are read ``_ENCODE_CHUNK`` at a time."""
+    if max_len < 2:
+        raise DataError(f"max_len must be >= 2, got {max_len}")
+    texts, get, keep = cds.texts, vocab.token_to_id.get, max_len - 1
+    tokens = np.full((len(texts), max_len), PAD_ID, dtype=np.int32)
+    tokens[:, 0] = CLS_ID
+    lengths = np.empty(len(texts), dtype=np.int32)
+    for start in range(0, len(texts), _ENCODE_CHUNK):
+        rows = slice(start, start + _ENCODE_CHUNK)
+        words = list(_split_words(texts[rows]))
+        counts = np.fromiter(map(len, words), np.int32, len(words))
+        ids = np.fromiter(map(get, chain.from_iterable(words), repeat(UNK_ID)), np.int32, int(counts.sum()))
+        if counts.max() > keep:  # keep the ids whose column is below keep
+            ids = ids[np.nonzero(np.arange(counts.max()) < counts[:, None])[1] < keep]
+            np.minimum(counts, keep, out=counts)
+        tokens[rows, 1:][np.arange(keep) < counts[:, None]] = ids
+        np.add(counts, 1, out=lengths[rows])
     return EncodedDataset(tokens=tokens, lengths=lengths, class_ids=np.asarray(cds.class_ids, dtype=np.int32))
 
 
@@ -420,8 +435,7 @@ def pair_batches(enc: EncodedDataset, batch_size: int, seed: int, epoch: int = 0
     The repair runs over the whole epoch before it is cut into batches, so
     a short tail batch can borrow rows from the rest of the epoch.
     """
-    if len(np.unique(enc.class_ids)) < 2:
-        raise PairingError("pairing requires at least 2 distinct intent classes")
+    _check_batching(enc, batch_size)
     effective = seed ^ epoch
     order_a = np.random.default_rng([effective, 0]).permutation(len(enc))
     order_b = np.random.default_rng([effective, 1]).permutation(len(enc))

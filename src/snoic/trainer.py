@@ -393,9 +393,9 @@ def baseline_predictions(logits: np.ndarray, M: int, threshold: float) -> np.nda
     are assigned the open id M+1.
     """
     probs = softmax(logits[:, :M])
-    top = open_predictions(probs)
-    conf = probs.max(axis=1)
-    return np.where(conf < threshold, M + 1, top).astype(np.int32)
+    top = np.argmax(probs, axis=1)
+    conf = probs[np.arange(len(probs)), top]
+    return np.where(conf < threshold, M + 1, top + 1).astype(np.int32)
 
 
 def predict(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -> np.ndarray:

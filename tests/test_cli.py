@@ -289,6 +289,15 @@ class TestConfigValidation:
         assert main(args) == 2
         assert f"error: {bad}: malformed config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_config_path_that_is_a_directory_exits_2(self, pipeline, tmp_path, capsys, command):
+        # an OSError other than a missing file, like an unreadable one
+        args = [command, "--config", str(tmp_path), "--split", pipeline.split, "--out", str(tmp_path / "m")]
+        if command == "train":
+            args += ["--init", pipeline.pre]
+        assert main(args) == 2
+        assert f"error: {tmp_path}: cannot read config file" in capsys.readouterr().err
+
 
 class TestPretrainCommand:
     def test_artifacts_and_meta(self, cli_env, pipeline):

@@ -1,10 +1,13 @@
 """Dataset ingestion, vocabulary, split protocol, and batching behavior."""
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
 
+from snoic import corpus
 from snoic.corpus import (
     CLS_ID,
     PAD_ID,
@@ -38,6 +41,16 @@ def write_jsonl(path, rows):
         for row in rows:
             f.write(json.dumps(row) + "\n")
     return str(path)
+
+
+WORDS = ["alpha", "beta", "gamma", "delta"]
+
+
+def reference_token_ids(texts, vocab, max_len):
+    """The per-text encoding that encode_dataset's C-level passes replaced:
+    [CLS_ID] and the ids of each text's first max_len - 1 words."""
+    get, keep = vocab.token_to_id.get, max_len - 1
+    return [[CLS_ID] + [get(t, UNK_ID) for t in re.findall(r"\w+", text.lower())[:keep]] for text in texts]
 
 
 def toy_dataset(num_classes=5, per_class=8):
@@ -233,6 +246,70 @@ class TestEncodeDataset:
         assert len(enc) == 0 and enc.max_len == 5
         assert enc.lengths.shape == enc.class_ids.shape == (0,)
         assert enc.tokens.dtype == enc.lengths.dtype == enc.class_ids.dtype == np.int32
+
+    @staticmethod
+    def assert_rows_match(texts, vocab, max_len):
+        """Every row equals tokenize of its text and the reference ids, then PAD_ID."""
+        enc = encode_dataset(ClassDataset(texts=texts, class_ids=[1] * len(texts), num_known=1), vocab, max_len)
+        ref = reference_token_ids(texts, vocab, max_len)
+        assert enc.tokens.dtype == enc.lengths.dtype == np.int32
+        assert enc.lengths.tolist() == list(map(len, ref))
+        assert enc.tokens.tolist() == [ids + [PAD_ID] * (max_len - len(ids)) for ids in ref]
+        assert [tokenize(text, vocab, max_len) for text in texts] == ref
+        return enc
+
+    @pytest.fixture
+    def wide_vocab(self):
+        return build_vocab(Dataset(examples=[LabeledExample(" ".join(WORDS), "x")]))
+
+    @pytest.mark.parametrize("max_len", [2, 3, 4, 16])
+    def test_cut_and_uncut_rows(self, wide_vocab, max_len):
+        texts = ["alpha", "alpha beta gamma delta", "", "zzz " * 20, "beta alpha"]
+        self.assert_rows_match(texts, wide_vocab, max_len)
+
+    @pytest.mark.parametrize("max_len", [2, 3])
+    def test_every_row_cut(self, wide_vocab, max_len):
+        texts = ["alpha beta gamma", "delta delta delta delta", "zzz yyy xxx alpha"]
+        enc = self.assert_rows_match(texts, wide_vocab, max_len)
+        assert enc.lengths.tolist() == [max_len] * 3
+
+    @pytest.mark.parametrize("max_len", [2, 5, 16])
+    def test_case_folding_digits_underscores_and_wide_characters(self, max_len):
+        # "İ" and "ẞ" change length or form when lowercased; "𝐀" lies outside the BMP
+        texts = ["İstanbul ẞtraße", "A_b 42x __ 7", "𝐀lpha 😀 é", "ǅ ΣΑΣ İİ", "ẋy"]
+        vocab = build_vocab(Dataset(examples=[LabeledExample(texts[0] + " " + texts[1], "x")]))
+        self.assert_rows_match(texts, vocab, max_len)
+        self.assert_rows_match(texts[::-1] * 3, vocab, max_len)
+
+    def test_a_set_larger_than_one_chunk(self, wide_vocab):
+        rng = np.random.default_rng(5)
+        pool = WORDS + ["zzz", "Alpha", "beta!"]
+        n = 2 * corpus._ENCODE_CHUNK + 37
+        texts = [" ".join(rng.choice(pool, size=rng.integers(0, 12))) for _ in range(n)]
+        self.assert_rows_match(texts, wide_vocab, 7)
+
+    def test_python_calls_do_not_grow_with_the_rows(self, wide_vocab):
+        """No Python frame runs per utterance: encoding 8 texts and 1024
+        texts (one chunk) make the same Python-level calls."""
+        base = ["alpha beta gamma " * 3, "delta", "", "zzz alpha"] * 2
+
+        def calls(texts):
+            cds = ClassDataset(texts=texts, class_ids=[1] * len(texts), num_known=1)
+            count = [0]
+
+            def profile(frame, event, arg):
+                count[0] += event == "call"
+
+            encode_dataset(cds, wide_vocab, 6)
+            sys.setprofile(profile)
+            try:
+                encode_dataset(cds, wide_vocab, 6)
+            finally:
+                sys.setprofile(None)
+            return count[0]
+
+        assert corpus._ENCODE_CHUNK >= 1024
+        assert calls(base) == calls(base * 128)
 
     @pytest.mark.parametrize("rows", [0, 2])
     @pytest.mark.parametrize("max_len", [1, 0])
@@ -609,6 +686,17 @@ class TestPairing:
         enc = encode_dataset(cds, build_vocab(ds), 6)
         with pytest.raises(PairingError):
             pair_batches(enc, 4, seed=0)
+
+    def test_arguments_checked_before_the_repair(self):
+        """An empty set or a bad batch_size is a DataError, as in
+        make_batches, even where the repair would find no pairing."""
+        enc = encoded_toy(num_classes=3, per_class=4)
+        one_intent = EncodedDataset(tokens=enc.tokens, lengths=enc.lengths, class_ids=np.ones_like(enc.class_ids))
+        empty = EncodedDataset(tokens=enc.tokens[:0], lengths=enc.lengths[:0], class_ids=enc.class_ids[:0])
+        with pytest.raises(DataError, match="batch_size must be >= 1"):
+            pair_batches(one_intent, 0, seed=0)
+        with pytest.raises(DataError, match="cannot batch an empty dataset"):
+            pair_batches(empty, 4, seed=0)
 
     def test_paired_batch_invariant_enforced(self):
         enc = encoded_toy(num_classes=3, per_class=4)

@@ -18,6 +18,8 @@ from snoic.encoder import (
     EncoderParams,
     TapedForward,
     Workspace,
+    _Packing,
+    _pool_forward,
     backward_to_layer,
     forward,
     head_logits,
@@ -785,6 +787,51 @@ class TestPackedRows:
         other = Batch(tokens=np.where(batch.mask > 0, batch.tokens, ids).astype(batch.tokens.dtype), mask=batch.mask, labels=batch.labels)
         assert not np.array_equal(other.tokens, batch.tokens)
         assert np.array_equal(self.run(kind, p, batch, Workspace())[0], self.run(kind, p, other, Workspace())[0])
+
+
+def reference_pool(h_padded, mask):
+    """The masked mean as an axis-1 sum of the zero-padded state."""
+    return h_padded.sum(axis=1) / mask.sum(axis=1, dtype=h_padded.dtype)[:, None]
+
+
+class TestPool:
+    """The pool's einsum equals, bit for bit, the axis-1 sum over the
+    unpacked state, at every sequence width on both sides of numpy's
+    8-wide pairwise block, in both float dtypes, from a fresh pass and
+    from a workspace. At hidden width 1 the summed axis is contiguous and
+    the two add in different orders, so there they agree to rounding."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("hidden", [1, 2, 5, 32])
+    def test_equals_the_axis_sum(self, dtype, taped, hidden):
+        rng = np.random.default_rng(hidden)
+        ws = Workspace() if taped else FRESH
+        for t in range(1, 33):
+            lengths = rng.integers(1, t + 1, size=7)
+            lengths[0] = t
+            mask = (np.arange(t) < lengths[:, None]).astype(dtype)
+            pk = _Packing(mask, dtype, ws, "to")
+            h = (rng.normal(size=(pk.rows, hidden)) * rng.choice([1e-3, 1.0, 1e3], size=(pk.rows, 1))).astype(dtype)
+            padded = np.zeros(mask.shape + (hidden,), dtype)
+            padded[mask > 0] = h
+            got, want = _pool_forward(h, pk, ws), reference_pool(padded, mask)
+            assert got.dtype == dtype
+            if hidden == 1:
+                bound = t * np.finfo(dtype).eps * reference_pool(np.abs(padded), mask)
+                assert np.all(np.abs(got - want) <= bound), t
+            else:
+                assert np.array_equal(got, want), t
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_full_pass_pools_the_padded_state(self, taped):
+        cfg = small_config(max_len=12)
+        p = init_params(cfg, 4, seed=21)
+        batch = random_batch(cfg, 22, size=9)
+        h = run_to_layer(p, batch.tokens, batch.mask, cfg.num_layers)
+        want = np.maximum(reference_pool(h, batch.mask) @ p["dense_w"] + p["dense_b"], 0.0)
+        e = TapedForward(p, batch, Workspace()).e if taped else forward(p, batch)[0]
+        assert np.array_equal(e, want)
 
 
 class TestCheckpoint:

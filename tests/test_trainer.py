@@ -28,7 +28,7 @@ from snoic.corpus import (
 )
 from snoic.encoder import EncoderConfig, TapedForward, Workspace, forward, init_params
 from snoic.errors import ConfigError, DataError, PairingError, TrainingError
-from snoic.losses import kl_loss, mixup_loss, pretrain_loss, soft_targets
+from snoic.losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax
 from snoic.trainer import (
     ADAM_EPS,
     BETA1,
@@ -568,6 +568,47 @@ class TestThresholdBaseline:
     def test_threshold_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             threshold_baseline_predict(self.p, self.enc, 1.5)
+
+
+def reference_baseline(logits, M, threshold):
+    """baseline_predictions with a second max reduction for the confidence."""
+    probs = softmax(logits[:, :M])
+    return np.where(probs.max(axis=1) < threshold, M + 1, open_predictions(probs)).astype(np.int32)
+
+
+class TestBaselineAtArgmax:
+    """baseline_predictions reads each row's confidence at its argmax; its
+    ids equal the max-reduction form's on ties, at the threshold and at M=1."""
+
+    @staticmethod
+    def logits(M, seed, rows=64):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, M + 1)).astype(np.float32)
+        x[: rows // 4, :M] = x[: rows // 4, :1]  # every known class tied
+        x[rows // 4 : rows // 2, 1:M] = x[rows // 4 : rows // 2, :1]  # ties short of M
+        return x
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 7])
+    def test_equals_the_max_reduction(self, M):
+        x = self.logits(M, seed=M)
+        conf = softmax(x[:, :M]).max(axis=1)
+        # rows exactly at the threshold are kept: the comparison is strict
+        for threshold in (0.0, 0.3, 0.5, 1.0, float(conf[0]), float(conf[-1]), float(np.median(conf))):
+            got = baseline_predictions(x, M, threshold)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, reference_baseline(x, M, threshold)), threshold
+        assert baseline_predictions(x, M, float(conf[-1]))[-1] <= M
+
+    def test_ties_go_to_the_smaller_id(self):
+        x = np.zeros((3, 4), dtype=np.float32)
+        x[1, 1:3] = 2.0
+        assert baseline_predictions(x, 3, 0.0).tolist() == [1, 2, 1]
+        assert baseline_predictions(x, 3, 1 / 3).tolist() == reference_baseline(x, 3, 1 / 3).tolist()
+
+    def test_one_known_class(self):
+        x = np.random.default_rng(3).normal(size=(5, 2)).astype(np.float32)
+        assert baseline_predictions(x, 1, 1.0).tolist() == [1] * 5
+        assert baseline_predictions(x, 1, np.nextafter(1.0, 2.0)).tolist() == [2] * 5
 
 
 def assert_empty_sets_rejected(stage):
