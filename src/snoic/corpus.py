@@ -95,11 +95,6 @@ def _split_words(texts: Iterable[str]) -> Iterator[list[str]]:
     return map(_TOKEN_RE.findall, map(str.lower, texts))
 
 
-def tokenize_text(text: str) -> list[str]:
-    """Lowercase and split on whitespace and punctuation."""
-    return next(_split_words((text,)))
-
-
 @dataclass
 class Vocab:
     """Token to id mapping with ids 0/1/2 reserved for pad/unk/cls."""
@@ -117,9 +112,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -12,15 +12,19 @@ The pass is built from two segment runners that meet at a block boundary:
 representation. Between them the hidden state may be modified externally,
 which is the mixup injection point.
 
-Token-wise work runs on the real tokens only. A pass builds one packing
-from its mask, and the embedding gather, the projections, the residual
-adds, the layer norms and the feed-forward sublayer run on packed
-(real tokens, H) arrays, no padded position among them. Only the
-attention core (scores, softmax and ``att @ v``, and their backward) runs
-in the padded (n, t, ·) layout: q, k and v are gathered into it and the
-context is gathered back. Pooling gathers the last block's rows into the
-padded layout once to sum them per sequence. The hidden state at the cut
-is padded, (n, t, H) and zero at padding, as the runners' callers see it.
+Token-wise work runs on the real tokens only. A pass builds one
+:class:`Packing` from its mask, and the embedding gather, the
+projections, the residual adds, the layer norms and the feed-forward
+sublayer run on packed (real tokens, H) arrays, no padded position among
+them. Only the attention core (scores, softmax and ``att @ v``, and their
+backward) runs in the padded (n, t, ·) layout: q, k and v are gathered
+into it and the context is gathered back. Pooling gathers the last
+block's rows into the padded layout once to sum them per sequence. The
+runners take a packing and pass packed rows across the cut: the hidden
+state there is (real tokens, H), one row per real token in the mask's
+row-major order, and its gradient is zero-topped, one zero row above the
+packed rows, which is the row a gather through ``Packing.pos`` reads at
+padding.
 
 The optional ``cache`` argument of the runners decides what a pass keeps.
 With a cache dict (a tape), each sublayer stores in it exactly what its
@@ -309,7 +313,7 @@ def _arange(n: int) -> np.ndarray:
     return indices[:n]
 
 
-class _Packing:
+class Packing:
     """Where the real tokens of an (n, t) mask sit, built once per pass.
 
     Token-wise sublayers run on packed (rows, width) arrays, one row per
@@ -321,10 +325,11 @@ class _Packing:
     from a zero-topped buffer (:meth:`zero_topped`) unpacks a packed array
     with zeros at padding (:meth:`unpack`). ``counts`` are the real tokens
     per row and ``bias`` the attention scores' mask term, both in
-    ``dtype``. The index vectors live in ``ws`` under ``key``.
+    ``dtype``. The index vectors live in ``ws`` under ``key``, so two
+    packings of one pass take two keys.
     """
 
-    def __init__(self, mask: np.ndarray, dtype, ws: Workspace, key: str):
+    def __init__(self, mask: np.ndarray, dtype, ws: Workspace = FRESH, key: str = "to"):
         n, t = self.shape = mask.shape
         real = np.not_equal(mask, 0, out=ws.take((key, "real"), (n, t), bool)).reshape(-1)
         pos = self.pos = real.cumsum(dtype=np.intp, out=ws.take((key, "pos"), (n * t,), np.intp))
@@ -371,7 +376,7 @@ class _Packing:
 # forward / backward building blocks, on packed rows
 
 
-def _embed_forward(p: EncoderParams, tokens: np.ndarray, pk: _Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
+def _embed_forward(p: EncoderParams, tokens: np.ndarray, pk: Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
     t = tokens.shape[1]
     if t > p.cfg.max_len:
         raise DataError(f"sequence length {t} exceeds configured max_len {p.cfg.max_len}")
@@ -414,7 +419,7 @@ def _subcache(cache: dict | None, key: str | int) -> dict | None:
 
 
 def _layernorm_forward(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None, pk: _Packing, ws: Workspace, key
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None, pk: Packing, ws: Workspace, key
 ) -> np.ndarray:
     """Normalize the last axis. ``x`` is a sum the caller no longer needs:
     it is overwritten. A taped pass writes the output under ``key``."""
@@ -436,7 +441,7 @@ def _layernorm_forward(
 
 
 def _layernorm_backward(
-    dy: np.ndarray, cache: dict, gain: np.ndarray, dgain: np.ndarray, dbias: np.ndarray, pk: _Packing, ws: Workspace
+    dy: np.ndarray, cache: dict, gain: np.ndarray, dgain: np.ndarray, dbias: np.ndarray, pk: Packing, ws: Workspace
 ) -> np.ndarray:
     """Writes the gain and bias gradients into ``dgain`` and ``dbias`` and
     overwrites ``dy`` with the input gradient it returns."""
@@ -457,7 +462,7 @@ def _layernorm_backward(
 
 
 def _attention_forward(
-    w: Block, i: int, h: np.ndarray, pk: _Packing, cache: dict | None, ws: Workspace
+    w: Block, i: int, h: np.ndarray, pk: Packing, cache: dict | None, ws: Workspace
 ) -> np.ndarray:
     """The projections run on the packed rows ``h``; the scores, softmax and
     ``att @ v`` run in the padded (n, t, ·) layout, q, k and v unpacked into
@@ -486,7 +491,7 @@ def _attention_forward(
     return np.matmul(ctx, w.attn_out, out=pk.take(ws, (i, "s1"), hd, dt))
 
 
-def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _Packing, ws: Workspace) -> np.ndarray:
+def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: Packing, ws: Workspace) -> np.ndarray:
     h, q, k, v, att, ctx, scale = (
         cache["h"], cache["q"], cache["k"], cache["v"], cache["att"], cache["ctx"], cache["scale"],
     )
@@ -517,7 +522,7 @@ def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _
     return dx
 
 
-def _ffn_forward(w: Block, i: int, x: np.ndarray, pk: _Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
+def _ffn_forward(w: Block, i: int, x: np.ndarray, pk: Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
     u = np.matmul(x, w.ffn_w1, out=pk.take(ws, (i, "r"), w.ffn_w1.shape[1], x.dtype))
     u += w.ffn_b1
     r = np.maximum(u, 0.0, out=u)
@@ -528,7 +533,7 @@ def _ffn_forward(w: Block, i: int, x: np.ndarray, pk: _Packing, cache: dict | No
     return out
 
 
-def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _Packing, ws: Workspace) -> np.ndarray:
+def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: Packing, ws: Workspace) -> np.ndarray:
     x, r = cache["x"], cache["r"]
     hd, fd = x.shape[1], r.shape[1]
     np.matmul(r.T, dout, out=g.ffn_w2)
@@ -540,7 +545,7 @@ def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: _Packin
     return np.matmul(du, w.ffn_w1.T, out=pk.take(ws, "dx", hd, x.dtype))
 
 
-def _block_forward(w: Block, i: int, h: np.ndarray, pk: _Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
+def _block_forward(w: Block, i: int, h: np.ndarray, pk: Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
     """Apply the block with tensors ``w`` to the packed rows ``h``; ``i``
     (0-based) keys its tape arrays.
 
@@ -555,7 +560,7 @@ def _block_forward(w: Block, i: int, h: np.ndarray, pk: _Packing, cache: dict | 
     return _layernorm_forward(s2, w.norm2_gain, w.norm2_bias, _subcache(cache, "ln2"), pk, ws, (i, "n2"))
 
 
-def _block_backward(w: Block, g: Block, cache: dict, dh: np.ndarray, pk: _Packing, ws: Workspace) -> None:
+def _block_backward(w: Block, g: Block, cache: dict, dh: np.ndarray, pk: Packing, ws: Workspace) -> None:
     """Reverse of one block, writing its gradients into ``g`` and the
     gradient that flows on over ``dh``."""
     ds2 = _layernorm_backward(dh, cache["ln2"], w.norm2_gain, g.norm2_gain, g.norm2_bias, pk, ws)
@@ -564,7 +569,7 @@ def _block_backward(w: Block, g: Block, cache: dict, dh: np.ndarray, pk: _Packin
     np.add(ds1, _attention_backward(w, g, cache["attn"], ds1, pk, ws), out=ds1)
 
 
-def _pool_forward(h: np.ndarray, pk: _Packing, ws: Workspace) -> np.ndarray:
+def _pool_forward(h: np.ndarray, pk: Packing, ws: Workspace) -> np.ndarray:
     """Mean of each sequence's packed rows, summed in the padded layout."""
     if (pk.counts == 0).any():
         raise DataError("cannot pool a sequence with zero real tokens")
@@ -604,15 +609,24 @@ def head_backward(p: EncoderParams, e: np.ndarray, dlogits: np.ndarray, grads: E
 
 
 # ---------------------------------------------------------------------------
-# segment runners (optionally taped)
-#
-# The packed runners below take and return packed rows; the public runners
-# wrap them, packing and unpacking the (n, t, H) hidden state at the cut.
+# segment runners (optionally taped), on packed rows
 
 
-def _to_layer(
-    p: EncoderParams, tokens: np.ndarray, pk: _Packing, rl: int, cache: dict | None, ws: Workspace
+def run_to_layer(
+    p: EncoderParams,
+    tokens: np.ndarray,
+    pk: Packing,
+    rl: int,
+    cache: dict | None = None,
+    ws: Workspace = FRESH,
 ) -> np.ndarray:
+    """Embeddings plus blocks 1..rl of the (n, t) ``tokens`` whose real
+    positions ``pk`` packs; rl=0 is the embedding stage alone. Returns the
+    packed (pk.rows, H) hidden state."""
+    if not 0 <= rl <= p.cfg.num_layers:
+        raise DataError(f"resume layer {rl} out of range 0..{p.cfg.num_layers}")
+    if tokens.shape != pk.shape:
+        raise DataError(f"tokens of shape {tokens.shape} do not match their packing's mask {pk.shape}")
     h = _embed_forward(p, tokens, pk, cache, ws)
     if cache is not None:
         cache["stop"] = rl
@@ -622,17 +636,31 @@ def _to_layer(
     return h
 
 
-def _backward_to(p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace) -> None:
-    """Reverse of _to_layer from the zero-topped gradient ``dh`` of its output."""
+def backward_to_layer(
+    p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
+) -> None:
+    """Reverse of run_to_layer from the zero-topped (rows + 1, H) gradient
+    ``dh`` of its output, which it overwrites."""
     pk = cache["pack"]
     for i in reversed(range(cache["stop"])):
         _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh[1:], pk, ws)
     _embed_backward(p, cache, dh, grads, ws)
 
 
-def _from_layer(
-    p: EncoderParams, h: np.ndarray, pk: _Packing, start: int, cache: dict | None, ws: Workspace
+def run_from_layer(
+    p: EncoderParams,
+    h: np.ndarray,
+    pk: Packing,
+    start: int,
+    cache: dict | None = None,
+    ws: Workspace = FRESH,
 ) -> np.ndarray:
+    """Blocks start+1..L on the packed rows ``h`` of ``pk``'s real tokens,
+    mean pooling per sequence, then the ReLU dense layer."""
+    if not 0 <= start <= p.cfg.num_layers:
+        raise DataError(f"resume layer {start} out of range 0..{p.cfg.num_layers}")
+    if h.shape[0] != pk.rows:
+        raise DataError(f"{h.shape[0]} hidden rows do not match their packing's {pk.rows} real tokens")
     if cache is not None:
         cache.update(pack=pk, start=start)
     blocks = _subcache(cache, "blocks")
@@ -641,8 +669,11 @@ def _from_layer(
     return _dense_forward(p, _pool_forward(h, pk, ws), _subcache(cache, "dense"))
 
 
-def _backward_from(p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams, ws: Workspace) -> np.ndarray:
-    """Reverse of _from_layer; returns the zero-topped gradient of its packed input."""
+def backward_from_layer(
+    p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
+) -> np.ndarray:
+    """Reverse of run_from_layer; returns the zero-topped (rows + 1, H)
+    gradient of its packed input."""
     pk = cache["pack"]
     dx = _dense_backward(p, cache["dense"], de, grads)
     dh = pk.zero_topped(ws, "dh", dx.shape[1], dx.dtype)
@@ -654,67 +685,14 @@ def _backward_from(p: EncoderParams, cache: dict, de: np.ndarray, grads: Encoder
     return dh
 
 
-def run_to_layer(
-    p: EncoderParams,
-    tokens: np.ndarray,
-    mask: np.ndarray,
-    rl: int,
-    cache: dict | None = None,
-    ws: Workspace = FRESH,
-) -> np.ndarray:
-    """Embeddings plus blocks 1..rl; rl=0 is the embedding stage alone.
-    Returns the (n, t, H) hidden state, zero at padded positions."""
-    if not 0 <= rl <= p.cfg.num_layers:
-        raise DataError(f"resume layer {rl} out of range 0..{p.cfg.num_layers}")
-    pk = _Packing(mask, p.flat.dtype, ws, "to")
-    h = _to_layer(p, tokens, pk, rl, cache, ws)
-    rows = pk.zero_topped(ws, "rows", h.shape[1], h.dtype)
-    rows[1:] = h
-    return pk.unpack(rows, ws.take("to.h", pk.shape + h.shape[1:], h.dtype))
-
-
-def backward_to_layer(
-    p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
-) -> None:
-    pk = cache["pack"]
-    rows = pk.zero_topped(ws, "dh", dh.shape[-1], dh.dtype)
-    pk.pack(dh, rows[1:])
-    _backward_to(p, cache, rows, grads, ws)
-
-
-def run_from_layer(
-    p: EncoderParams,
-    h: np.ndarray,
-    mask: np.ndarray,
-    start: int,
-    cache: dict | None = None,
-    ws: Workspace = FRESH,
-) -> np.ndarray:
-    """Blocks start+1..L, masked mean pooling, then the ReLU dense layer."""
-    if not 0 <= start <= p.cfg.num_layers:
-        raise DataError(f"resume layer {start} out of range 0..{p.cfg.num_layers}")
-    pk = _Packing(mask, h.dtype, ws, "from")
-    return _from_layer(p, pk.pack(h, pk.take(ws, "from.h", h.shape[-1], h.dtype)), pk, start, cache, ws)
-
-
-def backward_from_layer(
-    p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
-) -> np.ndarray:
-    """Reverse of run_from_layer; returns the (n, t, H) gradient at the cut
-    point, zero at padded positions."""
-    pk = cache["pack"]
-    dh = _backward_from(p, cache, de, grads, ws)
-    return pk.unpack(dh, ws.take("from.dh", pk.shape + dh.shape[1:], dh.dtype))
-
-
 # ---------------------------------------------------------------------------
 # public pass API
 
 
 def forward(p: EncoderParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Full pass: intent representations e and (M+1)-way logits."""
-    pk = _Packing(batch.mask, p.flat.dtype, FRESH, "to")
-    e = _from_layer(p, _to_layer(p, batch.tokens, pk, 0, None, FRESH), pk, 0, None, FRESH)
+    pk = Packing(batch.mask, p.flat.dtype)
+    e = run_from_layer(p, run_to_layer(p, batch.tokens, pk, 0), pk, 0)
     return e, head_logits(p, e)
 
 
@@ -732,16 +710,16 @@ class TapedForward:
         self.generation = ws.record()
         self.to_cache: dict = {}
         self.from_cache: dict = {}
-        pk = _Packing(batch.mask, p.flat.dtype, ws, "to")
-        h = _to_layer(p, batch.tokens, pk, 0, self.to_cache, ws)
-        self.e = _from_layer(p, h, pk, 0, self.from_cache, ws)
+        pk = Packing(batch.mask, p.flat.dtype, ws)
+        h = run_to_layer(p, batch.tokens, pk, 0, self.to_cache, ws)
+        self.e = run_from_layer(p, h, pk, 0, self.from_cache, ws)
         self.logits = head_logits(p, self.e)
 
     def backward(self, dlogits: np.ndarray) -> EncoderParams:
         grads = self.ws.grads(self.p, self.generation)
         de = head_backward(self.p, self.e, dlogits, grads)
-        dh = _backward_from(self.p, self.from_cache, de, grads, self.ws)
-        _backward_to(self.p, self.to_cache, dh, grads, self.ws)
+        dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
+        backward_to_layer(self.p, self.to_cache, dh, grads, self.ws)
         return grads
 
 

@@ -75,6 +75,19 @@ def tiny_pair(seed, size=4, m=TINY_M):
     return PairedBatch(first=first, second=second)
 
 
+def unpacked(rows, mask):
+    """Packed ``rows``, one per real position of ``mask`` in row-major
+    order, laid out as (n, t, H) with zeros at padding."""
+    out = np.zeros(mask.shape + rows.shape[1:], rows.dtype)
+    out[mask > 0] = rows
+    return out
+
+
+def zero_topped(rows):
+    """``rows`` below one zero row, as the backward runners pass gradients."""
+    return np.concatenate([np.zeros((1,) + rows.shape[1:], rows.dtype), rows])
+
+
 def max_rel_err(p, value_fn, grads, n_coords, seed, eps=1e-5):
     """Worst relative disagreement over sampled parameter coordinates."""
     rng = np.random.default_rng(seed)

@@ -6,6 +6,7 @@ import pytest
 from snoic.augment import NoisyMixupPass, inject_noise, mixup, sample_lambda
 from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import (
+    Packing,
     Workspace,
     backward_from_layer,
     backward_to_layer,
@@ -17,7 +18,7 @@ from snoic.encoder import (
 from snoic.errors import ConfigError, DataError
 from snoic.losses import kl_loss, mixup_loss, soft_targets
 from snoic.trainer import TrainConfig
-from gradcheck import TINY, attention_on, seed_for_layer, tiny_batch, tiny_pair, tiny_params
+from gradcheck import TINY, attention_on, seed_for_layer, tiny_batch, tiny_pair, tiny_params, unpacked, zero_topped
 
 
 class FixedNormals:
@@ -62,102 +63,80 @@ class TestSampleLambda:
 
 
 class TestMixup:
-    def hidden_pair(self, seed=0, shape=(3, 5, 4)):
+    def hidden_pair(self, seed=0, shape=(15, 4)):
         rng = np.random.default_rng(seed)
-        h1 = rng.standard_normal(shape)
-        h2 = rng.standard_normal(shape)
-        mask = np.ones(shape[:2])
-        return h1 * mask[:, :, None], h2 * mask[:, :, None], mask
+        return rng.standard_normal(shape), rng.standard_normal(shape)
 
     def test_lambda_one_returns_first(self):
-        h1, h2, mask = self.hidden_pair()
-        mixed, union = mixup(h1, mask, h2, mask, 1.0)
-        assert np.array_equal(mixed, h1)
-        assert np.array_equal(union, mask)
+        h1, h2 = self.hidden_pair()
+        assert np.array_equal(mixup(h1, h2, 1.0), h1)
 
     def test_lambda_zero_returns_second(self):
-        h1, h2, mask = self.hidden_pair()
-        mixed, _ = mixup(h1, mask, h2, mask, 0.0)
-        assert np.array_equal(mixed, h2)
+        h1, h2 = self.hidden_pair()
+        assert np.array_equal(mixup(h1, h2, 0.0), h2)
 
     def test_scalar_midpoint(self):
-        h1 = np.full((1, 1, 1), 2.0)
-        h2 = np.full((1, 1, 1), 4.0)
-        mask = np.ones((1, 1))
-        mixed, _ = mixup(h1, mask, h2, mask, 0.5)
-        assert mixed[0, 0, 0] == pytest.approx(3.0, abs=1e-12)
+        mixed = mixup(np.full((1, 1), 2.0), np.full((1, 1), 4.0), 0.5)
+        assert mixed[0, 0] == pytest.approx(3.0, abs=1e-12)
 
     def test_mix_is_elementwise_convex(self):
-        h1, h2, mask = self.hidden_pair(seed=5)
-        mixed, _ = mixup(h1, mask, h2, mask, 0.3)
+        h1, h2 = self.hidden_pair(seed=5)
+        mixed = mixup(h1, h2, 0.3)
         lo = np.minimum(h1, h2)
         hi = np.maximum(h1, h2)
         assert np.all(mixed >= lo - 1e-9) and np.all(mixed <= hi + 1e-9)
 
-    def test_union_mask_and_off_mask_zeroing(self):
-        rng = np.random.default_rng(6)
-        h1 = rng.standard_normal((2, 4, 3))
-        h2 = rng.standard_normal((2, 4, 3))
-        mask1 = np.array([[1, 1, 0, 0], [1, 1, 1, 0]], dtype=float)
-        mask2 = np.array([[1, 1, 1, 0], [1, 0, 0, 0]], dtype=float)
-        h1 = h1 * mask1[:, :, None]
-        h2 = h2 * mask2[:, :, None]
-        mixed, union = mixup(h1, mask1, h2, mask2, 0.4)
-        assert np.array_equal(union, np.maximum(mask1, mask2))
-        assert np.all(mixed[union == 0.0] == 0.0)
-        # A position real on only one side mixes against an implicit zero.
-        assert np.allclose(mixed[0, 2], 0.6 * h2[0, 2], atol=1e-12)
+    def test_zero_row_mixes_to_the_other_share(self):
+        """A union position real on one side only is mixed against the zero
+        row that the pass gathers for the other side."""
+        h1, h2 = self.hidden_pair(seed=6)
+        h1[2] = 0.0
+        assert np.allclose(mixup(h1, h2, 0.4)[2], 0.6 * h2[2], atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        h1, h2, mask = self.hidden_pair()
+        h1, h2 = self.hidden_pair()
         with pytest.raises(DataError, match="shapes differ"):
-            mixup(h1, mask, h2[:, :2], mask[:, :2], 0.5)
-        with pytest.raises(DataError, match="mask shapes"):
-            mixup(h1, mask[:, :2], h2, mask[:, :2], 0.5)
+            mixup(h1, h2[:2], 0.5)
 
     def test_lambda_out_of_range_rejected(self):
-        h1, h2, mask = self.hidden_pair()
+        h1, h2 = self.hidden_pair()
         for lam in (-0.01, 1.01):
             with pytest.raises(DataError, match="mixing weight"):
-                mixup(h1, mask, h2, mask, lam)
+                mixup(h1, h2, lam)
 
 
 class TestInjectNoise:
     def test_zero_deltas_are_an_exact_identity(self):
         rng = np.random.default_rng(7)
-        mixed = rng.standard_normal((2, 3, 4))
-        mask = np.ones((2, 3))
-        noisy, scale = inject_noise(mixed, mask, np.random.default_rng(8), 0.0, 0.0)
+        mixed = rng.standard_normal((6, 4))
+        noisy, scale = inject_noise(mixed, np.random.default_rng(8), 0.0, 0.0)
         assert np.array_equal(noisy, mixed)
         assert np.all(scale == 1.0)
 
     def test_rng_consumption_ignores_delta_values(self):
         """Noise draws happen even at zero magnitude, keeping streams aligned."""
-        mixed = np.zeros((2, 3, 4))
-        mask = np.ones((2, 3))
+        mixed = np.zeros((6, 4))
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
-        inject_noise(mixed, mask, rng_a, 0.0, 0.0)
-        inject_noise(mixed, mask, rng_b, 0.4, 0.2)
+        inject_noise(mixed, rng_a, 0.0, 0.0)
+        inject_noise(mixed, rng_b, 0.4, 0.2)
         assert rng_a.random() == rng_b.random()
 
     def test_fixed_unit_draws_arithmetic(self):
         # (1 + 0.2 * 1) * 10 + 0.4 * 1 = 12.4
-        mixed = np.full((1, 1, 1), 10.0)
-        mask = np.ones((1, 1))
-        noisy, scale = inject_noise(mixed, mask, FixedNormals(1.0), 0.4, 0.2)
-        assert noisy[0, 0, 0] == pytest.approx(12.4, abs=1e-12)
-        assert scale[0, 0, 0] == pytest.approx(1.2, abs=1e-12)
+        mixed = np.full((1, 1), 10.0)
+        noisy, scale = inject_noise(mixed, FixedNormals(1.0), 0.4, 0.2)
+        assert noisy[0, 0] == pytest.approx(12.4, abs=1e-12)
+        assert scale[0, 0] == pytest.approx(1.2, abs=1e-12)
 
     def test_multiplicative_draw_comes_first(self):
         rng = np.random.default_rng(10)
-        mixed = rng.standard_normal((2, 4, 3))
-        mask = np.ones((2, 4))
+        mixed = rng.standard_normal((8, 3))
         probe = np.random.default_rng(11)
         xi_mul = probe.standard_normal(mixed.shape)
         xi_add = probe.standard_normal(mixed.shape)
         expected = (1.0 + 0.2 * xi_mul) * mixed + 0.4 * xi_add
-        noisy, scale = inject_noise(mixed, mask, np.random.default_rng(11), 0.4, 0.2)
+        noisy, scale = inject_noise(mixed, np.random.default_rng(11), 0.4, 0.2)
         assert np.allclose(noisy, expected, atol=1e-12)
         assert np.allclose(scale, 1.0 + 0.2 * xi_mul, atol=1e-12)
 
@@ -166,33 +145,25 @@ class TestInjectNoise:
         """Both fields are the two halves of one (2,) + shape standard-normal
         draw in the state's dtype, and nothing else is drawn."""
         rng = np.random.default_rng(15)
-        mixed = rng.standard_normal((2, 3, 4)).astype(dtype)
-        mask = np.ones((2, 3), dtype)
+        mixed = rng.standard_normal((6, 4)).astype(dtype)
         probe = np.random.default_rng(16)
         xi_mul, xi_add = probe.standard_normal((2,) + mixed.shape, dtype=dtype)
         draws = np.random.default_rng(16)
-        noisy, scale = inject_noise(mixed, mask, draws, 0.4, 0.2)
+        noisy, scale = inject_noise(mixed, draws, 0.4, 0.2)
         assert draws.bit_generator.state == probe.bit_generator.state
         assert scale.dtype == noisy.dtype == dtype
         assert np.array_equal(scale, xi_mul * 0.2 + 1.0)
         assert np.array_equal(noisy, scale * mixed + xi_add * 0.4)
 
-    def test_masked_positions_are_rezeroed(self):
-        mixed = np.ones((1, 3, 2))
-        mask = np.array([[1, 0, 1]], dtype=float)
-        noisy, _ = inject_noise(mixed, mask, np.random.default_rng(12), 0.4, 0.2)
-        assert np.all(noisy[0, 1] == 0.0)
-
     def test_mean_is_unbiased(self):
         """Noise is centered: averaging draws recovers the clean mix."""
         rng = np.random.default_rng(13)
-        mixed = rng.standard_normal((2, 3, 4))
-        mask = np.ones((2, 3))
+        mixed = rng.standard_normal((6, 4))
         draws = np.random.default_rng(14)
         total = np.zeros_like(mixed)
         n = 2000
         for _ in range(n):
-            noisy, _ = inject_noise(mixed, mask, draws, 0.4, 0.2)
+            noisy, _ = inject_noise(mixed, draws, 0.4, 0.2)
             total += noisy
         se = np.sqrt((0.2 * mixed) ** 2 + 0.4**2) / np.sqrt(n)
         assert np.all(np.abs(total / n - mixed) <= 5.0 * se)
@@ -205,6 +176,8 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     is summed over the soft, first-half and second-half segments. A
     backward overwrites the ranges it reaches, so each segment writes into
     a zeroed buffer of its own and the buffers are added up at the end.
+    The mixed rows are built in the padded layout, where a half's padding
+    is zero, and packed by the union mask.
     """
     rng = np.random.default_rng(seed)
     rl = int(rng.integers(1, p.cfg.num_layers + 1))
@@ -219,11 +192,11 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     def to_layer(b):
         mask = b.mask.astype(dtype)
         cache = {}
-        return run_to_layer(p, b.tokens, mask, rl, cache=cache), mask, cache
+        return run_to_layer(p, b.tokens, Packing(mask, dtype), rl, cache=cache), mask, cache
 
     def from_layer(h, mask, dlogits):
         cache = {}
-        e = run_from_layer(p, h, mask, rl, cache=cache)
+        e = run_from_layer(p, h, Packing(mask, dtype), rl, cache=cache)
         grads = segment_grads()
         de = head_backward(p, e, dlogits, grads)
         return head_logits(p, e), backward_from_layer(p, cache, de, grads)
@@ -233,12 +206,14 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     h2, m2, c2 = to_layer(pair.second)
     soft_logits, dhs = from_layer(hs, ms, dsoft)
     backward_to_layer(p, cs, dhs, segment_grads())
-    mixed, union = mixup(h1, m1, h2, m2, lam)
-    noisy, scale = inject_noise(mixed, union, rng, cfg.delta_add, cfg.delta_mul)
+    union = np.maximum(m1, m2)
+    on = union > 0
+    mixed = mixup(unpacked(h1, m1)[on], unpacked(h2, m2)[on], lam)
+    noisy, scale = inject_noise(mixed, rng, cfg.delta_add, cfg.delta_mul)
     mix_logits, dh = from_layer(noisy, union, dmix)
-    dmixed = dh * union[:, :, None] * scale
-    backward_to_layer(p, c1, lam * dmixed, segment_grads())
-    backward_to_layer(p, c2, (1.0 - lam) * dmixed, segment_grads())
+    dmixed = unpacked(dh[1:] * scale, union)
+    backward_to_layer(p, c1, zero_topped(lam * dmixed[m1 > 0]), segment_grads())
+    backward_to_layer(p, c2, zero_topped((1.0 - lam) * dmixed[m2 > 0]), segment_grads())
     return soft_logits, mix_logits, p.with_flat(sum(g.flat for g in segments))
 
 
@@ -267,7 +242,8 @@ class TestNoisyMixupPass:
         batch = tiny_batch(11)
         pair = tiny_pair(12)
         cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
-        mix = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        mix = NoisyMixupPass(p, batch, pair, cfg, rng)
 
         probe = np.random.default_rng(21)
         layer = int(probe.integers(1, p.cfg.num_layers + 1))
@@ -280,14 +256,15 @@ class TestNoisyMixupPass:
         mask1 = pair.first.mask.astype(np.float64)
         mask2 = pair.second.mask.astype(np.float64)
         union = np.maximum(mask1, mask2)
-        h1 = run_to_layer(p, pair.first.tokens, mask1, layer)
-        h2 = run_to_layer(p, pair.second.tokens, mask2, layer)
-        mixed = (lam * h1 + (1 - lam) * h2) * union[:, :, None]
-        xi_mul = probe.standard_normal(mixed.shape)
-        xi_add = probe.standard_normal(mixed.shape)
-        expected = ((1 + 0.2 * xi_mul) * mixed + 0.4 * xi_add) * union[:, :, None]
-        e = run_from_layer(p, expected, union, layer)
+        h1 = unpacked(run_to_layer(p, pair.first.tokens, Packing(mask1, np.float64), layer), mask1)
+        h2 = unpacked(run_to_layer(p, pair.second.tokens, Packing(mask2, np.float64), layer), mask2)
+        mixed = (lam * h1 + (1 - lam) * h2)[union > 0]
+        xi_mul, xi_add = probe.standard_normal((2,) + mixed.shape)
+        assert mixed.shape == (int(union.sum()), p.cfg.hidden)
+        expected = (1 + 0.2 * xi_mul) * mixed + 0.4 * xi_add
+        e = run_from_layer(p, expected, Packing(union, np.float64), layer)
         assert np.allclose(mix.logits, head_logits(p, e), atol=1e-9)
+        assert rng.bit_generator.state == probe.bit_generator.state
 
     def test_outputs_are_finite_and_shaped(self):
         p = tiny_params(seed=3)
@@ -408,24 +385,25 @@ class TestRaggedWidths:
     @pytest.mark.parametrize("widths", [(3, 5, 4), (5, 2, 3), (2, 4, 6)])
     def test_parts_of_different_widths_match_max_len(self, widths, attention, dtype):
         """Soft batch and pair halves cut to three widths give the logits
-        and gradients of the same rows padded to max_len. The noise is
-        drawn at the stacked width, so each run draws for its own width;
-        with both deltas at zero the draws have no effect on the outputs."""
+        and gradients of the same rows padded to max_len, noise included:
+        the noise is drawn for the union's real tokens, (2, U, H) of it
+        whatever the stacked width, so both runs draw the same field."""
         p = tiny_params(seed=6, dtype=dtype)
         soft, first, second = (ragged_batch(70 + k, w) for k, w in enumerate(widths))
         second.labels = (first.labels % p.M + 1).astype(np.int32)
         ragged = (cut(soft, widths[0]), PairedBatch(cut(first, widths[1]), cut(second, widths[2])))
         full = (soft, PairedBatch(first=first, second=second))
-        cfg = TrainConfig(alpha=2.0, delta_add=0.0, delta_mul=0.0)
+        cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
+        union = int(np.maximum(first.mask, second.mask).sum())
         rng = np.random.default_rng(9)
         dsoft = rng.standard_normal((len(soft), p.M + 1)).astype(dtype)
         dmix = rng.standard_normal((len(first), p.M + 1)).astype(dtype)
         runs = []
-        for (batch, pair), width in ((ragged, max(widths)), (full, TINY["max_len"])):
+        for batch, pair in (ragged, full):
             rng = np.random.default_rng(71)
             mix = NoisyMixupPass(p, batch, pair, cfg, rng, Workspace())
             grads = mix.backward(dsoft, dmix)
-            noise_shape = (len(first), width, TINY["hidden"])
+            noise_shape = (union, TINY["hidden"])
             assert rng.bit_generator.state == state_after_pass(71, p, cfg, noise_shape, dtype)
             runs.append((mix, grads.copy()))
         (got, got_grads), (want, want_grads) = runs

@@ -31,7 +31,6 @@ from snoic.corpus import (
     pair_batches,
     subsample_labeled,
     tokenize,
-    tokenize_text,
 )
 from snoic.errors import DataError, PairingError
 
@@ -114,15 +113,12 @@ class TestLoadDataset:
 
 
 class TestVocab:
-    def test_tokenize_text_lowercases_and_splits(self):
-        assert tokenize_text("Book a FLIGHT, please!") == ["book", "a", "flight", "please"]
-
     def test_build_vocab_reserves_first_ids(self):
         ds = Dataset(examples=[LabeledExample("a b", "x")])
         vocab = build_vocab(ds)
         assert vocab.id_to_token[:3] == list(RESERVED_TOKENS)
-        assert vocab.lookup("<pad>") == PAD_ID
-        assert vocab.lookup("<cls>") == CLS_ID
+        assert vocab.token_to_id["<pad>"] == PAD_ID
+        assert vocab.token_to_id["<cls>"] == CLS_ID
 
     def test_frequency_then_lexicographic_order(self):
         ds = Dataset(examples=[LabeledExample("b b a c a", "x")])
@@ -144,7 +140,9 @@ class TestVocab:
 
     def test_unknown_token_maps_to_unk(self):
         ds = Dataset(examples=[LabeledExample("a", "x")])
-        assert build_vocab(ds).lookup("never-seen") == UNK_ID
+        vocab = build_vocab(ds)
+        assert "never" not in vocab.token_to_id
+        assert tokenize("a never-seen", vocab, max_len=6) == [CLS_ID, vocab.token_to_id["a"], UNK_ID, UNK_ID]
 
     def test_save_load_round_trip(self, tmp_path):
         ds = Dataset(examples=[LabeledExample("alpha beta", "x")])
@@ -183,10 +181,16 @@ class TestTokenize:
     def vocab(self):
         return build_vocab(Dataset(examples=[LabeledExample("alpha beta gamma", "x")]))
 
+    def test_lowercases_and_splits_words(self):
+        """Words are lowercased and split on whitespace and punctuation."""
+        vocab = build_vocab(Dataset(examples=[LabeledExample("book a flight please", "x")]))
+        ids = tokenize("Book a FLIGHT, please!", vocab, max_len=8)
+        assert ids == [CLS_ID] + [vocab.token_to_id[w] for w in ("book", "a", "flight", "please")]
+
     def test_cls_prefix_and_padding(self, vocab):
         # the list is unpadded: its length is the sequence length
         ids = tokenize("alpha beta", vocab, max_len=6)
-        assert ids == [CLS_ID, vocab.lookup("alpha"), vocab.lookup("beta")]
+        assert ids == [CLS_ID, vocab.token_to_id["alpha"], vocab.token_to_id["beta"]]
         assert PAD_ID not in ids
 
     def test_unknown_words_become_unk(self, vocab):
@@ -195,7 +199,7 @@ class TestTokenize:
 
     def test_truncation_keeps_prefix(self, vocab):
         ids = tokenize("alpha beta gamma alpha beta", vocab, max_len=3)
-        assert ids == [CLS_ID, vocab.lookup("alpha"), vocab.lookup("beta")]
+        assert ids == [CLS_ID, vocab.token_to_id["alpha"], vocab.token_to_id["beta"]]
 
     def test_max_len_lower_bound(self, vocab):
         with pytest.raises(DataError):
@@ -231,7 +235,7 @@ class TestEncodeDataset:
         UNK_ID, and a long row is cut at max_len."""
         texts = ["", "?! ...", "alpha zzz", "alpha beta " * 5]
         enc = encode_dataset(ClassDataset(texts=texts, class_ids=[1] * 4, num_known=1), vocab, 4)
-        alpha, beta = vocab.lookup("alpha"), vocab.lookup("beta")
+        alpha, beta = vocab.token_to_id["alpha"], vocab.token_to_id["beta"]
         assert enc.lengths.tolist() == [1, 1, 3, 4]
         assert enc.tokens.tolist() == [
             [CLS_ID, PAD_ID, PAD_ID, PAD_ID],
@@ -532,7 +536,7 @@ class TestBatching:
         enc = encode_dataset(cds, vocab, 5)
         assert enc.lengths.tolist() == [3, 5]
         assert enc.tokens[0].tolist() == tokenize("alpha beta", vocab, 5) + [PAD_ID] * 2
-        assert enc.tokens[1].tolist() == [CLS_ID] + [vocab.lookup("gamma")] * 4
+        assert enc.tokens[1].tolist() == [CLS_ID] + [vocab.token_to_id["gamma"]] * 4
 
     def test_batch_sizes_cover_dataset(self):
         # 3 classes at r=0.9 keep M=2 known classes, 5 examples each.

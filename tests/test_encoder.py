@@ -16,9 +16,9 @@ from snoic.encoder import (
     Block,
     EncoderConfig,
     EncoderParams,
+    Packing,
     TapedForward,
     Workspace,
-    _Packing,
     _pool_forward,
     backward_to_layer,
     forward,
@@ -32,7 +32,7 @@ from snoic.encoder import (
 )
 from snoic.errors import CheckpointError, DataError, TrainingError
 from snoic.trainer import TrainConfig
-from gradcheck import attention_on, seed_for_layer, tiny_batch, tiny_pair, tiny_params
+from gradcheck import attention_on, seed_for_layer, tiny_batch, tiny_pair, tiny_params, unpacked, zero_topped
 
 
 def small_config(**overrides):
@@ -158,9 +158,11 @@ class TestForward:
         p = init_params(cfg, 4, seed=3)
         batch = random_batch(cfg, 4)
         e_full, logits_full = forward(p, batch)
+        pk = Packing(batch.mask, p.flat.dtype)
         for rl in range(0, cfg.num_layers + 1):
-            h = run_to_layer(p, batch.tokens, batch.mask, rl)
-            e = run_from_layer(p, h, batch.mask, rl)
+            h = run_to_layer(p, batch.tokens, pk, rl)
+            assert h.shape == (int(batch.mask.sum()), cfg.hidden)
+            e = run_from_layer(p, h, pk, rl)
             assert np.allclose(e, e_full, atol=1e-6)
             assert np.allclose(head_logits(p, e), logits_full, atol=1e-6)
 
@@ -168,21 +170,10 @@ class TestForward:
         cfg = small_config()
         p = init_params(cfg, 4, seed=5)
         batch = random_batch(cfg, 6)
-        h = run_to_layer(p, batch.tokens, batch.mask, 0)
+        h = run_to_layer(p, batch.tokens, Packing(batch.mask, p.flat.dtype), 0)
         t = batch.tokens.shape[1]
-        expected = (
-            p["token_embedding"][batch.tokens] + p["position_embedding"][None, :t, :]
-        ) * batch.mask[:, :, None]
-        assert np.allclose(h, expected, atol=1e-7)
-
-    @attention_on()
-    def test_padded_positions_stay_zero(self, attention):
-        cfg = small_config()
-        p = init_params(cfg, 4, seed=7)
-        batch = random_batch(cfg, 8, min_len=2)
-        for rl in range(0, cfg.num_layers + 1):
-            h = run_to_layer(p, batch.tokens, batch.mask, rl)
-            assert np.all(h[batch.mask == 0.0] == 0.0)
+        expected = p["token_embedding"][batch.tokens] + p["position_embedding"][None, :t, :]
+        assert np.allclose(h, expected[batch.mask > 0], atol=1e-7)
 
     @attention_on()
     def test_trailing_padding_is_inert(self, attention):
@@ -221,9 +212,10 @@ class TestForward:
         # Row 0 keeps only its CLS token.
         batch.mask[0, 1:] = 0.0
         batch.tokens[0, 1:] = 0
-        h = run_to_layer(p, batch.tokens, batch.mask, cfg.num_layers)
-        pooled_row = h[0, 0]
-        e = run_from_layer(p, h, batch.mask, cfg.num_layers)
+        pk = Packing(batch.mask, p.flat.dtype)
+        h = run_to_layer(p, batch.tokens, pk, cfg.num_layers)
+        pooled_row = h[0]  # row 0's one real token is the first packed row
+        e = run_from_layer(p, h, pk, cfg.num_layers)
         expected = np.maximum(pooled_row @ p["dense_w"] + p["dense_b"], 0.0)
         assert np.allclose(e[0], expected, atol=1e-6)
 
@@ -239,10 +231,24 @@ class TestForward:
         cfg = small_config()
         p = init_params(cfg, 4, seed=17)
         batch = random_batch(cfg, 18)
-        with pytest.raises(DataError, match="out of range"):
-            run_to_layer(p, batch.tokens, batch.mask, cfg.num_layers + 1)
-        with pytest.raises(DataError, match="out of range"):
-            run_to_layer(p, batch.tokens, batch.mask, -1)
+        pk = Packing(batch.mask, p.flat.dtype)
+        h = run_to_layer(p, batch.tokens, pk, 1)
+        for rl in (cfg.num_layers + 1, -1):
+            with pytest.raises(DataError, match="out of range"):
+                run_to_layer(p, batch.tokens, pk, rl)
+            with pytest.raises(DataError, match="out of range"):
+                run_from_layer(p, h, pk, rl)
+
+    def test_arrays_that_do_not_match_their_packing_rejected(self):
+        cfg = small_config()
+        p = init_params(cfg, 4, seed=17)
+        batch = random_batch(cfg, 18)
+        pk = Packing(batch.mask, p.flat.dtype)
+        with pytest.raises(DataError, match="do not match"):
+            run_to_layer(p, batch.tokens[:, :-1], pk, 1)
+        h = run_to_layer(p, batch.tokens, pk, 1)
+        with pytest.raises(DataError, match="do not match"):
+            run_from_layer(p, h[1:], pk, 1)
 
     def test_all_padding_row_rejected_at_pooling(self):
         cfg = small_config()
@@ -258,7 +264,7 @@ class TestForward:
         tokens = np.full((1, cfg.max_len + 1), 2, dtype=np.int32)
         mask = np.ones((1, cfg.max_len + 1), dtype=np.float32)
         with pytest.raises(DataError, match="max_len"):
-            run_to_layer(p, tokens, mask, 0)
+            run_to_layer(p, tokens, Packing(mask, p.flat.dtype), 0)
 
 
 class TestStraightLineReference:
@@ -370,11 +376,12 @@ class TestUntapedPass:
         p = init_params(cfg, 4, seed=33)
         batch = random_batch(cfg, 34)
         tokens, mask = batch.tokens.copy(), batch.mask.copy()
-        h = run_to_layer(p, batch.tokens, batch.mask, 1)
+        pk = Packing(batch.mask, p.flat.dtype)
+        h = run_to_layer(p, batch.tokens, pk, 1)
         assert np.array_equal(batch.tokens, tokens) and batch.mask.tobytes() == mask.tobytes()
         for start in (1, cfg.num_layers):
             h_before = h.tobytes()
-            run_from_layer(p, h, batch.mask, start)
+            run_from_layer(p, h, pk, start)
             assert h.tobytes() == h_before
             assert batch.mask.tobytes() == mask.tobytes()
 
@@ -693,7 +700,7 @@ class TestEmbedBackward:
     """The token-embedding gradient is the row scatter dtok[ids] += dh * mask,
     bit for bit, whichever way ``_embed_backward`` runs it. The embedding
     stage alone (``run_to_layer`` at layer 0) and its backward run it on the
-    packed real-token rows of a padded gradient."""
+    packed real-token rows of a padded gradient's real positions."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("ws", [FRESH, Workspace()], ids=["fresh", "workspace"])
@@ -712,8 +719,8 @@ class TestEmbedBackward:
         np.add.at(want, tokens.reshape(-1), (dh * mask[:, :, None]).reshape(-1, cfg.hidden))
         for _ in range(2):  # a second call into a used workspace
             cache: dict = {}
-            run_to_layer(p, tokens, mask, 0, cache, ws)
-            backward_to_layer(p, cache, dh, grads, ws)
+            run_to_layer(p, tokens, Packing(mask, dtype, ws), 0, cache, ws)
+            backward_to_layer(p, cache, zero_topped(dh[mask > 0]), grads, ws)
             assert grads["token_embedding"].dtype == dtype
             assert np.array_equal(grads["token_embedding"], want)
         assert np.array_equal(grads["position_embedding"][:width], (dh * mask[:, :, None]).sum(axis=0))
@@ -811,7 +818,7 @@ class TestPool:
             lengths = rng.integers(1, t + 1, size=7)
             lengths[0] = t
             mask = (np.arange(t) < lengths[:, None]).astype(dtype)
-            pk = _Packing(mask, dtype, ws, "to")
+            pk = Packing(mask, dtype, ws)
             h = (rng.normal(size=(pk.rows, hidden)) * rng.choice([1e-3, 1.0, 1e3], size=(pk.rows, 1))).astype(dtype)
             padded = np.zeros(mask.shape + (hidden,), dtype)
             padded[mask > 0] = h
@@ -828,8 +835,8 @@ class TestPool:
         cfg = small_config(max_len=12)
         p = init_params(cfg, 4, seed=21)
         batch = random_batch(cfg, 22, size=9)
-        h = run_to_layer(p, batch.tokens, batch.mask, cfg.num_layers)
-        want = np.maximum(reference_pool(h, batch.mask) @ p["dense_w"] + p["dense_b"], 0.0)
+        h = run_to_layer(p, batch.tokens, Packing(batch.mask, p.flat.dtype), cfg.num_layers)
+        want = np.maximum(reference_pool(unpacked(h, batch.mask), batch.mask) @ p["dense_w"] + p["dense_b"], 0.0)
         e = TapedForward(p, batch, Workspace()).e if taped else forward(p, batch)[0]
         assert np.array_equal(e, want)
 

@@ -5,6 +5,7 @@ import pytest
 
 from snoic.augment import inject_noise, mixup
 from snoic.encoder import (
+    Packing,
     TapedForward,
     backward_from_layer,
     head_backward,
@@ -21,6 +22,7 @@ from gradcheck import (
     tiny_batch,
     tiny_pair,
     tiny_params,
+    unpacked,
 )
 
 
@@ -63,9 +65,9 @@ def test_padding_rows_get_zero_position_gradient():
 
 @attention_on("attn")
 def test_cut_point_gradients_split_by_mixing_weight(attention):
-    """d loss / d h1 is lam * scale * union times the resumed gradient,
-    and d loss / d h2 carries the (1 - lam) share; both match FD probes
-    through the mix, noise, and resume chain."""
+    """d loss / d h1 is lam * scale times the resumed gradient at h1's
+    union rows, and d loss / d h2 carries the (1 - lam) share; both match
+    FD probes of the packed rows through the mix, noise, and resume chain."""
     p = tiny_params(seed=3)
     pair = tiny_pair(19)
     rl = 1
@@ -73,25 +75,29 @@ def test_cut_point_gradients_split_by_mixing_weight(attention):
     noise_seed = 55
     mask1 = pair.first.mask.astype(np.float64)
     mask2 = pair.second.mask.astype(np.float64)
-    h1 = run_to_layer(p, pair.first.tokens, mask1, rl)
-    h2 = run_to_layer(p, pair.second.tokens, mask2, rl)
+    union = np.maximum(mask1, mask2)
+    on, pu = union > 0, Packing(union, np.float64)
+    h1 = run_to_layer(p, pair.first.tokens, Packing(mask1, np.float64), rl)
+    h2 = run_to_layer(p, pair.second.tokens, Packing(mask2, np.float64), rl)
+
+    def noisy_of(a, b):
+        mixed = mixup(unpacked(a, mask1)[on], unpacked(b, mask2)[on], lam)
+        return inject_noise(mixed, np.random.default_rng(noise_seed), 0.4, 0.2)
 
     def loss_of(a, b):
-        mixed, union = mixup(a, mask1, b, mask2, lam)
-        noisy, _ = inject_noise(mixed, union, np.random.default_rng(noise_seed), 0.4, 0.2)
-        e = run_from_layer(p, noisy, union, rl)
+        e = run_from_layer(p, noisy_of(a, b)[0], pu, rl)
         return mixup_loss(head_logits(p, e))[0]
 
-    mixed, union = mixup(h1, mask1, h2, mask2, lam)
-    noisy, scale = inject_noise(mixed, union, np.random.default_rng(noise_seed), 0.4, 0.2)
+    noisy, scale = noisy_of(h1, h2)
     cache = {}
-    e = run_from_layer(p, noisy, union, rl, cache=cache)
+    e = run_from_layer(p, noisy, pu, rl, cache=cache)
     _, dlogits = mixup_loss(head_logits(p, e))
     grads = p.with_flat(np.empty_like(p.flat))
     de = head_backward(p, e, dlogits, grads)
     dh = backward_from_layer(p, cache, de, grads)
-    dmixed = dh * union[:, :, None] * scale
-    analytic = {"h1": lam * dmixed, "h2": (1.0 - lam) * dmixed}
+    assert not dh[0].any()
+    dmixed = unpacked(dh[1:] * scale, union)
+    analytic = {"h1": lam * dmixed[mask1 > 0], "h2": (1.0 - lam) * dmixed[mask2 > 0]}
 
     rng = np.random.default_rng(23)
     eps = 1e-5

@@ -909,8 +909,9 @@ class TestStepMemory:
         batch = self.batch(4, width=widths[-1])
         return self.peak_bytes(lambda: step(batch))
 
-    def open_peak(self, widths, layer) -> int:
-        """The peak of an open step that mixes at block ``layer``."""
+    def open_peak(self, widths, layer, full_pair=False) -> int:
+        """The peak of an open step that mixes at block ``layer``; with
+        ``full_pair`` every row of its pair is as long as the batch is wide."""
         params = self.params()
         opt = OptimizerState.for_params(params)
         ws = Workspace()
@@ -930,6 +931,10 @@ class TestStepMemory:
         for seed, size, layer, width in zip((1, 3, 5), (32, 16, 32), (depth, 1, 1), widths):
             step(self.batch(seed, size, width), self.pair(seed + 10, size, width), mixing_at(layer))
         batch, pair, rng = self.batch(7, width=widths[-1]), self.pair(17, width=widths[-1]), mixing_at(layer)
+        if full_pair:
+            for half in (pair.first, pair.second):
+                half.mask[:] = 1.0
+                half.tokens[half.tokens == 0] = 3
         return self.peak_bytes(lambda: step(batch, pair, rng))
 
     def open_peaks(self, widths) -> dict[int, int]:
@@ -944,8 +949,15 @@ class TestStepMemory:
 
     def test_open_step(self):
         peaks = self.open_peaks(FULL_WIDTHS)
-        assert max(peaks.values()) <= 0.19e6, peaks
+        assert max(peaks.values()) <= 0.18e6, peaks
 
     def test_open_step_at_ragged_widths(self):
         peaks = self.open_peaks(RAGGED_WIDTHS)
-        assert max(peaks.values()) <= 0.19e6, peaks
+        assert max(peaks.values()) <= 0.18e6, peaks
+
+    def test_open_step_with_a_full_union(self):
+        """A pair with no padding mixes more union tokens than any warm-up
+        step. The buffers of the union's rows are kept at the padded size,
+        so only the per-row vectors grow; had the union's buffers grown to
+        fit, this step would allocate about 1.2 MB."""
+        assert self.open_peak(FULL_WIDTHS, 1, full_pair=True) <= 0.21e6
