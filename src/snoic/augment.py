@@ -12,11 +12,12 @@ noise is injected:
 
 with xi_mul and xi_add i.i.d. standard normal in the state's dtype, drawn
 in that order as one (2, U, H) field, U being the number of those union
-positions over the batch. How many normals a step draws thus depends on
-the pairs' lengths, never on the batch width or the noise settings: the
-noise is drawn even when a delta is zero, so the paper's SNOiC-AN and
-SNOiC-MN ablations (delta_add = 0 and delta_mul = 0) consume the same
-stream as the full method. Noise draws act as constants for gradient
+positions over the batch: a row's real positions are its first ones, so
+U sums the larger length of each pair. How many normals a step draws
+thus depends on the pairs' lengths, never on the batch width or the
+noise settings: the noise is drawn even when a delta is zero, so the
+paper's SNOiC-AN and SNOiC-MN ablations (delta_add = 0 and
+delta_mul = 0) consume the same stream as the full method. Noise draws act as constants for gradient
 purposes. :func:`mixup` and :func:`inject_noise` are elementwise: the
 pass hands them the union positions' packed rows, so no padded position
 is mixed, drawn for or zeroed.
@@ -102,18 +103,20 @@ class NoisyMixupPass:
 
     The soft-target batch and both halves of the pair run through the
     embeddings and blocks 1..layer as one stacked (b + 2n, t) batch,
-    PAD-filled to the width of the widest of the three. The soft rows and
-    the noisy mixed rows then resume together through the remaining
-    blocks, pooling, dense layer and head, packed by one (b + n, t)
-    from-mask: the soft rows' mask over ``union``, the union of each
-    pair's masks. The mixed row at flat position q of that layout mixes
-    the stacked packing's rows ``pos[q]`` and ``pos[q + n t]``, gathered
-    from the zero-topped packed rows at the cut, where row 0 stands for a
-    half that is padding there. ``soft_logits`` and ``logits`` are the two
-    halves of the head output. The pass's arrays live in ``ws``: pass the
-    stage's workspace so that every step reuses one set of buffers; as a
-    ``TapedForward``'s, its backward raises TrainingError once another
-    pass is recorded there.
+    PAD-filled to the width of the widest of the three and packed from
+    their lengths. The soft rows and the noisy mixed rows then resume
+    together through the remaining blocks, pooling, dense layer and head,
+    as one (b + n, t) layout packed from the soft rows' lengths and
+    ``union``, each pair's larger length: a mixed row's real positions
+    are the union of its halves'. The mixed row at flat position q of
+    that layout mixes the stacked packing's rows ``pos[q]`` and
+    ``pos[q + n t]``, gathered from the zero-topped packed rows at the
+    cut, where row 0 stands for a half that is padding there.
+    ``soft_logits`` and ``logits`` are the two halves of the head output.
+    Both packings are built on ``ws``, and the pass's arrays live there:
+    pass the stage's workspace so that every step reuses one set of
+    buffers; as a ``TapedForward``'s, its backward raises TrainingError
+    once another pass is recorded there.
 
     ``cfg`` is the stage's TrainConfig, read for alpha, delta_add and
     delta_mul. Draw order per step: mix layer (uniform over blocks 1..L),
@@ -144,38 +147,32 @@ class NoisyMixupPass:
         hd, dt = p.cfg.hidden, p.flat.dtype
         tokens = ws.take("mix.tokens", (b + 2 * n, t), batch.tokens.dtype)
         tokens.fill(PAD_ID)
-        mask = ws.take("mix.mask", (b + 2 * n, t), dt)
-        mask.fill(0)
         for start, part in zip((0, b, b + n), parts):
-            width = part.tokens.shape[1]
-            tokens[start : start + len(part), :width] = part.tokens
-            mask[start : start + len(part), :width] = part.mask
-        from_mask = ws.take("mix.from_mask", (b + n, t), dt)
-        from_mask[:b] = mask[:b]
-        self.union = np.maximum(mask[b : b + n], mask[b + n :], out=from_mask[b:])
-        pk = Packing(mask, dt, ws, "to")
-        fk = Packing(from_mask, dt, ws, "from")
+            tokens[start : start + len(part), : part.tokens.shape[1]] = part.tokens
+        self.union = np.maximum(pair.first.lengths, pair.second.lengths)
+        pk = Packing(np.concatenate([part.lengths for part in parts]), t, dt, ws, "to")
+        fk = Packing(np.concatenate((batch.lengths, self.union)), t, dt, ws, "from")
         # the packed rows of the soft batch end at soft, those of the first halves at halves
-        self.soft, self.halves = pk.idx.searchsorted((b * t, (b + n) * t)).tolist()
-        soft = self.soft
+        soft = self.soft = int(batch.lengths.sum())
+        self.halves = soft + int(pair.first.lengths.sum())
         # the union's rows at the padded size, as packed rows are: a step with more of
         # them than any step before allocates nothing
         for key, fields in (("mix.mixed", 1), ("mix.noisy", 1), ("mix.xi", 2)):
             ws.take(key, (fields * n * t, hd), dt)
 
         self.to_cache: dict = {}
-        cut = run_to_layer(p, tokens, pk, self.layer, self.to_cache, ws)
-        to_rows = pk.zero_topped(ws, "rows", hd, dt)
+        cut = run_to_layer(p, tokens, pk, self.layer, self.to_cache)
+        to_rows = pk.zero_topped("rows", hd, dt)
         to_rows[1:] = cut
         # the soft rows and the first halves, then the second halves, n rows further down
-        src = pk.pos.take(fk.idx, out=fk.take(ws, "mix.src", None, np.intp), mode="clip")
-        h = to_rows.take(src, axis=0, out=fk.take(ws, "mix.h", hd, dt), mode="clip")
+        src = pk.pos.take(fk.idx, out=fk.take("mix.src", None, np.intp), mode="clip")
+        h = to_rows.take(src, axis=0, out=fk.take("mix.h", hd, dt), mode="clip")
         pk.pos[n * t :].take(fk.idx[soft:], out=src[soft:], mode="clip")
-        h2 = to_rows.take(src[soft:], axis=0, out=fk.take(ws, "mix.h2", hd, dt)[soft:], mode="clip")
+        h2 = to_rows.take(src[soft:], axis=0, out=fk.take("mix.h2", hd, dt)[soft:], mode="clip")
         mixed = mixup(h[soft:], h2, self.lam, ws)
         h[soft:], self.scale = inject_noise(mixed, rng, cfg.delta_add, cfg.delta_mul, ws)
         self.from_cache: dict = {}
-        self.e = run_from_layer(p, h, fk, self.layer, self.from_cache, ws)
+        self.e = run_from_layer(p, h, fk, self.layer, self.from_cache)
         logits = head_logits(p, self.e)
         self.soft_logits, self.logits = logits[:b], logits[b:]
 
@@ -183,17 +180,17 @@ class NoisyMixupPass:
         ws, soft, halves = self.ws, self.soft, self.halves
         grads = ws.grads(self.p, self.generation)
         de = head_backward(self.p, self.e, np.concatenate([dsoft, dmix]), grads)
-        dh = backward_from_layer(self.p, self.from_cache, de, grads, ws)
+        dh = backward_from_layer(self.p, self.from_cache, de, grads)
         dh[1 + soft :] *= self.scale
         pk, fk = self.to_cache["pack"], self.from_cache["pack"]
         # each stacked position's row in the from-packing: a second half's is its union's
-        union_pos = fk.pos[fk.pos.size - self.union.size :]
+        union_pos = fk.pos[len(self.soft_logits) * fk.shape[1] :]
         from_pos = ws.take("mix.from_pos", (fk.pos.size + union_pos.size,), np.intp)
         np.concatenate((fk.pos, union_pos), out=from_pos)
-        back = from_pos.take(pk.idx, out=pk.take(ws, "mix.back", None, np.intp), mode="clip")
-        dstack = pk.zero_topped(ws, "mix.dh", dh.shape[1], dh.dtype)
+        back = from_pos.take(pk.idx, out=pk.take("mix.back", None, np.intp), mode="clip")
+        dstack = pk.zero_topped("mix.dh", dh.shape[1], dh.dtype)
         dh.take(back, axis=0, out=dstack[1:], mode="clip")
         dstack[1 + soft : 1 + halves] *= self.lam
         dstack[1 + halves :] *= 1.0 - self.lam
-        backward_to_layer(self.p, self.to_cache, dstack, grads, ws)
+        backward_to_layer(self.p, self.to_cache, dstack, grads)
         return grads

@@ -332,12 +332,14 @@ def encode_dataset(cds: ClassDataset, vocab: Vocab, max_len: int) -> EncodedData
 class Batch:
     """Rows of an encoded dataset, T columns wide.
 
-    Batches cut by this module are exactly as wide as their longest row
-    (T <= max_len), so no column is padding in every row.
+    Row i holds ``lengths[i]`` real tokens, in columns 0..lengths[i] - 1;
+    the rest of it is padding. Batches cut by this module are exactly as
+    wide as their longest row (T <= max_len), so no column is padding in
+    every row.
     """
 
     tokens: np.ndarray  # (B, T) int32
-    mask: np.ndarray  # (B, T) float32 in {0, 1}
+    lengths: np.ndarray  # (B,) int32, real tokens per row
     labels: np.ndarray  # (B,) int32, class ids 1..M+1
 
     def __len__(self) -> int:
@@ -358,15 +360,10 @@ class PairedBatch:
             raise PairingError("paired batches collide on at least one position")
 
 
-def _lengths_to_mask(lengths: np.ndarray, width: int) -> np.ndarray:
-    return (np.arange(width)[None, :] < lengths[:, None]).astype(np.float32)
-
-
 def _batch(enc: EncodedDataset, idx: np.ndarray) -> Batch:
     """The rows ``idx`` of ``enc``, trimmed to the longest of them."""
     lengths = enc.lengths[idx]
-    width = int(lengths.max())
-    return Batch(tokens=enc.tokens[idx, :width], mask=_lengths_to_mask(lengths, width), labels=enc.class_ids[idx])
+    return Batch(tokens=enc.tokens[idx, : lengths.max()], lengths=lengths, labels=enc.class_ids[idx])
 
 
 def _check_batching(enc: EncodedDataset, batch_size: int) -> None:

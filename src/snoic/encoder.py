@@ -12,19 +12,20 @@ The pass is built from two segment runners that meet at a block boundary:
 representation. Between them the hidden state may be modified externally,
 which is the mixup injection point.
 
-Token-wise work runs on the real tokens only. A pass builds one
-:class:`Packing` from its mask, and the embedding gather, the
-projections, the residual adds, the layer norms and the feed-forward
-sublayer run on packed (real tokens, H) arrays, no padded position among
-them. Only the attention core (scores, softmax and ``att @ v``, and their
-backward) runs in the padded (n, t, ·) layout: q, k and v are gathered
-into it and the context is gathered back. Pooling gathers the last
-block's rows into the padded layout once to sum them per sequence. The
-runners take a packing and pass packed rows across the cut: the hidden
-state there is (real tokens, H), one row per real token in the mask's
-row-major order, and its gradient is zero-topped, one zero row above the
-packed rows, which is the row a gather through ``Packing.pos`` reads at
-padding.
+Token-wise work runs on the real tokens only. A batch's real tokens are
+the first ``lengths[i]`` positions of each row i. A pass builds one
+:class:`Packing` from the lengths and the batch width, and the
+embedding gather, the projections, the residual adds, the layer norms
+and the feed-forward sublayer run on packed (real tokens, H) arrays, no
+padded position among them. Only the attention core (scores, softmax and
+``att @ v``, and their backward) runs in the padded (n, t, ·) layout: q,
+k and v are gathered into it and the context is gathered back. Pooling
+gathers the last block's rows into the padded layout once to sum them
+per sequence. The runners take a packing and pass packed rows across the
+cut: the hidden state there is (real tokens, H), one row per real token
+in row-major order, and its gradient is zero-topped, one zero row above
+the packed rows, which is the row a gather through ``Packing.pos`` reads
+at padding.
 
 The optional ``cache`` argument of the runners decides what a pass keeps.
 With a cache dict (a tape), each sublayer stores in it exactly what its
@@ -42,11 +43,13 @@ rerun the same code in float64.
 
 Every per-token array a pass writes comes from its :class:`Workspace`
 through ``out=``, and so does the gradient buffer; per-row vectors are
-allocated per pass. A training stage creates one workspace and records
-each step's tape into it, so the tape, the backward gradients and the
-scratch arrays reuse the same buffers step after step instead of being
-allocated, freed and faulted back in. The default, :data:`FRESH`, hands
-out new arrays, which is what untaped passes use.
+allocated per pass. The packing keeps the workspace it was built on, and
+the runners and building blocks take every array from there, so a pass
+cannot mix two workspaces. A training stage creates one workspace and
+records each step's tape into it, so the tape, the backward gradients
+and the scratch arrays reuse the same buffers step after step instead of
+being allocated, freed and faulted back in. The default, :data:`FRESH`,
+hands out new arrays, which is what untaped passes use.
 
 Parameters live in one flat, C-contiguous buffer: :class:`EncoderParams`
 keys reshaped views into it by name, back to back in canonical
@@ -247,7 +250,9 @@ class Workspace:
     and name (``(i, "q")``), so no two of them share storage. Backward
     gradients are keyed by name alone and shared by every block. ``"tmp"``
     is scratch of any shape that no function keeps past its return, and
-    ``"rows"`` is such scratch for packed rows below a zero row.
+    ``"rows"`` is such scratch for packed rows below a zero row. A pass
+    reaches its workspace through its :class:`Packing`, which keeps the
+    one it was built on.
     """
 
     def __init__(self):
@@ -314,24 +319,35 @@ def _arange(n: int) -> np.ndarray:
 
 
 class Packing:
-    """Where the real tokens of an (n, t) mask sit, built once per pass.
+    """Where the real tokens of an (n, t) batch sit, built once per pass
+    from its row lengths and width ``t``.
 
-    Token-wise sublayers run on packed (rows, width) arrays, one row per
-    real token in the mask's row-major order, so no padded position is
-    computed. ``idx`` holds each packed row's position in the flattened
-    (n * t) layout, and ``seq`` and ``col`` its row and column; gathering
-    ``idx`` packs a padded array (:meth:`pack`). ``pos`` holds 1 + the
-    packed row of each padded position, and 0 at padding; gathering it
-    from a zero-topped buffer (:meth:`zero_topped`) unpacks a packed array
-    with zeros at padding (:meth:`unpack`). ``counts`` are the real tokens
-    per row and ``bias`` the attention scores' mask term, both in
-    ``dtype``. The index vectors live in ``ws`` under ``key``, so two
-    packings of one pass take two keys.
+    Position c of row s is real when c < ``lengths[s]``; the lengths are
+    integers in 0..t, else :class:`DataError`. Token-wise sublayers run on
+    packed (rows, width) arrays, one row per real token in row-major
+    order, so no padded position is computed. ``idx`` holds each packed
+    row's position in the flattened (n * t) layout, and ``seq`` and
+    ``col`` its row and column; gathering ``idx`` packs a padded array
+    (:meth:`pack`). ``pos`` holds 1 + the packed row of each padded
+    position, and 0 at padding; gathering it from a zero-topped buffer
+    (:meth:`zero_topped`) unpacks a packed array with zeros at padding
+    (:meth:`unpack`). ``counts`` are the lengths and ``bias`` the
+    attention scores' additive term, 0 at real keys and
+    ``ATTN_MASK_VALUE`` at padding, both in ``dtype``. ``ws`` is the
+    workspace of the pass: every array the pass writes is taken from it,
+    through :meth:`take` for packed rows. The packing's own index vectors
+    live there under ``key``, so two packings of one pass take two keys.
     """
 
-    def __init__(self, mask: np.ndarray, dtype, ws: Workspace = FRESH, key: str = "to"):
-        n, t = self.shape = mask.shape
-        real = np.not_equal(mask, 0, out=ws.take((key, "real"), (n, t), bool)).reshape(-1)
+    def __init__(self, lengths: np.ndarray, width: int, dtype, ws: Workspace = FRESH, key: str = "to"):
+        lengths = np.asarray(lengths)
+        if lengths.ndim != 1 or not np.issubdtype(lengths.dtype, np.integer):
+            raise DataError(f"lengths must be a vector of integers, got {lengths.dtype} of shape {lengths.shape}")
+        if lengths.size and (lengths.min() < 0 or lengths.max() > width):
+            raise DataError(f"lengths must lie in 0..{width}, got {lengths.min()}..{lengths.max()}")
+        n, t = self.shape = lengths.size, width
+        self.ws = ws
+        real = np.less(_arange(t), lengths[:, None], out=ws.take((key, "real"), (n, t), bool)).reshape(-1)
         pos = self.pos = real.cumsum(dtype=np.intp, out=ws.take((key, "pos"), (n * t,), np.intp))
         self.rows = int(pos[-1]) if n * t else 0
         # a workspace keeps its buffers, so a packed one is taken at the padded size and
@@ -339,26 +355,26 @@ class Packing:
         # arrays are used once, and one of the exact size is faster to get
         self.capacity = self.rows if isinstance(ws, _FreshArrays) else n * t
         pos *= real
-        idx = self.take(ws, (key, "idx"), None, np.intp, top=1)
+        idx = self.take((key, "idx"), None, np.intp, top=1)
         idx.put(pos, _arange(n * t), mode="clip")  # padded positions all land in the unused slot 0
         self.idx = idx[1:]
-        seq, col = self.take(ws, (key, "seq"), None, np.intp), self.take(ws, (key, "col"), None, np.intp)
+        seq, col = self.take((key, "seq"), None, np.intp), self.take((key, "col"), None, np.intp)
         self.seq, self.col = np.divmod(self.idx, t, out=(seq, col))
-        self.counts = mask.sum(axis=1, dtype=dtype)
-        bias = np.subtract(1.0, mask, out=ws.take((key, "bias"), (n, 1, t), dtype).reshape(n, t))
-        bias *= ATTN_MASK_VALUE
-        self.bias = bias.reshape(n, 1, t)
+        self.counts = lengths.astype(dtype)
+        self.bias = ws.take((key, "bias"), (n, 1, t), dtype)
+        np.subtract(1.0, real, out=self.bias.reshape(-1), dtype=dtype)
+        self.bias *= ATTN_MASK_VALUE
 
-    def take(self, ws: Workspace, key, width: int | None, dtype, top: int = 0) -> np.ndarray:
-        """``top`` + rows packed rows of ``width`` (None: a vector) from
-        ``ws``, in a buffer of ``top`` + capacity rows."""
+    def take(self, key, width: int | None, dtype, top: int = 0) -> np.ndarray:
+        """``top`` + rows packed rows of ``width`` (None: a vector) from the
+        workspace, in a buffer of ``top`` + capacity rows."""
         rows = self.capacity + top
-        return ws.take(key, (rows,) if width is None else (rows, width), dtype)[: self.rows + top]
+        return self.ws.take(key, (rows,) if width is None else (rows, width), dtype)[: self.rows + top]
 
-    def zero_topped(self, ws: Workspace, key, width: int, dtype) -> np.ndarray:
+    def zero_topped(self, key, width: int, dtype) -> np.ndarray:
         """A (rows + 1, width) buffer whose first row is zero. Its other rows
         hold a packed array, which :meth:`unpack` reads."""
-        buf = self.take(ws, key, width, dtype, top=1)
+        buf = self.take(key, width, dtype, top=1)
         buf[0] = 0
         return buf
 
@@ -376,23 +392,23 @@ class Packing:
 # forward / backward building blocks, on packed rows
 
 
-def _embed_forward(p: EncoderParams, tokens: np.ndarray, pk: Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
+def _embed_forward(p: EncoderParams, tokens: np.ndarray, pk: Packing, cache: dict | None) -> np.ndarray:
     t = tokens.shape[1]
     if t > p.cfg.max_len:
         raise DataError(f"sequence length {t} exceeds configured max_len {p.cfg.max_len}")
     table = p["token_embedding"]
     hd = table.shape[1]
-    ids = tokens.take(pk.idx, out=pk.take(ws, "embed.ids", None, tokens.dtype), mode="clip")
+    ids = tokens.take(pk.idx, out=pk.take("embed.ids", None, tokens.dtype), mode="clip")
     if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
         raise DataError(f"token ids must lie in 0..{len(table) - 1}")
     # mode="raise" would gather through a temporary; the ids are checked above
-    h = table.take(ids, axis=0, out=pk.take(ws, "embed", hd, table.dtype), mode="clip")
-    h += p["position_embedding"].take(pk.col, axis=0, out=pk.take(ws, "tmp", hd, h.dtype), mode="clip")
+    h = table.take(ids, axis=0, out=pk.take("embed", hd, table.dtype), mode="clip")
+    h += p["position_embedding"].take(pk.col, axis=0, out=pk.take("tmp", hd, h.dtype), mode="clip")
     if cache is not None:
         # the backward's scatter index, id * H + j per gradient element. numpy allocates
         # a buffer for the broadcast add; here, before the tape holds anything, it
         # does not add to the step's peak
-        at = pk.take(ws, "embed.at", hd, np.intp)
+        at = pk.take("embed.at", hd, np.intp)
         np.copyto(at, ids[:, None])
         at *= hd
         at += _arange(hd)
@@ -400,7 +416,7 @@ def _embed_forward(p: EncoderParams, tokens: np.ndarray, pk: Packing, cache: dic
     return h
 
 
-def _embed_backward(p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace) -> None:
+def _embed_backward(p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams) -> None:
     """``dh`` is the zero-topped gradient of the embeddings' packed rows."""
     pk = cache["pack"]
     (n, t), hd = pk.shape, dh.shape[1]
@@ -409,7 +425,7 @@ def _embed_backward(p: EncoderParams, cache: dict, dh: np.ndarray, grads: Encode
     # dtok[ids] += dh row by row, run as one element scatter over the flat table: each
     # entry takes the same additions in the same order, so the sums are bit-identical
     np.add.at(dtok.reshape(-1), cache["at"].reshape(-1), dh[1:].reshape(-1))
-    pk.unpack(dh, ws.take("tmp", (n, t, hd), dh.dtype)).sum(axis=0, out=dpos[:t])
+    pk.unpack(dh, pk.ws.take("tmp", (n, t, hd), dh.dtype)).sum(axis=0, out=dpos[:t])
     dpos[t:] = 0
 
 
@@ -419,7 +435,7 @@ def _subcache(cache: dict | None, key: str | int) -> dict | None:
 
 
 def _layernorm_forward(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None, pk: Packing, ws: Workspace, key
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None, pk: Packing, key
 ) -> np.ndarray:
     """Normalize the last axis. ``x`` is a sum the caller no longer needs:
     it is overwritten. A taped pass writes the output under ``key``."""
@@ -427,7 +443,7 @@ def _layernorm_forward(
     mu = rowsum(x)
     mu /= h
     xc = np.subtract(x, mu, out=x)
-    var = rowsum(np.multiply(xc, xc, out=pk.take(ws, "tmp", h, x.dtype)))
+    var = rowsum(np.multiply(xc, xc, out=pk.take("tmp", h, x.dtype)))
     var /= h
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = np.multiply(xc, inv, out=xc)
@@ -435,19 +451,19 @@ def _layernorm_forward(
         y = np.multiply(xhat, gain, out=xhat)
     else:
         cache["xhat"], cache["inv"] = xhat, inv
-        y = np.multiply(xhat, gain, out=pk.take(ws, key, h, x.dtype))
+        y = np.multiply(xhat, gain, out=pk.take(key, h, x.dtype))
     y += bias
     return y
 
 
 def _layernorm_backward(
-    dy: np.ndarray, cache: dict, gain: np.ndarray, dgain: np.ndarray, dbias: np.ndarray, pk: Packing, ws: Workspace
+    dy: np.ndarray, cache: dict, gain: np.ndarray, dgain: np.ndarray, dbias: np.ndarray, pk: Packing
 ) -> np.ndarray:
     """Writes the gain and bias gradients into ``dgain`` and ``dbias`` and
     overwrites ``dy`` with the input gradient it returns."""
     xhat, inv = cache["xhat"], cache["inv"]
     h = dy.shape[-1]
-    tmp = np.multiply(dy, xhat, out=pk.take(ws, "tmp", h, dy.dtype))
+    tmp = np.multiply(dy, xhat, out=pk.take("tmp", h, dy.dtype))
     colsum(tmp, out=dgain)
     colsum(dy, out=dbias)
     dxhat = np.multiply(dy, gain, out=dy)
@@ -461,22 +477,20 @@ def _layernorm_backward(
     return np.multiply(inv, dx, out=dx)
 
 
-def _attention_forward(
-    w: Block, i: int, h: np.ndarray, pk: Packing, cache: dict | None, ws: Workspace
-) -> np.ndarray:
+def _attention_forward(w: Block, i: int, h: np.ndarray, pk: Packing, cache: dict | None) -> np.ndarray:
     """The projections run on the packed rows ``h``; the scores, softmax and
     ``att @ v`` run in the padded (n, t, ·) layout, q, k and v unpacked into
     it, and the context is packed back for the output projection."""
     (n, t), hd, dt = pk.shape, h.shape[1], h.dtype
-    rows = pk.zero_topped(ws, "rows", hd, dt)
+    rows = pk.zero_topped("rows", hd, dt)
 
     def unpacked(weight, key):
         np.matmul(h, weight, out=rows[1:])
-        return pk.unpack(rows, ws.take((i, key), (n, t, hd), dt))
+        return pk.unpack(rows, pk.ws.take((i, key), (n, t, hd), dt))
 
     q, k = unpacked(w.attn_q, "q"), unpacked(w.attn_k, "k")
     scale = 1.0 / math.sqrt(hd)
-    scores = np.matmul(q, k.swapaxes(1, 2), out=ws.take((i, "att"), (n, t, t), dt))
+    scores = np.matmul(q, k.swapaxes(1, 2), out=pk.ws.take((i, "att"), (n, t, t), dt))
     if cache is not None:
         cache.update(h=h, q=q, k=k, scale=scale)
     del q, k
@@ -484,99 +498,99 @@ def _attention_forward(
     scores += pk.bias
     att = softmax(scores, out=scores)
     v = unpacked(w.attn_v, "v")
-    ctx = pk.pack(np.matmul(att, v, out=ws.take("attn.ctx", (n, t, hd), dt)), pk.take(ws, (i, "ctx"), hd, dt))
+    ctx = pk.pack(np.matmul(att, v, out=pk.ws.take("attn.ctx", (n, t, hd), dt)), pk.take((i, "ctx"), hd, dt))
     if cache is not None:
         cache.update(v=v, att=att, ctx=ctx)
     del v, att
-    return np.matmul(ctx, w.attn_out, out=pk.take(ws, (i, "s1"), hd, dt))
+    return np.matmul(ctx, w.attn_out, out=pk.take((i, "s1"), hd, dt))
 
 
-def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: Packing, ws: Workspace) -> np.ndarray:
+def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: Packing) -> np.ndarray:
     h, q, k, v, att, ctx, scale = (
         cache["h"], cache["q"], cache["k"], cache["v"], cache["att"], cache["ctx"], cache["scale"],
     )
     shape, hd, dt = q.shape, h.shape[1], h.dtype
     np.matmul(ctx.T, dout, out=g.attn_out)
-    rows = pk.zero_topped(ws, "rows", hd, dt)
+    rows = pk.zero_topped("rows", hd, dt)
     np.matmul(dout, w.attn_out.T, out=rows[1:])
-    dctx = pk.unpack(rows, ws.take("attn.ctx", shape, dt))
-    datt = np.matmul(dctx, v.swapaxes(1, 2), out=ws.take("attn.datt", att.shape, dt))
-    dv = np.matmul(att.swapaxes(1, 2), dctx, out=ws.take("attn.dv", shape, dt))
+    dctx = pk.unpack(rows, pk.ws.take("attn.ctx", shape, dt))
+    datt = np.matmul(dctx, v.swapaxes(1, 2), out=pk.ws.take("attn.datt", att.shape, dt))
+    dv = np.matmul(att.swapaxes(1, 2), dctx, out=pk.ws.take("attn.dv", shape, dt))
     # dscores = att * (datt - rowsum(datt * att)), written over datt
-    datt -= rowsum(np.multiply(datt, att, out=ws.take("tmp", att.shape, dt)))
+    datt -= rowsum(np.multiply(datt, att, out=pk.ws.take("tmp", att.shape, dt)))
     dscores = np.multiply(att, datt, out=datt)
-    dk = np.matmul(dscores.swapaxes(1, 2), q, out=ws.take("tmp", shape, dt))
+    dk = np.matmul(dscores.swapaxes(1, 2), q, out=pk.ws.take("tmp", shape, dt))
     dq = np.matmul(dscores, k, out=dctx)  # dctx is spent
     # the packed gradients of q, k and v; dq goes where the packed dctx was
     dq = pk.pack(dq, rows[1:])
-    dk = pk.pack(dk, pk.take(ws, "attn.dk", hd, dt))
-    dv = pk.pack(dv, pk.take(ws, "attn.dv.packed", hd, dt))
+    dk = pk.pack(dk, pk.take("attn.dk", hd, dt))
+    dv = pk.pack(dv, pk.take("attn.dv.packed", hd, dt))
     dq *= scale
     dk *= scale
     for grad, d in ((g.attn_q, dq), (g.attn_k, dk), (g.attn_v, dv)):
         np.matmul(h.T, d, out=grad)
     # the last two products go through dq's storage, which nothing reads again
-    dx = np.matmul(dq, w.attn_q.T, out=pk.take(ws, "dx", hd, dt))
+    dx = np.matmul(dq, w.attn_q.T, out=pk.take("dx", hd, dt))
     dx += np.matmul(dk, w.attn_k.T, out=dq)
     dx += np.matmul(dv, w.attn_v.T, out=dq)
     return dx
 
 
-def _ffn_forward(w: Block, i: int, x: np.ndarray, pk: Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
-    u = np.matmul(x, w.ffn_w1, out=pk.take(ws, (i, "r"), w.ffn_w1.shape[1], x.dtype))
+def _ffn_forward(w: Block, i: int, x: np.ndarray, pk: Packing, cache: dict | None) -> np.ndarray:
+    u = np.matmul(x, w.ffn_w1, out=pk.take((i, "r"), w.ffn_w1.shape[1], x.dtype))
     u += w.ffn_b1
     r = np.maximum(u, 0.0, out=u)
     if cache is not None:
         cache.update(x=x, r=r)
-    out = np.matmul(r, w.ffn_w2, out=pk.take(ws, (i, "s2"), x.shape[1], x.dtype))
+    out = np.matmul(r, w.ffn_w2, out=pk.take((i, "s2"), x.shape[1], x.dtype))
     out += w.ffn_b2
     return out
 
 
-def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: Packing, ws: Workspace) -> np.ndarray:
+def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: Packing) -> np.ndarray:
     x, r = cache["x"], cache["r"]
     hd, fd = x.shape[1], r.shape[1]
     np.matmul(r.T, dout, out=g.ffn_w2)
     colsum(dout, out=g.ffn_b2)
-    du = np.matmul(dout, w.ffn_w2.T, out=pk.take(ws, "ffn.du", fd, r.dtype))
-    du *= np.greater(r, 0, out=pk.take(ws, "ffn.on", fd, bool))
+    du = np.matmul(dout, w.ffn_w2.T, out=pk.take("ffn.du", fd, r.dtype))
+    du *= np.greater(r, 0, out=pk.take("ffn.on", fd, bool))
     np.matmul(x.T, du, out=g.ffn_w1)
     colsum(du, out=g.ffn_b1)
-    return np.matmul(du, w.ffn_w1.T, out=pk.take(ws, "dx", hd, x.dtype))
+    return np.matmul(du, w.ffn_w1.T, out=pk.take("dx", hd, x.dtype))
 
 
-def _block_forward(w: Block, i: int, h: np.ndarray, pk: Packing, cache: dict | None, ws: Workspace) -> np.ndarray:
+def _block_forward(w: Block, i: int, h: np.ndarray, pk: Packing, cache: dict | None) -> np.ndarray:
     """Apply the block with tensors ``w`` to the packed rows ``h``; ``i``
     (0-based) keys its tape arrays.
 
     ``h`` is only read. Residual sums are formed in the sublayer outputs,
     which the layer norms then overwrite.
     """
-    s1 = _attention_forward(w, i, h, pk, _subcache(cache, "attn"), ws)
+    s1 = _attention_forward(w, i, h, pk, _subcache(cache, "attn"))
     s1 += h
-    n1 = _layernorm_forward(s1, w.norm1_gain, w.norm1_bias, _subcache(cache, "ln1"), pk, ws, (i, "n1"))
-    s2 = _ffn_forward(w, i, n1, pk, _subcache(cache, "ffn"), ws)
+    n1 = _layernorm_forward(s1, w.norm1_gain, w.norm1_bias, _subcache(cache, "ln1"), pk, (i, "n1"))
+    s2 = _ffn_forward(w, i, n1, pk, _subcache(cache, "ffn"))
     s2 += n1
-    return _layernorm_forward(s2, w.norm2_gain, w.norm2_bias, _subcache(cache, "ln2"), pk, ws, (i, "n2"))
+    return _layernorm_forward(s2, w.norm2_gain, w.norm2_bias, _subcache(cache, "ln2"), pk, (i, "n2"))
 
 
-def _block_backward(w: Block, g: Block, cache: dict, dh: np.ndarray, pk: Packing, ws: Workspace) -> None:
+def _block_backward(w: Block, g: Block, cache: dict, dh: np.ndarray, pk: Packing) -> None:
     """Reverse of one block, writing its gradients into ``g`` and the
     gradient that flows on over ``dh``."""
-    ds2 = _layernorm_backward(dh, cache["ln2"], w.norm2_gain, g.norm2_gain, g.norm2_bias, pk, ws)
-    dn1 = np.add(ds2, _ffn_backward(w, g, cache["ffn"], ds2, pk, ws), out=ds2)
-    ds1 = _layernorm_backward(dn1, cache["ln1"], w.norm1_gain, g.norm1_gain, g.norm1_bias, pk, ws)
-    np.add(ds1, _attention_backward(w, g, cache["attn"], ds1, pk, ws), out=ds1)
+    ds2 = _layernorm_backward(dh, cache["ln2"], w.norm2_gain, g.norm2_gain, g.norm2_bias, pk)
+    dn1 = np.add(ds2, _ffn_backward(w, g, cache["ffn"], ds2, pk), out=ds2)
+    ds1 = _layernorm_backward(dn1, cache["ln1"], w.norm1_gain, g.norm1_gain, g.norm1_bias, pk)
+    np.add(ds1, _attention_backward(w, g, cache["attn"], ds1, pk), out=ds1)
 
 
-def _pool_forward(h: np.ndarray, pk: Packing, ws: Workspace) -> np.ndarray:
+def _pool_forward(h: np.ndarray, pk: Packing) -> np.ndarray:
     """Mean of each sequence's packed rows, summed in the padded layout."""
     if (pk.counts == 0).any():
         raise DataError("cannot pool a sequence with zero real tokens")
-    rows = pk.zero_topped(ws, "rows", h.shape[1], h.dtype)
+    rows = pk.zero_topped("rows", h.shape[1], h.dtype)
     rows[1:] = h
     # einsum: the terms and order of .sum(axis=1) for H > 1, in about a quarter of its time
-    x = np.einsum("nth->nh", pk.unpack(rows, ws.take("pool", pk.shape + h.shape[1:], h.dtype)))
+    x = np.einsum("nth->nh", pk.unpack(rows, pk.ws.take("pool", pk.shape + h.shape[1:], h.dtype)))
     x /= pk.counts[:, None]
     return x
 
@@ -612,49 +626,33 @@ def head_backward(p: EncoderParams, e: np.ndarray, dlogits: np.ndarray, grads: E
 # segment runners (optionally taped), on packed rows
 
 
-def run_to_layer(
-    p: EncoderParams,
-    tokens: np.ndarray,
-    pk: Packing,
-    rl: int,
-    cache: dict | None = None,
-    ws: Workspace = FRESH,
-) -> np.ndarray:
+def run_to_layer(p: EncoderParams, tokens: np.ndarray, pk: Packing, rl: int, cache: dict | None = None) -> np.ndarray:
     """Embeddings plus blocks 1..rl of the (n, t) ``tokens`` whose real
     positions ``pk`` packs; rl=0 is the embedding stage alone. Returns the
     packed (pk.rows, H) hidden state."""
     if not 0 <= rl <= p.cfg.num_layers:
         raise DataError(f"resume layer {rl} out of range 0..{p.cfg.num_layers}")
     if tokens.shape != pk.shape:
-        raise DataError(f"tokens of shape {tokens.shape} do not match their packing's mask {pk.shape}")
-    h = _embed_forward(p, tokens, pk, cache, ws)
+        raise DataError(f"tokens of shape {tokens.shape} do not match their packing's {pk.shape}")
+    h = _embed_forward(p, tokens, pk, cache)
     if cache is not None:
         cache["stop"] = rl
     blocks = _subcache(cache, "blocks")
     for i in range(rl):
-        h = _block_forward(p.blocks[i], i, h, pk, _subcache(blocks, i), ws)
+        h = _block_forward(p.blocks[i], i, h, pk, _subcache(blocks, i))
     return h
 
 
-def backward_to_layer(
-    p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
-) -> None:
+def backward_to_layer(p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams) -> None:
     """Reverse of run_to_layer from the zero-topped (rows + 1, H) gradient
     ``dh`` of its output, which it overwrites."""
     pk = cache["pack"]
     for i in reversed(range(cache["stop"])):
-        _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh[1:], pk, ws)
-    _embed_backward(p, cache, dh, grads, ws)
+        _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh[1:], pk)
+    _embed_backward(p, cache, dh, grads)
 
 
-def run_from_layer(
-    p: EncoderParams,
-    h: np.ndarray,
-    pk: Packing,
-    start: int,
-    cache: dict | None = None,
-    ws: Workspace = FRESH,
-) -> np.ndarray:
+def run_from_layer(p: EncoderParams, h: np.ndarray, pk: Packing, start: int, cache: dict | None = None) -> np.ndarray:
     """Blocks start+1..L on the packed rows ``h`` of ``pk``'s real tokens,
     mean pooling per sequence, then the ReLU dense layer."""
     if not 0 <= start <= p.cfg.num_layers:
@@ -665,23 +663,21 @@ def run_from_layer(
         cache.update(pack=pk, start=start)
     blocks = _subcache(cache, "blocks")
     for i in range(start, p.cfg.num_layers):
-        h = _block_forward(p.blocks[i], i, h, pk, _subcache(blocks, i), ws)
-    return _dense_forward(p, _pool_forward(h, pk, ws), _subcache(cache, "dense"))
+        h = _block_forward(p.blocks[i], i, h, pk, _subcache(blocks, i))
+    return _dense_forward(p, _pool_forward(h, pk), _subcache(cache, "dense"))
 
 
-def backward_from_layer(
-    p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams, ws: Workspace = FRESH
-) -> np.ndarray:
+def backward_from_layer(p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams) -> np.ndarray:
     """Reverse of run_from_layer; returns the zero-topped (rows + 1, H)
     gradient of its packed input."""
     pk = cache["pack"]
     dx = _dense_backward(p, cache["dense"], de, grads)
-    dh = pk.zero_topped(ws, "dh", dx.shape[1], dx.dtype)
+    dh = pk.zero_topped("dh", dx.shape[1], dx.dtype)
     # the pool's backward: each row's gradient over its count, to each of its tokens
     dx /= pk.counts[:, None]
     dx.take(pk.seq, axis=0, out=dh[1:], mode="clip")
     for i in reversed(range(cache["start"], p.cfg.num_layers)):
-        _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh[1:], pk, ws)
+        _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh[1:], pk)
     return dh
 
 
@@ -691,7 +687,7 @@ def backward_from_layer(
 
 def forward(p: EncoderParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Full pass: intent representations e and (M+1)-way logits."""
-    pk = Packing(batch.mask, p.flat.dtype)
+    pk = Packing(batch.lengths, batch.tokens.shape[1], p.flat.dtype)
     e = run_from_layer(p, run_to_layer(p, batch.tokens, pk, 0), pk, 0)
     return e, head_logits(p, e)
 
@@ -710,16 +706,16 @@ class TapedForward:
         self.generation = ws.record()
         self.to_cache: dict = {}
         self.from_cache: dict = {}
-        pk = Packing(batch.mask, p.flat.dtype, ws)
-        h = run_to_layer(p, batch.tokens, pk, 0, self.to_cache, ws)
-        self.e = run_from_layer(p, h, pk, 0, self.from_cache, ws)
+        pk = Packing(batch.lengths, batch.tokens.shape[1], p.flat.dtype, ws)
+        h = run_to_layer(p, batch.tokens, pk, 0, self.to_cache)
+        self.e = run_from_layer(p, h, pk, 0, self.from_cache)
         self.logits = head_logits(p, self.e)
 
     def backward(self, dlogits: np.ndarray) -> EncoderParams:
         grads = self.ws.grads(self.p, self.generation)
         de = head_backward(self.p, self.e, dlogits, grads)
-        dh = backward_from_layer(self.p, self.from_cache, de, grads, self.ws)
-        backward_to_layer(self.p, self.to_cache, dh, grads, self.ws)
+        dh = backward_from_layer(self.p, self.from_cache, de, grads)
+        backward_to_layer(self.p, self.to_cache, dh, grads)
         return grads
 
 

@@ -15,8 +15,6 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
 from snoic.corpus import (
     Batch,
     Dataset,
@@ -53,12 +51,7 @@ def golden_run(corpus_sets) -> dict:
     )
     params, log = train_two_stage(init_params(enc_cfg, split.num_known, SEED), train_enc, val_enc, cfg)
     lengths = test_enc.lengths[:ROWS]
-    width = int(lengths.max())
-    first_rows = Batch(
-        tokens=test_enc.tokens[:ROWS, :width],
-        mask=(np.arange(width) < lengths[:, None]).astype(np.float32),
-        labels=test_enc.class_ids[:ROWS],
-    )
+    first_rows = Batch(tokens=test_enc.tokens[:ROWS, : lengths.max()], lengths=lengths, labels=test_enc.class_ids[:ROWS])
     _, logits = forward(params, first_rows)
     return {
         "epoch_losses": [rec.mean_loss for rec in log.records],

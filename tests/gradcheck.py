@@ -14,7 +14,7 @@ import pytest
 
 from snoic.augment import NoisyMixupPass
 from snoic.corpus import Batch, PairedBatch
-from snoic.encoder import EncoderConfig, TapedForward, init_params
+from snoic.encoder import EncoderConfig, Packing, TapedForward, init_params
 from snoic.losses import kl_loss, mixup_loss, pretrain_loss, soft_targets
 from snoic.trainer import TrainConfig
 
@@ -52,14 +52,13 @@ def tiny_params(seed=0, dtype=np.float64, jitter=0.05):
 def tiny_batch(seed, size=4, m=TINY_M):
     rng = np.random.default_rng(seed)
     max_len = TINY["max_len"]
-    lengths = rng.integers(2, max_len + 1, size=size)
+    lengths = rng.integers(2, max_len + 1, size=size).astype(np.int32)
     tokens = np.zeros((size, max_len), dtype=np.int32)
     for i, ln in enumerate(lengths):
         tokens[i, 0] = 2
         tokens[i, 1:ln] = rng.integers(3, TINY["vocab_size"], size=ln - 1)
-    mask = (np.arange(max_len)[None, :] < lengths[:, None]).astype(np.float32)
     labels = rng.integers(1, m + 1, size=size).astype(np.int32)
-    return Batch(tokens=tokens, mask=mask, labels=labels)
+    return Batch(tokens=tokens, lengths=lengths, labels=labels)
 
 
 def seed_for_layer(layer, depth=TINY["num_layers"], start=0):
@@ -75,11 +74,26 @@ def tiny_pair(seed, size=4, m=TINY_M):
     return PairedBatch(first=first, second=second)
 
 
-def unpacked(rows, mask):
-    """Packed ``rows``, one per real position of ``mask`` in row-major
+def prefix_mask(lengths, width):
+    """(n, width) bool reference of real positions: the first ``lengths[i]`` of row i."""
+    return np.arange(width) < np.asarray(lengths)[:, None]
+
+
+def real_of(batch):
+    """:func:`prefix_mask` of a batch's lengths at its width."""
+    return prefix_mask(batch.lengths, batch.tokens.shape[1])
+
+
+def packing(batch, dtype=np.float64):
+    """The packing of a batch's lengths at its width."""
+    return Packing(batch.lengths, batch.tokens.shape[1], dtype)
+
+
+def unpacked(rows, real):
+    """Packed ``rows``, one per True position of ``real`` in row-major
     order, laid out as (n, t, H) with zeros at padding."""
-    out = np.zeros(mask.shape + rows.shape[1:], rows.dtype)
-    out[mask > 0] = rows
+    out = np.zeros(real.shape + rows.shape[1:], rows.dtype)
+    out[real] = rows
     return out
 
 

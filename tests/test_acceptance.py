@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from gradcheck import run_gradient_suite, unpacked
+from gradcheck import packing, real_of, run_gradient_suite, unpacked
 from snoic.augment import inject_noise, mixup, sample_lambda
 from snoic.cli import main
 from snoic.corpus import Batch, Dataset, LabeledExample, apply_split, make_split
@@ -85,8 +85,7 @@ def _equal_length_batch(seed: int, vocab_size: int, max_len: int) -> Batch:
     tokens[:, 0] = 2
     for i, ln in enumerate(lengths):
         tokens[i, 1:ln] = rng.integers(3, vocab_size, size=ln - 1)
-    mask = (np.arange(max_len)[None, :] < lengths[:, None]).astype(np.float64)
-    return Batch(tokens=tokens, mask=mask, labels=np.ones(4, dtype=np.int32))
+    return Batch(tokens=tokens, lengths=lengths, labels=np.ones(4, dtype=np.int32))
 
 
 def test_acceptance_3_mixing_identities(capsys):
@@ -98,11 +97,11 @@ def test_acceptance_3_mixing_identities(capsys):
     e2_direct, _ = forward(p, b2)
 
     # the mixed rows are the union's real tokens, a half's padding there read as zero
-    union = np.maximum(b1.mask, b2.mask)
-    on, pu = union > 0, Packing(union, p.flat.dtype)
+    on = real_of(b1) | real_of(b2)
+    pu = Packing(np.maximum(b1.lengths, b2.lengths), cfg.max_len, p.flat.dtype)
 
     def union_rows(b, rl):
-        return unpacked(run_to_layer(p, b.tokens, Packing(b.mask, p.flat.dtype), rl), b.mask)[on]
+        return unpacked(run_to_layer(p, b.tokens, packing(b, p.flat.dtype), rl), real_of(b))[on]
 
     worst = 0.0
     for rl in range(1, cfg.num_layers + 1):
@@ -122,7 +121,7 @@ def test_acceptance_3_mixing_identities(capsys):
     # check has always drawn, and checked at the union's positions.
     n = 10_000
     rng = np.random.default_rng(5)
-    mixed = unpacked(mixed, union)
+    mixed = unpacked(mixed, on)
     acc = np.zeros(mixed.shape, dtype=np.float64)
     for _ in range(n):
         noisy, _ = inject_noise(mixed, rng, 0.4, 0.2)

@@ -18,7 +18,18 @@ from snoic.encoder import (
 from snoic.errors import ConfigError, DataError
 from snoic.losses import kl_loss, mixup_loss, soft_targets
 from snoic.trainer import TrainConfig
-from gradcheck import TINY, attention_on, seed_for_layer, tiny_batch, tiny_pair, tiny_params, unpacked, zero_topped
+from gradcheck import (
+    TINY,
+    attention_on,
+    packing,
+    real_of,
+    seed_for_layer,
+    tiny_batch,
+    tiny_pair,
+    tiny_params,
+    unpacked,
+    zero_topped,
+)
 
 
 class FixedNormals:
@@ -177,7 +188,7 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
     backward overwrites the ranges it reaches, so each segment writes into
     a zeroed buffer of its own and the buffers are added up at the end.
     The mixed rows are built in the padded layout, where a half's padding
-    is zero, and packed by the union mask.
+    is zero, and packed by the larger of each pair's two lengths.
     """
     rng = np.random.default_rng(seed)
     rl = int(rng.integers(1, p.cfg.num_layers + 1))
@@ -190,30 +201,29 @@ def separate_segments_reference(p, batch, pair, cfg, seed, dsoft, dmix):
         return segments[-1]
 
     def to_layer(b):
-        mask = b.mask.astype(dtype)
         cache = {}
-        return run_to_layer(p, b.tokens, Packing(mask, dtype), rl, cache=cache), mask, cache
+        return run_to_layer(p, b.tokens, packing(b, dtype), rl, cache=cache), real_of(b), cache
 
-    def from_layer(h, mask, dlogits):
+    def from_layer(h, pk, dlogits):
         cache = {}
-        e = run_from_layer(p, h, Packing(mask, dtype), rl, cache=cache)
+        e = run_from_layer(p, h, pk, rl, cache=cache)
         grads = segment_grads()
         de = head_backward(p, e, dlogits, grads)
         return head_logits(p, e), backward_from_layer(p, cache, de, grads)
 
-    hs, ms, cs = to_layer(batch)
-    h1, m1, c1 = to_layer(pair.first)
-    h2, m2, c2 = to_layer(pair.second)
-    soft_logits, dhs = from_layer(hs, ms, dsoft)
+    hs, _, cs = to_layer(batch)
+    h1, r1, c1 = to_layer(pair.first)
+    h2, r2, c2 = to_layer(pair.second)
+    soft_logits, dhs = from_layer(hs, packing(batch, dtype), dsoft)
     backward_to_layer(p, cs, dhs, segment_grads())
-    union = np.maximum(m1, m2)
-    on = union > 0
-    mixed = mixup(unpacked(h1, m1)[on], unpacked(h2, m2)[on], lam)
+    on = r1 | r2
+    mixed = mixup(unpacked(h1, r1)[on], unpacked(h2, r2)[on], lam)
     noisy, scale = inject_noise(mixed, rng, cfg.delta_add, cfg.delta_mul)
+    union = Packing(np.maximum(pair.first.lengths, pair.second.lengths), on.shape[1], dtype)
     mix_logits, dh = from_layer(noisy, union, dmix)
-    dmixed = unpacked(dh[1:] * scale, union)
-    backward_to_layer(p, c1, zero_topped(lam * dmixed[m1 > 0]), segment_grads())
-    backward_to_layer(p, c2, zero_topped((1.0 - lam) * dmixed[m2 > 0]), segment_grads())
+    dmixed = unpacked(dh[1:] * scale, on)
+    backward_to_layer(p, c1, zero_topped(lam * dmixed[r1]), segment_grads())
+    backward_to_layer(p, c2, zero_topped((1.0 - lam) * dmixed[r2]), segment_grads())
     return soft_logits, mix_logits, p.with_flat(sum(g.flat for g in segments))
 
 
@@ -253,16 +263,15 @@ class TestNoisyMixupPass:
         assert mix.layer == layer
         assert mix.lam == pytest.approx(lam, abs=1e-12)
 
-        mask1 = pair.first.mask.astype(np.float64)
-        mask2 = pair.second.mask.astype(np.float64)
-        union = np.maximum(mask1, mask2)
-        h1 = unpacked(run_to_layer(p, pair.first.tokens, Packing(mask1, np.float64), layer), mask1)
-        h2 = unpacked(run_to_layer(p, pair.second.tokens, Packing(mask2, np.float64), layer), mask2)
-        mixed = (lam * h1 + (1 - lam) * h2)[union > 0]
+        real1, real2 = real_of(pair.first), real_of(pair.second)
+        h1 = unpacked(run_to_layer(p, pair.first.tokens, packing(pair.first), layer), real1)
+        h2 = unpacked(run_to_layer(p, pair.second.tokens, packing(pair.second), layer), real2)
+        union = real1 | real2
+        mixed = (lam * h1 + (1 - lam) * h2)[union]
         xi_mul, xi_add = probe.standard_normal((2,) + mixed.shape)
         assert mixed.shape == (int(union.sum()), p.cfg.hidden)
         expected = (1 + 0.2 * xi_mul) * mixed + 0.4 * xi_add
-        e = run_from_layer(p, expected, Packing(union, np.float64), layer)
+        e = run_from_layer(p, expected, Packing(union.sum(axis=1), union.shape[1], np.float64), layer)
         assert np.allclose(mix.logits, head_logits(p, e), atol=1e-9)
         assert rng.bit_generator.state == probe.bit_generator.state
 
@@ -276,9 +285,7 @@ class TestNoisyMixupPass:
         assert np.isfinite(mix.soft_logits).all() and np.isfinite(mix.logits).all()
         assert 0.0 <= mix.lam <= 1.0
         assert 1 <= mix.layer <= TINY["num_layers"]
-        assert np.array_equal(
-            mix.union, np.maximum(pair.first.mask, pair.second.mask).astype(np.float64)
-        )
+        assert np.array_equal(mix.union, np.maximum(pair.first.lengths, pair.second.lengths))
 
     def test_deterministic_per_seed(self):
         p = tiny_params(seed=3)
@@ -355,16 +362,16 @@ class TestWorkspaceReuse:
 
 def cut(batch, width):
     """The batch with its columns from ``width`` on dropped."""
-    return Batch(tokens=batch.tokens[:, :width], mask=batch.mask[:, :width], labels=batch.labels)
+    return Batch(tokens=batch.tokens[:, :width], lengths=np.minimum(batch.lengths, width), labels=batch.labels)
 
 
 def ragged_batch(seed, longest, size=4):
     """A max_len-wide tiny batch whose longest row has ``longest`` tokens."""
     batch = tiny_batch(seed, size=size)
-    batch.mask[:, longest:] = 0.0
-    batch.mask[0, :longest] = 1.0
+    np.minimum(batch.lengths, longest, out=batch.lengths)
+    batch.lengths[0] = longest
     batch.tokens[:, 0] = 2
-    batch.tokens[batch.mask == 0] = 0
+    batch.tokens[~real_of(batch)] = 0
     batch.tokens[0, 1:longest] = 3
     return batch
 
@@ -394,7 +401,7 @@ class TestRaggedWidths:
         ragged = (cut(soft, widths[0]), PairedBatch(cut(first, widths[1]), cut(second, widths[2])))
         full = (soft, PairedBatch(first=first, second=second))
         cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
-        union = int(np.maximum(first.mask, second.mask).sum())
+        union = int(np.maximum(first.lengths, second.lengths).sum())
         rng = np.random.default_rng(9)
         dsoft = rng.standard_normal((len(soft), p.M + 1)).astype(dtype)
         dmix = rng.standard_normal((len(first), p.M + 1)).astype(dtype)

@@ -544,14 +544,13 @@ class TestBatching:
         batches = make_batches(enc, 4, seed=0)
         assert [len(b) for b in batches] == [4, 4, 2]
 
-    def test_mask_matches_lengths(self):
+    def test_lengths_count_real_tokens(self):
         enc = encoded_toy()
         for batch in make_batches(enc, 6, seed=1):
-            lengths = batch.mask.sum(axis=1).astype(int)
-            assert np.all((batch.tokens != PAD_ID).sum(axis=1) == lengths)
-            # leading-ones structure
-            for row, ln in zip(batch.mask, lengths):
-                assert np.all(row[:ln] == 1.0) and np.all(row[ln:] == 0.0)
+            assert batch.lengths.shape == (len(batch),) and batch.lengths.dtype == np.int32
+            # each row's real tokens lead it, and PAD fills the rest
+            for row, ln in zip(batch.tokens, batch.lengths):
+                assert np.all(row[:ln] != PAD_ID) and np.all(row[ln:] == PAD_ID)
 
     def test_same_seed_same_epoch_identical(self):
         enc = encoded_toy()
@@ -584,6 +583,7 @@ class TestBatching:
             width = batch.tokens.shape[1]
             assert np.array_equal(batch.tokens, enc.tokens[rows, :width])
             assert np.array_equal(batch.labels, enc.class_ids[rows])
+            assert np.array_equal(batch.lengths, enc.lengths[rows])
             assert np.all(enc.tokens[rows, width:] == PAD_ID)
 
     def test_every_batch_is_as_wide_as_its_longest_row(self):
@@ -594,9 +594,9 @@ class TestBatching:
             batches += [pair.first, pair.second]
         widths = set()
         for batch in batches:
-            lengths = batch.mask.sum(axis=1).astype(int)
-            assert batch.tokens.shape == batch.mask.shape == (len(batch), lengths.max())
-            assert batch.mask.dtype == np.float32
+            lengths = batch.lengths
+            assert batch.tokens.shape == (len(batch), lengths.max()) and lengths.shape == (len(batch),)
+            assert lengths.dtype == np.int32
             assert np.all((batch.tokens != PAD_ID).sum(axis=1) == lengths)
             widths.add(batch.tokens.shape[1])
         assert len(widths) > 1
@@ -706,7 +706,7 @@ class TestPairing:
         enc = encoded_toy(num_classes=3, per_class=4)
         batch = make_batches(enc, 4, seed=0)[0]
         clone = Batch(
-            tokens=batch.tokens.copy(), mask=batch.mask.copy(), labels=batch.labels.copy()
+            tokens=batch.tokens.copy(), lengths=batch.lengths.copy(), labels=batch.labels.copy()
         )
         with pytest.raises(PairingError, match="collide"):
             PairedBatch(first=batch, second=clone)

@@ -11,6 +11,7 @@ import pytest
 from snoic.augment import NoisyMixupPass
 from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import (
+    ATTN_MASK_VALUE,
     FRESH,
     LN_EPS,
     Block,
@@ -32,7 +33,18 @@ from snoic.encoder import (
 )
 from snoic.errors import CheckpointError, DataError, TrainingError
 from snoic.trainer import TrainConfig
-from gradcheck import attention_on, seed_for_layer, tiny_batch, tiny_pair, tiny_params, unpacked, zero_topped
+from gradcheck import (
+    attention_on,
+    packing,
+    prefix_mask,
+    real_of,
+    seed_for_layer,
+    tiny_batch,
+    tiny_pair,
+    tiny_params,
+    unpacked,
+    zero_topped,
+)
 
 
 def small_config(**overrides):
@@ -43,15 +55,14 @@ def small_config(**overrides):
 
 def random_batch(cfg, seed, size=5, m=4, min_len=1):
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(min_len, cfg.max_len + 1, size=size)
+    lengths = rng.integers(min_len, cfg.max_len + 1, size=size).astype(np.int32)
     tokens = np.zeros((size, cfg.max_len), dtype=np.int32)
     for i, ln in enumerate(lengths):
         tokens[i, 0] = 2
         if ln > 1:
             tokens[i, 1:ln] = rng.integers(3, cfg.vocab_size, size=ln - 1)
-    mask = (np.arange(cfg.max_len)[None, :] < lengths[:, None]).astype(np.float32)
     labels = rng.integers(1, m + 1, size=size).astype(np.int32)
-    return Batch(tokens=tokens, mask=mask, labels=labels)
+    return Batch(tokens=tokens, lengths=lengths, labels=labels)
 
 
 class TestParamSpec:
@@ -158,10 +169,10 @@ class TestForward:
         p = init_params(cfg, 4, seed=3)
         batch = random_batch(cfg, 4)
         e_full, logits_full = forward(p, batch)
-        pk = Packing(batch.mask, p.flat.dtype)
+        pk = packing(batch, p.flat.dtype)
         for rl in range(0, cfg.num_layers + 1):
             h = run_to_layer(p, batch.tokens, pk, rl)
-            assert h.shape == (int(batch.mask.sum()), cfg.hidden)
+            assert h.shape == (int(batch.lengths.sum()), cfg.hidden)
             e = run_from_layer(p, h, pk, rl)
             assert np.allclose(e, e_full, atol=1e-6)
             assert np.allclose(head_logits(p, e), logits_full, atol=1e-6)
@@ -170,10 +181,10 @@ class TestForward:
         cfg = small_config()
         p = init_params(cfg, 4, seed=5)
         batch = random_batch(cfg, 6)
-        h = run_to_layer(p, batch.tokens, Packing(batch.mask, p.flat.dtype), 0)
+        h = run_to_layer(p, batch.tokens, packing(batch, p.flat.dtype), 0)
         t = batch.tokens.shape[1]
         expected = p["token_embedding"][batch.tokens] + p["position_embedding"][None, :t, :]
-        assert np.allclose(h, expected[batch.mask > 0], atol=1e-7)
+        assert np.allclose(h, expected[real_of(batch)], atol=1e-7)
 
     @attention_on()
     def test_trailing_padding_is_inert(self, attention):
@@ -184,7 +195,7 @@ class TestForward:
         extra = cfg.max_len - 5
         wide = Batch(
             tokens=np.pad(narrow.tokens, ((0, 0), (0, extra))),
-            mask=np.pad(narrow.mask, ((0, 0), (0, extra))),
+            lengths=narrow.lengths,
             labels=narrow.labels,
         )
         e1, logits1 = forward(p, narrow)
@@ -198,7 +209,7 @@ class TestForward:
         batch = random_batch(cfg, 12, size=7)
         perm = np.random.default_rng(0).permutation(7)
         shuffled = Batch(
-            tokens=batch.tokens[perm], mask=batch.mask[perm], labels=batch.labels[perm]
+            tokens=batch.tokens[perm], lengths=batch.lengths[perm], labels=batch.labels[perm]
         )
         e1, logits1 = forward(p, batch)
         e2, logits2 = forward(p, shuffled)
@@ -210,9 +221,9 @@ class TestForward:
         p = init_params(cfg, 4, seed=13)
         batch = random_batch(cfg, 14, size=4)
         # Row 0 keeps only its CLS token.
-        batch.mask[0, 1:] = 0.0
+        batch.lengths[0] = 1
         batch.tokens[0, 1:] = 0
-        pk = Packing(batch.mask, p.flat.dtype)
+        pk = packing(batch, p.flat.dtype)
         h = run_to_layer(p, batch.tokens, pk, cfg.num_layers)
         pooled_row = h[0]  # row 0's one real token is the first packed row
         e = run_from_layer(p, h, pk, cfg.num_layers)
@@ -231,7 +242,7 @@ class TestForward:
         cfg = small_config()
         p = init_params(cfg, 4, seed=17)
         batch = random_batch(cfg, 18)
-        pk = Packing(batch.mask, p.flat.dtype)
+        pk = packing(batch, p.flat.dtype)
         h = run_to_layer(p, batch.tokens, pk, 1)
         for rl in (cfg.num_layers + 1, -1):
             with pytest.raises(DataError, match="out of range"):
@@ -243,7 +254,7 @@ class TestForward:
         cfg = small_config()
         p = init_params(cfg, 4, seed=17)
         batch = random_batch(cfg, 18)
-        pk = Packing(batch.mask, p.flat.dtype)
+        pk = packing(batch, p.flat.dtype)
         with pytest.raises(DataError, match="do not match"):
             run_to_layer(p, batch.tokens[:, :-1], pk, 1)
         h = run_to_layer(p, batch.tokens, pk, 1)
@@ -254,7 +265,7 @@ class TestForward:
         cfg = small_config()
         p = init_params(cfg, 4, seed=19)
         batch = random_batch(cfg, 20, size=3)
-        batch.mask[1, :] = 0.0
+        batch.lengths[1] = 0
         with pytest.raises(DataError, match="zero real tokens"):
             forward(p, batch)
 
@@ -262,9 +273,68 @@ class TestForward:
         cfg = small_config()
         p = init_params(cfg, 4, seed=21)
         tokens = np.full((1, cfg.max_len + 1), 2, dtype=np.int32)
-        mask = np.ones((1, cfg.max_len + 1), dtype=np.float32)
         with pytest.raises(DataError, match="max_len"):
-            run_to_layer(p, tokens, Packing(mask, p.flat.dtype), 0)
+            run_to_layer(p, tokens, Packing([cfg.max_len + 1], cfg.max_len + 1, p.flat.dtype), 0)
+
+
+def reference_packing(lengths, t, dtype):
+    """What a packing of ``lengths`` at width ``t`` holds, worked out from
+    the prefix mask of real positions."""
+    real = prefix_mask(lengths, t)
+    idx = np.flatnonzero(real)
+    pos = np.zeros(real.size, np.intp)
+    pos[idx] = np.arange(1, idx.size + 1)
+    seq, col = np.nonzero(real)
+    bias = np.where(real, 0.0, ATTN_MASK_VALUE).astype(dtype)[:, None, :]
+    return dict(idx=idx, pos=pos, seq=seq, col=col, counts=real.sum(axis=1).astype(dtype), bias=bias)
+
+
+# each takes a batch's lengths and width
+BAD_LENGTHS = {
+    "float": lambda lengths, t: lengths.astype(np.float32),
+    "negative": lambda lengths, t: np.concatenate([[-1], lengths[1:]]),
+    "too long": lambda lengths, t: np.concatenate([[t + 1], lengths[1:]]),
+    "wrong count": lambda lengths, t: lengths[:-1],
+}
+
+
+class TestPacking:
+    """A packing is built from row lengths and a width; the positions of
+    each row's first ``lengths[i]`` columns are its real tokens."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "lengths, t",
+        [([3, 5, 1, 0, 2], 5), ([4, 4, 4], 4), ([1, 1], 6), ([0, 2, 0], 3)],
+        ids=["ragged", "full-width", "one-token", "zero-length"],
+    )
+    def test_equals_the_prefix_mask_reference(self, lengths, t, dtype):
+        lengths = np.array(lengths, np.int32)
+        want = reference_packing(lengths, t, dtype)
+        ws = Workspace()
+        Packing(np.full(len(lengths) + 2, t), t, dtype, ws)  # a wider pass leaves every buffer full
+        for pk in (Packing(lengths, t, dtype), Packing(lengths, t, dtype, ws)):
+            assert pk.shape == (len(lengths), t) and pk.rows == lengths.sum()
+            for name, value in want.items():
+                got = getattr(pk, name)
+                assert got.dtype == value.dtype and np.array_equal(got, value), name
+
+    @pytest.mark.parametrize("bad", list(BAD_LENGTHS))
+    @pytest.mark.parametrize("entry", ["forward", "run_to_layer", "run_from_layer"])
+    def test_bad_lengths_rejected(self, entry, bad):
+        cfg = small_config()
+        p = init_params(cfg, 4, seed=23)
+        batch = random_batch(cfg, 24)
+        t = batch.tokens.shape[1]
+        lengths = BAD_LENGTHS[bad](batch.lengths, t)
+        h = run_to_layer(p, batch.tokens, packing(batch, p.flat.dtype), 1)
+        with pytest.raises(DataError):
+            if entry == "forward":
+                forward(p, Batch(tokens=batch.tokens, lengths=lengths, labels=batch.labels))
+            elif entry == "run_to_layer":
+                run_to_layer(p, batch.tokens, Packing(lengths, t, p.flat.dtype), 1)
+            else:
+                run_from_layer(p, h, Packing(lengths, t, p.flat.dtype), 1)
 
 
 class TestStraightLineReference:
@@ -290,7 +360,7 @@ class TestStraightLineReference:
         p.tensors["dense_b"][:] = [0.0, -1.0]
         batch = Batch(
             tokens=np.array([[2, 3]], dtype=np.int32),
-            mask=np.ones((1, 2), dtype=np.float32),
+            lengths=np.array([2], dtype=np.int32),
             labels=np.array([1], dtype=np.int32),
         )
 
@@ -333,7 +403,7 @@ class TestStraightLineReference:
         p.tensors["dense_b"][:] = [0.0, -1.0, 0.5]
         batch = Batch(
             tokens=np.array([[2, 3, 0]], dtype=np.int32),
-            mask=np.array([[1, 1, 0]], dtype=np.float32),
+            lengths=np.array([2], dtype=np.int32),
             labels=np.array([1], dtype=np.int32),
         )
 
@@ -375,15 +445,15 @@ class TestUntapedPass:
         cfg = small_config()
         p = init_params(cfg, 4, seed=33)
         batch = random_batch(cfg, 34)
-        tokens, mask = batch.tokens.copy(), batch.mask.copy()
-        pk = Packing(batch.mask, p.flat.dtype)
+        tokens, lengths = batch.tokens.copy(), batch.lengths.copy()
+        pk = packing(batch, p.flat.dtype)
         h = run_to_layer(p, batch.tokens, pk, 1)
-        assert np.array_equal(batch.tokens, tokens) and batch.mask.tobytes() == mask.tobytes()
+        assert np.array_equal(batch.tokens, tokens) and batch.lengths.tobytes() == lengths.tobytes()
         for start in (1, cfg.num_layers):
             h_before = h.tobytes()
             run_from_layer(p, h, pk, start)
             assert h.tobytes() == h_before
-            assert batch.mask.tobytes() == mask.tobytes()
+            assert batch.lengths.tobytes() == lengths.tobytes()
 
     @attention_on()
     def test_trimmed_batch_matches_full_width(self, attention):
@@ -392,15 +462,14 @@ class TestUntapedPass:
         cfg = EncoderConfig(vocab_size=40, **DEFAULT_SHAPE)
         p = init_params(cfg, 4, seed=37)
         rng = np.random.default_rng(38)
-        lengths = rng.integers(2, 11, size=32)
+        lengths = rng.integers(2, 11, size=32).astype(np.int32)
         full = Batch(
             tokens=rng.integers(3, cfg.vocab_size, size=(32, cfg.max_len)).astype(np.int32),
-            mask=(np.arange(cfg.max_len)[None, :] < lengths[:, None]).astype(np.float32),
+            lengths=lengths,
             labels=np.ones(32, dtype=np.int32),
         )
-        full.tokens[full.mask == 0] = 0
-        width = lengths.max()
-        trimmed = Batch(tokens=full.tokens[:, :width], mask=full.mask[:, :width], labels=full.labels)
+        full.tokens[~real_of(full)] = 0
+        trimmed = Batch(tokens=full.tokens[:, : lengths.max()], lengths=lengths, labels=full.labels)
         for got, want in zip(forward(p, trimmed), forward(p, full)):
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
@@ -580,7 +649,7 @@ class TestBlockViews:
 
 def narrow(batch, width=4):
     """The batch's first ``width`` columns, fewer than the tiny max_len."""
-    return Batch(tokens=batch.tokens[:, :width], mask=batch.mask[:, :width], labels=batch.labels)
+    return Batch(tokens=batch.tokens[:, :width], lengths=np.minimum(batch.lengths, width), labels=batch.labels)
 
 
 def record_pass(kind, p, seed, ws=FRESH):
@@ -697,7 +766,7 @@ class TestBackwardProducts:
 
 
 class TestEmbedBackward:
-    """The token-embedding gradient is the row scatter dtok[ids] += dh * mask,
+    """The token-embedding gradient is the row scatter dtok[ids] += dh at real positions,
     bit for bit, whichever way ``_embed_backward`` runs it. The embedding
     stage alone (``run_to_layer`` at layer 0) and its backward run it on the
     packed real-token rows of a padded gradient's real positions."""
@@ -710,7 +779,7 @@ class TestEmbedBackward:
         rng = np.random.default_rng(99)
         width = cfg.max_len - 3
         lengths = np.array([width, 2, 1, width - 1, 3, width])
-        mask = (np.arange(width)[None, :] < lengths[:, None]).astype(dtype)
+        mask = prefix_mask(lengths, width).astype(dtype)
         # six rows over a six-token vocabulary: every id repeats, PAD columns included
         tokens = rng.integers(1, cfg.vocab_size, size=mask.shape).astype(np.int32) * mask.astype(np.int32)
         dh = rng.standard_normal(mask.shape + (cfg.hidden,)).astype(dtype)
@@ -719,8 +788,8 @@ class TestEmbedBackward:
         np.add.at(want, tokens.reshape(-1), (dh * mask[:, :, None]).reshape(-1, cfg.hidden))
         for _ in range(2):  # a second call into a used workspace
             cache: dict = {}
-            run_to_layer(p, tokens, Packing(mask, dtype, ws), 0, cache, ws)
-            backward_to_layer(p, cache, zero_topped(dh[mask > 0]), grads, ws)
+            run_to_layer(p, tokens, Packing(lengths, width, dtype, ws), 0, cache)
+            backward_to_layer(p, cache, zero_topped(dh[mask > 0]), grads)
             assert grads["token_embedding"].dtype == dtype
             assert np.array_equal(grads["token_embedding"], want)
         assert np.array_equal(grads["position_embedding"][:width], (dh * mask[:, :, None]).sum(axis=0))
@@ -770,13 +839,13 @@ class TestPackedRows:
         elif kind == "mix":
             grads = tape.backward(np.ones_like(tape.soft_logits), np.ones_like(tape.logits))
         monkeypatch.undo()
-        real = int(batch.mask.sum())
-        assert real < batch.mask.size
+        real = int(batch.lengths.sum())
+        assert real < batch.tokens.size
         for i in range(self.CFG.num_layers):
             want = real
             if kind == "mix":  # the stacked batch below the mix layer, the soft and mixed rows from it on
                 pair = self.pair()
-                want += int(tape.union.sum()) if i >= tape.layer else int(pair.first.mask.sum() + pair.second.mask.sum())
+                want += int(tape.union.sum()) if i >= tape.layer else int(pair.first.lengths.sum() + pair.second.lengths.sum())
             # x @ W and dy @ W.T have a row per token; x.T @ dy, written into W's gradient, sums over them
             weights = {getattr(p.blocks[i], name).ctypes.data for name in TOKEN_WISE}
             rows = [shape[0] for shape, b, _ in calls if b in weights]
@@ -791,14 +860,14 @@ class TestPackedRows:
         p = init_params(self.CFG, 4, seed=105)
         batch = random_batch(self.CFG, 106, size=12, min_len=2)
         ids = np.random.default_rng(107).integers(1, self.CFG.vocab_size, size=batch.tokens.shape)
-        other = Batch(tokens=np.where(batch.mask > 0, batch.tokens, ids).astype(batch.tokens.dtype), mask=batch.mask, labels=batch.labels)
+        other = Batch(tokens=np.where(real_of(batch), batch.tokens, ids).astype(batch.tokens.dtype), lengths=batch.lengths, labels=batch.labels)
         assert not np.array_equal(other.tokens, batch.tokens)
         assert np.array_equal(self.run(kind, p, batch, Workspace())[0], self.run(kind, p, other, Workspace())[0])
 
 
-def reference_pool(h_padded, mask):
-    """The masked mean as an axis-1 sum of the zero-padded state."""
-    return h_padded.sum(axis=1) / mask.sum(axis=1, dtype=h_padded.dtype)[:, None]
+def reference_pool(h_padded, real):
+    """The mean over real positions as an axis-1 sum of the zero-padded state."""
+    return h_padded.sum(axis=1) / real.sum(axis=1, dtype=h_padded.dtype)[:, None]
 
 
 class TestPool:
@@ -817,15 +886,14 @@ class TestPool:
         for t in range(1, 33):
             lengths = rng.integers(1, t + 1, size=7)
             lengths[0] = t
-            mask = (np.arange(t) < lengths[:, None]).astype(dtype)
-            pk = Packing(mask, dtype, ws)
+            real = prefix_mask(lengths, t)
+            pk = Packing(lengths, t, dtype, ws)
             h = (rng.normal(size=(pk.rows, hidden)) * rng.choice([1e-3, 1.0, 1e3], size=(pk.rows, 1))).astype(dtype)
-            padded = np.zeros(mask.shape + (hidden,), dtype)
-            padded[mask > 0] = h
-            got, want = _pool_forward(h, pk, ws), reference_pool(padded, mask)
+            padded = unpacked(h, real)
+            got, want = _pool_forward(h, pk), reference_pool(padded, real)
             assert got.dtype == dtype
             if hidden == 1:
-                bound = t * np.finfo(dtype).eps * reference_pool(np.abs(padded), mask)
+                bound = t * np.finfo(dtype).eps * reference_pool(np.abs(padded), real)
                 assert np.all(np.abs(got - want) <= bound), t
             else:
                 assert np.array_equal(got, want), t
@@ -835,8 +903,8 @@ class TestPool:
         cfg = small_config(max_len=12)
         p = init_params(cfg, 4, seed=21)
         batch = random_batch(cfg, 22, size=9)
-        h = run_to_layer(p, batch.tokens, Packing(batch.mask, p.flat.dtype), cfg.num_layers)
-        want = np.maximum(reference_pool(unpacked(h, batch.mask), batch.mask) @ p["dense_w"] + p["dense_b"], 0.0)
+        h = run_to_layer(p, batch.tokens, packing(batch, p.flat.dtype), cfg.num_layers)
+        want = np.maximum(reference_pool(unpacked(h, real_of(batch)), real_of(batch)) @ p["dense_w"] + p["dense_b"], 0.0)
         e = TapedForward(p, batch, Workspace()).e if taped else forward(p, batch)[0]
         assert np.array_equal(e, want)
 

@@ -19,6 +19,8 @@ from gradcheck import (
     attention_on,
     build_cases,
     max_rel_err,
+    packing,
+    real_of,
     tiny_batch,
     tiny_pair,
     tiny_params,
@@ -55,7 +57,7 @@ def test_padding_rows_get_zero_position_gradient():
     p = tiny_params(seed=4)
     batch = tiny_batch(13)
     # Shorten every row so the last position is padding everywhere.
-    batch.mask[:, -1] = 0.0
+    np.minimum(batch.lengths, batch.tokens.shape[1] - 1, out=batch.lengths)
     batch.tokens[:, -1] = 0
     tape = TapedForward(p, batch)
     _, dlogits = pretrain_loss(tape.logits, batch.labels, p.M)
@@ -73,15 +75,14 @@ def test_cut_point_gradients_split_by_mixing_weight(attention):
     rl = 1
     lam = 0.37
     noise_seed = 55
-    mask1 = pair.first.mask.astype(np.float64)
-    mask2 = pair.second.mask.astype(np.float64)
-    union = np.maximum(mask1, mask2)
-    on, pu = union > 0, Packing(union, np.float64)
-    h1 = run_to_layer(p, pair.first.tokens, Packing(mask1, np.float64), rl)
-    h2 = run_to_layer(p, pair.second.tokens, Packing(mask2, np.float64), rl)
+    real1, real2 = real_of(pair.first), real_of(pair.second)
+    on = real1 | real2
+    pu = Packing(np.maximum(pair.first.lengths, pair.second.lengths), on.shape[1], np.float64)
+    h1 = run_to_layer(p, pair.first.tokens, packing(pair.first), rl)
+    h2 = run_to_layer(p, pair.second.tokens, packing(pair.second), rl)
 
     def noisy_of(a, b):
-        mixed = mixup(unpacked(a, mask1)[on], unpacked(b, mask2)[on], lam)
+        mixed = mixup(unpacked(a, real1)[on], unpacked(b, real2)[on], lam)
         return inject_noise(mixed, np.random.default_rng(noise_seed), 0.4, 0.2)
 
     def loss_of(a, b):
@@ -96,8 +97,8 @@ def test_cut_point_gradients_split_by_mixing_weight(attention):
     de = head_backward(p, e, dlogits, grads)
     dh = backward_from_layer(p, cache, de, grads)
     assert not dh[0].any()
-    dmixed = unpacked(dh[1:] * scale, union)
-    analytic = {"h1": lam * dmixed[mask1 > 0], "h2": (1.0 - lam) * dmixed[mask2 > 0]}
+    dmixed = unpacked(dh[1:] * scale, on)
+    analytic = {"h1": lam * dmixed[real1], "h2": (1.0 - lam) * dmixed[real2]}
 
     rng = np.random.default_rng(23)
     eps = 1e-5

@@ -404,7 +404,7 @@ class TestEvalWindows:
         for i in range(self.N):
             row = Batch(
                 tokens=enc.tokens[i : i + 1],
-                mask=(np.arange(enc.max_len) < enc.lengths[i])[None, :].astype(np.float32),
+                lengths=enc.lengths[i : i + 1],
                 labels=enc.class_ids[i : i + 1],
             )
             want = forward(p, row)[1][0]
@@ -422,7 +422,7 @@ class TestEvalWindows:
             rows = slice(start, start + self.WINDOW)
             width = int(enc.lengths[rows].max())
             assert np.array_equal(batch.tokens, enc.tokens[rows, :width])
-            assert np.array_equal(batch.mask.sum(axis=1), enc.lengths[rows])
+            assert np.array_equal(batch.lengths, enc.lengths[rows])
             assert np.array_equal(batch.labels, enc.class_ids[rows])
 
 
@@ -869,13 +869,12 @@ class TestStepMemory:
         """A batch as the corpus cuts it: ``width`` columns, the longest row
         ``width`` tokens long."""
         rng = np.random.default_rng(seed)
-        lengths = rng.integers(2, width + 1, size=size)
+        lengths = rng.integers(2, width + 1, size=size).astype(np.int32)
         lengths[0] = width
         tokens = rng.integers(3, 500, size=(size, width)).astype(np.int32)
-        mask = (np.arange(width)[None, :] < lengths[:, None]).astype(np.float32)
-        tokens *= mask.astype(np.int32)
+        tokens *= np.arange(width) < lengths[:, None]
         labels = rng.integers(1, self.M + 1, size=size).astype(np.int32)
-        return Batch(tokens=tokens, mask=mask, labels=labels)
+        return Batch(tokens=tokens, lengths=lengths, labels=labels)
 
     def pair(self, seed, size=32, width=32):
         first, second = self.batch(seed, size, width), self.batch(seed + 1, size, width)
@@ -933,7 +932,7 @@ class TestStepMemory:
         batch, pair, rng = self.batch(7, width=widths[-1]), self.pair(17, width=widths[-1]), mixing_at(layer)
         if full_pair:
             for half in (pair.first, pair.second):
-                half.mask[:] = 1.0
+                half.lengths[:] = half.tokens.shape[1]
                 half.tokens[half.tokens == 0] = 3
         return self.peak_bytes(lambda: step(batch, pair, rng))
 
