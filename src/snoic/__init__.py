@@ -13,7 +13,6 @@ from .augment import inject_noise, mixup, sample_lambda
 from .corpus import (
     Batch,
     Dataset,
-    EncodedDataset,
     LabeledExample,
     PairedBatch,
     SplitSpec,
@@ -61,7 +60,6 @@ __all__ = [
     "sample_lambda",
     "Batch",
     "Dataset",
-    "EncodedDataset",
     "LabeledExample",
     "PairedBatch",
     "SplitSpec",

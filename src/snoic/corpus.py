@@ -6,6 +6,11 @@ classes (ids 1..M) and the remaining open classes (all mapped to id M+1 at
 test time). Batching is deterministic given (seed, epoch), and
 :func:`pair_batches` produces aligned batch pairs whose same-position
 examples always carry different intents, as required by the mixup stage.
+
+Encoded rows have one type, :class:`Batch`: a whole encoded set and every
+batch or eval window cut from it. Two fields are computed from the data
+and cannot be passed in: ``Vocab.token_to_id`` (from ``id_to_token``) and
+``Dataset.label_set`` (from the examples).
 """
 
 from __future__ import annotations
@@ -39,12 +44,13 @@ class LabeledExample:
 
 @dataclass
 class Dataset:
+    """Labeled examples; ``label_set``, their sorted distinct labels, is computed."""
+
     examples: list[LabeledExample]
-    label_set: list[str] = field(default_factory=list)
+    label_set: list[str] = field(init=False)
 
     def __post_init__(self):
-        if not self.label_set:
-            self.label_set = sorted({ex.label for ex in self.examples})
+        self.label_set = sorted({ex.label for ex in self.examples})
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -97,16 +103,18 @@ def _split_words(texts: Iterable[str]) -> Iterator[list[str]]:
 
 @dataclass
 class Vocab:
-    """Token to id mapping with ids 0/1/2 reserved for pad/unk/cls."""
+    """Token to id mapping with ids 0/1/2 reserved for pad/unk/cls.
+
+    ``token_to_id`` is computed as the inverse of ``id_to_token``.
+    """
 
     id_to_token: list[str]
-    token_to_id: dict[str, int] = field(default_factory=dict)
+    token_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         if not all(isinstance(t, str) for t in self.id_to_token):
             raise DataError("vocabulary tokens must be strings")
-        if not self.token_to_id:
-            self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataError("vocabulary contains duplicate tokens")
 
@@ -270,7 +278,7 @@ def subsample_labeled(ds: Dataset, ratio: float, seed: int) -> Dataset:
     if not 0.0 < ratio <= 1.0:
         raise DataError(f"labeled-data ratio must be in (0, 1], got {ratio}")
     if ratio == 1.0:
-        return Dataset(examples=list(ds.examples), label_set=list(ds.label_set))
+        return Dataset(examples=list(ds.examples))
     by_class: dict[str, list[int]] = {}
     for i, ex in enumerate(ds.examples):
         by_class.setdefault(ex.label, []).append(i)
@@ -287,31 +295,41 @@ def subsample_labeled(ds: Dataset, ratio: float, seed: int) -> Dataset:
 
 
 @dataclass
-class EncodedDataset:
-    """Token matrix form of a ClassDataset, ready for batching."""
+class Batch:
+    """Encoded rows, T columns wide.
 
-    tokens: np.ndarray  # (N, max_len) int32, PAD_ID after each row's length
-    lengths: np.ndarray  # (N,) int32, real tokens per row (CLS included)
-    class_ids: np.ndarray  # (N,) int32
+    Row i holds ``lengths[i]`` real tokens, in columns 0..lengths[i] - 1;
+    the rest of it is PAD_ID. :func:`encode_dataset` returns a whole set
+    as one Batch, ``max_len`` wide. The batches and eval windows cut from
+    it by this module are each exactly as wide as their longest row, so
+    no column is padding in every row.
+    """
+
+    tokens: np.ndarray  # (B, T) int32
+    lengths: np.ndarray  # (B,) int32, real tokens per row (CLS included)
+    class_ids: np.ndarray  # (B,) int32, class ids 1..M+1
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
-
-    @property
-    def max_len(self) -> int:
-        return self.tokens.shape[1]
 
 
 _ENCODE_CHUNK = 1024  # texts whose word lists encode_dataset keeps alive at once
 
 
-def encode_dataset(cds: ClassDataset, vocab: Vocab, max_len: int) -> EncodedDataset:
+def encode_dataset(cds: ClassDataset, vocab: Vocab, max_len: int) -> Batch:
     """Tokenize every text into a PAD_ID-filled (N, max_len) token matrix:
     row i holds :func:`tokenize` of text i, then PAD_ID. No Python frame
-    runs per text; the texts are read ``_ENCODE_CHUNK`` at a time."""
+    runs per text; the texts are read ``_ENCODE_CHUNK`` at a time. The
+    class ids must be integers, one per text; a float id is rejected,
+    never truncated."""
     if max_len < 2:
         raise DataError(f"max_len must be >= 2, got {max_len}")
     texts, get, keep = cds.texts, vocab.token_to_id.get, max_len - 1
+    class_ids = np.asarray(cds.class_ids)
+    if class_ids.shape != (len(texts),):
+        raise DataError(f"need one class id per text, got shape {class_ids.shape} for {len(texts)} texts")
+    if class_ids.size and not np.issubdtype(class_ids.dtype, np.integer):
+        raise DataError(f"class ids must be integers, got dtype {class_ids.dtype}")
     tokens = np.full((len(texts), max_len), PAD_ID, dtype=np.int32)
     tokens[:, 0] = CLS_ID
     lengths = np.empty(len(texts), dtype=np.int32)
@@ -325,25 +343,7 @@ def encode_dataset(cds: ClassDataset, vocab: Vocab, max_len: int) -> EncodedData
             np.minimum(counts, keep, out=counts)
         tokens[rows, 1:][np.arange(keep) < counts[:, None]] = ids
         np.add(counts, 1, out=lengths[rows])
-    return EncodedDataset(tokens=tokens, lengths=lengths, class_ids=np.asarray(cds.class_ids, dtype=np.int32))
-
-
-@dataclass
-class Batch:
-    """Rows of an encoded dataset, T columns wide.
-
-    Row i holds ``lengths[i]`` real tokens, in columns 0..lengths[i] - 1;
-    the rest of it is padding. Batches cut by this module are exactly as
-    wide as their longest row (T <= max_len), so no column is padding in
-    every row.
-    """
-
-    tokens: np.ndarray  # (B, T) int32
-    lengths: np.ndarray  # (B,) int32, real tokens per row
-    labels: np.ndarray  # (B,) int32, class ids 1..M+1
-
-    def __len__(self) -> int:
-        return self.tokens.shape[0]
+    return Batch(tokens=tokens, lengths=lengths, class_ids=class_ids.astype(np.int32))
 
 
 @dataclass
@@ -356,30 +356,30 @@ class PairedBatch:
     def __post_init__(self):
         if len(self.first) != len(self.second):
             raise PairingError("paired batches must have equal size")
-        if np.any(self.first.labels == self.second.labels):
+        if np.any(self.first.class_ids == self.second.class_ids):
             raise PairingError("paired batches collide on at least one position")
 
 
-def _batch(enc: EncodedDataset, idx: np.ndarray) -> Batch:
+def _batch(enc: Batch, idx: np.ndarray) -> Batch:
     """The rows ``idx`` of ``enc``, trimmed to the longest of them."""
     lengths = enc.lengths[idx]
-    return Batch(tokens=enc.tokens[idx, : lengths.max()], lengths=lengths, labels=enc.class_ids[idx])
+    return Batch(tokens=enc.tokens[idx, : lengths.max()], lengths=lengths, class_ids=enc.class_ids[idx])
 
 
-def _check_batching(enc: EncodedDataset, batch_size: int) -> None:
+def _check_batching(enc: Batch, batch_size: int) -> None:
     if len(enc) == 0:
         raise DataError("cannot batch an empty dataset")
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
 
 
-def _slice_batches(enc: EncodedDataset, order: np.ndarray, batch_size: int) -> list[Batch]:
+def _slice_batches(enc: Batch, order: np.ndarray, batch_size: int) -> list[Batch]:
     """Cut the rows of ``order`` into batches, each trimmed to its longest row."""
     _check_batching(enc, batch_size)
     return [_batch(enc, order[start : start + batch_size]) for start in range(0, len(order), batch_size)]
 
 
-def make_batches(enc: EncodedDataset, batch_size: int, seed: int, epoch: int = 0) -> list[Batch]:
+def make_batches(enc: Batch, batch_size: int, seed: int, epoch: int = 0) -> list[Batch]:
     """Seeded shuffle into contiguous batches; epoch k reshuffles with seed xor k."""
     order = np.random.default_rng(seed ^ epoch).permutation(len(enc))
     return _slice_batches(enc, order, batch_size)
@@ -418,7 +418,7 @@ def _repair_pair(first: np.ndarray, second: np.ndarray, order: np.ndarray) -> No
             arr[[i, target]] = arr[[target, i]]
 
 
-def pair_batches(enc: EncodedDataset, batch_size: int, seed: int, epoch: int = 0) -> list[PairedBatch]:
+def pair_batches(enc: Batch, batch_size: int, seed: int, epoch: int = 0) -> list[PairedBatch]:
     """Two independent seeded shuffles, repaired into different-intent pairs.
 
     The repair runs over the whole epoch before it is cut into batches, so

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .augment import NoisyMixupPass
-from .corpus import EncodedDataset, Vocab, _load_json, _slice_batches, make_batches, pair_batches
+from .corpus import Batch, Vocab, _load_json, _slice_batches, make_batches, pair_batches
 from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DataError, PairingError, TrainingError
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
@@ -216,7 +216,7 @@ def _same_array(now: np.ndarray, then: np.ndarray) -> bool:
     return now.dtype == then.dtype and np.array_equal(now, then)
 
 
-def batched_logits(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -> np.ndarray:
+def batched_logits(params: EncoderParams, enc: Batch, batch_size: int = 128) -> np.ndarray:
     """(N, M+1) logits of an untaped pass over the dataset, in its order.
 
     The rows are read ``batch_size`` at a time in dataset order, and each
@@ -255,7 +255,7 @@ def batched_logits(params: EncoderParams, enc: EncodedDataset, batch_size: int =
     return logits.copy()
 
 
-def known_accuracy(params: EncoderParams, enc: EncodedDataset, batch_size: int, known_only: bool) -> float:
+def known_accuracy(params: EncoderParams, enc: Batch, batch_size: int, known_only: bool) -> float:
     """Fraction of examples whose argmax matches the gold known class.
 
     known_only restricts the argmax to the first M logits (the stage-one
@@ -309,8 +309,8 @@ def _train_stage(stage: str, params, train_enc, val_enc, cfg: TrainConfig, log, 
 
 def pretrain(
     params: EncoderParams,
-    train_enc: EncodedDataset,
-    val_enc: EncodedDataset,
+    train_enc: Batch,
+    val_enc: Batch,
     cfg: TrainConfig,
     log: TrainLog | None = None,
 ) -> tuple[EncoderParams, TrainLog]:
@@ -322,7 +322,7 @@ def pretrain(
 
     def step(params, batch, ws, epoch: int):
         tape = TapedForward(params, batch, ws)
-        value, dlogits = pretrain_loss(tape.logits, batch.labels, params.M)
+        value, dlogits = pretrain_loss(tape.logits, batch.class_ids, params.M)
         if not math.isfinite(value):
             raise TrainingError(f"non-finite pretraining loss at epoch {epoch}")
         return value, tape.backward(dlogits)
@@ -332,8 +332,8 @@ def pretrain(
 
 def train_open(
     params: EncoderParams,
-    train_enc: EncodedDataset,
-    val_enc: EncodedDataset,
+    train_enc: Batch,
+    val_enc: Batch,
     cfg: TrainConfig,
     log: TrainLog | None = None,
 ) -> tuple[EncoderParams, TrainLog]:
@@ -356,7 +356,7 @@ def train_open(
     def step(params, batches, ws, epoch: int):
         batch, pair = batches
         mix_pass = NoisyMixupPass(params, batch, pair, cfg, mix_rng, ws)
-        targets = soft_targets(batch.labels, params.M, cfg.rho)
+        targets = soft_targets(batch.class_ids, params.M, cfg.rho)
         kl_value, dkl = kl_loss(targets, mix_pass.soft_logits)
         open_value, dopen = mixup_loss(mix_pass.logits)
         gamma = cfg.gamma if cfg.gamma_mode == "fixed" else mix_pass.lam
@@ -370,8 +370,8 @@ def train_open(
 
 def train_two_stage(
     params: EncoderParams,
-    train_enc: EncodedDataset,
-    val_enc: EncodedDataset,
+    train_enc: Batch,
+    val_enc: Batch,
     cfg: TrainConfig,
 ) -> tuple[EncoderParams, TrainLog]:
     """:func:`pretrain`, then :func:`train_open` from its best parameters, with one log. Public:
@@ -398,7 +398,7 @@ def baseline_predictions(logits: np.ndarray, M: int, threshold: float) -> np.nda
     return np.where(conf < threshold, M + 1, top + 1).astype(np.int32)
 
 
-def predict(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -> np.ndarray:
+def predict(params: EncoderParams, enc: Batch, batch_size: int = 128) -> np.ndarray:
     """open_predictions over the dataset's :func:`batched_logits`, one
     encoder forward per ``batch_size`` window; equal, element for element,
     to predicting each ``batch_size``-aligned slice on its own. Right after
@@ -409,7 +409,7 @@ def predict(params: EncoderParams, enc: EncodedDataset, batch_size: int = 128) -
 
 
 def threshold_baseline_predict(
-    params: EncoderParams, enc: EncodedDataset, threshold: float, batch_size: int = 128
+    params: EncoderParams, enc: Batch, threshold: float, batch_size: int = 128
 ) -> np.ndarray:
     """baseline_predictions over the dataset's :func:`batched_logits`, one
     encoder forward per ``batch_size`` window.

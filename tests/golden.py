@@ -51,7 +51,7 @@ def golden_run(corpus_sets) -> dict:
     )
     params, log = train_two_stage(init_params(enc_cfg, split.num_known, SEED), train_enc, val_enc, cfg)
     lengths = test_enc.lengths[:ROWS]
-    first_rows = Batch(tokens=test_enc.tokens[:ROWS, : lengths.max()], lengths=lengths, labels=test_enc.class_ids[:ROWS])
+    first_rows = Batch(tokens=test_enc.tokens[:ROWS, : lengths.max()], lengths=lengths, class_ids=test_enc.class_ids[:ROWS])
     _, logits = forward(params, first_rows)
     return {
         "epoch_losses": [rec.mean_loss for rec in log.records],

@@ -58,7 +58,7 @@ def tiny_batch(seed, size=4, m=TINY_M):
         tokens[i, 0] = 2
         tokens[i, 1:ln] = rng.integers(3, TINY["vocab_size"], size=ln - 1)
     labels = rng.integers(1, m + 1, size=size).astype(np.int32)
-    return Batch(tokens=tokens, lengths=lengths, labels=labels)
+    return Batch(tokens=tokens, lengths=lengths, class_ids=labels)
 
 
 def seed_for_layer(layer, depth=TINY["num_layers"], start=0):
@@ -70,7 +70,7 @@ def seed_for_layer(layer, depth=TINY["num_layers"], start=0):
 def tiny_pair(seed, size=4, m=TINY_M):
     first = tiny_batch(seed, size=size, m=m)
     second = tiny_batch(seed + 1, size=size, m=m)
-    second.labels = (first.labels % m + 1).astype(np.int32)
+    second.class_ids = (first.class_ids % m + 1).astype(np.int32)
     return PairedBatch(first=first, second=second)
 
 
@@ -144,13 +144,13 @@ def build_cases(p, batch, pair, mix_seed=777, rho=0.3, gamma=0.6):
     """
     m = p.M
     mix_cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
-    targets = soft_targets(batch.labels, m, rho)
+    targets = soft_targets(batch.class_ids, m, rho)
 
     def pretrain_value(q):
-        return pretrain_loss(TapedForward(q, batch).logits, batch.labels, m)[0]
+        return pretrain_loss(TapedForward(q, batch).logits, batch.class_ids, m)[0]
 
     tape = TapedForward(p, batch)
-    _, dpre = pretrain_loss(tape.logits, batch.labels, m)
+    _, dpre = pretrain_loss(tape.logits, batch.class_ids, m)
     pretrain_grads = tape.backward(dpre)
 
     def stage_two(q, seed=mix_seed):

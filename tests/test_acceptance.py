@@ -85,7 +85,7 @@ def _equal_length_batch(seed: int, vocab_size: int, max_len: int) -> Batch:
     tokens[:, 0] = 2
     for i, ln in enumerate(lengths):
         tokens[i, 1:ln] = rng.integers(3, vocab_size, size=ln - 1)
-    return Batch(tokens=tokens, lengths=lengths, labels=np.ones(4, dtype=np.int32))
+    return Batch(tokens=tokens, lengths=lengths, class_ids=np.ones(4, dtype=np.int32))
 
 
 def test_acceptance_3_mixing_identities(capsys):
@@ -111,9 +111,9 @@ def test_acceptance_3_mixing_identities(capsys):
             worst = max(worst, float(np.max(np.abs(resumed - direct))))
     endpoints_ok = worst < 1e-6
 
-    mixed = mixup(union_rows(b1, 1), union_rows(b2, 1), 0.35)
-    silent, scale = inject_noise(mixed, np.random.default_rng(0), 0.0, 0.0)
-    zero_noise_ok = np.array_equal(silent, mixed) and np.all(scale == 1.0)
+    packed = mixup(union_rows(b1, 1), union_rows(b2, 1), 0.35)
+    silent, scale = inject_noise(packed, np.random.default_rng(0), 0.0, 0.0)
+    zero_noise_ok = np.array_equal(silent, packed) and np.all(scale == 1.0)
 
     # Noise is zero-mean: the empirical mean over many draws stays within
     # four standard errors of the noiseless tensor, elementwise. The draws
@@ -121,7 +121,7 @@ def test_acceptance_3_mixing_identities(capsys):
     # check has always drawn, and checked at the union's positions.
     n = 10_000
     rng = np.random.default_rng(5)
-    mixed = unpacked(mixed, on)
+    mixed = unpacked(packed, on)
     acc = np.zeros(mixed.shape, dtype=np.float64)
     for _ in range(n):
         noisy, _ = inject_noise(mixed, rng, 0.4, 0.2)
@@ -130,9 +130,20 @@ def test_acceptance_3_mixing_identities(capsys):
     se = np.sqrt((0.2 * mixed) ** 2 + 0.4**2) / np.sqrt(n)
     mean_ok = np.all(np.abs(mean - mixed)[on] <= 4.0 * se[on] + 1e-12)
 
-    ok = endpoints_ok and zero_noise_ok and mean_ok
+    # The open step draws its noise over the packed (U, H) union rows. The
+    # K = U * H z-scores of their 10 000-draw means have mean 0 within
+    # 4 / sqrt(K) and standard deviation 1 within 4 / sqrt(2K).
+    acc = np.zeros(packed.shape, dtype=np.float64)
+    for _ in range(n):
+        noisy, _ = inject_noise(packed, rng, 0.4, 0.2)
+        acc += noisy
+    z = (acc / n - packed) / (np.sqrt((0.2 * packed) ** 2 + 0.4**2) / np.sqrt(n))
+    z_mean, z_sd = float(z.mean()), float(z.std())
+    packed_ok = abs(z_mean) <= 4.0 / np.sqrt(z.size) and abs(z_sd - 1.0) <= 4.0 / np.sqrt(2 * z.size)
+
+    ok = endpoints_ok and zero_noise_ok and mean_ok and packed_ok
     _verdict(capsys, 3, "mixing endpoints recover the unmixed branches", ok,
-             f"endpoint dev {worst:.2e}")
+             f"endpoint dev {worst:.2e}, packed z mean {z_mean:.3f} sd {z_sd:.3f}")
 
 
 def test_acceptance_4_mixing_weight_distribution(capsys):

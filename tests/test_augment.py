@@ -314,7 +314,7 @@ class TestNoisyMixupPass:
         pair = tiny_pair(12)
         cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)
         mix = NoisyMixupPass(p, batch, pair, cfg, np.random.default_rng(seed))
-        _, dsoft = kl_loss(soft_targets(batch.labels, p.M, 0.3), mix.soft_logits)
+        _, dsoft = kl_loss(soft_targets(batch.class_ids, p.M, 0.3), mix.soft_logits)
         _, dmix = mixup_loss(mix.logits)
         grads = mix.backward(0.6 * dsoft, 0.4 * dmix)
         soft_ref, mix_ref, grads_ref = separate_segments_reference(
@@ -362,7 +362,7 @@ class TestWorkspaceReuse:
 
 def cut(batch, width):
     """The batch with its columns from ``width`` on dropped."""
-    return Batch(tokens=batch.tokens[:, :width], lengths=np.minimum(batch.lengths, width), labels=batch.labels)
+    return Batch(tokens=batch.tokens[:, :width], lengths=np.minimum(batch.lengths, width), class_ids=batch.class_ids)
 
 
 def ragged_batch(seed, longest, size=4):
@@ -397,7 +397,7 @@ class TestRaggedWidths:
         whatever the stacked width, so both runs draw the same field."""
         p = tiny_params(seed=6, dtype=dtype)
         soft, first, second = (ragged_batch(70 + k, w) for k, w in enumerate(widths))
-        second.labels = (first.labels % p.M + 1).astype(np.int32)
+        second.class_ids = (first.class_ids % p.M + 1).astype(np.int32)
         ragged = (cut(soft, widths[0]), PairedBatch(cut(first, widths[1]), cut(second, widths[2])))
         full = (soft, PairedBatch(first=first, second=second))
         cfg = TrainConfig(alpha=2.0, delta_add=0.4, delta_mul=0.2)

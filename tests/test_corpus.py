@@ -16,7 +16,6 @@ from snoic.corpus import (
     Batch,
     ClassDataset,
     Dataset,
-    EncodedDataset,
     LabeledExample,
     PairedBatch,
     SplitSpec,
@@ -158,6 +157,19 @@ class TestVocab:
         with pytest.raises(DataError, match="not a vocabulary file"):
             Vocab.load(str(path))
 
+    def test_token_to_id_is_not_an_argument(self):
+        """The inverse map is computed, so it cannot disagree with id_to_token."""
+        with pytest.raises(TypeError):
+            Vocab(id_to_token=list(RESERVED_TOKENS) + ["alpha"], token_to_id={"beta": 3})
+
+    def test_token_to_id_inverts_id_to_token(self, tmp_path):
+        vocab = build_vocab(Dataset(examples=[LabeledExample("b b a c a delta", "x")]))
+        path = str(tmp_path / "vocab.json")
+        vocab.save(path)
+        for v in (vocab, Vocab.load(path)):
+            assert len(v.token_to_id) == len(v.id_to_token)
+            assert all(v.token_to_id[t] == i for i, t in enumerate(v.id_to_token))
+
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
             Vocab(id_to_token=list(RESERVED_TOKENS) + ["a", "a"])
@@ -247,7 +259,7 @@ class TestEncodeDataset:
 
     def test_zero_rows(self, vocab):
         enc = encode_dataset(ClassDataset(texts=[], class_ids=[], num_known=1), vocab, 5)
-        assert len(enc) == 0 and enc.max_len == 5
+        assert len(enc) == 0 and enc.tokens.shape[1] == 5
         assert enc.lengths.shape == enc.class_ids.shape == (0,)
         assert enc.tokens.dtype == enc.lengths.dtype == enc.class_ids.dtype == np.int32
 
@@ -314,6 +326,18 @@ class TestEncodeDataset:
 
         assert corpus._ENCODE_CHUNK >= 1024
         assert calls(base) == calls(base * 128)
+
+    def test_float_class_ids_rejected(self, vocab):
+        """A float id is rejected, never truncated to an integer."""
+        cds = ClassDataset(texts=["a b", "c"], class_ids=[1.7, 2.2], num_known=2)
+        with pytest.raises(DataError, match="class ids must be integers"):
+            encode_dataset(cds, vocab, 5)
+
+    @pytest.mark.parametrize("class_ids", [[1, 2, 1], [1], [[1], [2]]])
+    def test_one_class_id_per_text(self, vocab, class_ids):
+        cds = ClassDataset(texts=["a b", "c"], class_ids=class_ids, num_known=2)
+        with pytest.raises(DataError, match="one class id per text"):
+            encode_dataset(cds, vocab, 5)
 
     @pytest.mark.parametrize("rows", [0, 2])
     @pytest.mark.parametrize("max_len", [1, 0])
@@ -488,6 +512,17 @@ class TestSubsample:
         b = [ex.text for ex in subsample_labeled(ds, 0.3, 9).examples]
         assert a == b
 
+    def test_label_set_is_not_an_argument(self):
+        examples = [LabeledExample(f"t{i}", label) for i, label in enumerate("abcabc")]
+        with pytest.raises(TypeError):
+            Dataset(examples=examples, label_set=["a", "b"])
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    def test_label_set_is_the_sorted_labels_of_its_examples(self, ratio):
+        examples = [LabeledExample(f"t{i}", label) for i, label in enumerate("cabcbac")]
+        out = subsample_labeled(Dataset(examples=examples), ratio, 0)
+        assert out.label_set == sorted({ex.label for ex in out.examples}) == ["a", "b", "c"]
+
     def test_ratio_bounds_rejected(self):
         ds = toy_dataset()
         for ratio in (0.0, -0.5, 1.5):
@@ -562,12 +597,12 @@ class TestBatching:
         enc = encoded_toy()
         a = make_batches(enc, 4, seed=3, epoch=1)
         b = make_batches(enc, 4, seed=3, epoch=2)
-        assert any(not np.array_equal(x.labels, y.labels) for x, y in zip(a, b))
+        assert any(not np.array_equal(x.class_ids, y.class_ids) for x, y in zip(a, b))
 
     def test_shuffle_is_a_permutation(self):
         enc = encoded_toy()
         batches = make_batches(enc, 7, seed=5)
-        labels = np.concatenate([b.labels for b in batches])
+        labels = np.concatenate([b.class_ids for b in batches])
         assert sorted(labels.tolist()) == sorted(enc.class_ids.tolist())
 
     def test_batches_hold_their_rows_cut_to_their_width(self):
@@ -582,13 +617,13 @@ class TestBatching:
             rows = slice(start, start + 6)
             width = batch.tokens.shape[1]
             assert np.array_equal(batch.tokens, enc.tokens[rows, :width])
-            assert np.array_equal(batch.labels, enc.class_ids[rows])
+            assert np.array_equal(batch.class_ids, enc.class_ids[rows])
             assert np.array_equal(batch.lengths, enc.lengths[rows])
             assert np.all(enc.tokens[rows, width:] == PAD_ID)
 
     def test_every_batch_is_as_wide_as_its_longest_row(self):
         enc = ragged_encoded()
-        assert len(np.unique(enc.lengths)) > 3 and enc.lengths.max() == enc.max_len
+        assert len(np.unique(enc.lengths)) > 3 and enc.lengths.max() == enc.tokens.shape[1]
         batches = window_batches(enc, 5) + make_batches(enc, 5, seed=1, epoch=2)
         for pair in pair_batches(enc, 5, seed=3, epoch=1):
             batches += [pair.first, pair.second]
@@ -633,14 +668,14 @@ class TestPairing:
         enc = encoded_toy(num_classes=5, per_class=8)
         for seed in range(6):
             for pair in pair_batches(enc, 16, seed):
-                assert np.all(pair.first.labels != pair.second.labels)
+                assert np.all(pair.first.class_ids != pair.second.class_ids)
 
     def test_dominant_intent_cannot_be_paired(self):
         # seven of eight rows share an intent, over half of both sides
         n = 8
         tokens = np.zeros((n, 3), dtype=np.int32)
         tokens[:, 0] = CLS_ID
-        enc = EncodedDataset(
+        enc = Batch(
             tokens=tokens,
             lengths=np.ones(n, dtype=np.int32),
             class_ids=np.array([1] * 7 + [2], dtype=np.int32),
@@ -654,7 +689,7 @@ class TestPairing:
         n = 20
         tokens = np.zeros((n, 3), dtype=np.int32)
         tokens[:, 0] = CLS_ID
-        enc = EncodedDataset(
+        enc = Batch(
             tokens=tokens,
             lengths=np.ones(n, dtype=np.int32),
             class_ids=np.repeat(np.arange(1, 5), 5).astype(np.int32),
@@ -663,8 +698,8 @@ class TestPairing:
             pairs = pair_batches(enc, 8, seed)
             assert [len(p.first) for p in pairs] == [8, 8, 4]
             for pair in pairs:
-                assert np.all(pair.first.labels != pair.second.labels)
-            labels = np.concatenate([p.second.labels for p in pairs])
+                assert np.all(pair.first.class_ids != pair.second.class_ids)
+            labels = np.concatenate([p.second.class_ids for p in pairs])
             assert sorted(labels.tolist()) == sorted(enc.class_ids.tolist())
 
     def test_pairs_are_deterministic(self):
@@ -677,7 +712,7 @@ class TestPairing:
     def test_second_stream_is_a_permutation(self):
         enc = encoded_toy(num_classes=4, per_class=12)
         pairs = pair_batches(enc, 8, seed=4)
-        labels = np.concatenate([p.second.labels for p in pairs])
+        labels = np.concatenate([p.second.class_ids for p in pairs])
         assert sorted(labels.tolist()) == sorted(enc.class_ids.tolist())
 
     def test_single_class_rejected(self):
@@ -695,8 +730,8 @@ class TestPairing:
         """An empty set or a bad batch_size is a DataError, as in
         make_batches, even where the repair would find no pairing."""
         enc = encoded_toy(num_classes=3, per_class=4)
-        one_intent = EncodedDataset(tokens=enc.tokens, lengths=enc.lengths, class_ids=np.ones_like(enc.class_ids))
-        empty = EncodedDataset(tokens=enc.tokens[:0], lengths=enc.lengths[:0], class_ids=enc.class_ids[:0])
+        one_intent = Batch(tokens=enc.tokens, lengths=enc.lengths, class_ids=np.ones_like(enc.class_ids))
+        empty = Batch(tokens=enc.tokens[:0], lengths=enc.lengths[:0], class_ids=enc.class_ids[:0])
         with pytest.raises(DataError, match="batch_size must be >= 1"):
             pair_batches(one_intent, 0, seed=0)
         with pytest.raises(DataError, match="cannot batch an empty dataset"):
@@ -706,7 +741,7 @@ class TestPairing:
         enc = encoded_toy(num_classes=3, per_class=4)
         batch = make_batches(enc, 4, seed=0)[0]
         clone = Batch(
-            tokens=batch.tokens.copy(), lengths=batch.lengths.copy(), labels=batch.labels.copy()
+            tokens=batch.tokens.copy(), lengths=batch.lengths.copy(), class_ids=batch.class_ids.copy()
         )
         with pytest.raises(PairingError, match="collide"):
             PairedBatch(first=batch, second=clone)

@@ -62,7 +62,7 @@ def random_batch(cfg, seed, size=5, m=4, min_len=1):
         if ln > 1:
             tokens[i, 1:ln] = rng.integers(3, cfg.vocab_size, size=ln - 1)
     labels = rng.integers(1, m + 1, size=size).astype(np.int32)
-    return Batch(tokens=tokens, lengths=lengths, labels=labels)
+    return Batch(tokens=tokens, lengths=lengths, class_ids=labels)
 
 
 class TestParamSpec:
@@ -196,7 +196,7 @@ class TestForward:
         wide = Batch(
             tokens=np.pad(narrow.tokens, ((0, 0), (0, extra))),
             lengths=narrow.lengths,
-            labels=narrow.labels,
+            class_ids=narrow.class_ids,
         )
         e1, logits1 = forward(p, narrow)
         e2, logits2 = forward(p, wide)
@@ -209,7 +209,7 @@ class TestForward:
         batch = random_batch(cfg, 12, size=7)
         perm = np.random.default_rng(0).permutation(7)
         shuffled = Batch(
-            tokens=batch.tokens[perm], lengths=batch.lengths[perm], labels=batch.labels[perm]
+            tokens=batch.tokens[perm], lengths=batch.lengths[perm], class_ids=batch.class_ids[perm]
         )
         e1, logits1 = forward(p, batch)
         e2, logits2 = forward(p, shuffled)
@@ -330,7 +330,7 @@ class TestPacking:
         h = run_to_layer(p, batch.tokens, packing(batch, p.flat.dtype), 1)
         with pytest.raises(DataError):
             if entry == "forward":
-                forward(p, Batch(tokens=batch.tokens, lengths=lengths, labels=batch.labels))
+                forward(p, Batch(tokens=batch.tokens, lengths=lengths, class_ids=batch.class_ids))
             elif entry == "run_to_layer":
                 run_to_layer(p, batch.tokens, Packing(lengths, t, p.flat.dtype), 1)
             else:
@@ -361,7 +361,7 @@ class TestStraightLineReference:
         batch = Batch(
             tokens=np.array([[2, 3]], dtype=np.int32),
             lengths=np.array([2], dtype=np.int32),
-            labels=np.array([1], dtype=np.int32),
+            class_ids=np.array([1], dtype=np.int32),
         )
 
         def layernorm(x):
@@ -404,7 +404,7 @@ class TestStraightLineReference:
         batch = Batch(
             tokens=np.array([[2, 3, 0]], dtype=np.int32),
             lengths=np.array([2], dtype=np.int32),
-            labels=np.array([1], dtype=np.int32),
+            class_ids=np.array([1], dtype=np.int32),
         )
 
         def layernorm(x, gain, bias):
@@ -466,10 +466,10 @@ class TestUntapedPass:
         full = Batch(
             tokens=rng.integers(3, cfg.vocab_size, size=(32, cfg.max_len)).astype(np.int32),
             lengths=lengths,
-            labels=np.ones(32, dtype=np.int32),
+            class_ids=np.ones(32, dtype=np.int32),
         )
         full.tokens[~real_of(full)] = 0
-        trimmed = Batch(tokens=full.tokens[:, : lengths.max()], lengths=lengths, labels=full.labels)
+        trimmed = Batch(tokens=full.tokens[:, : lengths.max()], lengths=lengths, class_ids=full.class_ids)
         for got, want in zip(forward(p, trimmed), forward(p, full)):
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
@@ -649,7 +649,7 @@ class TestBlockViews:
 
 def narrow(batch, width=4):
     """The batch's first ``width`` columns, fewer than the tiny max_len."""
-    return Batch(tokens=batch.tokens[:, :width], lengths=np.minimum(batch.lengths, width), labels=batch.labels)
+    return Batch(tokens=batch.tokens[:, :width], lengths=np.minimum(batch.lengths, width), class_ids=batch.class_ids)
 
 
 def record_pass(kind, p, seed, ws=FRESH):
@@ -749,7 +749,7 @@ class TestBackwardProducts:
             backward = lambda: tape.backward(np.ones_like(tape.logits))
         else:
             first, second = random_batch(cfg, 95, size=32), random_batch(cfg, 96, size=32)
-            second.labels = first.labels % 4 + 1
+            second.class_ids = first.class_ids % 4 + 1
             pair = PairedBatch(first=first, second=second)
             mix = NoisyMixupPass(p, batch, pair, TrainConfig(), np.random.default_rng(97), ws)
             backward = lambda: mix.backward(np.ones_like(mix.soft_logits), np.ones_like(mix.logits))
@@ -808,7 +808,7 @@ class TestPackedRows:
 
     def pair(self):
         first, second = random_batch(self.CFG, 102, size=12), random_batch(self.CFG, 103, size=12)
-        second.labels = first.labels % 4 + 1
+        second.class_ids = first.class_ids % 4 + 1
         return PairedBatch(first=first, second=second)
 
     def run(self, kind, p, batch, ws):
@@ -860,7 +860,7 @@ class TestPackedRows:
         p = init_params(self.CFG, 4, seed=105)
         batch = random_batch(self.CFG, 106, size=12, min_len=2)
         ids = np.random.default_rng(107).integers(1, self.CFG.vocab_size, size=batch.tokens.shape)
-        other = Batch(tokens=np.where(real_of(batch), batch.tokens, ids).astype(batch.tokens.dtype), lengths=batch.lengths, labels=batch.labels)
+        other = Batch(tokens=np.where(real_of(batch), batch.tokens, ids).astype(batch.tokens.dtype), lengths=batch.lengths, class_ids=batch.class_ids)
         assert not np.array_equal(other.tokens, batch.tokens)
         assert np.array_equal(self.run(kind, p, batch, Workspace())[0], self.run(kind, p, other, Workspace())[0])
 

@@ -47,7 +47,7 @@ def test_unused_token_embedding_rows_get_zero_gradient():
     unused = sorted(set(range(p.cfg.vocab_size)) - set(batch.tokens.reshape(-1).tolist()))
     assert unused, "batch unexpectedly covers the whole vocabulary"
     tape = TapedForward(p, batch)
-    _, dlogits = pretrain_loss(tape.logits, batch.labels, p.M)
+    _, dlogits = pretrain_loss(tape.logits, batch.class_ids, p.M)
     grads = tape.backward(dlogits)
     for tid in unused:
         assert np.all(grads["token_embedding"][tid] == 0.0)
@@ -60,7 +60,7 @@ def test_padding_rows_get_zero_position_gradient():
     np.minimum(batch.lengths, batch.tokens.shape[1] - 1, out=batch.lengths)
     batch.tokens[:, -1] = 0
     tape = TapedForward(p, batch)
-    _, dlogits = pretrain_loss(tape.logits, batch.labels, p.M)
+    _, dlogits = pretrain_loss(tape.logits, batch.class_ids, p.M)
     grads = tape.backward(dlogits)
     assert np.all(grads["position_embedding"][-1] == 0.0)
 

@@ -19,7 +19,6 @@ from snoic.corpus import (
     Batch,
     ClassDataset,
     Dataset,
-    EncodedDataset,
     LabeledExample,
     PairedBatch,
     build_vocab,
@@ -112,7 +111,7 @@ def cls_only_dataset(class_ids, max_len=4):
     n = len(class_ids)
     tokens = np.zeros((n, max_len), dtype=np.int32)
     tokens[:, 0] = 2
-    return EncodedDataset(
+    return Batch(
         tokens=tokens,
         lengths=np.ones(n, dtype=np.int32),
         class_ids=np.asarray(class_ids, dtype=np.int32),
@@ -350,7 +349,7 @@ class TestPredict:
         for i, ln in enumerate(lengths):
             tokens[i, 0] = 2
             tokens[i, 1:ln] = rng.integers(3, 20, size=ln - 1)
-        enc = EncodedDataset(tokens=tokens, lengths=lengths, class_ids=np.ones(n, dtype=np.int32))
+        enc = Batch(tokens=tokens, lengths=lengths, class_ids=np.ones(n, dtype=np.int32))
         assert np.array_equal(predict(p, enc, 1), predict(p, enc, 64))
 
 
@@ -378,13 +377,13 @@ class TestEvalWindows:
         tokens = rng.integers(3, cfg.vocab_size, size=(self.N, cfg.max_len)).astype(np.int32)
         tokens[:, 0] = 2
         tokens[np.arange(cfg.max_len)[None, :] >= lengths[:, None]] = 0
-        enc = EncodedDataset(tokens=tokens, lengths=lengths, class_ids=rng.integers(1, 6, self.N).astype(np.int32))
+        enc = Batch(tokens=tokens, lengths=lengths, class_ids=rng.integers(1, 6, self.N).astype(np.int32))
         return p, enc
 
     def slices(self, enc):
         for start in range(0, len(enc), self.WINDOW):
             rows = slice(start, start + self.WINDOW)
-            yield EncodedDataset(tokens=enc.tokens[rows], lengths=enc.lengths[rows], class_ids=enc.class_ids[rows])
+            yield Batch(tokens=enc.tokens[rows], lengths=enc.lengths[rows], class_ids=enc.class_ids[rows])
 
     def test_whole_set_equals_its_slices(self, model):
         p, enc = model
@@ -405,7 +404,7 @@ class TestEvalWindows:
             row = Batch(
                 tokens=enc.tokens[i : i + 1],
                 lengths=enc.lengths[i : i + 1],
-                labels=enc.class_ids[i : i + 1],
+                class_ids=enc.class_ids[i : i + 1],
             )
             want = forward(p, row)[1][0]
             assert np.max(np.abs(got[i] - want)) <= 1e-5 * np.max(np.abs(want)), f"row {i}"
@@ -423,7 +422,7 @@ class TestEvalWindows:
             width = int(enc.lengths[rows].max())
             assert np.array_equal(batch.tokens, enc.tokens[rows, :width])
             assert np.array_equal(batch.lengths, enc.lengths[rows])
-            assert np.array_equal(batch.labels, enc.class_ids[rows])
+            assert np.array_equal(batch.class_ids, enc.class_ids[rows])
 
 
 class TestLastPassMemo:
@@ -443,7 +442,7 @@ class TestLastPassMemo:
         tokens = rng.integers(3, cfg.vocab_size, size=(n, cfg.max_len)).astype(np.int32)
         tokens[:, 0] = 2
         tokens[np.arange(cfg.max_len)[None, :] >= lengths[:, None]] = 0
-        return p, EncodedDataset(tokens=tokens, lengths=lengths, class_ids=rng.integers(1, 6, n).astype(np.int32))
+        return p, Batch(tokens=tokens, lengths=lengths, class_ids=rng.integers(1, 6, n).astype(np.int32))
 
     @pytest.fixture
     def forwards(self, monkeypatch):
@@ -486,7 +485,7 @@ class TestLastPassMemo:
         elif how == "equal params":
             return p.copy(), enc, TestLastPassMemo.WINDOW
         elif how == "equal dataset":
-            equal = EncodedDataset(tokens=enc.tokens.copy(), lengths=enc.lengths.copy(), class_ids=enc.class_ids)
+            equal = Batch(tokens=enc.tokens.copy(), lengths=enc.lengths.copy(), class_ids=enc.class_ids)
             return p, equal, TestLastPassMemo.WINDOW
         return p, enc, TestLastPassMemo.WINDOW
 
@@ -613,7 +612,7 @@ class TestBaselineAtArgmax:
 
 def assert_empty_sets_rejected(stage):
     vocab, train_enc, val_enc = separable_sets()
-    empty = EncodedDataset(
+    empty = Batch(
         tokens=train_enc.tokens[:0],
         lengths=train_enc.lengths[:0],
         class_ids=train_enc.class_ids[:0],
@@ -756,7 +755,7 @@ class TestTrainOpen:
     def test_single_known_intent_rejected(self):
         vocab, train_enc, val_enc = separable_sets()
         solo_idx = train_enc.class_ids == 1
-        solo = EncodedDataset(
+        solo = Batch(
             tokens=train_enc.tokens[solo_idx],
             lengths=train_enc.lengths[solo_idx],
             class_ids=train_enc.class_ids[solo_idx],
@@ -776,7 +775,7 @@ class TestTrainOpen:
         check reports the input check."""
         vocab, train_enc, val_enc = separable_sets()
         params = init_params(separable_encoder(vocab), 3, seed=0)
-        empty = EncodedDataset(
+        empty = Batch(
             tokens=train_enc.tokens[:0],
             lengths=train_enc.lengths[:0],
             class_ids=train_enc.class_ids[:0],
@@ -784,7 +783,7 @@ class TestTrainOpen:
         with pytest.raises(DataError, match="empty training"):
             train_open(params, empty, val_enc, self.short_cfg())
         solo_idx = train_enc.class_ids == 3
-        solo = EncodedDataset(
+        solo = Batch(
             tokens=train_enc.tokens[solo_idx],
             lengths=train_enc.lengths[solo_idx],
             class_ids=train_enc.class_ids[solo_idx],
@@ -874,11 +873,11 @@ class TestStepMemory:
         tokens = rng.integers(3, 500, size=(size, width)).astype(np.int32)
         tokens *= np.arange(width) < lengths[:, None]
         labels = rng.integers(1, self.M + 1, size=size).astype(np.int32)
-        return Batch(tokens=tokens, lengths=lengths, labels=labels)
+        return Batch(tokens=tokens, lengths=lengths, class_ids=labels)
 
     def pair(self, seed, size=32, width=32):
         first, second = self.batch(seed, size, width), self.batch(seed + 1, size, width)
-        second.labels = (first.labels % self.M + 1).astype(np.int32)
+        second.class_ids = (first.class_ids % self.M + 1).astype(np.int32)
         return PairedBatch(first=first, second=second)
 
     def params(self):
@@ -900,7 +899,7 @@ class TestStepMemory:
 
         def step(batch):
             tape = TapedForward(params, batch, ws)
-            _, dlogits = pretrain_loss(tape.logits, batch.labels, self.M)
+            _, dlogits = pretrain_loss(tape.logits, batch.class_ids, self.M)
             optimizer_step(params, tape.backward(dlogits), opt, 1e-3, 0.01)
 
         for seed, size, width in zip((1, 2, 3), (32, 16, 32), widths):
@@ -917,7 +916,7 @@ class TestStepMemory:
 
         def step(batch, pair, rng):
             mix_pass = NoisyMixupPass(params, batch, pair, TrainConfig(), rng, ws)
-            _, dkl = kl_loss(soft_targets(batch.labels, self.M, 0.3), mix_pass.soft_logits)
+            _, dkl = kl_loss(soft_targets(batch.class_ids, self.M, 0.3), mix_pass.soft_logits)
             _, dopen = mixup_loss(mix_pass.logits)
             optimizer_step(params, mix_pass.backward(0.5 * dkl, 0.5 * dopen), opt, 1e-3, 0.01)
 
