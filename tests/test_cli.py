@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,6 +18,7 @@ from snoic.cli import ABLATIONS, main, normalize_experiment_config, train_config
 from snoic.corpus import SplitSpec, build_vocab, load_dataset, make_split
 from snoic.encoder import EncoderConfig
 from snoic.errors import ConfigError
+from snoic import synth
 from snoic.synth import write_corpus
 from snoic.trainer import TrainConfig
 
@@ -99,6 +102,45 @@ class TestSplitCommand:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestSynthCommand:
+    """python -m snoic.synth: 0 ok, 1 when the files cannot be written, 2 on bad usage."""
+
+    BAD_COUNTS = [("--seed", "-1"), ("--train-per-class", "-3"), ("--train-per-class", "0"),
+                  ("--val-per-class", "0"), ("--test-per-class", "0")]
+
+    @pytest.mark.parametrize("flag,value", BAD_COUNTS)
+    def test_bad_count_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "corpus"
+        assert synth.main(["--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", BAD_COUNTS)
+    def test_write_corpus_rejects_the_same_counts(self, tmp_path, flag, value):
+        with pytest.raises(ConfigError):
+            write_corpus(str(tmp_path), **{flag[2:].replace("-", "_"): int(value)})
+
+    def test_out_below_a_regular_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert synth.main(["--out", str(tmp_path / "file" / "corpus")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_module_run_writes_the_library_files(self, tmp_path):
+        counts = {"train_per_class": 12, "val_per_class": 5, "test_per_class": 7}
+        expected = write_corpus(str(tmp_path / "lib"), seed=3, **counts)
+        flags = [arg for key, n in counts.items() for arg in ("--" + key.replace("_", "-"), str(n))]
+        src = str(Path(synth.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "snoic.synth", "--out", str(tmp_path / "cli"), "--seed", "3", *flags],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        for role, path in expected.items():
+            assert (tmp_path / "cli" / f"{role}.jsonl").read_bytes() == Path(path).read_bytes()
 
 
 class TestConfigValidation:
