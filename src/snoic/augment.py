@@ -66,34 +66,43 @@ def sample_lambda(rng: np.random.Generator, alpha: float) -> float:
     return float(g1 / total)
 
 
-def mixup(h1: np.ndarray, h2: np.ndarray, lam: float, ws: Workspace = FRESH) -> np.ndarray:
-    """Elementwise convex combination lam * h1 + (1 - lam) * h2."""
+def mixup(
+    h1: np.ndarray, h2: np.ndarray, lam: float, ws: Workspace = FRESH, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Elementwise convex combination lam * h1 + (1 - lam) * h2, written to
+    ``out`` (which may be ``h1``) when given."""
     if h1.shape != h2.shape:
         raise DataError(f"hidden state shapes differ: {h1.shape} vs {h2.shape}")
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"mixing weight must be in [0, 1], got {lam}")
-    mixed = np.multiply(h1, lam, out=ws.take("mix.mixed", h1.shape, h1.dtype))
+    mixed = np.multiply(h1, lam, out=out)
     mixed += np.multiply(h2, 1.0 - lam, out=ws.take("tmp", h2.shape, h2.dtype))
     return mixed
 
 
 def inject_noise(
-    x: np.ndarray, rng: np.random.Generator, delta_add: float, delta_mul: float, ws: Workspace = FRESH
+    x: np.ndarray,
+    rng: np.random.Generator,
+    delta_add: float,
+    delta_mul: float,
+    ws: Workspace = FRESH,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise multiplicative-then-additive Gaussian noise.
 
-    Returns the noisy state and the multiplicative factor (1 + delta_mul
-    * xi_mul), which is the local derivative of the output with respect
-    to ``x``. Both fields come from one standard-normal draw of shape
-    (2,) + x.shape in the state's dtype: xi_mul is its first half and
-    xi_add its second. They are drawn even when a delta is zero.
+    Returns the noisy state, written to ``out`` (which may be ``x``) when
+    given, and the multiplicative factor (1 + delta_mul * xi_mul), which is
+    the local derivative of the output with respect to ``x``. Both fields
+    come from one standard-normal draw of shape (2,) + x.shape in the
+    state's dtype: xi_mul is its first half and xi_add its second. They are
+    drawn even when a delta is zero.
     """
     shape, dt = x.shape, x.dtype
     scale, add = rng.standard_normal(out=ws.take("mix.xi", (2,) + shape, dt), dtype=dt)  # xi_mul, xi_add
     scale *= delta_mul
     scale += 1.0
     add *= delta_add
-    noisy = np.multiply(scale, x, out=ws.take("mix.noisy", shape, dt))
+    noisy = np.multiply(scale, x, out=out)
     noisy += add
     return noisy, scale
 
@@ -155,10 +164,9 @@ class NoisyMixupPass:
         # the packed rows of the soft batch end at soft, those of the first halves at halves
         soft = self.soft = int(batch.lengths.sum())
         self.halves = soft + int(pair.first.lengths.sum())
-        # the union's rows at the padded size, as packed rows are: a step with more of
-        # them than any step before allocates nothing
-        for key, fields in (("mix.mixed", 1), ("mix.noisy", 1), ("mix.xi", 2)):
-            ws.take(key, (fields * n * t, hd), dt)
+        # the noise of the union's rows at the padded size, as packed rows are: a step
+        # with more of them than any step before allocates nothing
+        ws.take("mix.xi", (2 * n * t, hd), dt)
 
         self.to_cache: dict = {}
         cut = run_to_layer(p, tokens, pk, self.layer, self.to_cache)
@@ -169,8 +177,9 @@ class NoisyMixupPass:
         h = to_rows.take(src, axis=0, out=fk.take("mix.h", hd, dt), mode="clip")
         pk.pos[n * t :].take(fk.idx[soft:], out=src[soft:], mode="clip")
         h2 = to_rows.take(src[soft:], axis=0, out=fk.take("mix.h2", hd, dt)[soft:], mode="clip")
-        mixed = mixup(h[soft:], h2, self.lam, ws)
-        h[soft:], self.scale = inject_noise(mixed, rng, cfg.delta_add, cfg.delta_mul, ws)
+        # the mixed rows, then the noisy ones, overwrite the first halves in h
+        mixed = mixup(h[soft:], h2, self.lam, ws, out=h[soft:])
+        _, self.scale = inject_noise(mixed, rng, cfg.delta_add, cfg.delta_mul, ws, out=mixed)
         self.from_cache: dict = {}
         self.e = run_from_layer(p, h, fk, self.layer, self.from_cache)
         logits = head_logits(p, self.e)

@@ -20,7 +20,6 @@ Run as a module to write train/val/test JSON Lines files.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -62,48 +61,93 @@ def class_names() -> list[str]:
     return sorted(CORE_WORDS)
 
 
-# (low, high) of the core, shared and filler word counts
-_COUNT_BOUNDS = (np.array([1, 1, 1]), np.array([4, 3, 4]))
+# raw 64-bit outputs a draw source takes from its stream per random_raw call
+_CHUNK = 2048
 
 
-def _sample_highs(pop: int, size: int) -> list[int]:
-    """Exclusive highs of the draws numpy's choice(pop, size, replace=False)
-    makes for small pools: Floyd's algorithm draws in [0, j] for j from
-    pop - size to pop - 1, then its picks are shuffled with draws in [0, i]
-    for i from size - 1 down to 1. Each is the bounded draw integers() uses."""
-    return [j + 1 for j in range(pop - size, pop)] + [i + 1 for i in range(size - 1, 0, -1)]
+class _Draws:
+    """numpy Generator draws replayed from one PCG64 stream's raw 64-bit
+    outputs, taken _CHUNK at a time. Each method returns what the Generator
+    method it names returns on a generator over the same stream, and uses
+    up the same outputs. A 32-bit draw takes the low half of the next
+    output and keeps its high half for the next 32-bit draw, across any
+    random() in between, as PCG64's has_uint32 and uinteger do. Outputs
+    taken but not drawn are never seen, as each stream has one source."""
+
+    def __init__(self, bit_generator: np.random.PCG64):
+        self.bit_generator = bit_generator
+        self.words: list[int] = []
+        self.pos = 0  # outputs of words used up
+        self.has_half = False
+        self.half = 0  # the kept high half, stale once has_half is False
+
+    def _word(self) -> int:
+        if self.pos == len(self.words):
+            self.words, self.pos = self.bit_generator.random_raw(_CHUNK).tolist(), 0
+        self.pos += 1
+        return self.words[self.pos - 1]
+
+    def _uint32(self) -> int:
+        if self.has_half:
+            self.has_half = False
+            return self.half
+        word = self._word()
+        self.has_half, self.half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        """random(): the top 53 bits of one output, times 2**-53."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        """integers(0, n) for 1 <= n < 2**32: Lemire's bounded 32-bit draw,
+        none at n == 1."""
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def sample(self, pop: int, size: int) -> list[int]:
+        """choice(pop, size, replace=False) for size <= pop <= 10000: Floyd's
+        draws in [0, j] for j from pop - size to pop - 1, then a shuffle of
+        the picks with draws in [0, i] for i from size - 1 down to 1."""
+        picks: list[int] = []
+        for j in range(pop - size, pop):
+            d = self.integers(j + 1)
+            picks.append(j if d in picks else d)
+        for i in range(size - 1, 0, -1):
+            d = self.integers(i + 1)
+            picks[i], picks[d] = picks[d], picks[i]
+        return picks
+
+    def shuffle(self, x: list) -> None:
+        """shuffle(x) in place, the order permutation(len(x)) gives: Fisher-
+        Yates from the top, each swap index a 32-bit draw masked to i's bit
+        length and drawn again while above i."""
+        for i in range(len(x) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._uint32() & mask
+            while j > i:
+                j = self._uint32() & mask
+            x[i], x[j] = x[j], x[i]
 
 
-def _sample(draws, pop: int, size: int) -> list[int]:
-    """Replay choice(pop, size, replace=False), taking its _sample_highs
-    draws from the iterator `draws` and no more."""
-    picks = []
-    for j, d in zip(range(pop - size, pop), draws):
-        picks.append(j if d in picks else d)
-    for i, d in zip(range(size - 1, 0, -1), draws):
-        picks[i], picks[d] = picks[d], picks[i]
-    return picks
-
-
-@functools.cache
-def _pick_highs(n_core: int, n_shared: int, n_filler: int, core_pool: int, shared_pool: int) -> np.ndarray:
-    highs = _sample_highs(core_pool, n_core) + _sample_highs(shared_pool, n_shared)
-    return np.array(highs + [len(FILLER_WORDS)] * n_filler)
-
-
-def _make_sentence(rng: np.random.Generator, core: list[str], shared: list[str], rare: str | None) -> str:
-    """Three Generator calls (four per sentence with generate_role's
-    random()) that draw exactly what scalar integers() for the counts,
-    choice(..., replace=False) for the core and shared words and integers()
-    for the fillers draw, so the text equals a choice-based generator's."""
-    n_core, n_shared, n_filler = rng.integers(*_COUNT_BOUNDS).tolist()
-    draws = iter(rng.integers(0, _pick_highs(n_core, n_shared, n_filler, len(core), len(shared))).tolist())
-    picks = [core[i] for i in _sample(draws, len(core), n_core)]
-    picks += [shared[i] for i in _sample(draws, len(shared), n_shared)]
-    picks += [FILLER_WORDS[i] for i in draws]
+def _make_sentence(draws: _Draws, core: list[str], shared: list[str], rare: str | None) -> str:
+    """The draws of scalar integers() for the three counts, choice(...,
+    replace=False) for the core and shared words, integers() for the
+    fillers and permutation() for the word order, in that order."""
+    n_core, n_shared, n_filler = 1 + draws.integers(3), 1 + draws.integers(2), 1 + draws.integers(3)
+    picks = [core[i] for i in draws.sample(len(core), n_core)]
+    picks += [shared[i] for i in draws.sample(len(shared), n_shared)]
+    picks += [FILLER_WORDS[draws.integers(len(FILLER_WORDS))] for _ in range(n_filler)]
     if rare is not None:
         picks.append(rare)
-    return " ".join([picks[i] for i in rng.permutation(len(picks)).tolist()])
+    draws.shuffle(picks)
+    return " ".join(picks)
 
 
 def generate_role(role: str, seed: int, per_class: int) -> list[dict]:
@@ -114,12 +158,13 @@ def generate_role(role: str, seed: int, per_class: int) -> list[dict]:
     for ci, label in enumerate(class_names()):
         core = CORE_WORDS[label]
         shared = [w for pair, words in sorted(SHARED_WORDS.items()) if label in pair for w in words]
-        rng = np.random.default_rng([seed, _ROLE_INDEX[role], ci])
+        # the stream of default_rng([seed, role, class])
+        draws = _Draws(np.random.PCG64([seed, _ROLE_INDEX[role], ci]))
         for j in range(per_class):
             rare = None
-            if rng.random() < RARE_TOKEN_RATE:
+            if draws.random() < RARE_TOKEN_RATE:
                 rare = f"zq{_ROLE_INDEX[role]}x{ci}x{j}"
-            rows.append({"text": _make_sentence(rng, core, shared, rare), "label": label})
+            rows.append({"text": _make_sentence(draws, core, shared, rare), "label": label})
     return rows
 
 

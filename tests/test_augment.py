@@ -115,6 +115,13 @@ class TestMixup:
             with pytest.raises(DataError, match="mixing weight"):
                 mixup(h1, h2, lam)
 
+    def test_in_place_into_the_first_state(self):
+        """out=h1 overwrites h1 with the bits a fresh result holds."""
+        h1, h2 = (h.astype(np.float32) for h in self.hidden_pair(seed=7))
+        fresh = mixup(h1, h2, 0.3)
+        mixed = mixup(h1, h2, 0.3, out=h1)
+        assert mixed is h1 and np.array_equal(mixed, fresh)
+
 
 class TestInjectNoise:
     def test_zero_deltas_are_an_exact_identity(self):
@@ -165,6 +172,13 @@ class TestInjectNoise:
         assert scale.dtype == noisy.dtype == dtype
         assert np.array_equal(scale, xi_mul * 0.2 + 1.0)
         assert np.array_equal(noisy, scale * mixed + xi_add * 0.4)
+
+    def test_in_place_into_the_state(self):
+        """out=x overwrites x with the bits a fresh result holds, from the same draws."""
+        mixed = np.random.default_rng(17).standard_normal((6, 4)).astype(np.float32)
+        fresh, fresh_scale = inject_noise(mixed, np.random.default_rng(18), 0.4, 0.2)
+        noisy, scale = inject_noise(mixed, np.random.default_rng(18), 0.4, 0.2, out=mixed)
+        assert noisy is mixed and np.array_equal(noisy, fresh) and np.array_equal(scale, fresh_scale)
 
     def test_mean_is_unbiased(self):
         """Noise is centered: averaging draws recovers the clean mix."""

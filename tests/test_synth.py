@@ -45,8 +45,8 @@ def file_digests(paths):
 
 
 def reference_sentence(rng, core, shared, rare):
-    """The choice-based sentence the one-call generator replaced: eight
-    Generator calls, two of them choice(..., replace=False)."""
+    """The choice-based sentence the replay reproduces: eight Generator
+    calls, two of them choice(..., replace=False)."""
     n_core = int(rng.integers(1, 4))
     n_shared = int(rng.integers(1, 3))
     n_filler = int(rng.integers(1, 4))
@@ -74,23 +74,117 @@ def test_bench_corpus_bytes_are_pinned(tmp_path, seed, test_per_class):
     assert file_digests(write_corpus(str(tmp_path), seed=seed, test_per_class=test_per_class)) == expected
 
 
+class CountingPCG64(np.random.PCG64):
+    """A PCG64 stream that records how many raw outputs each random_raw call asks for."""
+
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        self.requests = []
+
+    def random_raw(self, size=None, output=True):
+        self.requests.append(size)
+        return super().random_raw(size, output)
+
+
+def consumed(draws):
+    """The raw outputs ``draws`` has used up."""
+    return sum(draws.bit_generator.requests) - (len(draws.words) - draws.pos)
+
+
+def replayed_state(seed, draws):
+    """The PCG64 state of a Generator that drew what ``draws`` drew: the
+    outputs it consumed, and its kept 32-bit half (held or stale)."""
+    state = np.random.PCG64(seed).advance(consumed(draws)).state
+    state["has_uint32"], state["uinteger"] = int(draws.has_half), draws.half
+    return state
+
+
+def draw_pair(seed):
+    return synth._Draws(CountingPCG64(seed)), np.random.default_rng(seed)
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_every_sentence_consumes_the_reference_draws(seed):
     """After each sentence the text and the full bit-generator state (the
-    buffered half of a 64-bit PCG64 output included) equal the reference's,
+    kept half of a 64-bit PCG64 output included) equal the reference's,
     for every (core, shared, filler) count combination with and without a
     rare token."""
     labels = class_names()
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws, ref = draw_pair(seed)
     seen = set()
     for i in range(2400):
         label = labels[i % len(labels)]
         core, shared = CORE_WORDS[label], shared_pool(label)
         rare = f"zq{i}" if i % 3 == 0 else None
-        text = synth._make_sentence(rng, core, shared, rare)
+        text = synth._make_sentence(draws, core, shared, rare)
         assert text == reference_sentence(ref, core, shared, rare), i
-        assert rng.bit_generator.state == ref.bit_generator.state, i
+        assert replayed_state(seed, draws) == ref.bit_generator.state, i
         words = text.split()
         counts = tuple(sum(w in pool for w in words) for pool in (core, shared, FILLER_WORDS))
         seen.add(counts + (rare is not None,))
     assert seen == set(product((1, 2, 3), (1, 2), (1, 2, 3), (False, True)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1])
+def test_integers_replay_lemire(n):
+    """integers(0, n) value for value and state for state, rejections
+    included: at 2**31 + 1 about half the 32-bit draws are rejected and at
+    3 * 2**30 a quarter; at n == 1 nothing is drawn."""
+    draws, ref = draw_pair(5)
+    for i in range(2100):
+        assert draws.integers(n) == ref.integers(0, n), i
+        assert replayed_state(5, draws) == ref.bit_generator.state, i
+    taken = 2 * consumed(draws) - draws.has_half  # 32-bit draws
+    assert taken == 0 if n == 1 else taken >= 2100
+    if n in (2**31 + 1, 3 * 2**30):
+        assert taken > 2500
+
+
+def test_shuffle_replays_permutation():
+    """shuffle(list(range(n))) is permutation(n), masked rejections included."""
+    draws, ref = draw_pair(6)
+    for n in list(range(1, 41)) * 3:
+        order = list(range(n))
+        draws.shuffle(order)
+        assert order == ref.permutation(n).tolist(), n
+        assert replayed_state(6, draws) == ref.bit_generator.state, n
+
+
+def test_random_keeps_the_held_half():
+    """A random() between two 32-bit draws takes a whole output and leaves
+    the half kept by an odd run of 32-bit draws for the next one."""
+    draws, ref = draw_pair(7)
+    for i, run in enumerate([1, 3, 0, 2, 5, 1, 1, 4, 7, 0, 0, 3] * 20):
+        for _ in range(run):
+            assert draws.integers(7) == ref.integers(0, 7), i
+        assert draws.random() == ref.random(), i
+        assert replayed_state(7, draws) == ref.bit_generator.state, i
+        assert draws.has_half == bool(ref.bit_generator.state["has_uint32"])
+
+
+def test_a_role_draws_raw_chunks_and_no_generator(monkeypatch):
+    """generate_role reads each (role, class) stream through random_raw,
+    _CHUNK outputs a call, and builds no Generator: every output each
+    stream advanced by was returned by a random_raw call."""
+    streams = []
+
+    def counting(seed):
+        streams.append(CountingPCG64(seed))
+        return streams[-1]
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("generate_role built a numpy Generator")
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    per_class = 1024
+    rows = synth.generate_role("val", 3, per_class)
+    monkeypatch.undo()
+    assert len(rows) == per_class * len(class_names()) and len(streams) == len(class_names())
+    for ci, stream in enumerate(streams):
+        # a sentence takes about 9 outputs, so a call serves about 200 sentences
+        assert 1 <= len(stream.requests) <= 1 + per_class * 10 // synth._CHUNK, ci
+        assert stream.requests == [synth._CHUNK] * len(stream.requests), ci
+        fresh = np.random.PCG64([3, 1, ci]).advance(sum(stream.requests))
+        assert stream.state["state"] == fresh.state["state"] and not stream.state["has_uint32"], ci
