@@ -150,8 +150,7 @@ class NoisyMixupPass:
         self.layer = int(rng.integers(1, p.cfg.num_layers + 1))
         self.lam = sample_lambda(rng, cfg.alpha)
         parts = (batch, pair.first, pair.second)
-        b = len(batch)
-        n = len(pair.first)
+        b, n = len(batch), len(pair.first)
         t = max(part.tokens.shape[1] for part in parts)
         hd, dt = p.cfg.hidden, p.flat.dtype
         tokens = ws.take("mix.tokens", (b + 2 * n, t), batch.tokens.dtype)
@@ -173,10 +172,10 @@ class NoisyMixupPass:
         to_rows = pk.zero_topped("rows", hd, dt)
         to_rows[1:] = cut
         # the soft rows and the first halves, then the second halves, n rows further down
-        src = pk.pos.take(fk.idx, out=fk.take("mix.src", None, np.intp), mode="clip")
-        h = to_rows.take(src, axis=0, out=fk.take("mix.h", hd, dt), mode="clip")
+        src = pk.pos.take(fk.idx, out=fk.buf["mix.src", None, np.intp][: fk.rows], mode="clip")
+        h = to_rows.take(src, axis=0, out=fk.buf["mix.h", hd, dt][: fk.rows], mode="clip")
         pk.pos[n * t :].take(fk.idx[soft:], out=src[soft:], mode="clip")
-        h2 = to_rows.take(src[soft:], axis=0, out=fk.take("mix.h2", hd, dt)[soft:], mode="clip")
+        h2 = to_rows.take(src[soft:], axis=0, out=fk.buf["mix.h2", hd, dt][soft : fk.rows], mode="clip")
         # the mixed rows, then the noisy ones, overwrite the first halves in h
         mixed = mixup(h[soft:], h2, self.lam, ws, out=h[soft:])
         _, self.scale = inject_noise(mixed, rng, cfg.delta_add, cfg.delta_mul, ws, out=mixed)
@@ -194,9 +193,8 @@ class NoisyMixupPass:
         pk, fk = self.to_cache["pack"], self.from_cache["pack"]
         # each stacked position's row in the from-packing: a second half's is its union's
         union_pos = fk.pos[len(self.soft_logits) * fk.shape[1] :]
-        from_pos = ws.take("mix.from_pos", (fk.pos.size + union_pos.size,), np.intp)
-        np.concatenate((fk.pos, union_pos), out=from_pos)
-        back = from_pos.take(pk.idx, out=pk.take("mix.back", None, np.intp), mode="clip")
+        from_pos = np.concatenate((fk.pos, union_pos), out=pk.buf["mix.from_pos", None, np.intp][: pk.positions])
+        back = from_pos.take(pk.idx, out=pk.buf["mix.back", None, np.intp][: pk.rows], mode="clip")
         dstack = pk.zero_topped("mix.dh", dh.shape[1], dh.dtype)
         dh.take(back, axis=0, out=dstack[1:], mode="clip")
         dstack[1 + soft : 1 + halves] *= self.lam

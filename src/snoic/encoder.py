@@ -28,28 +28,23 @@ the packed rows, which is the row a gather through ``Packing.pos`` reads
 at padding.
 
 The optional ``cache`` argument of the runners decides what a pass keeps.
-With a cache dict (a tape), each sublayer stores in it exactly what its
-backward reads (the inputs of its matmuls, the attention weights, the ReLU
-outputs, the normalized activations and their inverse deviations), and
-the ``backward_*`` counterpart consumes it, so one recorded pass yields
-every parameter gradient. Without one, as in :func:`forward`, the
-sublayers store nothing and drop each intermediate as soon as it is
-consumed. Both passes run the same blocks: bias adds, ReLU, softmax,
-residual adds and layer-norm arithmetic work in place on arrays the pass
-itself allocated, in one operation order, so taped and untaped logits are
+With a cache dict (a tape), each sublayer stores under its block and name
+(``(i, "attn")``) one tuple of exactly what its backward reads, which the
+``backward_*`` counterpart consumes, so one recorded pass yields every
+parameter gradient. Without one, as in :func:`forward`, the sublayers
+store nothing and drop each intermediate as soon as it is consumed. Both
+passes run the same blocks, in place on arrays the pass itself allocated
+and in one operation order, so taped and untaped logits are
 bit-identical. The runners never write into arrays passed to them. All
 math is dtype-generic; training runs in float32 while gradient checks
 rerun the same code in float64.
 
-Every per-token array a pass writes comes from its :class:`Workspace`
-through ``out=``, and so does the gradient buffer; per-row vectors are
-allocated per pass. The packing keeps the workspace it was built on, and
-the runners and building blocks take every array from there, so a pass
-cannot mix two workspaces. A training stage creates one workspace and
-records each step's tape into it, so the tape, the backward gradients
-and the scratch arrays reuse the same buffers step after step instead of
-being allocated, freed and faulted back in. The default, :data:`FRESH`,
-hands out new arrays, which is what untaped passes use.
+Every per-token array a pass writes, and the gradient buffer, comes from
+the :class:`Workspace` its packing was built on, through ``out=``;
+per-row vectors are allocated per pass. A training stage records each
+step's tape into one workspace, so the tape, the gradients and the
+scratch reuse the same buffers step after step. The default,
+:data:`FRESH`, hands out new arrays, which is what untaped passes use.
 
 Parameters live in one flat, C-contiguous buffer: :class:`EncoderParams`
 keys reshaped views into it by name, back to back in canonical
@@ -235,29 +230,43 @@ def init_params(cfg: EncoderConfig, M: int, seed: int) -> EncoderParams:
     return EncoderParams(cfg=cfg, M=M, tensors=tensors)
 
 
+class _Buffers(dict):
+    """A pass's buffers, made on first lookup: ``(key, width, dtype)`` maps
+    to a (rows, width) array, (rows,) when ``width`` is None. Unless
+    ``keep``, every lookup makes a new one."""
+
+    def __init__(self, rows: int, keep: bool = True):
+        super().__init__()
+        self.rows, self.keep = rows, keep
+
+    def __missing__(self, key) -> np.ndarray:
+        buf = np.empty((self.rows,) if key[1] is None else (self.rows, key[1]), key[2])
+        if self.keep:
+            self[key] = buf
+        return buf
+
+
 class Workspace:
     """Grow-only storage for the arrays of taped passes, kept for a stage.
 
-    ``take(key, shape, dtype)`` returns a C-contiguous ``shape`` view of
-    the flat buffer kept under ``key``. A buffer is replaced only when a
-    request outgrows it or changes its dtype, so a stage that records one
-    pass per step allocates its working set in its first steps and then
-    reuses it. A pass overwrites whatever an earlier pass wrote under the
-    keys it takes: a workspace serves one pass at a time, and a tape
-    recorded into it is valid only until the next pass is recorded.
-
-    Keys name what an array holds. Arrays a tape keeps are keyed by block
-    and name (``(i, "q")``), so no two of them share storage. Backward
-    gradients are keyed by name alone and shared by every block. ``"tmp"``
-    is scratch of any shape that no function keeps past its return, and
-    ``"rows"`` is such scratch for packed rows below a zero row. A pass
-    reaches its workspace through its :class:`Packing`, which keeps the
-    one it was built on.
+    :meth:`buffers` maps ``(key, width, dtype)`` to a (rows, width) array
+    of which a pass takes the first rows: one dictionary lookup and a
+    slice, and no view kept. Its rows fit the packed rows and the padded
+    layout of the largest (n, t) batch seen; a larger batch replaces them
+    all. ``take(key, shape, dtype)`` serves arrays whose width changes
+    between passes: a ``shape`` view of the flat buffer under ``key``,
+    replaced only when outgrown or of another dtype. A stage thus
+    allocates its working set in its first steps. A pass overwrites what
+    an earlier one wrote under its keys, so a tape is valid until the next
+    pass is recorded. Keys name what an array holds: arrays a tape keeps
+    are keyed by block and name (``(i, "q")``), backward gradients by name
+    alone; ``"tmp"`` is scratch no function keeps past its return, and
+    ``"rows"`` such scratch for packed rows below a zero row.
     """
 
     def __init__(self):
-        self._views: dict = {}
         self._flat: dict = {}
+        self._buffers = _Buffers(0)
         self._grads: EncoderParams | None = None
         self.generation = 0
 
@@ -267,24 +276,26 @@ class Workspace:
         return self.generation
 
     def grads(self, p: EncoderParams, generation: int) -> EncoderParams:
-        """``p``'s layout over the "grads" buffer, its views built once, for
+        """``p``'s layout over the gradient buffer, its views built once, for
         the backward of pass ``generation``; raises if a later pass was recorded."""
         if generation != self.generation:
             raise TrainingError(f"stale tape: pass {generation} of its workspace was followed by {self.generation}")
-        flat = self.take("grads", p.flat.shape, p.flat.dtype)
-        if self._grads is None or self._grads.flat is not flat or self._grads.layout is not p.layout:
-            self._grads = p.with_flat(flat)
+        if self._grads is None or self._grads.layout is not p.layout or self._grads.flat.dtype != p.flat.dtype:
+            self._grads = p.with_flat(np.empty_like(p.flat))
         return self._grads
 
     def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
-        view = self._views.get(key)
-        if view is None or view.shape != shape or view.dtype != dtype:
-            n = math.prod(shape)
-            flat = self._flat.get(key)
-            if flat is None or flat.size < n or flat.dtype != dtype:
-                flat = self._flat[key] = np.empty(n, dtype)
-            view = self._views[key] = flat[:n].reshape(shape)
-        return view
+        n = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < n or flat.dtype != dtype:
+            flat = self._flat[key] = np.empty(n, dtype)
+        return flat[:n].reshape(shape)
+
+    def buffers(self, rows: int) -> _Buffers:
+        """The buffers of a pass that reads at most ``rows`` rows of each."""
+        if rows > self._buffers.rows:
+            self._buffers = _Buffers(rows)
+        return self._buffers
 
 
 class _FreshArrays(Workspace):
@@ -296,6 +307,9 @@ class _FreshArrays(Workspace):
     def grads(self, p: EncoderParams, generation: int) -> EncoderParams:
         return p.with_flat(np.empty_like(p.flat))
 
+    def buffers(self, rows: int) -> _Buffers:
+        return _Buffers(rows, keep=False)
+
 
 FRESH = _FreshArrays()
 """Default workspace: every array a pass asks for is a new one."""
@@ -305,17 +319,17 @@ FRESH = _FreshArrays()
 # packed rows
 
 
-_INDICES = {}  # "arange": one read-only vector, grown as passes need
+class _Aranges(dict):
+    """bits -> the read-only intp vector 0, 1, ..., 2 ** bits - 1: the first n
+    entries of ``_ARANGE[n.bit_length()]`` index n rows without allocating."""
 
-
-def _arange(n: int) -> np.ndarray:
-    """0, 1, ..., n - 1 as a read-only intp view of one vector that grows to
-    the next power of two."""
-    indices = _INDICES.get("arange")
-    if indices is None or indices.size < n:
-        indices = _INDICES["arange"] = np.arange(1 << (n - 1).bit_length())
+    def __missing__(self, bits: int) -> np.ndarray:
+        indices = self[bits] = np.arange(1 << bits)
         indices.flags.writeable = False
-    return indices[:n]
+        return indices
+
+
+_ARANGE = _Aranges()
 
 
 class Packing:
@@ -327,143 +341,126 @@ class Packing:
     packed (rows, width) arrays, one row per real token in row-major
     order, so no padded position is computed. ``idx`` holds each packed
     row's position in the flattened (n * t) layout, and ``seq`` and
-    ``col`` its row and column; gathering ``idx`` packs a padded array
-    (:meth:`pack`). ``pos`` holds 1 + the packed row of each padded
+    ``col`` its row and column; gathering ``idx`` from the (n * t, width)
+    rows of a padded array packs it. ``pos`` holds 1 + the packed row of each padded
     position, and 0 at padding; gathering it from a zero-topped buffer
     (:meth:`zero_topped`) unpacks a packed array with zeros at padding
     (:meth:`unpack`). ``counts`` are the lengths and ``bias`` the
     attention scores' additive term, 0 at real keys and
     ``ATTN_MASK_VALUE`` at padding, both in ``dtype``. ``ws`` is the
-    workspace of the pass: every array the pass writes is taken from it,
-    through :meth:`take` for packed rows. The packing's own index vectors
-    live there under ``key``, so two packings of one pass take two keys.
+    workspace of the pass and ``buf`` its :meth:`Workspace.buffers`:
+    ``buf[key, width, dtype][:rows]`` is a packed array, and the first
+    ``positions`` = n * t rows of one a padded array. The packing's own
+    index vectors are keyed by ``key``, so two packings take two keys.
     """
 
     def __init__(self, lengths: np.ndarray, width: int, dtype, ws: Workspace = FRESH, key: str = "to"):
         lengths = np.asarray(lengths)
-        if lengths.ndim != 1 or not np.issubdtype(lengths.dtype, np.integer):
+        if lengths.ndim != 1 or lengths.dtype.kind not in "iu":
             raise DataError(f"lengths must be a vector of integers, got {lengths.dtype} of shape {lengths.shape}")
-        if lengths.size and (lengths.min() < 0 or lengths.max() > width):
+        if lengths.size and (np.minimum.reduce(lengths) < 0 or np.maximum.reduce(lengths) > width):
             raise DataError(f"lengths must lie in 0..{width}, got {lengths.min()}..{lengths.max()}")
         n, t = self.shape = lengths.size, width
+        nt = self.positions = n * t
         self.ws = ws
-        real = np.less(_arange(t), lengths[:, None], out=ws.take((key, "real"), (n, t), bool)).reshape(-1)
-        pos = self.pos = real.cumsum(dtype=np.intp, out=ws.take((key, "pos"), (n * t,), np.intp))
-        self.rows = int(pos[-1]) if n * t else 0
-        # a workspace keeps its buffers, so a packed one is taken at the padded size and
-        # a later pass at this (n, t) with more real tokens finds it big enough; fresh
-        # arrays are used once, and one of the exact size is faster to get
-        self.capacity = self.rows if isinstance(ws, _FreshArrays) else n * t
+        buf = self.buf = ws.buffers(nt + 1)
+        real = buf[(key, "real"), None, bool][:nt]
+        np.less(_ARANGE[t.bit_length()][:t], lengths[:, None], out=real.reshape(n, t))
+        pos = self.pos = real.cumsum(dtype=np.intp, out=buf[(key, "pos"), None, np.intp][:nt])
+        rows = self.rows = int(pos[-1]) if nt else 0
         pos *= real
-        idx = self.take((key, "idx"), None, np.intp, top=1)
-        idx.put(pos, _arange(n * t), mode="clip")  # padded positions all land in the unused slot 0
+        idx = buf[(key, "idx"), None, np.intp][: rows + 1]
+        idx.put(pos, _ARANGE[nt.bit_length()][:nt], mode="clip")  # padded positions all land in the unused slot 0
         self.idx = idx[1:]
-        seq, col = self.take((key, "seq"), None, np.intp), self.take((key, "col"), None, np.intp)
+        seq, col = buf[(key, "seq"), None, np.intp][:rows], buf[(key, "col"), None, np.intp][:rows]
         self.seq, self.col = np.divmod(self.idx, t, out=(seq, col))
         self.counts = lengths.astype(dtype)
-        self.bias = ws.take((key, "bias"), (n, 1, t), dtype)
-        np.subtract(1.0, real, out=self.bias.reshape(-1), dtype=dtype)
-        self.bias *= ATTN_MASK_VALUE
-
-    def take(self, key, width: int | None, dtype, top: int = 0) -> np.ndarray:
-        """``top`` + rows packed rows of ``width`` (None: a vector) from the
-        workspace, in a buffer of ``top`` + capacity rows."""
-        rows = self.capacity + top
-        return self.ws.take(key, (rows,) if width is None else (rows, width), dtype)[: self.rows + top]
+        bias = buf[(key, "bias"), None, dtype][:nt]
+        np.subtract(1.0, real, out=bias, dtype=dtype)
+        bias *= ATTN_MASK_VALUE
+        self.bias = bias.reshape(n, 1, t)
 
     def zero_topped(self, key, width: int, dtype) -> np.ndarray:
         """A (rows + 1, width) buffer whose first row is zero. Its other rows
         hold a packed array, which :meth:`unpack` reads."""
-        buf = self.take(key, width, dtype, top=1)
+        buf = self.buf[key, width, dtype][: self.rows + 1]
         buf[0] = 0
         return buf
 
-    def pack(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The real-token rows of the padded (n, t, width) ``x``, into ``out``."""
-        return x.reshape(-1, x.shape[-1]).take(self.idx, axis=0, out=out, mode="clip")
-
-    def unpack(self, topped: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The padded (n, t, width) layout of the zero-topped ``topped``, into ``out``."""
-        topped.take(self.pos, axis=0, out=out.reshape(-1, topped.shape[1]), mode="clip")
-        return out
+    def unpack(self, topped: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """The padded (n, t, width) layout of the zero-topped ``topped``,
+        written into the first n * t rows of the buffer ``buf``."""
+        return topped.take(self.pos, axis=0, out=buf[: self.positions], mode="clip").reshape(self.shape + (-1,))
 
 
 # ---------------------------------------------------------------------------
 # forward / backward building blocks, on packed rows
 
 
-def _embed_forward(p: EncoderParams, tokens: np.ndarray, pk: Packing, cache: dict | None) -> np.ndarray:
+def _embed_forward(p: EncoderParams, tokens: np.ndarray, pk: Packing, tape: dict | None) -> np.ndarray:
     t = tokens.shape[1]
     if t > p.cfg.max_len:
         raise DataError(f"sequence length {t} exceeds configured max_len {p.cfg.max_len}")
-    table = p["token_embedding"]
-    hd = table.shape[1]
-    ids = tokens.take(pk.idx, out=pk.take("embed.ids", None, tokens.dtype), mode="clip")
-    if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
+    table = p.tensors["token_embedding"]
+    hd, rows = table.shape[1], pk.rows
+    ids = tokens.take(pk.idx, out=pk.buf["embed.ids", None, tokens.dtype][:rows], mode="clip")
+    if rows and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= len(table)):
         raise DataError(f"token ids must lie in 0..{len(table) - 1}")
     # mode="raise" would gather through a temporary; the ids are checked above
-    h = table.take(ids, axis=0, out=pk.take("embed", hd, table.dtype), mode="clip")
-    h += p["position_embedding"].take(pk.col, axis=0, out=pk.take("tmp", hd, h.dtype), mode="clip")
-    if cache is not None:
-        # the backward's scatter index, id * H + j per gradient element. numpy allocates
-        # a buffer for the broadcast add; here, before the tape holds anything, it
-        # does not add to the step's peak
-        at = pk.take("embed.at", hd, np.intp)
+    h = table.take(ids, axis=0, out=pk.buf["embed", hd, table.dtype][:rows], mode="clip")
+    h += p.tensors["position_embedding"].take(pk.col, axis=0, out=pk.buf["tmp", hd, h.dtype][:rows], mode="clip")
+    if tape is not None:
+        # the backward's scatter index, id * H + j per gradient element; the buffer numpy
+        # takes for the broadcast add does not add to the peak before the tape holds anything
+        at = pk.buf["embed.at", hd, np.intp][:rows]
         np.copyto(at, ids[:, None])
         at *= hd
-        at += _arange(hd)
-        cache.update(pack=pk, at=at)
+        at += _ARANGE[hd.bit_length()][:hd]
+        tape["pack"], tape["at"] = pk, at
     return h
 
 
-def _embed_backward(p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams) -> None:
+def _embed_backward(p: EncoderParams, tape: dict, dh: np.ndarray, grads: EncoderParams) -> None:
     """``dh`` is the zero-topped gradient of the embeddings' packed rows."""
-    pk = cache["pack"]
-    (n, t), hd = pk.shape, dh.shape[1]
-    dtok, dpos = grads["token_embedding"], grads["position_embedding"]
+    pk = tape["pack"]
+    t, hd = pk.shape[1], dh.shape[1]
+    dtok, dpos = grads.tensors["token_embedding"], grads.tensors["position_embedding"]
     dtok.fill(0)  # with the position rows past t, the only ranges a backward zeroes
     # dtok[ids] += dh row by row, run as one element scatter over the flat table: each
     # entry takes the same additions in the same order, so the sums are bit-identical
-    np.add.at(dtok.reshape(-1), cache["at"].reshape(-1), dh[1:].reshape(-1))
-    pk.unpack(dh, pk.ws.take("tmp", (n, t, hd), dh.dtype)).sum(axis=0, out=dpos[:t])
+    np.add.at(dtok.reshape(-1), tape["at"].reshape(-1), dh[1:].reshape(-1))
+    np.add.reduce(pk.unpack(dh, pk.buf["tmp", hd, dh.dtype]), axis=0, out=dpos[:t])
     dpos[t:] = 0
 
 
-def _subcache(cache: dict | None, key: str | int) -> dict | None:
-    """The tape entry ``key`` of ``cache``, or None on an untaped pass."""
-    return None if cache is None else cache.setdefault(key, {})
-
-
-def _layernorm_forward(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, cache: dict | None, pk: Packing, key
-) -> np.ndarray:
-    """Normalize the last axis. ``x`` is a sum the caller no longer needs:
-    it is overwritten. A taped pass writes the output under ``key``."""
-    h = x.shape[-1]
+def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, tape: dict | None, pk: Packing, key):
+    """Normalize the last axis of ``x``, a sum the caller no longer needs, in
+    place. A taped pass writes the output under ``key`` and tapes (xhat, inv) there."""
+    h, dt = x.shape[-1], x.dtype
     mu = rowsum(x)
     mu /= h
     xc = np.subtract(x, mu, out=x)
-    var = rowsum(np.multiply(xc, xc, out=pk.take("tmp", h, x.dtype)))
+    var = rowsum(np.multiply(xc, xc, out=pk.buf["tmp", h, dt][: pk.rows]))
     var /= h
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    inv = np.divide(1.0, np.sqrt(np.add(var, LN_EPS, out=var), out=var), out=var)  # 1 / sqrt(var + eps)
     xhat = np.multiply(xc, inv, out=xc)
-    if cache is None:
+    if tape is None:
         y = np.multiply(xhat, gain, out=xhat)
     else:
-        cache["xhat"], cache["inv"] = xhat, inv
-        y = np.multiply(xhat, gain, out=pk.take(key, h, x.dtype))
+        tape[key] = xhat, inv
+        y = np.multiply(xhat, gain, out=pk.buf[key, h, dt][: pk.rows])
     y += bias
     return y
 
 
 def _layernorm_backward(
-    dy: np.ndarray, cache: dict, gain: np.ndarray, dgain: np.ndarray, dbias: np.ndarray, pk: Packing
+    dy: np.ndarray, saved: tuple, gain: np.ndarray, dgain: np.ndarray, dbias: np.ndarray, pk: Packing
 ) -> np.ndarray:
     """Writes the gain and bias gradients into ``dgain`` and ``dbias`` and
     overwrites ``dy`` with the input gradient it returns."""
-    xhat, inv = cache["xhat"], cache["inv"]
+    xhat, inv = saved
     h = dy.shape[-1]
-    tmp = np.multiply(dy, xhat, out=pk.take("tmp", h, dy.dtype))
+    tmp = np.multiply(dy, xhat, out=pk.buf["tmp", h, dy.dtype][: pk.rows])
     colsum(tmp, out=dgain)
     colsum(dy, out=dbias)
     dxhat = np.multiply(dy, gain, out=dy)
@@ -477,149 +474,151 @@ def _layernorm_backward(
     return np.multiply(inv, dx, out=dx)
 
 
-def _attention_forward(w: Block, i: int, h: np.ndarray, pk: Packing, cache: dict | None) -> np.ndarray:
+def _attention_forward(w: Block, i: int, h: np.ndarray, pk: Packing, tape: dict | None) -> np.ndarray:
     """The projections run on the packed rows ``h``; the scores, softmax and
     ``att @ v`` run in the padded (n, t, ·) layout, q, k and v unpacked into
     it, and the context is packed back for the output projection."""
     (n, t), hd, dt = pk.shape, h.shape[1], h.dtype
+    buf = pk.buf
     rows = pk.zero_topped("rows", hd, dt)
-
-    def unpacked(weight, key):
-        np.matmul(h, weight, out=rows[1:])
-        return pk.unpack(rows, pk.ws.take((i, key), (n, t, hd), dt))
-
-    q, k = unpacked(w.attn_q, "q"), unpacked(w.attn_k, "k")
+    np.matmul(h, w.attn_q, out=rows[1:])
+    q = pk.unpack(rows, buf[(i, "q"), hd, dt])
+    np.matmul(h, w.attn_k, out=rows[1:])
+    k = pk.unpack(rows, buf[(i, "k"), hd, dt])
     scale = 1.0 / math.sqrt(hd)
     scores = np.matmul(q, k.swapaxes(1, 2), out=pk.ws.take((i, "att"), (n, t, t), dt))
-    if cache is not None:
-        cache.update(h=h, q=q, k=k, scale=scale)
-    del q, k
+    if tape is None:
+        del q, k  # an untaped pass lets them go before it takes more
     scores *= scale
     scores += pk.bias
     att = softmax(scores, out=scores)
-    v = unpacked(w.attn_v, "v")
-    ctx = pk.pack(np.matmul(att, v, out=pk.ws.take("attn.ctx", (n, t, hd), dt)), pk.take((i, "ctx"), hd, dt))
-    if cache is not None:
-        cache.update(v=v, att=att, ctx=ctx)
-    del v, att
-    return np.matmul(ctx, w.attn_out, out=pk.take((i, "s1"), hd, dt))
+    np.matmul(h, w.attn_v, out=rows[1:])
+    v = pk.unpack(rows, buf[(i, "v"), hd, dt])
+    padded = buf["attn.ctx", hd, dt][: pk.positions]
+    np.matmul(att, v, out=padded.reshape(n, t, hd))
+    ctx = padded.take(pk.idx, axis=0, out=buf[(i, "ctx"), hd, dt][: pk.rows], mode="clip")
+    if tape is None:
+        del v, att
+    else:
+        tape[i, "attn"] = h, q, k, v, att, ctx, scale
+    return np.matmul(ctx, w.attn_out, out=buf[(i, "s1"), hd, dt][: pk.rows])
 
 
-def _attention_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: Packing) -> np.ndarray:
-    h, q, k, v, att, ctx, scale = (
-        cache["h"], cache["q"], cache["k"], cache["v"], cache["att"], cache["ctx"], cache["scale"],
-    )
+def _attention_backward(w: Block, g: Block, saved: tuple, dout: np.ndarray, pk: Packing) -> np.ndarray:
+    h, q, k, v, att, ctx, scale = saved
     shape, hd, dt = q.shape, h.shape[1], h.dtype
+    buf, packed = pk.buf, pk.rows
     np.matmul(ctx.T, dout, out=g.attn_out)
     rows = pk.zero_topped("rows", hd, dt)
     np.matmul(dout, w.attn_out.T, out=rows[1:])
-    dctx = pk.unpack(rows, pk.ws.take("attn.ctx", shape, dt))
+    # the padded gradients of q, k and v as (n * t, H) rows; dq goes over dctx once spent
+    dq_pad, dk_pad = buf["attn.ctx", hd, dt][: pk.positions], buf["tmp", hd, dt][: pk.positions]
+    dv_pad = buf["attn.dv", hd, dt][: pk.positions]
+    dctx = pk.unpack(rows, dq_pad)
     datt = np.matmul(dctx, v.swapaxes(1, 2), out=pk.ws.take("attn.datt", att.shape, dt))
-    dv = np.matmul(att.swapaxes(1, 2), dctx, out=pk.ws.take("attn.dv", shape, dt))
+    np.matmul(att.swapaxes(1, 2), dctx, out=dv_pad.reshape(shape))
     # dscores = att * (datt - rowsum(datt * att)), written over datt
     datt -= rowsum(np.multiply(datt, att, out=pk.ws.take("tmp", att.shape, dt)))
     dscores = np.multiply(att, datt, out=datt)
-    dk = np.matmul(dscores.swapaxes(1, 2), q, out=pk.ws.take("tmp", shape, dt))
-    dq = np.matmul(dscores, k, out=dctx)  # dctx is spent
-    # the packed gradients of q, k and v; dq goes where the packed dctx was
-    dq = pk.pack(dq, rows[1:])
-    dk = pk.pack(dk, pk.take("attn.dk", hd, dt))
-    dv = pk.pack(dv, pk.take("attn.dv.packed", hd, dt))
+    np.matmul(dscores.swapaxes(1, 2), q, out=dk_pad.reshape(shape))
+    np.matmul(dscores, k, out=dctx)
+    # packed, dq where the packed dctx was
+    dq = dq_pad.take(pk.idx, axis=0, out=rows[1:], mode="clip")
+    dk = dk_pad.take(pk.idx, axis=0, out=buf["attn.dk", hd, dt][:packed], mode="clip")
+    dv = dv_pad.take(pk.idx, axis=0, out=buf["attn.dv.packed", hd, dt][:packed], mode="clip")
     dq *= scale
     dk *= scale
     for grad, d in ((g.attn_q, dq), (g.attn_k, dk), (g.attn_v, dv)):
         np.matmul(h.T, d, out=grad)
     # the last two products go through dq's storage, which nothing reads again
-    dx = np.matmul(dq, w.attn_q.T, out=pk.take("dx", hd, dt))
+    dx = np.matmul(dq, w.attn_q.T, out=buf["dx", hd, dt][:packed])
     dx += np.matmul(dk, w.attn_k.T, out=dq)
     dx += np.matmul(dv, w.attn_v.T, out=dq)
     return dx
 
 
-def _ffn_forward(w: Block, i: int, x: np.ndarray, pk: Packing, cache: dict | None) -> np.ndarray:
-    u = np.matmul(x, w.ffn_w1, out=pk.take((i, "r"), w.ffn_w1.shape[1], x.dtype))
+def _ffn_forward(w: Block, i: int, x: np.ndarray, pk: Packing, tape: dict | None) -> np.ndarray:
+    u = np.matmul(x, w.ffn_w1, out=pk.buf[(i, "r"), w.ffn_w1.shape[1], x.dtype][: pk.rows])
     u += w.ffn_b1
     r = np.maximum(u, 0.0, out=u)
-    if cache is not None:
-        cache.update(x=x, r=r)
-    out = np.matmul(r, w.ffn_w2, out=pk.take((i, "s2"), x.shape[1], x.dtype))
+    if tape is not None:
+        tape[i, "ffn"] = x, r
+    out = np.matmul(r, w.ffn_w2, out=pk.buf[(i, "s2"), x.shape[1], x.dtype][: pk.rows])
     out += w.ffn_b2
     return out
 
 
-def _ffn_backward(w: Block, g: Block, cache: dict, dout: np.ndarray, pk: Packing) -> np.ndarray:
-    x, r = cache["x"], cache["r"]
-    hd, fd = x.shape[1], r.shape[1]
+def _ffn_backward(w: Block, g: Block, saved: tuple, dout: np.ndarray, pk: Packing) -> np.ndarray:
+    x, r = saved
+    hd, fd, packed = x.shape[1], r.shape[1], pk.rows
     np.matmul(r.T, dout, out=g.ffn_w2)
     colsum(dout, out=g.ffn_b2)
-    du = np.matmul(dout, w.ffn_w2.T, out=pk.take("ffn.du", fd, r.dtype))
-    du *= np.greater(r, 0, out=pk.take("ffn.on", fd, bool))
+    du = np.matmul(dout, w.ffn_w2.T, out=pk.buf["ffn.du", fd, r.dtype][:packed])
+    du *= np.greater(r, 0, out=pk.buf["ffn.on", fd, bool][:packed])
     np.matmul(x.T, du, out=g.ffn_w1)
     colsum(du, out=g.ffn_b1)
-    return np.matmul(du, w.ffn_w1.T, out=pk.take("dx", hd, x.dtype))
+    return np.matmul(du, w.ffn_w1.T, out=pk.buf["dx", hd, x.dtype][:packed])
 
 
-def _block_forward(w: Block, i: int, h: np.ndarray, pk: Packing, cache: dict | None) -> np.ndarray:
-    """Apply the block with tensors ``w`` to the packed rows ``h``; ``i``
-    (0-based) keys its tape arrays.
-
-    ``h`` is only read. Residual sums are formed in the sublayer outputs,
-    which the layer norms then overwrite.
-    """
-    s1 = _attention_forward(w, i, h, pk, _subcache(cache, "attn"))
+def _block_forward(w: Block, i: int, h: np.ndarray, pk: Packing, tape: dict | None) -> np.ndarray:
+    """Apply the block with tensors ``w`` to the packed rows ``h``, which it
+    only reads; ``i`` (0-based) keys its arrays and tape entries. Residual
+    sums are formed in the sublayer outputs, which the layer norms overwrite."""
+    s1 = _attention_forward(w, i, h, pk, tape)
     s1 += h
-    n1 = _layernorm_forward(s1, w.norm1_gain, w.norm1_bias, _subcache(cache, "ln1"), pk, (i, "n1"))
-    s2 = _ffn_forward(w, i, n1, pk, _subcache(cache, "ffn"))
+    n1 = _layernorm_forward(s1, w.norm1_gain, w.norm1_bias, tape, pk, (i, "n1"))
+    s2 = _ffn_forward(w, i, n1, pk, tape)
     s2 += n1
-    return _layernorm_forward(s2, w.norm2_gain, w.norm2_bias, _subcache(cache, "ln2"), pk, (i, "n2"))
+    return _layernorm_forward(s2, w.norm2_gain, w.norm2_bias, tape, pk, (i, "n2"))
 
 
-def _block_backward(w: Block, g: Block, cache: dict, dh: np.ndarray, pk: Packing) -> None:
-    """Reverse of one block, writing its gradients into ``g`` and the
+def _block_backward(w: Block, g: Block, i: int, tape: dict, dh: np.ndarray, pk: Packing) -> None:
+    """Reverse of block ``i``, writing its gradients into ``g`` and the
     gradient that flows on over ``dh``."""
-    ds2 = _layernorm_backward(dh, cache["ln2"], w.norm2_gain, g.norm2_gain, g.norm2_bias, pk)
-    dn1 = np.add(ds2, _ffn_backward(w, g, cache["ffn"], ds2, pk), out=ds2)
-    ds1 = _layernorm_backward(dn1, cache["ln1"], w.norm1_gain, g.norm1_gain, g.norm1_bias, pk)
-    np.add(ds1, _attention_backward(w, g, cache["attn"], ds1, pk), out=ds1)
+    ds2 = _layernorm_backward(dh, tape[i, "n2"], w.norm2_gain, g.norm2_gain, g.norm2_bias, pk)
+    dn1 = np.add(ds2, _ffn_backward(w, g, tape[i, "ffn"], ds2, pk), out=ds2)
+    ds1 = _layernorm_backward(dn1, tape[i, "n1"], w.norm1_gain, g.norm1_gain, g.norm1_bias, pk)
+    np.add(ds1, _attention_backward(w, g, tape[i, "attn"], ds1, pk), out=ds1)
 
 
 def _pool_forward(h: np.ndarray, pk: Packing) -> np.ndarray:
     """Mean of each sequence's packed rows, summed in the padded layout."""
-    if (pk.counts == 0).any():
+    if 0 in pk.counts:
         raise DataError("cannot pool a sequence with zero real tokens")
     rows = pk.zero_topped("rows", h.shape[1], h.dtype)
     rows[1:] = h
     # einsum: the terms and order of .sum(axis=1) for H > 1, in about a quarter of its time
-    x = np.einsum("nth->nh", pk.unpack(rows, pk.ws.take("pool", pk.shape + h.shape[1:], h.dtype)))
+    x = np.einsum("nth->nh", pk.unpack(rows, pk.buf["pool", h.shape[1], h.dtype]))
     x /= pk.counts[:, None]
     return x
 
 
-def _dense_forward(p: EncoderParams, x: np.ndarray, cache: dict | None) -> np.ndarray:
-    u = x @ p["dense_w"]
-    u += p["dense_b"]
+def _dense_forward(p: EncoderParams, x: np.ndarray, tape: dict | None) -> np.ndarray:
+    u = x @ p.tensors["dense_w"]
+    u += p.tensors["dense_b"]
     e = np.maximum(u, 0.0, out=u)
-    if cache is not None:
-        cache.update(x=x, e=e)
+    if tape is not None:
+        tape["dense"] = x, e
     return e
 
 
-def _dense_backward(p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams) -> np.ndarray:
-    du = de * (cache["e"] > 0)
-    np.matmul(cache["x"].T, du, out=grads["dense_w"])
-    np.sum(du, axis=0, out=grads["dense_b"])
-    return du @ p["dense_w"].T
+def _dense_backward(p: EncoderParams, tape: dict, de: np.ndarray, grads: EncoderParams) -> np.ndarray:
+    x, e = tape["dense"]
+    du = de * (e > 0)
+    np.matmul(x.T, du, out=grads.tensors["dense_w"])
+    np.add.reduce(du, axis=0, out=grads.tensors["dense_b"])
+    return du @ p.tensors["dense_w"].T
 
 
 def head_logits(p: EncoderParams, e: np.ndarray) -> np.ndarray:
     """(M+1)-way classifier logits from intent representations."""
-    return e @ p["head_w"] + p["head_b"]
+    return e @ p.tensors["head_w"] + p.tensors["head_b"]
 
 
 def head_backward(p: EncoderParams, e: np.ndarray, dlogits: np.ndarray, grads: EncoderParams) -> np.ndarray:
-    np.matmul(e.T, dlogits, out=grads["head_w"])
-    np.sum(dlogits, axis=0, out=grads["head_b"])
-    return dlogits @ p["head_w"].T
+    np.matmul(e.T, dlogits, out=grads.tensors["head_w"])
+    np.add.reduce(dlogits, axis=0, out=grads.tensors["head_b"])
+    return dlogits @ p.tensors["head_w"].T
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +636,8 @@ def run_to_layer(p: EncoderParams, tokens: np.ndarray, pk: Packing, rl: int, cac
     h = _embed_forward(p, tokens, pk, cache)
     if cache is not None:
         cache["stop"] = rl
-    blocks = _subcache(cache, "blocks")
     for i in range(rl):
-        h = _block_forward(p.blocks[i], i, h, pk, _subcache(blocks, i))
+        h = _block_forward(p.blocks[i], i, h, pk, cache)
     return h
 
 
@@ -648,7 +646,7 @@ def backward_to_layer(p: EncoderParams, cache: dict, dh: np.ndarray, grads: Enco
     ``dh`` of its output, which it overwrites."""
     pk = cache["pack"]
     for i in reversed(range(cache["stop"])):
-        _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh[1:], pk)
+        _block_backward(p.blocks[i], grads.blocks[i], i, cache, dh[1:], pk)
     _embed_backward(p, cache, dh, grads)
 
 
@@ -660,24 +658,23 @@ def run_from_layer(p: EncoderParams, h: np.ndarray, pk: Packing, start: int, cac
     if h.shape[0] != pk.rows:
         raise DataError(f"{h.shape[0]} hidden rows do not match their packing's {pk.rows} real tokens")
     if cache is not None:
-        cache.update(pack=pk, start=start)
-    blocks = _subcache(cache, "blocks")
+        cache["pack"], cache["start"] = pk, start
     for i in range(start, p.cfg.num_layers):
-        h = _block_forward(p.blocks[i], i, h, pk, _subcache(blocks, i))
-    return _dense_forward(p, _pool_forward(h, pk), _subcache(cache, "dense"))
+        h = _block_forward(p.blocks[i], i, h, pk, cache)
+    return _dense_forward(p, _pool_forward(h, pk), cache)
 
 
 def backward_from_layer(p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams) -> np.ndarray:
     """Reverse of run_from_layer; returns the zero-topped (rows + 1, H)
     gradient of its packed input."""
     pk = cache["pack"]
-    dx = _dense_backward(p, cache["dense"], de, grads)
+    dx = _dense_backward(p, cache, de, grads)
     dh = pk.zero_topped("dh", dx.shape[1], dx.dtype)
     # the pool's backward: each row's gradient over its count, to each of its tokens
     dx /= pk.counts[:, None]
     dx.take(pk.seq, axis=0, out=dh[1:], mode="clip")
     for i in reversed(range(cache["start"], p.cfg.num_layers)):
-        _block_backward(p.blocks[i], grads.blocks[i], cache["blocks"][i], dh[1:], pk)
+        _block_backward(p.blocks[i], grads.blocks[i], i, cache, dh[1:], pk)
     return dh
 
 

@@ -27,26 +27,28 @@ def rowmax(x: np.ndarray) -> np.ndarray:
     return m
 
 
-_ONES: dict = {}  # dtype -> one read-only vector of ones, grown as needed
+class _Ones(dict):
+    """(dtype, n) -> a read-only (n, 1) column of ones, which the sums below
+    take without allocating; :func:`colsum` asks only for powers of two."""
 
-
-def _ones(n: int, dtype) -> np.ndarray:
-    """n ones of ``dtype``, a read-only view of one vector per dtype that
-    grows to the next power of two: the sums below take their ones without
-    allocating them."""
-    ones = _ONES.get(dtype)
-    if ones is None or ones.size < n:
-        ones = _ONES[dtype] = np.ones(1 << (n - 1).bit_length(), dtype)
+    def __missing__(self, key) -> np.ndarray:
+        ones = self[key] = np.ones((key[1], 1), key[0])
         ones.flags.writeable = False
-    return ones[:n]
+        return ones
+
+
+_ONES = _Ones()
 
 
 def rowsum(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis, kept as a length-1 axis: one matrix-vector
-    product with a ones vector, which BLAS runs faster than numpy's
-    reduction over a short axis."""
+    product over all rows with a ones column, which BLAS runs faster than
+    numpy's reduction over a short axis."""
     w = x.shape[-1]
-    return np.matmul(x.reshape(-1, w), _ones(w, x.dtype)).reshape(x.shape[:-1] + (1,))
+    ones = _ONES[x.dtype, w]
+    if x.ndim == 2:
+        return np.matmul(x, ones)
+    return np.matmul(x.reshape(-1, w), ones).reshape(x.shape[:-1] + (1,))
 
 
 def colsum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -54,7 +56,8 @@ def colsum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     vector-matrix product with a ones vector. A C-contiguous ``x`` is read
     in place, so nothing of its size is allocated."""
     w = x.shape[-1]
-    return np.matmul(_ones(x.size // w, x.dtype), x.reshape(-1, w), out=out)
+    n = x.size // w
+    return np.matmul(_ONES[x.dtype, 1 << n.bit_length()][:n, 0], x if x.ndim == 2 else x.reshape(-1, w), out=out)
 
 
 def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -72,24 +75,20 @@ def _check_logits(logits: np.ndarray) -> None:
         raise DataError(f"logits must be (batch, M+1) with M >= 1, got {logits.shape}")
 
 
-def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log q, q) for q the row-wise softmax of (batch, width) logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    q = np.exp(z)
-    norm = q.sum(axis=1, keepdims=True)
+def _cross_entropy(logits: np.ndarray, at: tuple, out: np.ndarray) -> float:
+    """Mean cross-entropy of each row against its target ``logits[at]``, with
+    :func:`kl_loss`'s terms; writes (softmax - onehot) / batch to ``out``."""
+    b = logits.shape[0]
+    top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    q = np.subtract(logits, top, out=out)
+    target = np.subtract(logits[at], top[:, 0])
+    np.exp(q, out=q)
+    norm = np.add.reduce(q, axis=1, keepdims=True)
     q /= norm
-    return z - np.log(norm), q
-
-
-def _cross_entropy(logits: np.ndarray, cols) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of row i against hard target column ``cols[i]``
-    (or ``cols`` for every row) and its gradient, (softmax - onehot) / batch."""
-    rows = np.arange(logits.shape[0])
-    logq, q = _log_softmax(logits)
-    value = -float(np.mean(logq[rows, cols]))
-    q[rows, cols] -= 1.0
-    q /= logits.shape[0]
-    return value, q
+    target -= np.log(norm[:, 0])
+    q[at] -= 1.0
+    q /= b
+    return -float(np.add.reduce(target) / b)
 
 
 def pretrain_loss(logits: np.ndarray, labels: np.ndarray, M: int) -> tuple[float, np.ndarray]:
@@ -102,12 +101,13 @@ def pretrain_loss(logits: np.ndarray, labels: np.ndarray, M: int) -> tuple[float
     if logits.shape[1] != M + 1:
         raise DataError(f"logits width {logits.shape[1]} does not match M+1={M + 1}")
     labels = np.asarray(labels)
-    if labels.shape != (logits.shape[0],):
-        raise DataError(f"labels shape {labels.shape} does not match batch {logits.shape[0]}")
-    if labels.size and (labels.min() < 1 or labels.max() > M):
+    b = logits.shape[0]
+    if labels.shape != (b,):
+        raise DataError(f"labels shape {labels.shape} does not match batch {b}")
+    if b and (np.minimum.reduce(labels) < 1 or np.maximum.reduce(labels) > M):
         raise DataError(f"labels must be in 1..{M}")
-    dlogits = np.zeros_like(logits)
-    value, dlogits[:, :M] = _cross_entropy(logits[:, :M], labels - 1)
+    dlogits = np.zeros(logits.shape, logits.dtype)
+    value = _cross_entropy(logits[:, :M], (np.arange(b), labels - 1), dlogits[:, :M])
     return value, dlogits
 
 
@@ -116,7 +116,7 @@ def soft_targets(labels: np.ndarray, M: int, rho: float) -> np.ndarray:
     if not 0.0 <= rho < 1.0:
         raise DataError(f"relocation mass must be in [0, 1), got {rho}")
     labels = np.asarray(labels)
-    if labels.size and (labels.min() < 1 or labels.max() > M):
+    if labels.size and (np.minimum.reduce(labels) < 1 or np.maximum.reduce(labels) > M):
         raise DataError(f"labels must be in 1..{M}")
     t = np.zeros((labels.shape[0], M + 1))
     t[np.arange(labels.shape[0]), labels - 1] = 1.0 - rho
@@ -133,8 +133,12 @@ def kl_loss(targets: np.ndarray, logits: np.ndarray) -> tuple[float, np.ndarray]
         raise DataError(f"target shape {targets.shape} does not match logits {logits.shape}")
     targets = targets.astype(logits.dtype, copy=False)
     b = logits.shape[0]
-    logq, q = _log_softmax(logits)
-    value = float(np.sum(targets * (np.log(np.where(targets > 0, targets, 1)) - logq)) / b)
+    logq = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    q = np.exp(logq)
+    norm = np.add.reduce(q, axis=1, keepdims=True)
+    q /= norm
+    logq -= np.log(norm)
+    value = float(np.add.reduce(targets * (np.log(np.where(targets > 0, targets, 1)) - logq), axis=None) / b)
     q -= targets
     q /= b
     return value, q
@@ -143,7 +147,8 @@ def kl_loss(targets: np.ndarray, logits: np.ndarray) -> tuple[float, np.ndarray]
 def mixup_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy pushing every row toward the open class."""
     _check_logits(logits)
-    return _cross_entropy(logits, logits.shape[1] - 1)
+    dlogits = np.empty_like(logits)
+    return _cross_entropy(logits, (slice(None), logits.shape[1] - 1), dlogits), dlogits
 
 
 def total_loss(kl_value: float, open_value: float, gamma: float) -> float:

@@ -19,8 +19,8 @@ step. A stage keeps one encoder ``Workspace``, so a step writes its tape
 and gradients over the last step's and, once warmed up, allocates only
 per-row vectors. Parameters, gradients and the Adam moments share one
 flat layout (``EncoderParams.flat``), so the optimizer step is a handful
-of whole-buffer operations through preallocated scratch, plus one
-weight-decay update per run of adjacent matrices.
+of whole-buffer operations through preallocated scratch, weight decay
+included: one multiply by a cached per-parameter rate vector.
 
 All randomness flows from one master seed through fixed purpose streams,
 so a rerun of the same configuration reproduces every shuffle, pairing,
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import weakref
 from dataclasses import asdict, dataclass, field, fields
@@ -86,9 +87,12 @@ class TrainConfig:
         for name in ("lr", "weight_decay", "delta_add", "delta_mul"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("batch_size", "max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
         if not self.alpha > 0:
@@ -97,37 +101,32 @@ class TrainConfig:
             raise ConfigError(f"gamma_mode must be 'fixed' or 'lambda', got {self.gamma_mode!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
 class OptimizerState:
     """Decoupled-weight-decay Adam state, laid out like ``params.flat``.
 
-    ``m`` and ``v`` are the moments; ``decay`` lists the ranges that hold
-    matrices, the only tensors that take weight decay, with adjacent
-    matrices merged into one range. ``scratch`` and ``finite`` are written
-    through ``out=`` by every step.
+    ``m`` and ``v`` are the moments. ``decay`` is 1 on the entries of
+    matrices, the only tensors that take weight decay, and 0 elsewhere;
+    ``rates`` is (lr * weight_decay, ``decay`` times it) of the last step
+    that decayed. ``scratch`` and ``finite`` are written through ``out=``
+    by every step.
     """
 
     step: int
     m: np.ndarray
     v: np.ndarray
-    decay: list[slice]
+    decay: np.ndarray
     scratch: np.ndarray
     finite: np.ndarray
+    rates: tuple = (None, None)
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "OptimizerState":
         flat = params.flat
-        decay: list[slice] = []
-        for start, stop, shape in params.layout.values():
-            if len(shape) < 2:
-                continue
-            if decay and decay[-1].stop == start:
-                start = decay.pop().start
-            decay.append(slice(start, stop))
+        layout = params.layout.values()
+        decay = np.concatenate([np.full(stop - start, len(shape) >= 2, flat.dtype) for start, stop, shape in layout])
         return cls(
             step=0,
             m=np.zeros_like(flat),
@@ -149,12 +148,12 @@ def optimizer_step(
 
     ``grads`` has the layout of ``params``. Every parameter advances its
     moments each step, even on a zero gradient. Biases and normalization
-    parameters are exempt from weight decay. A non-finite gradient raises
-    before anything is updated.
+    parameters are exempt from weight decay (p - p * 0, which is p for
+    finite p). A non-finite gradient raises before anything is updated.
     """
     g = grads.flat
     finite = np.isfinite(g, out=state.finite)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         raise TrainingError(f"non-finite gradient in tensor {params.owner(int(np.argmin(finite)))!r}")
     state.step += 1
     t = state.step
@@ -175,8 +174,9 @@ def optimizer_step(
     update /= denom
     p -= update
     if weight_decay:
-        for r in state.decay:
-            np.subtract(p[r], np.multiply(p[r], lr * weight_decay, out=tmp[r]), out=p[r])
+        if state.rates[0] != lr * weight_decay:
+            state.rates = (lr * weight_decay, state.decay * (lr * weight_decay))
+        p -= np.multiply(p, state.rates[1], out=tmp)
 
 
 @dataclass

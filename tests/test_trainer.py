@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -145,6 +146,24 @@ class TestTrainConfig:
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["batch_size", "max_epochs", "patience", "seed"])
+    @pytest.mark.parametrize("value", [32.5, 2.5, 1.5, 4.0, True, False, "8", None])
+    def test_integer_fields_reject_other_types(self, name, value):
+        """A fractional batch size or epoch count used to fail mid-pretrain
+        with a raw TypeError, and batch_size=True trained at batch size 1."""
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+            TrainConfig(**{name: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = TrainConfig(batch_size=np.int64(8), max_epochs=np.int32(2), patience=np.uint8(1), seed=np.int16(0))
+        assert (cfg.batch_size, cfg.max_epochs, cfg.patience, cfg.seed) == (8, 2, 1, 0)
+
+    def test_integer_fields_keep_their_bounds(self):
+        with pytest.raises(ConfigError, match="^batch_size must be >= 1, got 0$"):
+            TrainConfig(batch_size=0)
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
 
 
 class TestStreamSeeds:
@@ -959,3 +978,156 @@ class TestStepMemory:
         so only the per-row vectors grow; had the union's buffers grown to
         fit, this step would allocate about 1.2 MB."""
         assert self.open_peak(FULL_WIDTHS, 1, full_pair=True) <= 0.21e6
+
+
+def bench_batch(rng, size, width, m=4, vocab=60):
+    """A ``width``-wide batch whose longest row fills it, as the corpus cuts them."""
+    lengths = rng.integers(1, width + 1, size=size).astype(np.int32)
+    lengths[0] = width
+    tokens = rng.integers(3, vocab, size=(size, width)).astype(np.int32)
+    tokens *= np.arange(width) < lengths[:, None]
+    return Batch(tokens=tokens, lengths=lengths, class_ids=rng.integers(1, m + 1, size=size).astype(np.int32))
+
+
+def bench_pair(rng, size, widths, m=4):
+    first, second = bench_batch(rng, size, widths[0], m), bench_batch(rng, size, widths[1], m)
+    second.class_ids = (first.class_ids % m + 1).astype(np.int32)
+    return PairedBatch(first=first, second=second)
+
+
+def open_step(params, batch, pair, rng, ws, cfg=TrainConfig()):
+    """One open-training step's pass and backward, as ``train_open`` runs it."""
+    mix_pass = NoisyMixupPass(params, batch, pair, cfg, rng, ws)
+    _, dkl = kl_loss(soft_targets(batch.class_ids, params.M, 0.3), mix_pass.soft_logits)
+    _, dopen = mixup_loss(mix_pass.logits)
+    return mix_pass.backward(0.5 * dkl, 0.5 * dopen)
+
+
+def held_arrays(ws) -> list:
+    """Every array a workspace holds: its attributes, the dicts among them
+    and the flat buffer of its gradients."""
+    found = []
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            for value in obj.values():
+                visit(value)
+        elif hasattr(obj, "flat") and hasattr(obj, "layout"):
+            visit(obj.flat)
+
+    for value in vars(ws).values():
+        visit(value)
+    return found
+
+
+class TestWorkspaceGrowth:
+    """Once a stage's workspace has seen its widest and fullest steps, at
+    every mix layer, no later step adds a buffer, a byte or a cached view,
+    whatever its batch width, tail size or union size."""
+
+    def footprint(self, ws):
+        arrays = held_arrays(ws)
+        return {id(a) for a in arrays}, sum(a.nbytes for a in arrays), sum(a.base is not None for a in arrays)
+
+    def test_open_steps_stop_growing(self):
+        params = init_params(EncoderConfig(vocab_size=60, **BENCH_SHAPE), 4, seed=71)
+        depth, full = BENCH_SHAPE["num_layers"], BENCH_SHAPE["max_len"]
+        ws = Workspace()
+        rng = np.random.default_rng(72)
+        for layer in range(1, depth + 1):
+            batch, pair = bench_batch(rng, 32, full), bench_pair(rng, 32, (full, full))
+            for half in (pair.first, pair.second):
+                half.lengths[:] = full
+            open_step(params, batch, pair, np.random.default_rng(seed_for_layer(layer, depth)), ws)
+        before = self.footprint(ws)
+        assert before[2] == 0
+        layers = set()
+        for k in range(60):
+            b, n = (32, 32) if k % 3 else tuple(rng.integers(2, 32, size=2))
+            widths = rng.integers(2, full + 1, size=3)
+            mix_rng = np.random.default_rng(100 + k)
+            layers.add(int(np.random.default_rng(100 + k).integers(1, depth + 1)))
+            open_step(params, bench_batch(rng, b, widths[0]), bench_pair(rng, n, widths[1:]), mix_rng, ws)
+            assert self.footprint(ws) == before, k
+        assert layers == set(range(1, depth + 1))
+
+    def test_pretrain_steps_stop_growing(self):
+        params = init_params(EncoderConfig(vocab_size=60, **BENCH_SHAPE), 4, seed=73)
+        ws = Workspace()
+        rng = np.random.default_rng(74)
+        full = bench_batch(rng, 32, BENCH_SHAPE["max_len"])
+        full.lengths[:] = BENCH_SHAPE["max_len"]
+        tape = TapedForward(params, full, ws)
+        tape.backward(pretrain_loss(tape.logits, full.class_ids, params.M)[1])
+        before = self.footprint(ws)
+        assert before[2] == 0
+        for k in range(60):
+            batch = bench_batch(rng, 32 if k % 3 else int(rng.integers(1, 32)), int(rng.integers(1, 17)))
+            tape = TapedForward(params, batch, ws)
+            tape.backward(pretrain_loss(tape.logits, batch.class_ids, params.M)[1])
+            assert self.footprint(ws) == before, k
+
+
+def profiled_calls(fn) -> int:
+    """'call' and 'c_call' profile events while ``fn`` runs, counted as
+    perfbench's CallCounter counts them: every Python function and every
+    builtin called from Python, not the numpy kernels inside one C call."""
+    n = 0
+
+    def hook(frame, event, arg):
+        nonlocal n
+        if event == "call" or event == "c_call":
+            n += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return n
+
+
+class TestCallBudget:
+    """A warm bench-shape training step makes at most 5% more Python and
+    builtin calls than it did when each workspace buffer became one dict
+    lookup and a slice, weight decay one multiply by a cached rate vector,
+    and the sums and losses lost their Python wrappers: before that change
+    the same steps made 629 (pretraining) and 818 and 770 (open training,
+    mixing at block 1 and 2) calls. The counts include numpy's own Python
+    wrappers, so they are those of numpy 2.4; another numpy may move them."""
+
+    BUDGET = {"pretrain": 228, "open-1": 305, "open-2": 305}
+
+    def counts(self) -> dict:
+        params = init_params(EncoderConfig(vocab_size=60, **BENCH_SHAPE), 4, seed=75)
+        rng = np.random.default_rng(76)
+        batch, pair = bench_batch(rng, 32, 10), bench_pair(rng, 32, (9, 10))
+        opt, ws = OptimizerState.for_params(params), Workspace()
+
+        def pretrain_step(_):
+            tape = TapedForward(params, batch, ws)
+            value, dlogits = pretrain_loss(tape.logits, batch.class_ids, params.M)
+            assert math.isfinite(value)
+            optimizer_step(params, tape.backward(dlogits), opt, 1e-3, 0.01)
+
+        def open_training_step(mix_rng):
+            optimizer_step(params, open_step(params, batch, pair, mix_rng, ws), opt, 1e-3, 0.01)
+
+        got = {}
+        steps = [("pretrain", pretrain_step, 0)]
+        steps += [(f"open-{rl}", open_training_step, rl) for rl in range(1, BENCH_SHAPE["num_layers"] + 1)]
+        for name, step, layer in steps:
+            seed = seed_for_layer(layer, BENCH_SHAPE["num_layers"]) if layer else 0
+            for _ in range(3):  # warm the workspace and the caches up
+                step(np.random.default_rng(seed))
+            mix_rng = np.random.default_rng(seed)
+            got[name] = profiled_calls(partial(step, mix_rng))
+        return got
+
+    def test_warm_steps_stay_within_budget(self):
+        got = self.counts()
+        assert got == self.counts(), "a warm step's call count must repeat exactly"
+        for name, budget in self.BUDGET.items():
+            assert got[name] <= 1.05 * budget, (name, got[name], budget)
