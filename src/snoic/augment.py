@@ -167,8 +167,8 @@ class NoisyMixupPass:
         # with more of them than any step before allocates nothing
         ws.take("mix.xi", (2 * n * t, hd), dt)
 
-        self.to_cache: dict = {}
-        cut = run_to_layer(p, tokens, pk, self.layer, self.to_cache)
+        self.tape: dict = {}
+        cut = run_to_layer(p, tokens, pk, self.layer, self.tape)
         to_rows = pk.zero_topped("rows", hd, dt)
         to_rows[1:] = cut
         # the soft rows and the first halves, then the second halves, n rows further down
@@ -179,8 +179,7 @@ class NoisyMixupPass:
         # the mixed rows, then the noisy ones, overwrite the first halves in h
         mixed = mixup(h[soft:], h2, self.lam, ws, out=h[soft:])
         _, self.scale = inject_noise(mixed, rng, cfg.delta_add, cfg.delta_mul, ws, out=mixed)
-        self.from_cache: dict = {}
-        self.e = run_from_layer(p, h, fk, self.layer, self.from_cache)
+        self.e = run_from_layer(p, h, fk, self.layer, self.tape)
         logits = head_logits(p, self.e)
         self.soft_logits, self.logits = logits[:b], logits[b:]
 
@@ -188,9 +187,9 @@ class NoisyMixupPass:
         ws, soft, halves = self.ws, self.soft, self.halves
         grads = ws.grads(self.p, self.generation)
         de = head_backward(self.p, self.e, np.concatenate([dsoft, dmix]), grads)
-        dh = backward_from_layer(self.p, self.from_cache, de, grads)
+        dh = backward_from_layer(self.p, self.tape, de, grads)
         dh[1 + soft :] *= self.scale
-        pk, fk = self.to_cache["pack"], self.from_cache["pack"]
+        (pk, _), (fk, _) = self.tape["to"], self.tape["from"]
         # each stacked position's row in the from-packing: a second half's is its union's
         union_pos = fk.pos[len(self.soft_logits) * fk.shape[1] :]
         from_pos = np.concatenate((fk.pos, union_pos), out=pk.buf["mix.from_pos", None, np.intp][: pk.positions])
@@ -199,5 +198,5 @@ class NoisyMixupPass:
         dh.take(back, axis=0, out=dstack[1:], mode="clip")
         dstack[1 + soft : 1 + halves] *= self.lam
         dstack[1 + halves :] *= 1.0 - self.lam
-        backward_to_layer(self.p, self.to_cache, dstack, grads)
+        backward_to_layer(self.p, self.tape, dstack, grads)
         return grads

@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -70,9 +70,9 @@ _VOCAB_DEFAULTS = {
     k: p.default for k, p in inspect.signature(build_vocab).parameters.items() if p.default is not p.empty
 }
 # EncoderConfig fields set from config.encoder; the vocabulary size comes from the data
-_ENCODER_FIELDS = [f for f in fields(EncoderConfig) if f.name != "vocab_size"]
+_ENCODER_KEYS = {f.name for f in fields(EncoderConfig)} - {"vocab_size"}
 # TrainConfig fields set from config.train; the seed comes from config.seed
-_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
 
 
 def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
@@ -120,12 +120,13 @@ def _expect_num(obj: dict, key: str, path: str, default):
     return float(v)
 
 
-_EXPECT_BY_TYPE = {int: _expect_int, float: _expect_num, str: _expect_str}
-
-
-def _section(obj: dict, dataclass_fields: list, path: str) -> dict:
-    """One config section read field by field, each with its dataclass default."""
-    return {f.name: _EXPECT_BY_TYPE[type(f.default)](obj, f.name, path, f.default) for f in dataclass_fields}
+def _owned(path: str, owner, **values):
+    """``owner(**values)``; the owner's own check of a value fails as a
+    ConfigError that names the value's path."""
+    try:
+        return owner(**values)
+    except (DataError, ConfigError) as exc:
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def normalize_experiment_config(raw: dict) -> dict:
@@ -144,9 +145,9 @@ def normalize_experiment_config(raw: dict) -> dict:
     vocab = _expect_map(raw.get("vocab", {}), "config.vocab")
     _reject_unknown(vocab, set(_VOCAB_DEFAULTS), "config.vocab")
     encoder = _expect_map(raw.get("encoder", {}), "config.encoder")
-    _reject_unknown(encoder, {f.name for f in _ENCODER_FIELDS}, "config.encoder")
+    _reject_unknown(encoder, _ENCODER_KEYS, "config.encoder")
     train = _expect_map(raw.get("train", {}), "config.train")
-    _reject_unknown(train, {f.name for f in _TRAIN_FIELDS}, "config.train")
+    _reject_unknown(train, _TRAIN_KEYS, "config.train")
 
     seed = _expect_int(raw, "seed", "config", 0)
     env_seed = os.environ.get("SNOIC_SEED")
@@ -169,9 +170,6 @@ def normalize_experiment_config(raw: dict) -> dict:
         "r": _expect_num(raw, "r", "config", None),
         "labeled_data_ratio": _expect_num(raw, "labeled_data_ratio", "config", 1.0),
         "out_dir": _expect_str(raw, "out_dir", "config", default=None),
-        "vocab": {key: _expect_int(vocab, key, "config.vocab", default) for key, default in _VOCAB_DEFAULTS.items()},
-        "encoder": _section(encoder, _ENCODER_FIELDS, "config.encoder"),
-        "train": _section(train, _TRAIN_FIELDS, "config.train"),
     }
     if norm["r"] is not None and not 0.0 < norm["r"] < 1.0:
         raise ConfigError(f"config.r: must be in (0, 1), got {norm['r']}")
@@ -179,16 +177,13 @@ def normalize_experiment_config(raw: dict) -> dict:
         raise ConfigError(
             f"config.labeled_data_ratio: must be in (0, 1], got {norm['labeled_data_ratio']}"
         )
-    # the bounds build_vocab and EncoderConfig hold, checked now so that a bad value is a
-    # configuration error; max_size, once build_vocab accepts it, is a valid vocab_size
-    try:
-        build_vocab(Dataset(examples=[]), **norm["vocab"])
-    except DataError as exc:
-        raise ConfigError(f"config.vocab.{exc}") from None
-    try:
-        EncoderConfig(vocab_size=norm["vocab"]["max_size"], **norm["encoder"])
-    except DataError as exc:
-        raise ConfigError(f"config.encoder.{exc}") from None
+    # each section is checked by its owner, now, so that a bad value is a configuration
+    # error; max_size, once build_vocab accepts it, is a valid vocab_size
+    norm["vocab"] = {**_VOCAB_DEFAULTS, **vocab}
+    _owned("config.vocab", build_vocab, ds=Dataset(examples=[]), **norm["vocab"])
+    enc_cfg = _owned("config.encoder", EncoderConfig, vocab_size=norm["vocab"]["max_size"], **encoder)
+    norm["encoder"] = {k: v for k, v in asdict(enc_cfg).items() if k != "vocab_size"}
+    norm["train"] = {k: v for k, v in asdict(_owned("config.train", TrainConfig, **train)).items() if k != "seed"}
     return norm
 
 
@@ -213,14 +208,8 @@ def with_ablations(norm: dict, ablations: list[str] | None) -> dict:
 
 
 def train_config_from(norm: dict) -> TrainConfig:
-    try:
-        values = {f.name: norm["train"][f.name] for f in _TRAIN_FIELDS}
-    except KeyError as exc:
-        raise ConfigError(f"config.train: missing {exc}") from None
-    try:
-        return TrainConfig(**values, seed=norm["seed"])
-    except ConfigError as exc:
-        raise ConfigError(f"config.train.{exc}") from None
+    """The TrainConfig of a normalized config, whose train section its owner checked."""
+    return TrainConfig(**norm["train"], seed=norm["seed"])
 
 
 def variant_name(tc: TrainConfig) -> str:

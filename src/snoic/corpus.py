@@ -26,7 +26,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import DataError, PairingError
+from .errors import DataError, PairingError, integer
 
 PAD_ID = 0
 UNK_ID = 1
@@ -146,10 +146,8 @@ def build_vocab(ds: Dataset, min_freq: int = 1, max_size: int = 50000) -> Vocab:
     lexicographic tie-break. Call this on training-role text only so the
     vocabulary never leaks validation or test tokens.
     """
-    if min_freq < 1:
-        raise DataError(f"min_freq must be >= 1, got {min_freq}")
-    if max_size < 3:
-        raise DataError(f"max_size must be >= 3, got {max_size}")
+    integer("min_freq", min_freq, 1)
+    integer("max_size", max_size, 3)
     counts: Counter[str] = Counter()
     for words in _split_words(ex.text for ex in ds.examples):
         counts.update(words)
@@ -175,8 +173,7 @@ class SplitSpec:
     open_classes: list[str]
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise DataError(f"split seed must be a non-negative integer, got {self.seed!r}")
+        integer("split seed", self.seed, 0)
         if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real) or not 0.0 < self.r < 1.0:
             raise DataError(f"known-class ratio must be a number in (0, 1), got {self.r!r}")
         names = []
@@ -322,8 +319,7 @@ def encode_dataset(cds: ClassDataset, vocab: Vocab, max_len: int) -> Batch:
     runs per text; the texts are read ``_ENCODE_CHUNK`` at a time. The
     class ids must be integers, one per text; a float id is rejected,
     never truncated."""
-    if max_len < 2:
-        raise DataError(f"max_len must be >= 2, got {max_len}")
+    integer("max_len", max_len, 2)
     texts, get, keep = cds.texts, vocab.token_to_id.get, max_len - 1
     class_ids = np.asarray(cds.class_ids)
     if class_ids.shape != (len(texts),):
@@ -369,8 +365,7 @@ def _batch(enc: Batch, idx: np.ndarray) -> Batch:
 def _check_batching(enc: Batch, batch_size: int) -> None:
     if len(enc) == 0:
         raise DataError("cannot batch an empty dataset")
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
+    integer("batch_size", batch_size, 1)
 
 
 def _slice_batches(enc: Batch, order: np.ndarray, batch_size: int) -> list[Batch]:

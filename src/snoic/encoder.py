@@ -29,13 +29,14 @@ at padding.
 
 The optional ``cache`` argument of the runners decides what a pass keeps.
 With a cache dict (a tape), each sublayer stores under its block and name
-(``(i, "attn")``) one tuple of exactly what its backward reads, which the
-``backward_*`` counterpart consumes, so one recorded pass yields every
-parameter gradient. Without one, as in :func:`forward`, the sublayers
-store nothing and drop each intermediate as soon as it is consumed. Both
-passes run the same blocks, in place on arrays the pass itself allocated
-and in one operation order, so taped and untaped logits are
-bit-identical. The runners never write into arrays passed to them. All
+(``(i, "attn")``) one tuple of exactly what its backward reads, and each
+runner its packing and layer under ``"to"`` or ``"from"``, which the
+``backward_*`` counterpart consumes. Both runners of a pass record into
+its one tape, so one recorded pass yields every parameter gradient.
+Without one, as in :func:`forward`, the sublayers store nothing and drop
+each intermediate as soon as it is consumed. Both passes run the same
+blocks, in place on arrays the pass itself allocated and in one
+operation order, so taped and untaped logits are bit-identical. The runners never write into arrays passed to them. All
 math is dtype-generic; training runs in float32 while gradient checks
 rerun the same code in float64.
 
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
@@ -69,7 +69,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .corpus import Batch
-from .errors import CheckpointError, DataError, TrainingError
+from .errors import CheckpointError, DataError, TrainingError, integer
 from .losses import colsum, rowsum, softmax
 
 LN_EPS = 1e-5
@@ -90,11 +90,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value, low = getattr(self, f.name), _CONFIG_MINIMUM.get(f.name, 1)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataError(f"{f.name} must be an integer, got {value!r}")
-            if value < low:
-                raise DataError(f"{f.name} must be >= {low}, got {value}")
+            integer(f.name, getattr(self, f.name), _CONFIG_MINIMUM.get(f.name, 1))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -135,8 +131,7 @@ Block = namedtuple("Block", [name for name, _, _ in _BLOCK_TENSORS])
 
 def param_spec(cfg: EncoderConfig, M: int) -> list[tuple[str, tuple[int, ...], str]]:
     """Canonical (name, shape, kind) listing; kind is weight, bias, or gain."""
-    if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
-        raise DataError(f"M must be an integer >= 1, got {M!r}")
+    integer("M", M, 1)
     h, d = cfg.hidden, cfg.dim
     return [
         ("token_embedding", (cfg.vocab_size, h), "weight"),
@@ -217,7 +212,7 @@ class EncoderParams:
 
 def init_params(cfg: EncoderConfig, M: int, seed: int) -> EncoderParams:
     """Seeded Glorot-uniform weights, zero biases, unit normalization gains."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, 0))
     tensors: dict[str, np.ndarray] = {}
     for name, shape, kind in param_spec(cfg, M):
         if kind == "weight":
@@ -416,13 +411,12 @@ def _embed_forward(p: EncoderParams, tokens: np.ndarray, pk: Packing, tape: dict
         np.copyto(at, ids[:, None])
         at *= hd
         at += _ARANGE[hd.bit_length()][:hd]
-        tape["pack"], tape["at"] = pk, at
+        tape["at"] = at
     return h
 
 
-def _embed_backward(p: EncoderParams, tape: dict, dh: np.ndarray, grads: EncoderParams) -> None:
+def _embed_backward(p: EncoderParams, pk: Packing, tape: dict, dh: np.ndarray, grads: EncoderParams) -> None:
     """``dh`` is the zero-topped gradient of the embeddings' packed rows."""
-    pk = tape["pack"]
     t, hd = pk.shape[1], dh.shape[1]
     dtok, dpos = grads.tensors["token_embedding"], grads.tensors["position_embedding"]
     dtok.fill(0)  # with the position rows past t, the only ranges a backward zeroes
@@ -635,7 +629,7 @@ def run_to_layer(p: EncoderParams, tokens: np.ndarray, pk: Packing, rl: int, cac
         raise DataError(f"tokens of shape {tokens.shape} do not match their packing's {pk.shape}")
     h = _embed_forward(p, tokens, pk, cache)
     if cache is not None:
-        cache["stop"] = rl
+        cache["to"] = pk, rl
     for i in range(rl):
         h = _block_forward(p.blocks[i], i, h, pk, cache)
     return h
@@ -644,10 +638,10 @@ def run_to_layer(p: EncoderParams, tokens: np.ndarray, pk: Packing, rl: int, cac
 def backward_to_layer(p: EncoderParams, cache: dict, dh: np.ndarray, grads: EncoderParams) -> None:
     """Reverse of run_to_layer from the zero-topped (rows + 1, H) gradient
     ``dh`` of its output, which it overwrites."""
-    pk = cache["pack"]
-    for i in reversed(range(cache["stop"])):
+    pk, stop = cache["to"]
+    for i in reversed(range(stop)):
         _block_backward(p.blocks[i], grads.blocks[i], i, cache, dh[1:], pk)
-    _embed_backward(p, cache, dh, grads)
+    _embed_backward(p, pk, cache, dh, grads)
 
 
 def run_from_layer(p: EncoderParams, h: np.ndarray, pk: Packing, start: int, cache: dict | None = None) -> np.ndarray:
@@ -658,7 +652,7 @@ def run_from_layer(p: EncoderParams, h: np.ndarray, pk: Packing, start: int, cac
     if h.shape[0] != pk.rows:
         raise DataError(f"{h.shape[0]} hidden rows do not match their packing's {pk.rows} real tokens")
     if cache is not None:
-        cache["pack"], cache["start"] = pk, start
+        cache["from"] = pk, start
     for i in range(start, p.cfg.num_layers):
         h = _block_forward(p.blocks[i], i, h, pk, cache)
     return _dense_forward(p, _pool_forward(h, pk), cache)
@@ -667,13 +661,13 @@ def run_from_layer(p: EncoderParams, h: np.ndarray, pk: Packing, start: int, cac
 def backward_from_layer(p: EncoderParams, cache: dict, de: np.ndarray, grads: EncoderParams) -> np.ndarray:
     """Reverse of run_from_layer; returns the zero-topped (rows + 1, H)
     gradient of its packed input."""
-    pk = cache["pack"]
+    pk, start = cache["from"]
     dx = _dense_backward(p, cache, de, grads)
     dh = pk.zero_topped("dh", dx.shape[1], dx.dtype)
     # the pool's backward: each row's gradient over its count, to each of its tokens
     dx /= pk.counts[:, None]
     dx.take(pk.seq, axis=0, out=dh[1:], mode="clip")
-    for i in reversed(range(cache["start"], p.cfg.num_layers)):
+    for i in reversed(range(start, p.cfg.num_layers)):
         _block_backward(p.blocks[i], grads.blocks[i], i, cache, dh[1:], pk)
     return dh
 
@@ -701,18 +695,17 @@ class TapedForward:
         self.p = p
         self.ws = ws
         self.generation = ws.record()
-        self.to_cache: dict = {}
-        self.from_cache: dict = {}
+        self.tape: dict = {}
         pk = Packing(batch.lengths, batch.tokens.shape[1], p.flat.dtype, ws)
-        h = run_to_layer(p, batch.tokens, pk, 0, self.to_cache)
-        self.e = run_from_layer(p, h, pk, 0, self.from_cache)
+        h = run_to_layer(p, batch.tokens, pk, 0, self.tape)
+        self.e = run_from_layer(p, h, pk, 0, self.tape)
         self.logits = head_logits(p, self.e)
 
     def backward(self, dlogits: np.ndarray) -> EncoderParams:
         grads = self.ws.grads(self.p, self.generation)
         de = head_backward(self.p, self.e, dlogits, grads)
-        dh = backward_from_layer(self.p, self.from_cache, de, grads)
-        backward_to_layer(self.p, self.to_cache, dh, grads)
+        dh = backward_from_layer(self.p, self.tape, de, grads)
+        backward_to_layer(self.p, self.tape, dh, grads)
         return grads
 
 

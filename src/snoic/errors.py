@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import numbers
 
 
 class SnoicError(Exception):
@@ -23,3 +25,12 @@ class TrainingError(SnoicError):
 
 class ConfigError(SnoicError):
     """Invalid experiment configuration; maps to usage exit code 2 in the CLI."""
+
+
+def integer(name: str, value, low: int, error: type[SnoicError] = DataError):
+    """``value`` if it is an integer (a bool is not) of at least ``low``, else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return value

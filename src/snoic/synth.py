@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 
 CORE_WORDS: dict[str, list[str]] = {
     "alarms": ["alarm", "wake", "timer", "snooze", "clock", "remind", "morning", "nap"],
@@ -176,12 +176,10 @@ def write_corpus(
     test_per_class: int = 60,
 ) -> dict[str, str]:
     """Write train/val/test JSON Lines files; returns their paths."""
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    integer("seed", seed, 0, ConfigError)
     counts = {"train": train_per_class, "val": val_per_class, "test": test_per_class}
     for role, per_class in counts.items():
-        if per_class < 1:
-            raise ConfigError(f"{role}_per_class must be at least 1, got {per_class}")
+        integer(f"{role}_per_class", per_class, 1, ConfigError)
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for role, per_class in counts.items():

@@ -39,9 +39,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .augment import NoisyMixupPass
-from .corpus import Batch, Vocab, _load_json, _slice_batches, make_batches, pair_batches
+from .corpus import Batch, Vocab, _check_batching, _load_json, _slice_batches, make_batches, pair_batches
 from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
-from .errors import CheckpointError, ConfigError, DataError, PairingError, TrainingError
+from .errors import CheckpointError, ConfigError, DataError, PairingError, TrainingError, integer
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
 
 BETA1 = 0.9
@@ -82,17 +82,18 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            if isinstance(f.default, float):  # stored as a Python float
+                value = getattr(self, f.name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ConfigError(f"{f.name} must be a number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
+                setattr(self, f.name, float(value))
         for name in ("lr", "weight_decay", "delta_add", "delta_mul"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
+            integer(name, getattr(self, name), low, ConfigError)
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
         if not self.alpha > 0:
@@ -236,6 +237,7 @@ def batched_logits(params: EncoderParams, enc: Batch, batch_size: int = 128) -> 
     copy the caller may write into. The memo is one tuple, stored in one
     step: concurrent callers may miss, never mix two passes.
     """
+    _check_batching(enc, batch_size)  # before the memo, where True == 1 would pass
     inputs = (params.flat, enc.tokens, enc.lengths)
     memo = _last_pass[0]
     if (

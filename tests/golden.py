@@ -8,9 +8,17 @@ as the longest of them. Regenerate it only from a commit whose training
 numerics are the reference:
 
     PYTHONPATH=src python tests/golden.py
+
+``--digest`` prints the run's ``params.flat`` sha256 and its epoch losses
+and writes nothing; a refactor that claims bit identity prints the same
+two lines on both trees, at the same BLAS thread count:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py --digest
 """
 
+import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import tempfile
@@ -36,8 +44,8 @@ EPOCHS = 2
 ROWS = 8
 
 
-def golden_run(corpus_sets) -> dict:
-    """{"epoch_losses": [...], "logits": 8 rows of M+1} of the golden run."""
+def train_golden(corpus_sets):
+    """(final parameters, training log, encoded test set) of the golden run."""
     ds_train, ds_val, ds_test = corpus_sets
     split = make_split(ds_train, BENCH_R, SEED)
     known = set(split.known_classes)
@@ -50,6 +58,12 @@ def golden_run(corpus_sets) -> dict:
         for ds, role in ((ds_train, "train"), (ds_val, "val"), (ds_test, "test"))
     )
     params, log = train_two_stage(init_params(enc_cfg, split.num_known, SEED), train_enc, val_enc, cfg)
+    return params, log, test_enc
+
+
+def golden_run(corpus_sets) -> dict:
+    """{"epoch_losses": [...], "logits": 8 rows of M+1} of the golden run."""
+    params, log, test_enc = train_golden(corpus_sets)
     lengths = test_enc.lengths[:ROWS]
     first_rows = Batch(tokens=test_enc.tokens[:ROWS, : lengths.max()], lengths=lengths, class_ids=test_enc.class_ids[:ROWS])
     _, logits = forward(params, first_rows)
@@ -59,10 +73,20 @@ def golden_run(corpus_sets) -> dict:
     }
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description="rerun the golden two-stage run")
+    parser.add_argument(
+        "--digest", action="store_true", help="print the params.flat sha256 and epoch losses; write nothing"
+    )
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_corpus(tmp, seed=0)
         sets = tuple(load_dataset(paths[role]) for role in ("train", "val", "test"))
+        if args.digest:
+            params, log, _ = train_golden(sets)
+            print(f"params.flat sha256 {hashlib.sha256(params.flat.tobytes()).hexdigest()}")
+            print(f"epoch losses {json.dumps([rec.mean_loss for rec in log.records])}")
+            return
         result = golden_run(sets)
     with open(FIXTURE, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=1)

@@ -170,11 +170,11 @@ class TestConfigValidation:
     def test_type_errors(self, cli_env):
         raw = self.minimal(cli_env)
         raw["train"] = {"lr": "fast"}
-        with pytest.raises(ConfigError, match="expected a number"):
+        with pytest.raises(ConfigError, match=r"^config\.train\.lr must be a number, got 'fast'$"):
             normalize_experiment_config(raw)
         raw = self.minimal(cli_env)
         raw["encoder"] = {"max_len": "yes"}
-        with pytest.raises(ConfigError, match="config.encoder.max_len: expected an integer"):
+        with pytest.raises(ConfigError, match=r"^config\.encoder\.max_len must be an integer, got 'yes'$"):
             normalize_experiment_config(raw)
 
     def test_ratio_bounds(self, cli_env):
@@ -207,7 +207,7 @@ class TestConfigValidation:
         assert norm["encoder"] == {f.name: f.default for f in fields(EncoderConfig) if f.name != "vocab_size"}
         raw = self.minimal(cli_env)
         raw["encoder"] = {"hidden": True}
-        with pytest.raises(ConfigError, match="config.encoder.hidden: expected an integer"):
+        with pytest.raises(ConfigError, match=r"^config\.encoder\.hidden must be an integer, got True$"):
             normalize_experiment_config(raw)
 
     def test_vocab_section_comes_from_build_vocab(self, cli_env):
@@ -220,7 +220,7 @@ class TestConfigValidation:
         assert normalize_experiment_config(self.minimal(cli_env))["vocab"] == defaults
         raw = self.minimal(cli_env)
         raw["vocab"] = {"min_freq": True}
-        with pytest.raises(ConfigError, match="config.vocab.min_freq: expected an integer"):
+        with pytest.raises(ConfigError, match=r"^config\.vocab\.min_freq must be an integer, got True$"):
             normalize_experiment_config(raw)
 
     def test_seed_env_override(self, cli_env, monkeypatch):
@@ -280,11 +280,25 @@ class TestConfigValidation:
         assert main(args) == 2
         assert f"error: config.train.{message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["lr", "weight_decay", "rho", "alpha", "gamma", "delta_add", "delta_mul"])
+    def test_boolean_train_value_exits_2(self, cli_env, pipeline, tmp_path, capsys, key):
+        """TrainConfig rejects a JSON true in a float key of config.train
+        when the config is loaded, and the error names the key's path."""
+        cfg = json.loads(json.dumps(cli_env.config))
+        cfg["train"][key] = True
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert f'"{key}": true' in path.read_text()
+        assert main(["pretrain", "--config", str(path), "--split", pipeline.split, "--out", str(tmp_path / "m")]) == 2
+        assert f"error: config.train.{key} must be a number, got True\n" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("value", [float("nan"), -1.0])
     def test_train_range_errors_name_their_path(self, cli_env, value):
-        norm = normalize_experiment_config({**cli_env.config, "train": {**cli_env.config["train"], "lr": value}})
+        """TrainConfig checks config.train when the config is loaded, as
+        EncoderConfig and build_vocab check their sections."""
         with pytest.raises(ConfigError, match=r"^config\.train\.lr must be "):
-            train_config_from(norm)
+            normalize_experiment_config({**cli_env.config, "train": {**cli_env.config["train"], "lr": value}})
 
     def test_negative_seed_names_its_source(self, cli_env, monkeypatch):
         with pytest.raises(ConfigError, match=r"^config\.seed must be non-negative, got -1$"):

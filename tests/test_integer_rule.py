@@ -1,0 +1,134 @@
+"""One integer rule (``snoic.errors.integer``) at every entry point it covers.
+
+Each entry takes one integer argument and raises its owner's error class
+for a value that is not an integer (a bool is not) or is below its least
+value, with the rule's wording; a numpy integer is accepted. The
+integer fields of ``TrainConfig`` are tested the same way in
+``tests/test_trainer.py``.
+"""
+
+import re
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from snoic.corpus import (
+    Dataset,
+    LabeledExample,
+    SplitSpec,
+    apply_split,
+    build_vocab,
+    encode_dataset,
+    make_batches,
+    make_split,
+    pair_batches,
+)
+from snoic.encoder import EncoderConfig, init_params, param_spec
+from snoic.errors import ConfigError, DataError
+from snoic.synth import write_corpus
+from snoic.trainer import batched_logits, known_accuracy, predict, threshold_baseline_predict
+
+
+@pytest.fixture(scope="module")
+def ctx(tmp_path_factory):
+    ds = Dataset(examples=[LabeledExample(f"w{c} v{i} u{c}{i}", f"c{c}") for c in range(3) for i in range(4)])
+    cds = apply_split(ds, make_split(ds, 0.9, 0), "train")
+    vocab = build_vocab(ds)
+    cfg = EncoderConfig(vocab_size=len(vocab), hidden=8, num_layers=1, ffn=8, dim=8, max_len=6)
+    return SimpleNamespace(
+        ds=ds,
+        cds=cds,
+        vocab=vocab,
+        cfg=cfg,
+        enc=encode_dataset(cds, vocab, 6),
+        p=init_params(cfg, 2, 0),
+        out=str(tmp_path_factory.mktemp("corpus")),
+    )
+
+
+def _corpus(c, **values):
+    counts = {"train_per_class": 1, "val_per_class": 1, "test_per_class": 1, **values}
+    return write_corpus(c.out, **counts)
+
+
+# entry -> (call of one value, a valid value, least value, error class)
+ENTRIES = {
+    "EncoderConfig.vocab_size": (lambda c, v: EncoderConfig(vocab_size=v), 20, 3, DataError),
+    "EncoderConfig.hidden": (lambda c, v: EncoderConfig(vocab_size=20, hidden=v), 8, 1, DataError),
+    "EncoderConfig.max_len": (lambda c, v: EncoderConfig(vocab_size=20, max_len=v), 8, 2, DataError),
+    "param_spec.M": (lambda c, v: param_spec(c.cfg, v), 2, 1, DataError),
+    "init_params.M": (lambda c, v: init_params(c.cfg, v, 0), 2, 1, DataError),
+    "init_params.seed": (lambda c, v: init_params(c.cfg, 2, v), 3, 0, DataError),
+    "SplitSpec.seed": (lambda c, v: SplitSpec(seed=v, r=0.5, known_classes=["a"], open_classes=["b"]), 1, 0, DataError),
+    "build_vocab.min_freq": (lambda c, v: build_vocab(c.ds, min_freq=v), 1, 1, DataError),
+    "build_vocab.max_size": (lambda c, v: build_vocab(c.ds, max_size=v), 10, 3, DataError),
+    "encode_dataset.max_len": (lambda c, v: encode_dataset(c.cds, c.vocab, v), 6, 2, DataError),
+    "make_batches.batch_size": (lambda c, v: make_batches(c.enc, v, 0), 3, 1, DataError),
+    "pair_batches.batch_size": (lambda c, v: pair_batches(c.enc, v, 0), 3, 1, DataError),
+    "batched_logits.batch_size": (lambda c, v: batched_logits(c.p, c.enc, v), 3, 1, DataError),
+    "predict.batch_size": (lambda c, v: predict(c.p, c.enc, v), 3, 1, DataError),
+    "threshold_baseline_predict.batch_size": (
+        lambda c, v: threshold_baseline_predict(c.p, c.enc, 0.5, v), 3, 1, DataError
+    ),
+    "known_accuracy.batch_size": (lambda c, v: known_accuracy(c.p, c.enc, v, True), 3, 1, DataError),
+    "write_corpus.seed": (lambda c, v: _corpus(c, seed=v), 0, 0, ConfigError),
+    "write_corpus.train_per_class": (lambda c, v: _corpus(c, train_per_class=v), 1, 1, ConfigError),
+    "write_corpus.val_per_class": (lambda c, v: _corpus(c, val_per_class=v), 1, 1, ConfigError),
+    "write_corpus.test_per_class": (lambda c, v: _corpus(c, test_per_class=v), 1, 1, ConfigError),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "8", None])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_non_integers_raise_the_owners_error(ctx, entry, value):
+    call, _, _, error = ENTRIES[entry]
+    with pytest.raises(error, match=rf"must be an integer, got {re.escape(repr(value))}$") as info:
+        call(ctx, value)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_values_below_the_least_raise_the_owners_error(ctx, entry):
+    call, _, low, error = ENTRIES[entry]
+    with pytest.raises(error, match=rf"must be >= {low}, got {low - 1}$"):
+        call(ctx, low - 1)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_numpy_integers_are_accepted(ctx, entry):
+    call, valid, _, _ = ENTRIES[entry]
+    call(ctx, np.int64(valid))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda c: build_vocab(c.ds, max_size=10.5), DataError),  # a raw TypeError before
+        (lambda c: build_vocab(c.ds, min_freq=True), DataError),  # accepted before
+        (lambda c: make_batches(c.enc, True, 0), DataError),  # ran at batch size 1
+        (lambda c: predict(c.p, c.enc, True), DataError),  # ran at batch size 1
+        (lambda c: write_corpus(c.out, seed=True), ConfigError),  # accepted before
+        (lambda c: write_corpus(c.out, train_per_class=True), ConfigError),  # accepted before
+        (lambda c: init_params(c.cfg, 2, seed=-1), DataError),  # a raw ValueError before
+    ],
+    ids=[
+        "build_vocab-max_size-float",
+        "build_vocab-min_freq-bool",
+        "make_batches-bool",
+        "predict-bool",
+        "write_corpus-seed-bool",
+        "write_corpus-train_per_class-bool",
+        "init_params-negative-seed",
+    ],
+)
+def test_faults_the_rule_closes(ctx, call, error):
+    with pytest.raises(error):
+        call(ctx)
+
+
+def test_a_memoized_pass_does_not_take_a_bool_batch_size(ctx):
+    """batched_logits checks batch_size before its memo, where True == 1."""
+    batched_logits(ctx.p, ctx.enc, 1)
+    with pytest.raises(DataError, match="^batch_size must be an integer, got True$"):
+        batched_logits(ctx.p, ctx.enc, True)

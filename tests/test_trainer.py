@@ -3,10 +3,12 @@
 import gc
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
 import weakref
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -146,6 +148,20 @@ class TestTrainConfig:
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["lr", "weight_decay", "rho", "alpha", "gamma", "delta_add", "delta_mul"])
+    @pytest.mark.parametrize("value", [True, False, "0.1", None])
+    def test_float_fields_reject_other_types(self, name, value):
+        """gamma=False once dropped the KL term, delta_add=True trained with
+        noise 1.0 and lr=True at lr 1; a string raised a raw TypeError."""
+        with pytest.raises(ConfigError, match=f"^{name} must be a number, got {re.escape(repr(value))}$"):
+            TrainConfig(**{name: value})
+
+    def test_float_fields_are_stored_as_python_floats(self):
+        cfg = TrainConfig(lr=1, gamma=np.float32(0.5), rho=np.float64(0.25), delta_mul=0)
+        floats = [f.name for f in fields(TrainConfig) if isinstance(f.default, float)]
+        assert all(type(getattr(cfg, name)) is float for name in floats)
+        assert (cfg.lr, cfg.gamma, cfg.rho, cfg.delta_mul) == (1.0, 0.5, 0.25, 0.0)
 
     @pytest.mark.parametrize("name", ["batch_size", "max_epochs", "patience", "seed"])
     @pytest.mark.parametrize("value", [32.5, 2.5, 1.5, 4.0, True, False, "8", None])
