@@ -42,7 +42,7 @@ from .corpus import (
     subsample_labeled,
 )
 from .encoder import EncoderConfig, init_params
-from .errors import CheckpointError, ConfigError, DataError, SnoicError
+from .errors import CheckpointError, ConfigError, DataError, SnoicError, integer
 from .metrics import evaluate
 from .trainer import (
     Model,
@@ -100,33 +100,14 @@ def _expect_str(obj: dict, key: str, path: str, default=None, required: bool = F
     return obj[key]
 
 
-def _expect_int(obj: dict, key: str, path: str, default):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    return v
-
-
-def _expect_num(obj: dict, key: str, path: str, default):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if v is None and default is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    return float(v)
-
-
-def _owned(path: str, owner, **values):
+def _owned(prefix: str, owner, **values):
     """``owner(**values)``; the owner's own check of a value fails as a
-    ConfigError that names the value's path."""
+    ConfigError whose message, the owner's behind ``prefix`` (``config.``,
+    ``config.train.``, ``--``), names the value's path."""
     try:
         return owner(**values)
     except (DataError, ConfigError) as exc:
-        raise ConfigError(f"{path}.{exc}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def normalize_experiment_config(raw: dict) -> dict:
@@ -149,41 +130,38 @@ def normalize_experiment_config(raw: dict) -> dict:
     train = _expect_map(raw.get("train", {}), "config.train")
     _reject_unknown(train, _TRAIN_KEYS, "config.train")
 
-    seed = _expect_int(raw, "seed", "config", 0)
+    seed = integer("config.seed", raw.get("seed", 0), 0, ConfigError)
     env_seed = os.environ.get("SNOIC_SEED")
     if env_seed is not None:
         try:
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"SNOIC_SEED must be an integer, got {env_seed!r}") from None
-    if seed < 0:
-        raise ConfigError(f"{'config.seed' if env_seed is None else 'SNOIC_SEED'} must be non-negative, got {seed}")
+        seed = integer("SNOIC_SEED", seed, 0, ConfigError)
 
     name = _expect_str(raw, "name", "config", default=None)
     if name is None:
         name = Path(data_norm["train"]).stem
 
+    # each value is checked by its owner, now, so that a bad value is a configuration error
+    r, ratio = raw.get("r"), raw.get("labeled_data_ratio", 1.0)
+    if r is not None:
+        r = _owned("config.", SplitSpec, seed=seed, r=r, known_classes=[], open_classes=[]).r
+    _owned("config.", subsample_labeled, ds=Dataset(examples=[]), ratio=ratio, seed=seed)
     norm = {
         "name": name,
         "data": data_norm,
         "seed": seed,
-        "r": _expect_num(raw, "r", "config", None),
-        "labeled_data_ratio": _expect_num(raw, "labeled_data_ratio", "config", 1.0),
+        "r": r,
+        "labeled_data_ratio": float(ratio),
         "out_dir": _expect_str(raw, "out_dir", "config", default=None),
     }
-    if norm["r"] is not None and not 0.0 < norm["r"] < 1.0:
-        raise ConfigError(f"config.r: must be in (0, 1), got {norm['r']}")
-    if not 0.0 < norm["labeled_data_ratio"] <= 1.0:
-        raise ConfigError(
-            f"config.labeled_data_ratio: must be in (0, 1], got {norm['labeled_data_ratio']}"
-        )
-    # each section is checked by its owner, now, so that a bad value is a configuration
-    # error; max_size, once build_vocab accepts it, is a valid vocab_size
+    # max_size, once build_vocab accepts it, is a valid vocab_size
     norm["vocab"] = {**_VOCAB_DEFAULTS, **vocab}
-    _owned("config.vocab", build_vocab, ds=Dataset(examples=[]), **norm["vocab"])
-    enc_cfg = _owned("config.encoder", EncoderConfig, vocab_size=norm["vocab"]["max_size"], **encoder)
+    _owned("config.vocab.", build_vocab, ds=Dataset(examples=[]), **norm["vocab"])
+    enc_cfg = _owned("config.encoder.", EncoderConfig, vocab_size=norm["vocab"]["max_size"], **encoder)
     norm["encoder"] = {k: v for k, v in asdict(enc_cfg).items() if k != "vocab_size"}
-    norm["train"] = {k: v for k, v in asdict(_owned("config.train", TrainConfig, **train)).items() if k != "seed"}
+    norm["train"] = {k: v for k, v in asdict(_owned("config.train.", TrainConfig, **train)).items() if k != "seed"}
     return norm
 
 
@@ -243,10 +221,7 @@ def _resolve_out(args, norm: dict | None = None) -> str:
 
 
 def cmd_split(args) -> int:
-    if not 0.0 < args.r < 1.0:
-        raise ConfigError(f"--r must be in (0, 1), got {args.r}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    _owned("--", SplitSpec, seed=args.seed, r=args.r, known_classes=[], open_classes=[])
     ds = load_dataset(args.data)
     spec = make_split(ds, args.r, args.seed)
     spec.save(args.out)

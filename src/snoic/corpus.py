@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -26,7 +25,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import DataError, PairingError, integer
+from .errors import DataError, PairingError, integer, number
 
 PAD_ID = 0
 UNK_ID = 1
@@ -66,7 +65,7 @@ def load_dataset(path: str) -> Dataset:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
                     raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise DataError(f"{path}:{lineno}: expected a JSON object")
@@ -92,7 +91,7 @@ def _load_json(path: str, kind: str):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, or an integer past the digit limit
             raise DataError(f"{path}: malformed {kind} file: {exc}") from exc
 
 
@@ -173,9 +172,10 @@ class SplitSpec:
     open_classes: list[str]
 
     def __post_init__(self):
-        integer("split seed", self.seed, 0)
-        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real) or not 0.0 < self.r < 1.0:
-            raise DataError(f"known-class ratio must be a number in (0, 1), got {self.r!r}")
+        integer("seed", self.seed, 0)
+        self.r = number("r", self.r)
+        if not 0.0 < self.r < 1.0:
+            raise DataError(f"r must be in (0, 1), got {self.r}")
         names = []
         for role in ("known_classes", "open_classes"):
             classes = getattr(self, role)
@@ -217,9 +217,9 @@ class SplitSpec:
 
 
 def make_split(ds: Dataset, r: float, seed: int) -> SplitSpec:
-    """Draw known classes by a seeded shuffle; M = max(1, floor(r * K))."""
-    if not 0.0 < r < 1.0:
-        raise DataError(f"known-class ratio must be in (0, 1), got {r}")
+    """Draw known classes by a seeded shuffle; M = max(1, floor(r * K)).
+    :class:`SplitSpec` checks ``r`` and ``seed`` before anything is drawn."""
+    r = SplitSpec(seed=seed, r=r, known_classes=[], open_classes=[]).r
     labels = ds.label_set
     if len(labels) < 2:
         raise DataError(f"need at least 2 intent classes, got {len(labels)}")
@@ -272,8 +272,10 @@ def subsample_labeled(ds: Dataset, ratio: float, seed: int) -> Dataset:
     Selection is a prefix of a per-class seeded permutation, so smaller
     ratios always select subsets of larger ones under the same seed.
     """
+    ratio = number("labeled_data_ratio", ratio)
     if not 0.0 < ratio <= 1.0:
-        raise DataError(f"labeled-data ratio must be in (0, 1], got {ratio}")
+        raise DataError(f"labeled_data_ratio must be in (0, 1], got {ratio}")
+    integer("seed", seed, 0)
     if ratio == 1.0:
         return Dataset(examples=list(ds.examples))
     by_class: dict[str, list[int]] = {}
@@ -374,9 +376,13 @@ def _slice_batches(enc: Batch, order: np.ndarray, batch_size: int) -> list[Batch
     return [_batch(enc, order[start : start + batch_size]) for start in range(0, len(order), batch_size)]
 
 
+def _epoch_seed(seed: int, epoch: int) -> int:
+    return integer("seed", seed, 0) ^ integer("epoch", epoch, 0)
+
+
 def make_batches(enc: Batch, batch_size: int, seed: int, epoch: int = 0) -> list[Batch]:
     """Seeded shuffle into contiguous batches; epoch k reshuffles with seed xor k."""
-    order = np.random.default_rng(seed ^ epoch).permutation(len(enc))
+    order = np.random.default_rng(_epoch_seed(seed, epoch)).permutation(len(enc))
     return _slice_batches(enc, order, batch_size)
 
 
@@ -420,7 +426,7 @@ def pair_batches(enc: Batch, batch_size: int, seed: int, epoch: int = 0) -> list
     a short tail batch can borrow rows from the rest of the epoch.
     """
     _check_batching(enc, batch_size)
-    effective = seed ^ epoch
+    effective = _epoch_seed(seed, epoch)
     order_a = np.random.default_rng([effective, 0]).permutation(len(enc))
     order_b = np.random.default_rng([effective, 1]).permutation(len(enc))
     _repair_pair(enc.class_ids[order_a], enc.class_ids[order_b], order_b)

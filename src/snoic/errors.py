@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one integer rule."""
+"""Exception types shared across the package, and the integer and number rules."""
 
+import math
 import numbers
 
 
@@ -33,4 +34,19 @@ def integer(name: str, value, low: int, error: type[SnoicError] = DataError):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def number(name: str, value, error: type[SnoicError] = DataError) -> float:
+    """``value`` as a Python float if it is a finite real number (a bool is
+    not; a numpy float is), else ``error``. An integer too large for a float
+    is infinite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
     return value

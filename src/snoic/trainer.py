@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import weakref
 from dataclasses import asdict, dataclass, field, fields
@@ -41,7 +40,7 @@ import numpy as np
 from .augment import NoisyMixupPass
 from .corpus import Batch, Vocab, _check_batching, _load_json, _slice_batches, make_batches, pair_batches
 from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
-from .errors import CheckpointError, ConfigError, DataError, PairingError, TrainingError, integer
+from .errors import CheckpointError, ConfigError, DataError, PairingError, TrainingError, integer, number
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
 
 BETA1 = 0.9
@@ -83,12 +82,7 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             if isinstance(f.default, float):  # stored as a Python float
-                value = getattr(self, f.name)
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ConfigError(f"{f.name} must be a number, got {value!r}")
-                if not math.isfinite(value):
-                    raise ConfigError(f"{f.name} must be finite, got {value}")
-                setattr(self, f.name, float(value))
+                setattr(self, f.name, number(f.name, getattr(self, f.name), ConfigError))
         for name in ("lr", "weight_decay", "delta_add", "delta_mul"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -420,6 +414,7 @@ def threshold_baseline_predict(
     and ``batch_size``, it reuses that call's memoized pass, so a request
     that wants both sets of ids runs the encoder once.
     """
+    threshold = number("threshold", threshold, ConfigError)
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
     return baseline_predictions(batched_logits(params, enc, batch_size), params.M, threshold)

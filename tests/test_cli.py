@@ -74,14 +74,21 @@ class TestSplitCommand:
         assert spec.to_json() == expected.to_json()
         assert spec.num_known == 4
 
-    def test_ratio_out_of_range_exits_2(self, cli_env, tmp_path):
+    def test_ratio_out_of_range_exits_2(self, cli_env, tmp_path, capsys):
         out = str(tmp_path / "s.json")
         assert main(["split", "--data", cli_env.paths["train"], "--r", "1.5", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --r must be in (0, 1), got 1.5\n"
 
-    def test_negative_seed_exits_2(self, cli_env, tmp_path):
+    def test_negative_seed_exits_2(self, cli_env, tmp_path, capsys):
         out = str(tmp_path / "s.json")
         args = ["split", "--data", cli_env.paths["train"], "--r", "0.5", "--seed", "-1", "--out", out]
         assert main(args) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+    def test_non_finite_ratio_exits_2(self, cli_env, tmp_path, capsys):
+        out = str(tmp_path / "s.json")
+        assert main(["split", "--data", cli_env.paths["train"], "--r", "nan", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --r must be finite, got nan\n"
 
     def test_missing_data_file_exits_1(self, tmp_path):
         out = str(tmp_path / "s.json")
@@ -180,12 +187,39 @@ class TestConfigValidation:
     def test_ratio_bounds(self, cli_env):
         raw = self.minimal(cli_env)
         raw["r"] = 1.0
-        with pytest.raises(ConfigError, match=r"config.r"):
+        with pytest.raises(ConfigError, match=r"^config\.r must be in \(0, 1\), got 1\.0$"):
             normalize_experiment_config(raw)
         raw = self.minimal(cli_env)
         raw["labeled_data_ratio"] = 0.0
-        with pytest.raises(ConfigError, match="labeled_data_ratio"):
+        with pytest.raises(ConfigError, match=r"^config\.labeled_data_ratio must be in \(0, 1\], got 0\.0$"):
             normalize_experiment_config(raw)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", True, "config.seed must be an integer, got True"),
+            ("seed", 1.5, "config.seed must be an integer, got 1.5"),
+            ("r", "0.5", "config.r must be a number, got '0.5'"),
+            ("r", False, "config.r must be a number, got False"),
+            ("labeled_data_ratio", None, "config.labeled_data_ratio must be a number, got None"),
+            ("labeled_data_ratio", True, "config.labeled_data_ratio must be a number, got True"),
+        ],
+    )
+    def test_top_level_values_are_checked_by_their_owners(self, cli_env, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            normalize_experiment_config({**self.minimal(cli_env), key: value})
+
+    @pytest.mark.parametrize("section, key", [("train", "lr"), (None, "r"), (None, "labeled_data_ratio")])
+    def test_huge_integer_in_a_float_setting_exits_2(self, cli_env, pipeline, tmp_path, capsys, section, key):
+        """An integer too large for a float is not finite: it used to end
+        in a raw OverflowError, not a configuration error."""
+        cfg = json.loads(json.dumps(cli_env.config))
+        (cfg[section] if section else cfg)[key] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pretrain", "--config", str(path), "--split", pipeline.split, "--out", str(tmp_path / "m")]) == 2
+        dotted = f"config.{section}.{key}" if section else f"config.{key}"
+        assert capsys.readouterr().err == f"error: {dotted} must be finite, got inf\n"
 
     def test_normalization_is_idempotent(self, cli_env):
         for raw in (self.minimal(cli_env), dict(cli_env.config)):
@@ -301,10 +335,10 @@ class TestConfigValidation:
             normalize_experiment_config({**cli_env.config, "train": {**cli_env.config["train"], "lr": value}})
 
     def test_negative_seed_names_its_source(self, cli_env, monkeypatch):
-        with pytest.raises(ConfigError, match=r"^config\.seed must be non-negative, got -1$"):
+        with pytest.raises(ConfigError, match=r"^config\.seed must be >= 0, got -1$"):
             normalize_experiment_config({**cli_env.config, "seed": -1})
         monkeypatch.setenv("SNOIC_SEED", "-2")
-        with pytest.raises(ConfigError, match=r"^SNOIC_SEED must be non-negative, got -2$"):
+        with pytest.raises(ConfigError, match=r"^SNOIC_SEED must be >= 0, got -2$"):
             normalize_experiment_config(cli_env.config)
 
     def test_readme_example_matches_the_dataclasses(self):
@@ -337,6 +371,15 @@ class TestConfigValidation:
     def test_missing_config_file_exits_2(self, pipeline, tmp_path):
         args = ["pretrain", "--config", str(tmp_path / "none.json"), "--split", pipeline.split, "--out", str(tmp_path / "m")]
         assert main(args) == 2
+
+    def test_integer_past_the_digit_limit_exits_2(self, cli_env, pipeline, tmp_path, capsys):
+        """json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        integer of more than 4300 digits; it used to end in a traceback."""
+        bad = tmp_path / "digits.json"
+        bad.write_text(json.dumps(cli_env.config).replace('"seed": 3', '"seed": 1' + "0" * 5000))
+        args = ["pretrain", "--config", str(bad), "--split", pipeline.split, "--out", str(tmp_path / "m")]
+        assert main(args) == 2
+        assert f"error: {bad}: malformed config file: Exceeds the limit" in capsys.readouterr().err
 
     def test_config_file_that_is_not_utf8_exits_2(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "utf16.json"

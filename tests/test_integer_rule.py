@@ -1,18 +1,26 @@
-"""One integer rule (``snoic.errors.integer``) at every entry point it covers.
+"""The integer rule (``snoic.errors.integer``) and the number rule
+(``snoic.errors.number``) at every entry point they cover.
 
-Each entry takes one integer argument and raises its owner's error class
-for a value that is not an integer (a bool is not) or is below its least
-value, with the rule's wording; a numpy integer is accepted. The
-integer fields of ``TrainConfig`` are tested the same way in
-``tests/test_trainer.py``.
+Each ``ENTRIES`` row takes one integer argument and raises its owner's
+error class for a value that is not an integer (a bool is not) or is below
+its least value, with the rule's wording; a numpy integer is accepted. The
+other integer fields of ``TrainConfig`` are tested the same way in
+``tests/test_trainer.py``. Each ``NUMBERS`` row takes one real argument
+and raises its owner's error class, under the value's name, for a value
+that is not a number (a bool is not) or is not finite (an integer too
+large for a float is not); a numpy float is accepted. A walk over
+``snoic.__all__`` keeps both tables complete.
 """
 
+import inspect
+import math
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import snoic
 from snoic.corpus import (
     Dataset,
     LabeledExample,
@@ -23,11 +31,12 @@ from snoic.corpus import (
     make_batches,
     make_split,
     pair_batches,
+    subsample_labeled,
 )
 from snoic.encoder import EncoderConfig, init_params, param_spec
 from snoic.errors import ConfigError, DataError
 from snoic.synth import write_corpus
-from snoic.trainer import batched_logits, known_accuracy, predict, threshold_baseline_predict
+from snoic.trainer import TrainConfig, batched_logits, known_accuracy, predict, threshold_baseline_predict
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +85,27 @@ ENTRIES = {
     "write_corpus.train_per_class": (lambda c, v: _corpus(c, train_per_class=v), 1, 1, ConfigError),
     "write_corpus.val_per_class": (lambda c, v: _corpus(c, val_per_class=v), 1, 1, ConfigError),
     "write_corpus.test_per_class": (lambda c, v: _corpus(c, test_per_class=v), 1, 1, ConfigError),
+    "TrainConfig.seed": (lambda c, v: TrainConfig(seed=v), 0, 0, ConfigError),
+    "make_split.seed": (lambda c, v: make_split(c.ds, 0.5, v), 0, 0, DataError),
+    "make_batches.seed": (lambda c, v: make_batches(c.enc, 2, v), 0, 0, DataError),
+    "make_batches.epoch": (lambda c, v: make_batches(c.enc, 2, 0, v), 0, 0, DataError),
+    "pair_batches.seed": (lambda c, v: pair_batches(c.enc, 2, v), 0, 0, DataError),
+    "pair_batches.epoch": (lambda c, v: pair_batches(c.enc, 2, 0, v), 0, 0, DataError),
+    "subsample_labeled.seed": (lambda c, v: subsample_labeled(c.ds, 0.5, v), 0, 0, DataError),
+}
+
+# entry -> (call of one value, a valid value, the name the owner reports, error class)
+NUMBERS = {
+    **{
+        f"TrainConfig.{name}": (lambda c, v, name=name: TrainConfig(**{name: v}), 0.5, name, ConfigError)
+        for name in ("lr", "weight_decay", "rho", "alpha", "gamma", "delta_add", "delta_mul")
+    },
+    "SplitSpec.r": (lambda c, v: SplitSpec(seed=0, r=v, known_classes=["a"], open_classes=["b"]), 0.5, "r", DataError),
+    "make_split.r": (lambda c, v: make_split(c.ds, v, 0), 0.5, "r", DataError),
+    "subsample_labeled.ratio": (lambda c, v: subsample_labeled(c.ds, v, 0), 0.5, "labeled_data_ratio", DataError),
+    "threshold_baseline_predict.threshold": (
+        lambda c, v: threshold_baseline_predict(c.p, c.enc, v), 0.5, "threshold", ConfigError
+    ),
 }
 
 
@@ -132,3 +162,59 @@ def test_a_memoized_pass_does_not_take_a_bool_batch_size(ctx):
     batched_logits(ctx.p, ctx.enc, 1)
     with pytest.raises(DataError, match="^batch_size must be an integer, got True$"):
         batched_logits(ctx.p, ctx.enc, True)
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+@pytest.mark.parametrize("entry", NUMBERS)
+def test_non_numbers_raise_the_owners_error(ctx, entry, value):
+    call, _, name, error = NUMBERS[entry]
+    with pytest.raises(error, match=rf"^{name} must be a number, got {re.escape(repr(value))}$") as info:
+        call(ctx, value)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "value, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (10**400, "inf")], ids=str
+)
+@pytest.mark.parametrize("entry", NUMBERS)
+def test_non_finite_numbers_raise_the_owners_error(ctx, entry, value, shown):
+    """10**400 raised a raw OverflowError in TrainConfig before."""
+    call, _, name, error = NUMBERS[entry]
+    with pytest.raises(error, match=rf"^{name} must be finite, got {shown}$") as info:
+        call(ctx, value)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("entry", NUMBERS)
+def test_numpy_floats_are_accepted(ctx, entry, dtype):
+    call, valid, _, _ = NUMBERS[entry]
+    call(ctx, dtype(valid))
+
+
+def test_numbers_are_stored_as_python_floats():
+    spec = SplitSpec(seed=0, r=np.float32(0.5), known_classes=["a"], open_classes=["b"])
+    assert type(spec.r) is float and spec.to_json() == '{"seed": 0, "r": 0.5, "known": ["a"], "open": ["b"]}'
+
+
+def _public_parameters(names):
+    """Each ``<name>.<parameter>`` of a public callable whose parameter is in ``names``."""
+    for public in snoic.__all__:
+        obj = getattr(snoic, public)
+        if not callable(obj) or inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        yield from (f"{public}.{p}" for p in inspect.signature(obj).parameters if p in names)
+
+
+def test_every_seed_and_epoch_of_the_public_api_has_a_row():
+    """A new seeded entry point cannot skip the integer rule silently."""
+    seeded = set(_public_parameters({"seed", "epoch"}))
+    assert {"make_batches.epoch", "TrainConfig.seed", "init_params.seed"} <= seeded
+    assert seeded - set(ENTRIES) == set()
+
+
+def test_every_float_field_of_the_train_config_has_a_row():
+    params = inspect.signature(snoic.TrainConfig).parameters
+    floats = {f"TrainConfig.{name}" for name, p in params.items() if p.annotation in (float, "float")}
+    assert len(floats) == 7
+    assert floats - set(NUMBERS) == set()
