@@ -29,6 +29,8 @@ import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     Dataset,
@@ -304,8 +306,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
+    _owned("--", baseline_predictions, logits=np.zeros((0, 2)), M=1, threshold=args.threshold)
     model, meta = load_model(args.model)
     split = SplitSpec.load(args.split)
     _check_head_width(model, split, "model")

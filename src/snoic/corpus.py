@@ -172,7 +172,7 @@ class SplitSpec:
     open_classes: list[str]
 
     def __post_init__(self):
-        integer("seed", self.seed, 0)
+        self.seed = integer("seed", self.seed, 0)
         self.r = number("r", self.r)
         if not 0.0 < self.r < 1.0:
             raise DataError(f"r must be in (0, 1), got {self.r}")

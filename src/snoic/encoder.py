@@ -90,7 +90,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            integer(f.name, getattr(self, f.name), _CONFIG_MINIMUM.get(f.name, 1))
+            setattr(self, f.name, integer(f.name, getattr(self, f.name), _CONFIG_MINIMUM.get(f.name, 1)))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -213,6 +213,7 @@ class EncoderParams:
 def init_params(cfg: EncoderConfig, M: int, seed: int) -> EncoderParams:
     """Seeded Glorot-uniform weights, zero biases, unit normalization gains."""
     rng = np.random.default_rng(integer("seed", seed, 0))
+    M = integer("M", M, 1)
     tensors: dict[str, np.ndarray] = {}
     for name, shape, kind in param_spec(cfg, M):
         if kind == "weight":
@@ -359,17 +360,22 @@ class Packing:
         nt = self.positions = n * t
         self.ws = ws
         buf = self.buf = ws.buffers(nt + 1)
+        starts = lengths.cumsum(dtype=np.intp)
+        rows = self.rows = int(starts[-1]) if n else 0
+        starts -= lengths  # where each row's packed rows begin
+        seq = self.seq = buf[(key, "seq"), None, np.intp][:rows]
+        seq[:] = _ARANGE[n.bit_length()][:n].repeat(lengths)
+        col = self.col = starts.take(seq, out=buf[(key, "col"), None, np.intp][:rows], mode="clip")
+        arange = _ARANGE[(nt + 1).bit_length()]  # sized by the padded layout, as the buffers are
+        np.subtract(arange[:rows], col, out=col)
+        idx = self.idx = np.multiply(seq, t, out=buf[(key, "idx"), None, np.intp][:rows])
+        idx += col
+        pos = self.pos = buf[(key, "pos"), None, np.intp][:nt]
+        pos[:] = 0
+        pos[idx] = arange[1 : rows + 1]
+        self.counts = lengths.astype(dtype)
         real = buf[(key, "real"), None, bool][:nt]
         np.less(_ARANGE[t.bit_length()][:t], lengths[:, None], out=real.reshape(n, t))
-        pos = self.pos = real.cumsum(dtype=np.intp, out=buf[(key, "pos"), None, np.intp][:nt])
-        rows = self.rows = int(pos[-1]) if nt else 0
-        pos *= real
-        idx = buf[(key, "idx"), None, np.intp][: rows + 1]
-        idx.put(pos, _ARANGE[nt.bit_length()][:nt], mode="clip")  # padded positions all land in the unused slot 0
-        self.idx = idx[1:]
-        seq, col = buf[(key, "seq"), None, np.intp][:rows], buf[(key, "col"), None, np.intp][:rows]
-        self.seq, self.col = np.divmod(self.idx, t, out=(seq, col))
-        self.counts = lengths.astype(dtype)
         bias = buf[(key, "bias"), None, dtype][:nt]
         np.subtract(1.0, real, out=bias, dtype=dtype)
         bias *= ATTN_MASK_VALUE

@@ -28,13 +28,13 @@ class ConfigError(SnoicError):
     """Invalid experiment configuration; maps to usage exit code 2 in the CLI."""
 
 
-def integer(name: str, value, low: int, error: type[SnoicError] = DataError):
-    """``value`` if it is an integer (a bool is not) of at least ``low``, else ``error``."""
+def integer(name: str, value, low: int, error: type[SnoicError] = DataError) -> int:
+    """``value`` as an int if it is an integer (a bool is not) of at least ``low``, else ``error``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")
-    return value
+    return int(value)
 
 
 def number(name: str, value, error: type[SnoicError] = DataError) -> float:

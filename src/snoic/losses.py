@@ -1,10 +1,11 @@
 """Training objectives; each returns (value, d value / d logits).
 
-Stage one uses cross-entropy normalized over the first M logits only,
-so the open-class column receives no gradient. Stage two blends a KL
-term that pulls predictions toward relocated soft targets with a
-cross-entropy term that pushes mixed pseudo-representations toward the
-open class:
+All three are the batch-mean KL(targets || softmax(logits)) of one
+log-softmax (:func:`_cross_entropy`), a cross-entropy when the targets
+are one-hot. Stage one takes it over the first M logits toward the gold
+class, so the open-class column receives no gradient. Stage two blends
+the KL toward relocated soft targets with the cross-entropy that pushes
+mixed pseudo-representations toward the open class:
 
     total = gamma * kl + (1 - gamma) * open_ce
 """
@@ -75,20 +76,21 @@ def _check_logits(logits: np.ndarray) -> None:
         raise DataError(f"logits must be (batch, M+1) with M >= 1, got {logits.shape}")
 
 
-def _cross_entropy(logits: np.ndarray, at: tuple, out: np.ndarray) -> float:
-    """Mean cross-entropy of each row against its target ``logits[at]``, with
-    :func:`kl_loss`'s terms; writes (softmax - onehot) / batch to ``out``."""
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray, out: np.ndarray) -> float:
+    """Batch-mean KL(targets || softmax(logits)), log q from the log-softmax
+    with no floor; targets are cast to the logits' dtype. Writes the gradient
+    (softmax - targets) / batch to ``out``."""
+    targets = targets.astype(logits.dtype, copy=False)
     b = logits.shape[0]
-    top = np.maximum.reduce(logits, axis=1, keepdims=True)
-    q = np.subtract(logits, top, out=out)
-    target = np.subtract(logits[at], top[:, 0])
-    np.exp(q, out=q)
+    logq = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    q = np.exp(logq, out=out)
     norm = np.add.reduce(q, axis=1, keepdims=True)
     q /= norm
-    target -= np.log(norm[:, 0])
-    q[at] -= 1.0
+    logq -= np.log(norm)
+    value = float(np.add.reduce(targets * (np.log(np.where(targets > 0, targets, 1)) - logq), axis=None) / b)
+    q -= targets
     q /= b
-    return -float(np.add.reduce(target) / b)
+    return value
 
 
 def pretrain_loss(logits: np.ndarray, labels: np.ndarray, M: int) -> tuple[float, np.ndarray]:
@@ -101,14 +103,10 @@ def pretrain_loss(logits: np.ndarray, labels: np.ndarray, M: int) -> tuple[float
     if logits.shape[1] != M + 1:
         raise DataError(f"logits width {logits.shape[1]} does not match M+1={M + 1}")
     labels = np.asarray(labels)
-    b = logits.shape[0]
-    if labels.shape != (b,):
-        raise DataError(f"labels shape {labels.shape} does not match batch {b}")
-    if b and (np.minimum.reduce(labels) < 1 or np.maximum.reduce(labels) > M):
-        raise DataError(f"labels must be in 1..{M}")
+    if labels.shape != logits.shape[:1]:
+        raise DataError(f"labels shape {labels.shape} does not match batch {len(logits)}")
     dlogits = np.zeros(logits.shape, logits.dtype)
-    value = _cross_entropy(logits[:, :M], (np.arange(b), labels - 1), dlogits[:, :M])
-    return value, dlogits
+    return _cross_entropy(logits[:, :M], soft_targets(labels, M, 0.0)[:, :M], dlogits[:, :M]), dlogits
 
 
 def soft_targets(labels: np.ndarray, M: int, rho: float) -> np.ndarray:
@@ -125,30 +123,22 @@ def soft_targets(labels: np.ndarray, M: int, rho: float) -> np.ndarray:
 
 
 def kl_loss(targets: np.ndarray, logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """Batch-mean KL(targets || softmax(logits)), with log q from the
-    log-softmax and no floor, and its gradient (softmax - targets) / batch.
-    Targets are cast to the logits' dtype, so the gradient comes back in it."""
+    """Batch-mean KL(targets || softmax(logits)) and its gradient
+    (softmax - targets) / batch, in the logits' dtype."""
     _check_logits(logits)
     if targets.shape != logits.shape:
         raise DataError(f"target shape {targets.shape} does not match logits {logits.shape}")
-    targets = targets.astype(logits.dtype, copy=False)
-    b = logits.shape[0]
-    logq = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    q = np.exp(logq)
-    norm = np.add.reduce(q, axis=1, keepdims=True)
-    q /= norm
-    logq -= np.log(norm)
-    value = float(np.add.reduce(targets * (np.log(np.where(targets > 0, targets, 1)) - logq), axis=None) / b)
-    q -= targets
-    q /= b
-    return value, q
+    dlogits = np.empty_like(logits)
+    return _cross_entropy(logits, targets, dlogits), dlogits
 
 
 def mixup_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy pushing every row toward the open class."""
     _check_logits(logits)
+    targets = np.zeros(logits.shape, logits.dtype)
+    targets[:, -1] = 1.0
     dlogits = np.empty_like(logits)
-    return _cross_entropy(logits, (slice(None), logits.shape[1] - 1), dlogits), dlogits
+    return _cross_entropy(logits, targets, dlogits), dlogits
 
 
 def total_loss(kl_value: float, open_value: float, gamma: float) -> float:

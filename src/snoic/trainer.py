@@ -87,7 +87,7 @@ class TrainConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
-            integer(name, getattr(self, name), low, ConfigError)
+            setattr(self, name, integer(name, getattr(self, name), low, ConfigError))
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
         if not self.alpha > 0:
@@ -388,6 +388,9 @@ def baseline_predictions(logits: np.ndarray, M: int, threshold: float) -> np.nda
     Rows whose maximum known-class probability falls below the threshold
     are assigned the open id M+1.
     """
+    threshold = number("threshold", threshold, ConfigError)
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
     probs = softmax(logits[:, :M])
     top = np.argmax(probs, axis=1)
     conf = probs[np.arange(len(probs)), top]
@@ -414,9 +417,7 @@ def threshold_baseline_predict(
     and ``batch_size``, it reuses that call's memoized pass, so a request
     that wants both sets of ids runs the encoder once.
     """
-    threshold = number("threshold", threshold, ConfigError)
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+    baseline_predictions(np.zeros((0, 2)), 1, threshold)  # the threshold's check, before the encoder runs
     return baseline_predictions(batched_logits(params, enc, batch_size), params.M, threshold)
 
 

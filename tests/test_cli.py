@@ -574,12 +574,13 @@ class TestEvalCommand:
         rep = read_json(out)
         assert rep["baseline"]["f1_open"] == 0.0
 
-    def test_threshold_out_of_range_exits_2(self, cli_env, pipeline, tmp_path):
+    def test_threshold_out_of_range_exits_2(self, cli_env, pipeline, tmp_path, capsys):
         args = [
             "eval", "--model", pipeline.open, "--split", pipeline.split,
             "--test", cli_env.paths["test"], "--threshold", "1.5", "--out", str(tmp_path / "x.json"),
         ]
         assert main(args) == 2
+        assert capsys.readouterr().err == "error: --threshold must be in [0, 1], got 1.5\n"
 
     def test_split_mismatch_exits_1(self, cli_env, pipeline, tmp_path):
         narrow = str(tmp_path / "narrow.json")

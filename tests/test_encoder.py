@@ -298,6 +298,18 @@ BAD_LENGTHS = {
 }
 
 
+def random_lengths(n, t):
+    """n lengths in 0..t, an empty and a full row among them."""
+    rng = np.random.default_rng(n * t)
+    lengths = rng.integers(0, t + 1, size=n)
+    lengths[: min(n, 2)] = (0, t)[: min(n, 2)]
+    rng.shuffle(lengths)
+    return lengths.tolist()
+
+
+RANDOM_SHAPES = [(32, 9), (96, 12), (128, 10), (128, 32), (5, 3), (0, 4)]
+
+
 class TestPacking:
     """A packing is built from row lengths and a width; the positions of
     each row's first ``lengths[i]`` columns are its real tokens."""
@@ -305,8 +317,9 @@ class TestPacking:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "lengths, t",
-        [([3, 5, 1, 0, 2], 5), ([4, 4, 4], 4), ([1, 1], 6), ([0, 2, 0], 3)],
-        ids=["ragged", "full-width", "one-token", "zero-length"],
+        [([3, 5, 1, 0, 2], 5), ([4, 4, 4], 4), ([1, 1], 6), ([0, 2, 0], 3)]
+        + [(random_lengths(n, t), t) for n, t in RANDOM_SHAPES],
+        ids=["ragged", "full-width", "one-token", "zero-length"] + [f"random-{n}x{t}" for n, t in RANDOM_SHAPES],
     )
     def test_equals_the_prefix_mask_reference(self, lengths, t, dtype):
         lengths = np.array(lengths, np.int32)
@@ -314,10 +327,10 @@ class TestPacking:
         ws = Workspace()
         Packing(np.full(len(lengths) + 2, t), t, dtype, ws)  # a wider pass leaves every buffer full
         for pk in (Packing(lengths, t, dtype), Packing(lengths, t, dtype, ws)):
-            assert pk.shape == (len(lengths), t) and pk.rows == lengths.sum()
+            assert pk.shape == (len(lengths), t) and pk.positions == lengths.size * t and pk.rows == lengths.sum()
             for name, value in want.items():
                 got = getattr(pk, name)
-                assert got.dtype == value.dtype and np.array_equal(got, value), name
+                assert got.dtype == value.dtype and got.shape == value.shape and np.array_equal(got, value), name
 
     @pytest.mark.parametrize("bad", list(BAD_LENGTHS))
     @pytest.mark.parametrize("entry", ["forward", "run_to_layer", "run_from_layer"])

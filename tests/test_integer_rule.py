@@ -13,8 +13,10 @@ large for a float is not); a numpy float is accepted. A walk over
 """
 
 import inspect
+import json
 import math
 import re
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +35,7 @@ from snoic.corpus import (
     pair_batches,
     subsample_labeled,
 )
-from snoic.encoder import EncoderConfig, init_params, param_spec
+from snoic.encoder import EncoderConfig, init_params, load_checkpoint, param_spec, save_checkpoint
 from snoic.errors import ConfigError, DataError
 from snoic.synth import write_corpus
 from snoic.trainer import TrainConfig, batched_logits, known_accuracy, predict, threshold_baseline_predict
@@ -129,6 +131,30 @@ def test_values_below_the_least_raise_the_owners_error(ctx, entry):
 def test_numpy_integers_are_accepted(ctx, entry):
     call, valid, _, _ = ENTRIES[entry]
     call(ctx, np.int64(valid))
+
+
+# each of the three below raised "Object of type int64 is not JSON serializable"
+
+
+def test_a_train_config_stores_numpy_integers_as_ints():
+    cfg = TrainConfig(batch_size=np.int64(8), seed=np.int64(2))
+    assert json.loads(json.dumps(asdict(cfg)))["batch_size"] == 8
+    assert type(cfg.batch_size) is int and type(cfg.seed) is int
+
+
+def test_a_split_stores_a_numpy_seed_as_an_int():
+    spec = SplitSpec(seed=np.int64(1), r=0.5, known_classes=["a"], open_classes=["b"])
+    assert spec.to_json() == '{"seed": 1, "r": 0.5, "known": ["a"], "open": ["b"]}'
+    assert type(spec.seed) is int
+
+
+def test_a_checkpoint_of_numpy_integer_sizes_round_trips(tmp_path):
+    enc_cfg = EncoderConfig(vocab_size=np.int64(10), hidden=np.int64(8), num_layers=1, ffn=8, dim=8, max_len=6)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(init_params(enc_cfg, np.int64(2), 0), path)
+    loaded = load_checkpoint(path)
+    assert loaded.cfg == enc_cfg and loaded.M == 2
+    assert all(type(getattr(enc_cfg, f.name)) is int for f in fields(enc_cfg))
 
 
 @pytest.mark.parametrize(

@@ -345,6 +345,36 @@ class TestMixupLoss:
         assert np.allclose(dlogits.sum(axis=1), 0.0, atol=1e-12)
 
 
+class TestOneCore:
+    """The cross-entropy objectives are the KL toward one-hot targets: each
+    returns exactly what kl_loss returns for those targets."""
+
+    @staticmethod
+    def logits(dtype, b=32, M=4, seed=3):
+        rng = np.random.default_rng(seed)
+        return (3 * rng.standard_normal((b, M + 1))).astype(dtype), rng.integers(1, M + 1, size=b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mixup_loss_is_the_kl_toward_the_open_class(self, dtype):
+        x, _ = self.logits(dtype)
+        onehot = np.zeros(x.shape)
+        onehot[:, -1] = 1.0
+        value, grad = mixup_loss(x)
+        want_value, want_grad = kl_loss(onehot, x)
+        assert value == want_value
+        assert grad.dtype == want_grad.dtype == dtype and np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pretrain_loss_is_the_kl_over_the_known_columns(self, dtype):
+        x, labels = self.logits(dtype)
+        M = x.shape[1] - 1
+        value, grad = pretrain_loss(x, labels, M)
+        want_value, want_grad = kl_loss(np.eye(M)[labels - 1], x[:, :M])
+        assert value == want_value
+        assert grad.dtype == want_grad.dtype == dtype and np.array_equal(grad[:, :M], want_grad)
+        assert not grad[:, M].any()
+
+
 class TestTotalLoss:
     def test_endpoints(self):
         assert total_loss(2.0, 5.0, 1.0) == 2.0

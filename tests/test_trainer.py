@@ -633,6 +633,12 @@ class TestBaselineAtArgmax:
             assert np.array_equal(got, reference_baseline(x, M, threshold)), threshold
         assert baseline_predictions(x, M, float(conf[-1]))[-1] <= M
 
+    @pytest.mark.parametrize("threshold", [1.5, -0.1, math.nan, True])
+    def test_threshold_outside_the_unit_interval_rejected(self, threshold):
+        """1.5 used to mark every row open without a word."""
+        with pytest.raises(ConfigError, match="^threshold must be "):
+            baseline_predictions(self.logits(2, seed=0), 2, threshold)
+
     def test_ties_go_to_the_smaller_id(self):
         x = np.zeros((3, 4), dtype=np.float32)
         x[1, 1:3] = 2.0
@@ -641,8 +647,9 @@ class TestBaselineAtArgmax:
 
     def test_one_known_class(self):
         x = np.random.default_rng(3).normal(size=(5, 2)).astype(np.float32)
-        assert baseline_predictions(x, 1, 1.0).tolist() == [1] * 5
-        assert baseline_predictions(x, 1, np.nextafter(1.0, 2.0)).tolist() == [2] * 5
+        assert baseline_predictions(x, 1, 1.0).tolist() == [1] * 5  # a lone class's confidence is exactly 1
+        with pytest.raises(ConfigError, match=r"^threshold must be in \[0, 1\]"):
+            baseline_predictions(x, 1, np.nextafter(1.0, 2.0))
 
 
 def assert_empty_sets_rejected(stage):
