@@ -12,14 +12,30 @@ The pass is built from two segment runners that meet at a block boundary:
 representation. Between them the hidden state may be modified externally,
 which is the mixup injection point.
 
+Attention runs in its bilinear form. A block folds its four weights into
+two H x H matrices, A = Wq Wk^T / sqrt(H) and B = Wv Wo, whose cost does
+not grow with the batch. The scores are then u h^T with u = h A, and the
+output is att g with g = h B: two token-wise products where the
+q, k, v and output projections made four. The backward's token-wise
+products are h^T du and h^T dg, the gradients of A and B, and du A^T and
+dg B^T, to which the input gradient adds the keys' term; the four weight
+gradients come from H x H products of the gradients of A and B.
+
+Every product that sums over the packed rows, x^T dy for a weight's
+gradient or for the gradient of A or B, is summed over blocks of
+``WGRAD_ROWS`` rows in row order (:func:`_wgrad`). OpenBLAS rounds a
+whole such product differently at different thread counts but each
+block the same, so a seeded training run gives the same bytes at every
+BLAS thread count.
+
 Token-wise work runs on the real tokens only. A batch's real tokens are
 the first ``lengths[i]`` positions of each row i. A pass builds one
 :class:`Packing` from the lengths and the batch width, and the
-embedding gather, the projections, the residual adds, the layer norms
-and the feed-forward sublayer run on packed (real tokens, H) arrays, no
-padded position among them. Only the attention core (scores, softmax and
-``att @ v``, and their backward) runs in the padded (n, t, ·) layout: q,
-k and v are gathered into it and the context is gathered back. Pooling
+embedding gather, u and g, the residual adds, the layer norms and the
+feed-forward sublayer run on packed (real tokens, H) arrays, no padded
+position among them. Only the attention core (scores, softmax and
+``att @ g``, and their backward) runs in the padded (n, t, ·) layout: u,
+h and g are gathered into it and the output is gathered back. Pooling
 gathers the last block's rows into the padded layout once to sum them
 per sequence. The runners take a packing and pass packed rows across the
 cut: the hidden state there is (real tokens, H), one row per real token
@@ -36,9 +52,10 @@ its one tape, so one recorded pass yields every parameter gradient.
 Without one, as in :func:`forward`, the sublayers store nothing and drop
 each intermediate as soon as it is consumed. Both passes run the same
 blocks, in place on arrays the pass itself allocated and in one
-operation order, so taped and untaped logits are bit-identical. The runners never write into arrays passed to them. All
-math is dtype-generic; training runs in float32 while gradient checks
-rerun the same code in float64.
+operation order, so taped and untaped logits are bit-identical. The
+runners never write into arrays passed to them. All math is
+dtype-generic; training runs in float32 while gradient checks rerun the
+same code in float64.
 
 Every per-token array a pass writes, and the gradient buffer, comes from
 the :class:`Workspace` its packing was built on, through ``out=``;
@@ -74,6 +91,7 @@ from .losses import colsum, rowsum, softmax
 
 LN_EPS = 1e-5
 ATTN_MASK_VALUE = -1e9
+WGRAD_ROWS = 256  # rows per block of a weight gradient's sum, see _wgrad
 
 CHECKPOINT_DTYPE = np.dtype("<f4")
 _CONFIG_MINIMUM = {"vocab_size": 3, "max_len": 2}  # least EncoderConfig values; 1 for other integers
@@ -226,20 +244,22 @@ def init_params(cfg: EncoderConfig, M: int, seed: int) -> EncoderParams:
     return EncoderParams(cfg=cfg, M=M, tensors=tensors)
 
 
-class _Buffers(dict):
-    """A pass's buffers, made on first lookup: ``(key, width, dtype)`` maps
-    to a (rows, width) array, (rows,) when ``width`` is None. Unless
-    ``keep``, every lookup makes a new one."""
+class _Arrays(dict):
+    """Arrays made on first lookup: ``(key, shape, dtype)`` maps to an
+    array of that shape, or, given ``rows``, ``(key, width, dtype)`` to a
+    (rows, width) array, (rows,) when ``width`` is None. Unless ``keep``,
+    every lookup makes a new one."""
 
-    def __init__(self, rows: int, keep: bool = True):
+    def __init__(self, rows: int | None = None, keep: bool = True):
         super().__init__()
         self.rows, self.keep = rows, keep
 
     def __missing__(self, key) -> np.ndarray:
-        buf = np.empty((self.rows,) if key[1] is None else (self.rows, key[1]), key[2])
+        shape = key[1] if self.rows is None else (self.rows,) if key[1] is None else (self.rows, key[1])
+        arr = np.empty(shape, key[2])
         if self.keep:
-            self[key] = buf
-        return buf
+            self[key] = arr
+        return arr
 
 
 class Workspace:
@@ -251,18 +271,21 @@ class Workspace:
     layout of the largest (n, t) batch seen; a larger batch replaces them
     all. ``take(key, shape, dtype)`` serves arrays whose width changes
     between passes: a ``shape`` view of the flat buffer under ``key``,
-    replaced only when outgrown or of another dtype. A stage thus
+    replaced only when outgrown or of another dtype. ``fixed`` maps
+    ``(key, shape, dtype)`` to an array of that shape, for arrays sized by
+    the model alone, such as attention's folded weights. A stage thus
     allocates its working set in its first steps. A pass overwrites what
     an earlier one wrote under its keys, so a tape is valid until the next
     pass is recorded. Keys name what an array holds: arrays a tape keeps
-    are keyed by block and name (``(i, "q")``), backward gradients by name
+    are keyed by block and name (``(i, "u")``), backward gradients by name
     alone; ``"tmp"`` is scratch no function keeps past its return, and
     ``"rows"`` such scratch for packed rows below a zero row.
     """
 
     def __init__(self):
         self._flat: dict = {}
-        self._buffers = _Buffers(0)
+        self._buffers = _Arrays(0)
+        self.fixed = _Arrays()
         self._grads: EncoderParams | None = None
         self.generation = 0
 
@@ -287,15 +310,19 @@ class Workspace:
             flat = self._flat[key] = np.empty(n, dtype)
         return flat[:n].reshape(shape)
 
-    def buffers(self, rows: int) -> _Buffers:
+    def buffers(self, rows: int) -> _Arrays:
         """The buffers of a pass that reads at most ``rows`` rows of each."""
         if rows > self._buffers.rows:
-            self._buffers = _Buffers(rows)
+            self._buffers = _Arrays(rows)
         return self._buffers
 
 
 class _FreshArrays(Workspace):
     """The workspace of passes that share no array, so no tape goes stale."""
+
+    def __init__(self):
+        super().__init__()
+        self.fixed = _Arrays(keep=False)
 
     def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
         return np.empty(shape, dtype)
@@ -303,12 +330,28 @@ class _FreshArrays(Workspace):
     def grads(self, p: EncoderParams, generation: int) -> EncoderParams:
         return p.with_flat(np.empty_like(p.flat))
 
-    def buffers(self, rows: int) -> _Buffers:
-        return _Buffers(rows, keep=False)
+    def buffers(self, rows: int) -> _Arrays:
+        return _Arrays(rows, keep=False)
 
 
 FRESH = _FreshArrays()
 """Default workspace: every array a pass asks for is a new one."""
+
+
+def _wgrad(x: np.ndarray, dy: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+    """``x.T @ dy`` into ``out``, as the sum of the products of
+    ``WGRAD_ROWS``-row blocks taken in row order. OpenBLAS rounds one
+    product with a longer inner dimension differently at different thread
+    counts, but not products of blocks this short, so training gives the
+    same bytes at every thread count. The products of the blocks past the
+    first are written into ``ws.fixed`` and added to ``out``."""
+    np.matmul(x[:WGRAD_ROWS].T, dy[:WGRAD_ROWS], out=out)
+    if x.shape[0] > WGRAD_ROWS:
+        part = ws.fixed["wgrad", out.shape, out.dtype]
+        for start in range(WGRAD_ROWS, x.shape[0], WGRAD_ROWS):
+            stop = start + WGRAD_ROWS
+            out += np.matmul(x[start:stop].T, dy[start:stop], out=part)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,65 +518,77 @@ def _layernorm_backward(
 
 
 def _attention_forward(w: Block, i: int, h: np.ndarray, pk: Packing, tape: dict | None) -> np.ndarray:
-    """The projections run on the packed rows ``h``; the scores, softmax and
-    ``att @ v`` run in the padded (n, t, ·) layout, q, k and v unpacked into
-    it, and the context is packed back for the output projection."""
+    """Single-head attention in its bilinear form: with A = Wq Wk^T / sqrt(H)
+    and B = Wv Wo, a query row's score against key row j is (h A) . h_j and
+    the output is att (h B), so the packed rows ``h`` go through two
+    products, u = h A and g = h B, instead of four projections. The scores,
+    softmax and ``att @ g`` run in the padded (n, t, ·) layout, u, h and g
+    unpacked into it, and the output is packed back."""
     (n, t), hd, dt = pk.shape, h.shape[1], h.dtype
     buf = pk.buf
+    scale = hd**-0.5
+    fold = pk.ws.fixed[(i, "fold"), (2, hd, hd), dt]
+    np.matmul(w.attn_q, w.attn_k.T, out=fold[0])
+    fold[0] *= scale
+    np.matmul(w.attn_v, w.attn_out, out=fold[1])
     rows = pk.zero_topped("rows", hd, dt)
-    np.matmul(h, w.attn_q, out=rows[1:])
-    q = pk.unpack(rows, buf[(i, "q"), hd, dt])
-    np.matmul(h, w.attn_k, out=rows[1:])
+    np.matmul(h, fold[0], out=rows[1:])
+    u = pk.unpack(rows, buf[(i, "u"), hd, dt])
+    rows[1:] = h
     k = pk.unpack(rows, buf[(i, "k"), hd, dt])
-    scale = 1.0 / math.sqrt(hd)
-    scores = np.matmul(q, k.swapaxes(1, 2), out=pk.ws.take((i, "att"), (n, t, t), dt))
+    scores = np.matmul(u, k.mT, out=pk.ws.take((i, "att"), (n, t, t), dt))
     if tape is None:
-        del q, k  # an untaped pass lets them go before it takes more
-    scores *= scale
+        del u, k  # an untaped pass lets them go before it takes more
     scores += pk.bias
     att = softmax(scores, out=scores)
-    np.matmul(h, w.attn_v, out=rows[1:])
-    v = pk.unpack(rows, buf[(i, "v"), hd, dt])
-    padded = buf["attn.ctx", hd, dt][: pk.positions]
-    np.matmul(att, v, out=padded.reshape(n, t, hd))
-    ctx = padded.take(pk.idx, axis=0, out=buf[(i, "ctx"), hd, dt][: pk.rows], mode="clip")
+    np.matmul(h, fold[1], out=rows[1:])
+    g = pk.unpack(rows, buf[(i, "g"), hd, dt])
+    padded = buf["attn.pad", hd, dt][: pk.positions]
+    np.matmul(att, g, out=padded.reshape(n, t, hd))
     if tape is None:
-        del v, att
+        del g, att
     else:
-        tape[i, "attn"] = h, q, k, v, att, ctx, scale
-    return np.matmul(ctx, w.attn_out, out=buf[(i, "s1"), hd, dt][: pk.rows])
+        tape[i, "attn"] = h, u, k, g, att, fold, scale
+    return padded.take(pk.idx, axis=0, out=buf[(i, "s1"), hd, dt][: pk.rows], mode="clip")
 
 
-def _attention_backward(w: Block, g: Block, saved: tuple, dout: np.ndarray, pk: Packing) -> np.ndarray:
-    h, q, k, v, att, ctx, scale = saved
-    shape, hd, dt = q.shape, h.shape[1], h.dtype
+def _attention_backward(w: Block, dw: Block, saved: tuple, dout: np.ndarray, pk: Packing) -> np.ndarray:
+    """Writes the attention weights' gradients into ``dw``: they come from
+    the gradients of A and B, h^T du and h^T dg, through H x H products.
+    Returns the input gradient du A^T + dg B^T plus the keys' packed term."""
+    h, u, k, g, att, (a, b), scale = saved
+    shape, hd, dt = u.shape, h.shape[1], h.dtype
     buf, packed = pk.buf, pk.rows
-    np.matmul(ctx.T, dout, out=g.attn_out)
     rows = pk.zero_topped("rows", hd, dt)
-    np.matmul(dout, w.attn_out.T, out=rows[1:])
-    # the padded gradients of q, k and v as (n * t, H) rows; dq goes over dctx once spent
-    dq_pad, dk_pad = buf["attn.ctx", hd, dt][: pk.positions], buf["tmp", hd, dt][: pk.positions]
-    dv_pad = buf["attn.dv", hd, dt][: pk.positions]
-    dctx = pk.unpack(rows, dq_pad)
-    datt = np.matmul(dctx, v.swapaxes(1, 2), out=pk.ws.take("attn.datt", att.shape, dt))
-    np.matmul(att.swapaxes(1, 2), dctx, out=dv_pad.reshape(shape))
+    rows[1:] = dout
+    # the padded gradients of u, of h as keys and of g as (n * t, H) rows; du goes over the
+    # padded output gradient once spent
+    du_pad, dk_pad = buf["attn.pad", hd, dt][: pk.positions], buf["tmp", hd, dt][: pk.positions]
+    dg_pad = buf["attn.dg", hd, dt][: pk.positions]
+    dpad = pk.unpack(rows, du_pad)
+    datt = np.matmul(dpad, g.mT, out=pk.ws.take("attn.datt", att.shape, dt))
+    np.matmul(att.mT, dpad, out=dg_pad.reshape(shape))
     # dscores = att * (datt - rowsum(datt * att)), written over datt
     datt -= rowsum(np.multiply(datt, att, out=pk.ws.take("tmp", att.shape, dt)))
     dscores = np.multiply(att, datt, out=datt)
-    np.matmul(dscores.swapaxes(1, 2), q, out=dk_pad.reshape(shape))
-    np.matmul(dscores, k, out=dctx)
-    # packed, dq where the packed dctx was
-    dq = dq_pad.take(pk.idx, axis=0, out=rows[1:], mode="clip")
+    np.matmul(dscores.mT, u, out=dk_pad.reshape(shape))
+    np.matmul(dscores, k, out=dpad)
+    # packed, du where the packed dout was
+    du = du_pad.take(pk.idx, axis=0, out=rows[1:], mode="clip")
     dk = dk_pad.take(pk.idx, axis=0, out=buf["attn.dk", hd, dt][:packed], mode="clip")
-    dv = dv_pad.take(pk.idx, axis=0, out=buf["attn.dv.packed", hd, dt][:packed], mode="clip")
-    dq *= scale
-    dk *= scale
-    for grad, d in ((g.attn_q, dq), (g.attn_k, dk), (g.attn_v, dv)):
-        np.matmul(h.T, d, out=grad)
-    # the last two products go through dq's storage, which nothing reads again
-    dx = np.matmul(dq, w.attn_q.T, out=buf["dx", hd, dt][:packed])
-    dx += np.matmul(dk, w.attn_k.T, out=dq)
-    dx += np.matmul(dv, w.attn_v.T, out=dq)
+    dg = dg_pad.take(pk.idx, axis=0, out=buf["attn.dg.packed", hd, dt][:packed], mode="clip")
+    da, db = pk.ws.fixed["attn.dfold", (2, hd, hd), dt]
+    _wgrad(h, du, da, pk.ws)
+    _wgrad(h, dg, db, pk.ws)
+    da *= scale
+    np.matmul(da, w.attn_k, out=dw.attn_q)
+    np.matmul(da.T, w.attn_q, out=dw.attn_k)
+    np.matmul(db, w.attn_out.T, out=dw.attn_v)
+    np.matmul(w.attn_v.T, db, out=dw.attn_out)
+    # the second product goes through du's storage, which nothing reads again
+    dx = np.matmul(du, a.T, out=buf["dx", hd, dt][:packed])
+    dx += np.matmul(dg, b.T, out=du)
+    dx += dk
     return dx
 
 
@@ -551,11 +606,11 @@ def _ffn_forward(w: Block, i: int, x: np.ndarray, pk: Packing, tape: dict | None
 def _ffn_backward(w: Block, g: Block, saved: tuple, dout: np.ndarray, pk: Packing) -> np.ndarray:
     x, r = saved
     hd, fd, packed = x.shape[1], r.shape[1], pk.rows
-    np.matmul(r.T, dout, out=g.ffn_w2)
+    _wgrad(r, dout, g.ffn_w2, pk.ws)
     colsum(dout, out=g.ffn_b2)
     du = np.matmul(dout, w.ffn_w2.T, out=pk.buf["ffn.du", fd, r.dtype][:packed])
     du *= np.greater(r, 0, out=pk.buf["ffn.on", fd, bool][:packed])
-    np.matmul(x.T, du, out=g.ffn_w1)
+    _wgrad(x, du, g.ffn_w1, pk.ws)
     colsum(du, out=g.ffn_b1)
     return np.matmul(du, w.ffn_w1.T, out=pk.buf["dx", hd, x.dtype][:packed])
 
@@ -605,7 +660,7 @@ def _dense_forward(p: EncoderParams, x: np.ndarray, tape: dict | None) -> np.nda
 def _dense_backward(p: EncoderParams, tape: dict, de: np.ndarray, grads: EncoderParams) -> np.ndarray:
     x, e = tape["dense"]
     du = de * (e > 0)
-    np.matmul(x.T, du, out=grads.tensors["dense_w"])
+    _wgrad(x, du, grads.tensors["dense_w"], FRESH)
     np.add.reduce(du, axis=0, out=grads.tensors["dense_b"])
     return du @ p.tensors["dense_w"].T
 
@@ -616,7 +671,7 @@ def head_logits(p: EncoderParams, e: np.ndarray) -> np.ndarray:
 
 
 def head_backward(p: EncoderParams, e: np.ndarray, dlogits: np.ndarray, grads: EncoderParams) -> np.ndarray:
-    np.matmul(e.T, dlogits, out=grads.tensors["head_w"])
+    _wgrad(e, dlogits, grads.tensors["head_w"], FRESH)
     np.add.reduce(dlogits, axis=0, out=grads.tensors["head_b"])
     return dlogits @ p.tensors["head_w"].T
 

@@ -11,7 +11,8 @@ numerics are the reference:
 
 ``--digest`` prints the run's ``params.flat`` sha256 and its epoch losses
 and writes nothing; a refactor that claims bit identity prints the same
-two lines on both trees, at the same BLAS thread count:
+two lines on both trees. The lines do not depend on the BLAS thread
+count, which ``TestGoldenRun`` checks at 1, 2 and 4 threads:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py --digest
 """

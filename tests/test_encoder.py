@@ -8,18 +8,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from snoic import encoder
 from snoic.augment import NoisyMixupPass
 from snoic.corpus import Batch, PairedBatch
 from snoic.encoder import (
     ATTN_MASK_VALUE,
     FRESH,
     LN_EPS,
+    WGRAD_ROWS,
     Block,
     EncoderConfig,
     EncoderParams,
     Packing,
     TapedForward,
     Workspace,
+    _attention_backward,
+    _attention_forward,
     _pool_forward,
     backward_to_layer,
     forward,
@@ -809,7 +813,86 @@ class TestEmbedBackward:
         assert not grads["position_embedding"][width:].any()
 
 
-TOKEN_WISE = ("attn_q", "attn_k", "attn_v", "attn_out", "ffn_w1", "ffn_w2")
+ATTENTION = ("attn_q", "attn_k", "attn_v", "attn_out")
+
+
+def plain_attention(w, h, lengths, dout):
+    """The attention sublayer as four projections, sequence by sequence in
+    float64: q, k, v = h Wq, h Wk, h Wv, then softmax(q k^T / sqrt(H)) v Wo
+    over the sequence's real tokens, which is what the padding bias leaves.
+    Returns the output, and under the output gradient ``dout`` the input
+    gradient and the four weight gradients."""
+    wq, wk, wv, wo = (getattr(w, name).astype(np.float64) for name in ATTENTION)
+    h, dout = h.astype(np.float64), dout.astype(np.float64)
+    scale = 1.0 / math.sqrt(h.shape[1])
+    out, dh = np.empty_like(h), np.empty_like(h)
+    dw = [np.zeros_like(wq) for _ in ATTENTION]
+    for stop, length in zip(np.cumsum(lengths), lengths):
+        rows = slice(stop - length, stop)
+        x, dy = h[rows], dout[rows]
+        q, k, v = x @ wq, x @ wk, x @ wv
+        scores = q @ k.T * scale
+        att = np.exp(scores - scores.max(axis=1, keepdims=True))
+        att /= att.sum(axis=1, keepdims=True)
+        ctx = att @ v
+        out[rows] = ctx @ wo
+        dctx = dy @ wo.T
+        datt = dctx @ v.T
+        dscores = att * (datt - (datt * att).sum(axis=1, keepdims=True)) * scale
+        dq, dk, dv = dscores @ k, dscores.T @ q, att.T @ dctx
+        for grad, d in zip(dw, (dq, dk, dv)):
+            grad += x.T @ d
+        dw[3] += ctx.T @ dy
+        dh[rows] = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    return out, dh, dw
+
+
+class TestFoldedAttention:
+    """Attention runs in its bilinear form, u = h A and g = h B with
+    A = Wq Wk^T / sqrt(H) and B = Wv Wo. On a ragged batch its output, its
+    input gradient and the four weight gradients match the four-projection
+    form, each to a tolerance relative to the reference array's largest
+    entry: 1e-12 in float64, and in float32, against the float64 reference
+    of the same float32 inputs, 2e-6, about 17 float32 ulps of 1."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 2e-6)], ids=["f64", "f32"])
+    @pytest.mark.parametrize("shape", [BENCH_SHAPE, DEFAULT_SHAPE], ids=["H32", "H64"])
+    def test_matches_the_four_projections(self, shape, dtype, tol):
+        cfg = EncoderConfig(vocab_size=40, **shape)
+        p = init_params(cfg, 4, seed=111).astype(dtype)
+        i, t = 1, cfg.max_len
+        rng = np.random.default_rng(112)
+        lengths = np.concatenate([[t, 1, 2], rng.integers(1, t + 1, size=9)])
+        pk = Packing(lengths, t, dtype, Workspace())
+        h = rng.standard_normal((pk.rows, cfg.hidden)).astype(dtype)
+        dout = rng.standard_normal(h.shape).astype(dtype)
+        tape: dict = {}
+        out = _attention_forward(p.blocks[i], i, h, pk, tape)
+        grads = p.with_flat(np.full_like(p.flat, np.nan))
+        dh = _attention_backward(p.blocks[i], grads.blocks[i], tape[i, "attn"], dout, pk)
+        want_out, want_dh, want_dw = plain_attention(p.blocks[i], h, lengths, dout)
+        got_dw = [getattr(grads.blocks[i], name) for name in ATTENTION]
+        for name, got, want in [("out", out, want_out), ("dh", dh, want_dh), *zip(ATTENTION, got_dw, want_dw)]:
+            assert got.dtype == dtype
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= tol, (name, err)
+
+
+class TestWeightGradient:
+    """A weight gradient x.T @ dy is summed over blocks of WGRAD_ROWS rows,
+    at every row count: none, fewer than a block, a block exactly, a block
+    and a row, and several blocks with a partial last one."""
+
+    @pytest.mark.parametrize("rows", [0, 1, WGRAD_ROWS, WGRAD_ROWS + 1, 3 * WGRAD_ROWS + 37])
+    def test_equals_the_plain_product(self, rows):
+        rng = np.random.default_rng(rows)
+        x, dy = rng.standard_normal((rows, 8)), rng.standard_normal((rows, 5))
+        out = np.full((8, 5), np.nan)
+        assert encoder._wgrad(x, dy, out, Workspace()) is out
+        np.testing.assert_allclose(out, x.T @ dy, rtol=0, atol=1e-12 * max(rows, 1))
+
+
+FFN = ("ffn_w1", "ffn_w2")
 
 
 class TestPackedRows:
@@ -837,35 +920,75 @@ class TestPackedRows:
 
     @pytest.mark.parametrize("kind", ["forward", "taped", "mix"])
     def test_token_wise_products_see_only_real_tokens(self, kind, monkeypatch):
+        """Per block, every product with a token-sized dimension has exactly
+        the block's real tokens there: u = h A, g = h B and the feed-forward
+        products x @ W forward, dy @ W.T backward, and the weight-gradient
+        products x.T @ dy, which write a feed-forward weight's gradient or
+        the gradient of A or B. A weight-gradient product is the sum of the
+        products of consecutive blocks of at most WGRAD_ROWS of its rows,
+        which cover them in order. The products that fold the attention
+        weights into A and B, and the gradients of A and B back into them,
+        multiply H x H matrices alone."""
         p = init_params(self.CFG, 4, seed=100)
         batch = random_batch(self.CFG, 101, size=12, min_len=2)
-        calls, matmul = [], np.matmul
+        calls, wgrads, matmul, wgrad = [], [], np.matmul, encoder._wgrad
 
         def recording(a, b, out=None):
-            calls.append((a.shape, b.ctypes.data, None if out is None else out.ctypes.data))
+            calls.append((a, b, out))  # held, so no array's address is reused during the pass
             return matmul(a, b, out=out)
 
+        def blocked(x, dy, out, ws):
+            first = len(calls)
+            wgrad(x, dy, out, ws)
+            wgrads.append((x, dy, out, calls[first:], first))  # its blocks, checked as parts of its sum
+            del calls[first:]
+            return out
+
         monkeypatch.setattr(np, "matmul", recording)
+        monkeypatch.setattr(encoder, "_wgrad", blocked)
         logits, tape = self.run(kind, p, batch, Workspace())
         if kind == "taped":
             grads = tape.backward(np.ones_like(logits))
         elif kind == "mix":
             grads = tape.backward(np.ones_like(tape.soft_logits), np.ones_like(tape.logits))
         monkeypatch.undo()
-        real = int(batch.lengths.sum())
+        depth = self.CFG.num_layers
+        assert len(wgrads) == (0 if kind == "forward" else 4 * depth + 2)
+        for x, dy, _, blocks, _ in wgrads:
+            starts = range(0, x.shape[0], WGRAD_ROWS)
+            assert [(a.ctypes.data, a.shape, b.ctypes.data) for a, b, _ in blocks] == [
+                (x[s:].ctypes.data, (x.shape[1], min(WGRAD_ROWS, x.shape[0] - s)), dy[s:].ctypes.data) for s in starts
+            ]
+        if kind == "mix":  # its stacked rows take more than one block
+            assert max(len(blocks) for _, _, _, blocks, _ in wgrads) > 1
+        addr = [(a.ctypes.data, b.ctypes.data, None if out is None else out.ctypes.data) for a, b, out in calls]
+        hd, real = self.CFG.hidden, int(batch.lengths.sum())
         assert real < batch.tokens.size
-        for i in range(self.CFG.num_layers):
+        for i in range(depth):
             want = real
             if kind == "mix":  # the stacked batch below the mix layer, the soft and mixed rows from it on
                 pair = self.pair()
                 want += int(tape.union.sum()) if i >= tape.layer else int(pair.first.lengths.sum() + pair.second.lengths.sum())
-            # x @ W and dy @ W.T have a row per token; x.T @ dy, written into W's gradient, sums over them
-            weights = {getattr(p.blocks[i], name).ctypes.data for name in TOKEN_WISE}
-            rows = [shape[0] for shape, b, _ in calls if b in weights]
+            attn = {getattr(p.blocks[i], name).ctypes.data for name in ATTENTION}
+            ffn = {getattr(p.blocks[i], name).ctypes.data for name in FFN}
+            dattn, dffn = set(), set()
             if kind != "forward":
-                grad = {getattr(grads.blocks[i], name).ctypes.data for name in TOKEN_WISE}
-                rows += [shape[1] for shape, _, out in calls if out in grad]
-            assert rows == [want] * (6 if kind == "forward" else 18), (i, want, rows)
+                dattn = {getattr(grads.blocks[i], name).ctypes.data for name in ATTENTION}
+                dffn = {getattr(grads.blocks[i], name).ctypes.data for name in FFN}
+            folding = [k for k, (a, b, _) in enumerate(addr) if a in attn or b in attn]
+            assert len(folding) == (2 if kind == "forward" else 6)
+            assert all(calls[k][0].shape == calls[k][1].shape == (hd, hd) for k in folding), i
+            # A and B are what the forward folds write; the gradients of A and B are what
+            # the backward folds read, each the last weight-gradient product to write it before that
+            folded = {addr[k][2] for k in folding if addr[k][2] not in dattn}
+            sums = {k for k, (_, _, out, _, _) in enumerate(wgrads) if out.ctypes.data in dffn}
+            for k in folding:
+                if addr[k][2] in dattn:
+                    read = addr[k][0] if addr[k][0] not in attn else addr[k][1]
+                    sums.add(max(j for j, (_, _, out, _, at) in enumerate(wgrads) if at <= k and out.ctypes.data == read))
+            rows = [calls[k][0].shape[0] for k in range(len(calls)) if addr[k][1] in folded | ffn]
+            rows += [wgrads[j][0].shape[0] for j in sorted(sums)]
+            assert rows == [want] * (4 if kind == "forward" else 12), (i, want, rows)
 
     @pytest.mark.parametrize("kind", ["forward", "taped", "mix"])
     def test_padded_token_ids_are_never_read(self, kind):

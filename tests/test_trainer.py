@@ -3,7 +3,9 @@
 import gc
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -352,6 +354,22 @@ class TestGoldenRun:
         got = golden.golden_run(corpus_sets)
         np.testing.assert_allclose(got["epoch_losses"], want["epoch_losses"], rtol=1e-5)
         np.testing.assert_allclose(got["logits"], want["logits"], rtol=1e-5)
+
+    def test_same_bytes_at_every_blas_thread_count(self):
+        """The golden run's parameters and epoch losses do not depend on
+        OpenBLAS's thread count: every weight gradient is summed over short
+        row blocks. Runs at 1, 2 and 4 threads, each in its own process."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(golden.__file__)))
+        path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+        digests = set()
+        for threads in ("1", "2", "4"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run(
+                [sys.executable, golden.__file__, "--digest"], capture_output=True, text=True, env=env, timeout=300
+            )
+            assert run.returncode == 0, run.stderr
+            digests.add(run.stdout)
+        assert len(digests) == 1, digests
 
 
 class TestKnownAccuracy:
