@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import glob as globmod
 import inspect
 import json
@@ -75,6 +76,36 @@ _VOCAB_DEFAULTS = {
 _ENCODER_KEYS = {f.name for f in fields(EncoderConfig)} - {"vocab_size"}
 # TrainConfig fields set from config.train; the seed comes from config.seed
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
+
+
+def _blas_threads() -> int | None:
+    """Thread count read back from the OpenBLAS that numpy loaded; None for any other BLAS."""
+    for path in globmod.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return int(fn())
+    return None
+
+
+def environment() -> dict:
+    """The numerics a result came from: numpy's version, its BLAS's name and
+    version, and the BLAS thread count. ``meta.json`` and the eval report
+    record it; it is not a timing field."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _blas_threads(),
+    }
 
 
 def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
@@ -262,6 +293,7 @@ def _train_command(args, stage: str, train, model_and_data, ablations=None) -> i
         "train_examples": len(train_enc),
         "val_examples": len(val_enc),
         "config": norm,
+        "environment": environment(),
     }
     save_model(Model(params=best, vocab=model.vocab), out, meta=meta, log=log)
     variant = f" variant {meta['variant']}," if stage == "train" else ""
@@ -336,6 +368,7 @@ def cmd_eval(args) -> int:
         "baseline": evaluate(base, golds, num_classes).to_dict(),
         "wall_clock_sec": round(time.monotonic() - started, 3),
         "version": __version__,
+        "environment": environment(),
     }
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report, f, sort_keys=True, indent=1)

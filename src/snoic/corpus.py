@@ -396,18 +396,23 @@ def _repair_pair(first: np.ndarray, second: np.ndarray, order: np.ndarray) -> No
     the swap cannot break an already repaired position.  A dead end is
     proof that no pairing exists at all: every rejected entry carries the
     colliding intent on one side or the other, so that intent fills more
-    than half of the epoch's rows on both sides together.
+    than half of the epoch's rows on both sides together. A dead end
+    raises and leaves both arrays as they were.
+
+    The walk runs on ``tolist()`` copies, written back once: a plain int
+    compares and swaps several times faster than a numpy scalar.
     """
+    first, labels, rows = first.tolist(), second.tolist(), order.tolist()
     n = len(first)
     for i in range(n):
-        if first[i] != second[i]:
+        if first[i] != labels[i]:
             continue
         target = None
         for off in range(1, n):
             j = (i + off) % n
-            if second[j] == first[i]:
+            if labels[j] == first[i]:
                 continue
-            if j < i and first[j] == second[i]:
+            if j < i and first[j] == labels[i]:
                 continue  # wrap swap would re-collide position j
             target = j
             break
@@ -415,8 +420,10 @@ def _repair_pair(first: np.ndarray, second: np.ndarray, order: np.ndarray) -> No
             raise PairingError(
                 f"cannot pair position {i}: no differing intent available in the epoch"
             )
-        for arr in (second, order):
-            arr[[i, target]] = arr[[target, i]]
+        labels[i], labels[target] = labels[target], labels[i]
+        rows[i], rows[target] = rows[target], rows[i]
+    second[:] = labels
+    order[:] = rows
 
 
 def pair_batches(enc: Batch, batch_size: int, seed: int, epoch: int = 0) -> list[PairedBatch]:

@@ -58,6 +58,9 @@ VOCAB_FILE = "vocab.json"
 META_FILE = "meta.json"
 LOG_FILE = "train_log.jsonl"
 
+# rows per forward of an untaped pass over a dataset: validation, predict and snoic eval
+WINDOW = 128
+
 
 def _stream_seed(seed: int, stream: int) -> int:
     """Stable derived seed for one purpose stream of the master seed."""
@@ -211,7 +214,7 @@ def _same_array(now: np.ndarray, then: np.ndarray) -> bool:
     return now.dtype == then.dtype and np.array_equal(now, then)
 
 
-def batched_logits(params: EncoderParams, enc: Batch, batch_size: int = 128) -> np.ndarray:
+def batched_logits(params: EncoderParams, enc: Batch, batch_size: int = WINDOW) -> np.ndarray:
     """(N, M+1) logits of an untaped pass over the dataset, in its order.
 
     The rows are read ``batch_size`` at a time in dataset order, and each
@@ -251,8 +254,9 @@ def batched_logits(params: EncoderParams, enc: Batch, batch_size: int = 128) -> 
     return logits.copy()
 
 
-def known_accuracy(params: EncoderParams, enc: Batch, batch_size: int, known_only: bool) -> float:
-    """Fraction of examples whose argmax matches the gold known class.
+def known_accuracy(params: EncoderParams, enc: Batch, batch_size: int = WINDOW, known_only: bool = False) -> float:
+    """Fraction of examples whose argmax matches the gold known class, over
+    the :func:`batched_logits` of ``batch_size``-row windows.
 
     known_only restricts the argmax to the first M logits (the stage-one
     view); otherwise all M+1 logits compete and an open prediction counts
@@ -266,7 +270,9 @@ def known_accuracy(params: EncoderParams, enc: Batch, batch_size: int, known_onl
 def _train_stage(stage: str, params, train_enc, val_enc, cfg: TrainConfig, log, epoch_batches, step):
     """The schedule both stages share, on a copy of ``params``: each batch of
     ``epoch_batches(epoch)`` takes one Adam step on the loss and gradients
-    that ``step(params, batch, ws, epoch)`` returns."""
+    that ``step(params, batch, ws, epoch)`` returns. Validation reads the
+    rows in the ``WINDOW``-row windows of ``snoic eval``, whatever
+    ``cfg.batch_size`` is."""
     for name, enc in (("training", train_enc), ("validation", val_enc)):
         if len(enc) == 0:
             raise DataError(f"empty {name} set")
@@ -289,7 +295,7 @@ def _train_stage(stage: str, params, train_enc, val_enc, cfg: TrainConfig, log, 
             optimizer_step(params, grads, opt, cfg.lr, cfg.weight_decay)
             values.append(value)
         mean_loss = sum(values) / len(values)
-        val = known_accuracy(params, val_enc, cfg.batch_size, known_only=stage == "pretrain")
+        val = known_accuracy(params, val_enc, known_only=stage == "pretrain")
         improved = val > best_val
         if improved:
             best_val = val
@@ -397,7 +403,7 @@ def baseline_predictions(logits: np.ndarray, M: int, threshold: float) -> np.nda
     return np.where(conf < threshold, M + 1, top + 1).astype(np.int32)
 
 
-def predict(params: EncoderParams, enc: Batch, batch_size: int = 128) -> np.ndarray:
+def predict(params: EncoderParams, enc: Batch, batch_size: int = WINDOW) -> np.ndarray:
     """open_predictions over the dataset's :func:`batched_logits`, one
     encoder forward per ``batch_size`` window; equal, element for element,
     to predicting each ``batch_size``-aligned slice on its own. Right after
@@ -408,7 +414,7 @@ def predict(params: EncoderParams, enc: Batch, batch_size: int = 128) -> np.ndar
 
 
 def threshold_baseline_predict(
-    params: EncoderParams, enc: Batch, threshold: float, batch_size: int = 128
+    params: EncoderParams, enc: Batch, threshold: float, batch_size: int = WINDOW
 ) -> np.ndarray:
     """baseline_predictions over the dataset's :func:`batched_logits`, one
     encoder forward per ``batch_size`` window.

@@ -133,12 +133,12 @@ def _run_seed(corpus_sets, seed):
         cfg = bench_train_config(seed, **zeroed)
         log = TrainLog(records=list(pretrain_log.records))
         trained, log = train_open(pretrained, train_enc, val_enc, cfg, log=log)
-        runs[variant] = _score(variant, seed, split, trained, log, test_enc, cfg.batch_size)
+        runs[variant] = _score(variant, seed, split, trained, log, test_enc)
     return runs
 
 
-def _score(variant, seed, split, params, log, test_enc, batch_size):
-    logits = batched_logits(params, test_enc, batch_size)
+def _score(variant, seed, split, params, log, test_enc):
+    logits = batched_logits(params, test_enc)  # the 128-row windows of snoic eval
     preds = open_predictions(logits)
     golds = test_enc.class_ids
     report = evaluate(preds.tolist(), golds.tolist(), split.num_known + 1)

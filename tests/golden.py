@@ -9,10 +9,12 @@ numerics are the reference:
 
     PYTHONPATH=src python tests/golden.py
 
-``--digest`` prints the run's ``params.flat`` sha256 and its epoch losses
-and writes nothing; a refactor that claims bit identity prints the same
-two lines on both trees. The lines do not depend on the BLAS thread
-count, which ``TestGoldenRun`` checks at 1, 2 and 4 threads:
+``--digest`` prints the run's ``params.flat`` sha256, its epoch losses
+and every epoch's logged ``val_known_acc``, and writes nothing; a
+refactor that claims bit identity prints the same three lines on both
+trees, and a change in how validation is scored shows in the third. The
+lines do not depend on the BLAS thread count, which ``TestGoldenRun``
+checks at 1, 2 and 4 threads:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py --digest
 """
@@ -77,7 +79,9 @@ def golden_run(corpus_sets) -> dict:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description="rerun the golden two-stage run")
     parser.add_argument(
-        "--digest", action="store_true", help="print the params.flat sha256 and epoch losses; write nothing"
+        "--digest",
+        action="store_true",
+        help="print the params.flat sha256, epoch losses and validation accuracies; write nothing",
     )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,6 +91,7 @@ def main(argv: list[str] | None = None) -> None:
             params, log, _ = train_golden(sets)
             print(f"params.flat sha256 {hashlib.sha256(params.flat.tobytes()).hexdigest()}")
             print(f"epoch losses {json.dumps([rec.mean_loss for rec in log.records])}")
+            print(f"val_known_acc {json.dumps([rec.val_known_acc for rec in log.records])}")
             return
         result = golden_run(sets)
     with open(FIXTURE, "w", encoding="utf-8") as f:

@@ -12,9 +12,10 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from snoic.cli import ABLATIONS, main, normalize_experiment_config, train_config_from, with_ablations
+from snoic.cli import ABLATIONS, environment, main, normalize_experiment_config, train_config_from, with_ablations
 from snoic.corpus import SplitSpec, build_vocab, load_dataset, make_split
 from snoic.encoder import EncoderConfig
 from snoic.errors import ConfigError
@@ -706,6 +707,41 @@ MALFORMED_REPORTS = {
     "dataset-not-string": json.dumps({**GOOD_REPORT, "dataset": None}).encode(),
     "not-utf8": b'{"dataset": "\xff\xfe"}',
 }
+
+
+class TestEnvironment:
+    def test_model_dirs_and_report_name_the_environment(self, pipeline):
+        env = environment()
+        assert set(env) == {"numpy", "blas", "blas_version", "blas_threads"}
+        assert env["numpy"] == np.__version__
+        for doc in (
+            read_json(os.path.join(pipeline.pre, "meta.json")),
+            read_json(os.path.join(pipeline.open, "meta.json")),
+            read_json(pipeline.report),
+        ):
+            assert doc["environment"] == env
+
+    def test_pretrain_at_one_and_two_blas_threads(self, cli_env, pipeline, tmp_path):
+        """Two seeded `snoic pretrain` runs, each in its own process: each
+        meta.json names its own thread count (OpenBLAS caps it at the usable
+        CPUs), and the two checkpoints are byte-equal."""
+        src = str(Path(synth.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        ckpts = []
+        for threads in (1, 2):
+            out = str(tmp_path / f"threads{threads}")
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
+            env.pop("SNOIC_SEED", None)
+            run = subprocess.run(
+                [sys.executable, "-m", "snoic.cli", "pretrain", "--config", cli_env.config_path,
+                 "--split", pipeline.split, "--out", out],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            recorded = read_json(os.path.join(out, "meta.json"))["environment"]["blas_threads"]
+            assert recorded == min(threads, len(os.sched_getaffinity(0)))
+            ckpts.append(Path(out, "model.ckpt").read_bytes())
+        assert ckpts[0] == ckpts[1]
 
 
 class TestReportCommand:

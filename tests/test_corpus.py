@@ -667,6 +667,32 @@ class TestBatching:
                 window_batches(enc, batch_size)
 
 
+def numpy_scalar_repair(first, second, order):
+    """`corpus._repair_pair` as it ran before it moved to plain lists,
+    comparing numpy scalars and swapping through fancy indexing: the
+    reference for its swaps. Returns the (position, target) swaps made."""
+    swaps = []
+    n = len(first)
+    for i in range(n):
+        if first[i] != second[i]:
+            continue
+        target = None
+        for off in range(1, n):
+            j = (i + off) % n
+            if second[j] == first[i]:
+                continue
+            if j < i and first[j] == second[i]:
+                continue  # wrap swap would re-collide position j
+            target = j
+            break
+        if target is None:
+            raise PairingError(f"cannot pair position {i}: no differing intent available in the epoch")
+        for arr in (second, order):
+            arr[[i, target]] = arr[[target, i]]
+        swaps.append((i, target))
+    return swaps
+
+
 class TestPairing:
     def test_positions_never_share_labels(self):
         # per_class <= batch_size / 2 keeps every shuffle pairable: no
@@ -688,6 +714,39 @@ class TestPairing:
         )
         with pytest.raises(PairingError, match="cannot pair position"):
             pair_batches(enc, 8, seed=0)
+
+    def test_repair_matches_the_numpy_scalar_reference(self):
+        """Seeded label sequences, 2-8 intents over 2-900 rows, shuffled
+        twice as pair_batches does: the repair makes the reference's swaps,
+        and at a dead end raises its message and leaves both arrays as they
+        were. Every fourth sequence has one intent over about half the rows,
+        so dead ends and wrap-around swaps both occur."""
+        rng = np.random.default_rng(32)
+        outcomes = {"later swaps only": 0, "a wrap-around swap": 0, "dead end": 0}
+        for case in range(240):
+            k, n = int(rng.integers(2, 9)), int(rng.integers(2, 901))
+            weights = rng.dirichlet(np.full(k, 4.0))
+            if case % 4 == 0:
+                weights = 0.5 * weights + 0.5 * np.eye(k)[0]
+            labels = rng.choice(np.arange(1, k + 1, dtype=np.int32), size=n, p=weights)
+            first, order_b = labels[rng.permutation(n)], rng.permutation(n)
+            want_second, want_order = labels[order_b], order_b.copy()
+            got_second, got_order = labels[order_b], order_b.copy()
+            try:
+                swaps = numpy_scalar_repair(first, want_second, want_order)
+            except PairingError as exc:
+                with pytest.raises(PairingError) as got:
+                    corpus._repair_pair(first, got_second, got_order)
+                assert str(got.value) == str(exc)
+                assert np.array_equal(got_second, labels[order_b]) and np.array_equal(got_order, order_b)
+                outcomes["dead end"] += 1
+                continue
+            corpus._repair_pair(first, got_second, got_order)
+            assert got_second.dtype == want_second.dtype and got_order.dtype == want_order.dtype
+            assert np.array_equal(got_second, want_second), case
+            assert np.array_equal(got_order, want_order), case
+            outcomes["a wrap-around swap" if any(j < i for i, j in swaps) else "later swaps only"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
 
     def test_balanced_tail_batch_borrows_from_the_epoch(self):
         # four intents of five rows leave a tail batch of four; for these

@@ -701,7 +701,7 @@ class TestPretrain:
             cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=30, patience=30, seed=seed)
             params = init_params(separable_encoder(vocab), 3, seed)
             best, log = pretrain(params, train_enc, val_enc, cfg)
-            accs.append(known_accuracy(best, val_enc, 8, known_only=True))
+            accs.append(known_accuracy(best, val_enc, known_only=True))
         assert float(np.mean(accs)) >= 0.95
 
     def test_frozen_learning_stops_after_exactly_two_epochs(self):
@@ -719,7 +719,7 @@ class TestPretrain:
         cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=8, patience=8, seed=1)
         params = init_params(separable_encoder(vocab), 3, seed=1)
         best, log = pretrain(params, train_enc, val_enc, cfg)
-        best_acc = known_accuracy(best, val_enc, 8, known_only=True)
+        best_acc = known_accuracy(best, val_enc, known_only=True)
         assert best_acc == pytest.approx(max(r.val_known_acc for r in log.records), abs=1e-12)
 
     def test_empty_sets_rejected(self):
@@ -741,6 +741,22 @@ class TestPretrain:
         for best, log in others:
             assert np.array_equal(best.flat, ref.flat)
             assert log.records == ref_log.records
+
+
+class TestValidationWindows:
+    @pytest.mark.parametrize("batch_size", [8, 32])
+    @pytest.mark.parametrize("stage", [pretrain, train_open], ids=["pretrain", "open"])
+    def test_an_epoch_validates_in_the_eval_windows(self, stage, batch_size, monkeypatch):
+        """Validation reads 128-row windows, as snoic eval does, whatever the
+        stage's batch_size: 240 rows are ceil(240 / 128) = 2 forwards."""
+        vocab, train_enc, val_enc = separable_sets()
+        rows = np.arange(240) % len(val_enc)
+        val_240 = Batch(tokens=val_enc.tokens[rows], lengths=val_enc.lengths[rows], class_ids=val_enc.class_ids[rows])
+        seen = []
+        monkeypatch.setattr("snoic.trainer.forward", lambda params, batch: seen.append(len(batch)) or forward(params, batch))
+        params = init_params(separable_encoder(vocab), 3, seed=0)
+        stage(params, train_enc, val_240, TrainConfig(lr=1e-2, batch_size=batch_size, max_epochs=1, seed=0))
+        assert seen == [128, 112]
 
 
 class TestTrainOpen:
@@ -858,9 +874,9 @@ class TestTwoStage:
         vocab, train_enc, val_enc = separable_sets()
         cfg = TrainConfig(lr=1e-2, batch_size=12, max_epochs=6, patience=6, seed=0)
         params = init_params(separable_encoder(vocab), 3, seed=0)
-        before = known_accuracy(params, val_enc, 8, known_only=False)
+        before = known_accuracy(params, val_enc)
         best, log = train_two_stage(params, train_enc, val_enc, cfg)
-        after = known_accuracy(best, val_enc, 8, known_only=False)
+        after = known_accuracy(best, val_enc)
         assert after >= before
         assert {rec.stage for rec in log.records} == {"pretrain", "open"}
 
