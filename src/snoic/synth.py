@@ -20,7 +20,6 @@ Run as a module to write train/val/test JSON Lines files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -61,93 +60,134 @@ def class_names() -> list[str]:
     return sorted(CORE_WORDS)
 
 
-# raw 64-bit outputs a draw source takes from its stream per random_raw call
+# raw 64-bit outputs generate_role takes from a stream per random_raw call
 _CHUNK = 2048
 
-
-class _Draws:
-    """numpy Generator draws replayed from one PCG64 stream's raw 64-bit
-    outputs, taken _CHUNK at a time. Each method returns what the Generator
-    method it names returns on a generator over the same stream, and uses
-    up the same outputs. A 32-bit draw takes the low half of the next
-    output and keeps its high half for the next 32-bit draw, across any
-    random() in between, as PCG64's has_uint32 and uinteger do. Outputs
-    taken but not drawn are never seen, as each stream has one source."""
-
-    def __init__(self, bit_generator: np.random.PCG64):
-        self.bit_generator = bit_generator
-        self.words: list[int] = []
-        self.pos = 0  # outputs of words used up
-        self.has_half = False
-        self.half = 0  # the kept high half, stale once has_half is False
-
-    def _word(self) -> int:
-        if self.pos == len(self.words):
-            self.words, self.pos = self.bit_generator.random_raw(_CHUNK).tolist(), 0
-        self.pos += 1
-        return self.words[self.pos - 1]
-
-    def _uint32(self) -> int:
-        if self.has_half:
-            self.has_half = False
-            return self.half
-        word = self._word()
-        self.has_half, self.half = True, word >> 32
-        return word & 0xFFFFFFFF
-
-    def random(self) -> float:
-        """random(): the top 53 bits of one output, times 2**-53."""
-        return (self._word() >> 11) * 2.0**-53
-
-    def integers(self, n: int) -> int:
-        """integers(0, n) for 1 <= n < 2**32: Lemire's bounded 32-bit draw,
-        none at n == 1."""
-        if n == 1:
-            return 0
-        m = self._uint32() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (2**32 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * n
-        return m >> 32
-
-    def sample(self, pop: int, size: int) -> list[int]:
-        """choice(pop, size, replace=False) for size <= pop <= 10000: Floyd's
-        draws in [0, j] for j from pop - size to pop - 1, then a shuffle of
-        the picks with draws in [0, i] for i from size - 1 down to 1."""
-        picks: list[int] = []
-        for j in range(pop - size, pop):
-            d = self.integers(j + 1)
-            picks.append(j if d in picks else d)
-        for i in range(size - 1, 0, -1):
-            d = self.integers(i + 1)
-            picks[i], picks[d] = picks[d], picks[i]
-        return picks
-
-    def shuffle(self, x: list) -> None:
-        """shuffle(x) in place, the order permutation(len(x)) gives: Fisher-
-        Yates from the top, each swap index a 32-bit draw masked to i's bit
-        length and drawn again while above i."""
-        for i in range(len(x) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self._uint32() & mask
-            while j > i:
-                j = self._uint32() & mask
-            x[i], x[j] = x[j], x[i]
+# Fisher-Yates masks: the smallest all-ones mask covering each swap bound i
+_MASKS = [(1 << i.bit_length()) - 1 for i in range(9)]
 
 
-def _make_sentence(draws: _Draws, core: list[str], shared: list[str], rare: str | None) -> str:
-    """The draws of scalar integers() for the three counts, choice(...,
-    replace=False) for the core and shared words, integers() for the
-    fillers and permutation() for the word order, in that order."""
-    n_core, n_shared, n_filler = 1 + draws.integers(3), 1 + draws.integers(2), 1 + draws.integers(3)
-    picks = [core[i] for i in draws.sample(len(core), n_core)]
-    picks += [shared[i] for i in draws.sample(len(shared), n_shared)]
-    picks += [FILLER_WORDS[draws.integers(len(FILLER_WORDS))] for _ in range(n_filler)]
-    if rare is not None:
-        picks.append(rare)
-    draws.shuffle(picks)
-    return " ".join(picks)
+def _sentence(halves: list[int], h: int, core: list[str], shared: list[str], rare: str) -> tuple[str, int]:
+    """One sentence read from a stream's 32-bit halves: random() for the
+    rare token, scalar integers() for the core, shared and filler counts,
+    choice(..., replace=False) for the core and the shared words,
+    integers() for the fillers and permutation() for the word order, each
+    as numpy's Generator draws it. Returns the text and the index of the
+    sentence's last half; raises IndexError, changing nothing, if
+    ``halves`` ends first.
+
+    ``halves`` holds each raw output's low half, then its high half, and
+    ``h`` is the index of the last half the previous sentence drew (-1 at
+    the start). random() takes the output after the one holding halves[h].
+    If halves[h] is a low half, PCG64 keeps its high half, and that is the
+    first 32-bit draw; the rest follow random()'s output in order.
+
+    A draw in [0, n) is Lemire's x * n >> 32, drawn again while the low 32
+    bits of x * n are below (2**32 - n) % n: 1 at n = 3, 4 at n = 6, 7 and
+    14, and 0 at a power of two, where it is a shift (x >> 31 at n = 2).
+    choice(pop, size) is Floyd's draws in [0, j] for j from pop - size to
+    pop - 1, a repeat taking j, then a shuffle of the picks with draws in
+    [0, i] for i from size - 1 down to 1. permutation() is Fisher-Yates
+    from the top, each swap index a 32-bit draw masked to i's bit length
+    and drawn again while above i. The bounds are those of 8 core words, 4
+    shared words and 14 fillers."""
+    H = halves
+    # random()'s output, and the first 32-bit draw: the high half PCG64
+    # kept, or else the low half of the output after random()'s
+    if h & 1:
+        rnd, u = H[h + 1] | H[h + 2] << 32, H[h + 3]
+    else:
+        rnd, u = H[h + 2] | H[h + 3] << 32, H[h + 1]
+    p = h + 4
+    m = u * 3
+    while m & 0xFFFFFFFF < 1:
+        m = H[p] * 3
+        p += 1
+    n_core = 1 + (m >> 32)
+    n_shared = 1 + (H[p] >> 31)
+    m = H[p + 1] * 3
+    p += 2
+    while m & 0xFFFFFFFF < 1:
+        m = H[p] * 3
+        p += 1
+    n_filler = 1 + (m >> 32)
+    # choice(8, n_core): Floyd's picks a, b, c, then their shuffle
+    if n_core == 1:
+        words = [core[H[p] >> 29]]
+        p += 1
+    elif n_core == 2:
+        m = H[p] * 7
+        p += 1
+        while m & 0xFFFFFFFF < 4:
+            m = H[p] * 7
+            p += 1
+        a, b = m >> 32, H[p] >> 29
+        if b == a:
+            b = 7
+        words = [core[a], core[b]] if H[p + 1] >> 31 else [core[b], core[a]]
+        p += 2
+    else:
+        m = H[p] * 6
+        p += 1
+        while m & 0xFFFFFFFF < 4:
+            m = H[p] * 6
+            p += 1
+        a = m >> 32
+        m = H[p] * 7
+        p += 1
+        while m & 0xFFFFFFFF < 4:
+            m = H[p] * 7
+            p += 1
+        b = m >> 32
+        if b == a:
+            b = 6
+        c = H[p] >> 29
+        if c == a or c == b:
+            c = 7
+        m = H[p + 1] * 3
+        p += 2
+        while m & 0xFFFFFFFF < 1:
+            m = H[p] * 3
+            p += 1
+        words = [core[a], core[b], core[c]]
+        i = m >> 32
+        words[2], words[i] = words[i], words[2]
+        if not H[p] >> 31:
+            words[0], words[1] = words[1], words[0]
+        p += 1
+    # choice(4, n_shared)
+    if n_shared == 1:
+        words.append(shared[H[p] >> 30])
+        p += 1
+    else:
+        m = H[p] * 3
+        p += 1
+        while m & 0xFFFFFFFF < 1:
+            m = H[p] * 3
+            p += 1
+        a, b = m >> 32, H[p] >> 30
+        if b == a:
+            b = 3
+        words += (shared[a], shared[b]) if H[p + 1] >> 31 else (shared[b], shared[a])
+        p += 2
+    for _ in range(n_filler):
+        m = H[p] * 14
+        p += 1
+        while m & 0xFFFFFFFF < 4:
+            m = H[p] * 14
+            p += 1
+        words.append(FILLER_WORDS[m >> 32])
+    if (rnd >> 11) * 2.0**-53 < RARE_TOKEN_RATE:
+        words.append(rare)
+    for i in range(len(words) - 1, 0, -1):
+        mask = _MASKS[i]
+        j = H[p] & mask
+        p += 1
+        while j > i:
+            j = H[p] & mask
+            p += 1
+        words[i], words[j] = words[j], words[i]
+    return " ".join(words), p - 1
 
 
 def generate_role(role: str, seed: int, per_class: int) -> list[dict]:
@@ -155,16 +195,27 @@ def generate_role(role: str, seed: int, per_class: int) -> list[dict]:
     if role not in _ROLE_INDEX:
         raise ValueError(f"role must be train, val, or test, got {role!r}")
     rows = []
+    ri = _ROLE_INDEX[role]
     for ci, label in enumerate(class_names()):
         core = CORE_WORDS[label]
         shared = [w for pair, words in sorted(SHARED_WORDS.items()) if label in pair for w in words]
-        # the stream of default_rng([seed, role, class])
-        draws = _Draws(np.random.PCG64([seed, _ROLE_INDEX[role], ci]))
+        # the stream of default_rng([seed, role, class]), read one chunk at a time
+        bit_generator = np.random.PCG64([seed, ri, ci])
+        halves, h = [], -1
         for j in range(per_class):
-            rare = None
-            if draws.random() < RARE_TOKEN_RATE:
-                rare = f"zq{_ROLE_INDEX[role]}x{ci}x{j}"
-            rows.append({"text": _make_sentence(draws, core, shared, rare), "label": label})
+            while True:
+                try:
+                    text, h = _sentence(halves, h, core, shared, f"zq{ri}x{ci}x{j}")
+                    break
+                except IndexError:
+                    # out of halves: drop the outputs used up, keeping the
+                    # one whose high half PCG64 still holds, and append the
+                    # next chunk's (low half, then high half, on any byte order)
+                    cut = h + 1 & ~1
+                    del halves[:cut]
+                    h -= cut
+                    halves += bit_generator.random_raw(_CHUNK).astype("<u8", copy=False).view("<u4").tolist()
+            rows.append({"text": text, "label": label})
     return rows
 
 
@@ -185,9 +236,10 @@ def write_corpus(
     for role, per_class in counts.items():
         path = os.path.join(out_dir, f"{role}.jsonl")
         with open(path, "w", encoding="utf-8") as f:
-            # the bytes of json.dumps(row, sort_keys=True), one line per row
+            # the bytes of json.dumps(row, sort_keys=True): every label and
+            # word is ASCII letters and digits, so nothing needs escaping
             f.writelines(
-                f'{{"label": {json.dumps(row["label"])}, "text": {json.dumps(row["text"])}}}\n'
+                f'{{"label": "{row["label"]}", "text": "{row["text"]}"}}\n'
                 for row in generate_role(role, seed, per_class)
             )
         paths[role] = path

@@ -14,7 +14,10 @@ and every epoch's logged ``val_known_acc``, and writes nothing; a
 refactor that claims bit identity prints the same three lines on both
 trees, and a change in how validation is scored shows in the third. The
 lines do not depend on the BLAS thread count, which ``TestGoldenRun``
-checks at 1, 2 and 4 threads:
+checks at 1, 2 and 4 threads. OpenBLAS caps the count at the usable
+CPUs, so on a 2-CPU machine the "4 threads" run runs at 2; ``--digest``
+writes the count it ran at to standard error as ``blas_threads N``
+(``None`` for a BLAS other than OpenBLAS):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py --digest
 """
@@ -24,8 +27,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import tempfile
 
+from snoic.cli import environment
 from snoic.corpus import (
     Batch,
     Dataset,
@@ -92,6 +97,7 @@ def main(argv: list[str] | None = None) -> None:
             print(f"params.flat sha256 {hashlib.sha256(params.flat.tobytes()).hexdigest()}")
             print(f"epoch losses {json.dumps([rec.mean_loss for rec in log.records])}")
             print(f"val_known_acc {json.dumps([rec.val_known_acc for rec in log.records])}")
+            print(f"blas_threads {environment()['blas_threads']}", file=sys.stderr)
             return
         result = golden_run(sets)
     with open(FIXTURE, "w", encoding="utf-8") as f:

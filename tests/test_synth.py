@@ -1,6 +1,11 @@
-"""Synthetic corpus: pinned file bytes and draw-for-draw RNG accounting."""
+"""Synthetic corpus: pinned file bytes, the scan replayed draw for draw, and exact quoting."""
 
 import hashlib
+import json
+import random
+import re
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -86,80 +91,312 @@ class CountingPCG64(np.random.PCG64):
         return super().random_raw(size, output)
 
 
-def consumed(draws):
-    """The raw outputs ``draws`` has used up."""
-    return sum(draws.bit_generator.requests) - (len(draws.words) - draws.pos)
+def stream_halves(seed, outputs):
+    """The 32-bit halves of a PCG64 stream's first ``outputs`` raw outputs,
+    each output's low half, then its high half."""
+    return [w >> s & 0xFFFFFFFF for w in np.random.PCG64(seed).random_raw(outputs).tolist() for s in (0, 32)]
 
 
-def replayed_state(seed, draws):
-    """The PCG64 state of a Generator that drew what ``draws`` drew: the
-    outputs it consumed, and its kept 32-bit half (held or stale)."""
-    state = np.random.PCG64(seed).advance(consumed(draws)).state
-    state["has_uint32"], state["uinteger"] = int(draws.has_half), draws.half
+def rebuilt_state(seed, halves, h):
+    """The PCG64 state of a Generator that drew ``halves`` up to index h:
+    every output up to the one holding halves[h] used up, and PCG64's kept
+    32-bit half, held if halves[h] is a low half and stale if a high one."""
+    state = np.random.PCG64(seed).advance(h // 2 + 1).state
+    state["has_uint32"], state["uinteger"] = int(h % 2 == 0), halves[h | 1]
     return state
 
 
-def draw_pair(seed):
-    return synth._Draws(CountingPCG64(seed)), np.random.default_rng(seed)
+class PerDraw:
+    """numpy Generator's draws, one Python call each, over a list of 32-bit
+    halves laid out as ``synth._sentence`` reads them. It counts every
+    redraw and every draw accepted at the threshold, by bound."""
+
+    def __init__(self, halves):
+        self.halves = halves
+        self.next = 0  # the low half of the first output not drawn from
+        self.kept = None  # the index of PCG64's kept high half, if held
+        self.latest = None  # the index of the last high half kept, held or not
+        self.redraws, self.at_threshold, self.masked = Counter(), Counter(), Counter()
+
+    def uint32(self):
+        if self.kept is not None:
+            i, self.kept = self.kept, None
+        else:
+            i, self.kept, self.next = self.next, self.next + 1, self.next + 2
+            self.latest = self.kept
+        return self.halves[i]
+
+    def random(self):
+        lo, hi = self.halves[self.next], self.halves[self.next + 1]
+        self.next += 2
+        return ((hi << 32 | lo) >> 11) * 2.0**-53
+
+    def integers(self, n):
+        if n == 1:
+            return 0
+        threshold = (2**32 - n) % n
+        m = self.uint32() * n
+        while m & 0xFFFFFFFF < threshold:
+            self.redraws[n] += 1
+            m = self.uint32() * n
+        self.at_threshold[n] += m & 0xFFFFFFFF == threshold
+        return m >> 32
+
+    def choice(self, pop, size):
+        picks = []
+        for j in range(pop - size, pop):
+            d = self.integers(j + 1)
+            picks.append(j if d in picks else d)
+        for i in range(size - 1, 0, -1):
+            d = self.integers(i + 1)
+            picks[i], picks[d] = picks[d], picks[i]
+        return picks
+
+    def permutation(self, n):
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self.uint32() & mask
+            while j > i:
+                self.masked[i] += 1
+                j = self.uint32() & mask
+            order[i], order[j] = order[j], order[i]
+        return order
+
+    def sentence(self, core, shared, rare):
+        carries = self.random() < synth.RARE_TOKEN_RATE
+        n_core, n_shared, n_filler = 1 + self.integers(3), 1 + self.integers(2), 1 + self.integers(3)
+        picks = [core[i] for i in self.choice(len(core), n_core)]
+        picks += [shared[i] for i in self.choice(len(shared), n_shared)]
+        picks += [FILLER_WORDS[self.integers(len(FILLER_WORDS))] for _ in range(n_filler)]
+        if carries:
+            picks.append(rare)
+        return " ".join(picks[i] for i in self.permutation(len(picks)))
+
+    def last(self):
+        """The index of the last half drawn."""
+        return self.next - 1 if self.kept is None else self.kept - 1
+
+    def state(self, seed):
+        """The PCG64 state of a Generator on stream ``seed`` that drew what this drew."""
+        state = np.random.PCG64(seed).advance(self.next // 2).state
+        state["has_uint32"] = int(self.kept is not None)
+        state["uinteger"] = 0 if self.latest is None else self.halves[self.latest]
+        return state
 
 
-@pytest.mark.parametrize("seed", [0, 11])
-def test_every_sentence_consumes_the_reference_draws(seed):
-    """After each sentence the text and the full bit-generator state (the
-    kept half of a 64-bit PCG64 output included) equal the reference's,
-    for every (core, shared, filler) count combination with and without a
-    rare token."""
-    labels = class_names()
-    draws, ref = draw_pair(seed)
-    seen = set()
-    for i in range(2400):
-        label = labels[i % len(labels)]
-        core, shared = CORE_WORDS[label], shared_pool(label)
-        rare = f"zq{i}" if i % 3 == 0 else None
-        text = synth._make_sentence(draws, core, shared, rare)
-        assert text == reference_sentence(ref, core, shared, rare), i
-        assert replayed_state(seed, draws) == ref.bit_generator.state, i
-        words = text.split()
-        counts = tuple(sum(w in pool for w in words) for pool in (core, shared, FILLER_WORDS))
-        seen.add(counts + (rare is not None,))
-    assert seen == set(product((1, 2, 3), (1, 2), (1, 2, 3), (False, True)))
+# The per-draw reference is the oracle of the crafted-halves tests below;
+# these three check it draw for draw against numpy's Generator.
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1])
 def test_integers_replay_lemire(n):
-    """integers(0, n) value for value and state for state, rejections
-    included: at 2**31 + 1 about half the 32-bit draws are rejected and at
-    3 * 2**30 a quarter; at n == 1 nothing is drawn."""
-    draws, ref = draw_pair(5)
+    """PerDraw.integers(n) is integers(0, n) value for value and state for
+    state, rejections included: at 2**31 + 1 about half the 32-bit draws
+    are rejected and at 3 * 2**30 a quarter; at n == 1 nothing is drawn."""
+    per_draw, ref = PerDraw(stream_halves(5, 6000)), np.random.default_rng(5)
     for i in range(2100):
-        assert draws.integers(n) == ref.integers(0, n), i
-        assert replayed_state(5, draws) == ref.bit_generator.state, i
-    taken = 2 * consumed(draws) - draws.has_half  # 32-bit draws
+        assert per_draw.integers(n) == ref.integers(0, n), i
+        assert per_draw.state(5) == ref.bit_generator.state, i
+    taken = per_draw.next - (per_draw.kept is not None)  # 32-bit draws
     assert taken == 0 if n == 1 else taken >= 2100
     if n in (2**31 + 1, 3 * 2**30):
-        assert taken > 2500
+        assert per_draw.redraws[n] > 400
 
 
 def test_shuffle_replays_permutation():
-    """shuffle(list(range(n))) is permutation(n), masked rejections included."""
-    draws, ref = draw_pair(6)
+    """PerDraw.permutation(n) is permutation(n), masked rejections included."""
+    per_draw, ref = PerDraw(stream_halves(6, 6000)), np.random.default_rng(6)
     for n in list(range(1, 41)) * 3:
-        order = list(range(n))
-        draws.shuffle(order)
-        assert order == ref.permutation(n).tolist(), n
-        assert replayed_state(6, draws) == ref.bit_generator.state, n
+        assert per_draw.permutation(n) == ref.permutation(n).tolist(), n
+        assert per_draw.state(6) == ref.bit_generator.state, n
+    assert sum(per_draw.masked.values()) > 500
 
 
 def test_random_keeps_the_held_half():
     """A random() between two 32-bit draws takes a whole output and leaves
     the half kept by an odd run of 32-bit draws for the next one."""
-    draws, ref = draw_pair(7)
+    per_draw, ref = PerDraw(stream_halves(7, 2000)), np.random.default_rng(7)
     for i, run in enumerate([1, 3, 0, 2, 5, 1, 1, 4, 7, 0, 0, 3] * 20):
         for _ in range(run):
-            assert draws.integers(7) == ref.integers(0, 7), i
-        assert draws.random() == ref.random(), i
-        assert replayed_state(7, draws) == ref.bit_generator.state, i
-        assert draws.has_half == bool(ref.bit_generator.state["has_uint32"])
+            assert per_draw.integers(7) == ref.integers(0, 7), i
+        assert per_draw.random() == ref.random(), i
+        assert per_draw.state(7) == ref.bit_generator.state, i
+
+
+def test_pools_have_the_sizes_the_scan_draws_from():
+    """_sentence's bounds are written for 8 core words, 4 shared words and
+    14 fillers; a pool of another size would draw the wrong words."""
+    assert len(FILLER_WORDS) == 14
+    for label in class_names():
+        assert len(CORE_WORDS[label]) == 8 and len(shared_pool(label)) == 4, label
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_every_sentence_consumes_the_reference_draws(seed):
+    """After each sentence the scan's text equals the reference's, drawn
+    with numpy's Generator and replayed per draw, and the PCG64 state rebuilt
+    from its last half (the kept 32-bit half included) equals the
+    Generator's, for every (core, shared, filler) count combination with
+    and without a rare token; some sentences start on a kept half."""
+    labels = class_names()
+    halves = stream_halves(seed, 2400 * 12)
+    ref, per_draw = np.random.default_rng(seed), PerDraw(halves)
+    h, seen, kept = -1, set(), 0
+    for i in range(2400):
+        label = labels[i % len(labels)]
+        core, shared = CORE_WORDS[label], shared_pool(label)
+        kept += h % 2 == 0
+        text, h = synth._sentence(halves, h, core, shared, f"zq{i}")
+        rare = f"zq{i}" if ref.random() < synth.RARE_TOKEN_RATE else None
+        assert text == reference_sentence(ref, core, shared, rare) == per_draw.sentence(core, shared, f"zq{i}"), i
+        assert rebuilt_state(seed, halves, h) == ref.bit_generator.state, i
+        assert h == per_draw.last(), i
+        words = text.split()
+        counts = tuple(sum(w in pool for w in words) for pool in (core, shared, FILLER_WORDS))
+        seen.add(counts + (rare is not None,))
+    assert seen == set(product((1, 2, 3), (1, 2), (1, 2, 3), (False, True)))
+    assert 500 < kept < 1900
+
+
+def redrawn_at(n):
+    """Every 32-bit x whose Lemire product x * n has low bits at most the
+    threshold (2**32 - n) % n: the redrawn ones and the first accepted."""
+    threshold = (2**32 - n) % n
+    return [(k << 32 | r) // n for k in range(n) for r in range(threshold + 1) if (k << 32 | r) % n == 0]
+
+
+def crafted_halves(seed, size, special):
+    """Halves drawn half from ``special``, half uniformly."""
+    gen = random.Random(seed)
+    return [gen.choice(special) if gen.random() < 0.5 else gen.getrandbits(32) for _ in range(size)]
+
+
+def scan_equals_per_draw(halves, sentences):
+    """Scan ``sentences`` sentences of ``halves`` and check each against
+    PerDraw; returns the PerDraw."""
+    labels, per_draw, h = class_names(), PerDraw(halves), -1
+    for i in range(sentences):
+        label = labels[i % len(labels)]
+        core, shared = CORE_WORDS[label], shared_pool(label)
+        text, h = synth._sentence(halves, h, core, shared, f"zq{i}")
+        assert text == per_draw.sentence(core, shared, f"zq{i}"), i
+        assert h == per_draw.last(), i
+    return per_draw
+
+
+@pytest.mark.parametrize("n,threshold", [(3, 1), (6, 4), (7, 4), (14, 4)])
+def test_lemire_redraws_below_the_threshold(n, threshold):
+    """The bounded draws the corpus makes at n = 3, 6, 7 and 14 redraw
+    below their thresholds and accept at them: on halves crafted from the
+    32-bit values whose products land there (a zero half at n = 3), the
+    scan equals the per-draw reference, which saw both happen."""
+    assert (2**32 - n) % n == threshold
+    special = redrawn_at(n)
+    assert 0 in special and len(special) >= 2
+    per_draw = scan_equals_per_draw(crafted_halves(n, 40000, special), 1500)
+    assert per_draw.redraws[n] >= 5 and per_draw.at_threshold[n] >= 5, (per_draw.redraws, per_draw.at_threshold)
+
+
+def test_permutation_redraws_above_the_bound():
+    """The word-order shuffle draws again while its masked draw is above i,
+    at every i whose mask can exceed it (2, 4, 5, 6 and 8), also at a
+    9-word sentence; the 32-bit values are crafted to make rare tokens
+    common."""
+    # near 2**32 with low bits above the masked bounds: the largest counts
+    # and masked redraws; near 0: random() < RARE_TOKEN_RATE
+    special = [0xFFFFFFF0 | b for b in (3, 5, 6, 7, 9, 11, 13, 14, 15)] + [0, 1, 2]
+    per_draw = scan_equals_per_draw(crafted_halves(5, 60000, special), 2000)
+    assert all(per_draw.masked[i] >= 5 for i in (2, 4, 5, 6, 8)), per_draw.masked
+
+
+def test_a_kept_half_crosses_random():
+    """A sentence ending on a low half hands that output's high half to the
+    next sentence as its first 32-bit draw, across the next random(); here
+    the kept half is zero, so the first count is drawn again at n = 3."""
+    # random() below RARE_TOKEN_RATE; counts 1, 1, 1; the core, shared and
+    # filler word; three swaps that keep the order: 9 draws, ending on the
+    # low half of output 5. Then the kept zero and the next random().
+    halves = [0, 0, 1, 1, 1, 1, 1, 1, 3, 2, 1] + [0] + [0x9ABCDEF0, 0xFFFFFFFF]
+    halves += [0x12345678, 0x9ABCDEF0, 0xFFFFFFFF] * 20
+    core, shared = CORE_WORDS["alarms"], shared_pool("alarms")
+    assert synth._sentence(halves, -1, core, shared, "zq0") == ("alarm schedule please zq0", 10)
+    per_draw = scan_equals_per_draw(halves, 2)
+    assert per_draw.redraws[3] >= 1 and per_draw.last() > 14
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+def test_chunks_of_any_size_give_the_same_rows(monkeypatch, chunk):
+    """generate_role gives the per-draw reference's rows when each
+    random_raw call returns only ``chunk`` outputs: some sentences
+    straddle two chunks (or more), and some kept halves sit in one chunk
+    while random() reads the next."""
+    straddles = kept_across = 0
+    expected = []
+    for ci, label in enumerate(class_names()):
+        halves = stream_halves([9, 1, ci], 300 * 12)
+        per_draw, last = PerDraw(halves), -1
+        core, shared = CORE_WORDS[label], shared_pool(label)
+        for j in range(300):
+            text = per_draw.sentence(core, shared, f"zq1x{ci}x{j}")
+            expected.append({"text": text, "label": label})
+            if last % 2 == 0 and (last + 2) % (2 * chunk) == 0:
+                kept_across += 1
+            straddles += (last + 1) // (2 * chunk) != per_draw.last() // (2 * chunk)
+            last = per_draw.last()
+    monkeypatch.setattr(synth, "_CHUNK", chunk)
+    assert synth.generate_role("val", 9, 300) == expected
+    assert straddles >= 50 and kept_across >= 3, (straddles, kept_across)
+
+
+def test_transient_memory_stays_within_a_chunk():
+    """generate_role keeps at most about one chunk of halves alive: its
+    traced peak above the rows it returns stays within 256 KB."""
+    synth.generate_role("test", 3, 4)
+    tracemalloc.start()
+    try:
+        rows = synth.generate_role("test", 3, 1024)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1024 * len(class_names())
+    assert peak - retained <= 256 * 1024, peak - retained
+
+
+def generated_words():
+    """Every word the generator can emit, from its pools and its rare-token
+    format: each role and class index at rows 0 and 10**6."""
+    words = {w for pool in CORE_WORDS.values() for w in pool}
+    words |= {w for pool in SHARED_WORDS.values() for w in pool}
+    words |= set(FILLER_WORDS) | set(class_names())
+    rare = {f"zq{r}x{ci}x{j}" for r in synth._ROLE_INDEX.values() for ci in range(len(class_names())) for j in (0, 10**6)}
+    return words, rare
+
+
+def test_every_word_is_plain_ascii():
+    """write_corpus quotes labels and texts without escaping, which is exact
+    because every word it can write is lowercase ASCII letters and digits;
+    a generated role uses no other word."""
+    words, rare = generated_words()
+    for word in words | rare:
+        assert re.fullmatch("[a-z0-9]+", word), word
+    for row in synth.generate_role("train", 4, 50):
+        assert row["label"] in words
+        for word in row["text"].split():
+            assert word in words or re.fullmatch(r"zq0x\d+x\d+", word), word
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": 0}, {"seed": 2477, "test_per_class": 1024}])
+def test_every_line_is_json_dumps_of_its_row(tmp_path, kwargs):
+    """Each line write_corpus writes is json.dumps(row, sort_keys=True) of
+    its generate_role row, for the default corpus and a perfbench one."""
+    paths = write_corpus(str(tmp_path), **kwargs)
+    counts = {"train": 220, "val": 60, "test": kwargs.get("test_per_class", 60)}
+    for role, path in paths.items():
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        rows = synth.generate_role(role, kwargs["seed"], counts[role])
+        assert lines == [json.dumps(row, sort_keys=True) for row in rows], role
 
 
 def test_a_role_draws_raw_chunks_and_no_generator(monkeypatch):

@@ -358,17 +358,24 @@ class TestGoldenRun:
     def test_same_bytes_at_every_blas_thread_count(self):
         """The golden run's parameters and epoch losses do not depend on
         OpenBLAS's thread count: every weight gradient is summed over short
-        row blocks. Runs at 1, 2 and 4 threads, each in its own process."""
+        row blocks. Runs at 1, 2 and 4 threads, each in its own process,
+        and checks that each ran at that count capped at the usable CPUs
+        (unless the BLAS cannot report it)."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(golden.__file__)))
         path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         digests = set()
-        for threads in ("1", "2", "4"):
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        for threads in (1, 2, 4):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
             run = subprocess.run(
                 [sys.executable, golden.__file__, "--digest"], capture_output=True, text=True, env=env, timeout=300
             )
             assert run.returncode == 0, run.stderr
             digests.add(run.stdout)
+            ran_at = re.search(r"^blas_threads (\S+)$", run.stderr, re.MULTILINE)
+            assert ran_at is not None, run.stderr
+            if ran_at[1] != "None":
+                assert int(ran_at[1]) == min(threads, usable), (threads, usable, run.stderr)
         assert len(digests) == 1, digests
 
 
