@@ -45,7 +45,7 @@ from .corpus import (
     subsample_labeled,
 )
 from .encoder import EncoderConfig, init_params
-from .errors import CheckpointError, ConfigError, DataError, SnoicError, integer
+from .errors import CheckpointError, ConfigError, DataError, SnoicError, integer, number
 from .metrics import evaluate
 from .trainer import (
     Model,
@@ -388,16 +388,16 @@ def _report_rows(paths: list[str]) -> list[dict]:
     for path in paths:
         rep = _load_json(path, "run report")
         try:
-            r = float(rep["split"]["r"])
-            snoic, base = ({m: float(rep[side][m]) for m in _REPORT_METRICS} for side in ("snoic", "baseline"))
-        except (KeyError, TypeError, ValueError) as exc:
+            r, threshold = number("split.r", rep["split"]["r"]), number("threshold", rep.get("threshold", 0.5))
+            snoic, base = ({m: number(f"{s}.{m}", rep[s][m]) for m in _REPORT_METRICS} for s in ("snoic", "baseline"))
+        except (KeyError, TypeError, DataError) as exc:
             raise DataError(f"{path}: not a run report: {exc}") from None
         # both are sort keys, so a value of another type would fail the sort
         dataset, variant = rep.get("dataset", "?"), rep.get("variant", "SNOiC")
         if not isinstance(dataset, str) or not isinstance(variant, str):
             raise DataError(f"{path}: not a run report: dataset and variant must be strings")
         groups.setdefault((dataset, r, variant), []).append(snoic)
-        groups.setdefault((dataset, r, f"threshold@{rep.get('threshold', 0.5)}"), []).append(base)
+        groups.setdefault((dataset, r, f"threshold@{threshold}"), []).append(base)
     rows = []
     for (dataset, r, variant), reps in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
         row = {"dataset": dataset, "r": r, "variant": variant, "runs": len(reps)}

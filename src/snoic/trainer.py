@@ -254,15 +254,15 @@ def batched_logits(params: EncoderParams, enc: Batch, batch_size: int = WINDOW) 
     return logits.copy()
 
 
-def known_accuracy(params: EncoderParams, enc: Batch, batch_size: int = WINDOW, known_only: bool = False) -> float:
+def known_accuracy(params: EncoderParams, enc: Batch, known_only: bool = False) -> float:
     """Fraction of examples whose argmax matches the gold known class, over
-    the :func:`batched_logits` of ``batch_size``-row windows.
+    the :func:`batched_logits` of ``WINDOW``-row windows.
 
     known_only restricts the argmax to the first M logits (the stage-one
     view); otherwise all M+1 logits compete and an open prediction counts
     as a miss.
     """
-    logits = batched_logits(params, enc, batch_size)
+    logits = batched_logits(params, enc)
     preds = open_predictions(logits[:, : params.M] if known_only else logits)
     return int((preds == enc.class_ids).sum()) / len(enc)
 
@@ -270,9 +270,8 @@ def known_accuracy(params: EncoderParams, enc: Batch, batch_size: int = WINDOW, 
 def _train_stage(stage: str, params, train_enc, val_enc, cfg: TrainConfig, log, epoch_batches, step):
     """The schedule both stages share, on a copy of ``params``: each batch of
     ``epoch_batches(epoch)`` takes one Adam step on the loss and gradients
-    that ``step(params, batch, ws, epoch)`` returns. Validation reads the
-    rows in the ``WINDOW``-row windows of ``snoic eval``, whatever
-    ``cfg.batch_size`` is."""
+    that ``step(params, batch, ws, epoch)`` returns; :func:`known_accuracy`
+    scores validation in the windows of ``snoic eval``."""
     for name, enc in (("training", train_enc), ("validation", val_enc)):
         if len(enc) == 0:
             raise DataError(f"empty {name} set")

@@ -1,5 +1,6 @@
 """End-to-end command line coverage: exit codes, artifacts, report tables."""
 
+import ast
 import csv
 import inspect
 import json
@@ -348,6 +349,23 @@ class TestConfigValidation:
         normalize_experiment_config(raw)
         assert set(raw["encoder"]) == {f.name for f in fields(EncoderConfig)} - {"vocab_size"}
         assert set(raw["train"]) == {f.name for f in fields(TrainConfig)} - {"seed"}
+
+    def test_readme_cites_only_tests_that_exist(self):
+        """Every ``Test…`` or ``test_…`` name in the README's inline code is a
+        class or function under tests/; names in fenced blocks are code, not
+        citations, and a ``test_x.py`` is a file name."""
+        root = Path(__file__).parents[1]
+        prose = re.sub(r"```.*?```", "", (root / "README.md").read_text(encoding="utf-8"), flags=re.S)
+        spans = re.findall(r"`([^`]+)`", prose)
+        cited = {name for span in spans for name in re.findall(r"\b(Test\w+|test_\w+)\b(?!\.py)", span)}
+        defined = {
+            node.name
+            for path in (root / "tests").glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        assert "test_readme_example_matches_the_dataclasses" in cited
+        assert cited - defined == set()
 
     @pytest.mark.parametrize(
         "magnitude, toggle",
@@ -793,6 +811,29 @@ class TestReportCommand:
         assert main(["report", "--inputs", str(tmp_path / "run*.json"), "--out", str(tmp_path / "t")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize(
+        "section, field, value, shown",
+        [
+            ("snoic", "f1_open", True, "must be a number, got True"),
+            ("snoic", "accuracy", "0.25", "must be a number, got '0.25'"),
+            ("baseline", "f1_known", float("nan"), "must be finite, got nan"),
+            ("split", "r", "0.5", "must be a number, got '0.5'"),
+            (None, "threshold", False, "must be a number, got False"),
+        ],
+        ids=["bool-metric", "string-metric", "nan-metric", "string-r", "bool-threshold"],
+    )
+    def test_a_value_that_is_not_a_finite_number_exits_1(self, tmp_path, capsys, section, field, value, shown):
+        """Each was read with float() before: true averaged as 1.0, "0.25" as
+        0.25, and a NaN metric reached summary.json, all with exit 0."""
+        rep = fake_report("toy", "SNOiC", 0.5, (0.5,) * 4, (0.5,) * 4)
+        (rep[section] if section else rep)[field] = value
+        path = tmp_path / "run0.json"
+        path.write_text(json.dumps(rep))
+        assert main(["report", "--inputs", str(tmp_path / "run*.json"), "--out", str(tmp_path / "t")]) == 1
+        name = f"{section}.{field}" if section else field
+        assert f"error: {path}: not a run report: {name} {shown}" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists() and not (tmp_path / "t.csv").exists()
 
     def test_non_report_file_exits_1(self, tmp_path, capsys):
         (tmp_path / "run0.json").write_text(json.dumps({"hello": 1}))

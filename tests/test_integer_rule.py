@@ -38,7 +38,7 @@ from snoic.corpus import (
 from snoic.encoder import EncoderConfig, init_params, load_checkpoint, param_spec, save_checkpoint
 from snoic.errors import ConfigError, DataError
 from snoic.synth import write_corpus
-from snoic.trainer import TrainConfig, batched_logits, known_accuracy, predict, threshold_baseline_predict
+from snoic.trainer import TrainConfig, batched_logits, predict, threshold_baseline_predict
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,6 @@ ENTRIES = {
     "threshold_baseline_predict.batch_size": (
         lambda c, v: threshold_baseline_predict(c.p, c.enc, 0.5, v), 3, 1, DataError
     ),
-    "known_accuracy.batch_size": (lambda c, v: known_accuracy(c.p, c.enc, v, True), 3, 1, DataError),
     "write_corpus.seed": (lambda c, v: _corpus(c, seed=v), 0, 0, ConfigError),
     "write_corpus.train_per_class": (lambda c, v: _corpus(c, train_per_class=v), 1, 1, ConfigError),
     "write_corpus.val_per_class": (lambda c, v: _corpus(c, val_per_class=v), 1, 1, ConfigError),

@@ -384,8 +384,8 @@ class TestKnownAccuracy:
         # Bias puts the open class far ahead; the known view cannot see it.
         p = bias_only_model([0.0, 1.0, 5.0])
         enc = cls_only_dataset([2, 2, 2])
-        assert known_accuracy(p, enc, 2, known_only=True) == 1.0
-        assert known_accuracy(p, enc, 2, known_only=False) == 0.0
+        assert known_accuracy(p, enc, known_only=True) == 1.0
+        assert known_accuracy(p, enc, known_only=False) == 0.0
 
 
 class TestPredict:
