@@ -45,7 +45,7 @@ from .corpus import (
     subsample_labeled,
 )
 from .encoder import EncoderConfig, init_params
-from .errors import CheckpointError, ConfigError, DataError, SnoicError, integer, number
+from .errors import CheckpointError, ConfigError, DataError, SnoicError, fraction, integer
 from .metrics import evaluate
 from .trainer import (
     Model,
@@ -388,8 +388,9 @@ def _report_rows(paths: list[str]) -> list[dict]:
     for path in paths:
         rep = _load_json(path, "run report")
         try:
-            r, threshold = number("split.r", rep["split"]["r"]), number("threshold", rep.get("threshold", 0.5))
-            snoic, base = ({m: number(f"{s}.{m}", rep[s][m]) for m in _REPORT_METRICS} for s in ("snoic", "baseline"))
+            r = fraction("split.r", rep["split"]["r"], interior=True)
+            threshold = fraction("threshold", rep.get("threshold", 0.5))
+            snoic, base = ({m: fraction(f"{s}.{m}", rep[s][m]) for m in _REPORT_METRICS} for s in ("snoic", "baseline"))
         except (KeyError, TypeError, DataError) as exc:
             raise DataError(f"{path}: not a run report: {exc}") from None
         # both are sort keys, so a value of another type would fail the sort

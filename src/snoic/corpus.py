@@ -25,7 +25,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import DataError, PairingError, integer, number
+from .errors import DataError, PairingError, fraction, integer, number
 
 PAD_ID = 0
 UNK_ID = 1
@@ -173,9 +173,7 @@ class SplitSpec:
 
     def __post_init__(self):
         self.seed = integer("seed", self.seed, 0)
-        self.r = number("r", self.r)
-        if not 0.0 < self.r < 1.0:
-            raise DataError(f"r must be in (0, 1), got {self.r}")
+        self.r = fraction("r", self.r, interior=True)
         names = []
         for role in ("known_classes", "open_classes"):
             classes = getattr(self, role)

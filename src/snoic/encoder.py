@@ -64,10 +64,10 @@ step's tape into one workspace, so the tape, the gradients and the
 scratch reuse the same buffers step after step. The default,
 :data:`FRESH`, hands out new arrays, which is what untaped passes use.
 
-Parameters live in one flat, C-contiguous buffer: :class:`EncoderParams`
-keys reshaped views into it by name, back to back in canonical
-:func:`param_spec` order, which is also the checkpoint layout, so a
-checkpoint is that buffer written out; its ``blocks`` hold one
+Parameters live in one flat, C-contiguous float buffer, laid out by
+:func:`param_spec` alone: :class:`EncoderParams` keys reshaped views into
+it by name, back to back in canonical order, which is also the checkpoint
+layout, so a checkpoint is that buffer written out; its ``blocks`` hold one
 :class:`Block` of views per encoder block, which is what the block
 functions read. Gradients are an :class:`EncoderParams` of the same
 layout over the workspace's gradient buffer. A pass gives every
@@ -149,7 +149,7 @@ Block = namedtuple("Block", [name for name, _, _ in _BLOCK_TENSORS])
 
 def param_spec(cfg: EncoderConfig, M: int) -> list[tuple[str, tuple[int, ...], str]]:
     """Canonical (name, shape, kind) listing; kind is weight, bias, or gain."""
-    integer("M", M, 1)
+    M = integer("M", M, 1)
     h, d = cfg.hidden, cfg.dim
     return [
         ("token_embedding", (cfg.vocab_size, h), "weight"),
@@ -166,42 +166,43 @@ def param_spec(cfg: EncoderConfig, M: int) -> list[tuple[str, tuple[int, ...], s
     ]
 
 
-def _layout(shapes: dict[str, tuple[int, ...]]) -> dict[str, tuple[int, int, tuple[int, ...]]]:
-    """name -> (start, stop, shape) of tensors stored back to back."""
+def _layout(cfg: EncoderConfig, M: int) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+    """name -> (start, stop, shape) of :func:`param_spec`'s tensors stored back to back."""
     layout, start = {}, 0
-    for name, shape in shapes.items():
+    for name, shape, _ in param_spec(cfg, M):
         stop = start + math.prod(shape)
-        layout[name] = (start, stop, tuple(shape))
+        layout[name] = (start, stop, shape)
         start = stop
     return layout
-
-
-def _views(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
-    return {name: flat[start:stop].reshape(shape) for name, (start, stop, shape) in layout.items()}
 
 
 class EncoderParams:
     """All trainable tensors, keyed by canonical name, as reshaped views
     into one flat buffer.
 
-    ``tensors`` holds every tensor that :func:`param_spec` lists. ``flat``
-    is C-contiguous and holds them back to back in the order of
-    ``tensors`` (param_spec order for every model built here); ``layout``
-    maps each name to its (start, stop, shape) in it. The constructor
-    packs the arrays it is given into a new buffer of their common dtype;
-    :meth:`with_flat` lays them over another buffer, as gradients are.
-    ``tensors`` is a read-only mapping, so a tensor can only be written in
-    place and never detached from ``flat``; ``blocks`` holds the same views
-    once more, one read-only :class:`Block` per encoder block.
+    ``flat`` holds every tensor that :func:`param_spec` lists for ``cfg``
+    and ``M``, back to back in that order; ``layout`` maps each name to its
+    (start, stop, shape). The constructor binds ``flat``, neither copied
+    nor cast: a C-contiguous float vector of the layout's size, else
+    DataError, as for a bad ``M``; :meth:`with_flat` lays the same layout
+    over another buffer, as gradients are. ``tensors`` is a read-only
+    mapping, so a tensor can only be written in place and never detached
+    from ``flat``; ``blocks`` holds the same views once more, one read-only
+    :class:`Block` per block.
     """
 
-    def __init__(self, cfg: EncoderConfig, M: int, tensors: dict[str, np.ndarray]):
-        flat = np.concatenate([np.ravel(t) for t in tensors.values()])
-        self._bind(cfg, M, flat, _layout({name: np.shape(t) for name, t in tensors.items()}))
+    def __init__(self, cfg: EncoderConfig, M: int, flat: np.ndarray):
+        layout = _layout(cfg, M)
+        size = next(reversed(layout.values()))[1]
+        vector = isinstance(flat, np.ndarray) and flat.shape == (size,) and flat.flags.c_contiguous
+        if not vector or flat.dtype.kind != "f":
+            got = f"{getattr(flat, 'dtype', type(flat).__name__)} of shape {np.shape(flat)}"
+            raise DataError(f"flat must be a C-contiguous float vector of {size} entries, got {got}")
+        self._bind(cfg, int(M), flat, layout)
 
     def _bind(self, cfg: EncoderConfig, M: int, flat: np.ndarray, layout: dict) -> "EncoderParams":
         self.cfg, self.M, self.flat, self.layout = cfg, M, flat, layout
-        self.tensors = MappingProxyType(_views(flat, layout))
+        self.tensors = MappingProxyType({name: flat[a:b].reshape(shape) for name, (a, b, shape) in layout.items()})
         self.blocks = tuple(
             Block(*(self.tensors[f"layers.{i}.{name}"] for name in Block._fields)) for i in range(cfg.num_layers)
         )
@@ -229,19 +230,17 @@ class EncoderParams:
 
 
 def init_params(cfg: EncoderConfig, M: int, seed: int) -> EncoderParams:
-    """Seeded Glorot-uniform weights, zero biases, unit normalization gains."""
+    """Seeded float32 Glorot-uniform weights, zero biases, unit normalization gains."""
     rng = np.random.default_rng(integer("seed", seed, 0))
-    M = integer("M", M, 1)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape, kind in param_spec(cfg, M):
+    spec = param_spec(cfg, M)
+    p = EncoderParams(cfg, M, np.zeros(sum(math.prod(shape) for _, shape, _ in spec), np.float32))
+    for name, shape, kind in spec:
         if kind == "weight":
             bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            p[name][...] = rng.uniform(-bound, bound, size=shape)
         elif kind == "gain":
-            tensors[name] = np.ones(shape, dtype=np.float32)
-        else:
-            tensors[name] = np.zeros(shape, dtype=np.float32)
-    return EncoderParams(cfg=cfg, M=M, tensors=tensors)
+            p[name][...] = 1.0
+    return p
 
 
 class _Arrays(dict):
@@ -774,15 +773,18 @@ class TapedForward:
 # checkpoint io
 
 
+def _require_finite(p: EncoderParams, path: str) -> None:
+    """CheckpointError naming the first tensor of ``p`` that holds a NaN or an infinity."""
+    finite = np.isfinite(p.flat)
+    if not finite.all():
+        raise CheckpointError(f"{path}: non-finite values in tensor {p.owner(int(np.argmin(finite)))!r}")
+
+
 def save_checkpoint(p: EncoderParams, path: str) -> None:
-    """JSON header line, then the flat buffer as raw little-endian float32."""
-    header = {
-        "names": p.names(),
-        "shapes": [list(p[n].shape) for n in p.names()],
-        "dtype": "f32",
-        "M": p.M,
-        "config": p.cfg.to_dict(),
-    }
+    """JSON header line, then the flat buffer as raw little-endian float32; non-finite values raise."""
+    _require_finite(p, path)
+    shapes = [list(shape) for _, _, shape in p.layout.values()]
+    header = {"names": p.names(), "shapes": shapes, "dtype": "f32", "M": p.M, "config": p.cfg.to_dict()}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
@@ -808,27 +810,16 @@ def load_checkpoint(path: str) -> EncoderParams:
         raise CheckpointError(f"{path}: unsupported dtype {header['dtype']!r}")
     try:
         cfg = EncoderConfig.from_dict(header["config"])
-        expected = param_spec(cfg, header["M"])
+        layout = _layout(cfg, header["M"])
     except DataError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    names = [n for n, _, _ in expected]
-    shapes = [list(s) for _, s, _ in expected]
-    if header["names"] != names or header["shapes"] != shapes:
-        raise CheckpointError(
-            f"{path}: header names/shapes do not match config (M={header['M']}, "
-            f"head width {header['M'] + 1})"
-        )
-    layout = _layout({n: s for n, s, _ in expected})
+    if header["names"] != list(layout) or header["shapes"] != [list(shape) for _, _, shape in layout.values()]:
+        M = header["M"]
+        raise CheckpointError(f"{path}: header names/shapes do not match config (M={M}, head width {M + 1})")
     payload_bytes = len(blob) - newline - 1
-    expected_bytes = sum(stop - start for start, stop, _ in layout.values()) * CHECKPOINT_DTYPE.itemsize
+    expected_bytes = next(reversed(layout.values()))[1] * CHECKPOINT_DTYPE.itemsize
     if payload_bytes != expected_bytes:
-        raise CheckpointError(
-            f"{path}: payload is {payload_bytes} bytes, expected {expected_bytes}"
-        )
-    payload = np.frombuffer(blob, CHECKPOINT_DTYPE, offset=newline + 1)
-    params = EncoderParams(cfg, header["M"], _views(payload, layout))
-    finite = np.isfinite(params.flat)
-    if not finite.all():
-        bad = params.owner(int(np.argmin(finite)))
-        raise CheckpointError(f"{path}: non-finite values in tensor {bad!r}")
+        raise CheckpointError(f"{path}: payload is {payload_bytes} bytes, expected {expected_bytes}")
+    params = EncoderParams(cfg, header["M"], np.frombuffer(blob, CHECKPOINT_DTYPE, offset=newline + 1).copy())
+    _require_finite(params, path)
     return params

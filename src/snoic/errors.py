@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and number rules."""
+"""Exception types shared across the package, and the integer, number and fraction rules."""
 
 import math
 import numbers
@@ -49,4 +49,12 @@ def number(name: str, value, error: type[SnoicError] = DataError) -> float:
         value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise error(f"{name} must be finite, got {value}")
+    return value
+
+
+def fraction(name: str, value, error: type[SnoicError] = DataError, interior: bool = False) -> float:
+    """``number(name, value, error)`` if in [0, 1] (in (0, 1) if ``interior``), else ``error``."""
+    value = number(name, value, error)
+    if not (0.0 < value < 1.0 if interior else 0.0 <= value <= 1.0):
+        raise error(f"{name} must be in {'(0, 1)' if interior else '[0, 1]'}, got {value}")
     return value

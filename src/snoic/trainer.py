@@ -40,7 +40,7 @@ import numpy as np
 from .augment import NoisyMixupPass
 from .corpus import Batch, Vocab, _check_batching, _load_json, _slice_batches, make_batches, pair_batches
 from .encoder import EncoderParams, TapedForward, Workspace, forward, load_checkpoint, save_checkpoint
-from .errors import CheckpointError, ConfigError, DataError, PairingError, TrainingError, integer, number
+from .errors import CheckpointError, ConfigError, DataError, PairingError, TrainingError, fraction, integer, number
 from .losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax, total_loss
 
 BETA1 = 0.9
@@ -285,7 +285,6 @@ def _train_stage(stage: str, params, train_enc, val_enc, cfg: TrainConfig, log, 
     opt = OptimizerState.for_params(params)
     ws = Workspace()
     best_val = -math.inf
-    best = params.copy()
     bad_epochs = 0
     for epoch in range(1, cfg.max_epochs + 1):
         values = []
@@ -393,9 +392,7 @@ def baseline_predictions(logits: np.ndarray, M: int, threshold: float) -> np.nda
     Rows whose maximum known-class probability falls below the threshold
     are assigned the open id M+1.
     """
-    threshold = number("threshold", threshold, ConfigError)
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+    threshold = fraction("threshold", threshold, ConfigError)
     probs = softmax(logits[:, :M])
     top = np.argmax(probs, axis=1)
     conf = probs[np.arange(len(probs)), top]
@@ -428,10 +425,14 @@ def threshold_baseline_predict(
 
 @dataclass
 class Model:
-    """Trained parameters together with the vocabulary they assume."""
+    """Trained parameters and the vocabulary they assume, of the embedding table's size."""
 
     params: EncoderParams
     vocab: Vocab
+
+    def __post_init__(self):
+        if (n := self.params.cfg.vocab_size) != (k := len(self.vocab)):
+            raise DataError(f"model expects vocabulary of {n} ids, stored vocabulary has {k}")
 
 
 def save_model(model: Model, dirpath: str, meta: dict | None = None, log: TrainLog | None = None) -> None:
@@ -450,14 +451,14 @@ def load_model(dirpath: str) -> tuple[Model, dict]:
     does not match the checkpoint's embedding table raises CheckpointError."""
     params = load_checkpoint(os.path.join(dirpath, CHECKPOINT_FILE))
     vocab = Vocab.load(os.path.join(dirpath, VOCAB_FILE))
-    if params.cfg.vocab_size != len(vocab):
-        raise CheckpointError(
-            f"{dirpath}: model expects vocabulary of {params.cfg.vocab_size} ids, stored vocabulary has {len(vocab)}"
-        )
+    try:
+        model = Model(params=params, vocab=vocab)
+    except DataError as exc:
+        raise CheckpointError(f"{dirpath}: {exc}") from exc
     meta_path = os.path.join(dirpath, META_FILE)
     meta = {}
     if os.path.exists(meta_path):
         meta = _load_json(meta_path, "meta")
         if not isinstance(meta, dict):
             raise DataError(f"{meta_path}: not a meta file: expected a JSON object")
-    return Model(params=params, vocab=vocab), meta
+    return model, meta

@@ -835,6 +835,39 @@ class TestReportCommand:
         assert f"error: {path}: not a run report: {name} {shown}" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists() and not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize(
+        "section, field, value, shown",
+        [
+            ("split", "r", 1.5, "must be in (0, 1), got 1.5"),
+            ("split", "r", 0, "must be in (0, 1), got 0.0"),
+            ("snoic", "accuracy", 1.5, "must be in [0, 1], got 1.5"),
+            ("baseline", "f1_all", -3, "must be in [0, 1], got -3.0"),
+            (None, "threshold", 2, "must be in [0, 1], got 2.0"),
+        ],
+        ids=["r-above-1", "r-0", "metric-above-1", "negative-baseline-metric", "threshold-above-1"],
+    )
+    def test_a_value_out_of_range_exits_1(self, tmp_path, capsys, section, field, value, shown):
+        """Each exited 0 before, with rows reading r=1.5, acc 150.00 or
+        acc -300.00."""
+        rep = fake_report("toy", "SNOiC", 0.5, (0.5,) * 4, (0.5,) * 4)
+        (rep[section] if section else rep)[field] = value
+        path = tmp_path / "run0.json"
+        path.write_text(json.dumps(rep))
+        assert main(["report", "--inputs", str(tmp_path / "run*.json"), "--out", str(tmp_path / "t")]) == 1
+        name = f"{section}.{field}" if section else field
+        assert f"error: {path}: not a run report: {name} {shown}" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists() and not (tmp_path / "t.csv").exists()
+
+    def test_the_ends_of_each_range_are_accepted(self, tmp_path):
+        rep = fake_report("toy", "SNOiC", 0.5, (0.0, 1.0, 0, 1), (1.0, 0.0, 1, 0))
+        rep["threshold"] = 1
+        (tmp_path / "run0.json").write_text(json.dumps(rep))
+        assert main(["report", "--inputs", str(tmp_path / "run*.json"), "--out", str(tmp_path / "t")]) == 0
+        rows = read_json(str(tmp_path / "t.json"))
+        assert [(r["variant"], r["accuracy"], r["f1_open"]) for r in rows] == [
+            ("SNOiC", 0.0, 100.0), ("threshold@1.0", 100.0, 0.0),
+        ]
+
     def test_non_report_file_exits_1(self, tmp_path, capsys):
         (tmp_path / "run0.json").write_text(json.dumps({"hello": 1}))
         assert main(["report", "--inputs", str(tmp_path / "run*.json"), "--out", str(tmp_path / "t")]) == 1

@@ -563,17 +563,44 @@ class TestParamLayout:
             offset += t.size
         assert offset == p.flat.size
 
-    def test_constructor_packs_a_dict(self):
+    def test_constructor_binds_the_buffer(self):
+        """The buffer given is the parameters' memory: neither copied nor
+        cast, with param_spec's tensors laid over it in order."""
         cfg = small_config(num_layers=1)
-        tensors = {name: np.full(shape, k, np.float64) for k, (name, shape, _) in enumerate(param_spec(cfg, 1))}
-        p = EncoderParams(cfg, 1, tensors)
-        assert p.flat.dtype == np.float64
-        assert np.array_equal(p.flat, np.concatenate([t.ravel() for t in tensors.values()]))
-        start, stop, shape = p.layout["dense_w"]
-        assert shape == tensors["dense_w"].shape and stop - start == tensors["dense_w"].size
-        assert not np.shares_memory(p["dense_w"], tensors["dense_w"])
-        p["dense_w"][1, 1] = 99.0
-        assert p.flat[start + shape[1] + 1] == 99.0 and tensors["dense_w"][1, 1] != 99.0
+        spec = param_spec(cfg, 1)
+        flat = np.arange(sum(math.prod(shape) for _, shape, _ in spec), dtype=np.float64)
+        p = EncoderParams(cfg, 1, flat)
+        assert p.flat is flat and p.flat.dtype == np.float64 and p.M == 1
+        assert p.names() == [name for name, _, _ in spec]
+        offset = 0
+        for name, shape, _ in spec:
+            assert p[name].shape == shape and np.shares_memory(p[name], flat), name
+            assert p[name].ravel()[0] == offset, name
+            offset += math.prod(shape)
+        p["dense_w"][1, 1] = -1.0
+        start, _, shape = p.layout["dense_w"]
+        assert flat[start + shape[1] + 1] == -1.0
+
+    @pytest.mark.parametrize(
+        "make, M",
+        [
+            (lambda n: np.zeros(n + 1, np.float32), 1),
+            (lambda n: np.zeros(n - 1, np.float32), 1),
+            (lambda n: np.zeros((1, n), np.float32), 1),
+            (lambda n: np.zeros(n, np.int64), 1),
+            (lambda n: np.zeros(2 * n, np.float32)[::2], 1),
+            (lambda n: [0.0] * n, 1),
+            (lambda n: np.zeros(n, np.float32), 0),
+            (lambda n: np.zeros(n, np.float32), True),
+            (lambda n: np.zeros(n, np.float32), 1.5),
+        ],
+        ids=["too-long", "too-short", "2-d", "integer-dtype", "non-contiguous", "list", "M-0", "M-True", "M-1.5"],
+    )
+    def test_constructor_refuses(self, make, M):
+        cfg = small_config(num_layers=1)
+        size = sum(math.prod(shape) for _, shape, _ in param_spec(cfg, 1))
+        with pytest.raises(DataError, match="^flat must be a C-contiguous float vector|^M must be"):
+            EncoderParams(cfg, M, make(size))
 
     def test_copy_is_independent(self):
         p = init_params(small_config(), 4, seed=52)
@@ -625,6 +652,7 @@ def _workspace_grads(p, tmp_path):
 # every way an EncoderParams is made, from init_params' p and a scratch directory
 PARAM_SOURCES = {
     "init_params": lambda p, tmp_path: p,
+    "constructor": lambda p, tmp_path: EncoderParams(p.cfg, p.M, p.flat.copy()),
     "copy": lambda p, tmp_path: p.copy(),
     "astype": lambda p, tmp_path: p.astype(np.float64),
     "with_flat": lambda p, tmp_path: p.with_flat(np.zeros_like(p.flat)),
@@ -1137,12 +1165,28 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_non_finite_tensor_rejected(self, tmp_path):
+        """A NaN written into a saved file's payload, where save_checkpoint
+        would not have put it."""
         p = self.make()
-        p.tensors["dense_w"][0, 0] = np.nan
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(p, path)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(p, str(path))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        values = np.frombuffer(payload, "<f4").copy()
+        values[p.layout["dense_w"][0]] = np.nan
+        path.write_bytes(header + b"\n" + values.tobytes())
         with pytest.raises(CheckpointError, match="non-finite values in tensor 'dense_w'"):
-            load_checkpoint(path)
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["token_embedding", "layers.2.norm2_bias", "head_b"])
+    def test_non_finite_tensor_is_not_written(self, tmp_path, name, value):
+        """save_checkpoint refuses, with load_checkpoint's message, before it opens the file."""
+        p = self.make()
+        p.tensors[name].ravel()[-1] = value
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: non-finite values in tensor '{name}'")):
+            save_checkpoint(p, str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "key, retype",

@@ -35,7 +35,7 @@ from snoic.corpus import (
     pair_batches,
     subsample_labeled,
 )
-from snoic.encoder import EncoderConfig, init_params, load_checkpoint, param_spec, save_checkpoint
+from snoic.encoder import EncoderConfig, EncoderParams, init_params, load_checkpoint, param_spec, save_checkpoint
 from snoic.errors import ConfigError, DataError
 from snoic.synth import write_corpus
 from snoic.trainer import TrainConfig, batched_logits, predict, threshold_baseline_predict
@@ -70,6 +70,7 @@ ENTRIES = {
     "EncoderConfig.max_len": (lambda c, v: EncoderConfig(vocab_size=20, max_len=v), 8, 2, DataError),
     "param_spec.M": (lambda c, v: param_spec(c.cfg, v), 2, 1, DataError),
     "init_params.M": (lambda c, v: init_params(c.cfg, v, 0), 2, 1, DataError),
+    "EncoderParams.M": (lambda c, v: EncoderParams(c.cfg, v, c.p.flat), 2, 1, DataError),
     "init_params.seed": (lambda c, v: init_params(c.cfg, 2, v), 3, 0, DataError),
     "SplitSpec.seed": (lambda c, v: SplitSpec(seed=v, r=0.5, known_classes=["a"], open_classes=["b"]), 1, 0, DataError),
     "build_vocab.min_freq": (lambda c, v: build_vocab(c.ds, min_freq=v), 1, 1, DataError),

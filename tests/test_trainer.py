@@ -26,12 +26,13 @@ from snoic.corpus import (
     Dataset,
     LabeledExample,
     PairedBatch,
+    Vocab,
     build_vocab,
     _slice_batches,
     encode_dataset,
 )
-from snoic.encoder import EncoderConfig, TapedForward, Workspace, forward, init_params
-from snoic.errors import ConfigError, DataError, PairingError, TrainingError
+from snoic.encoder import EncoderConfig, EncoderParams, TapedForward, Workspace, forward, init_params, param_spec
+from snoic.errors import ConfigError, DataError, PairingError, SnoicError, TrainingError
 from snoic.losses import kl_loss, mixup_loss, pretrain_loss, soft_targets, softmax
 from snoic.trainer import (
     ADAM_EPS,
@@ -899,6 +900,29 @@ class TestTwoStage:
             assert float(np.mean(lasts)) < float(np.mean(firsts))
 
 
+def _zero_model(cfg, vocab, entries, M=3):
+    return Model(EncoderParams(cfg, M, np.zeros(entries, np.float32)), vocab)
+
+
+def _non_finite(cfg, vocab, size, name, value):
+    p = init_params(cfg, 3, seed=5)
+    p.tensors[name].ravel()[0] = value
+    return Model(params=p, vocab=vocab)
+
+
+# fault -> (encoder config, vocabulary, parameter count at M=3) -> a model to save
+UNLOADABLE_MODELS = {
+    "extra-tensor": lambda cfg, vocab, n: _zero_model(cfg, vocab, n + cfg.dim),
+    "missing-block-tensor": lambda cfg, vocab, n: _zero_model(cfg, vocab, n - cfg.hidden**2),
+    "dense_w-3x3": lambda cfg, vocab, n: _zero_model(cfg, vocab, n - cfg.hidden * cfg.dim + 9),
+    "M-0": lambda cfg, vocab, n: _zero_model(cfg, vocab, n, M=0),
+    "M-True": lambda cfg, vocab, n: _zero_model(cfg, vocab, n, M=True),
+    "short-vocabulary": lambda cfg, vocab, n: Model(init_params(cfg, 3, 5), Vocab(vocab.id_to_token[:-1])),
+    "inf": partial(_non_finite, name="layers.0.ffn_w2", value=np.inf),
+    "nan": partial(_non_finite, name="head_b", value=np.nan),
+}
+
+
 class TestLogAndModelIo:
     def test_train_log_saves_jsonl(self, tmp_path):
         log = TrainLog()
@@ -925,6 +949,21 @@ class TestLogAndModelIo:
         for name in params.names():
             assert np.array_equal(loaded.params[name], params[name])
         assert (tmp_path / "m" / "train_log.jsonl").exists()
+
+    @pytest.mark.parametrize("fault", list(UNLOADABLE_MODELS))
+    def test_what_save_model_writes_load_model_reads(self, tmp_path, fault):
+        """Each model that was saved and then refused by load_model, or
+        that failed with a raw KeyError, is refused before any file exists.
+        An extra, missing or mis-shaped tensor is a buffer of the wrong
+        size; tensors in another order cannot be expressed, since a buffer
+        of the right size has param_spec's layout."""
+        vocab, _, _ = separable_sets()
+        cfg = separable_encoder(vocab)
+        size = sum(math.prod(shape) for _, shape, _ in param_spec(cfg, 3))
+        out = tmp_path / "m"
+        with pytest.raises(SnoicError):
+            save_model(UNLOADABLE_MODELS[fault](cfg, vocab, size), str(out))
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
 
 FULL_WIDTHS = (32, 32, 32, 32)
